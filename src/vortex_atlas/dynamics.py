@@ -22,8 +22,9 @@ This module provides:
   vortices combined with tangent-plane coordinates for pole vortices,
   with analytic gradients, the chart symplectic matrix, momentum
   differentials, rotation generators, and finite-difference Hessians;
-* an adaptive Dormand-Prince 5(4) integrator with per-step renormalization
-  onto the sphere, drift monitoring, and near-collision abort;
+* an adaptive Dormand-Prince 8(5,3) integrator (DOP853) with per-step
+  renormalization onto the sphere, drift monitoring, near-collision abort
+  and solver statistics;
 * a flow-equivariance check for symmetry-group elements (time-preserving
   or time-reversing according to their character).
 """
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -49,7 +52,7 @@ from .core import (
 __all__ = [
     "CollisionApproach",
     "StepSizeUnderflow",
-    "AngularVelocity",
+    "SolverStats",
     "Trajectory",
     "MixedChart",
     "hamiltonian",
@@ -87,19 +90,6 @@ class StepSizeUnderflow(VortexError, RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True)
-class AngularVelocity:
-    """A rigid rotation rate about the z-axis."""
-
-    z: float
-
-    def vector(self) -> np.ndarray:
-        return np.array([0.0, 0.0, self.z])
-
-    def __float__(self) -> float:
-        return float(self.z)
-
-
 # ---------------------------------------------------------------------------
 # Energy, momentum, vector field
 # ---------------------------------------------------------------------------
@@ -115,31 +105,60 @@ def _pairwise_l2(p: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _log_chord_hamiltonian(p: np.ndarray, lam: np.ndarray) -> float:
-    l2 = _pairwise_l2(p)
-    m = p.shape[0]
+class _Pairs(NamedTuple):
+    """Strength-dependent constants of the kernel, built once per run."""
+
+    lam_off: np.ndarray  # (M, M): lambda_j off the diagonal, 0 on it
+    eye: np.ndarray  # (M, M) identity: keeps the diagonal denominators at 1
+    iu: tuple[np.ndarray, np.ndarray]  # indices of the pairs i < j
+    weights: np.ndarray  # lambda_i lambda_j for each pair i < j
+
+
+def _pair_constants(lam: np.ndarray) -> _Pairs:
+    m = lam.shape[0]
+    eye = np.eye(m)
     iu = np.triu_indices(m, k=1)
-    pair_l2 = l2[iu]
-    if np.min(pair_l2) < COLLISION_EPS**2:
-        from .core import CollisionError
+    return _Pairs(
+        lam_off=np.where(eye == 0.0, lam[None, :], 0.0),
+        eye=eye,
+        iu=iu,
+        weights=(lam[:, None] * lam[None, :])[iu],
+    )
 
-        raise CollisionError("two vortices are within the collision threshold")
-    weights = (lam[:, None] * lam[None, :])[iu]
-    return float(np.sum(weights * np.log(pair_l2)))
+
+def _energy(pair_l2: np.ndarray, pairs: _Pairs) -> float:
+    """``H`` from the squared chords of the pairs ``i < j``."""
+    return float(np.sum(pairs.weights * np.log(pair_l2)))
 
 
-def _field(p: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    denom = 0.5 * _pairwise_l2(p)  # equals 1 - x_i . x_j on the sphere
-    np.fill_diagonal(denom, 1.0)
-    w = lam[None, :] / denom
-    np.fill_diagonal(w, 0.0)
-    s = w @ p
-    return np.cross(s, p)
+def _min_chord(pair_l2: np.ndarray) -> float:
+    """Smallest chord distance among the pairs; ``inf`` when there are none."""
+    return math.sqrt(float(pair_l2.min())) if pair_l2.size else math.inf
+
+
+def _interaction(p: np.ndarray, pairs: _Pairs) -> np.ndarray:
+    """``S_i = sum_{j != i} lambda_j x_j / (1 - x_i . x_j)`` as an ``(M, 3)`` array."""
+    # half the squared chord equals 1 - x_i . x_j on the sphere
+    return (pairs.lam_off / (0.5 * _pairwise_l2(p) + pairs.eye)) @ p
+
+
+# Cyclic component orders: (S x x)_c = S_{c+1} x_{c+2} - S_{c+2} x_{c+1}.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _field(p: np.ndarray, pairs: _Pairs) -> np.ndarray:
+    """The vector field ``dx_i/dt = S_i x x_i``: the one kernel of the flow."""
+    s = _interaction(p, pairs)
+    out = s.take(_NEXT, 1) * p.take(_PREV, 1)
+    out -= s.take(_PREV, 1) * p.take(_NEXT, 1)
+    return out
 
 
 def hamiltonian(c: Configuration) -> float:
     """Interaction energy ``sum_{i<j} lambda_i lambda_j ln l_ij^2``."""
-    return _log_chord_hamiltonian(c.positions(), c.strengths())
+    pairs = _pair_constants(c.strengths())
+    return _energy(_pairwise_l2(c.positions())[pairs.iu], pairs)
 
 
 def vector_field(c: Configuration) -> np.ndarray:
@@ -147,7 +166,7 @@ def vector_field(c: Configuration) -> np.ndarray:
 
     Each row is tangent to the sphere at the corresponding vortex.
     """
-    return _field(c.positions(), c.strengths())
+    return _field(c.positions(), _pair_constants(c.strengths()))
 
 
 def momentum_map(c: Configuration) -> np.ndarray:
@@ -206,6 +225,7 @@ class MixedChart:
             self.pole_signs = tuple(signs)
         self.dim = 2 * self.n_ring + 2 * len(self.poles)
         self.strengths = config.strengths()
+        self._pairs = _pair_constants(self.strengths)
         self.m = len(config)
 
     # -- coordinates <-> positions ------------------------------------------
@@ -272,12 +292,7 @@ class MixedChart:
         its pairings with the per-dof tangent vectors.
         """
         p, frames = self._frames(q)
-        denom = 0.5 * _pairwise_l2(p)
-        np.fill_diagonal(denom, 1.0)
-        w = self.strengths[None, :] / denom
-        np.fill_diagonal(w, 0.0)
-        s = w @ p
-        ambient = -self.strengths[:, None] * s
+        ambient = -self.strengths[:, None] * _interaction(p, self._pairs)
         ambient[:, 2] += float(xi) * self.strengths
         return np.einsum("dmk,mk->d", frames, ambient)
 
@@ -289,7 +304,7 @@ class MixedChart:
         chart frames.
         """
         p, _ = self._frames(q)
-        v = _field(p, self.strengths)
+        v = _field(p, self._pairs)
         v[:, 0] += float(xi) * p[:, 1]
         v[:, 1] -= float(xi) * p[:, 0]
         dq = np.empty(self.dim)
@@ -367,48 +382,74 @@ class MixedChart:
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """Work done by one :func:`integrate` call."""
+
+    rhs_calls: int  # field evaluations, one after each renormalization included
+    accepted_steps: int
+    min_step: float  # smallest accepted step; ``inf`` when none was taken
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time series produced by :func:`integrate`.
 
-    ``times`` is strictly increasing and starts at 0; ``h_drift`` and
-    ``phi_drift`` record ``|H(t) - H(0)|`` and ``max_k |Phi_k(t) - Phi_k(0)|``
-    at each stored time.
+    ``times`` is strictly increasing and starts at 0.  ``positions`` is the
+    read-only ``(T, M, 3)`` array of the integrator's states, ``energies``
+    holds ``H`` at each of them, and ``h_drift`` and ``phi_drift`` record
+    ``|H(t) - H(0)|`` and ``max_k |Phi_k(t) - Phi_k(0)|``.  ``initial`` is
+    the starting configuration, which fixes strengths and layout; the
+    configurations of later states are built only when asked for.
+    ``stats`` counts the solver's work.
     """
 
+    initial: Configuration
     times: tuple[float, ...]
-    states: tuple[Configuration, ...]
+    positions: np.ndarray
+    energies: tuple[float, ...]
     h_drift: tuple[float, ...]
     phi_drift: tuple[float, ...]
+    stats: SolverStats
+
+    @cached_property
+    def states(self) -> tuple[Configuration, ...]:
+        """The configuration at each stored time, built on first access."""
+        return (self.initial,) + tuple(
+            self.initial.with_positions(p) for p in self.positions[1:]
+        )
 
     def final_state(self) -> Configuration:
-        return self.states[-1]
+        if len(self.times) == 1:
+            return self.initial
+        return self.initial.with_positions(self.positions[-1])
 
     def to_csv(self) -> str:
-        m = len(self.states[0])
+        n_rows, m = self.positions.shape[:2]
         header = ["t"]
         for i in range(1, m + 1):
             header += [f"x{i}", f"y{i}", f"z{i}"]
         header += ["H", "|dH|", "|dPhi|_inf"]
-        lines = [",".join(header)]
-        for t, state, dh, dphi in zip(
-            self.times, self.states, self.h_drift, self.phi_drift
-        ):
-            row = [_fmt(t)]
-            for v in state.vortices:
-                row += [_fmt(v.position.x), _fmt(v.position.y), _fmt(v.position.z)]
-            row += [_fmt(hamiltonian(state)), _fmt(dh), _fmt(dphi)]
-            lines.append(",".join(row))
+        # Rows show ``states[k]`` and its energy.  ``with_positions``
+        # normalizes each vortex once more, which can move H in the 12th
+        # digit; its norm is a 1-D dot product, which a stacked matmul of
+        # rows and columns reproduces bit for bit (``einsum`` does not).
+        shown = self.positions.copy()
+        later = shown[1:]
+        later /= np.sqrt(later[..., None, :] @ later[..., None])[..., 0]
+        pairs = _pair_constants(self.initial.strengths())
+        energies = [_energy(_pairwise_l2(p)[pairs.iu], pairs) for p in shown]
+        table = np.column_stack(
+            [
+                self.times,
+                shown.reshape(n_rows, 3 * m),
+                energies,
+                self.h_drift,
+                self.phi_drift,
+            ]
+        )
+        row = ",".join(["%.12g"] * table.shape[1])
+        lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]
         return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return "%.12g" % float(x)
-
-
-def _min_chord(p: np.ndarray) -> float:
-    l2 = _pairwise_l2(p)
-    iu = np.triu_indices(p.shape[0], k=1)
-    return math.sqrt(max(0.0, float(np.min(l2[iu]))))
 
 
 def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory:
@@ -425,7 +466,8 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
     ------
     CollisionApproach
         If any pair comes within ``10 * COLLISION_EPS`` in chord distance;
-        the partial trajectory is attached to the exception.
+        the partial trajectory, which ends at the last state outside that
+        guard, is attached to the exception.
     StepSizeUnderflow
         If the step size collapses beneath the resolvable scale.
     """
@@ -435,29 +477,43 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
         raise ValueError("tol must lie in (0, 1)")
 
     lam = c0.strengths()
+    pairs = _pair_constants(lam)
+    m = len(lam)
     y = c0.positions()
-    h0_val = _log_chord_hamiltonian(y, lam)
+    pair_l2 = _pairwise_l2(y)[pairs.iu]
+    h0 = _energy(pair_l2, pairs)
     phi0 = lam @ y
 
     times = [0.0]
-    states = [c0]
+    positions = [y]
+    energies = [h0]
     h_drift = [0.0]
     phi_drift = [0.0]
+    rhs_calls = 0
 
     def partial() -> Trajectory:
-        return Trajectory(tuple(times), tuple(states), tuple(h_drift), tuple(phi_drift))
+        stored = np.array(positions)
+        stored.setflags(write=False)
+        steps = np.diff(times)
+        stats = SolverStats(
+            rhs_calls, len(steps), float(steps.min()) if steps.size else math.inf
+        )
+        return Trajectory(
+            c0, tuple(times), stored, tuple(energies), tuple(h_drift),
+            tuple(phi_drift), stats,
+        )
 
     guard = NEAR_COLLISION_FACTOR * COLLISION_EPS
-    if _min_chord(y) < guard:
+    if _min_chord(pair_l2) < guard:
         raise CollisionApproach(
             "initial configuration is already within the near-collision guard",
             partial(),
         )
 
-    m = len(lam)
-
     def rhs(_t: float, flat: np.ndarray) -> np.ndarray:
-        return _field(flat.reshape(m, 3), lam).reshape(-1)
+        nonlocal rhs_calls
+        rhs_calls += 1
+        return _field(flat.reshape(m, 3), pairs).reshape(-1)
 
     step_tol = 1e-3 * tol
     solver = DOP853(rhs, 0.0, y.reshape(-1), t_end, rtol=step_tol, atol=step_tol)
@@ -470,16 +526,21 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
             )
         y = solver.y.reshape(m, 3)
         y = y / np.linalg.norm(y, axis=1, keepdims=True)
-        solver.y = y.reshape(-1)
-        solver.f = rhs(solver.t, solver.y)
-        times.append(float(solver.t))
-        states.append(c0.with_positions(y))
-        h_drift.append(abs(_log_chord_hamiltonian(y, lam) - h0_val))
-        phi_drift.append(float(np.max(np.abs(lam @ y - phi0))))
-        if _min_chord(y) < guard:
+        # the guard reads the new state before anything else does, so a
+        # state closer than COLLISION_EPS is never stored or evaluated
+        pair_l2 = _pairwise_l2(y)[pairs.iu]
+        if _min_chord(pair_l2) < guard:
             raise CollisionApproach(
                 f"near-collision at t = {solver.t:.6g}", partial()
             )
+        solver.y = y.reshape(-1)
+        solver.f = rhs(solver.t, solver.y)
+        h = _energy(pair_l2, pairs)
+        times.append(float(solver.t))
+        positions.append(y)
+        energies.append(h)
+        h_drift.append(abs(h - h0))
+        phi_drift.append(float(np.max(np.abs(lam @ y - phi0))))
 
     return partial()
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,28 @@ def test_simulate_round_trip(tmp_path):
     first = np.array([float(x) for x in lines[1].split(",")[1:13]])
     last = np.array([float(x) for x in lines[-1].split(",")[1:13]])
     np.testing.assert_allclose(last, first, atol=1e-9)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name,t_end",
+    [("random_m6", "1.0"), ("pole_pair_m6", "1.5"), ("rotating_rings_m6", "1.0")],
+)
+def test_simulate_matches_the_golden_csv(tmp_path, name, t_end):
+    # The CSVs were written by ``simulate --tol 1e-10`` when the integrator
+    # still built a Configuration at every step.  Byte equality pins the
+    # kernel's arithmetic, the renormalization and the writer; the bytes
+    # also depend on the floating-point kernels of NumPy and its BLAS, and
+    # were recorded with NumPy 2.4 and OpenBLAS on x86-64.
+    out_path = tmp_path / f"{name}.csv"
+    rc = main(
+        ["simulate", str(GOLDEN / f"{name}.json"), "--t-end", t_end,
+         "--tol", "1e-10", "--out", str(out_path)]
+    )
+    assert rc == EXIT_OK
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 def test_simulate_input_failures(tmp_path, capsys):

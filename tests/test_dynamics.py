@@ -1,11 +1,18 @@
 """Energy, momentum, flow symmetries, and the adaptive integrator."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vortex_atlas import dynamics
+from vortex_atlas.atlas import EXIT_NUMERIC, EXIT_OK, main
 from vortex_atlas.core import (
+    COLLISION_EPS,
     Configuration,
     Family,
     FamilyDescriptor,
@@ -20,6 +27,7 @@ from vortex_atlas.core import (
     rotation_z_matrix,
 )
 from vortex_atlas.dynamics import (
+    NEAR_COLLISION_FACTOR,
     CollisionApproach,
     MixedChart,
     augmented_hamiltonian,
@@ -105,6 +113,31 @@ def test_field_vanishes_at_fixed_equilibria():
     assert np.max(np.abs(vector_field(make_tetrahedral_pair()))) < 1e-12
 
 
+def _reference_field(c: Configuration) -> np.ndarray:
+    """The vector field written with ``np.cross`` and ``fill_diagonal``."""
+    p, lam = c.positions(), c.strengths()
+    diff = p[:, None, :] - p[None, :, :]
+    denom = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(denom, 1.0)
+    w = lam[None, :] / denom
+    np.fill_diagonal(w, 0.0)
+    return np.cross(w @ p, p)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_field_matches_the_reference_kernel_bit_for_bit(pm_sampler, seed):
+    # the integrator's output is compared byte for byte, so the kernel must
+    # keep the reference's arithmetic, not merely its value
+    rng = np.random.default_rng(100 + seed)
+    for c in (
+        pm_sampler(rng, 3 * (seed + 1), min_chord=0.05),
+        make_family(FamilyDescriptor(Family.DND_RRP, seed + 2, theta0=0.9, k_p=2)),
+    ):
+        field, reference = vector_field(c), _reference_field(c)
+        assert np.array_equal(field, reference)
+        assert np.array_equal(np.signbit(field), np.signbit(reference))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_field_is_tangent_to_the_sphere(pm_sampler, seed):
     rng = np.random.default_rng(seed)
@@ -181,6 +214,13 @@ def test_fixed_equilibrium_stays_put():
     assert drift < 1e-9
 
 
+def test_single_vortex_stays_put():
+    c = Configuration((Vortex(UnitVector3(0.6, 0.0, 0.8), 1.0),))
+    traj = integrate(c, 1.0)
+    assert set(traj.energies) == {0.0}
+    np.testing.assert_array_equal(traj.final_state().positions(), c.positions())
+
+
 def test_rigidly_rotating_ring_returns_after_one_period():
     desc = FamilyDescriptor(Family.DNH_2R, 3, theta0=0.5)
     c = make_family(desc)
@@ -234,6 +274,46 @@ def test_collision_guard_raises_with_partial_trajectory():
     partial = excinfo.value.trajectory
     assert partial.times[0] == 0.0
     assert len(partial.times) == len(partial.states)
+
+
+def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):
+    rng = np.random.default_rng(5)
+    c = pm_sampler(rng, 3, min_chord=0.3)
+    traj = integrate(c, 1.0, tol=1e-9)
+    t = len(traj.times)
+    assert traj.positions.shape == (t, len(c), 3)
+    assert not traj.positions.flags.writeable
+    assert len(traj.energies) == len(traj.h_drift) == len(traj.phi_drift) == t
+    assert traj.energies[0] == hamiltonian(c)
+    assert traj.states[0] is c
+    assert len(traj.states) == t
+    np.testing.assert_array_equal(
+        traj.final_state().positions(), traj.states[-1].positions()
+    )
+    # the CSV is what a writer reading the built states would print
+    m = len(c)
+    header = ["t"] + [f"{a}{i}" for i in range(1, m + 1) for a in "xyz"]
+    lines = [",".join(header + ["H", "|dH|", "|dPhi|_inf"])]
+    rows = zip(traj.times, traj.states, traj.h_drift, traj.phi_drift)
+    for t_k, state, dh, dphi in rows:
+        values = [t_k]
+        for v in state.vortices:
+            values += [v.position.x, v.position.y, v.position.z]
+        values += [hamiltonian(state), dh, dphi]
+        lines.append(",".join("%.12g" % x for x in values))
+    assert traj.to_csv() == "\n".join(lines) + "\n"
+
+
+def test_solver_statistics_count_the_work_and_repeat():
+    c = make_family(FamilyDescriptor(Family.DND_RRP, 2, theta0=0.9))
+    first = integrate(c, 2.0, tol=1e-9)
+    second = integrate(c, 2.0, tol=1e-9)
+    assert first.stats == second.stats
+    stats = first.stats
+    assert stats.accepted_steps == len(first.times) - 1 > 0
+    assert stats.min_step == min(np.diff(first.times)) > 0.0
+    # twelve DOP853 stages per step plus one evaluation after each renormalization
+    assert stats.rhs_calls >= 13 * stats.accepted_steps
 
 
 def test_trajectory_csv_layout():
@@ -317,3 +397,123 @@ def test_chart_hessian_is_symmetric():
     chart = MixedChart(make_family(desc))
     h = chart.hessian_fd(chart.coords(), xi=0.2)
     np.testing.assert_allclose(h, h.T, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the near-collision guard
+# ---------------------------------------------------------------------------
+
+GUARD = NEAR_COLLISION_FACTOR * COLLISION_EPS
+
+
+def _tilted(tilt: float) -> np.ndarray:
+    """Rotation taking the equator to the great circle used below."""
+    return rotation_axis_matrix(np.array([0.3, -1.0, 0.6]), tilt)
+
+
+def _on_circle(angle: float, tilt: float) -> np.ndarray:
+    return _tilted(tilt) @ np.array([math.cos(angle), math.sin(angle), 0.0])
+
+
+def _close_pair(chord: float, strength: float, tilt: float) -> Configuration:
+    """A pair at ``chord`` on a tilted great circle, plus a far +/-1 pair."""
+    half = math.asin(chord / 2.0)
+    points = (-half, half, 0.5 * math.pi, -0.5 * math.pi)
+    vortices = tuple(
+        Vortex(UnitVector3.from_array(_on_circle(a, tilt), normalize=True), s)
+        for a, s in zip(points, (1.0, strength, 1.0, -1.0))
+    )
+    signs = [v.strength for v in vortices]
+    return Configuration(
+        vortices,
+        0,
+        Layout(
+            plus=tuple(i for i, s in enumerate(signs) if s > 0),
+            minus=tuple(i for i, s in enumerate(signs) if s < 0),
+        ),
+    )
+
+
+def _check_partial(exc: CollisionApproach) -> None:
+    partial = exc.trajectory
+    assert len(partial.states) == len(partial.times)  # every state is valid
+    for p in partial.positions[1:]:
+        l2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
+        assert math.sqrt(np.min(l2[np.triu_indices(len(p), k=1)])) >= GUARD
+    assert np.all(np.isfinite(partial.energies))
+
+
+def _simulate(c: Configuration, t_end: float, tol: float) -> tuple[int, list[str]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "c.json", Path(tmp) / "t.csv"
+        config.write_text(c.to_json())
+        rc = main(["simulate", str(config), "--t-end", repr(t_end),
+                   "--tol", repr(tol), "--out", str(out)])
+        return rc, out.read_text().splitlines()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_chord=st.floats(math.log(1.01 * COLLISION_EPS), math.log(10.0 * GUARD)),
+    strength=st.sampled_from([1.0, -1.0]),
+    tilt=st.floats(0.0, 2.0 * math.pi),
+    turns=st.floats(0.05, 2.0),
+    tol=st.sampled_from([1e-10, 1e-6]),
+)
+def test_near_collision_raises_only_collision_approach(
+    log_chord, strength, tilt, turns, tol
+):
+    c = _close_pair(math.exp(log_chord), strength, tilt)
+    p = c.positions()
+    chord = float(np.linalg.norm(p[0] - p[1]))
+    # a close same-sign pair turns at about 2 / chord^2; keep the run short
+    t_end = turns * chord**2
+    try:
+        traj = integrate(c, t_end, tol=tol)
+    except CollisionApproach as exc:
+        _check_partial(exc)
+        traj = exc.trajectory
+        expected_rc = EXIT_NUMERIC
+    else:
+        assert chord >= GUARD
+        expected_rc = EXIT_OK
+    if chord < GUARD:
+        assert expected_rc == EXIT_NUMERIC and len(traj.times) == 1
+    rc, lines = _simulate(c, t_end, tol)
+    assert rc == expected_rc
+    assert len(lines) == 1 + len(traj.times)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_start=st.floats(math.log(2.0 * GUARD), math.log(1e-2)),
+    # below 0.1 the end point lies inside COLLISION_EPS
+    end_fraction=st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.9),
+    strength=st.sampled_from([1.0, -1.0]),
+    tilt=st.floats(0.0, 2.0 * math.pi),
+)
+def test_guard_trips_before_a_collapsed_state_is_evaluated(
+    log_start, end_fraction, strength, tilt
+):
+    # Vortex 1 alone turns along the pair's great circle and reaches chord
+    # ``end_fraction * GUARD`` from vortex 0 exactly at t_end.  The turn is
+    # slow, so the last accepted step starts far outside the guard.
+    start = math.exp(log_start)
+    c = _close_pair(start, strength, tilt)
+    normal = _tilted(tilt)[:, 2]
+    t_end = 1.0
+    turn = 2.0 * math.asin(end_fraction * GUARD / 2.0) - 2.0 * math.asin(start / 2.0)
+
+    def spin(q, pairs):
+        v = np.zeros_like(q)
+        v[1] = (turn / t_end) * np.cross(normal, q[1])
+        return v
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_field", spin)
+        with pytest.raises(CollisionApproach) as excinfo:
+            integrate(c, t_end, tol=1e-10)
+        _check_partial(excinfo.value)
+        rc, lines = _simulate(c, t_end, 1e-10)
+    assert rc == EXIT_NUMERIC
+    assert len(lines) == 1 + len(excinfo.value.trajectory.times)
