@@ -31,7 +31,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -42,6 +41,7 @@ from .core import (
     Configuration,
     Family,
     FamilyDescriptor,
+    InvalidDescriptor,
     VortexError,
 )
 from .dynamics import (
@@ -66,9 +66,10 @@ from .stability import (
     NoTransition,
     NotRelativeEquilibrium,
     Verdict,
+    _pick_transition,
     analyze,
     analyze_small,
-    critical_latitude,
+    list_transitions,
 )
 
 EXIT_OK = 0
@@ -139,6 +140,9 @@ class SweepSpec:
     lambda_n: float = 1.0
 
     def __post_init__(self) -> None:
+        bounds = (self.theta_start, self.theta_stop, self.theta_step)
+        if not all(math.isfinite(x) for x in bounds):
+            raise OutOfDomain("theta_start, theta_stop and theta_step must be finite")
         if self.theta_step <= 0.0:
             raise OutOfDomain("theta_step must be positive")
         if not self.families:
@@ -185,24 +189,15 @@ def _sweep_row(
     )
 
 
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[tuple[str, ...]]:
-    """Evaluate the grid concurrently; rows come back in grid order."""
-    jobs = [
-        (family, n, theta)
+def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
+    """Evaluate the grid one point after another, in grid order."""
+    grid = spec.grid()
+    return [
+        _sweep_row(family, n, theta, spec.k_p, spec.lambda_n)
         for family in spec.families
         for n in spec.n_values
-        for theta in spec.grid()
+        for theta in grid
     ]
-    if not jobs:
-        return []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(
-            pool.map(
-                lambda j: _sweep_row(j[0], j[1], j[2], spec.k_p, spec.lambda_n),
-                jobs,
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +767,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except VortexError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # t_end or tol out of range
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     _write_text(args.out, trajectory.to_csv())
     return EXIT_OK
 
@@ -818,7 +816,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except VortexError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    rows = run_sweep(spec, max_workers=args.jobs)
+    rows = run_sweep(spec)
     if args.format == "json":
         payload = [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
@@ -852,17 +850,16 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 def cmd_thresholds(args: argparse.Namespace) -> int:
     rows = []
+    scans: dict[tuple, tuple[tuple[str, float], ...]] = {}
     for ref in REFERENCE_THRESHOLDS:
+        key = (ref.family, ref.n_per_ring, ref.k_p)
         try:
-            theta = critical_latitude(
-                ref.family,
-                ref.n_per_ring,
-                ref.k_p,
-                ref.transition,
-                ref.occurrence,
-                grid_step=args.grid_step,
-                tol=args.tol,
-            )
+            if key not in scans:
+                scans[key] = list_transitions(*key, args.grid_step, args.tol)
+            theta = _pick_transition(scans[key], ref.transition, ref.occurrence)
+        except InvalidDescriptor as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         except NoTransition as exc:
             print(
                 f"note: {ref.family.value} N={ref.n_per_ring} k_p={ref.k_p} "
@@ -951,7 +948,6 @@ def _build_parser() -> _Parser:
     p_swp.add_argument("--grid-step", type=float, default=0.005)
     p_swp.add_argument("--kp", type=int, default=0, choices=(0, 2))
     p_swp.add_argument("--lambda-n", type=float, default=1.0)
-    p_swp.add_argument("--jobs", type=int, default=None)
     p_swp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_swp.add_argument("--out", default=None, help="output path (default stdout)")
     p_swp.set_defaults(func=cmd_sweep)

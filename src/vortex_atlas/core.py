@@ -723,6 +723,8 @@ class FamilyDescriptor:
             raise InvalidDescriptor(f"unknown family {self.family!r}")
         if self.k_p not in (0, 2):
             raise InvalidDescriptor("k_p must be 0 or 2")
+        if not math.isfinite(self.lambda_n):
+            raise InvalidDescriptor("lambda_n must be finite")
         if self.family in _RING_FAMILIES:
             if self.n_per_ring < 2:
                 raise InvalidDescriptor("ring families need n_per_ring >= 2")
@@ -736,8 +738,8 @@ class FamilyDescriptor:
                     raise InvalidDescriptor(
                         "theta0 must lie in (0, pi) when poles are present"
                     )
-                if self.lambda_n == 0.0 or not math.isfinite(self.lambda_n):
-                    raise InvalidDescriptor("lambda_n must be finite and nonzero")
+                if self.lambda_n == 0.0:
+                    raise InvalidDescriptor("lambda_n must be nonzero")
         elif self.family is Family.EQUATORIAL_PM_RING:
             if self.n_per_ring < 2:
                 raise InvalidDescriptor("the equatorial ring needs n_per_ring >= 2")

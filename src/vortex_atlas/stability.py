@@ -966,7 +966,6 @@ def analyze(
     hb = b.T @ h_full @ b
     hb = 0.5 * (hb + hb.T)
     omega_b = slice_symplectic_form(desc, basis)
-    lin = -np.linalg.solve(omega_b, hb)
 
     blocks = []
     for label, sl in _block_slices(basis.labels):
@@ -984,9 +983,11 @@ def analyze(
             )
         )
 
-    h_eigs_all = np.linalg.eigvalsh(hb)
-    l_eigs_all = np.linalg.eigvals(lin)
-    verdict = _decide(h_eigs_all, l_eigs_all, def_tol, spec_tol)
+    # The blocks are symplectically orthogonal and do not couple in the
+    # Hessian, so the slice spectrum is the union of the block spectra.
+    h_eigs = np.concatenate([blk.hessian_eigenvalues for blk in blocks])
+    l_eigs = np.concatenate([blk.linearization_eigenvalues for blk in blocks])
+    verdict = _decide(h_eigs, l_eigs, def_tol, spec_tol)
 
     if verdict is Verdict.LINEARLY_UNSTABLE:
         deciding = max(
@@ -1150,7 +1151,7 @@ def _scan_points(fam: Family, k_p: int, step: float) -> np.ndarray:
         hi = math.pi / 2
         pts = np.arange(step, hi + 1e-12, step)
         if fam is Family.DND_RRP:
-            if pts[-1] < hi - 1e-9:
+            if not pts.size or pts[-1] < hi - 1e-9:
                 pts = np.append(pts, hi)
         else:
             pts = pts[pts < hi - 5e-4]
@@ -1214,9 +1215,13 @@ def list_transitions(
     :attr:`Verdict.INDETERMINATE` (definiteness margin below tolerance at
     double precision) are treated as non-informative: changes are measured
     between the nearest resolvable neighbours instead, so an unresolvable
-    plateau contributes no transitions of its own.
+    plateau contributes no transitions of its own.  Raises
+    :class:`InvalidDescriptor` unless ``grid_step`` and ``tol`` are
+    positive and finite.
     """
     fam = _resolve_family(family)
+    if not (0.0 < grid_step < math.inf and 0.0 < tol < math.inf):
+        raise InvalidDescriptor("grid_step and tol must be positive and finite")
 
     cache: dict[float, Verdict | None] = {}
 
@@ -1272,15 +1277,19 @@ def critical_latitude(
 
     Raises :class:`NoTransition` when the family shows no such change.
     """
+    found = list_transitions(family, n_per_ring, k_p, grid_step, tol)
+    return _pick_transition(found, transition, occurrence)
+
+
+def _pick_transition(
+    found: tuple[tuple[str, float], ...], transition: str, occurrence: int
+) -> float:
+    """The ``occurrence``-th latitude of kind ``transition`` in ``found``."""
     if transition not in TRANSITIONS:
         raise InvalidDescriptor(
             f"transition must be one of {', '.join(TRANSITIONS)}"
         )
-    matches = [
-        theta
-        for kind, theta in list_transitions(family, n_per_ring, k_p, grid_step, tol)
-        if kind == transition
-    ]
+    matches = [theta for kind, theta in found if kind == transition]
     if occurrence >= len(matches):
         raise NoTransition(
             f"no {transition} transition (occurrence {occurrence}) for this family"

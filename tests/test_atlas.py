@@ -51,6 +51,7 @@ def test_ring_size_lists():
         ["diagram"],  # missing --pairs
         ["diagram", "--pairs", "5"],
         ["sweep", "--family", "DNh", "--kp", "1"],
+        ["sweep", "--family", "DNh", "--jobs", "2"],  # the sweep is serial
     ],
 )
 def test_usage_errors_exit_with_code_one(argv, capsys):
@@ -91,7 +92,7 @@ def test_sweep_rows_are_ordered_and_deterministic():
         theta_step=0.1,
     )
     rows = run_sweep(spec)
-    again = run_sweep(spec, max_workers=1)
+    again = run_sweep(spec)
     assert rows == again
     assert len(rows) == 2 * 2 * 3
     assert [r[0] for r in rows[:6]] == ["DNh"] * 6
@@ -207,6 +208,54 @@ def test_sweep_rejects_bad_step(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--grid-step", "nan"),
+        ("--grid-step", "inf"),
+        ("--theta-start", "nan"),
+        ("--theta-stop", "inf"),
+    ],
+)
+def test_sweep_rejects_non_finite_grids(flag, value, capsys):
+    assert main(["sweep", "--family", "DNh", flag, value]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_sweep_marks_a_non_finite_pole_strength_as_error_rows(capsys):
+    argv = ["sweep", "--family", "DNh", "--theta-start", "0.4",
+            "--theta-stop", "0.6", "--grid-step", "0.1", "--lambda-n", "nan"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert len(lines) == 4
+    assert all(line.split(",")[6] == "error" for line in lines[1:])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("sweep_kp0", ["--n", "2..6", "--theta-stop", "1.57",
+                       "--grid-step", "0.025", "--kp", "0"]),
+        ("sweep_kp2", ["--n", "2..8", "--theta-stop", "3.1",
+                       "--grid-step", "0.05", "--kp", "2"]),
+    ],
+)
+def test_sweep_matches_the_golden_csv(tmp_path, name, argv):
+    # Written by ``sweep`` when ``analyze`` still decided the verdict from
+    # a second eigen-solve of the whole slice and the grid ran on a thread
+    # pool; like the simulate goldens, the bytes depend on NumPy's and the
+    # BLAS's floating-point kernels.
+    out_path = tmp_path / f"{name}.csv"
+    rc = main(["sweep", "--family", "DNh", "--family", "DNd",
+               "--theta-start", "0.05", *argv, "--out", str(out_path)])
+    assert rc == EXIT_OK
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -237,6 +286,14 @@ def test_classify_rejects_bad_inputs(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == EXIT_INPUT
     assert main(["classify", '{"family": "Borromean"}']) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("k_p", [0, 2])
+def test_classify_rejects_a_non_finite_pole_strength(value, k_p, capsys):
+    raw = f'{{"family": "DNh", "N": 2, "theta0": 1.0, "kp": {k_p}, "lambda_n": {value}}}'
+    assert main(["classify", raw]) == EXIT_INPUT
+    assert "lambda_n must be finite" in capsys.readouterr().err
 
 
 def test_classify_flags_non_equilibrium_configurations(tmp_path, capsys, pm_sampler):
@@ -278,9 +335,6 @@ def test_simulate_round_trip(tmp_path):
     np.testing.assert_allclose(last, first, atol=1e-9)
 
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
 @pytest.mark.parametrize(
     "name,t_end",
     [("random_m6", "1.0"), ("pole_pair_m6", "1.5"), ("rotating_rings_m6", "1.0")],
@@ -306,6 +360,19 @@ def test_simulate_input_failures(tmp_path, capsys):
     bad.write_text("{]")
     assert main(["simulate", str(bad)]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--t-end", "-1"), ("--t-end", "nan"), ("--tol", "2")]
+)
+def test_simulate_rejects_bad_horizon_and_tolerance(tmp_path, capsys, flag, value):
+    config_path = tmp_path / "ring.json"
+    config_path.write_text(make_equatorial_pm_ring(2).to_json())
+    out_path = tmp_path / "trajectory.csv"
+    rc = main(["simulate", str(config_path), flag, value, "--out", str(out_path)])
+    assert rc == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_simulate_collision_writes_partial_trajectory(tmp_path, capsys):
@@ -354,6 +421,44 @@ def test_thresholds_cli_recomputes_the_reference_table(tmp_path):
         parts = line.split(",")
         assert float(parts[6]) >= 0.0
         assert 0.0 < float(parts[4]) < math.pi
+
+
+def test_thresholds_match_the_golden_csv(tmp_path, capsys):
+    # Written by ``thresholds --grid-step 0.01 --tol 1e-4`` when every
+    # table row ran its own latitude scan.  At this coarse grid the
+    # DNdRRp N=6 k_p=2 Hopf pair is missed, so stderr carries three notes.
+    out_path = tmp_path / "thresholds.csv"
+    rc = main(["thresholds", "--grid-step", "0.01", "--tol", "1e-4",
+               "--out", str(out_path)])
+    assert rc == EXIT_OK
+    assert out_path.read_bytes() == (GOLDEN / "thresholds.csv").read_bytes()
+    assert capsys.readouterr().err == (GOLDEN / "thresholds.stderr").read_text()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--tol", "0"),
+        ("--tol", "-1"),
+        ("--grid-step", "0"),
+        ("--grid-step", "-1"),
+        ("--grid-step", "nan"),
+    ],
+)
+def test_thresholds_rejects_bad_step_and_tolerance(flag, value, capsys):
+    assert main(["thresholds", flag, value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+def test_thresholds_with_a_step_wider_than_the_range(capsys):
+    assert main(["thresholds", "--grid-step", "2"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.strip() == (
+        "family,N,k_p,transition,theta_star,reference_value,abs_delta"
+    )
+    assert captured.err.count("note:") == 32
 
 
 # ---------------------------------------------------------------------------

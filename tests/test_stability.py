@@ -6,8 +6,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vortex_atlas.core import Family, FamilyDescriptor, InvalidDescriptor
+from vortex_atlas.core import Family, FamilyDescriptor, InvalidDescriptor, VortexError
 from vortex_atlas.dynamics import MixedChart
 from vortex_atlas.equilibria import (
     branch_c2v_RmRmp,
@@ -22,6 +24,7 @@ from vortex_atlas.stability import (
     NotRelativeEquilibrium,
     TangentVector,
     Verdict,
+    _decide,
     analyze,
     analyze_small,
     critical_latitude,
@@ -312,6 +315,46 @@ def test_verdict_is_indeterminate_at_unresolvable_margins():
     assert report.verdict is Verdict.INDETERMINATE
 
 
+def _assert_verdict_follows_from_the_blocks(report):
+    expected = _decide(report.hessian_eigenvalues(), report.linearization_eigenvalues())
+    assert report.verdict is expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from([DNH, DND]),
+    n=st.integers(2, 12),
+    k_p=st.sampled_from([0, 2]),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_verdict_follows_from_the_reported_block_spectra(family, n, k_p, fraction):
+    hi = math.pi / 2 if k_p == 0 else math.pi - 1e-3
+    theta0 = 1e-3 + fraction * (hi - 1e-3)
+    try:
+        report = analyze(_desc(family, n, theta0, k_p))
+    except VortexError:
+        assume(False)  # rings on the equator collide or the slice degenerates
+    _assert_verdict_follows_from_the_blocks(report)
+
+
+@pytest.mark.parametrize(
+    "family,n,k_p,theta0,verdict",
+    [
+        # near a pole the full-slice eigen-solve used to disagree with the
+        # block spectra printed in the same report
+        (DNH, 3, 0, 0.002, Verdict.LINEARLY_UNSTABLE),
+        (DND, 5, 2, 0.002, Verdict.LYAPUNOV_STABLE),
+        (DNH, 7, 2, 0.016 / 3, Verdict.INDETERMINATE),
+    ],
+)
+def test_verdict_follows_from_the_block_spectra_near_the_poles(
+    family, n, k_p, theta0, verdict
+):
+    report = analyze(_desc(family, n, theta0, k_p))
+    assert report.verdict is verdict
+    _assert_verdict_follows_from_the_blocks(report)
+
+
 def test_report_serialization():
     report = analyze(_desc(DND, 3, 0.8, 2))
     payload = json.loads(report.to_json())
@@ -421,6 +464,16 @@ def test_missing_transition_raises():
         critical_latitude(DND, 5, 0, "StabilityGain")
     with pytest.raises(InvalidDescriptor):
         critical_latitude(DND, 2, 0, "Wobble")
+
+
+@pytest.mark.parametrize(
+    "grid_step,tol",
+    [(0.005, 0.0), (0.005, -1.0), (0.005, math.nan), (0.005, math.inf),
+     (0.0, 1e-6), (-1.0, 1e-6), (math.nan, 1e-6), (math.inf, 1e-6)],
+)
+def test_transition_scan_rejects_bad_step_and_tolerance(grid_step, tol):
+    with pytest.raises(InvalidDescriptor):
+        list_transitions(DNH, 2, 0, grid_step=grid_step, tol=tol)
 
 
 def test_reference_threshold_table_is_well_formed():
