@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .core import (
     Configuration,
@@ -443,29 +444,33 @@ def _bisect_parent(seg: _Segment, lo: float, hi: float) -> float:
 
 def _nearest_on_segment(
     seg: _Segment, mu_star: float, h_star: float
-) -> tuple[float, float, float]:
-    """Refine the segment point closest to (mu*, H*); returns (dist, mu, param)."""
+) -> tuple[float, float]:
+    """Refine the segment point closest to (mu*, H*); returns (dist, param)."""
 
-    def dist(point: DiagramPoint) -> float:
-        return math.hypot(point.mu_z - mu_star, point.energy - h_star)
+    def dist(mu: float, energy: float) -> float:
+        return math.hypot(mu - mu_star, energy - h_star)
 
     if not seg.points:
-        return math.inf, math.nan, math.nan
-    best = min(seg.points, key=dist)
-    lo = best.param - 2.0 * _param_step(seg)
-    hi = best.param + 2.0 * _param_step(seg)
-    best_d, best_mu, best_p = dist(best), best.mu_z, best.param
-    for _ in range(4):
-        for p in np.linspace(lo, hi, 41):
-            got = seg.maker(float(p))
-            if got is None:
-                continue
-            d = math.hypot(got[0] - mu_star, got[1] - h_star)
-            if d < best_d:
-                best_d, best_mu, best_p = d, got[0], float(p)
-        width = (hi - lo) / 8.0
-        lo, hi = best_p - width, best_p + width
-    return best_d, best_mu, best_p
+        return math.inf, math.nan
+    best = min(seg.points, key=lambda p: dist(p.mu_z, p.energy))
+    best_d = dist(best.mu_z, best.energy)
+
+    def dist_at(param: float) -> float:
+        got = seg.maker(param)
+        # Off the branch, score as the best sample: an infinite value
+        # breaks the parabolic step of the bounded Brent search.
+        return best_d if got is None else dist(got[0], got[1])
+
+    step = _param_step(seg)
+    res = minimize_scalar(
+        dist_at,
+        bounds=(best.param - 2.0 * step, best.param + 2.0 * step),
+        method="bounded",
+        options={"xatol": step / 1000.0},
+    )
+    if res.fun < best_d:
+        return float(res.fun), float(res.x)
+    return best_d, best.param
 
 
 def _param_step(seg: _Segment) -> float:
@@ -514,7 +519,7 @@ def _detect_bifurcations(segments: list[_Segment]) -> tuple[Bifurcation, ...]:
             for child in segments:
                 if child.is_parent or not child.points:
                     continue
-                d, _, p_star = _nearest_on_segment(child, mu_star, h_star)
+                d, p_star = _nearest_on_segment(child, mu_star, h_star)
                 if d > 1e-3:
                     continue
                 side = _child_side(child, p_star, mu_star, 40.0 * _param_step(child))

@@ -424,7 +424,10 @@ class Configuration:
         raw = payload["vortices"]
         if not isinstance(raw, list) or not raw:
             raise InvalidConfiguration("'vortices' must be a non-empty list")
-        pole_count = int(payload.get("poles", 0))
+        try:
+            pole_count = int(payload.get("poles", 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidConfiguration(f"bad 'poles' field: {exc}") from exc
         vortices = []
         for k, entry in enumerate(raw):
             try:
@@ -787,18 +790,19 @@ class FamilyDescriptor:
     @classmethod
     def from_mapping(cls, payload: dict) -> "FamilyDescriptor":
         name = payload.get("family")
-        family = _FAMILY_ALIASES.get(name)
-        if family is None:
-            try:
-                family = Family(name)
-            except ValueError as exc:
-                raise InvalidDescriptor(f"unknown family name {name!r}") from exc
-        desc = cls(
-            family=family,
-            n_per_ring=int(payload.get("N", payload.get("n_per_ring", 2))),
-            theta0=float(payload.get("theta0", math.pi / 2)),
-            k_p=int(payload.get("kp", payload.get("k_p", 0))),
-            lambda_n=float(payload.get("lambda_n", 1.0)),
-        )
+        try:
+            family = _FAMILY_ALIASES.get(name) or Family(name)
+        except (TypeError, ValueError) as exc:  # TypeError: unhashable name
+            raise InvalidDescriptor(f"unknown family name {name!r}") from exc
+        try:  # __post_init__ converts the fields to int and float
+            desc = cls(
+                family=family,
+                n_per_ring=payload.get("N", payload.get("n_per_ring", 2)),
+                theta0=payload.get("theta0", math.pi / 2),
+                k_p=payload.get("kp", payload.get("k_p", 0)),
+                lambda_n=payload.get("lambda_n", 1.0),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidDescriptor(f"bad descriptor field: {exc}") from exc
         desc.validate()
         return desc

@@ -303,23 +303,11 @@ class MixedChart:
         :meth:`gradient`): ``dx_i/dt - xi e_z x x_i`` projected onto the
         chart frames.
         """
-        p, _ = self._frames(q)
+        p = self.positions(q)
         v = _field(p, self._pairs)
         v[:, 0] += float(xi) * p[:, 1]
         v[:, 1] -= float(xi) * p[:, 0]
-        dq = np.empty(self.dim)
-        for r, i in enumerate(self.ring):
-            th, ph = q[r], q[self.n_ring + r]
-            st, ct = math.sin(th), math.cos(th)
-            cp, sp = math.cos(ph), math.sin(ph)
-            theta_hat = np.array([ct * cp, ct * sp, -st])
-            phi_hat = np.array([-sp, cp, 0.0])
-            dq[r] = v[i] @ theta_hat
-            dq[self.n_ring + r] = (v[i] @ phi_hat) / st
-        for k, i in enumerate(self.poles):
-            dq[2 * self.n_ring + 2 * k] = v[i, 0]
-            dq[2 * self.n_ring + 2 * k + 1] = v[i, 1]
-        return dq
+        return self._chart_components(q, v)
 
     def symplectic_matrix(self, q: np.ndarray) -> np.ndarray:
         """Chart matrix of the weighted area form at ``q``."""
@@ -346,23 +334,28 @@ class MixedChart:
 
         ``axes`` is ``(n_axes, 3)``; the result is ``(n_axes, dim)``.
         """
-        p, frames = self._frames(q)
+        p = self.positions(q)
         axes = np.atleast_2d(np.asarray(axes, dtype=float))
         out = np.empty((axes.shape[0], self.dim))
         for a, e in enumerate(axes):
-            v = np.cross(e[None, :], p)
-            for r, i in enumerate(self.ring):
-                th, ph = q[r], q[self.n_ring + r]
-                st, ct = math.sin(th), math.cos(th)
-                cp, sp = math.cos(ph), math.sin(ph)
-                theta_hat = np.array([ct * cp, ct * sp, -st])
-                phi_hat = np.array([-sp, cp, 0.0])
-                out[a, r] = v[i] @ theta_hat
-                out[a, self.n_ring + r] = (v[i] @ phi_hat) / st
-            for k, i in enumerate(self.poles):
-                out[a, 2 * self.n_ring + 2 * k] = v[i, 0]
-                out[a, 2 * self.n_ring + 2 * k + 1] = v[i, 1]
+            out[a] = self._chart_components(q, np.cross(e[None, :], p))
         return out
+
+    def _chart_components(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Chart components at ``q`` of ambient tangent vectors ``v`` (M, 3)."""
+        dq = np.empty(self.dim)
+        for r, i in enumerate(self.ring):
+            th, ph = q[r], q[self.n_ring + r]
+            st, ct = math.sin(th), math.cos(th)
+            cp, sp = math.cos(ph), math.sin(ph)
+            theta_hat = np.array([ct * cp, ct * sp, -st])
+            phi_hat = np.array([-sp, cp, 0.0])
+            dq[r] = v[i] @ theta_hat
+            dq[self.n_ring + r] = (v[i] @ phi_hat) / st
+        for k, i in enumerate(self.poles):
+            dq[2 * self.n_ring + 2 * k] = v[i, 0]
+            dq[2 * self.n_ring + 2 * k + 1] = v[i, 1]
+        return dq
 
     def hessian_fd(self, q: np.ndarray, xi: float, step: float = 1e-5) -> np.ndarray:
         """Hessian of ``H_xi`` by central differences of the analytic gradient."""

@@ -301,6 +301,8 @@ def ring_angular_velocity(desc: FamilyDescriptor) -> float:
     n = desc.n_per_ring
     u = math.cos(desc.theta0)
     s2 = 1.0 - u * u
+    if s2 == 0.0:
+        raise PoleSingularity("rings on the poles: the rotation rate diverges")
     offset = 0.0 if desc.family is Family.DNH_2R else math.pi / n
     total = u * (n - 1) / s2
     for j in range(n):
@@ -447,10 +449,10 @@ def branch_c2v_RRp2p(x: float, lambda_n: float = 1.0, sign: int = 1) -> BranchPo
     return _certify(BranchPoint(x, y, math.pi / 2.0, Family.C2V_RRP2P, lambda_n))
 
 
-def _rm_rmp_equation(x: float, y: float) -> float:
+def _rm_rmp_equation(x: float, y: float | np.ndarray) -> float | np.ndarray:
     return 2.0 * (
         y * x**3 + x * y**3 - x * x - y * y - x * y + 1.0
-    ) - (x * x + y * y + 2.0 * x * y - 2.0) * math.sqrt(
+    ) - (x * x + y * y + 2.0 * x * y - 2.0) * np.sqrt(
         (1.0 - x * x) * (1.0 - y * y)
     )
 
@@ -474,26 +476,22 @@ def branch_c2v_RmRmp_all(x: float) -> tuple[BranchPoint, ...]:
     hi = 1.0 - 1e-9
     if lo >= hi:
         return ()
-    samples = 2000
-    ys = np.linspace(lo, hi, samples)
-    vals = np.array([_rm_rmp_equation(x, y) for y in ys])
-    roots = []
-    for k in range(samples - 1):
-        va, vb = vals[k], vals[k + 1]
-        if va == 0.0:
-            roots.append(float(ys[k]))
-        elif va * vb < 0.0:
-            roots.append(
-                float(
-                    brentq(
-                        lambda yy: _rm_rmp_equation(x, yy),
-                        ys[k],
-                        ys[k + 1],
-                        xtol=1e-15,
-                        rtol=4.0 * np.finfo(float).eps,
-                    )
-                )
+    ys = np.linspace(lo, hi, 2000)
+    vals = _rm_rmp_equation(x, ys)
+    # brentq returns a bracket end where the equation is exactly zero.
+    brackets = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    roots = [
+        float(
+            brentq(
+                lambda yy: _rm_rmp_equation(x, yy),
+                ys[k],
+                ys[k + 1],
+                xtol=1e-15,
+                rtol=4.0 * np.finfo(float).eps,
             )
+        )
+        for k in brackets
+    ]
     return tuple(
         _certify(BranchPoint(x, y, math.pi, Family.C2V_RM_RMP, 0.0))
         for y in roots

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from vortex_atlas.atlas import (
     EXIT_OK,
     EXIT_USAGE,
     SweepSpec,
+    _nearest_on_segment,
     _parse_int_list,
+    _Segment,
     build_diagram,
     diagram_csv,
     main,
@@ -232,6 +235,21 @@ def test_sweep_marks_a_non_finite_pole_strength_as_error_rows(capsys):
     assert all(line.split(",")[6] == "error" for line in lines[1:])
 
 
+@pytest.mark.parametrize("k_p", [0, 2])
+def test_rings_on_a_pole_give_input_errors_and_error_rows(k_p, capsys):
+    # sin(theta0)^2 rounds to 0 below about 1e-8
+    raw = f'{{"family": "DNd", "N": 2, "theta0": 1e-9, "kp": {k_p}}}'
+    assert main(["classify", raw]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+    argv = ["sweep", "--family", "DNh", "--family", "DNd", "--kp", str(k_p),
+            "--theta-start", "2e-9", "--theta-stop", "5e-9", "--grid-step", "1e-9"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert len(lines) == 9
+    assert all(line.split(",")[6] == "error" for line in lines[1:])
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -294,6 +312,26 @@ def test_classify_rejects_a_non_finite_pole_strength(value, k_p, capsys):
     raw = f'{{"family": "DNh", "N": 2, "theta0": 1.0, "kp": {k_p}, "lambda_n": {value}}}'
     assert main(["classify", raw]) == EXIT_INPUT
     assert "lambda_n must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("classify", '{"family": "DNh", "N": "abc"}'),
+        ("classify", '{"family": "DNh", "N": null}'),
+        ("classify", '{"family": "DNh", "N": Infinity}'),
+        ("classify", '{"family": "DNh", "N": 2, "theta0": "x"}'),
+        ("classify", '{"family": "DNh", "N": 2, "kp": [2]}'),
+        ("classify", '{"family": ["DNh"], "N": 2}'),
+        ("classify", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}], "poles": "x"}'),
+        ("simulate", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}], "poles": null}'),
+    ],
+)
+def test_wrong_typed_json_fields_are_input_errors(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(payload)
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
 
 
 def test_classify_flags_non_equilibrium_configurations(tmp_path, capsys, pm_sampler):
@@ -469,6 +507,44 @@ def test_thresholds_with_a_step_wider_than_the_range(capsys):
 @pytest.fixture(scope="module")
 def three_pair_diagram():
     return build_diagram(3)
+
+
+@pytest.mark.parametrize("pairs", [2, 3])
+def test_diagram_matches_the_golden_files(tmp_path, monkeypatch, capsys, pairs):
+    # Written by ``diagram`` when the meridian roots were bracketed one
+    # sample at a time and each pitchfork candidate was refined on nested
+    # grids; the bytes depend on NumPy's and the BLAS's kernels.
+    monkeypatch.chdir(tmp_path)
+    name = f"diagram_pairs{pairs}"
+    assert main(["diagram", "--pairs", str(pairs), "--out", f"{name}.svg"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()
+    for suffix in (".svg", ".csv"):
+        got = (tmp_path / f"{name}{suffix}").read_bytes()
+        assert got == (GOLDEN / f"{name}{suffix}").read_bytes(), suffix
+
+
+@pytest.mark.parametrize(
+    "maker,target,expected",
+    [
+        # the minimum lies between two samples
+        (lambda t: (t, t * t, "v"), (0.1234, 0.0153), 0.1234),
+        # the branch ends just past the best sample, inside the window
+        (lambda t: None if t > 0.5 else (t, 0.0, "v"), (0.497, 0.0), 0.497),
+        # nothing on the branch beats its last sample
+        (lambda t: None if t > 0.5 else (t, 0.0, "v"), (0.52, 0.0), 0.5),
+    ],
+    ids=["between-samples", "branch-ends", "past-the-end"],
+)
+def test_refinement_is_no_worse_than_the_samples(maker, target, expected):
+    seg = _Segment("child", np.linspace(0.0, 1.0, 101), maker, is_parent=False)
+    seg.sample()
+    sample_d = min(math.hypot(p.mu_z - target[0], p.energy - target[1])
+                   for p in seg.points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, param = _nearest_on_segment(seg, *target)
+    assert d <= sample_d
+    assert param == pytest.approx(expected, abs=1e-4)
 
 
 def test_diagram_segments_and_fixed_point(three_pair_diagram):

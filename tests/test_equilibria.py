@@ -1,6 +1,8 @@
 """Equilibrium builders, rotation rates, and branch solvers."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from vortex_atlas.core import (
     FamilyDescriptor,
     InvalidDescriptor,
     Layout,
+    PoleSingularity,
     UnitVector3,
     Vortex,
     VortexError,
@@ -40,6 +43,8 @@ from vortex_atlas.equilibria import (
 # positive root of a^4 + a^2 = 1: the meridian branch crosses the
 # anti-diagonal at (a, -a) and (-a, a)
 SQUARE_ROOT_HEIGHT = 0.7861513777574233
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +102,17 @@ def test_ring_rate_matches_generic_formula(family, n, k_p):
         assert angular_velocity_generic(c, index) == pytest.approx(
             xi, abs=1e-10
         )
+
+
+@pytest.mark.parametrize("family", [Family.DNH_2R, Family.DND_RRP])
+@pytest.mark.parametrize(
+    "k_p,theta0", [(0, 1e-9), (2, 1e-9), (2, math.pi - 2e-9)]
+)
+def test_ring_rate_on_a_pole_raises_pole_singularity(family, k_p, theta0):
+    # sin(theta0)^2 rounds to 0 here; the closed form would divide by it
+    desc = FamilyDescriptor(family, 3, theta0=theta0, k_p=k_p)
+    with pytest.raises(PoleSingularity):
+        ring_angular_velocity(desc)
 
 
 def test_single_ring_rate_closed_form():
@@ -214,6 +230,26 @@ def test_meridian_branch_roots_are_frozen():
         branch_c2v_RmRmp(0.75)
     with pytest.raises(OutOfDomain):
         branch_c2v_RmRmp_all(1.0)
+
+
+def test_meridian_roots_match_the_golden_file():
+    """Every root, digit for digit, at the diagram's 482 parameters and at
+    2049 evenly spaced ones over the same range.
+
+    ``tests/golden/meridian_roots.json`` holds ``repr(y)`` of each root, or
+    the name of the error raised, as the per-sample scan recorded them.
+    """
+    golden = json.loads((GOLDEN / "meridian_roots.json").read_text())
+    top = 1.0 / math.sqrt(2.0) - 1e-4
+    for name, count in (("diagram", 482), ("benchmark", 2049)):
+        rows = []
+        for x in np.linspace(-0.98, top, count):
+            try:
+                ys = [repr(bp.y) for bp in branch_c2v_RmRmp_all(float(x))]
+            except VortexError as exc:
+                ys = type(exc).__name__
+            rows.append([repr(float(x)), ys])
+        assert rows == golden[name], name
 
 
 def test_meridian_branch_configurations():
