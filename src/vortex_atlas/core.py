@@ -794,12 +794,17 @@ class FamilyDescriptor:
             family = _FAMILY_ALIASES.get(name) or Family(name)
         except (TypeError, ValueError) as exc:  # TypeError: unhashable name
             raise InvalidDescriptor(f"unknown family name {name!r}") from exc
+        n_per_ring = payload.get("N", payload.get("n_per_ring", 2))
+        k_p = payload.get("kp", payload.get("k_p", 0))
+        for field_name, value in (("N", n_per_ring), ("kp", k_p)):
+            if isinstance(value, float) and not value.is_integer():
+                raise InvalidDescriptor(f"{field_name} must be a whole number, got {value!r}")
         try:  # __post_init__ converts the fields to int and float
             desc = cls(
                 family=family,
-                n_per_ring=payload.get("N", payload.get("n_per_ring", 2)),
+                n_per_ring=n_per_ring,
                 theta0=payload.get("theta0", math.pi / 2),
-                k_p=payload.get("kp", payload.get("k_p", 0)),
+                k_p=k_p,
                 lambda_n=payload.get("lambda_n", 1.0),
             )
         except (TypeError, ValueError, OverflowError) as exc:

@@ -3,10 +3,15 @@
 The configurations analyzed here rotate rigidly about the vertical axis.
 Stability is decided on a *slice*: a complement of the rotation-orbit
 direction inside the kernel of the linearized momentum map.  For the
-symmetric two-ring families the slice is spanned by discrete Fourier
-modes of the ring perturbations, and both the energy Hessian and the
-symplectic form block-diagonalize over small mode groups, so each block
-can be examined independently and in closed form.
+symmetric two-ring families the ring perturbations split into discrete
+Fourier patterns by wavenumber q = 0..N/2 and by parity class (whether
+the two rings' colatitudes move together or against each other).  The
+momentum map and the rotation generators act only on wavenumber 0 of
+class 1 and wavenumber 1 of class 0; :func:`slice_basis` replaces those
+sectors by the kernels of their constraint blocks and keeps every other
+pattern as it is.  Both the energy Hessian and the symplectic form
+block-diagonalize over the resulting groups, so each block can be
+examined independently and in closed form.
 
 Two independent routes are kept deliberately separate:
 
@@ -56,7 +61,6 @@ __all__ = [
     "NotRelativeEquilibrium",
     "DegenerateForm",
     "NoTransition",
-    "TangentVector",
     "SliceBasis",
     "BlockSpectrum",
     "StabilityReport",
@@ -107,88 +111,13 @@ class NoTransition(VortexError, LookupError):
 
 
 # ---------------------------------------------------------------------------
-# tangent vectors and mode patterns
+# descriptor plumbing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Perturbation in ring coordinates.
-
-    ``d_theta``/``d_phi`` hold one entry per ring vortex (plus ring first,
-    then minus ring); ``d_pole`` holds ``(x_n, y_n, x_s, y_s)`` offsets of
-    the pole vortices, or ``None`` when there are no poles.
-    """
-
-    d_theta: np.ndarray
-    d_phi: np.ndarray
-    d_pole: np.ndarray | None = None
-    name: str = ""
-
-    def flat(self) -> np.ndarray:
-        parts = [np.asarray(self.d_theta, float), np.asarray(self.d_phi, float)]
-        if self.d_pole is not None:
-            parts.append(np.asarray(self.d_pole, float))
-        return np.concatenate(parts)
-
-    @classmethod
-    def from_flat(cls, v: np.ndarray, n: int, k_p: int, name: str = "") -> "TangentVector":
-        v = np.asarray(v, float)
-        if v.shape != (4 * n + 2 * k_p,):
-            raise ValueError("flat vector has the wrong length")
-        pole = v[4 * n :].copy() if k_p else None
-        return cls(v[: 2 * n].copy(), v[2 * n : 4 * n].copy(), pole, name)
 
 
 def _ring_phase(family: Family, n: int) -> float:
     """Longitude offset of the minus ring relative to the plus ring."""
     return 0.0 if family is Family.DNH_2R else math.pi / n
-
-
-def _mode(
-    n: int,
-    k_p: int,
-    component: str,
-    trig,
-    q: int,
-    primed: bool,
-    phi0: float,
-    name: str,
-) -> TangentVector:
-    """Fourier pattern of wavenumber ``q`` on the two rings."""
-    ang_plus = 2.0 * math.pi * np.arange(n) / n
-    ang_minus = ang_plus + phi0
-    v_plus = trig(q * ang_plus)
-    v_minus = trig(q * ang_minus) * (-1.0 if primed else 1.0)
-    zeros = np.zeros(2 * n)
-    stacked = np.concatenate([v_plus, v_minus])
-    pole = np.zeros(4) if k_p else None
-    if component == "theta":
-        return TangentVector(stacked, zeros, pole, name)
-    return TangentVector(zeros, stacked, pole, name)
-
-
-def _pole_mode(n: int, component: str, primed: bool, name: str) -> TangentVector:
-    pole = np.zeros(4)
-    sign = -1.0 if primed else 1.0
-    if component == "x":
-        pole[0], pole[2] = 1.0, sign
-    else:
-        pole[1], pole[3] = 1.0, sign
-    zeros = np.zeros(2 * n)
-    return TangentVector(zeros, zeros.copy(), pole, name)
-
-
-def _combine(n: int, k_p: int, name: str, *terms: tuple[float, TangentVector]) -> TangentVector:
-    flat = np.zeros(4 * n + 2 * k_p)
-    for coeff, vec in terms:
-        flat += coeff * vec.flat()
-    return TangentVector.from_flat(flat, n, k_p, name)
-
-
-# ---------------------------------------------------------------------------
-# descriptor plumbing
-# ---------------------------------------------------------------------------
 
 
 def _analysis_descriptor(desc: FamilyDescriptor) -> FamilyDescriptor:
@@ -369,320 +298,174 @@ def full_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SliceBasis:
-    """Ordered mode basis of a slice, grouped into decoupling blocks."""
+    """Slice basis, one column per vector, and the block of each column."""
 
-    vectors: tuple[TangentVector, ...]
+    matrix: np.ndarray = field(repr=False)
     labels: tuple[str, ...]
-    matrix: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if len(self.vectors) != len(self.labels):
-            raise ValueError("one label per vector is required")
-        mat = np.column_stack([v.flat() for v in self.vectors])
-        object.__setattr__(self, "matrix", mat)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.labels)
 
 
-def _orbit_generators(desc: FamilyDescriptor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotation generators about x, y, z in ring coordinates."""
-    n, kp = desc.n_per_ring, desc.k_p
-    phi0 = _ring_phase(desc.family, n)
-    u = math.cos(desc.theta0)
-    s = math.sin(desc.theta0)
-    cot = u / s
-
-    def mode(component, trig, q, primed, name):
-        return _mode(n, kp, component, trig, q, primed, phi0, name)
-
-    gz = mode("phi", np.cos, 0, False, "gz").flat()
-    gy = _combine(
-        n,
-        kp,
-        "gy",
-        (1.0, mode("theta", np.cos, 1, False, "")),
-        (-cot, mode("phi", np.sin, 1, True, "")),
-        *( ((1.0, _pole_mode(n, "x", True, "")),) if kp else () ),
-    ).flat()
-    gx = _combine(
-        n,
-        kp,
-        "gx",
-        (1.0, mode("theta", np.sin, 1, False, "")),
-        (cot, mode("phi", np.cos, 1, True, "")),
-        *( ((1.0, _pole_mode(n, "y", True, "")),) if kp else () ),
-    ).flat()
-    return gx, gy, gz
+# A ring pattern of wavenumber q moves the colatitudes ("t") or longitudes
+# ("p") by the cos ("c") or sin ("s") of q times each vortex's longitude; a
+# prime flips its sign on the minus ring.  The pole modes move both poles
+# along x or y alike, or (primed) in opposition.  Parity class 0 holds the
+# patterns below, class 1 the rest.
+_PATTERN_KEYS = "tc tc' ts ts' pc pc' ps ps' x y x' y'".split()
+_CLASS_0 = set("tc ts pc' ps' x' y'".split())
 
 
-def _reduce_against(
-    candidates: list[TangentVector],
-    generators: list[np.ndarray],
-    n: int,
-    kp: int,
-    label: str,
-) -> list[TangentVector]:
-    """Drop the orbit directions from the span of ``candidates``."""
-    if not candidates:
-        return []
-    basis = []
-    for g in generators:
-        gn = g / np.linalg.norm(g)
-        for b in basis:
-            gn = gn - (b @ gn) * b
-        norm = np.linalg.norm(gn)
-        if norm > 1e-12:
-            basis.append(gn / norm)
-    stack = np.column_stack([v.flat() for v in candidates])
-    for b in basis:
-        stack = stack - np.outer(b, b @ stack)
-    u_mat, sing, _ = np.linalg.svd(stack, full_matrices=False)
-    keep = sing > 1e-8 * max(sing[0], 1.0)
+def _order(keys: str) -> tuple[tuple[int, int], ...]:
+    """``(key index, parity class)`` of each pattern, in column order."""
+    return tuple(
+        (_PATTERN_KEYS.index(key), 0 if key in _CLASS_0 else 1) for key in keys.split()
+    )
+
+
+# Column order inside the blocks; the block entries read fixed positions.
+_COLUMN_ORDER = {
+    "generic": _order("tc ps' ts pc' tc' ps ts' pc"),
+    "q=1": _order("ps tc' x pc ts' y tc ps' ts pc' x' y'"),
+    "aligned top": _order("tc tc' pc pc' ts ts' ps ps'"),
+    # at q = N/2 the two staggered classes span the same modes: one sector
+    # of class-1 representatives
+    "staggered top": _order("tc' ps ts' pc x y x' y'"),
+}
+
+#: Pole modes x, y, x', y' and the constraint rows' entries in x_n, y_n, x_s, y_s.
+_POLE_MODES = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1.0]])
+_POLE_ROWS = np.array(  # dPhi_x, dPhi_y, dPhi_z, g_z, g_x, g_y
+    [[1, 0, -1, 0], [0, 1, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 0, 1], [1, 0, -1, 0]],
+    float,
+)
+
+
+def _kernel(block: list[list[float]], tol: float) -> list[list[float]]:
+    """Unit coefficient vectors spanning the kernel of a small matrix.
+
+    Gauss-Jordan elimination with full pivoting on plain floats (the rows
+    of ``block`` are consumed); it stops when no entry exceeds ``tol``, and
+    every non-pivot column gives one vector.
+    """
+    width = len(block[0])
+    free = list(range(width))
+    pivots: list[tuple[int, list[float]]] = []
+    while block and free:
+        best, bi, bj = tol, -1, -1
+        for i, row in enumerate(block):
+            for j in free:
+                if abs(row[j]) > best:
+                    best, bi, bj = abs(row[j]), i, j
+        if bi < 0:
+            break
+        pivot = block.pop(bi)
+        pivot = [x / pivot[bj] for x in pivot]
+        for row in block + [r for _, r in pivots]:
+            f = row[bj]
+            if f:
+                row[:] = [x - f * y for x, y in zip(row, pivot)]
+        pivots.append((bj, pivot))
+        free.remove(bj)
     out = []
-    for k, col in enumerate(u_mat.T[keep]):
-        out.append(TangentVector.from_flat(col, n, kp, f"{label}-reduced{k + 1}"))
+    for f in free:
+        vec = [1.0 if k == f else 0.0 for k in range(width)]
+        for j, row in pivots:
+            vec[j] = -row[f]
+        norm = math.sqrt(sum(x * x for x in vec))
+        out.append([x / norm for x in vec])
     return out
 
 
 def slice_basis(desc: FamilyDescriptor) -> SliceBasis:
-    """Fourier-mode basis of the slice, grouped into decoupling blocks.
+    """Fourier-pattern basis of the slice, grouped into decoupling blocks.
 
-    Every vector is annihilated by the linearized momentum map and is
-    orthogonal to the rotation orbit; when the vertical momentum vanishes
-    the rotation orbit is three-dimensional and the affected mode pairs
-    are reduced accordingly.
+    The patterns of wavenumber q = 0..N/2 in two parity classes span the
+    ring coordinates.  A sector (one class at one wavenumber) that the
+    momentum differential and the rotation generators leave alone enters
+    unchanged; a sector they touch is replaced by the kernel of its
+    constraint block.  The generators about x and y join the constraints
+    when the vertical momentum vanishes and the rotation orbit grows.
     """
     desc = _analysis_descriptor(desc)
     n, kp = desc.n_per_ring, desc.k_p
-    u = math.cos(desc.theta0)
-    s = math.sin(desc.theta0)
-    phi0 = _ring_phase(desc.family, n)
+    u, s = math.cos(desc.theta0), math.sin(desc.theta0)
     staggered = desc.family is Family.DND_RRP
     reduced = abs(_vertical_momentum(desc)) < MOMENTUM_ZERO_TOL
+    top, d = n // 2, 4 * n + 2 * kp
+    n_ring = 8 * (top + 1)  # rows of the ring patterns in the pattern table
 
-    def mode(component, trig, q, primed, name):
-        return _mode(n, kp, component, trig, q, primed, phi0, name)
+    # pattern table: row 8q + key index for the ring patterns, then the
+    # pole modes; plus-ring vortices first, then minus-ring
+    ang = 2.0 * math.pi * np.arange(n) / n
+    ang = np.concatenate([ang, ang + _ring_phase(desc.family, n)])
+    arg = np.arange(top + 1.0)[:, None] * ang
+    cos, sin = np.cos(arg), np.sin(arg)
+    signed = np.empty((top + 1, 2, 2, 2 * n))  # (q, cos|sin, primed, vortex)
+    signed[:, 0] = cos[:, None]
+    signed[:, 1] = sin[:, None]
+    signed[:, :, 1, n:] *= -1.0
+    pat = np.zeros((n_ring + 2 * kp, d))
+    ring = pat[:n_ring].reshape(top + 1, 2, 2, 2, d)
+    ring[:, 0, :, :, : 2 * n] = signed
+    ring[:, 1, :, :, 2 * n : 4 * n] = signed
+    if kp:
+        pat[n_ring:, 4 * n :] = _POLE_MODES
 
-    def pole(component, primed, name):
-        return _pole_mode(n, component, primed, name)
+    # dPhi_x, dPhi_y, dPhi_z, the generator about z (and about x, y when the
+    # momentum vanishes); primed patterns carry the ring strengths lam = +-1
+    lam, lam_cos, lam_sin = signed[0, 0, 1], signed[1, 0, 1], signed[1, 1, 1]
+    rows = np.zeros((6 if reduced else 4, d))
+    th, ph = rows[:, : 2 * n], rows[:, 2 * n : 4 * n]
+    th[0], ph[0] = u * cos[1], -s * lam_sin
+    th[1], ph[1] = u * sin[1], s * lam_cos
+    th[2] = -s * lam
+    ph[3] = 1.0
+    if reduced:
+        th[4], ph[4] = -sin[1], -u / s * lam_cos
+        th[5], ph[5] = cos[1], -u / s * lam_sin
+    if kp:
+        rows[:, 4 * n :] = _POLE_ROWS[: len(rows)]
+    block = rows @ pat.T
+    # unit largest entry per row, so that one tolerance serves every row
+    block /= np.abs(block).max(axis=1, keepdims=True)
+    tol = 1e-9
+    touched = (np.abs(block).max(axis=0) > tol).tolist()
+    alive = (np.abs(pat).max(axis=1) > 1e-8).tolist()
 
-    a0t = mode("theta", np.cos, 0, False, "a0.theta")
-    ap0f = mode("phi", np.cos, 0, True, "a'0.phi")
+    vectors, labels = [], []
+    suffix = "p" if kp else ""
+    for q in range(top + 1):
+        joint = staggered and 2 * q == n
+        kind = "q=1" if q == 1 else "aligned top" if 2 * q == n else "generic"
+        members = []  # (pattern row, sector) of the patterns that do not vanish
+        for k, cls in _COLUMN_ORDER["staggered top" if joint else kind]:
+            i = 8 * q + k if k < 8 else n_ring + k - 8
+            if (k < 8 or (kp and q == 1)) and alive[i]:
+                members.append((i, 0 if joint else cls))
+        hit = sorted({sec for i, sec in members if touched[i]})
+        free = [i for i, sec in members if sec not in hit]
+        vectors.append(pat[free])
+        n_kernel = 0
+        for sec in hit:
+            cols = [i for i, c in members if c == sec]
+            coeffs = _kernel(block[:, cols].tolist(), tol)
+            if coeffs:
+                vectors.append(np.array(coeffs) @ pat[cols])
+                n_kernel += len(coeffs)
+        name = "B0" if q == 0 else "B1" if q == 1 else "Bhalf" if 2 * q == n else f"B{q}"
+        name += suffix if q < 2 else ""
+        # the untouched class at q = 1 joins B0, except for aligned pairs
+        # without poles, where the constraints leave nothing of the other
+        # class: there it keeps the name B1
+        free_name = "B0" + suffix if q == 1 and (n_kernel or reduced) else name
+        labels += [free_name] * len(free) + [name] * n_kernel
 
-    vectors: list[TangentVector] = []
-    labels: list[str] = []
-
-    def push(vecs, label):
-        vectors.extend(vecs)
-        labels.extend([label] * len(vecs))
-
-    # -- wavenumbers 0 and 1 -------------------------------------------------
-    if kp == 0:
-        if n == 2:
-            push([a0t, ap0f], "B0")
-            if staggered:
-                if not reduced:
-                    m1 = _combine(
-                        n, kp, "mix1",
-                        (s, mode("theta", np.cos, 1, False, "")),
-                        (u, mode("phi", np.sin, 1, True, "")),
-                    )
-                    m2 = _combine(
-                        n, kp, "mix2",
-                        (s, mode("theta", np.sin, 1, True, "")),
-                        (u, mode("phi", np.cos, 1, False, "")),
-                    )
-                    push([m1, m2], "B1")
-            else:
-                push(
-                    [
-                        mode("theta", np.cos, 1, True, "a'1.theta"),
-                        mode("phi", np.cos, 1, False, "a1.phi"),
-                    ],
-                    "B1",
-                )
-        else:
-            push(
-                [
-                    a0t,
-                    ap0f,
-                    mode("phi", np.sin, 1, False, "b1.phi"),
-                    mode("theta", np.cos, 1, True, "a'1.theta"),
-                    mode("phi", np.cos, 1, False, "a1.phi"),
-                    mode("theta", np.sin, 1, True, "b'1.theta"),
-                ],
-                "B0",
-            )
-            w1 = _combine(
-                n, kp, "w1",
-                (s, mode("theta", np.cos, 1, False, "")),
-                (u, mode("phi", np.sin, 1, True, "")),
-            )
-            w2 = _combine(
-                n, kp, "w2",
-                (s, mode("theta", np.sin, 1, False, "")),
-                (-u, mode("phi", np.cos, 1, True, "")),
-            )
-            if reduced:
-                gx, gy, _ = _orbit_generators(desc)
-                push(_reduce_against([w1, w2], [gx, gy], n, kp, "B1"), "B1")
-            else:
-                push([w1, w2], "B1")
-    else:
-        dxp = pole("x", False, "dx.pole")
-        dyp = pole("y", False, "dy.pole")
-        dxpp = pole("x", True, "dx'.pole")
-        dypp = pole("y", True, "dy'.pole")
-        if n == 2:
-            if staggered:
-                push([a0t, ap0f], "B0p")
-                cand = [
-                    _combine(
-                        n, kp, "mix1",
-                        (s, mode("theta", np.cos, 1, False, "")),
-                        (u, mode("phi", np.sin, 1, True, "")),
-                    ),
-                    _combine(
-                        n, kp, "mix2",
-                        (s, mode("theta", np.sin, 1, True, "")),
-                        (u, mode("phi", np.cos, 1, False, "")),
-                    ),
-                    dxp,
-                    dyp,
-                    _combine(
-                        n, kp, "v3",
-                        (1.0, mode("theta", np.cos, 1, False, "")),
-                        (-u, dxpp),
-                    ),
-                    _combine(
-                        n, kp, "v4",
-                        (1.0, mode("theta", np.sin, 1, False, "")),
-                        (-u, dypp),
-                    ),
-                ]
-                if reduced:
-                    gx, gy, _ = _orbit_generators(desc)
-                    push(_reduce_against(cand, [gx, gy], n, kp, "B1p"), "B1p")
-                else:
-                    push(cand, "B1p")
-            else:
-                push(
-                    [
-                        a0t,
-                        ap0f,
-                        mode("theta", np.cos, 1, True, "a'1.theta"),
-                        dxp,
-                        mode("phi", np.cos, 1, False, "a1.phi"),
-                        dyp,
-                    ],
-                    "B0p",
-                )
-                cand = [
-                    _combine(
-                        n, kp, "v3",
-                        (1.0, mode("theta", np.cos, 1, False, "")),
-                        (-2.0 * u, dxpp),
-                    ),
-                    _combine(
-                        n, kp, "v4",
-                        (1.0, mode("phi", np.cos, 1, True, "")),
-                        (-2.0 * s, dypp),
-                    ),
-                ]
-                if reduced:
-                    gx, gy, _ = _orbit_generators(desc)
-                    push(_reduce_against(cand, [gx, gy], n, kp, "B1p"), "B1p")
-                else:
-                    push(cand, "B1p")
-        else:
-            push(
-                [
-                    a0t,
-                    ap0f,
-                    mode("phi", np.sin, 1, False, "b1.phi"),
-                    mode("theta", np.cos, 1, True, "a'1.theta"),
-                    dxp,
-                    mode("phi", np.cos, 1, False, "a1.phi"),
-                    mode("theta", np.sin, 1, True, "b'1.theta"),
-                    dyp,
-                ],
-                "B0p",
-            )
-            w1 = _combine(
-                n, kp, "w1",
-                (s, mode("theta", np.cos, 1, False, "")),
-                (u, mode("phi", np.sin, 1, True, "")),
-            )
-            w2 = _combine(
-                n, kp, "w2",
-                (s, mode("theta", np.sin, 1, False, "")),
-                (-u, mode("phi", np.cos, 1, True, "")),
-            )
-            v3 = _combine(
-                n, kp, "v3",
-                (1.0, mode("theta", np.cos, 1, False, "")),
-                (-0.5 * n * u, dxpp),
-            )
-            v4 = _combine(
-                n, kp, "v4",
-                (1.0, mode("theta", np.sin, 1, False, "")),
-                (-0.5 * n * u, dypp),
-            )
-            if reduced:
-                gx, gy, _ = _orbit_generators(desc)
-                push(_reduce_against([w1, v3, w2, v4], [gx, gy], n, kp, "B1p"), "B1p")
-            else:
-                push([w1, w2, v3, v4], "B1p")
-
-    # -- intermediate wavenumbers --------------------------------------------
-    if n >= 3:
-        for q in range(2, (n + 1) // 2):
-            push(
-                [
-                    mode("theta", np.cos, q, False, f"a{q}.theta"),
-                    mode("phi", np.sin, q, True, f"b'{q}.phi"),
-                    mode("theta", np.sin, q, False, f"b{q}.theta"),
-                    mode("phi", np.cos, q, True, f"a'{q}.phi"),
-                    mode("theta", np.cos, q, True, f"a'{q}.theta"),
-                    mode("phi", np.sin, q, False, f"b{q}.phi"),
-                    mode("theta", np.sin, q, True, f"b'{q}.theta"),
-                    mode("phi", np.cos, q, False, f"a{q}.phi"),
-                ],
-                f"B{q}",
-            )
-
-    # -- top wavenumber (even ring size only) ---------------------------------
-    if n >= 3 and n % 2 == 0:
-        q = n // 2
-        if staggered:
-            push(
-                [
-                    mode("theta", np.cos, q, True, f"a'{q}.theta"),
-                    mode("phi", np.sin, q, False, f"b{q}.phi"),
-                    mode("theta", np.sin, q, True, f"b'{q}.theta"),
-                    mode("phi", np.cos, q, False, f"a{q}.phi"),
-                ],
-                "Bhalf",
-            )
-        else:
-            push(
-                [
-                    mode("theta", np.cos, q, False, f"a{q}.theta"),
-                    mode("theta", np.cos, q, True, f"a'{q}.theta"),
-                    mode("phi", np.cos, q, False, f"a{q}.phi"),
-                    mode("phi", np.cos, q, True, f"a'{q}.phi"),
-                ],
-                "Bhalf",
-            )
-
-    expected = 4 * n + 2 * kp - (6 if reduced else 4)
-    if len(vectors) != expected:
-        raise RuntimeError(
-            f"slice dimension bookkeeping is off: built {len(vectors)}, "
-            f"expected {expected}"
-        )
-    return SliceBasis(tuple(vectors), tuple(labels))
+    basis = np.vstack(vectors)
+    expected = d - (6 if reduced else 4)
+    if len(basis) != expected:
+        raise RuntimeError(f"slice has {len(basis)} vectors, expected {expected}")
+    return SliceBasis(np.ascontiguousarray(basis.T), tuple(labels))
 
 
 def slice_symplectic_form(
@@ -899,7 +682,7 @@ def _decide(
     return Verdict.INDETERMINATE
 
 
-def _block_entries(label: str, names, hb: np.ndarray, l_eigs: np.ndarray, staggered: bool) -> dict:
+def _block_entries(label: str, hb: np.ndarray, l_eigs: np.ndarray, staggered: bool) -> dict:
     entries: dict[str, float] = {}
     dim = hb.shape[0]
     if label in ("B0", "B0p") and dim >= 2:
@@ -973,13 +756,12 @@ def analyze(
         l_blk = -np.linalg.solve(omega_b[sl, sl], h_blk)
         h_eigs = np.linalg.eigvalsh(h_blk)
         l_eigs = _sort_complex(np.linalg.eigvals(l_blk))
-        names = [v.name for v in basis.vectors[sl]]
         blocks.append(
             BlockSpectrum(
                 label,
                 h_eigs,
                 l_eigs,
-                _block_entries(label, names, h_blk, l_eigs, staggered),
+                _block_entries(label, h_blk, l_eigs, staggered),
             )
         )
 

@@ -322,6 +322,8 @@ def test_classify_rejects_a_non_finite_pole_strength(value, k_p, capsys):
         ("classify", '{"family": "DNh", "N": Infinity}'),
         ("classify", '{"family": "DNh", "N": 2, "theta0": "x"}'),
         ("classify", '{"family": "DNh", "N": 2, "kp": [2]}'),
+        ("classify", '{"family": "DNh", "N": 2.7, "theta0": 1.0}'),
+        ("classify", '{"family": "DNh", "N": 2, "theta0": 1.0, "kp": 2.9}'),
         ("classify", '{"family": ["DNh"], "N": 2}'),
         ("classify", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}], "poles": "x"}'),
         ("simulate", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}], "poles": null}'),

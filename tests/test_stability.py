@@ -2,13 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from vortex_atlas.atlas import EXIT_OK, main
 from vortex_atlas.core import Family, FamilyDescriptor, InvalidDescriptor, VortexError
 from vortex_atlas.dynamics import MixedChart
 from vortex_atlas.equilibria import (
@@ -19,10 +21,10 @@ from vortex_atlas.equilibria import (
     ring_angular_velocity,
 )
 from vortex_atlas.stability import (
+    DEFINITENESS_TOL,
     REFERENCE_THRESHOLDS,
     NoTransition,
     NotRelativeEquilibrium,
-    TangentVector,
     Verdict,
     _decide,
     analyze,
@@ -47,16 +49,8 @@ def _desc(family, n, theta0, k_p=0):
 
 
 # ---------------------------------------------------------------------------
-# tangent vectors and the closed-form Hessian
+# the closed-form Hessian
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n,k_p", [(3, 0), (2, 2)])
-def test_tangent_vector_flat_round_trip(n, k_p):
-    rng = np.random.default_rng(4)
-    flat = rng.normal(size=4 * n + 2 * k_p)
-    v = TangentVector.from_flat(flat, n, k_p, name="probe")
-    np.testing.assert_array_equal(v.flat(), flat)
 
 
 def test_hessian_is_exactly_symmetric():
@@ -132,6 +126,50 @@ def test_slice_vectors_annihilate_momentum_and_orbit_directions(
     for gen in tangent:
         overlap = np.abs(gen @ mat) / (np.linalg.norm(gen) * scale)
         assert np.max(overlap) < 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from([DNH, DND]),
+    n=st.integers(2, 12),
+    k_p=st.sampled_from([0, 2]),
+    fraction=st.floats(0.0, 1.0),
+    balanced=st.booleans(),
+)
+@example(family=DND, n=12, k_p=0, fraction=0.0, balanced=True)
+@example(family=DNH, n=2, k_p=2, fraction=0.0, balanced=True)
+@example(family=DND, n=7, k_p=2, fraction=0.0, balanced=True)
+def test_slice_basis_spans_a_decoupled_slice(family, n, k_p, fraction, balanced):
+    """Full rank, the slice dimension, the constraints, and block decoupling.
+
+    ``balanced`` picks the latitude where the vertical momentum vanishes
+    (the equator without poles, cos theta0 = -1/N with poles).
+    """
+    if balanced:
+        assume(k_p or family is DND)
+        theta0 = math.acos(-1.0 / n) if k_p else math.pi / 2
+    else:
+        hi = math.pi / 2 if k_p == 0 else math.pi - 0.01
+        theta0 = 0.01 + fraction * (hi - 0.01)
+        assume(family is DND or abs(theta0 - math.pi / 2) > 1e-3)
+    desc = _desc(family, n, theta0, k_p)
+    zero_momentum = abs(2 * n * math.cos(theta0) + k_p) < 1e-8
+    basis = slice_basis(desc)
+    mat = basis.matrix
+    assert mat.shape[1] == 4 * n + 2 * k_p - (6 if zero_momentum else 4)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    assert sv[-1] > 1e-8 * sv[0]
+
+    chart = MixedChart(make_family(desc))
+    q = chart.coords()
+    generators = chart.rotation_generators(q, np.eye(3))
+    scale = np.linalg.norm(mat, axis=0)
+    for row in [*chart.momentum_rows(q), *(generators if zero_momentum else generators[2:])]:
+        assert np.max(np.abs(row @ mat) / (np.linalg.norm(row) * scale)) < 1e-10
+
+    different = np.not_equal.outer(basis.labels, basis.labels)
+    for form in (mat.T @ hessian_closed_form(desc) @ mat, slice_symplectic_form(desc, basis)):
+        assert np.max(np.abs(form[different]), initial=0.0) < 1e-9 * np.max(np.abs(form))
 
 
 def test_slice_symplectic_form_is_antisymmetric_and_nondegenerate():
@@ -365,6 +403,69 @@ def test_report_serialization():
     assert labels == [b.label for b in report.blocks]
     for b in payload["blocks"]:
         assert len(b["lin_eigs_re"]) == len(b["lin_eigs_im"])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _inertia(eigs):
+    eigs = np.asarray(eigs)
+    return int(np.sum(eigs > DEFINITENESS_TOL)), int(np.sum(eigs < -DEFINITENESS_TOL))
+
+
+def test_ring_reports_match_the_golden_file():
+    """``analyze`` against reports recorded from the hand-written basis.
+
+    ``tests/golden/ring_reports.json`` holds ``analyze(desc).as_dict()`` for
+    DNh/DNd, N in {2, 3, 4, 5, 8, 12}, k_p 0/2, theta0 in {0.3, 0.9, 1.4}
+    (and 2.2 with poles), plus the zero-momentum latitudes.  Blocks free of
+    momentum constraints must agree to the bit; in B1/B1p, which the
+    constraints cut down, the basis vectors may differ, so only the
+    spectrum (to round-off) and the Hessian inertia must agree.
+    """
+    golden = json.loads((GOLDEN / "ring_reports.json").read_text())
+    assert len(golden) == 102
+    for want in golden:
+        spec = want["descriptor"]
+        desc = FamilyDescriptor(Family(spec["family"]), spec["N"], spec["theta0"], spec["kp"])
+        got = analyze(desc).as_dict()
+        where = f"{desc.label} theta0={desc.theta0!r}"
+        assert got["verdict"] == want["verdict"], where
+        assert got["deciding_block"] == want["deciding_block"], where
+        assert [(b["label"], len(b["hessian_eigs"])) for b in got["blocks"]] == [
+            (b["label"], len(b["hessian_eigs"])) for b in want["blocks"]
+        ], where
+        for g, w in zip(got["blocks"], want["blocks"]):
+            if g["label"] in ("B1", "B1p"):
+                g_eigs = np.array(g["lin_eigs_re"]) + 1j * np.array(g["lin_eigs_im"])
+                w_eigs = np.array(w["lin_eigs_re"]) + 1j * np.array(w["lin_eigs_im"])
+                scale = max(1.0, float(np.max(np.abs(w_eigs))))
+                assert spectrum_match(g_eigs, w_eigs) < 1e-9 * scale, where
+                assert _inertia(g["hessian_eigs"]) == _inertia(w["hessian_eigs"]), where
+            else:
+                assert json.dumps(g) == json.dumps(w), f"{where} {g['label']}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_staggered_rings_with_poles_on_the_equator(n, capsys):
+    desc = _desc(DND, n, math.pi / 2, 2)
+    assert analyze(desc).verdict is analyze_small(make_family(desc)).verdict
+    raw = f'{{"family": "DNd", "N": {n}, "theta0": {math.pi / 2!r}, "kp": 2}}'
+    assert main(["classify", raw]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdict"]
+
+    # on the equator itself every route meets a multiple eigenvalue, so the
+    # spectra are compared just off it
+    near = _desc(DND, n, math.pi / 2 - 1e-8, 2)
+    expected = analyze(near).linearization_eigenvalues()
+    found = full_linearization_oracle(make_family(near))
+    assert found.size == expected.size + 4
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(expected[:, None] - found[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert float(cost[rows, cols].max()) < 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------
