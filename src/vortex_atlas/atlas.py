@@ -33,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -44,6 +44,7 @@ from .core import (
     FamilyDescriptor,
     InvalidDescriptor,
     VortexError,
+    _family_named,
 )
 from .dynamics import (
     CollisionApproach,
@@ -66,9 +67,11 @@ from .stability import (
     DegenerateForm,
     NoTransition,
     NotRelativeEquilibrium,
+    StabilityReport,
     Verdict,
     _pick_transition,
     analyze,
+    analyze_many,
     analyze_small,
     list_transitions,
 )
@@ -164,41 +167,42 @@ class SweepSpec:
 
 
 def _sweep_row(
-    family: str, n: int, theta: float, k_p: int, lambda_n: float
+    family: str, n: int, theta: float, result: StabilityReport | VortexError
 ) -> tuple[str, ...]:
     base = (family, str(n), _fmt(theta))
+    error = base + ("", "", "", "error", "")
+    if isinstance(result, VortexError):
+        return error
     try:
-        desc = FamilyDescriptor.from_mapping(
-            {
-                "family": family,
-                "N": n,
-                "theta0": theta,
-                "kp": k_p,
-                "lambda_n": lambda_n,
-            }
-        )
-        report = analyze(desc)
-        energy = hamiltonian(make_family(desc))
+        energy = hamiltonian(make_family(result.descriptor))
     except VortexError:
-        return base + ("", "", "", "error", "")
+        return error
     return base + (
-        _fmt(report.mu_z),
-        _fmt(report.xi_z),
+        _fmt(result.mu_z),
+        _fmt(result.xi_z),
         _fmt(energy),
-        report.verdict.value,
-        report.deciding_block,
+        result.verdict.value,
+        result.deciding_block,
     )
 
 
 def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
-    """Evaluate the grid one point after another, in grid order."""
+    """Evaluate the grid in grid order: one stacked closed-form pass per
+    family and ring size, and the energy of each row."""
     grid = spec.grid()
-    return [
-        _sweep_row(family, n, theta, spec.k_p, spec.lambda_n)
-        for family in spec.families
-        for n in spec.n_values
-        for theta in grid
-    ]
+    rows = []
+    for family in spec.families:
+        for n in spec.n_values:
+            try:
+                fam = _family_named(family)
+            except VortexError as exc:
+                results: Iterable[StabilityReport | VortexError] = [exc] * len(grid)
+            else:
+                results = analyze_many(
+                    FamilyDescriptor(fam, n, theta, spec.k_p, spec.lambda_n) for theta in grid
+                )
+            rows += [_sweep_row(family, n, theta, r) for theta, r in zip(grid, results)]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -698,6 +698,14 @@ _FAMILY_ALIASES = {
 _RING_FAMILIES = (Family.DNH_2R, Family.DND_RRP)
 
 
+def _family_named(name: object) -> Family:
+    """The family a value name or alias selects; InvalidDescriptor if none."""
+    try:
+        return _FAMILY_ALIASES.get(name) or Family(name)
+    except (TypeError, ValueError) as exc:  # TypeError: unhashable name
+        raise InvalidDescriptor(f"unknown family name {name!r}") from exc
+
+
 @dataclass(frozen=True)
 class FamilyDescriptor:
     """Parameters selecting one member of a named family.
@@ -789,11 +797,7 @@ class FamilyDescriptor:
 
     @classmethod
     def from_mapping(cls, payload: dict) -> "FamilyDescriptor":
-        name = payload.get("family")
-        try:
-            family = _FAMILY_ALIASES.get(name) or Family(name)
-        except (TypeError, ValueError) as exc:  # TypeError: unhashable name
-            raise InvalidDescriptor(f"unknown family name {name!r}") from exc
+        family = _family_named(payload.get("family"))
         n_per_ring = payload.get("N", payload.get("n_per_ring", 2))
         k_p = payload.get("kp", payload.get("k_p", 0))
         for field_name, value in (("N", n_per_ring), ("kp", k_p)):

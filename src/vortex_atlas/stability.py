@@ -13,9 +13,24 @@ pattern as it is.  Both the energy Hessian and the symplectic form
 block-diagonalize over the resulting groups, so each block can be
 examined independently and in closed form.
 
+The closed-form route is one stacked pass over latitudes:
+:func:`analyze_many` groups consecutive members of one family (same N
+and poles, and vertical momentum zero or not) into stacks and builds
+their Hessians, slice bases, restricted forms and block spectra as
+``(K, ...)`` arrays.  A stack holds ``16384 // d**2`` latitudes
+(d = 4N + 2k_p), so a ``(K, d, d)`` array has at most 16384 entries (or
+one latitude, when d**2 is larger), and the reports are handed on one
+latitude at a time.
+Every floating-point operation acts on each latitude exactly as on a
+single one (element-wise arithmetic, sums over a contiguous last axis,
+one LAPACK call per matrix), so a stacked report equals the one-latitude
+report bit for bit; :func:`analyze`, :func:`hessian_closed_form`,
+:func:`slice_basis` and :func:`slice_symplectic_form` are the
+one-latitude case.
+
 Two independent routes are kept deliberately separate:
 
-* closed-form route — :func:`hessian_closed_form`, :func:`slice_basis`,
+* closed-form route — :func:`analyze_many` and its one-latitude case
   :func:`analyze`;
 * numeric route — finite differences of the analytic gradient /
   co-rotating field (:func:`analyze_small`,
@@ -26,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -42,6 +58,7 @@ from .core import (
     InvalidDescriptor,
     PoleSingularity,
     VortexError,
+    _family_named,
 )
 from .dynamics import MixedChart, momentum_map
 from .equilibria import (
@@ -71,6 +88,7 @@ __all__ = [
     "deciding_scalars_rs",
     "deciding_scalars_ab",
     "analyze",
+    "analyze_many",
     "analyze_small",
     "full_linearization_oracle",
     "spectrum_match",
@@ -152,147 +170,7 @@ def _vertical_momentum(desc: FamilyDescriptor) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form Hessian of the augmented energy
-# ---------------------------------------------------------------------------
-
-
-def hessian_closed_form(desc: FamilyDescriptor, xi_z: float | None = None) -> np.ndarray:
-    """Second derivative of the rotating-frame energy in ring coordinates.
-
-    Coordinate order: plus-ring colatitudes, minus-ring colatitudes,
-    plus-ring longitudes, minus-ring longitudes, then (with poles)
-    ``x_n, y_n, x_s, y_s``.  The rotation rate defaults to the family's
-    own rigid rate.
-    """
-    desc = _analysis_descriptor(desc)
-    n, kp = desc.n_per_ring, desc.k_p
-    lam = desc.lambda_n if kp else 0.0
-    u = math.cos(desc.theta0)
-    s = math.sin(desc.theta0)
-    one_m_u2 = 1.0 - u * u
-    xi = ring_angular_velocity(desc) if xi_z is None else float(xi_z)
-    phi0 = _ring_phase(desc.family, n)
-
-    m = np.arange(n)
-    rel = 2.0 * math.pi * m / n
-    relx = rel + phi0
-    crel = np.cos(rel)
-    cx = np.cos(relx)
-    sx = np.sin(relx)
-    dx = 1.0 + u * u - one_m_u2 * cx
-    dx2 = dx * dx
-
-    same = 1.0 - crel[1:]  # 1 - cos of the nonzero same-ring angles
-
-    diag_t = (
-        np.sum(crel[1:] / same) / one_m_u2
-        - np.sum((-2.0 * u * u + one_m_u2 * cx - one_m_u2 * cx * cx) / dx2)
-        - xi * u
-    )
-    if kp:
-        diag_t += -2.0 * u * lam / one_m_u2
-
-    off_t = np.zeros(n)
-    off_t[1:] = -1.0 / (one_m_u2 * same)
-    cross_t = (one_m_u2 - (1.0 + u * u) * cx) / dx2
-
-    diag_p = -np.sum(1.0 / same) + one_m_u2 * np.sum(cross_t)
-    off_p = np.zeros(n)
-    off_p[1:] = 1.0 / same
-    cross_p = -one_m_u2 * cross_t
-
-    cross_tp = 2.0 * u * s * sx / dx2
-
-    d = 4 * n + 2 * kp
-    h = np.zeros((d, d))
-    idx = np.arange(n)
-    gap = (idx[None, :] - idx[:, None]) % n  # (j - i) mod n
-
-    t_plus = slice(0, n)
-    t_minus = slice(n, 2 * n)
-    f_plus = slice(2 * n, 3 * n)
-    f_minus = slice(3 * n, 4 * n)
-
-    same_t = np.where(gap == 0, diag_t, off_t[gap])
-    same_p = np.where(gap == 0, diag_p, off_p[gap])
-    h[t_plus, t_plus] = same_t
-    h[t_minus, t_minus] = same_t
-    h[f_plus, f_plus] = same_p
-    h[f_minus, f_minus] = same_p
-
-    h[t_plus, t_minus] = cross_t[gap]
-    h[t_minus, t_plus] = cross_t[gap].T
-    h[f_plus, f_minus] = cross_p[gap]
-    h[f_minus, f_plus] = cross_p[gap].T
-
-    # colatitude of one ring against longitude of the other ring; the
-    # prefactor carries the cosine of the row vortex's own colatitude,
-    # which is -u on the lower ring
-    h[t_plus, f_minus] = -cross_tp[gap]
-    h[f_minus, t_plus] = -cross_tp[gap].T
-    h[t_minus, f_plus] = -cross_tp[gap].T
-    h[f_plus, t_minus] = -cross_tp[gap]
-
-    if kp:
-        ang_plus = 2.0 * math.pi * idx / n
-        ang_minus = ang_plus + phi0
-        cp, sp = np.cos(ang_plus), np.sin(ang_plus)
-        cm, sm = np.cos(ang_minus), np.sin(ang_minus)
-        p_xn, p_yn, p_xs, p_ys = 4 * n, 4 * n + 1, 4 * n + 2, 4 * n + 3
-        near, far = 1.0 - u, 1.0 + u
-
-        cols = {
-            p_xn: (cp / near, -cm / far, s * sp / near, -s * sm / far),
-            p_xs: (cp / far, -cm / near, -s * sp / far, s * sm / near),
-            p_yn: (sp / near, -sm / far, -s * cp / near, s * cm / far),
-            p_ys: (sp / far, -sm / near, s * cp / far, -s * cm / near),
-        }
-        for col, (tp_, tm_, fp_, fm_) in cols.items():
-            h[t_plus, col] = tp_
-            h[t_minus, col] = tm_
-            h[f_plus, col] = fp_
-            h[f_minus, col] = fm_
-            h[col, t_plus] = tp_
-            h[col, t_minus] = tm_
-            h[col, f_plus] = fp_
-            h[col, f_minus] = fm_
-
-        sc_p, ss_p = np.sum(cp * cp), np.sum(sp * sp)
-        sc_m, ss_m = np.sum(cm * cm), np.sum(sm * sm)
-        base = 0.5 - xi
-        swirl = 2.0 * n * u / one_m_u2
-        h[p_xn, p_xn] = base + swirl - (far**2 * sc_p - near**2 * sc_m) / one_m_u2
-        h[p_yn, p_yn] = base + swirl - (far**2 * ss_p - near**2 * ss_m) / one_m_u2
-        h[p_xs, p_xs] = base + swirl + (near**2 * sc_p - far**2 * sc_m) / one_m_u2
-        h[p_ys, p_ys] = base + swirl + (near**2 * ss_p - far**2 * ss_m) / one_m_u2
-        h[p_xn, p_xs] = h[p_xs, p_xn] = 0.5
-        h[p_yn, p_ys] = h[p_ys, p_yn] = 0.5
-
-    # the circulant generators evaluate cos(2 pi k / n) and its mirror
-    # cos(2 pi (n - k) / n) independently, which can differ by one ulp;
-    # averaging restores exact symmetry
-    return 0.5 * (h + h.T)
-
-
-def full_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
-    """Symplectic form in the same ring coordinates as the Hessian."""
-    desc = _analysis_descriptor(desc)
-    n, kp = desc.n_per_ring, desc.k_p
-    s = math.sin(desc.theta0)
-    d = 4 * n + 2 * kp
-    omega = np.zeros((d, d))
-    for i in range(n):
-        omega[i, 2 * n + i] = s  # plus ring, strength +1
-        omega[n + i, 3 * n + i] = -s  # minus ring, strength -1
-    if kp:
-        # lambda_p / z_p = (+1)/(+1) at the north pole, (-1)/(-1) at the south
-        omega[4 * n, 4 * n + 1] = 1.0
-        omega[4 * n + 2, 4 * n + 3] = 1.0
-    return omega - omega.T
-
-
-# ---------------------------------------------------------------------------
-# slice bases
+# latitude-independent data of a ring family
 # ---------------------------------------------------------------------------
 
 
@@ -339,6 +217,222 @@ _POLE_ROWS = np.array(  # dPhi_x, dPhi_y, dPhi_z, g_z, g_x, g_y
     [[1, 0, -1, 0], [0, 1, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 0, 1], [1, 0, -1, 0]],
     float,
 )
+#: Entries of the normalised constraint rows at or below this count as zero.
+_KERNEL_TOL = 1e-9
+#: Entries of one (K, d, d) array of a stack: K = 16384 // d**2 latitudes (at least 1).
+_STACK_ELEMENTS = 16384
+
+# Pole columns x_n, y_n, x_s, y_s against t+, t-, f+, f-: cos or sin of the
+# plus-ring (0, 1) or minus-ring (2, 3) longitudes and the sign; the ring
+# parts divide by 1 - u or 1 + u (sign of u), the longitude parts carry s.
+_POLE_TRIG = np.array([[0, 2, 1, 3], [1, 3, 0, 2], [0, 2, 1, 3], [1, 3, 0, 2]])
+_POLE_SIGN = np.array([[1, -1, 1, -1], [1, -1, -1, 1], [1, -1, -1, 1], [1, -1, 1, -1.0]])[:, :, None]
+_POLE_OVER = np.array([[-1, 1, -1, 1], [-1, 1, -1, 1], [1, -1, 1, -1], [1, -1, 1, -1.0]])[:, :, None]
+_POLE_SCALED = np.array([False, False, True, True])[:, None]
+
+# Circulant blocks of the ring Hessian in the arrangement (t+, t-, f+, f-):
+# the generator each block reads.  Generators 0-4 are laid out as they are,
+# 5 is zero, and 6-8 are 2-4 reversed, which lays those out transposed.
+_RING_GEN = np.array([[0, 2, 5, 4], [6, 0, 8, 5], [5, 4, 1, 3], [8, 5, 7, 1]])
+
+
+class _Rings:
+    """What the closed forms of one ring family share across latitudes.
+
+    Ring angles, the sums of the Hessian that do not involve the latitude,
+    the index that lays its circulant blocks out, and the Fourier pattern
+    table of the slice basis.  Coordinate order:
+    plus-ring colatitudes, minus-ring colatitudes, plus-ring longitudes,
+    minus-ring longitudes, then (with poles) ``x_n, y_n, x_s, y_s``.
+    """
+
+    def __init__(self, family: Family, n: int, k_p: int, lambda_n: float) -> None:
+        self.n, self.k_p = n, k_p
+        self.lam = lambda_n if k_p else 0.0
+        self.d = d = 4 * n + 2 * k_p
+        self.staggered = family is Family.DND_RRP
+
+        # cos and sin of q times each vortex's longitude, q = 0..N/2; row 1
+        # holds the ring angles themselves (plus ring, then minus ring)
+        top = n // 2
+        m = np.arange(n)
+        rel = 2.0 * math.pi * m / n
+        arg = np.arange(top + 1.0)[:, None] * np.concatenate([rel, rel + _ring_phase(family, n)])
+        cos, sin = np.cos(arg), np.sin(arg)
+        crel = cos[1, :n]
+        self.cx, self.sx = cos[1, n:], sin[1, n:]
+        self.same = 1.0 - crel[1:]  # 1 - cos of the nonzero same-ring angles
+        self.sum_t = (crel[1:] / self.same).sum()
+        self.sum_p = -(1.0 / self.same).sum()
+
+        # the ring part of the Hessian gathered from its generators: entry
+        # (i, j) of block (r, c) reads generator _RING_GEN[r, c] at (j - i) mod n
+        gap = (m - m[:, None]) % n
+        self.ring_index = (_RING_GEN[:, None, :, None] * n + gap[:, None, :]).reshape(4 * n, 4 * n)
+        self.reverse = gap[:, 0]  # (-k) mod n
+        if k_p:
+            trig = np.array([crel, sin[1, :n], self.cx, self.sx])
+            self.pole_trig = trig[_POLE_TRIG] * _POLE_SIGN
+            self.pole_sums = (trig * trig).sum(axis=1).tolist()
+
+        # pattern table: row 8q + key index for the ring patterns, then the
+        # pole modes; plus-ring vortices first, then minus-ring
+        self.n_ring = 8 * (top + 1)
+        signed = np.empty((top + 1, 2, 2, 2 * n))  # (q, cos|sin, primed, vortex)
+        signed[:, 0] = cos[:, None]
+        signed[:, 1] = sin[:, None]
+        signed[:, :, 1, n:] *= -1.0
+        self.pat = np.zeros((self.n_ring + 2 * k_p, d))
+        pat_ring = self.pat[: self.n_ring].reshape(top + 1, 2, 2, 2, d)
+        pat_ring[:, 0, :, :, : 2 * n] = signed
+        pat_ring[:, 1, :, :, 2 * n : 4 * n] = signed
+        if k_p:
+            self.pat[self.n_ring :, 4 * n :] = _POLE_MODES
+        self.alive = (np.abs(self.pat).max(axis=1) > 1e-8).tolist()
+        self.cos1, self.sin1 = cos[1], sin[1]
+        # ring strengths +-1 and their products with cos/sin of the longitude
+        self.strength, self.str_cos, self.str_sin = signed[0, 0, 1], signed[1, 0, 1], signed[1, 1, 1]
+
+    def sectors(self, touched: list[bool]) -> list[tuple[str, list[int], list[list[int]]]]:
+        """Per wavenumber: block name, untouched pattern rows, and the
+        pattern rows of each touched sector."""
+        n, k_p = self.n, self.k_p
+        out = []
+        for q in range(n // 2 + 1):
+            joint = self.staggered and 2 * q == n
+            kind = "q=1" if q == 1 else "aligned top" if 2 * q == n else "generic"
+            members = []  # (pattern row, sector) of the patterns that do not vanish
+            for k, cls in _COLUMN_ORDER["staggered top" if joint else kind]:
+                i = 8 * q + k if k < 8 else self.n_ring + k - 8
+                if (k < 8 or (k_p and q == 1)) and self.alive[i]:
+                    members.append((i, 0 if joint else cls))
+            hit = sorted({sec for i, sec in members if touched[i]})
+            free = [i for i, sec in members if sec not in hit]
+            cols = [[i for i, c in members if c == sec] for sec in hit]
+            name = "B0" if q == 0 else "B1" if q == 1 else "Bhalf" if 2 * q == n else f"B{q}"
+            out.append((name + ("p" if k_p and q < 2 else ""), free, cols))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# stacked closed forms: one array axis runs over the latitudes
+# ---------------------------------------------------------------------------
+
+
+def _hessians(rings: _Rings, u: np.ndarray, s: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Hessians of the rotating-frame energy, shape ``(K, d, d)``.
+
+    The ring part is a 4 x 4 arrangement (t+, t-, f+, f-) of circulant
+    blocks, gathered in one indexing step from their generators (first
+    rows).  Sums over ring angles reduce over the contiguous last axis, so
+    every latitude gets the bits a single-latitude build gives.
+    """
+    n, k = rings.n, len(u)
+    cx = rings.cx
+    uc, sc = u[:, None], s[:, None]
+    one_m_u2 = 1.0 - uc * uc
+    dx = 1.0 + uc * uc - one_m_u2 * cx
+    dx2 = dx * dx
+    cross_t = (one_m_u2 - (1.0 + uc * uc) * cx) / dx2
+
+    # generators: same-ring colatitude and longitude terms, cross-ring
+    # colatitude and longitude terms, and the colatitude of one ring against
+    # the longitude of the other, whose prefactor carries the cosine of the
+    # row vortex's own colatitude (-u on the lower ring)
+    gen = np.zeros((k, 9, n))  # generator 5 stays zero
+    gen[:, 0, :1] = (
+        rings.sum_t / one_m_u2
+        - ((-2.0 * uc * uc + one_m_u2 * cx - one_m_u2 * cx * cx) / dx2).sum(axis=1, keepdims=True)
+        - xi[:, None] * uc
+    )
+    if rings.k_p:
+        gen[:, 0, :1] += -2.0 * uc * rings.lam / one_m_u2
+    gen[:, 0, 1:] = -1.0 / (one_m_u2 * rings.same)
+    gen[:, 1, :1] = rings.sum_p + one_m_u2 * cross_t.sum(axis=1, keepdims=True)
+    gen[:, 1, 1:] = 1.0 / rings.same
+    gen[:, 2] = cross_t
+    gen[:, 3] = -one_m_u2 * cross_t
+    gen[:, 4] = -(2.0 * uc * sc * rings.sx / dx2)
+    gen[:, 6:] = gen[:, 2:5, rings.reverse]
+    h = gen.reshape(k, 9 * n)[:, rings.ring_index]
+    if rings.k_p:
+        ring, h = h, np.zeros((k, rings.d, rings.d))
+        h[:, : 4 * n, : 4 * n] = ring
+        scale = np.where(_POLE_SCALED, sc[:, :, None, None], 1.0)
+        cols = rings.pole_trig * scale / (1.0 + uc[:, :, None, None] * _POLE_OVER)
+        h[:, 4 * n :, : 4 * n] = cols.reshape(k, 4, 4 * n)
+        h[:, : 4 * n, 4 * n :] = h[:, 4 * n :, : 4 * n].transpose(0, 2, 1)
+        sc_p, ss_p, sc_m, ss_m = rings.pole_sums
+        diag = []
+        for uk, xk in zip(u.tolist(), xi.tolist()):
+            one_m_uk2 = 1.0 - uk * uk
+            near, far = 1.0 - uk, 1.0 + uk
+            lift = 0.5 - xk + 2.0 * n * uk / one_m_uk2
+            diag.append(
+                (
+                    lift - (far**2 * sc_p - near**2 * sc_m) / one_m_uk2,
+                    lift - (far**2 * ss_p - near**2 * ss_m) / one_m_uk2,
+                    lift + (near**2 * sc_p - far**2 * sc_m) / one_m_uk2,
+                    lift + (near**2 * ss_p - far**2 * ss_m) / one_m_uk2,
+                )
+            )
+        # the pole block's diagonal, then x_n/x_s and y_n/y_s both ways
+        flat, d, pole = h.reshape(k, -1), rings.d, 4 * n * (rings.d + 1)
+        flat[:, pole :: d + 1] = diag
+        flat[:, pole + 2 : pole + 2 * d + 3 : d + 1] = 0.5
+        flat[:, pole + 2 * d : pole + 4 * d + 1 : d + 1] = 0.5
+
+    # the circulant generators evaluate cos(2 pi k / n) and its mirror
+    # cos(2 pi (n - k) / n) independently, which can differ by one ulp;
+    # averaging restores exact symmetry
+    return 0.5 * (h + h.transpose(0, 2, 1))
+
+
+def _symplectic_forms(rings: _Rings, s: np.ndarray) -> np.ndarray:
+    """Symplectic forms in the Hessian's coordinates, shape ``(K, d, d)``."""
+    n, d = rings.n, rings.d
+    omega = np.zeros((len(s), d * d))
+    # entries (i, 2n + i) and (n + i, 3n + i), i < n, and their mirrors are
+    # runs of step d + 1 in the flattened matrix
+    sc, step = s[:, None], d + 1
+    omega[:, 2 * n : 2 * n + n * step : step] = sc  # plus ring, strength +1
+    omega[:, 2 * n * d : 2 * n * d + n * step : step] = -sc
+    omega[:, n * d + 3 * n : n * d + 3 * n + n * step : step] = -sc  # minus ring, -1
+    omega[:, 3 * n * d + n : 3 * n * d + n + n * step : step] = sc
+    if rings.k_p:
+        # lambda_p / z_p = (+1)/(+1) at the north pole, (-1)/(-1) at the south
+        for i in (4 * n, 4 * n + 2):
+            omega[:, i * d + i + 1] = 1.0
+            omega[:, (i + 1) * d + i] = -1.0
+    return omega.reshape(len(s), d, d)
+
+
+def _constraint_blocks(
+    rings: _Rings, reduced: bool, u: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Momentum and generator rows against every pattern, ``(K, r, P)``.
+
+    Rows: dPhi_x, dPhi_y, dPhi_z, the generator about z (and about x, y
+    when the momentum vanishes), each scaled to unit largest entry so that
+    one tolerance serves every row; primed patterns carry the ring
+    strengths.
+    """
+    n = rings.n
+    uc, sc = u[:, None], s[:, None]
+    rows = np.zeros((len(u), 6 if reduced else 4, rings.d))
+    th, ph = rows[:, :, : 2 * n], rows[:, :, 2 * n : 4 * n]
+    th[:, 0], ph[:, 0] = uc * rings.cos1, -sc * rings.str_sin
+    th[:, 1], ph[:, 1] = uc * rings.sin1, sc * rings.str_cos
+    th[:, 2] = -sc * rings.strength
+    ph[:, 3] = 1.0
+    if reduced:
+        th[:, 4], ph[:, 4] = -rings.sin1, -uc / sc * rings.str_cos
+        th[:, 5], ph[:, 5] = rings.cos1, -uc / sc * rings.str_sin
+    if rings.k_p:
+        rows[:, :, 4 * n :] = _POLE_ROWS[: rows.shape[1]]
+    block = rows @ rings.pat.T
+    block /= np.abs(block).max(axis=2, keepdims=True)
+    return block
 
 
 def _kernel(block: list[list[float]], tol: float) -> list[list[float]]:
@@ -355,13 +449,19 @@ def _kernel(block: list[list[float]], tol: float) -> list[list[float]]:
         best, bi, bj = tol, -1, -1
         for i, row in enumerate(block):
             for j in free:
-                if abs(row[j]) > best:
-                    best, bi, bj = abs(row[j]), i, j
+                a = abs(row[j])
+                if a > best:
+                    best, bi, bj = a, i, j
         if bi < 0:
             break
         pivot = block.pop(bi)
-        pivot = [x / pivot[bj] for x in pivot]
-        for row in block + [r for _, r in pivots]:
+        p = pivot[bj]
+        pivot = [x / p for x in pivot]
+        for row in block:
+            f = row[bj]
+            if f:
+                row[:] = [x - f * y for x, y in zip(row, pivot)]
+        for _, row in pivots:
             f = row[bj]
             if f:
                 row[:] = [x - f * y for x, y in zip(row, pivot)]
@@ -369,103 +469,142 @@ def _kernel(block: list[list[float]], tol: float) -> list[list[float]]:
         free.remove(bj)
     out = []
     for f in free:
-        vec = [1.0 if k == f else 0.0 for k in range(width)]
+        vec = [0.0] * width
+        vec[f] = 1.0
         for j, row in pivots:
             vec[j] = -row[f]
-        norm = math.sqrt(sum(x * x for x in vec))
+        norm = math.sqrt(sum([x * x for x in vec]))
         out.append([x / norm for x in vec])
     return out
+
+
+def _split(keys: list) -> list[list[int]]:
+    """Positions of equal keys, group by group."""
+    if len(keys) == 1:
+        return [[0]]
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _slice_bases(rings: _Rings, reduced: bool, u: np.ndarray, s: np.ndarray):
+    """Slice bases of a stack of latitudes, grouped by their structure.
+
+    The patterns of wavenumber q = 0..N/2 in two parity classes span the
+    ring coordinates.  A sector (one class at one wavenumber) that the
+    constraints leave alone enters unchanged; a sector they touch is
+    replaced by the kernel of its constraint block.  The sectors are
+    worked out once per group of latitudes; latitudes whose constraints
+    touch different patterns (u = 0) or whose blocks have different ranks
+    form their own groups.  Yields ``(positions in the stack, bases of
+    shape (k, d, p), labels)``.
+    """
+    block = _constraint_blocks(rings, reduced, u, s)
+    touched = np.abs(block).max(axis=1) > _KERNEL_TOL
+    expected = rings.d - (6 if reduced else 4)
+    suffix = "p" if rings.k_p else ""
+    for idx in _split([row.tobytes() for row in touched]):
+        sectors = rings.sectors(touched[idx[0]].tolist())
+        group = block if len(idx) == len(block) else block[idx]
+        # per touched sector, per latitude: the kernel's coefficient vectors
+        kernels = [
+            [_kernel(m, _KERNEL_TOL) for m in group[:, :, cols].tolist()]
+            for _, _, hit in sectors
+            for cols in hit
+        ]
+        counts = [tuple(len(per_lat[i]) for per_lat in kernels) for i in range(len(idx))]
+        n_free = sum(len(rows) for _, rows, _ in sectors)
+        for sub in _split(counts):
+            if n_free + sum(counts[sub[0]]) != expected:
+                raise RuntimeError(
+                    f"slice has {n_free + sum(counts[sub[0]])} vectors, expected {expected}"
+                )
+            basis = np.empty((len(sub), rings.d, expected))
+            labels: list[str] = []
+            free_rows: list[int] = []  # untouched patterns and their columns
+            free_at: list[int] = []
+            stacked = iter(kernels)
+            for q, (name, rows, hit) in enumerate(sectors):
+                at = len(labels) + len(rows)
+                free_rows += rows
+                free_at += range(len(labels), at)
+                for cols in hit:
+                    per_lat = next(stacked)
+                    coeffs = np.array([per_lat[i] for i in sub])
+                    if coeffs.size:
+                        count = coeffs.shape[1]
+                        basis[:, :, at : at + count] = (coeffs @ rings.pat[cols]).transpose(0, 2, 1)
+                        at += count
+                n_kernel = at - len(labels) - len(rows)
+                # the untouched class at q = 1 joins B0, except for aligned
+                # pairs without poles, where the constraints leave nothing
+                # of the other class: there it keeps the name B1
+                free_name = "B0" + suffix if q == 1 and (n_kernel or reduced) else name
+                labels += [free_name] * len(rows) + [name] * n_kernel
+            basis[:, :, free_at] = rings.pat[free_rows].T
+            yield [idx[i] for i in sub], basis, tuple(labels)
+
+
+def _restrict(basis: np.ndarray, form: np.ndarray, antisymmetric: bool) -> np.ndarray:
+    """``B.T @ M @ B`` per latitude, made exactly (anti)symmetric.
+
+    The congruence is (anti)symmetric in exact arithmetic; averaging
+    removes the one-ulp rounding skew of the two matrix products.
+    """
+    out = basis.transpose(0, 2, 1) @ form @ basis
+    if antisymmetric:
+        return 0.5 * (out - out.transpose(0, 2, 1))
+    return 0.5 * (out + out.transpose(0, 2, 1))
+
+
+def _degenerate(omega_b: np.ndarray) -> list[bool]:
+    """Which restricted symplectic forms are singular."""
+    sing = np.linalg.svd(omega_b, compute_uv=False)
+    return [lo < 1e-12 * max(hi, 1.0) for lo, hi in zip(sing[:, -1].tolist(), sing[:, 0].tolist())]
+
+
+_SINGULAR_SLICE = "the symplectic form restricted to the slice is singular"
+
+
+def _one_point(desc: FamilyDescriptor) -> tuple[FamilyDescriptor, _Rings, bool, np.ndarray, np.ndarray]:
+    """Analysis descriptor, family data, reduced flag, u and s of one member."""
+    desc = _analysis_descriptor(desc)
+    rings = _Rings(desc.family, desc.n_per_ring, desc.k_p, desc.lambda_n)
+    reduced = abs(_vertical_momentum(desc)) < MOMENTUM_ZERO_TOL
+    u = np.array([math.cos(desc.theta0)])
+    s = np.array([math.sin(desc.theta0)])
+    return desc, rings, reduced, u, s
+
+
+def hessian_closed_form(desc: FamilyDescriptor, xi_z: float | None = None) -> np.ndarray:
+    """Second derivative of the rotating-frame energy in ring coordinates.
+
+    Coordinate order: plus-ring colatitudes, minus-ring colatitudes,
+    plus-ring longitudes, minus-ring longitudes, then (with poles)
+    ``x_n, y_n, x_s, y_s``.  The rotation rate defaults to the family's
+    own rigid rate.
+    """
+    desc, rings, _, u, s = _one_point(desc)
+    xi = ring_angular_velocity(desc) if xi_z is None else float(xi_z)
+    return _hessians(rings, u, s, np.array([xi]))[0]
+
+
+def full_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
+    """Symplectic form in the same ring coordinates as the Hessian."""
+    _, rings, _, _, s = _one_point(desc)
+    return _symplectic_forms(rings, s)[0]
 
 
 def slice_basis(desc: FamilyDescriptor) -> SliceBasis:
     """Fourier-pattern basis of the slice, grouped into decoupling blocks.
 
-    The patterns of wavenumber q = 0..N/2 in two parity classes span the
-    ring coordinates.  A sector (one class at one wavenumber) that the
-    momentum differential and the rotation generators leave alone enters
-    unchanged; a sector they touch is replaced by the kernel of its
-    constraint block.  The generators about x and y join the constraints
-    when the vertical momentum vanishes and the rotation orbit grows.
+    The generators about x and y join the constraints when the vertical
+    momentum vanishes and the rotation orbit grows.
     """
-    desc = _analysis_descriptor(desc)
-    n, kp = desc.n_per_ring, desc.k_p
-    u, s = math.cos(desc.theta0), math.sin(desc.theta0)
-    staggered = desc.family is Family.DND_RRP
-    reduced = abs(_vertical_momentum(desc)) < MOMENTUM_ZERO_TOL
-    top, d = n // 2, 4 * n + 2 * kp
-    n_ring = 8 * (top + 1)  # rows of the ring patterns in the pattern table
-
-    # pattern table: row 8q + key index for the ring patterns, then the
-    # pole modes; plus-ring vortices first, then minus-ring
-    ang = 2.0 * math.pi * np.arange(n) / n
-    ang = np.concatenate([ang, ang + _ring_phase(desc.family, n)])
-    arg = np.arange(top + 1.0)[:, None] * ang
-    cos, sin = np.cos(arg), np.sin(arg)
-    signed = np.empty((top + 1, 2, 2, 2 * n))  # (q, cos|sin, primed, vortex)
-    signed[:, 0] = cos[:, None]
-    signed[:, 1] = sin[:, None]
-    signed[:, :, 1, n:] *= -1.0
-    pat = np.zeros((n_ring + 2 * kp, d))
-    ring = pat[:n_ring].reshape(top + 1, 2, 2, 2, d)
-    ring[:, 0, :, :, : 2 * n] = signed
-    ring[:, 1, :, :, 2 * n : 4 * n] = signed
-    if kp:
-        pat[n_ring:, 4 * n :] = _POLE_MODES
-
-    # dPhi_x, dPhi_y, dPhi_z, the generator about z (and about x, y when the
-    # momentum vanishes); primed patterns carry the ring strengths lam = +-1
-    lam, lam_cos, lam_sin = signed[0, 0, 1], signed[1, 0, 1], signed[1, 1, 1]
-    rows = np.zeros((6 if reduced else 4, d))
-    th, ph = rows[:, : 2 * n], rows[:, 2 * n : 4 * n]
-    th[0], ph[0] = u * cos[1], -s * lam_sin
-    th[1], ph[1] = u * sin[1], s * lam_cos
-    th[2] = -s * lam
-    ph[3] = 1.0
-    if reduced:
-        th[4], ph[4] = -sin[1], -u / s * lam_cos
-        th[5], ph[5] = cos[1], -u / s * lam_sin
-    if kp:
-        rows[:, 4 * n :] = _POLE_ROWS[: len(rows)]
-    block = rows @ pat.T
-    # unit largest entry per row, so that one tolerance serves every row
-    block /= np.abs(block).max(axis=1, keepdims=True)
-    tol = 1e-9
-    touched = (np.abs(block).max(axis=0) > tol).tolist()
-    alive = (np.abs(pat).max(axis=1) > 1e-8).tolist()
-
-    vectors, labels = [], []
-    suffix = "p" if kp else ""
-    for q in range(top + 1):
-        joint = staggered and 2 * q == n
-        kind = "q=1" if q == 1 else "aligned top" if 2 * q == n else "generic"
-        members = []  # (pattern row, sector) of the patterns that do not vanish
-        for k, cls in _COLUMN_ORDER["staggered top" if joint else kind]:
-            i = 8 * q + k if k < 8 else n_ring + k - 8
-            if (k < 8 or (kp and q == 1)) and alive[i]:
-                members.append((i, 0 if joint else cls))
-        hit = sorted({sec for i, sec in members if touched[i]})
-        free = [i for i, sec in members if sec not in hit]
-        vectors.append(pat[free])
-        n_kernel = 0
-        for sec in hit:
-            cols = [i for i, c in members if c == sec]
-            coeffs = _kernel(block[:, cols].tolist(), tol)
-            if coeffs:
-                vectors.append(np.array(coeffs) @ pat[cols])
-                n_kernel += len(coeffs)
-        name = "B0" if q == 0 else "B1" if q == 1 else "Bhalf" if 2 * q == n else f"B{q}"
-        name += suffix if q < 2 else ""
-        # the untouched class at q = 1 joins B0, except for aligned pairs
-        # without poles, where the constraints leave nothing of the other
-        # class: there it keeps the name B1
-        free_name = "B0" + suffix if q == 1 and (n_kernel or reduced) else name
-        labels += [free_name] * len(free) + [name] * n_kernel
-
-    basis = np.vstack(vectors)
-    expected = d - (6 if reduced else 4)
-    if len(basis) != expected:
-        raise RuntimeError(f"slice has {len(basis)} vectors, expected {expected}")
-    return SliceBasis(np.ascontiguousarray(basis.T), tuple(labels))
+    _, rings, reduced, u, s = _one_point(desc)
+    ((_, basis, labels),) = _slice_bases(rings, reduced, u, s)
+    return SliceBasis(basis[0], labels)
 
 
 def slice_symplectic_form(
@@ -476,21 +615,15 @@ def slice_symplectic_form(
     Raises :class:`DegenerateForm` if the restriction is singular, which
     would invalidate the reduced linearization.
     """
-    desc_a = _analysis_descriptor(desc)
+    _, rings, reduced, u, s = _one_point(desc)
     if basis is None:
-        basis = slice_basis(desc_a)
-    omega = full_symplectic_form(desc_a)
-    b = basis.matrix
-    omega_b = b.T @ omega @ b
-    # the congruence is antisymmetric in exact arithmetic; averaging
-    # removes the one-ulp rounding skew of the two matrix products
-    omega_b = 0.5 * (omega_b - omega_b.T)
-    sing = np.linalg.svd(omega_b, compute_uv=False)
-    if sing.size and sing[-1] < 1e-12 * max(sing[0], 1.0):
-        raise DegenerateForm(
-            "the symplectic form restricted to the slice is singular"
-        )
-    return omega_b
+        ((_, b, _),) = _slice_bases(rings, reduced, u, s)
+    else:
+        b = basis.matrix[None]
+    omega_b = _restrict(b, _symplectic_forms(rings, s), antisymmetric=True)
+    if _degenerate(omega_b)[0]:
+        raise DegenerateForm(_SINGULAR_SLICE)
+    return omega_b[0]
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +792,9 @@ class StabilityReport:
 
 
 def _sort_complex(eigs: np.ndarray) -> np.ndarray:
-    eigs = np.asarray(eigs, complex)
-    order = np.lexsort((eigs.imag, eigs.real))
-    return eigs[order]
+    """Sort by real part, then imaginary part, along the last axis."""
+    # NumPy orders complex numbers by real part, then imaginary part
+    return np.sort(np.asarray(eigs, complex), axis=-1, kind="stable")
 
 
 def _decide(
@@ -670,11 +803,14 @@ def _decide(
     def_tol: float = DEFINITENESS_TOL,
     spec_tol: float = SPECTRAL_TOL,
 ) -> Verdict:
-    lo = float(h_eigs.min())
-    hi = float(h_eigs.max())
+    growth = float(np.max(np.abs(l_eigs.real))) if l_eigs.size else 0.0
+    return _verdict(float(h_eigs.min()), float(h_eigs.max()), growth, def_tol, spec_tol)
+
+
+def _verdict(lo: float, hi: float, growth: float, def_tol: float, spec_tol: float) -> Verdict:
+    """Verdict from the extreme Hessian eigenvalues and the largest growth rate."""
     if lo > def_tol or hi < -def_tol:
         return Verdict.LYAPUNOV_STABLE
-    growth = float(np.max(np.abs(l_eigs.real))) if l_eigs.size else 0.0
     if growth > spec_tol:
         return Verdict.LINEARLY_UNSTABLE
     if lo < -def_tol and hi > def_tol:
@@ -691,7 +827,7 @@ def _block_entries(label: str, hb: np.ndarray, l_eigs: np.ndarray, staggered: bo
         entries["r"] = hb[1, 1]
         entries["s"] = hb[0, 0]
     elif label in ("B1", "B1p"):
-        freqs = sorted(set(round(abs(x.imag), 12) for x in l_eigs))
+        freqs = sorted(set(np.round(np.abs(l_eigs.imag), 12).tolist()))
         for k, w in enumerate(freqs):
             entries["w" if k == 0 else f"w{k + 1}"] = w
     elif label.startswith("B") and dim == 8:
@@ -730,65 +866,162 @@ def _block_slices(labels: tuple[str, ...]) -> list[tuple[str, slice]]:
     return out
 
 
+def _block_spectra(hb: np.ndarray, omega_b: np.ndarray, slices: list[tuple[str, slice]]):
+    """Per block of the slice: Hessian block, its eigenvalues and the
+    sorted linearization eigenvalues, each stacked over the latitudes.
+
+    Blocks of one size are solved in one stacked call; LAPACK works on each
+    matrix of a stack on its own, so the results do not depend on the
+    grouping.  Returns ``(label, h_blk, h_eigs, l_eigs)`` per block, in
+    slice order.
+    """
+    k = len(hb)
+    by_size: dict[int, list[int]] = {}
+    for b, (_, sl) in enumerate(slices):
+        by_size.setdefault(sl.stop - sl.start, []).append(b)
+    blocks: list = [None] * len(slices)
+    for size, members in by_size.items():
+        if len(members) == 1:
+            sl = slices[members[0]][1]
+            h_blk, o_blk = hb[:, sl, sl], omega_b[:, sl, sl]
+        else:  # latitude-major stack of the blocks of this size
+            rows = np.array([slices[b][1].start for b in members])[:, None] + np.arange(size)
+            pick = (slice(None), rows[:, :, None], rows[:, None, :])
+            h_blk = hb[pick].reshape(-1, size, size)
+            o_blk = omega_b[pick].reshape(-1, size, size)
+        l_blk = -np.linalg.solve(o_blk, h_blk)
+        h_eigs = np.linalg.eigvalsh(h_blk)
+        l_eigs = _sort_complex(np.linalg.eigvals(l_blk))
+        if len(members) == 1:
+            blocks[members[0]] = (slices[members[0]][0], h_blk, h_eigs, l_eigs)
+            continue
+        h_blk = h_blk.reshape(k, len(members), size, size)
+        h_eigs = h_eigs.reshape(k, len(members), size)
+        l_eigs = l_eigs.reshape(k, len(members), size)
+        for j, b in enumerate(members):
+            blocks[b] = (slices[b][0], h_blk[:, j], h_eigs[:, j], l_eigs[:, j])
+    return blocks
+
+
+def _analyze_stack(
+    key: tuple,
+    stack: list[tuple[FamilyDescriptor, float, float, float]],
+    def_tol: float,
+    spec_tol: float,
+) -> list[StabilityReport | VortexError]:
+    """Reports for a stack of ``(descriptor, theta0, xi, mu)`` that share
+    ``key = (family, N, k_p, lambda_n, reduced)``."""
+    rings, reduced = _Rings(*key[:4]), key[4]
+    u = np.array([math.cos(theta) for _, theta, _, _ in stack])
+    s = np.array([math.sin(theta) for _, theta, _, _ in stack])
+    xi = np.array([rate for _, _, rate, _ in stack])
+    out: list[StabilityReport | VortexError] = [None] * len(stack)  # type: ignore[list-item]
+    for idx, basis, labels in _slice_bases(rings, reduced, u, s):
+        at = slice(None) if len(idx) == len(stack) else idx
+        hb = _restrict(basis, _hessians(rings, u[at], s[at], xi[at]), antisymmetric=False)
+        omega_b = _restrict(basis, _symplectic_forms(rings, s[at]), antisymmetric=True)
+        singular = _degenerate(omega_b)
+        if any(singular):
+            for i, bad in zip(idx, singular):
+                if bad:
+                    out[i] = DegenerateForm(_SINGULAR_SLICE)
+            keep = [j for j, bad in enumerate(singular) if not bad]
+            idx, hb, omega_b = [idx[j] for j in keep], hb[keep], omega_b[keep]
+            if not idx:
+                continue
+        slices = _block_slices(labels)
+        blocks = _block_spectra(hb, omega_b, slices)
+        # The blocks are symplectically orthogonal and do not couple in the
+        # Hessian, so the slice spectrum is the union of the block spectra;
+        # the deciding block is the first with the largest growth rate or
+        # the smallest |Hessian eigenvalue|.
+        starts = [sl.start for _, sl in slices]
+        hess = np.concatenate([h_eigs for _, _, h_eigs, _ in blocks], axis=1)
+        growth = np.abs(np.concatenate([l_eigs.real for _, _, _, l_eigs in blocks], axis=1))
+        growths = np.maximum.reduceat(growth, starts, axis=1)
+        fastest = growths.argmax(axis=1).tolist()
+        flattest = np.minimum.reduceat(np.abs(hess), starts, axis=1).argmin(axis=1).tolist()
+        extremes = zip(hess.min(axis=1).tolist(), hess.max(axis=1).tolist(), growths.max(axis=1).tolist())
+        for j, (i, (lo, hi, top)) in enumerate(zip(idx, extremes)):
+            original, _, rate, mu = stack[i]
+            verdict = _verdict(lo, hi, top, def_tol, spec_tol)
+            deciding = (fastest if verdict is Verdict.LINEARLY_UNSTABLE else flattest)[j]
+            out[i] = StabilityReport(
+                descriptor=original,
+                label=original.label,
+                mu_z=mu,
+                xi_z=rate,
+                blocks=tuple(
+                    BlockSpectrum(
+                        label,
+                        h_eigs[j],
+                        l_eigs[j],
+                        _block_entries(label, h_blk[j], l_eigs[j], rings.staggered),
+                    )
+                    for label, h_blk, h_eigs, l_eigs in blocks
+                ),
+                verdict=verdict,
+                deciding_block=blocks[deciding][0],
+            )
+    return out
+
+
+def _stack_entry(original: FamilyDescriptor) -> tuple[tuple, tuple]:
+    """Stack key ``(family, N, k_p, lambda_n, reduced)`` and stack entry
+    ``(descriptor, theta0, xi, mu)`` of a ring-family member."""
+    desc = _analysis_descriptor(original)
+    xi = ring_angular_velocity(desc)
+    mu = _vertical_momentum(desc)
+    k_p = desc.k_p
+    key = (desc.family, desc.n_per_ring, k_p, desc.lambda_n if k_p else 0.0, abs(mu) < MOMENTUM_ZERO_TOL)
+    return key, (original, desc.theta0, xi, mu)
+
+
+def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport | VortexError]:
+    """Closed-form slice analysis of ring-family members, in stacks.
+
+    Yields, in input order, the report :func:`analyze` returns for each
+    descriptor or the :class:`VortexError` it raises.  Consecutive members
+    of one family with the same ring size and poles, whose vertical
+    momenta are all zero or all nonzero, are analysed together: Hessians,
+    slice bases, projections and block spectra are computed as stacked
+    arrays of ``16384 // d**2`` latitudes (d = 4N + 2k_p; at least one),
+    so memory stays bounded however long the input is.
+    """
+    stack: list[tuple[FamilyDescriptor, float, float, float]] = []
+    key: tuple = ()
+    for original in descs:
+        try:
+            new_key, entry = _stack_entry(original)
+        except VortexError as exc:
+            if stack:
+                yield from _analyze_stack(key, stack, DEFINITENESS_TOL, SPECTRAL_TOL)
+                stack = []
+            yield exc
+            continue
+        if stack and (new_key != key or len(stack) >= _STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2):
+            yield from _analyze_stack(key, stack, DEFINITENESS_TOL, SPECTRAL_TOL)
+            stack = []
+        key = new_key
+        stack.append(entry)
+    if stack:
+        yield from _analyze_stack(key, stack, DEFINITENESS_TOL, SPECTRAL_TOL)
+
+
 def analyze(
     desc: FamilyDescriptor,
     def_tol: float = DEFINITENESS_TOL,
     spec_tol: float = SPECTRAL_TOL,
 ) -> StabilityReport:
-    """Closed-form slice stability analysis of a ring-family member."""
-    original = desc
-    original.validate()
-    desc = _analysis_descriptor(desc)
-    staggered = desc.family is Family.DND_RRP
-    xi = ring_angular_velocity(desc)
-    mu = _vertical_momentum(desc)
+    """Closed-form slice stability analysis of a ring-family member.
 
-    h_full = hessian_closed_form(desc, xi)
-    basis = slice_basis(desc)
-    b = basis.matrix
-    hb = b.T @ h_full @ b
-    hb = 0.5 * (hb + hb.T)
-    omega_b = slice_symplectic_form(desc, basis)
-
-    blocks = []
-    for label, sl in _block_slices(basis.labels):
-        h_blk = hb[sl, sl]
-        l_blk = -np.linalg.solve(omega_b[sl, sl], h_blk)
-        h_eigs = np.linalg.eigvalsh(h_blk)
-        l_eigs = _sort_complex(np.linalg.eigvals(l_blk))
-        blocks.append(
-            BlockSpectrum(
-                label,
-                h_eigs,
-                l_eigs,
-                _block_entries(label, h_blk, l_eigs, staggered),
-            )
-        )
-
-    # The blocks are symplectically orthogonal and do not couple in the
-    # Hessian, so the slice spectrum is the union of the block spectra.
-    h_eigs = np.concatenate([blk.hessian_eigenvalues for blk in blocks])
-    l_eigs = np.concatenate([blk.linearization_eigenvalues for blk in blocks])
-    verdict = _decide(h_eigs, l_eigs, def_tol, spec_tol)
-
-    if verdict is Verdict.LINEARLY_UNSTABLE:
-        deciding = max(
-            blocks, key=lambda blk: np.max(np.abs(blk.linearization_eigenvalues.real))
-        ).label
-    else:
-        deciding = min(
-            blocks, key=lambda blk: np.min(np.abs(blk.hessian_eigenvalues))
-        ).label
-
-    return StabilityReport(
-        descriptor=original,
-        label=original.label,
-        mu_z=mu,
-        xi_z=xi,
-        blocks=tuple(blocks),
-        verdict=verdict,
-        deciding_block=deciding,
-    )
+    The one-point case of :func:`analyze_many`.
+    """
+    key, entry = _stack_entry(desc)
+    (result,) = _analyze_stack(key, [entry], def_tol, spec_tol)
+    if isinstance(result, VortexError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -913,16 +1146,7 @@ def spectrum_match(found: np.ndarray, expected: np.ndarray) -> float:
 
 
 def _resolve_family(family: Family | str) -> Family:
-    if isinstance(family, Family):
-        fam = family
-    else:
-        aliases = {"DNd": Family.DND_RRP, "DNh": Family.DNH_2R}
-        fam = aliases.get(family)
-        if fam is None:
-            try:
-                fam = Family(family)
-            except ValueError as exc:
-                raise InvalidDescriptor(f"unknown family name {family!r}") from exc
+    fam = _family_named(family)
     if fam not in (Family.DNH_2R, Family.DND_RRP):
         raise InvalidDescriptor("latitude scans cover the two-ring families")
     return fam
@@ -955,6 +1179,13 @@ def _classify(before: Verdict, after: Verdict) -> str | None:
     if before is Verdict.LINEARLY_STABLE and after is Verdict.LINEARLY_UNSTABLE:
         return "HopfUpper"
     return None
+
+
+def _scan_verdict(result: StabilityReport | VortexError) -> Verdict | None:
+    """A scan point's verdict; None for an error or an indeterminate verdict."""
+    if isinstance(result, VortexError) or result.verdict is Verdict.INDETERMINATE:
+        return None
+    return result.verdict
 
 
 def _refine_chain(
@@ -1011,14 +1242,17 @@ def list_transitions(
         key = round(theta, 12)
         if key not in cache:
             try:
-                desc = FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=theta, k_p=k_p)
-                v = analyze(desc).verdict
-            except VortexError:
-                v = None
-            cache[key] = None if v is Verdict.INDETERMINATE else v
+                result = analyze(FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=theta, k_p=k_p))
+            except VortexError as exc:
+                result = exc
+            cache[key] = _scan_verdict(result)
         return cache[key]
 
+    # The grid in one stacked pass; bisection below calls analyze per point.
     pts = _scan_points(fam, k_p, grid_step)
+    descs = (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in pts)
+    for t, result in zip(pts, analyze_many(descs)):
+        cache.setdefault(round(t, 12), _scan_verdict(result))
     min_width = max(4.0 * tol, 1e-9)
 
     # Resolvable grid samples only; indeterminate or invalid points are

@@ -40,8 +40,10 @@ from vortex_atlas.equilibria import (
 from vortex_atlas.stability import (
     REFERENCE_THRESHOLDS,
     NoTransition,
+    StabilityReport,
     Verdict,
     analyze,
+    analyze_many,
     analyze_small,
     critical_latitude,
     full_linearization_oracle,
@@ -235,11 +237,13 @@ def test_08_blanket_verdicts_across_whole_families():
 
     def assert_unstable_everywhere(family, n, k_p, grid):
         nonlocal checked
-        for theta0 in grid:
-            desc = FamilyDescriptor(family, n, theta0=float(theta0), k_p=k_p)
-            verdict = analyze(desc).verdict
-            assert verdict is Verdict.LINEARLY_UNSTABLE, (
-                f"{desc.label} at theta0={theta0:.3f}: {verdict.value}"
+        descs = [FamilyDescriptor(family, n, theta0=float(theta0), k_p=k_p) for theta0 in grid]
+        for desc, report in zip(descs, analyze_many(descs)):
+            assert isinstance(report, StabilityReport), (
+                f"{desc.label} at theta0={desc.theta0:.3f}: {report!r}"
+            )
+            assert report.verdict is Verdict.LINEARLY_UNSTABLE, (
+                f"{desc.label} at theta0={desc.theta0:.3f}: {report.verdict.value}"
             )
             checked += 1
 

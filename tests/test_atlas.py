@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from vortex_atlas.atlas import (
 )
 from vortex_atlas.core import Family, FamilyDescriptor
 from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring
-from vortex_atlas.stability import analyze
+from vortex_atlas.stability import analyze, list_transitions
 
 SWEEP_HEADER = "family,N,theta0,mu_z,xi_z,H,verdict,deciding_block"
 
@@ -260,18 +261,52 @@ GOLDEN = Path(__file__).parent / "golden"
                        "--grid-step", "0.025", "--kp", "0"]),
         ("sweep_kp2", ["--n", "2..8", "--theta-stop", "3.1",
                        "--grid-step", "0.05", "--kp", "2"]),
+        # error rows: the closed form refuses pole strength 1/2 everywhere,
+        # and the grids cross the equator, where aligned rings collide and
+        # pole-free rings leave the family's range
+        ("sweep_lambda_half", ["--n", "2..5", "--kp", "2", "--lambda-n", "0.5",
+                               "--theta-stop", "3.1", "--grid-step", "0.25"]),
+        ("sweep_equator_kp2", ["--n", "2..12", "--kp", "2", "--theta-start",
+                               "1.37079632679489", "--theta-stop", "1.8",
+                               "--grid-step", "0.05"]),
+        ("sweep_equator_kp0", ["--n", "2..6", "--kp", "0", "--theta-start",
+                               "1.37079632679489", "--theta-stop", "1.8",
+                               "--grid-step", "0.05"]),
     ],
 )
 def test_sweep_matches_the_golden_csv(tmp_path, name, argv):
-    # Written by ``sweep`` when ``analyze`` still decided the verdict from
-    # a second eigen-solve of the whole slice and the grid ran on a thread
-    # pool; like the simulate goldens, the bytes depend on NumPy's and the
+    # sweep_kp0 and sweep_kp2 were written by ``sweep`` when ``analyze``
+    # still decided the verdict from a second eigen-solve of the whole
+    # slice and the grid ran on a thread pool; the three files with error
+    # rows were written when every grid point was analysed on its own.
+    # Like the simulate goldens, the bytes depend on NumPy's and the
     # BLAS's floating-point kernels.
     out_path = tmp_path / f"{name}.csv"
     rc = main(["sweep", "--family", "DNh", "--family", "DNd",
                "--theta-start", "0.05", *argv, "--out", str(out_path)])
     assert rc == EXIT_OK
     assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_stacked_passes_keep_memory_bounded():
+    # A stack holds at most 16384 // d**2 latitudes and its reports are
+    # handed on one at a time.  Traced peaks on the reference machine:
+    # 0.13, 0.66 and 0.48 MB when every point was analysed on its own,
+    # about 0.8, 1.3 and 1.2 MB with the stacked pass; a pass holding a
+    # whole N = 12 grid at once peaked at 7.7 MB.
+    list_transitions(Family.DNH_2R, 3, 2)  # load what the first call loads
+    runs = [lambda: list_transitions(Family.DNH_2R, 8, 2)] + [
+        lambda family=family: run_sweep(SweepSpec((family,), (12,), 0.05, 3.1, 0.005, k_p=2))
+        for family in ("DNh", "DNd")
+    ]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

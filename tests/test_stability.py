@@ -26,8 +26,10 @@ from vortex_atlas.stability import (
     NoTransition,
     NotRelativeEquilibrium,
     Verdict,
+    _STACK_ELEMENTS,
     _decide,
     analyze,
+    analyze_many,
     analyze_small,
     critical_latitude,
     deciding_scalars_ab,
@@ -466,6 +468,96 @@ def test_staggered_rings_with_poles_on_the_equator(n, capsys):
     rows, cols = linear_sum_assignment(cost)
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert float(cost[rows, cols].max()) < 1e-6 * scale
+
+
+# ---------------------------------------------------------------------------
+# the stacked pass and its one-point case
+# ---------------------------------------------------------------------------
+
+
+def _report_bytes(report):
+    """Every field of a report or error, floats as raw bytes."""
+    if isinstance(report, VortexError):
+        return type(report), str(report)
+    blocks = [
+        (
+            b.label,
+            b.hessian_eigenvalues.dtype.str,
+            b.hessian_eigenvalues.tobytes(),
+            b.linearization_eigenvalues.dtype.str,
+            b.linearization_eigenvalues.tobytes(),
+            [(key, np.float64(value).tobytes()) for key, value in b.entries.items()],
+        )
+        for b in report.blocks
+    ]
+    return (
+        report.descriptor,
+        report.label,
+        np.float64(report.mu_z).tobytes(),
+        np.float64(report.xi_z).tobytes(),
+        report.verdict,
+        report.deciding_block,
+        blocks,
+    )
+
+
+def _analyze_one(desc):
+    try:
+        return analyze(desc)
+    except VortexError as exc:
+        return exc
+
+
+@st.composite
+def _latitude_lists(draw):
+    family = draw(st.sampled_from([DNH, DND]))
+    n = draw(st.integers(2, 12))
+    k_p = draw(st.sampled_from([0, 2]))
+    hi = math.pi / 2 if k_p == 0 else math.pi
+    special = st.sampled_from(
+        [
+            1e-4, 1e-3, 0.002,  # next to the pole
+            math.pi / 2, math.acos(-1.0 / n),  # zero momentum without / with poles
+            math.pi / 2 - 5e-7, math.pi / 2 + 5e-7, math.pi / 2 - 2e-6,  # the equator
+        ]
+    )
+    thetas = draw(st.lists(st.one_of(st.floats(1e-4, hi - 1e-4), special), min_size=1, max_size=12))
+    if draw(st.booleans()):  # more latitudes than one stack holds
+        size = _STACK_ELEMENTS // (4 * n + 2 * k_p) ** 2 + 3
+        start = draw(st.floats(0.01, 0.5))
+        thetas += np.linspace(start, hi - start, size).tolist()
+    return family, n, k_p, thetas
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_latitude_lists())
+@example(case=(DND, 3, 0, [0.3, math.pi / 2, 0.5, 2.0, 0.7, math.pi / 2]))
+@example(case=(DNH, 4, 2, [1.0, math.pi / 2, math.pi / 2 + 5e-7, 2.0, 0.002]))
+@example(case=(DND, 5, 2, [math.acos(-0.2), 1.0, math.acos(-0.2), math.pi / 2]))
+@example(case=(DND, 2, 0, np.linspace(0.001, math.pi / 2, 300).tolist()))
+def test_stacked_pass_matches_the_one_point_analysis(case):
+    family, n, k_p, thetas = case
+    descs = [_desc(family, n, theta, k_p) for theta in thetas]
+    stacked = list(analyze_many(descs))
+    assert len(stacked) == len(descs)
+    for desc, got in zip(descs, stacked):
+        want = _analyze_one(desc)
+        assert _report_bytes(got) == _report_bytes(want), f"{desc.label} theta0={desc.theta0!r}"
+
+
+def test_stacked_pass_yields_errors_in_place():
+    descs = [
+        _desc(DNH, 3, 0.5),
+        _desc(DNH, 3, math.pi / 2),  # rings collide on the equator
+        _desc(DNH, 3, 2.0),  # past the equator without poles
+        FamilyDescriptor(Family.DNH_2R, 3, theta0=1.0, k_p=2, lambda_n=0.5),
+        _desc(DNH, 3, 0.6),
+    ]
+    kinds = [type(r).__name__ for r in analyze_many(descs)]
+    assert kinds == [
+        "StabilityReport", "CollisionError", "InvalidDescriptor", "InvalidDescriptor",
+        "StabilityReport",
+    ]
 
 
 # ---------------------------------------------------------------------------
