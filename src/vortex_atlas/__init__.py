@@ -3,7 +3,8 @@
 The package is organized in five layers:
 
 ``core``
-    Sphere geometry, configurations, the symmetry group and its action.
+    Configurations as position and strength arrays, family descriptors,
+    the symmetry group and its action.
 ``dynamics``
     Hamiltonian, momentum map, vector field, adaptive integrator, and the
     mixed spherical/pole-chart calculus.
@@ -31,16 +32,10 @@ from .core import (
     InvalidConfiguration,
     InvalidDescriptor,
     Layout,
-    PoleChart,
     PoleSingularity,
-    SphericalCoords,
-    UnitVector3,
-    Vortex,
     VortexError,
     apply_group_element,
-    chord_distance_squared,
     is_fixed_by,
-    to_spherical,
 )
 
 __version__ = "0.1.0"
@@ -56,15 +51,9 @@ __all__ = [
     "InvalidConfiguration",
     "InvalidDescriptor",
     "Layout",
-    "PoleChart",
     "PoleSingularity",
-    "SphericalCoords",
-    "UnitVector3",
-    "Vortex",
     "VortexError",
     "apply_group_element",
-    "chord_distance_squared",
     "is_fixed_by",
-    "to_spherical",
     "__version__",
 ]

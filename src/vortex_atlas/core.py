@@ -2,10 +2,9 @@
 
 This module provides the value types shared by the rest of the package:
 
-* unit vectors, spherical coordinates, and the tangent-plane charts used
-  near the two poles;
-* vortex configurations (ring vortices of strength +1 or -1, plus an
-  optional pinned pole pair) with JSON round-tripping;
+* vortex configurations: an ``(M, 3)`` array of unit positions and an
+  ``(M,)`` array of strengths (ring vortices of strength +1 or -1, plus an
+  optional pinned pole pair), validated once, with JSON round-tripping;
 * the symmetry group O(3) x (S_N x S_N) extended by the involution that
   exchanges the two vorticity populations, together with its action on
   configurations and the character that tells time-preserving from
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,17 +38,11 @@ __all__ = [
     "InvalidDescriptor",
     "PoleSingularity",
     "CollisionError",
-    "UnitVector3",
-    "SphericalCoords",
-    "PoleChart",
-    "Vortex",
     "Layout",
     "Configuration",
     "GroupElement",
     "Family",
     "FamilyDescriptor",
-    "chord_distance_squared",
-    "to_spherical",
     "apply_group_element",
     "is_fixed_by",
     "rotation_z_matrix",
@@ -95,158 +88,8 @@ class CollisionError(VortexError, ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# Points on the sphere and charts
+# Configurations
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitVector3:
-    """A point on the unit sphere, stored as Cartesian components."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if not math.isfinite(n2) or abs(n2 - 1.0) > UNIT_NORM_TOL:
-            raise InvalidConfiguration(
-                f"point ({self.x}, {self.y}, {self.z}) is not on the unit "
-                f"sphere: ||v||^2 - 1 = {n2 - 1.0:.3e}"
-            )
-
-    @classmethod
-    def from_array(cls, a: np.ndarray, normalize: bool = False) -> "UnitVector3":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (3,):
-            raise InvalidConfiguration(f"expected a 3-vector, got shape {a.shape}")
-        if normalize:
-            norm = float(np.linalg.norm(a))
-            if norm == 0.0 or not math.isfinite(norm):
-                raise InvalidConfiguration("cannot normalize a zero/non-finite vector")
-            a = a / norm
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    @classmethod
-    def from_spherical(cls, theta: float, phi: float) -> "UnitVector3":
-        st = math.sin(theta)
-        return cls(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def dot(self, other: "UnitVector3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-
-@dataclass(frozen=True)
-class SphericalCoords:
-    """Co-latitude/longitude chart away from the poles.
-
-    ``theta`` is the co-latitude in ``(0, pi)`` and ``phi`` the longitude
-    normalized to ``[0, 2*pi)``.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "phi", float(self.phi))
-        if not (0.0 < self.theta < math.pi):
-            raise InvalidConfiguration(
-                f"co-latitude must lie strictly inside (0, pi), got {self.theta}"
-            )
-        if not (0.0 <= self.phi < 2.0 * math.pi):
-            raise InvalidConfiguration(
-                f"longitude must lie in [0, 2*pi), got {self.phi}"
-            )
-
-    def to_cartesian(self) -> UnitVector3:
-        return UnitVector3.from_spherical(self.theta, self.phi)
-
-
-@dataclass(frozen=True)
-class PoleChart:
-    """Tangent-plane chart pinned to one of the two poles.
-
-    The chart coordinates are the ambient ``(x, y)`` components of the
-    point; the vertical component is reconstructed as
-    ``z = hemisphere * sqrt(1 - x^2 - y^2)`` with ``hemisphere`` equal to
-    ``+1`` for the north chart and ``-1`` for the south chart.
-    """
-
-    x: float
-    y: float
-    hemisphere: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "hemisphere", int(self.hemisphere))
-        if self.hemisphere not in (-1, 1):
-            raise InvalidConfiguration("hemisphere must be +1 (north) or -1 (south)")
-        if self.x * self.x + self.y * self.y >= 1.0:
-            raise InvalidConfiguration(
-                f"pole chart point ({self.x}, {self.y}) has x^2 + y^2 >= 1"
-            )
-
-    def to_cartesian(self) -> UnitVector3:
-        z = self.hemisphere * math.sqrt(max(0.0, 1.0 - self.x**2 - self.y**2))
-        return UnitVector3(self.x, self.y, z)
-
-
-def to_spherical(v: UnitVector3) -> SphericalCoords:
-    """Convert a point to spherical coordinates.
-
-    Raises
-    ------
-    PoleSingularity
-        If the point lies within ``POLE_EPS`` of either pole, where the
-        longitude is undefined.
-    """
-    s = math.hypot(v.x, v.y)
-    if s < POLE_EPS:
-        raise PoleSingularity(
-            f"point ({v.x}, {v.y}, {v.z}) is within {POLE_EPS} of a pole"
-        )
-    theta = math.atan2(s, v.z)
-    phi = math.atan2(v.y, v.x) % (2.0 * math.pi)
-    return SphericalCoords(theta, phi)
-
-
-def chord_distance_squared(u: UnitVector3, v: UnitVector3) -> float:
-    """Squared chord distance ``l^2 = 2 (1 - u . v)`` between two points.
-
-    Evaluated as ``|u - v|^2``, which is identical on unit vectors but
-    keeps full precision for nearly coincident points, where the inner
-    product form cancels catastrophically.
-    """
-    dx = u.x - v.x
-    dy = u.y - v.y
-    dz = u.z - v.z
-    return dx * dx + dy * dy + dz * dz
-
-
-# ---------------------------------------------------------------------------
-# Vortices and configurations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Vortex:
-    """A single point vortex: a position on the sphere and a strength."""
-
-    position: UnitVector3
-    strength: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strength", float(self.strength))
-        if self.strength == 0.0 or not math.isfinite(self.strength):
-            raise InvalidConfiguration("vortex strength must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -290,50 +133,73 @@ class Layout:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration:
-    """An ordered collection of point vortices on the sphere.
+    """Point vortices on the sphere: an ``(M, 3)`` array of unit positions
+    and an ``(M,)`` array of strengths, both read-only.
 
     Ring vortices carry strength +1 or -1; a configuration may in addition
     hold a pair of pole vortices (``pole_count == 2``) of arbitrary nonzero
-    strengths, indexed by ``layout.north`` / ``layout.south``.  Pairwise
-    chord separations are validated on construction.
+    strengths, indexed by ``layout.north`` / ``layout.south``.  Shapes,
+    finiteness, unit norms, strengths, the layout and pairwise chord
+    separations are validated on construction.
     """
 
-    vortices: tuple[Vortex, ...]
+    positions: np.ndarray
+    strengths: np.ndarray
     pole_count: int = 0
     layout: Layout | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vortices", tuple(self.vortices))
+        try:
+            p = np.array(self.positions, dtype=float)
+            lam = np.array(self.strengths, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfiguration(f"positions and strengths must be numeric: {exc}") from exc
+        if p.ndim != 2 or p.shape[1] != 3 or lam.shape != p.shape[:1]:
+            raise InvalidConfiguration(
+                f"expected (M, 3) positions and (M,) strengths, got shapes "
+                f"{p.shape} and {lam.shape}"
+            )
+        if not (np.isfinite(p).all() and np.isfinite(lam).all()):
+            raise InvalidConfiguration("positions and strengths must be finite")
+        x, y, z = p.T
+        off = np.abs((x * x + y * y) + z * z - 1.0)
+        off_sphere = np.flatnonzero(off > UNIT_NORM_TOL)
+        if off_sphere.size:
+            i = int(off_sphere[0])
+            raise InvalidConfiguration(
+                f"point {i} {tuple(p[i].tolist())} is not on the unit sphere: "
+                f"| ||v||^2 - 1 | = {off[i]:.3e}"
+            )
+        if (lam == 0.0).any():
+            raise InvalidConfiguration("vortex strengths must be nonzero")
+        p.setflags(write=False)
+        lam.setflags(write=False)
+        object.__setattr__(self, "positions", p)
+        object.__setattr__(self, "strengths", lam)
         if self.pole_count not in (0, 2):
             raise InvalidConfiguration("pole_count must be 0 or 2")
         if self.layout is None:
-            object.__setattr__(
-                self, "layout", _infer_layout(self.vortices, self.pole_count)
-            )
+            object.__setattr__(self, "layout", _infer_layout(p, lam, self.pole_count))
         layout = self.layout
-        m = len(self.vortices)
-        if sorted(layout.all_indices()) != list(range(m)):
+        if sorted(layout.all_indices()) != list(range(len(p))):
             raise InvalidConfiguration(
                 "layout must reference each vortex index exactly once"
             )
         if (self.pole_count == 2) != (layout.north is not None and layout.south is not None):
             raise InvalidConfiguration("pole_count and layout poles disagree")
-        for i in layout.plus:
-            if self.vortices[i].strength != 1.0:
+        for sign, ring in ((1.0, layout.plus), (-1.0, layout.minus)):
+            wrong = [i for i in ring if lam[i] != sign]
+            if wrong:
                 raise InvalidConfiguration(
-                    f"ring vortex {i} in the + population must have strength +1"
-                )
-        for i in layout.minus:
-            if self.vortices[i].strength != -1.0:
-                raise InvalidConfiguration(
-                    f"ring vortex {i} in the - population must have strength -1"
+                    f"ring vortex {wrong[0]} in the {'+' if sign > 0 else '-'} "
+                    f"population must have strength {sign:+.0f}"
                 )
         self._check_collisions()
 
     def _check_collisions(self) -> None:
-        p = self.positions()
+        p = self.positions
         m = p.shape[0]
         if m < 2:
             return
@@ -341,27 +207,17 @@ class Configuration:
         # unlike the 2(1 - gram) form which cancels near coincidence
         diff = p[:, None, :] - p[None, :, :]
         l2 = np.einsum("ijk,ijk->ij", diff, diff)
-        iu = np.triu_indices(m, k=1)
-        worst = int(np.argmin(l2[iu]))
-        if l2[iu][worst] < COLLISION_EPS**2:
-            i, j = iu[0][worst], iu[1][worst]
+        l2.flat[:: m + 1] = np.inf
+        # the first minimum of the symmetric matrix lies above the diagonal
+        i, j = divmod(int(l2.argmin()), m)
+        if l2[i, j] < COLLISION_EPS**2:
             raise CollisionError(
                 f"vortices {i} and {j} are within the collision threshold "
-                f"(chord distance {math.sqrt(max(0.0, l2[iu][worst])):.3e})"
+                f"(chord distance {math.sqrt(l2[i, j]):.3e})"
             )
 
-    # -- array views -------------------------------------------------------
-
-    def positions(self) -> np.ndarray:
-        """Positions as an ``(M, 3)`` array, in index order."""
-        return np.array([v.position.as_array() for v in self.vortices])
-
-    def strengths(self) -> np.ndarray:
-        """Strengths as an ``(M,)`` array, in index order."""
-        return np.array([v.strength for v in self.vortices])
-
     def __len__(self) -> int:
-        return len(self.vortices)
+        return len(self.strengths)
 
     # -- derived configurations ---------------------------------------------
 
@@ -372,36 +228,31 @@ class Configuration:
         them reverses the flow; this is how backward evolution is computed
         without ever integrating with a negative time step.
         """
-        flipped = tuple(
-            Vortex(v.position, -v.strength) for v in self.vortices
-        )
         layout = Layout(
             plus=self.layout.minus,
             minus=self.layout.plus,
             north=self.layout.north,
             south=self.layout.south,
         )
-        return Configuration(flipped, self.pole_count, layout)
+        return Configuration(self.positions, -self.strengths, self.pole_count, layout)
 
     def with_positions(self, p: np.ndarray) -> "Configuration":
-        """Same strengths and layout with positions replaced by ``p``."""
+        """Same strengths and layout with positions ``p`` scaled onto the sphere."""
         p = np.asarray(p, dtype=float)
-        vortices = tuple(
-            Vortex(UnitVector3.from_array(p[i], normalize=True), v.strength)
-            for i, v in enumerate(self.vortices)
-        )
-        return Configuration(vortices, self.pole_count, self.layout)
+        # a stacked matmul gives each row the bits ``np.linalg.norm`` of that
+        # row gives (``norm(axis=1)`` and ``einsum`` do not)
+        norms = np.sqrt(p[..., None, :] @ p[..., None])[..., 0]
+        if not ((norms > 0.0) & np.isfinite(norms)).all():
+            raise InvalidConfiguration("cannot normalize a zero/non-finite vector")
+        return Configuration(p / norms, self.strengths, self.pole_count, self.layout)
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self, indent: int | None = None) -> str:
         payload = {
             "vortices": [
-                {
-                    "pos": [v.position.x, v.position.y, v.position.z],
-                    "strength": v.strength,
-                }
-                for v in self.vortices
+                {"pos": pos, "strength": strength}
+                for pos, strength in zip(self.positions.tolist(), self.strengths.tolist())
             ],
             "poles": self.pole_count,
         }
@@ -428,21 +279,20 @@ class Configuration:
             pole_count = int(payload.get("poles", 0))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfiguration(f"bad 'poles' field: {exc}") from exc
-        vortices = []
+        positions, strengths = [], []
         for k, entry in enumerate(raw):
             try:
                 pos = entry["pos"]
-                strength = float(entry["strength"])
-            except (KeyError, TypeError, ValueError) as exc:
+                if not isinstance(pos, (list, tuple)) or len(pos) != 3:
+                    raise TypeError("'pos' must be a list of three numbers")
+                positions.append([float(c) for c in pos])
+                strengths.append(float(entry["strength"]))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidConfiguration(f"bad vortex entry {k}: {exc}") from exc
-            if not isinstance(pos, (list, tuple)) or len(pos) != 3:
-                raise InvalidConfiguration(f"bad position in vortex entry {k}")
-            vortices.append(Vortex(UnitVector3(*map(float, pos)), strength))
-        layout = _infer_layout(tuple(vortices), pole_count)
-        config = cls(tuple(vortices), pole_count, layout)
+        config = cls(positions, strengths, pole_count)
         if strict_poles and pole_count == 2:
-            ln = config.vortices[layout.north].strength
-            ls = config.vortices[layout.south].strength
+            ln = config.strengths[config.layout.north]
+            ls = config.strengths[config.layout.south]
             if abs(ln + ls) > 1e-12:
                 raise InvalidConfiguration(
                     f"pole strengths must be opposite, got {ln} and {ls}"
@@ -450,27 +300,24 @@ class Configuration:
         return config
 
 
-def _infer_layout(vortices: tuple[Vortex, ...], pole_count: int) -> Layout:
+def _infer_layout(p: np.ndarray, lam: np.ndarray, pole_count: int) -> Layout:
     """Infer a layout: poles are the trailing entries, rings split by sign."""
-    m = len(vortices)
+    m = len(lam)
     if pole_count == 2:
         if m < 3:
             raise InvalidConfiguration("a pole pair needs at least one ring vortex")
         a, b = m - 2, m - 1
-        if vortices[a].position.z >= vortices[b].position.z:
-            north, south = a, b
-        else:
-            north, south = b, a
-        if not (vortices[north].position.z > 0.0 > vortices[south].position.z):
+        north, south = (a, b) if p[a, 2] >= p[b, 2] else (b, a)
+        if not (p[north, 2] > 0.0 > p[south, 2]):
             raise InvalidConfiguration(
                 "pole vortices must sit in opposite hemispheres"
             )
-        ring = range(m - 2)
+        ring = lam[: m - 2]
     else:
         north = south = None
-        ring = range(m)
-    plus = tuple(i for i in ring if vortices[i].strength > 0)
-    minus = tuple(i for i in ring if vortices[i].strength < 0)
+        ring = lam
+    plus = np.flatnonzero(ring > 0).tolist()
+    minus = np.flatnonzero(ring < 0).tolist()
     return Layout(plus=plus, minus=minus, north=north, south=south)
 
 
@@ -619,29 +466,18 @@ def apply_group_element(g: GroupElement, c: Configuration) -> Configuration:
         raise InvalidConfiguration(
             "the population swap needs equally sized + and - rings"
         )
-    a = g.orthogonal
-    pos = c.positions()
-    plus_src = pos[list(layout.minus if g.tau_power else layout.plus)]
-    minus_src = pos[list(layout.plus if g.tau_power else layout.minus)]
-    inv_p = _invert_perm(g.sigma_plus)
-    inv_m = _invert_perm(g.sigma_minus)
-
-    new_pos = [None] * len(c)
-    for r, i in enumerate(layout.plus):
-        new_pos[i] = a @ plus_src[inv_p[r]]
-    for r, i in enumerate(layout.minus):
-        new_pos[i] = a @ minus_src[inv_m[r]]
+    # source slot of each slot: the + slots take the (swapped) population
+    # permuted by sigma_+, the - slots likewise, the poles their own or the
+    # other pole's position
+    plus_src = layout.minus if g.tau_power else layout.plus
+    minus_src = layout.plus if g.tau_power else layout.minus
+    source = np.empty(len(c), dtype=int)
+    source[list(layout.plus)] = [plus_src[k] for k in _invert_perm(g.sigma_plus)]
+    source[list(layout.minus)] = [minus_src[k] for k in _invert_perm(g.sigma_minus)]
     if c.pole_count == 2:
-        n_src = pos[layout.south if g.tau_power else layout.north]
-        s_src = pos[layout.north if g.tau_power else layout.south]
-        new_pos[layout.north] = a @ n_src
-        new_pos[layout.south] = a @ s_src
-
-    vortices = tuple(
-        Vortex(UnitVector3.from_array(new_pos[i], normalize=True), v.strength)
-        for i, v in enumerate(c.vortices)
-    )
-    return Configuration(vortices, c.pole_count, layout)
+        poles = [layout.north, layout.south]
+        source[poles] = poles[::-1] if g.tau_power else poles
+    return c.with_positions(c.positions[source] @ g.orthogonal.T)
 
 
 def is_fixed_by(c: Configuration, g: GroupElement, tol: float = 1e-9) -> bool:
@@ -652,9 +488,8 @@ def is_fixed_by(c: Configuration, g: GroupElement, tol: float = 1e-9) -> bool:
     compared class-to-class; ``c`` is fixed when the largest matched
     displacement stays below ``tol``.
     """
-    gc = apply_group_element(g, c)
-    old = c.positions()
-    new = gc.positions()
+    old = c.positions
+    new = apply_group_element(g, c).positions
     worst = 0.0
     for idx in (c.layout.plus, c.layout.minus):
         if not idx:

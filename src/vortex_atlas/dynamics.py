@@ -41,12 +41,12 @@ from scipy.integrate import DOP853
 
 from .core import (
     COLLISION_EPS,
+    POLE_EPS,
     Configuration,
     GroupElement,
     PoleSingularity,
     VortexError,
     apply_group_element,
-    to_spherical,
 )
 
 __all__ = [
@@ -157,8 +157,8 @@ def _field(p: np.ndarray, pairs: _Pairs) -> np.ndarray:
 
 def hamiltonian(c: Configuration) -> float:
     """Interaction energy ``sum_{i<j} lambda_i lambda_j ln l_ij^2``."""
-    pairs = _pair_constants(c.strengths())
-    return _energy(_pairwise_l2(c.positions())[pairs.iu], pairs)
+    pairs = _pair_constants(c.strengths)
+    return _energy(_pairwise_l2(c.positions)[pairs.iu], pairs)
 
 
 def vector_field(c: Configuration) -> np.ndarray:
@@ -166,12 +166,12 @@ def vector_field(c: Configuration) -> np.ndarray:
 
     Each row is tangent to the sphere at the corresponding vortex.
     """
-    return _field(c.positions(), _pair_constants(c.strengths()))
+    return _field(c.positions, _pair_constants(c.strengths))
 
 
 def momentum_map(c: Configuration) -> np.ndarray:
     """Conserved momentum ``Phi = sum_i lambda_i x_i`` as a 3-vector."""
-    return c.strengths() @ c.positions()
+    return c.strengths @ c.positions
 
 
 def augmented_hamiltonian(c: Configuration, xi: float, mu: float) -> float:
@@ -213,18 +213,15 @@ class MixedChart:
         self.pole_signs: tuple[float, ...] = ()
         if config.pole_count == 2:
             self.poles = (layout.north, layout.south)
-            signs = []
-            for i in self.poles:
-                z = config.vortices[i].position.z
-                if z == 0.0:
-                    raise PoleSingularity(
-                        "pole vortex sits on the equator; its chart hemisphere "
-                        "is undefined"
-                    )
-                signs.append(1.0 if z > 0 else -1.0)
-            self.pole_signs = tuple(signs)
+            z = config.positions[list(self.poles), 2]
+            if (z == 0.0).any():
+                raise PoleSingularity(
+                    "pole vortex sits on the equator; its chart hemisphere "
+                    "is undefined"
+                )
+            self.pole_signs = tuple(np.where(z > 0, 1.0, -1.0).tolist())
         self.dim = 2 * self.n_ring + 2 * len(self.poles)
-        self.strengths = config.strengths()
+        self.strengths = config.strengths
         self._pairs = _pair_constants(self.strengths)
         self.m = len(config)
 
@@ -232,16 +229,18 @@ class MixedChart:
 
     def coords(self, config: Configuration | None = None) -> np.ndarray:
         """Chart coordinates of ``config`` (default: the base configuration)."""
-        config = self.config if config is None else config
+        p = (self.config if config is None else config).positions
         q = np.empty(self.dim)
         for r, i in enumerate(self.ring):
-            sc = to_spherical(config.vortices[i].position)
-            q[r] = sc.theta
-            q[self.n_ring + r] = sc.phi
-        for k, i in enumerate(self.poles):
-            v = config.vortices[i].position
-            q[2 * self.n_ring + 2 * k] = v.x
-            q[2 * self.n_ring + 2 * k + 1] = v.y
+            x, y, z = p[i].tolist()
+            s = math.hypot(x, y)
+            if s < POLE_EPS:
+                raise PoleSingularity(
+                    f"ring vortex {i} at ({x}, {y}, {z}) is within {POLE_EPS} of a pole"
+                )
+            q[r] = math.atan2(s, z)
+            q[self.n_ring + r] = math.atan2(y, x) % (2.0 * math.pi)
+        q[2 * self.n_ring :] = p[list(self.poles), :2].reshape(-1)
         return q
 
     def positions(self, q: np.ndarray) -> np.ndarray:
@@ -424,12 +423,12 @@ class Trajectory:
         header += ["H", "|dH|", "|dPhi|_inf"]
         # Rows show ``states[k]`` and its energy.  ``with_positions``
         # normalizes each vortex once more, which can move H in the 12th
-        # digit; its norm is a 1-D dot product, which a stacked matmul of
-        # rows and columns reproduces bit for bit (``einsum`` does not).
+        # digit; the same stacked matmul norm reproduces it bit for bit
+        # (``einsum`` does not).
         shown = self.positions.copy()
         later = shown[1:]
         later /= np.sqrt(later[..., None, :] @ later[..., None])[..., 0]
-        pairs = _pair_constants(self.initial.strengths())
+        pairs = _pair_constants(self.initial.strengths)
         energies = [_energy(_pairwise_l2(p)[pairs.iu], pairs) for p in shown]
         table = np.column_stack(
             [
@@ -469,10 +468,10 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
 
-    lam = c0.strengths()
+    lam = c0.strengths
     pairs = _pair_constants(lam)
     m = len(lam)
-    y = c0.positions()
+    y = c0.positions
     pair_l2 = _pairwise_l2(y)[pairs.iu]
     h0 = _energy(pair_l2, pairs)
     phi0 = lam @ y
@@ -545,11 +544,11 @@ def reversal_check(c0: Configuration, g: GroupElement, t: float = 1.0) -> float:
     the max-norm position discrepancy; backward evolution is realized as the
     forward flow of the strength-negated configuration.
     """
-    left = integrate(apply_group_element(g, c0), t).final_state().positions()
+    left = integrate(apply_group_element(g, c0), t).final_state().positions
     if g.chi == 1:
         base = integrate(c0, t).final_state()
     else:
         reversed_flow = integrate(c0.with_negated_strengths(), t).final_state()
         base = reversed_flow.with_negated_strengths()
-    right = apply_group_element(g, base).positions()
+    right = apply_group_element(g, base).positions
     return float(np.max(np.abs(left - right)))

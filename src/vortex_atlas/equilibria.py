@@ -57,13 +57,12 @@ from .core import (
     Layout,
     PoleSingularity,
     POLE_EPS,
-    UnitVector3,
-    Vortex,
     VortexError,
 )
 from .dynamics import MixedChart
 
 __all__ = [
+    "NotRelativeEquilibrium",
     "OutOfDomain",
     "NoRoot",
     "NotTwoRings",
@@ -83,6 +82,10 @@ __all__ = [
     "branch_c2v_RmRmp",
     "two_ring_phase_test",
 ]
+
+
+class NotRelativeEquilibrium(VortexError, ValueError):
+    """The configuration does not rotate rigidly at the given rate."""
 
 
 class OutOfDomain(VortexError, ValueError):
@@ -109,6 +112,21 @@ class TwoRingPhase(Enum):
 # Constructors
 # ---------------------------------------------------------------------------
 
+# The north and south pole vortex positions.
+_POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+
+def _on_sphere(theta, phi) -> np.ndarray:
+    """Unit vectors at longitudes ``phi`` and co-latitudes ``theta`` (one
+    for all, or one each) as a ``(K, 3)`` array."""
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+    st = np.sin(theta)
+    out = np.empty((len(phi), 3))
+    out[:, 0] = st * np.cos(phi)
+    out[:, 1] = st * np.sin(phi)
+    out[:, 2] = np.cos(theta)
+    return out
+
 
 def make_equatorial_pm_ring(n_pairs: int) -> Configuration:
     """Alternating ring of ``2 n_pairs`` vortices on the equator.
@@ -119,28 +137,18 @@ def make_equatorial_pm_ring(n_pairs: int) -> Configuration:
     n = int(n_pairs)
     if n < 2:
         raise InvalidDescriptor("the alternating equatorial ring needs n_pairs >= 2")
-    vortices = []
-    for k in range(2 * n):
-        phi = math.pi * k / n
-        vortices.append(
-            Vortex(UnitVector3(math.cos(phi), math.sin(phi), 0.0), float((-1) ** k))
-        )
-    layout = Layout(
-        plus=tuple(range(0, 2 * n, 2)), minus=tuple(range(1, 2 * n, 2))
-    )
-    return Configuration(tuple(vortices), 0, layout)
+    k = np.arange(2 * n)
+    phi = math.pi * k / n
+    positions = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(2 * n)])
+    layout = Layout(plus=range(0, 2 * n, 2), minus=range(1, 2 * n, 2))
+    return Configuration(positions, np.where(k % 2 == 0, 1.0, -1.0), 0, layout)
 
 
 def make_tetrahedral_pair() -> Configuration:
     """Dual tetrahedra: +1 on the even-sign vertices, -1 on their antipodes."""
-    r = 1.0 / math.sqrt(3.0)
-    even = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    vortices = [
-        Vortex(UnitVector3(r * a, r * b, r * c), 1.0) for a, b, c in even
-    ] + [
-        Vortex(UnitVector3(-r * a, -r * b, -r * c), -1.0) for a, b, c in even
-    ]
-    return Configuration(tuple(vortices), 0, Layout.standard(4, 4, 0))
+    even = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]) / math.sqrt(3.0)
+    strengths = np.repeat([1.0, -1.0], 4)
+    return Configuration(np.vstack([even, -even]), strengths, 0, Layout.standard(4, 4, 0))
 
 
 def make_single_plus_ring(n: int, theta0: float) -> Configuration:
@@ -153,11 +161,8 @@ def make_single_plus_ring(n: int, theta0: float) -> Configuration:
     n = int(n)
     if n < 2:
         raise InvalidDescriptor("a ring needs at least two vortices")
-    vortices = tuple(
-        Vortex(UnitVector3.from_spherical(theta0, 2.0 * math.pi * j / n), 1.0)
-        for j in range(n)
-    )
-    return Configuration(vortices, 0, Layout(plus=tuple(range(n)), minus=()))
+    positions = _on_sphere(theta0, 2.0 * math.pi * np.arange(n) / n)
+    return Configuration(positions, np.ones(n), 0, Layout(plus=range(n), minus=()))
 
 
 def make_plus_ring_pole_pair(theta0: float) -> Configuration:
@@ -169,14 +174,9 @@ def make_plus_ring_pole_pair(theta0: float) -> Configuration:
     """
     if not (0.0 < theta0 < math.pi):
         raise OutOfDomain("theta0 must lie in (0, pi)")
-    vortices = (
-        Vortex(UnitVector3.from_spherical(theta0, 0.0), 1.0),
-        Vortex(UnitVector3.from_spherical(theta0, math.pi), 1.0),
-        Vortex(UnitVector3(0.0, 0.0, 1.0), -1.0),
-        Vortex(UnitVector3(0.0, 0.0, -1.0), -1.0),
-    )
+    ring = _on_sphere(theta0, [0.0, math.pi])
     layout = Layout(plus=(0, 1), minus=(), north=2, south=3)
-    return Configuration(vortices, 2, layout)
+    return Configuration(np.vstack([ring, _POLES]), [1.0, 1.0, -1.0, -1.0], 2, layout)
 
 
 def make_family(desc: FamilyDescriptor) -> Configuration:
@@ -201,27 +201,16 @@ def make_family(desc: FamilyDescriptor) -> Configuration:
 def _make_two_rings(desc: FamilyDescriptor) -> Configuration:
     n = desc.n_per_ring
     offset = 0.0 if desc.family is Family.DNH_2R else math.pi / n
-    vortices = [
-        Vortex(
-            UnitVector3.from_spherical(desc.theta0, 2.0 * math.pi * j / n), 1.0
-        )
-        for j in range(n)
+    phi = 2.0 * math.pi * np.arange(n) / n
+    rings = [
+        _on_sphere(desc.theta0, phi),
+        _on_sphere(math.pi - desc.theta0, phi + offset),
     ]
-    vortices += [
-        Vortex(
-            UnitVector3.from_spherical(
-                math.pi - desc.theta0, 2.0 * math.pi * j / n + offset
-            ),
-            -1.0,
-        )
-        for j in range(n)
-    ]
+    strengths = [1.0] * n + [-1.0] * n
     if desc.k_p == 2:
-        vortices.append(Vortex(UnitVector3(0.0, 0.0, 1.0), desc.lambda_n))
-        vortices.append(Vortex(UnitVector3(0.0, 0.0, -1.0), -desc.lambda_n))
-    return Configuration(
-        tuple(vortices), desc.k_p, Layout.standard(n, n, desc.k_p)
-    )
+        rings.append(_POLES)
+        strengths += [desc.lambda_n, -desc.lambda_n]
+    return Configuration(np.vstack(rings), strengths, desc.k_p, Layout.standard(n, n, desc.k_p))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +230,8 @@ def angular_velocity_generic(c: Configuration, index: int = 0) -> float:
     with ``rho_i^2 = 1 - z_i^2``.  The formula is meaningless on a pole
     vortex (``rho_i = 0``), so ``index`` must name a ring vortex.
     """
-    p = c.positions()
-    lam = c.strengths()
+    p = c.positions
+    lam = c.strengths
     i = int(index)
     if c.pole_count == 2 and i in (c.layout.north, c.layout.south):
         raise PoleSingularity("the per-vortex rate is undefined on a pole vortex")
@@ -266,7 +255,7 @@ def configuration_angular_velocity(c: Configuration, tol: float = 1e-9) -> float
 
     Raises
     ------
-    VortexError
+    NotRelativeEquilibrium
         If per-vortex rates disagree by more than ``tol`` — the
         configuration does not rotate rigidly about z.
     """
@@ -276,7 +265,7 @@ def configuration_angular_velocity(c: Configuration, tol: float = 1e-9) -> float
     rates = [angular_velocity_generic(c, i) for i in ring]
     spread = max(rates) - min(rates)
     if spread > tol:
-        raise VortexError(
+        raise NotRelativeEquilibrium(
             f"per-vortex rotation rates disagree by {spread:.3e}; the "
             "configuration does not rotate rigidly about z"
         )
@@ -347,30 +336,24 @@ class BranchPoint:
             return _meridional_configuration(self.x, self.y)
         theta_p = math.acos(self.x)
         theta_m = math.acos(self.y)
-        vortices = [
-            Vortex(UnitVector3.from_spherical(theta_p, 0.0), 1.0),
-            Vortex(UnitVector3.from_spherical(theta_p, math.pi), 1.0),
-            Vortex(UnitVector3.from_spherical(theta_m, self.alpha), -1.0),
-            Vortex(
-                UnitVector3.from_spherical(theta_m, self.alpha + math.pi), -1.0
-            ),
-        ]
-        if self.lambda_n != 0.0:
-            vortices.append(Vortex(UnitVector3(0.0, 0.0, 1.0), self.lambda_n))
-            vortices.append(Vortex(UnitVector3(0.0, 0.0, -1.0), -self.lambda_n))
-            return Configuration(tuple(vortices), 2, Layout.standard(2, 2, 2))
-        return Configuration(tuple(vortices), 0, Layout.standard(2, 2, 0))
+        rings = _on_sphere(
+            [theta_p, theta_p, theta_m, theta_m],
+            [0.0, math.pi, self.alpha, self.alpha + math.pi],
+        )
+        strengths = [1.0, 1.0, -1.0, -1.0]
+        if self.lambda_n == 0.0:
+            return Configuration(rings, strengths, 0, Layout.standard(2, 2, 0))
+        strengths += [self.lambda_n, -self.lambda_n]
+        return Configuration(np.vstack([rings, _POLES]), strengths, 2, Layout.standard(2, 2, 2))
 
 
 def _meridional_configuration(x: float, y: float) -> Configuration:
     """Four vortices in the xz-plane: +1 at cos-heights x, -y; -1 at y, -x."""
-    vortices = (
-        Vortex(UnitVector3.from_spherical(math.acos(x), 0.0), 1.0),
-        Vortex(UnitVector3.from_spherical(math.acos(-y), math.pi), 1.0),
-        Vortex(UnitVector3.from_spherical(math.acos(y), math.pi), -1.0),
-        Vortex(UnitVector3.from_spherical(math.acos(-x), 0.0), -1.0),
+    positions = _on_sphere(
+        [math.acos(x), math.acos(-y), math.acos(y), math.acos(-x)],
+        [0.0, math.pi, math.pi, 0.0],
     )
-    return Configuration(vortices, 0, Layout.standard(2, 2, 0))
+    return Configuration(positions, [1.0, 1.0, -1.0, -1.0], 0, Layout.standard(2, 2, 0))
 
 
 def _certify(bp: BranchPoint) -> BranchPoint:
@@ -537,8 +520,8 @@ def two_ring_phase_test(c: Configuration, tol: float = 1e-9) -> TwoRingPhase:
         If the non-pole vortices do not form two equally sized regular
         rings, each on a single latitude circle.
     """
-    plus = [c.vortices[i].position for i in c.layout.plus]
-    minus = [c.vortices[i].position for i in c.layout.minus]
+    plus = c.positions[list(c.layout.plus)].tolist()
+    minus = c.positions[list(c.layout.minus)].tolist()
     n = len(plus)
     if n < 2 or len(minus) != n:
         raise NotTwoRings(
@@ -547,12 +530,12 @@ def two_ring_phase_test(c: Configuration, tol: float = 1e-9) -> TwoRingPhase:
         )
     phase = []
     for group in (plus, minus):
-        zs = [v.z for v in group]
+        zs = [z for _, _, z in group]
         if max(zs) - min(zs) > tol:
             raise NotTwoRings("ring vortices are not on a single latitude circle")
         if 1.0 - max(abs(z) for z in zs) < POLE_EPS:
             raise NotTwoRings("ring sits on a pole; longitudes are undefined")
-        phis = sorted(math.atan2(v.y, v.x) % (2.0 * math.pi) for v in group)
+        phis = sorted(math.atan2(y, x) % (2.0 * math.pi) for x, y, _ in group)
         gaps = [
             (phis[(k + 1) % n] - phis[k]) % (2.0 * math.pi) for k in range(n)
         ]

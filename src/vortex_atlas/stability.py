@@ -39,7 +39,6 @@ Two independent routes are kept deliberately separate:
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -56,12 +55,12 @@ from .core import (
     Family,
     FamilyDescriptor,
     InvalidDescriptor,
-    PoleSingularity,
     VortexError,
     _family_named,
 )
 from .dynamics import MixedChart, momentum_map
 from .equilibria import (
+    NotRelativeEquilibrium,
     configuration_angular_velocity,
     re_residual,
     ring_angular_velocity,
@@ -70,6 +69,7 @@ from .equilibria import (
 __all__ = [
     "DEFINITENESS_TOL",
     "SPECTRAL_TOL",
+    "RESIDUAL_TOL",
     "MOMENTUM_ZERO_TOL",
     "TRANSITIONS",
     "REFERENCE_THRESHOLDS",
@@ -100,6 +100,9 @@ __all__ = [
 DEFINITENESS_TOL = 1e-9
 #: Linearization eigenvalues with |Re| above this count as growth.
 SPECTRAL_TOL = 1e-8
+#: analyze_small refuses configurations whose co-rotating chart gradient
+#: exceeds this.
+RESIDUAL_TOL = 1e-6
 #: Below this the vertical momentum is treated as zero (bigger rotation
 #: orbit, smaller slice).
 MOMENTUM_ZERO_TOL = 1e-8
@@ -114,10 +117,6 @@ class Verdict(Enum):
     LINEARLY_STABLE = "LinearlyStable"
     LINEARLY_UNSTABLE = "LinearlyUnstable"
     INDETERMINATE = "Indeterminate"
-
-
-class NotRelativeEquilibrium(VortexError, ValueError):
-    """The configuration does not rotate rigidly at the given rate."""
 
 
 class DegenerateForm(VortexError, ArithmeticError):
@@ -797,23 +796,18 @@ def _sort_complex(eigs: np.ndarray) -> np.ndarray:
     return np.sort(np.asarray(eigs, complex), axis=-1, kind="stable")
 
 
-def _decide(
-    h_eigs: np.ndarray,
-    l_eigs: np.ndarray,
-    def_tol: float = DEFINITENESS_TOL,
-    spec_tol: float = SPECTRAL_TOL,
-) -> Verdict:
+def _decide(h_eigs: np.ndarray, l_eigs: np.ndarray) -> Verdict:
     growth = float(np.max(np.abs(l_eigs.real))) if l_eigs.size else 0.0
-    return _verdict(float(h_eigs.min()), float(h_eigs.max()), growth, def_tol, spec_tol)
+    return _verdict(float(h_eigs.min()), float(h_eigs.max()), growth)
 
 
-def _verdict(lo: float, hi: float, growth: float, def_tol: float, spec_tol: float) -> Verdict:
+def _verdict(lo: float, hi: float, growth: float) -> Verdict:
     """Verdict from the extreme Hessian eigenvalues and the largest growth rate."""
-    if lo > def_tol or hi < -def_tol:
+    if lo > DEFINITENESS_TOL or hi < -DEFINITENESS_TOL:
         return Verdict.LYAPUNOV_STABLE
-    if growth > spec_tol:
+    if growth > SPECTRAL_TOL:
         return Verdict.LINEARLY_UNSTABLE
-    if lo < -def_tol and hi > def_tol:
+    if lo < -DEFINITENESS_TOL and hi > DEFINITENESS_TOL:
         return Verdict.LINEARLY_STABLE
     return Verdict.INDETERMINATE
 
@@ -906,8 +900,6 @@ def _block_spectra(hb: np.ndarray, omega_b: np.ndarray, slices: list[tuple[str, 
 def _analyze_stack(
     key: tuple,
     stack: list[tuple[FamilyDescriptor, float, float, float]],
-    def_tol: float,
-    spec_tol: float,
 ) -> list[StabilityReport | VortexError]:
     """Reports for a stack of ``(descriptor, theta0, xi, mu)`` that share
     ``key = (family, N, k_p, lambda_n, reduced)``."""
@@ -944,7 +936,7 @@ def _analyze_stack(
         extremes = zip(hess.min(axis=1).tolist(), hess.max(axis=1).tolist(), growths.max(axis=1).tolist())
         for j, (i, (lo, hi, top)) in enumerate(zip(idx, extremes)):
             original, _, rate, mu = stack[i]
-            verdict = _verdict(lo, hi, top, def_tol, spec_tol)
+            verdict = _verdict(lo, hi, top)
             deciding = (fastest if verdict is Verdict.LINEARLY_UNSTABLE else flattest)[j]
             out[i] = StabilityReport(
                 descriptor=original,
@@ -995,30 +987,26 @@ def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport 
             new_key, entry = _stack_entry(original)
         except VortexError as exc:
             if stack:
-                yield from _analyze_stack(key, stack, DEFINITENESS_TOL, SPECTRAL_TOL)
+                yield from _analyze_stack(key, stack)
                 stack = []
             yield exc
             continue
         if stack and (new_key != key or len(stack) >= _STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2):
-            yield from _analyze_stack(key, stack, DEFINITENESS_TOL, SPECTRAL_TOL)
+            yield from _analyze_stack(key, stack)
             stack = []
         key = new_key
         stack.append(entry)
     if stack:
-        yield from _analyze_stack(key, stack, DEFINITENESS_TOL, SPECTRAL_TOL)
+        yield from _analyze_stack(key, stack)
 
 
-def analyze(
-    desc: FamilyDescriptor,
-    def_tol: float = DEFINITENESS_TOL,
-    spec_tol: float = SPECTRAL_TOL,
-) -> StabilityReport:
+def analyze(desc: FamilyDescriptor) -> StabilityReport:
     """Closed-form slice stability analysis of a ring-family member.
 
     The one-point case of :func:`analyze_many`.
     """
     key, entry = _stack_entry(desc)
-    (result,) = _analyze_stack(key, [entry], def_tol, spec_tol)
+    (result,) = _analyze_stack(key, [entry])
     if isinstance(result, VortexError):
         raise result
     return result
@@ -1029,29 +1017,8 @@ def analyze(
 # ---------------------------------------------------------------------------
 
 
-def _rigid_rotation_rate(config: Configuration) -> float:
-    """Rotation rate of ``config``, or NotRelativeEquilibrium.
-
-    A configuration whose per-vortex rates disagree does not rotate
-    rigidly about z and therefore cannot be a relative equilibrium of
-    this kind; surface that as the dedicated error type rather than the
-    generic one the rate helper raises.
-    """
-    try:
-        return configuration_angular_velocity(config)
-    except PoleSingularity:
-        raise
-    except VortexError as exc:
-        raise NotRelativeEquilibrium(str(exc)) from exc
-
-
 def analyze_small(
-    config: Configuration,
-    xi_z: float | None = None,
-    label: str = "custom",
-    def_tol: float = DEFINITENESS_TOL,
-    spec_tol: float = SPECTRAL_TOL,
-    residual_tol: float = 1e-6,
+    config: Configuration, xi_z: float | None = None, label: str = "custom"
 ) -> StabilityReport:
     """Numeric slice stability analysis of an explicit configuration.
 
@@ -1059,11 +1026,11 @@ def analyze_small(
     the slice is the numeric null space of the linearized momentum map
     with the rotation-orbit directions removed.
     """
-    xi = _rigid_rotation_rate(config) if xi_z is None else float(xi_z)
+    xi = configuration_angular_velocity(config) if xi_z is None else float(xi_z)
     residual = re_residual(config, xi)
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise NotRelativeEquilibrium(
-            f"co-rotating field residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"co-rotating field residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
     chart = MixedChart(config)
     q = chart.coords()
@@ -1087,7 +1054,7 @@ def analyze_small(
     lin = -np.linalg.solve(omega_s, hs)
     h_eigs = np.linalg.eigvalsh(hs)
     l_eigs = _sort_complex(np.linalg.eigvals(lin))
-    verdict = _decide(h_eigs, l_eigs, def_tol, spec_tol)
+    verdict = _decide(h_eigs, l_eigs)
     block = BlockSpectrum("slice", h_eigs, l_eigs, {})
     mu = momentum_map(config)
     return StabilityReport(
@@ -1112,7 +1079,7 @@ def full_linearization_oracle(
     rotation rate when the momentum is vertical and nonzero, six zeros
     when it vanishes.
     """
-    xi = _rigid_rotation_rate(config) if xi_z is None else float(xi_z)
+    xi = configuration_angular_velocity(config) if xi_z is None else float(xi_z)
     chart = MixedChart(config)
     q0 = chart.coords()
     d = q0.size

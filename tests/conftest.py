@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vortex_atlas.core import Configuration, UnitVector3, Vortex
+from vortex_atlas.core import Configuration
 
 
 def _sample_pm_configuration(rng, n_pairs: int, min_chord: float = 1e-3):
@@ -24,14 +24,7 @@ def _sample_pm_configuration(rng, n_pairs: int, min_chord: float = 1e-3):
         chord2 = 2.0 * (1.0 - gram[np.triu_indices(m, k=1)])
         if chord2.min() > min_chord**2:
             break
-    vortices = tuple(
-        Vortex(
-            UnitVector3.from_array(p[i], normalize=True),
-            1.0 if i < n_pairs else -1.0,
-        )
-        for i in range(m)
-    )
-    return Configuration(vortices)
+    return Configuration(p, np.repeat([1.0, -1.0], n_pairs))
 
 
 @pytest.fixture

@@ -305,7 +305,7 @@ def test_09_low_symmetry_branch_verdicts():
             continue
         for bp in points:
             c = bp.configuration()
-            z_plus = c.positions()[list(c.layout.plus), 2]
+            z_plus = c.positions[list(c.layout.plus), 2]
             share_hemisphere = z_plus[0] * z_plus[1] > 0
             verdict = analyze_small(c).verdict
             if share_hemisphere:

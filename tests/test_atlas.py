@@ -362,6 +362,12 @@ def test_classify_rejects_a_non_finite_pole_strength(value, k_p, capsys):
         ("classify", '{"family": ["DNh"], "N": 2}'),
         ("classify", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}], "poles": "x"}'),
         ("simulate", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}], "poles": null}'),
+        ("classify", '{"vortices": [{"pos": [null, 0, 1], "strength": 1}]}'),
+        ("simulate", '{"vortices": [{"pos": [null, 0, 1], "strength": 1}]}'),
+        ("classify", '{"vortices": [{"pos": [[1], 0, 0], "strength": 1}]}'),
+        ("simulate", '{"vortices": [{"pos": [[1], 0, 0], "strength": 1}]}'),
+        ("classify", '{"vortices": [{"pos": ["x", 0, 1], "strength": 1}]}'),
+        ("simulate", '{"vortices": [{"pos": ["x", 0, 1], "strength": 1}]}'),
     ],
 )
 def test_wrong_typed_json_fields_are_input_errors(tmp_path, capsys, command, payload):
@@ -451,23 +457,13 @@ def test_simulate_rejects_bad_horizon_and_tolerance(tmp_path, capsys, flag, valu
 
 
 def test_simulate_collision_writes_partial_trajectory(tmp_path, capsys):
-    from vortex_atlas.core import Configuration, Layout, UnitVector3, Vortex
+    from vortex_atlas.core import Configuration
 
     eps = 5e-9
+    b = np.array([math.cos(eps), math.sin(eps), 0.0])
     near = Configuration(
-        (
-            Vortex(UnitVector3(1.0, 0.0, 0.0), 1.0),
-            Vortex(
-                UnitVector3.from_array(
-                    np.array([math.cos(eps), math.sin(eps), 0.0]), normalize=True
-                ),
-                -1.0,
-            ),
-            Vortex(UnitVector3(0.0, 0.0, 1.0), 1.0),
-            Vortex(UnitVector3(0.0, 0.0, -1.0), -1.0),
-        ),
-        0,
-        Layout(plus=(0, 2), minus=(1, 3)),
+        [[1.0, 0.0, 0.0], b / np.linalg.norm(b), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+        [1.0, -1.0, 1.0, -1.0],
     )
     config_path = tmp_path / "near.json"
     config_path.write_text(near.to_json())

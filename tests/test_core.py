@@ -17,47 +17,42 @@ from vortex_atlas.core import (
     InvalidConfiguration,
     InvalidDescriptor,
     Layout,
-    PoleChart,
     PoleSingularity,
-    SphericalCoords,
-    UnitVector3,
-    Vortex,
     apply_group_element,
-    chord_distance_squared,
     identity_permutation,
     is_fixed_by,
     mirror_y_matrix,
     mirror_z_matrix,
     rotation_axis_matrix,
     rotation_z_matrix,
-    to_spherical,
 )
+from vortex_atlas.dynamics import MixedChart
 from vortex_atlas.equilibria import make_equatorial_pm_ring, make_family
 
-X_HAT = UnitVector3(1.0, 0.0, 0.0)
-Y_HAT = UnitVector3(0.0, 1.0, 0.0)
-Z_HAT = UnitVector3(0.0, 0.0, 1.0)
+X_HAT = [1.0, 0.0, 0.0]
+Y_HAT = [0.0, 1.0, 0.0]
+Z_HAT = [0.0, 0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
-# points and charts
+# configurations
 # ---------------------------------------------------------------------------
 
 
 def test_unit_vector_must_lie_on_sphere():
-    with pytest.raises(InvalidConfiguration):
-        UnitVector3(1.0, 1.0, 0.0)
-    with pytest.raises(InvalidConfiguration):
-        UnitVector3(0.0, 0.0, 0.0)
+    for bad in ([1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0 + 2e-12]):
+        with pytest.raises(InvalidConfiguration):
+            Configuration([X_HAT, bad], [1.0, -1.0])
+    for bad in ([math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(InvalidConfiguration):
+            Configuration([X_HAT, bad], [1.0, -1.0])
+    # within UNIT_NORM_TOL of the sphere is on it
+    Configuration([X_HAT, [0.0, 0.0, 1.0 + 2e-13]], [1.0, -1.0])
 
 
-def test_from_array_normalizes_on_request():
-    v = UnitVector3.from_array(np.array([3.0, 0.0, 4.0]), normalize=True)
-    assert v.as_array() == pytest.approx([0.6, 0.0, 0.8], abs=1e-15)
-    with pytest.raises(InvalidConfiguration):
-        UnitVector3.from_array(np.zeros(3), normalize=True)
-    with pytest.raises(InvalidConfiguration):
-        UnitVector3.from_array(np.zeros(4))
+# ---------------------------------------------------------------------------
+# sphere charts (ring vortices by co-latitude/longitude, poles by (x, y))
+# ---------------------------------------------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,90 +61,98 @@ def test_from_array_normalizes_on_request():
     phi=st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True),
 )
 def test_spherical_round_trip(theta, phi):
-    coords = to_spherical(UnitVector3.from_spherical(theta, phi))
-    assert coords.theta == pytest.approx(theta, abs=1e-12)
+    s = math.sin(theta)
+    ring = [s * math.cos(phi), s * math.sin(phi), math.cos(theta)]
+    c = Configuration([ring, [-x for x in ring]], [1.0, -1.0])
+    chart = MixedChart(c)
+    q = chart.coords()
+    assert q[0] == pytest.approx(theta, abs=1e-12)
+    assert 0.0 <= q[2] < 2.0 * math.pi
     assert math.isclose(
-        math.cos(coords.phi - phi), 1.0, abs_tol=1e-9
-    ), f"longitude {coords.phi} differs from {phi}"
-
-
-def test_spherical_coords_validate_ranges():
-    with pytest.raises(InvalidConfiguration):
-        SphericalCoords(0.0, 1.0)
-    with pytest.raises(InvalidConfiguration):
-        SphericalCoords(math.pi, 1.0)
-    with pytest.raises(InvalidConfiguration):
-        SphericalCoords(1.0, 2.0 * math.pi)
-
-
-def test_to_spherical_rejects_poles():
-    with pytest.raises(PoleSingularity):
-        to_spherical(Z_HAT)
-    with pytest.raises(PoleSingularity):
-        to_spherical(UnitVector3(0.0, 0.0, -1.0))
+        math.cos(q[2] - phi), 1.0, abs_tol=1e-9
+    ), f"longitude {q[2]} differs from {phi}"
+    np.testing.assert_allclose(chart.positions(q), c.positions, atol=1e-12)
 
 
 def test_pole_chart_round_trip():
-    south = PoleChart(0.3, -0.2, hemisphere=-1)
-    v = south.to_cartesian()
-    assert v.x == pytest.approx(0.3)
-    assert v.y == pytest.approx(-0.2)
-    assert v.z == pytest.approx(-math.sqrt(1.0 - 0.09 - 0.04))
+    """Pole vortices get their ambient (x, y); z is rebuilt from their
+    hemisphere, and (x, y) outside the unit disc has no point."""
+    north, south = [0.3, -0.2, math.sqrt(0.87)], [0.3, -0.2, -math.sqrt(0.87)]
+    c = Configuration([X_HAT, north, south], [1.0, 2.0, -2.0], pole_count=2)
+    chart = MixedChart(c)
+    q = chart.coords()
+    assert q[2:].tolist() == north[:2] + south[:2]
+    p = chart.positions(q)
+    assert p[2, 0] == pytest.approx(0.3)
+    assert p[2, 1] == pytest.approx(-0.2)
+    assert p[2, 2] == pytest.approx(-math.sqrt(1.0 - 0.09 - 0.04))
+    np.testing.assert_allclose(p, c.positions, atol=1e-15)
+    with pytest.raises(PoleSingularity):
+        chart.positions(np.concatenate([q[:2], [0.8, 0.8], q[4:]]))
     with pytest.raises(InvalidConfiguration):
-        PoleChart(0.8, 0.8, hemisphere=1)
+        Configuration([X_HAT, [0.0, 0.6, 0.8], Y_HAT], [1.0, 2.0, -2.0], pole_count=2)
+
+
+def test_configuration_shapes_are_checked():
     with pytest.raises(InvalidConfiguration):
-        PoleChart(0.0, 0.0, hemisphere=0)
+        Configuration([[1.0, 0.0]], [1.0])
+    with pytest.raises(InvalidConfiguration):
+        Configuration([X_HAT, Y_HAT], [1.0])
+    with pytest.raises(InvalidConfiguration):
+        Configuration([X_HAT, [0.0, 1.0]], [1.0, -1.0])
 
 
-def test_chord_distance_reference_values():
-    assert chord_distance_squared(Z_HAT, Z_HAT) == 0.0
-    assert chord_distance_squared(X_HAT, Y_HAT) == pytest.approx(2.0)
-    antipode = UnitVector3(0.0, 0.0, -1.0)
-    assert chord_distance_squared(Z_HAT, antipode) == pytest.approx(4.0)
+def test_configuration_arrays_are_read_only_copies():
+    p = np.array([X_HAT, Y_HAT])
+    c = Configuration(p, [1.0, -1.0])
+    p[0] = Z_HAT
+    assert c.positions[0].tolist() == X_HAT
+    assert not c.positions.flags.writeable
+    assert not c.strengths.flags.writeable
 
 
-# ---------------------------------------------------------------------------
-# vortices and configurations
-# ---------------------------------------------------------------------------
+def test_with_positions_normalizes_rows():
+    c = Configuration([X_HAT, Y_HAT], [1.0, -1.0])
+    moved = c.with_positions([[3.0, 0.0, 4.0], [0.0, -2.0, 0.0]])
+    np.testing.assert_allclose(moved.positions, [[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]], atol=1e-15)
+    for bad in ([[0.0, 0.0, 0.0], Y_HAT], [[math.nan, 0.0, 1.0], Y_HAT]):
+        with pytest.raises(InvalidConfiguration):
+            c.with_positions(bad)
+    with pytest.raises(InvalidConfiguration):
+        c.with_positions(np.ones((2, 4)))
 
 
 def test_vortex_strength_must_be_finite_nonzero():
-    with pytest.raises(InvalidConfiguration):
-        Vortex(Z_HAT, 0.0)
-    with pytest.raises(InvalidConfiguration):
-        Vortex(Z_HAT, float("nan"))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidConfiguration):
+            Configuration([Z_HAT, X_HAT], [bad, 1.0])
 
 
 def test_ring_populations_enforce_unit_strengths():
-    vortices = (Vortex(X_HAT, -1.0), Vortex(Y_HAT, 1.0))
+    positions, strengths = [X_HAT, Y_HAT], [-1.0, 1.0]
     with pytest.raises(InvalidConfiguration):
-        Configuration(vortices, 0, Layout(plus=(0,), minus=(1,)))
+        Configuration(positions, strengths, 0, Layout(plus=(0,), minus=(1,)))
     # the same vortices are fine once labeled consistently
-    ok = Configuration(vortices, 0, Layout(plus=(1,), minus=(0,)))
+    ok = Configuration(positions, strengths, 0, Layout(plus=(1,), minus=(0,)))
     assert len(ok) == 2
 
 
 def test_configuration_rejects_collisions():
     with pytest.raises(CollisionError):
-        Configuration(
-            (Vortex(X_HAT, 1.0), Vortex(X_HAT, -1.0)),
-            0,
-            Layout(plus=(0,), minus=(1,)),
-        )
+        Configuration([X_HAT, X_HAT], [1.0, -1.0])
 
 
 def test_layout_must_cover_each_index_once():
-    vortices = (Vortex(X_HAT, 1.0), Vortex(Y_HAT, -1.0))
+    positions, strengths = [X_HAT, Y_HAT], [1.0, -1.0]
     with pytest.raises(InvalidConfiguration):
-        Configuration(vortices, 0, Layout(plus=(0, 0), minus=()))
+        Configuration(positions, strengths, 0, Layout(plus=(0, 0), minus=()))
     with pytest.raises(InvalidConfiguration):
-        Configuration(vortices, 0, Layout(plus=(0,), minus=()))
+        Configuration(positions, strengths, 0, Layout(plus=(0,), minus=()))
 
 
 def test_pole_count_and_layout_must_agree():
-    vortices = (Vortex(X_HAT, 1.0), Vortex(Y_HAT, -1.0))
     with pytest.raises(InvalidConfiguration):
-        Configuration(vortices, 2, Layout(plus=(0,), minus=(1,)))
+        Configuration([X_HAT, Y_HAT], [1.0, -1.0], 2, Layout(plus=(0,), minus=(1,)))
 
 
 def test_negating_strengths_swaps_populations():
@@ -157,28 +160,28 @@ def test_negating_strengths_swaps_populations():
     flipped = c.with_negated_strengths()
     assert flipped.layout.plus == c.layout.minus
     assert flipped.layout.minus == c.layout.plus
-    np.testing.assert_allclose(flipped.strengths(), -c.strengths())
-    np.testing.assert_allclose(flipped.positions(), c.positions())
+    np.testing.assert_allclose(flipped.strengths, -c.strengths)
+    np.testing.assert_allclose(flipped.positions, c.positions)
 
 
 def test_with_positions_keeps_strengths_and_layout():
     c = make_equatorial_pm_ring(2)
     rot = rotation_z_matrix(0.4)
-    moved = c.with_positions(c.positions() @ rot.T)
+    moved = c.with_positions(c.positions @ rot.T)
     assert moved.layout == c.layout
-    np.testing.assert_allclose(moved.strengths(), c.strengths())
-    np.testing.assert_allclose(moved.positions(), c.positions() @ rot.T, atol=1e-15)
+    np.testing.assert_allclose(moved.strengths, c.strengths)
+    np.testing.assert_allclose(moved.positions, c.positions @ rot.T, atol=1e-15)
 
 
 def test_configuration_json_round_trip():
     c = make_family(FamilyDescriptor(Family.DND_RRP, 3, theta0=0.7, k_p=2))
     back = Configuration.from_json(c.to_json())
     assert back.pole_count == c.pole_count
-    np.testing.assert_allclose(back.positions(), c.positions(), atol=1e-15)
-    np.testing.assert_allclose(back.strengths(), c.strengths())
+    np.testing.assert_allclose(back.positions, c.positions, atol=1e-15)
+    np.testing.assert_allclose(back.strengths, c.strengths)
     assert back.layout.north is not None and back.layout.south is not None
     # the more northerly pole slot is the north one
-    assert back.positions()[back.layout.north][2] > 0
+    assert back.positions[back.layout.north][2] > 0
 
 
 def test_from_json_validates_payloads():
@@ -258,8 +261,8 @@ def test_character_is_multiplicative(g, h):
 )
 def test_composition_matches_sequential_action(g, h):
     c = make_equatorial_pm_ring(3)
-    lhs = apply_group_element(g, apply_group_element(h, c)).positions()
-    rhs = apply_group_element(g.compose(h), c).positions()
+    lhs = apply_group_element(g, apply_group_element(h, c)).positions
+    rhs = apply_group_element(g.compose(h), c).positions
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -269,9 +272,9 @@ def test_action_preserves_chord_distances(pm_sampler):
     for g in _ELEMENT_POOL:
         moved = apply_group_element(g, c)
         for p in (c, moved):
-            assert sorted(np.round(p.strengths(), 12)) == [-1.0] * 3 + [1.0] * 3
-        gram_old = c.positions() @ c.positions().T
-        gram_new = moved.positions() @ moved.positions().T
+            assert sorted(np.round(p.strengths, 12)) == [-1.0] * 3 + [1.0] * 3
+        gram_old = c.positions @ c.positions.T
+        gram_new = moved.positions @ moved.positions.T
         # same multiset of pairwise separations
         old = np.sort(gram_old[np.triu_indices(6, 1)])
         new = np.sort(gram_new[np.triu_indices(6, 1)])
@@ -283,20 +286,16 @@ def test_population_swap_moves_minus_positions_into_plus_slots():
     g = GroupElement(np.eye(3), (0, 1), (0, 1), tau_power=1)
     swapped = apply_group_element(g, c)
     np.testing.assert_allclose(
-        swapped.positions()[list(c.layout.plus)],
-        c.positions()[list(c.layout.minus)],
+        swapped.positions[list(c.layout.plus)],
+        c.positions[list(c.layout.minus)],
         atol=1e-15,
     )
     # strengths stay attached to the slots
-    np.testing.assert_allclose(swapped.strengths(), c.strengths())
+    np.testing.assert_allclose(swapped.strengths, c.strengths)
 
 
 def test_population_swap_needs_balanced_rings():
-    lop = Configuration(
-        (Vortex(X_HAT, 1.0), Vortex(Y_HAT, 1.0)),
-        0,
-        Layout(plus=(0, 1), minus=()),
-    )
+    lop = Configuration([X_HAT, Y_HAT], [1.0, 1.0])
     g = GroupElement(np.eye(3), (0, 1), (), tau_power=1)
     with pytest.raises(InvalidConfiguration):
         apply_group_element(g, lop)

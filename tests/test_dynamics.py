@@ -17,9 +17,7 @@ from vortex_atlas.core import (
     Family,
     FamilyDescriptor,
     GroupElement,
-    Layout,
-    UnitVector3,
-    Vortex,
+    PoleSingularity,
     apply_group_element,
     identity_permutation,
     mirror_y_matrix,
@@ -45,12 +43,7 @@ from vortex_atlas.equilibria import (
 )
 
 
-def _pair(u: UnitVector3, v: UnitVector3, s1: float, s2: float) -> Configuration:
-    plus = tuple(i for i, s in enumerate((s1, s2)) if s > 0)
-    minus = tuple(i for i, s in enumerate((s1, s2)) if s < 0)
-    return Configuration(
-        (Vortex(u, s1), Vortex(v, s2)), 0, Layout(plus=plus, minus=minus)
-    )
+POLAR_PAIR = Configuration([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +52,13 @@ def _pair(u: UnitVector3, v: UnitVector3, s1: float, s2: float) -> Configuration
 
 
 def test_energy_of_antipodal_pair():
-    c = _pair(UnitVector3(0, 0, 1), UnitVector3(0, 0, -1), 1.0, -1.0)
+    c = POLAR_PAIR
     # one pair at squared chord distance 4 with opposite strengths
     assert hamiltonian(c) == pytest.approx(-math.log(4.0), abs=1e-14)
 
 
 def test_energy_of_orthogonal_like_signed_pair():
-    c = _pair(UnitVector3(1, 0, 0), UnitVector3(0, 1, 0), 1.0, 1.0)
+    c = Configuration([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0])
     assert hamiltonian(c) == pytest.approx(math.log(2.0), abs=1e-14)
 
 
@@ -76,7 +69,7 @@ def test_energy_of_alternating_square_vanishes():
 
 
 def test_momentum_of_polar_pair():
-    c = _pair(UnitVector3(0, 0, 1), UnitVector3(0, 0, -1), 1.0, -1.0)
+    c = POLAR_PAIR
     np.testing.assert_allclose(momentum_map(c), [0.0, 0.0, 2.0], atol=1e-15)
 
 
@@ -104,7 +97,7 @@ def test_augmented_energy_combines_energy_and_vertical_momentum():
 
 
 def test_field_vanishes_for_antipodal_pair():
-    c = _pair(UnitVector3(0, 0, 1), UnitVector3(0, 0, -1), 1.0, -1.0)
+    c = POLAR_PAIR
     assert np.max(np.abs(vector_field(c))) < 1e-15
 
 
@@ -115,7 +108,7 @@ def test_field_vanishes_at_fixed_equilibria():
 
 def _reference_field(c: Configuration) -> np.ndarray:
     """The vector field written with ``np.cross`` and ``fill_diagonal``."""
-    p, lam = c.positions(), c.strengths()
+    p, lam = c.positions, c.strengths
     diff = p[:, None, :] - p[None, :, :]
     denom = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(denom, 1.0)
@@ -142,7 +135,7 @@ def test_field_matches_the_reference_kernel_bit_for_bit(pm_sampler, seed):
 def test_field_is_tangent_to_the_sphere(pm_sampler, seed):
     rng = np.random.default_rng(seed)
     c = pm_sampler(rng, rng.integers(2, 5), min_chord=0.05)
-    dots = np.einsum("ij,ij->i", c.positions(), vector_field(c))
+    dots = np.einsum("ij,ij->i", c.positions, vector_field(c))
     assert np.max(np.abs(dots)) < 1e-14
 
 
@@ -210,15 +203,15 @@ def test_integrate_validates_inputs():
 def test_fixed_equilibrium_stays_put():
     c = make_equatorial_pm_ring(2)
     traj = integrate(c, 10.0, tol=1e-10)
-    drift = np.max(np.abs(traj.final_state().positions() - c.positions()))
+    drift = np.max(np.abs(traj.final_state().positions - c.positions))
     assert drift < 1e-9
 
 
 def test_single_vortex_stays_put():
-    c = Configuration((Vortex(UnitVector3(0.6, 0.0, 0.8), 1.0),))
+    c = Configuration([[0.6, 0.0, 0.8]], [1.0])
     traj = integrate(c, 1.0)
     assert set(traj.energies) == {0.0}
-    np.testing.assert_array_equal(traj.final_state().positions(), c.positions())
+    np.testing.assert_array_equal(traj.final_state().positions, c.positions)
 
 
 def test_rigidly_rotating_ring_returns_after_one_period():
@@ -227,7 +220,7 @@ def test_rigidly_rotating_ring_returns_after_one_period():
     xi = float(ring_angular_velocity(desc))
     period = 2.0 * math.pi / abs(xi)
     traj = integrate(c, period, tol=1e-10)
-    assert np.max(np.abs(traj.final_state().positions() - c.positions())) < 1e-6
+    assert np.max(np.abs(traj.final_state().positions - c.positions)) < 1e-6
 
 
 def test_energy_and_momentum_drift_stay_small(pm_sampler):
@@ -249,25 +242,16 @@ def test_integration_is_deterministic():
     t2 = integrate(c, 2.0, tol=1e-9)
     assert t1.times == t2.times
     np.testing.assert_array_equal(
-        t1.final_state().positions(), t2.final_state().positions()
+        t1.final_state().positions, t2.final_state().positions
     )
 
 
 def test_collision_guard_raises_with_partial_trajectory():
     eps = 5e-9  # inside the guard band, outside the construction threshold
-    a = UnitVector3(1.0, 0.0, 0.0)
-    b = UnitVector3.from_array(
-        np.array([math.cos(eps), math.sin(eps), 0.0]), normalize=True
-    )
+    b = np.array([math.cos(eps), math.sin(eps), 0.0])
     c = Configuration(
-        (
-            Vortex(a, 1.0),
-            Vortex(b, -1.0),
-            Vortex(UnitVector3(0, 0, 1), 1.0),
-            Vortex(UnitVector3(0, 0, -1), -1.0),
-        ),
-        0,
-        Layout(plus=(0, 2), minus=(1, 3)),
+        [[1.0, 0.0, 0.0], b / np.linalg.norm(b), [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+        [1.0, -1.0, 1.0, -1.0],
     )
     with pytest.raises(CollisionApproach) as excinfo:
         integrate(c, 1.0)
@@ -288,7 +272,7 @@ def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):
     assert traj.states[0] is c
     assert len(traj.states) == t
     np.testing.assert_array_equal(
-        traj.final_state().positions(), traj.states[-1].positions()
+        traj.final_state().positions, traj.states[-1].positions
     )
     # the CSV is what a writer reading the built states would print
     m = len(c)
@@ -296,10 +280,7 @@ def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):
     lines = [",".join(header + ["H", "|dH|", "|dPhi|_inf"])]
     rows = zip(traj.times, traj.states, traj.h_drift, traj.phi_drift)
     for t_k, state, dh, dphi in rows:
-        values = [t_k]
-        for v in state.vortices:
-            values += [v.position.x, v.position.y, v.position.z]
-        values += [hamiltonian(state), dh, dphi]
+        values = [t_k, *state.positions.ravel().tolist(), hamiltonian(state), dh, dphi]
         lines.append(",".join("%.12g" % x for x in values))
     assert traj.to_csv() == "\n".join(lines) + "\n"
 
@@ -349,7 +330,7 @@ def test_chart_round_trip_and_gradient():
     c = make_family(desc)
     chart = MixedChart(c)
     q0 = chart.coords()
-    np.testing.assert_allclose(chart.positions(q0), c.positions(), atol=1e-14)
+    np.testing.assert_allclose(chart.positions(q0), c.positions, atol=1e-14)
 
     # move off the equilibrium so the gradient is generic
     q = q0 + 0.02 * np.sin(1.0 + np.arange(q0.size))
@@ -360,6 +341,13 @@ def test_chart_round_trip_and_gradient():
 
     grad = chart.gradient(q, xi)
     np.testing.assert_allclose(grad, _fd_gradient(f, q), rtol=1e-6, atol=1e-8)
+
+
+def test_chart_coords_reject_ring_vortices_on_a_pole():
+    for on_pole in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-9, 0.0, 1.0]):
+        chart = MixedChart(Configuration([on_pole, [1.0, 0.0, 0.0]], [1.0, -1.0]))
+        with pytest.raises(PoleSingularity):
+            chart.coords()
 
 
 def test_chart_symplectic_structure():
@@ -419,18 +407,9 @@ def _close_pair(chord: float, strength: float, tilt: float) -> Configuration:
     """A pair at ``chord`` on a tilted great circle, plus a far +/-1 pair."""
     half = math.asin(chord / 2.0)
     points = (-half, half, 0.5 * math.pi, -0.5 * math.pi)
-    vortices = tuple(
-        Vortex(UnitVector3.from_array(_on_circle(a, tilt), normalize=True), s)
-        for a, s in zip(points, (1.0, strength, 1.0, -1.0))
-    )
-    signs = [v.strength for v in vortices]
+    rows = [_on_circle(a, tilt) for a in points]
     return Configuration(
-        vortices,
-        0,
-        Layout(
-            plus=tuple(i for i, s in enumerate(signs) if s > 0),
-            minus=tuple(i for i, s in enumerate(signs) if s < 0),
-        ),
+        [r / np.linalg.norm(r) for r in rows], [1.0, strength, 1.0, -1.0]
     )
 
 
@@ -464,7 +443,7 @@ def test_near_collision_raises_only_collision_approach(
     log_chord, strength, tilt, turns, tol
 ):
     c = _close_pair(math.exp(log_chord), strength, tilt)
-    p = c.positions()
+    p = c.positions
     chord = float(np.linalg.norm(p[0] - p[1]))
     # a close same-sign pair turns at about 2 / chord^2; keep the run short
     t_end = turns * chord**2

@@ -12,10 +12,7 @@ from vortex_atlas.core import (
     Family,
     FamilyDescriptor,
     InvalidDescriptor,
-    Layout,
     PoleSingularity,
-    UnitVector3,
-    Vortex,
     VortexError,
 )
 from vortex_atlas.dynamics import hamiltonian, momentum_map, vector_field
@@ -55,10 +52,10 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_alternating_equatorial_ring_geometry():
     c = make_equatorial_pm_ring(3)
     assert len(c) == 6
-    assert np.max(np.abs(c.positions()[:, 2])) == 0.0
-    assert sorted(c.strengths()) == [-1.0] * 3 + [1.0] * 3
+    assert np.max(np.abs(c.positions[:, 2])) == 0.0
+    assert sorted(c.strengths) == [-1.0] * 3 + [1.0] * 3
     # strengths alternate along the ring
-    assert list(c.strengths()[:4]) == [1.0, -1.0, 1.0, -1.0]
+    assert list(c.strengths[:4]) == [1.0, -1.0, 1.0, -1.0]
     with pytest.raises(InvalidDescriptor):
         make_equatorial_pm_ring(1)
 
@@ -73,13 +70,13 @@ def test_tetrahedral_pair_is_a_fixed_equilibrium():
 def test_two_ring_builder_places_rings_and_poles():
     desc = FamilyDescriptor(Family.DND_RRP, 4, theta0=0.8, k_p=2, lambda_n=-1.0)
     c = make_family(desc)
-    p = c.positions()
+    p = c.positions
     u = math.cos(0.8)
     np.testing.assert_allclose(p[:4, 2], u, atol=1e-15)
     np.testing.assert_allclose(p[4:8, 2], -u, atol=1e-15)
     np.testing.assert_allclose(p[8], [0, 0, 1], atol=0)
     np.testing.assert_allclose(p[9], [0, 0, -1], atol=0)
-    assert c.strengths()[8] == -1.0 and c.strengths()[9] == 1.0
+    assert c.strengths[8] == -1.0 and c.strengths[9] == 1.0
 
 
 def test_make_family_rejects_branch_parametrized_families():
@@ -205,7 +202,7 @@ def test_crossed_rings_branch_rejects_out_of_range_roots():
 def test_crossed_rings_branch_geometry():
     bp = branch_c2v_RRp2p(0.2, 1.0, -1)
     c = bp.configuration()
-    p = c.positions()
+    p = c.positions
     # + ring spans longitudes 0 and pi, - ring is turned a quarter turn
     np.testing.assert_allclose(p[0][1], 0.0, atol=1e-15)
     np.testing.assert_allclose(p[2][0], 0.0, atol=1e-12)
@@ -255,7 +252,7 @@ def test_meridian_roots_match_the_golden_file():
 def test_meridian_branch_configurations():
     bp = branch_c2v_RmRmp(-0.5)
     c = bp.configuration()
-    p = c.positions()
+    p = c.positions
     # all four vortices in one vertical plane
     np.testing.assert_allclose(p[:, 1], 0.0, atol=1e-15)
     # + heights are (x, -y), - heights are (y, -x)
@@ -282,13 +279,12 @@ def test_two_ring_phase_of_constructed_families():
 
 def test_two_ring_phase_neither_for_intermediate_offset():
     offset = 0.3
-    vortices = [
-        Vortex(UnitVector3.from_spherical(0.7, 0.0), 1.0),
-        Vortex(UnitVector3.from_spherical(0.7, math.pi), 1.0),
-        Vortex(UnitVector3.from_spherical(2.2, offset), -1.0),
-        Vortex(UnitVector3.from_spherical(2.2, math.pi + offset), -1.0),
-    ]
-    c = Configuration(tuple(vortices), 0, Layout.standard(2, 2, 0))
+    theta = np.array([0.7, 0.7, 2.2, 2.2])
+    phi = np.array([0.0, math.pi, offset, math.pi + offset])
+    positions = np.column_stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    )
+    c = Configuration(positions, [1.0, 1.0, -1.0, -1.0])
     assert two_ring_phase_test(c) is TwoRingPhase.NEITHER
 
 

@@ -11,9 +11,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vortex_atlas.atlas import EXIT_OK, main
-from vortex_atlas.core import Family, FamilyDescriptor, InvalidDescriptor, VortexError
+from vortex_atlas.core import (
+    Family,
+    FamilyDescriptor,
+    GroupElement,
+    InvalidDescriptor,
+    VortexError,
+    apply_group_element,
+    identity_permutation,
+    mirror_y_matrix,
+    rotation_z_matrix,
+)
 from vortex_atlas.dynamics import MixedChart
 from vortex_atlas.equilibria import (
+    branch_c2v_2R2p,
     branch_c2v_RmRmp,
     configuration_angular_velocity,
     make_equatorial_pm_ring,
@@ -584,7 +595,7 @@ def test_numeric_analysis_rejects_non_equilibria(pm_sampler):
 
 def test_meridian_plane_hemisphere_rule():
     same_side = branch_c2v_RmRmp(-0.5).configuration()  # + heights -0.5, -0.95
-    z_plus = same_side.positions()[list(same_side.layout.plus), 2]
+    z_plus = same_side.positions[list(same_side.layout.plus), 2]
     assert z_plus[0] * z_plus[1] > 0
     assert analyze_small(same_side).verdict is Verdict.LYAPUNOV_STABLE
 
@@ -592,12 +603,46 @@ def test_meridian_plane_hemisphere_rule():
     # indefinite, so the energy argument fails and the verdict must drop below
     # LyapunovStable (the spectrum itself stays on the imaginary axis here).
     split = branch_c2v_RmRmp(0.5).configuration()  # + heights 0.5, -0.88
-    z_plus = split.positions()[list(split.layout.plus), 2]
+    z_plus = split.positions[list(split.layout.plus), 2]
     assert z_plus[0] * z_plus[1] < 0
     report = analyze_small(split)
     assert report.verdict is not Verdict.LYAPUNOV_STABLE
     hess_eigs = np.concatenate([b.hessian_eigenvalues for b in report.blocks])
     assert hess_eigs.min() < -1e-9 < 1e-9 < hess_eigs.max()
+
+
+_EQUIVARIANCE_CASES = {
+    "D3h(2R)": lambda: make_family(_desc(DNH, 3, 0.5)),
+    "D2d(R,R')": lambda: make_family(_desc(DND, 2, 1.0)),
+    "D3d(R,R',2p)": lambda: make_family(_desc(DND, 3, 0.8, 2)),
+    "D2h(2R,2p)": lambda: make_family(_desc(DNH, 2, 1.3, 2)),
+    "C2v(Rm,Rm') same side": lambda: branch_c2v_RmRmp(-0.5).configuration(),
+    "C2v(Rm,Rm') split": lambda: branch_c2v_RmRmp(0.5).configuration(),
+    "C2v(2R,2p)": lambda: branch_c2v_2R2p(0.3).configuration(),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_EQUIVARIANCE_CASES)),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    mirror=st.booleans(),
+)
+def test_numeric_verdicts_are_equivariant(case, angle, mirror):
+    """A rotation about z, optionally followed by the y-mirror, moves a
+    relative equilibrium to one with the same verdict and spectra."""
+    c = _EQUIVARIANCE_CASES[case]()
+    a = rotation_z_matrix(angle)
+    if mirror:
+        a = mirror_y_matrix() @ a
+    g = GroupElement(
+        a, identity_permutation(len(c.layout.plus)), identity_permutation(len(c.layout.minus))
+    )
+    before, after = analyze_small(c), analyze_small(apply_group_element(g, c))
+    assert after.verdict is before.verdict
+    for spectrum in ("hessian_eigenvalues", "linearization_eigenvalues"):
+        found, expected = getattr(after, spectrum)(), getattr(before, spectrum)()
+        assert spectrum_match(found, expected) <= 1e-6, spectrum
 
 
 def test_full_linearization_matches_slice_spectra():
