@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -43,6 +44,7 @@ from .core import (
     Family,
     FamilyDescriptor,
     InvalidDescriptor,
+    OutOfDomain,
     VortexError,
     _family_named,
 )
@@ -54,10 +56,8 @@ from .dynamics import (
     momentum_map,
 )
 from .equilibria import (
-    OutOfDomain,
     branch_c2v_RmRmp_all,
     branch_c2v_RRp2p,
-    configuration_angular_velocity,
     make_equatorial_pm_ring,
     make_family,
     make_plus_ring_pole_pair,
@@ -80,6 +80,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+# Errors of a well-formed input that the numerics cannot carry through;
+# ``main`` maps them to EXIT_NUMERIC and every other VortexError to EXIT_INPUT.
+_NUMERIC_ERRORS = (CollisionApproach, StepSizeUnderflow, NotRelativeEquilibrium, DegenerateForm)
 
 _SWEEP_COLUMNS = (
     "family",
@@ -287,13 +291,8 @@ def _ring_maker(
 
 
 def _config_point(config: Configuration) -> tuple[float, float, str]:
-    xi = configuration_angular_velocity(config)
-    report = analyze_small(config, xi_z=xi)
-    return (
-        float(momentum_map(config)[2]),
-        hamiltonian(config),
-        report.verdict.value,
-    )
+    report = analyze_small(config)
+    return report.mu_z, hamiltonian(config), report.verdict.value
 
 
 def _branch_maker(
@@ -309,13 +308,10 @@ def _branch_maker(
 
 
 def _meridional_maker(
-    root_index: int, swap: bool
+    roots_at: Callable[[float], Sequence], root_index: int, swap: bool
 ) -> Callable[[float], tuple[float, float, str] | None]:
     def maker(x: float) -> tuple[float, float, str] | None:
-        try:
-            roots = branch_c2v_RmRmp_all(x)
-        except VortexError:
-            return None
+        roots = roots_at(x)
         if root_index >= len(roots):
             return None
         bp = roots[root_index]
@@ -362,13 +358,23 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             )
         )
         meridional_x = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 2 * pts)
+
+        # One solve per x, shared by the four (root, swap) segments and
+        # their refinement; built per diagram, so no state outlives it.
+        @functools.cache
+        def roots_at(x: float) -> Sequence:
+            try:
+                return branch_c2v_RmRmp_all(x)
+            except VortexError:
+                return ()
+
         for root_index in (0, 1):
             for swap in (False, True):
                 segments.append(
                     _Segment(
                         "(c) C2v(Rm,Rm')",
                         meridional_x,
-                        _meridional_maker(root_index, swap),
+                        _meridional_maker(roots_at, root_index, swap),
                         is_parent=False,
                     )
                 )
@@ -760,115 +766,71 @@ def diagram_csv(diagram: Diagram) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.config).read_text()
-        config = Configuration.from_json(text)
-    except (OSError, ValueError, VortexError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_simulate(args: argparse.Namespace) -> None:
+    config = Configuration.from_json(Path(args.config).read_text())
     try:
         trajectory = integrate(config, args.t_end, tol=args.tol)
     except (CollisionApproach, StepSizeUnderflow) as exc:
-        _write_text(args.out, exc.trajectory.to_csv())
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except VortexError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:  # t_end or tol out of range
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        _write_text(args.out, exc.trajectory.to_csv())  # keep what was integrated
+        raise
     _write_text(args.out, trajectory.to_csv())
-    return EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> None:
     raw = args.descriptor
-    try:
-        if not raw.lstrip().startswith("{"):
-            raw = Path(raw).read_text()
-        payload = json.loads(raw)
-        if not isinstance(payload, dict):
-            raise ValueError("descriptor JSON must be an object")
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if "vortices" in payload:
-            config = Configuration.from_json(json.dumps(payload))
-            report = analyze_small(config)
-        else:
-            desc = FamilyDescriptor.from_mapping(payload)
-            report = analyze(desc)
-    except (NotRelativeEquilibrium, DegenerateForm) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except VortexError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if not raw.lstrip().startswith("{"):
+        raw = Path(raw).read_text()
+    payload = json.loads(raw)
+    if not isinstance(payload, dict):
+        raise InvalidDescriptor("descriptor JSON must be an object")
+    if "vortices" in payload:
+        report = analyze_small(Configuration.from_json(raw))
+    else:
+        report = analyze(FamilyDescriptor.from_mapping(payload))
     _write_text(args.out, report.to_json(indent=2) + "\n")
-    return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = SweepSpec(
-            families=tuple(args.family),
-            n_values=_parse_int_list(args.n),
-            theta_start=args.theta_start,
-            theta_stop=args.theta_stop,
-            theta_step=args.grid_step,
-            k_p=args.kp,
-            lambda_n=args.lambda_n,
-        )
-    except VortexError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_sweep(args: argparse.Namespace) -> None:
+    spec = SweepSpec(
+        families=tuple(args.family),
+        n_values=_parse_int_list(args.n),
+        theta_start=args.theta_start,
+        theta_stop=args.theta_stop,
+        theta_step=args.grid_step,
+        k_p=args.kp,
+        lambda_n=args.lambda_n,
+    )
     rows = run_sweep(spec)
     if args.format == "json":
         payload = [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
         _write_text(args.out, _csv(_SWEEP_COLUMNS, rows))
-    return EXIT_OK
 
 
-def cmd_diagram(args: argparse.Namespace) -> int:
-    try:
-        diagram = build_diagram(args.pairs)
-    except VortexError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_diagram(args: argparse.Namespace) -> None:
+    diagram = build_diagram(args.pairs)
     out = args.out or f"diagram-{args.pairs}-pairs.svg"
-    try:
-        _write_text(out, render_svg(diagram))
-        csv_path = str(Path(out).with_suffix(".csv"))
-        _write_text(csv_path, diagram_csv(diagram))
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _write_text(out, render_svg(diagram))
+    csv_path = str(Path(out).with_suffix(".csv"))
+    _write_text(csv_path, diagram_csv(diagram))
     for bif in diagram.bifurcations:
         print(
             f"{bif.kind} pitchfork at momentum {_fmt(bif.mu_z)}: "
             f"{bif.parent} meets {bif.child}"
         )
     print(f"wrote {out} and {csv_path}")
-    return EXIT_OK
 
 
-def cmd_thresholds(args: argparse.Namespace) -> int:
+def cmd_thresholds(args: argparse.Namespace) -> None:
     rows = []
     scans: dict[tuple, tuple[tuple[str, float], ...]] = {}
     for ref in REFERENCE_THRESHOLDS:
         key = (ref.family, ref.n_per_ring, ref.k_p)
+        if key not in scans:
+            scans[key] = list_transitions(*key, args.grid_step, args.tol)
         try:
-            if key not in scans:
-                scans[key] = list_transitions(*key, args.grid_step, args.tol)
             theta = _pick_transition(scans[key], ref.transition, ref.occurrence)
-        except InvalidDescriptor as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
         except NoTransition as exc:
             print(
                 f"note: {ref.family.value} N={ref.n_per_ring} k_p={ref.k_p} "
@@ -892,7 +854,6 @@ def cmd_thresholds(args: argparse.Namespace) -> int:
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     else:
         _write_text(args.out, _csv(_THRESHOLD_COLUMNS, rows))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -983,11 +944,25 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; the only place where an error becomes an exit code.
+
+    Numeric failures exit 3; every other domain error and any unreadable
+    or unwritable file or malformed JSON exits 2.  Anything else is a bug
+    and keeps its traceback.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:
         parser.error("a command is required")
-    return args.func(args)
+    try:
+        args.func(args)
+    except _NUMERIC_ERRORS as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (VortexError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ __all__ = [
     "VortexError",
     "InvalidConfiguration",
     "InvalidDescriptor",
+    "OutOfDomain",
     "PoleSingularity",
     "CollisionError",
     "Layout",
@@ -79,12 +80,23 @@ class InvalidDescriptor(VortexError, ValueError):
     """A family descriptor is malformed or outside its domain."""
 
 
+class OutOfDomain(VortexError, ValueError):
+    """A numeric parameter lies outside the domain of the routine given it."""
+
+
 class PoleSingularity(VortexError, ArithmeticError):
     """A chart operation was requested too close to a coordinate pole."""
 
 
 class CollisionError(VortexError, ArithmeticError):
     """Two vortices are within the collision threshold of each other."""
+
+
+def _json_number(value: object, name: str) -> float:
+    """A JSON number as a float; TypeError for strings, booleans and the rest."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +288,7 @@ class Configuration:
         if not isinstance(raw, list) or not raw:
             raise InvalidConfiguration("'vortices' must be a non-empty list")
         try:
-            pole_count = int(payload.get("poles", 0))
+            pole_count = int(_json_number(payload.get("poles", 0), "'poles'"))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfiguration(f"bad 'poles' field: {exc}") from exc
         positions, strengths = [], []
@@ -285,9 +297,9 @@ class Configuration:
                 pos = entry["pos"]
                 if not isinstance(pos, (list, tuple)) or len(pos) != 3:
                     raise TypeError("'pos' must be a list of three numbers")
-                positions.append([float(c) for c in pos])
-                strengths.append(float(entry["strength"]))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                positions.append([_json_number(c, "'pos' entries") for c in pos])
+                strengths.append(_json_number(entry["strength"], "'strength'"))
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise InvalidConfiguration(f"bad vortex entry {k}: {exc}") from exc
         config = cls(positions, strengths, pole_count)
         if strict_poles and pole_count == 2:
@@ -633,20 +645,19 @@ class FamilyDescriptor:
     @classmethod
     def from_mapping(cls, payload: dict) -> "FamilyDescriptor":
         family = _family_named(payload.get("family"))
-        n_per_ring = payload.get("N", payload.get("n_per_ring", 2))
-        k_p = payload.get("kp", payload.get("k_p", 0))
-        for field_name, value in (("N", n_per_ring), ("kp", k_p)):
-            if isinstance(value, float) and not value.is_integer():
-                raise InvalidDescriptor(f"{field_name} must be a whole number, got {value!r}")
-        try:  # __post_init__ converts the fields to int and float
-            desc = cls(
-                family=family,
-                n_per_ring=n_per_ring,
-                theta0=payload.get("theta0", math.pi / 2),
-                k_p=k_p,
-                lambda_n=payload.get("lambda_n", 1.0),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+        raw = {
+            "N": payload.get("N", payload.get("n_per_ring", 2)),
+            "theta0": payload.get("theta0", math.pi / 2),
+            "kp": payload.get("kp", payload.get("k_p", 0)),
+            "lambda_n": payload.get("lambda_n", 1.0),
+        }
+        try:
+            n_per_ring, theta0, k_p, lambda_n = (_json_number(v, k) for k, v in raw.items())
+        except (TypeError, OverflowError) as exc:
             raise InvalidDescriptor(f"bad descriptor field: {exc}") from exc
+        for field_name, value in (("N", n_per_ring), ("kp", k_p)):
+            if not value.is_integer():
+                raise InvalidDescriptor(f"{field_name} must be a whole number, got {value!r}")
+        desc = cls(family, n_per_ring, theta0, k_p, lambda_n)
         desc.validate()
         return desc

@@ -44,6 +44,7 @@ from .core import (
     POLE_EPS,
     Configuration,
     GroupElement,
+    OutOfDomain,
     PoleSingularity,
     VortexError,
     apply_group_element,
@@ -462,11 +463,13 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
         guard, is attached to the exception.
     StepSizeUnderflow
         If the step size collapses beneath the resolvable scale.
+    OutOfDomain
+        If ``t_end`` is not positive and finite or ``tol`` is not in (0, 1).
     """
     if not (t_end > 0.0) or not math.isfinite(t_end):
-        raise ValueError("t_end must be a positive finite time")
+        raise OutOfDomain("t_end must be a positive finite time")
     if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
+        raise OutOfDomain("tol must lie in (0, 1)")
 
     lam = c0.strengths
     pairs = _pair_constants(lam)

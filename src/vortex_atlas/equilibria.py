@@ -55,6 +55,7 @@ from .core import (
     FamilyDescriptor,
     InvalidDescriptor,
     Layout,
+    OutOfDomain,
     PoleSingularity,
     POLE_EPS,
     VortexError,
@@ -86,10 +87,6 @@ __all__ = [
 
 class NotRelativeEquilibrium(VortexError, ValueError):
     """The configuration does not rotate rigidly at the given rate."""
-
-
-class OutOfDomain(VortexError, ValueError):
-    """A branch solver was asked for a parameter outside its domain."""
 
 
 class NoRoot(VortexError, ArithmeticError):

@@ -62,7 +62,6 @@ from .dynamics import MixedChart, momentum_map
 from .equilibria import (
     NotRelativeEquilibrium,
     configuration_angular_velocity,
-    re_residual,
     ring_angular_velocity,
 )
 
@@ -1027,13 +1026,13 @@ def analyze_small(
     with the rotation-orbit directions removed.
     """
     xi = configuration_angular_velocity(config) if xi_z is None else float(xi_z)
-    residual = re_residual(config, xi)
+    chart = MixedChart(config)
+    q = chart.coords()
+    residual = float(np.max(np.abs(chart.gradient(q, xi))))
     if residual > RESIDUAL_TOL:
         raise NotRelativeEquilibrium(
             f"co-rotating field residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    chart = MixedChart(config)
-    q = chart.coords()
     h = chart.hessian_fd(q, xi)
     omega = chart.symplectic_matrix(q)
     dphi = chart.momentum_rows(q)

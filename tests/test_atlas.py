@@ -1,15 +1,24 @@
 """Command-line interface: sweeps, classification, diagrams, thresholds."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vortex_atlas
 
 from vortex_atlas.atlas import (
     EXIT_INPUT,
@@ -27,7 +36,7 @@ from vortex_atlas.atlas import (
     run_sweep,
 )
 from vortex_atlas.core import Family, FamilyDescriptor
-from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring
+from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring, make_family
 from vortex_atlas.stability import analyze, list_transitions
 
 SWEEP_HEADER = "family,N,theta0,mu_z,xi_z,H,verdict,deciding_block"
@@ -368,6 +377,21 @@ def test_classify_rejects_a_non_finite_pole_strength(value, k_p, capsys):
         ("simulate", '{"vortices": [{"pos": [[1], 0, 0], "strength": 1}]}'),
         ("classify", '{"vortices": [{"pos": ["x", 0, 1], "strength": 1}]}'),
         ("simulate", '{"vortices": [{"pos": ["x", 0, 1], "strength": 1}]}'),
+        # JSON strings and booleans are not numbers
+        ("simulate", '{"vortices": [{"pos": ["1", 0, 0], "strength": true}, '
+                     '{"pos": [-1, 0, 0], "strength": -1}]}'),
+        ("simulate", '{"vortices": [{"pos": [1, 0, false], "strength": 1}, '
+                     '{"pos": [-1, 0, 0], "strength": -1}]}'),
+        ("simulate", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}, '
+                     '{"pos": [-1, 0, 0], "strength": "-1"}]}'),
+        ("classify", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}, {"pos": [0, 0, 1], '
+                     '"strength": 1}, {"pos": [0, 0, -1], "strength": -1}], "poles": "2"}'),
+        ("classify", '{"family": "DNh", "N": "3", "theta0": "0.9"}'),
+        ("classify", '{"family": "DNh", "N": 3, "theta0": "0.9"}'),
+        ("classify", '{"family": "DNh", "N": 2, "theta0": 0.9, "kp": "2"}'),
+        ("classify", '{"family": "DNh", "N": 2, "theta0": 0.9, "kp": false}'),
+        ("classify", '{"family": "DNh", "N": 2, "theta0": 0.9, "lambda_n": "1"}'),
+        ("classify", '{"family": "DNh", "N": 2, "theta0": 0.9, "lambda_n": true}'),
     ],
 )
 def test_wrong_typed_json_fields_are_input_errors(tmp_path, capsys, command, payload):
@@ -474,6 +498,10 @@ def test_simulate_collision_writes_partial_trajectory(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0].startswith("t,")
     assert len(lines) >= 2  # the partial trajectory is preserved
+    # an unwritable --out for the partial trajectory is an input error
+    unwritable = tmp_path / "no-such-dir" / "partial.csv"
+    assert main(["simulate", str(config_path), "--out", str(unwritable)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 # ---------------------------------------------------------------------------
@@ -626,3 +654,183 @@ def test_diagram_cli_writes_svg_and_csv(tmp_path, capsys):
     assert (tmp_path / "figure.csv").exists()
     stdout = capsys.readouterr().out
     assert "wrote" in stdout
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "RING", "--t-end", "0.1"],
+        ["classify", '{"family": "DNd", "N": 2, "theta0": 1.3}'],
+        ["sweep", "--family", "DNh", "--theta-start", "0.4", "--theta-stop", "0.5",
+         "--grid-step", "0.1"],
+        ["diagram", "--pairs", "3"],
+        ["thresholds", "--grid-step", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
+    ring = tmp_path / "ring.json"
+    ring.write_text(make_equatorial_pm_ring(2).to_json())
+    argv = [str(ring) if a == "RING" else a for a in argv]
+    out = tmp_path / "no-such-dir" / "out.txt"
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("input error:")
+
+
+_ODD_JSON = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=3)
+)
+_DESCRIPTORS = st.fixed_dictionaries(
+    {},
+    optional={
+        "family": st.sampled_from([*(f.value for f in Family), "DNh", "DNd", "Borromean", 3]),
+        "N": st.one_of(st.integers(-1, 6), st.floats(-1.0, 6.0), _ODD_JSON),
+        "theta0": st.one_of(st.floats(-1.0, 4.0), st.sampled_from([math.nan, math.inf]),
+                            _ODD_JSON),
+        "kp": st.one_of(st.sampled_from([0, 2, 1, 2.0, 0.5]), _ODD_JSON),
+        "lambda_n": st.one_of(st.just(1.0), st.floats(allow_nan=True, allow_infinity=True),
+                              _ODD_JSON),
+    },
+)
+_COORDS = st.sampled_from([0, 1, -1, 0.6, 0.8, 1e-9]) | _ODD_JSON
+_JUNK_CONFIGS = st.fixed_dictionaries(
+    {
+        "vortices": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "pos": st.lists(_COORDS, min_size=2, max_size=4) | _ODD_JSON,
+                    "strength": st.sampled_from([1, -1, 0.5, 0]) | _ODD_JSON,
+                }
+            ),
+            max_size=4,
+        )
+    },
+    optional={"poles": st.sampled_from([0, 2, 1]) | _ODD_JSON},
+)
+_RING_CONFIGS = st.builds(
+    lambda family, n, theta0, k_p: json.loads(
+        make_family(FamilyDescriptor(family, n, theta0, k_p)).to_json()
+    ),
+    st.sampled_from([Family.DNH_2R, Family.DND_RRP]),
+    st.integers(2, 3),
+    st.floats(0.2, 1.4),
+    st.sampled_from([0, 2]),
+)
+
+
+@st.composite
+def _sphere_configs(draw):
+    """Balanced vortex clouds with chords of at least 0.3: seldom in
+    equilibrium, and far enough from collision to integrate quickly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 6))
+    while True:
+        p = rng.normal(size=(m, 3))
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        chords = np.linalg.norm(p[:, None] - p[None], axis=2) + 9.0 * np.eye(m)
+        if chords.min() > 0.3:
+            break
+    strengths = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=m, max_size=m))
+    return {"vortices": [{"pos": list(x), "strength": s} for x, s in zip(p, strengths)]}
+
+
+_CONFIG_FILES = st.one_of(_RING_CONFIGS, _sphere_configs(), _JUNK_CONFIGS).map(
+    lambda c: json.dumps(c).encode()
+) | st.sampled_from([b"", b"{]", b"[1, 2]", b"\xff\xfe"])
+_OUTS = st.sampled_from([[], ["--out", "DIR/out.txt"], ["--out", "DIR/missing/out.txt"]])
+_FLOAT_ARGS = st.sampled_from(["0", "-1", "nan", "inf", "x"])
+
+
+@st.composite
+def _cli_calls(draw):
+    """An argv, with ``DIR`` standing for a scratch directory, and the
+    bytes of ``DIR/in.json``."""
+    command = draw(st.sampled_from(["simulate", "classify", "sweep", "diagram", "thresholds"]))
+    content = draw(_CONFIG_FILES)
+    if command == "simulate":
+        path = draw(st.sampled_from(["DIR/in.json"] * 3 + ["DIR/missing.json", "DIR"]))
+        argv = ["simulate", path,
+                "--t-end", draw(st.floats(0.001, 0.2).map(repr) | _FLOAT_ARGS),
+                "--tol", draw(st.sampled_from(["1e-6", "1e-8"]) | _FLOAT_ARGS)]
+    elif command == "classify":
+        inline = draw(st.one_of(_DESCRIPTORS.map(json.dumps), st.just("{not json")))
+        argv = ["classify", draw(st.sampled_from([inline] * 2 + ["DIR/in.json"] * 2
+                                                 + ["DIR/missing.json", "DIR"]))]
+    elif command == "sweep":
+        families = draw(st.lists(st.sampled_from(["DNh", "DNd", "EquatorialPmRing", "x"]),
+                                 min_size=1, max_size=2))
+        argv = ["sweep", *(a for f in families for a in ("--family", f)),
+                "--n", draw(st.sampled_from(["2", "3", "2..4", "2,6", "1", "0..3", "6..2", "x"])),
+                "--theta-start", draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS),
+                "--theta-stop", draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS),
+                "--grid-step", draw(st.floats(0.05, 1.0).map(repr) | _FLOAT_ARGS),
+                "--kp", draw(st.sampled_from(["0", "2", "1"])),
+                "--lambda-n", draw(st.sampled_from(["1", "0.5", "0", "-1", "nan"])),
+                "--format", draw(st.sampled_from(["csv", "json"]))]
+    elif command == "diagram":
+        # one diagram build takes seconds: only argv that fail before it
+        argv = draw(st.sampled_from([
+            ["diagram"], ["diagram", "--pairs", "5"], ["diagram", "--pairs", "x"],
+            ["diagram", "--pairs", "2", "--bogus"], ["diagram", "--out", "DIR/d.svg"],
+        ]))
+    else:
+        argv = ["thresholds",
+                "--grid-step", draw(st.floats(0.05, 2.0).map(repr) | _FLOAT_ARGS),
+                "--tol", draw(st.sampled_from(["1e-6", "1e-3"]) | _FLOAT_ARGS),
+                "--format", draw(st.sampled_from(["csv", "json"]))]
+    return [*argv, *draw(_OUTS)] if command != "diagram" else argv, content
+
+
+@settings(max_examples=120, deadline=None)
+@given(call=_cli_calls())
+def test_every_command_exits_with_a_documented_code(call):
+    argv, content = call
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "in.json").write_bytes(content)
+        argv = [a.replace("DIR", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_NUMERIC)
+    last = (err.getvalue().splitlines() or [""])[-1]
+    if code == EXIT_INPUT:
+        assert last.startswith("input error:")
+    if code == EXIT_NUMERIC:
+        assert last.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["simulate", "MISSING"], EXIT_INPUT, "input error:"),
+        (["classify", '{"family": "DNd", "N": 2, "theta0": 1.3}', "--out", "MISSING"],
+         EXIT_INPUT, "input error:"),
+        (["sweep", "--family", "DNh", "--grid-step", "-0.1"], EXIT_INPUT, "input error:"),
+        (["diagram", "--pairs", "5"], EXIT_USAGE, "usage:"),
+        (["thresholds", "--grid-step", "2", "--out", "MISSING"], EXIT_INPUT, "input error:"),
+    ],
+    ids=["simulate", "classify", "sweep", "diagram", "thresholds"],
+)
+def test_the_entry_point_exits_without_a_traceback(tmp_path, argv, code, message):
+    src = str(Path(vortex_atlas.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    missing = str(tmp_path / "no-such-dir" / "file")
+    done = subprocess.run(
+        [sys.executable, "-m", "vortex_atlas.atlas", *(missing if a == "MISSING" else a
+                                                      for a in argv)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == code
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr

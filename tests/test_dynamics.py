@@ -17,6 +17,7 @@ from vortex_atlas.core import (
     Family,
     FamilyDescriptor,
     GroupElement,
+    OutOfDomain,
     PoleSingularity,
     apply_group_element,
     identity_permutation,
@@ -192,12 +193,13 @@ def test_flow_equivariance_and_reversal(pm_sampler, index):
 
 def test_integrate_validates_inputs():
     c = make_equatorial_pm_ring(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         integrate(c, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         integrate(c, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain):
         integrate(c, 1.0, tol=2.0)
+    assert issubclass(OutOfDomain, ValueError)
 
 
 def test_fixed_equilibrium_stays_put():
