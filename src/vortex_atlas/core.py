@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,8 +94,9 @@ class CollisionError(VortexError, ArithmeticError):
 
 
 def _json_number(value: object, name: str) -> float:
-    """A JSON number as a float; TypeError for strings, booleans and the rest."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number (JSON or NumPy scalar) as a float; TypeError for
+    strings, booleans and the rest."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -288,7 +290,10 @@ class Configuration:
         if not isinstance(raw, list) or not raw:
             raise InvalidConfiguration("'vortices' must be a non-empty list")
         try:
-            pole_count = int(_json_number(payload.get("poles", 0), "'poles'"))
+            poles = _json_number(payload.get("poles", 0), "'poles'")
+            if not poles.is_integer():
+                raise ValueError(f"'poles' must be a whole number, got {poles!r}")
+            pole_count = int(poles)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfiguration(f"bad 'poles' field: {exc}") from exc
         positions, strengths = [], []

@@ -70,6 +70,7 @@ __all__ = [
     "SPECTRAL_TOL",
     "RESIDUAL_TOL",
     "MOMENTUM_ZERO_TOL",
+    "MIN_TRANSITION_TOL",
     "TRANSITIONS",
     "REFERENCE_THRESHOLDS",
     "Verdict",
@@ -105,6 +106,9 @@ RESIDUAL_TOL = 1e-6
 #: Below this the vertical momentum is treated as zero (bigger rotation
 #: orbit, smaller slice).
 MOMENTUM_ZERO_TOL = 1e-8
+#: list_transitions caches verdicts by latitude rounded to 12 decimals, so
+#: it refuses a bisection tolerance finer than this.
+MIN_TRANSITION_TOL = 1e-12
 
 TRANSITIONS = ("StabilityGain", "StabilityLoss", "HopfLower", "HopfUpper")
 
@@ -1016,16 +1020,14 @@ def analyze(desc: FamilyDescriptor) -> StabilityReport:
 # ---------------------------------------------------------------------------
 
 
-def analyze_small(
-    config: Configuration, xi_z: float | None = None, label: str = "custom"
-) -> StabilityReport:
+def analyze_small(config: Configuration, label: str = "custom") -> StabilityReport:
     """Numeric slice stability analysis of an explicit configuration.
 
     The Hessian comes from finite differences of the analytic gradient;
     the slice is the numeric null space of the linearized momentum map
     with the rotation-orbit directions removed.
     """
-    xi = configuration_angular_velocity(config) if xi_z is None else float(xi_z)
+    xi = configuration_angular_velocity(config)
     chart = MixedChart(config)
     q = chart.coords()
     residual = float(np.max(np.abs(chart.gradient(q, xi))))
@@ -1078,7 +1080,7 @@ def full_linearization_oracle(
     rotation rate when the momentum is vertical and nonzero, six zeros
     when it vanishes.
     """
-    xi = configuration_angular_velocity(config) if xi_z is None else float(xi_z)
+    xi = configuration_angular_velocity(config)
     chart = MixedChart(config)
     q0 = chart.coords()
     d = q0.size
@@ -1195,12 +1197,15 @@ def list_transitions(
     double precision) are treated as non-informative: changes are measured
     between the nearest resolvable neighbours instead, so an unresolvable
     plateau contributes no transitions of its own.  Raises
-    :class:`InvalidDescriptor` unless ``grid_step`` and ``tol`` are
-    positive and finite.
+    :class:`InvalidDescriptor` unless ``grid_step`` is positive and finite
+    and ``tol`` is finite and at least :data:`MIN_TRANSITION_TOL`.
     """
     fam = _resolve_family(family)
-    if not (0.0 < grid_step < math.inf and 0.0 < tol < math.inf):
-        raise InvalidDescriptor("grid_step and tol must be positive and finite")
+    if not (0.0 < grid_step < math.inf and MIN_TRANSITION_TOL <= tol < math.inf):
+        raise InvalidDescriptor(
+            f"grid_step must be positive and finite, tol finite and at least "
+            f"{MIN_TRANSITION_TOL:g}"
+        )
 
     cache: dict[float, Verdict | None] = {}
 

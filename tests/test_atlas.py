@@ -386,6 +386,8 @@ def test_classify_rejects_a_non_finite_pole_strength(value, k_p, capsys):
                      '{"pos": [-1, 0, 0], "strength": "-1"}]}'),
         ("classify", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}, {"pos": [0, 0, 1], '
                      '"strength": 1}, {"pos": [0, 0, -1], "strength": -1}], "poles": "2"}'),
+        ("classify", '{"vortices": [{"pos": [1, 0, 0], "strength": 1}, {"pos": [0, 0, 1], '
+                     '"strength": 1}, {"pos": [0, 0, -1], "strength": -1}], "poles": 2.5}'),
         ("classify", '{"family": "DNh", "N": "3", "theta0": "0.9"}'),
         ("classify", '{"family": "DNh", "N": 3, "theta0": "0.9"}'),
         ("classify", '{"family": "DNh", "N": 2, "theta0": 0.9, "kp": "2"}'),
@@ -539,6 +541,7 @@ def test_thresholds_match_the_golden_csv(tmp_path, capsys):
     [
         ("--tol", "0"),
         ("--tol", "-1"),
+        ("--tol", "1e-17"),
         ("--grid-step", "0"),
         ("--grid-step", "-1"),
         ("--grid-step", "nan"),
@@ -783,7 +786,7 @@ def _cli_calls(draw):
     else:
         argv = ["thresholds",
                 "--grid-step", draw(st.floats(0.05, 2.0).map(repr) | _FLOAT_ARGS),
-                "--tol", draw(st.sampled_from(["1e-6", "1e-3"]) | _FLOAT_ARGS),
+                "--tol", draw(st.sampled_from(["1e-6", "1e-3", "1e-17"]) | _FLOAT_ARGS),
                 "--format", draw(st.sampled_from(["csv", "json"]))]
     return [*argv, *draw(_OUTS)] if command != "diagram" else argv, content
 

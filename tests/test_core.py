@@ -377,4 +377,14 @@ def test_descriptor_mapping_accepts_short_family_names():
     with pytest.raises(InvalidDescriptor):
         FamilyDescriptor.from_mapping({"family": "nope"})
     with pytest.raises(InvalidDescriptor):
+        FamilyDescriptor.from_mapping({"family": "DNh", "N": np.bool_(True)})
+
+
+def test_descriptor_mapping_accepts_numpy_scalars():
+    desc = FamilyDescriptor.from_mapping(
+        {"family": "DNd", "N": np.int64(5), "theta0": np.float32(1.0), "kp": np.int64(2)}
+    )
+    assert desc == FamilyDescriptor(Family.DND_RRP, 5, theta0=float(np.float32(1.0)), k_p=2)
+    assert type(desc.n_per_ring) is int and type(desc.k_p) is int
+    with pytest.raises(InvalidDescriptor):
         FamilyDescriptor.from_json("[1, 2]")

@@ -706,7 +706,7 @@ def test_missing_transition_raises():
 
 @pytest.mark.parametrize(
     "grid_step,tol",
-    [(0.005, 0.0), (0.005, -1.0), (0.005, math.nan), (0.005, math.inf),
+    [(0.005, 0.0), (0.005, -1.0), (0.005, 1e-17), (0.005, math.nan), (0.005, math.inf),
      (0.0, 1e-6), (-1.0, 1e-6), (math.nan, 1e-6), (math.inf, 1e-6)],
 )
 def test_transition_scan_rejects_bad_step_and_tolerance(grid_step, tol):
