@@ -32,14 +32,15 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .core import (
+    MAX_RING_SIZE,
     Configuration,
     Family,
     FamilyDescriptor,
@@ -69,6 +70,7 @@ from .stability import (
     NotRelativeEquilibrium,
     StabilityReport,
     Verdict,
+    _bisect,
     _pick_transition,
     analyze,
     analyze_many,
@@ -126,6 +128,17 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue()
 
 
+def _write_rows(
+    out: str | None, fmt: str, columns: Sequence[str], rows: Sequence[Sequence[str]]
+) -> None:
+    """A table as CSV, or as a JSON list of one object per row."""
+    if fmt == "json":
+        payload = [dict(zip(columns, row)) for row in rows]
+        _write_text(out, json.dumps(payload, indent=2) + "\n")
+    else:
+        _write_text(out, _csv(columns, rows))
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -155,8 +168,7 @@ class SweepSpec:
             raise OutOfDomain("theta_step must be positive")
         if not self.families:
             raise OutOfDomain("at least one family is required")
-        if any(n < 2 for n in self.n_values):
-            raise OutOfDomain("ring sizes must be at least 2")
+        _check_ring_sizes(self.n_values)
 
     def grid(self) -> tuple[float, ...]:
         if self.theta_stop < self.theta_start:
@@ -170,24 +182,28 @@ class SweepSpec:
         return tuple(float(v) for v in values[keep])
 
 
-def _sweep_row(
-    family: str, n: int, theta: float, result: StabilityReport | VortexError
-) -> tuple[str, ...]:
-    base = (family, str(n), _fmt(theta))
-    error = base + ("", "", "", "error", "")
-    if isinstance(result, VortexError):
-        return error
-    try:
-        energy = hamiltonian(make_family(result.descriptor))
-    except VortexError:
-        return error
-    return base + (
-        _fmt(result.mu_z),
-        _fmt(result.xi_z),
-        _fmt(energy),
-        result.verdict.value,
-        result.deciding_block,
-    )
+def _check_ring_sizes(sizes: Sequence[int]) -> None:
+    if any(not 2 <= n <= MAX_RING_SIZE for n in sizes):
+        raise OutOfDomain(f"ring sizes must lie in 2..{MAX_RING_SIZE}")
+
+
+def _members(
+    family: Family, n: int, k_p: int, lambda_n: float, thetas: Sequence[float]
+) -> Iterator[tuple[StabilityReport, float] | None]:
+    """``(report, energy)`` of the ring-family member at each latitude, from
+    one stacked closed-form pass; ``None`` where the closed form or the
+    constructor raises."""
+    descs = [FamilyDescriptor(family, n, theta, k_p, lambda_n) for theta in thetas]
+    for desc, result in zip(descs, analyze_many(descs)):
+        if isinstance(result, VortexError):
+            yield None
+            continue
+        try:
+            energy = hamiltonian(make_family(desc))
+        except VortexError:
+            yield None
+            continue
+        yield result, energy
 
 
 def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
@@ -198,14 +214,22 @@ def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
     for family in spec.families:
         for n in spec.n_values:
             try:
-                fam = _family_named(family)
-            except VortexError as exc:
-                results: Iterable[StabilityReport | VortexError] = [exc] * len(grid)
-            else:
-                results = analyze_many(
-                    FamilyDescriptor(fam, n, theta, spec.k_p, spec.lambda_n) for theta in grid
-                )
-            rows += [_sweep_row(family, n, theta, r) for theta, r in zip(grid, results)]
+                members = _members(_family_named(family), n, spec.k_p, spec.lambda_n, grid)
+            except VortexError:
+                members = [None] * len(grid)
+            for theta, member in zip(grid, members):
+                row = (family, str(n), _fmt(theta))
+                if member is None:
+                    rows.append(row + ("", "", "", "error", ""))
+                    continue
+                report, energy = member
+                rows.append(row + (
+                    _fmt(report.mu_z),
+                    _fmt(report.xi_z),
+                    _fmt(energy),
+                    report.verdict.value,
+                    report.deciding_block,
+                ))
     return rows
 
 
@@ -225,30 +249,34 @@ class DiagramPoint:
     verdict: str
 
 
+_Evaluator = Callable[[Sequence[float]], list[tuple[float, float, str] | None]]
+
+
 @dataclass
 class _Segment:
     """A continuously parametrized piece of one diagram branch.
 
-    ``maker`` maps the parameter to ``(mu_z, energy, verdict)`` or ``None``
-    when the parameter leaves the branch domain; it is reused to refine
-    bifurcation candidates after the initial sampling.
+    ``evaluate`` maps parameters to ``(mu_z, energy, verdict)`` each, or
+    ``None`` where a parameter leaves the branch domain; ``sample`` passes
+    it the whole grid, and refinement of bifurcation candidates one point.
     """
 
     label: str
     params: np.ndarray
-    maker: Callable[[float], tuple[float, float, str] | None]
+    evaluate: _Evaluator
     is_parent: bool
     points: list[DiagramPoint] = field(default_factory=list)
 
+    def at(self, param: float) -> tuple[float, float, str] | None:
+        return self.evaluate([param])[0]
+
     def sample(self) -> None:
-        for p in self.params:
-            got = self.maker(float(p))
-            if got is None:
-                continue
-            mu, energy, verdict = got
-            self.points.append(
-                DiagramPoint(self.label, float(p), mu, energy, verdict)
-            )
+        params = self.params.tolist()
+        self.points = [
+            DiagramPoint(self.label, p, *got)
+            for p, got in zip(params, self.evaluate(params))
+            if got is not None
+        ]
 
 
 @dataclass(frozen=True)
@@ -275,54 +303,28 @@ class Diagram:
         return out
 
 
-def _ring_maker(
-    family: Family, n: int, k_p: int
-) -> Callable[[float], tuple[float, float, str] | None]:
-    def maker(theta: float) -> tuple[float, float, str] | None:
+def _ring_family(family: Family, n: int, k_p: int) -> _Evaluator:
+    def evaluate(thetas: Sequence[float]) -> list[tuple[float, float, str] | None]:
+        return [
+            None if m is None else (m[0].mu_z, m[1], m[0].verdict.value)
+            for m in _members(family, n, k_p, 1.0, thetas)
+        ]
+
+    return evaluate
+
+
+def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
+    def point(x: float) -> tuple[float, float, str] | None:
         try:
-            desc = FamilyDescriptor(family, n_per_ring=n, theta0=theta, k_p=k_p)
-            report = analyze(desc)
-            energy = hamiltonian(make_family(desc))
-        except VortexError:
-            return None
-        return report.mu_z, energy, report.verdict.value
-
-    return maker
-
-
-def _config_point(config: Configuration) -> tuple[float, float, str]:
-    report = analyze_small(config)
-    return report.mu_z, hamiltonian(config), report.verdict.value
-
-
-def _branch_maker(
-    solver: Callable[[float], Configuration]
-) -> Callable[[float], tuple[float, float, str] | None]:
-    def maker(x: float) -> tuple[float, float, str] | None:
-        try:
-            return _config_point(solver(x))
+            config = solve(x)
+            if config is None:
+                return None
+            report = analyze_small(config)
+            return report.mu_z, hamiltonian(config), report.verdict.value
         except VortexError:
             return None
 
-    return maker
-
-
-def _meridional_maker(
-    roots_at: Callable[[float], Sequence], root_index: int, swap: bool
-) -> Callable[[float], tuple[float, float, str] | None]:
-    def maker(x: float) -> tuple[float, float, str] | None:
-        roots = roots_at(x)
-        if root_index >= len(roots):
-            return None
-        bp = roots[root_index]
-        xx, yy = (bp.y, bp.x) if swap else (bp.x, bp.y)
-        replaced = type(bp)(xx, yy, bp.alpha, bp.family, bp.lambda_n)
-        try:
-            return _config_point(replaced.configuration())
-        except VortexError:
-            return None
-
-    return maker
+    return lambda params: [point(x) for x in params]
 
 
 def _figure_segments(n_pairs: int) -> list[_Segment]:
@@ -343,9 +345,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
                 _Segment(
                     "(a) C2v(R,R')",
                     interval,
-                    _branch_maker(
-                        lambda x, s=sign: branch_c2v_RRp2p(x, 0.0, s).configuration()
-                    ),
+                    _branch(lambda x, s=sign: branch_c2v_RRp2p(x, 0.0, s).configuration()),
                     is_parent=False,
                 )
             )
@@ -353,7 +353,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             _Segment(
                 "(b) D2h(2R)",
                 half,
-                _ring_maker(Family.DNH_2R, 2, 0),
+                _ring_family(Family.DNH_2R, 2, 0),
                 is_parent=True,
             )
         )
@@ -368,13 +368,23 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             except VortexError:
                 return ()
 
+        def meridian(root_index: int, swap: bool) -> Callable[[float], Configuration | None]:
+            def solve(x: float) -> Configuration | None:
+                roots = roots_at(x)
+                if root_index >= len(roots):
+                    return None
+                bp = roots[root_index]
+                return (replace(bp, x=bp.y, y=bp.x) if swap else bp).configuration()
+
+            return solve
+
         for root_index in (0, 1):
             for swap in (False, True):
                 segments.append(
                     _Segment(
                         "(c) C2v(Rm,Rm')",
                         meridional_x,
-                        _meridional_maker(roots_at, root_index, swap),
+                        _branch(meridian(root_index, swap)),
                         is_parent=False,
                     )
                 )
@@ -382,7 +392,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             _Segment(
                 "(d) D2d(R,R')",
                 half_closed,
-                _ring_maker(Family.DND_RRP, 2, 0),
+                _ring_family(Family.DND_RRP, 2, 0),
                 is_parent=True,
             )
         )
@@ -390,7 +400,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             _Segment(
                 "(e) C2v(R,2p)",
                 full,
-                _branch_maker(lambda th: make_plus_ring_pole_pair(th)),
+                _branch(make_plus_ring_pole_pair),
                 is_parent=False,
             )
         )
@@ -399,7 +409,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             _Segment(
                 "(a) D3h(2R)",
                 half,
-                _ring_maker(Family.DNH_2R, 3, 0),
+                _ring_family(Family.DNH_2R, 3, 0),
                 is_parent=True,
             )
         )
@@ -407,7 +417,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             _Segment(
                 "(b) D2h(2R,2p)",
                 full_gapped,
-                _ring_maker(Family.DNH_2R, 2, 2),
+                _ring_family(Family.DNH_2R, 2, 2),
                 is_parent=True,
             )
         )
@@ -415,7 +425,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             _Segment(
                 "(c) C2v(R,R',2p)",
                 interval,
-                _branch_maker(lambda x: branch_c2v_RRp2p(x, 1.0, -1).configuration()),
+                _branch(lambda x: branch_c2v_RRp2p(x, 1.0, -1).configuration()),
                 is_parent=False,
             )
         )
@@ -423,7 +433,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             _Segment(
                 "(d) D3d(R,R')",
                 half_closed,
-                _ring_maker(Family.DND_RRP, 3, 0),
+                _ring_family(Family.DND_RRP, 3, 0),
                 is_parent=True,
             )
         )
@@ -431,25 +441,11 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             _Segment(
                 "(e) D2d(R,R',2p)",
                 full,
-                _ring_maker(Family.DND_RRP, 2, 2),
+                _ring_family(Family.DND_RRP, 2, 2),
                 is_parent=True,
             )
         )
     return segments
-
-
-def _bisect_parent(seg: _Segment, lo: float, hi: float) -> float:
-    got = seg.maker(lo)
-    assert got is not None
-    v_lo = got[2]
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        got = seg.maker(mid)
-        if got is not None and got[2] == v_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _nearest_on_segment(
@@ -466,7 +462,7 @@ def _nearest_on_segment(
     best_d = dist(best.mu_z, best.energy)
 
     def dist_at(param: float) -> float:
-        got = seg.maker(param)
+        got = seg.at(param)
         # Off the branch, score as the best sample: an infinite value
         # breaks the parabolic step of the bounded Brent search.
         return best_d if got is None else dist(got[0], got[1])
@@ -518,8 +514,13 @@ def _detect_bifurcations(segments: list[_Segment]) -> tuple[Bifurcation, ...]:
                 continue
             if lyap not in (a.verdict, b.verdict):
                 continue
-            theta_star = _bisect_parent(parent, a.param, b.param)
-            got = parent.maker(theta_star)
+            theta_star = _bisect(
+                lambda t: (v := parent.at(t)) is not None and v[2] == a.verdict,
+                a.param,
+                b.param,
+                1e-10,
+            )
+            got = parent.at(theta_star)
             if got is None:
                 continue
             mu_star, h_star, _ = got
@@ -800,12 +801,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         k_p=args.kp,
         lambda_n=args.lambda_n,
     )
-    rows = run_sweep(spec)
-    if args.format == "json":
-        payload = [dict(zip(_SWEEP_COLUMNS, row)) for row in rows]
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        _write_text(args.out, _csv(_SWEEP_COLUMNS, rows))
+    _write_rows(args.out, args.format, _SWEEP_COLUMNS, run_sweep(spec))
 
 
 def cmd_diagram(args: argparse.Namespace) -> None:
@@ -849,11 +845,7 @@ def cmd_thresholds(args: argparse.Namespace) -> None:
                 _fmt(abs(theta - ref.reference_value)),
             )
         )
-    if args.format == "json":
-        payload = [dict(zip(_THRESHOLD_COLUMNS, row)) for row in rows]
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    else:
-        _write_text(args.out, _csv(_THRESHOLD_COLUMNS, rows))
+    _write_rows(args.out, args.format, _THRESHOLD_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -862,15 +854,19 @@ def cmd_thresholds(args: argparse.Namespace) -> None:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
+    """Ring sizes from ``3``, ``2,5,7`` or ``lo..hi``; the ends of a
+    nonempty range are checked before the range is built."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(part) for part in text.split(","))
+        if ".." not in text:
+            return tuple(int(part) for part in text.split(","))
+        lo, hi = (int(end) for end in text.split("..", 1))
     except ValueError as exc:
         raise OutOfDomain(
             f"ring sizes must be an integer, a comma list, or lo..hi: {text!r}"
         ) from exc
+    if lo <= hi:
+        _check_ring_sizes((lo, hi))
+    return tuple(range(lo, hi + 1))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -32,6 +32,7 @@ from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "COLLISION_EPS",
+    "MAX_RING_SIZE",
     "POLE_EPS",
     "UNIT_NORM_TOL",
     "VortexError",
@@ -51,7 +52,6 @@ __all__ = [
     "mirror_y_matrix",
     "mirror_z_matrix",
     "rotation_axis_matrix",
-    "cyclic_shift",
     "identity_permutation",
 ]
 
@@ -62,6 +62,10 @@ COLLISION_EPS = 1e-9
 POLE_EPS = 1e-8
 # Tolerance on | ||v||^2 - 1 | for unit vectors.
 UNIT_NORM_TOL = 1e-12
+# Largest ring size accepted: a one-latitude closed-form analysis then works
+# on d x d arrays with d <= 4N + 4 = 1028 (about 8 MB each), and the collision
+# check on a (2N, 2N, 3) array (about 6 MB).
+MAX_RING_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +460,6 @@ def rotation_axis_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def cyclic_shift(n: int, k: int) -> tuple[int, ...]:
-    """The permutation ``i -> (i + k) mod n``."""
-    return tuple((i + k) % n for i in range(n))
-
-
 def identity_permutation(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
@@ -589,8 +588,8 @@ class FamilyDescriptor:
         if not math.isfinite(self.lambda_n):
             raise InvalidDescriptor("lambda_n must be finite")
         if self.family in _RING_FAMILIES:
-            if self.n_per_ring < 2:
-                raise InvalidDescriptor("ring families need n_per_ring >= 2")
+            if not 2 <= self.n_per_ring <= MAX_RING_SIZE:
+                raise InvalidDescriptor(f"ring families need 2 <= n_per_ring <= {MAX_RING_SIZE}")
             if self.k_p == 0:
                 if not (0.0 < self.theta0 <= math.pi / 2):
                     raise InvalidDescriptor(
@@ -604,8 +603,10 @@ class FamilyDescriptor:
                 if self.lambda_n == 0.0:
                     raise InvalidDescriptor("lambda_n must be nonzero")
         elif self.family is Family.EQUATORIAL_PM_RING:
-            if self.n_per_ring < 2:
-                raise InvalidDescriptor("the equatorial ring needs n_per_ring >= 2")
+            if not 2 <= self.n_per_ring <= MAX_RING_SIZE:
+                raise InvalidDescriptor(
+                    f"the equatorial ring needs 2 <= n_per_ring <= {MAX_RING_SIZE}"
+                )
             if self.k_p != 0:
                 raise InvalidDescriptor("the equatorial ring family has no poles")
         elif self.family is Family.TETRAHEDRAL_PAIR:

@@ -40,7 +40,7 @@ Two independent routes are kept deliberately separate:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -84,7 +84,6 @@ __all__ = [
     "hessian_closed_form",
     "slice_basis",
     "slice_symplectic_form",
-    "full_symplectic_form",
     "deciding_scalars_rs",
     "deciding_scalars_ab",
     "analyze",
@@ -590,12 +589,6 @@ def hessian_closed_form(desc: FamilyDescriptor, xi_z: float | None = None) -> np
     desc, rings, _, u, s = _one_point(desc)
     xi = ring_angular_velocity(desc) if xi_z is None else float(xi_z)
     return _hessians(rings, u, s, np.array([xi]))[0]
-
-
-def full_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
-    """Symplectic form in the same ring coordinates as the Hessian."""
-    _, rings, _, _, s = _one_point(desc)
-    return _symplectic_forms(rings, s)[0]
 
 
 def slice_basis(desc: FamilyDescriptor) -> SliceBasis:
@@ -1182,6 +1175,19 @@ def _refine_chain(
     return left + right[1:]
 
 
+def _bisect(same: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """Halve ``[lo, hi]`` while it is wider than ``tol``, moving ``lo`` to
+    the midpoint where ``same`` holds there and ``hi`` otherwise; returns
+    the final midpoint."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if same(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def list_transitions(
     family: Family | str,
     n_per_ring: int,
@@ -1239,15 +1245,9 @@ def list_transitions(
             if a is b:
                 continue
             kind = _classify(a, b)
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                vm = verdict_at(mid)
-                if vm is a:
-                    lo = mid
-                else:
-                    hi = mid
+            theta = _bisect(lambda t: verdict_at(t) is a, lo, hi, tol)
             if kind is not None:
-                found.append((kind, 0.5 * (lo + hi)))
+                found.append((kind, theta))
     return tuple(found)
 
 

@@ -35,7 +35,8 @@ from vortex_atlas.atlas import (
     render_svg,
     run_sweep,
 )
-from vortex_atlas.core import Family, FamilyDescriptor
+from vortex_atlas.core import MAX_RING_SIZE, Family, FamilyDescriptor
+from vortex_atlas.dynamics import hamiltonian
 from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring, make_family
 from vortex_atlas.stability import analyze, list_transitions
 
@@ -51,8 +52,37 @@ def test_ring_size_lists():
     assert _parse_int_list("3") == (3,)
     assert _parse_int_list("2,5,7") == (2, 5, 7)
     assert _parse_int_list("2..6") == (2, 3, 4, 5, 6)
-    with pytest.raises(OutOfDomain):
-        _parse_int_list("two")
+    assert _parse_int_list("6..2") == ()
+    assert _parse_int_list(f"2..{MAX_RING_SIZE}")[-1] == MAX_RING_SIZE
+    for text in ("two", "1..3", "2..257", "2..1000000000000", "-1000000000000..3"):
+        with pytest.raises(OutOfDomain):
+            _parse_int_list(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", '{"family": "DNh", "N": 257, "theta0": 0.9}'],
+        ["classify", '{"family": "DNd", "N": 1e9, "theta0": 0.9}'],
+        ["classify", '{"family": "EquatorialPmRing", "N": 1e9}'],
+        ["sweep", "--family", "DNh", "--n", "257"],
+        ["sweep", "--family", "DNh", "--n", "2..257"],
+        ["sweep", "--family", "DNh", "--n", "2..1000000000000"],
+        ["sweep", "--family", "DNh", "--n", "2,1000000000000"],
+    ],
+)
+def test_ring_sizes_above_the_bound_exit_before_allocating(capsys, argv):
+    main(["sweep", "--family", "DNh", "--n", "x"])  # load what the first call loads
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(
@@ -94,6 +124,8 @@ def test_sweep_spec_grid_and_validation():
         SweepSpec((), (2,), 0.3, 0.5, 0.1)
     with pytest.raises(OutOfDomain):
         SweepSpec(("DNh",), (1,), 0.3, 0.5, 0.1)
+    with pytest.raises(OutOfDomain):
+        SweepSpec(("DNh",), (2, MAX_RING_SIZE + 1), 0.3, 0.5, 0.1)
 
 
 def test_sweep_rows_are_ordered_and_deterministic():
@@ -588,7 +620,7 @@ def test_diagram_matches_the_golden_files(tmp_path, monkeypatch, capsys, pairs):
 
 
 @pytest.mark.parametrize(
-    "maker,target,expected",
+    "point,target,expected",
     [
         # the minimum lies between two samples
         (lambda t: (t, t * t, "v"), (0.1234, 0.0153), 0.1234),
@@ -599,8 +631,10 @@ def test_diagram_matches_the_golden_files(tmp_path, monkeypatch, capsys, pairs):
     ],
     ids=["between-samples", "branch-ends", "past-the-end"],
 )
-def test_refinement_is_no_worse_than_the_samples(maker, target, expected):
-    seg = _Segment("child", np.linspace(0.0, 1.0, 101), maker, is_parent=False)
+def test_refinement_is_no_worse_than_the_samples(point, target, expected):
+    seg = _Segment(
+        "child", np.linspace(0.0, 1.0, 101), lambda ts: [point(t) for t in ts], is_parent=False
+    )
     seg.sample()
     sample_d = min(math.hypot(p.mu_z - target[0], p.energy - target[1])
                    for p in seg.points)
@@ -628,13 +662,26 @@ def test_diagram_segments_and_fixed_point(three_pair_diagram):
 
 
 def test_diagram_rows_reproduce_ring_verdicts(three_pair_diagram):
+    # The parents go through the stacked closed-form pass; each checked
+    # point must be what one-point ``analyze`` and the constructor give.
     rows = list(csv.reader(io.StringIO(diagram_csv(three_pair_diagram))))
     assert rows[0] == ["branch", "param", "mu_z", "energy", "verdict"]
-    picked = [r for r in rows[1:] if r[0].startswith("(a)")][10::60]
-    assert picked
-    for _branch, param, _mu, _energy, verdict in picked:
-        report = analyze(FamilyDescriptor(Family.DNH_2R, 3, theta0=float(param)))
-        assert report.verdict.value == verdict
+    families = {
+        "(a) D3h(2R)": (Family.DNH_2R, 3, 0),
+        "(b) D2h(2R,2p)": (Family.DNH_2R, 2, 2),
+        "(d) D3d(R,R')": (Family.DND_RRP, 3, 0),
+        "(e) D2d(R,R',2p)": (Family.DND_RRP, 2, 2),
+    }
+    parents = [seg for seg in three_pair_diagram.segments if seg.is_parent]
+    assert sorted(seg.label for seg in parents) == sorted(families)
+    for seg in parents:
+        family, n, k_p = families[seg.label]
+        assert len(seg.points) > 200
+        for p in seg.points[::20]:
+            desc = FamilyDescriptor(family, n, theta0=p.param, k_p=k_p)
+            report = analyze(desc)
+            assert (report.mu_z, report.verdict.value) == (p.mu_z, p.verdict)
+            assert hamiltonian(make_family(desc)) == p.energy
 
 
 def test_diagram_svg_is_self_contained(three_pair_diagram):
@@ -770,7 +817,8 @@ def _cli_calls(draw):
         families = draw(st.lists(st.sampled_from(["DNh", "DNd", "EquatorialPmRing", "x"]),
                                  min_size=1, max_size=2))
         argv = ["sweep", *(a for f in families for a in ("--family", f)),
-                "--n", draw(st.sampled_from(["2", "3", "2..4", "2,6", "1", "0..3", "6..2", "x"])),
+                "--n", draw(st.sampled_from(["2", "3", "2..4", "2,6", "1", "0..3", "6..2", "x",
+                                             "2..257", "2..1000000000000"])),
                 "--theta-start", draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS),
                 "--theta-stop", draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS),
                 "--grid-step", draw(st.floats(0.05, 1.0).map(repr) | _FLOAT_ARGS),

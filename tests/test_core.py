@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortex_atlas.core import (
+    MAX_RING_SIZE,
     CollisionError,
     Configuration,
     Family,
@@ -378,6 +379,22 @@ def test_descriptor_mapping_accepts_short_family_names():
         FamilyDescriptor.from_mapping({"family": "nope"})
     with pytest.raises(InvalidDescriptor):
         FamilyDescriptor.from_mapping({"family": "DNh", "N": np.bool_(True)})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"family": "DNh", "N": 257, "theta0": 0.9},
+        {"family": "DNd", "N": 1e9, "theta0": 0.9},
+        {"family": "DNd", "N": 257, "theta0": 2.0, "kp": 2},
+        {"family": "EquatorialPmRing", "N": 257},
+        {"family": "EquatorialPmRing", "N": 1e9},
+    ],
+)
+def test_descriptor_mapping_bounds_the_ring_size(payload):
+    with pytest.raises(InvalidDescriptor):
+        FamilyDescriptor.from_mapping(payload)
+    FamilyDescriptor.from_mapping({**payload, "N": MAX_RING_SIZE})
 
 
 def test_descriptor_mapping_accepts_numpy_scalars():
