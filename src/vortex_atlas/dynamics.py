@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -68,27 +68,24 @@ __all__ = [
 # pair comes this close in chord distance.
 NEAR_COLLISION_FACTOR = 10.0
 
-
-class CollisionApproach(VortexError, RuntimeError):
-    """Integration stopped because two vortices nearly collided.
-
-    The trajectory accumulated so far is attached as ``.trajectory``.
-    """
-
-    def __init__(self, message: str, trajectory: "Trajectory") -> None:
-        super().__init__(message)
-        self.trajectory = trajectory
+# Entries of the frames array ``(S, dim, M, 3)`` in one chunk of the Hessian stencil.
+_STENCIL_ELEMENTS = 16384
 
 
-class StepSizeUnderflow(VortexError, RuntimeError):
-    """The adaptive step fell below the resolvable scale.
-
-    The trajectory accumulated so far is attached as ``.trajectory``.
-    """
+class _IntegrationStopped(VortexError, RuntimeError):
+    """Integration stopped early; the trajectory so far is attached as ``.trajectory``."""
 
     def __init__(self, message: str, trajectory: "Trajectory") -> None:
         super().__init__(message)
         self.trajectory = trajectory
+
+
+class CollisionApproach(_IntegrationStopped):
+    """Integration stopped because two vortices nearly collided."""
+
+
+class StepSizeUnderflow(_IntegrationStopped):
+    """The adaptive step fell below the resolvable scale."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +94,13 @@ class StepSizeUnderflow(VortexError, RuntimeError):
 
 
 def _pairwise_l2(p: np.ndarray) -> np.ndarray:
-    """All squared chord distances ``|x_i - x_j|^2`` as an ``(M, M)`` matrix.
+    """All squared chord distances ``|x_i - x_j|^2``: ``(..., M, M)`` from ``(..., M, 3)``.
 
     Direct differencing keeps full precision for nearly coincident
     points, where the equivalent ``2 (1 - x_i . x_j)`` form cancels.
     """
-    diff = p[:, None, :] - p[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    diff = p[..., :, None, :] - p[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 class _Pairs(NamedTuple):
@@ -115,10 +112,17 @@ class _Pairs(NamedTuple):
     weights: np.ndarray  # lambda_i lambda_j for each pair i < j
 
 
+@lru_cache(maxsize=16)
+def _pair_index(m: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The ``(M, M)`` identity and the ``i < j`` indices, read-only and shared."""
+    eye, iu = np.eye(m), np.triu_indices(m, k=1)
+    for a in (eye, *iu):
+        a.setflags(write=False)
+    return eye, iu
+
+
 def _pair_constants(lam: np.ndarray) -> _Pairs:
-    m = lam.shape[0]
-    eye = np.eye(m)
-    iu = np.triu_indices(m, k=1)
+    eye, iu = _pair_index(lam.shape[0])
     return _Pairs(
         lam_off=np.where(eye == 0.0, lam[None, :], 0.0),
         eye=eye,
@@ -138,12 +142,12 @@ def _min_chord(pair_l2: np.ndarray) -> float:
 
 
 def _interaction(p: np.ndarray, pairs: _Pairs) -> np.ndarray:
-    """``S_i = sum_{j != i} lambda_j x_j / (1 - x_i . x_j)`` as an ``(M, 3)`` array."""
+    """``S_i = sum_{j != i} lambda_j x_j / (1 - x_i . x_j)``, shaped like ``p`` ``(..., M, 3)``."""
     # half the squared chord equals 1 - x_i . x_j on the sphere
     return (pairs.lam_off / (0.5 * _pairwise_l2(p) + pairs.eye)) @ p
 
 
-# Cyclic component orders: (S x x)_c = S_{c+1} x_{c+2} - S_{c+2} x_{c+1}.
+# Cyclic component orders: (a x b)_c = a_{c+1} b_{c+2} - a_{c+2} b_{c+1}.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
@@ -186,6 +190,21 @@ def augmented_hamiltonian(c: Configuration, xi: float, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _chart_offsets(ring: tuple[int, ...], poles: tuple[int, ...], m: int) -> np.ndarray:
+    """Read-only flat offsets, in a ``(1 + dim, M, 3)`` buffer of positions then frames,
+    of the values :meth:`MixedChart._frames` lists: a (row, vortex, component) block each."""
+    ring, poles = np.array(ring, dtype=np.intp), np.array(poles, dtype=np.intp)
+    n, rows = ring.size, 1 + 2 * ring.size + 2 * poles.size  # the positions row, then one per dof
+    theta, phi, x = 1 + np.arange(n), 1 + n + np.arange(n), 1 + 2 * n + 2 * np.arange(poles.size)
+    blocks = [(0, ring, 0), (0, ring, 1), (0, ring, 2), (theta, ring, 0), (theta, ring, 1), (theta, ring, 2)]
+    blocks += [(phi, ring, 0), (phi, ring, 1), (0, poles, 0), (0, poles, 1), (0, poles, 2)]
+    blocks += [(x, poles, 0), (x + 1, poles, 1), (x, poles, 2), (x + 1, poles, 2)]
+    offsets = np.concatenate([np.ravel_multi_index(np.broadcast_arrays(*b), (rows, m, 3)) for b in blocks])
+    offsets.setflags(write=False)
+    return offsets
+
+
 class MixedChart:
     """Canonical-style coordinates adapted to a configuration's layout.
 
@@ -203,6 +222,11 @@ class MixedChart:
     ``lambda_i sin(theta_i) dtheta_i ^ dphi_i`` per ring vortex and
     ``(lambda_p / z_p) dx_p ^ dy_p`` per pole vortex, and the equations of
     motion read ``Omega(q) dq/dt = -grad H``.
+
+    Positions, frames and gradients are evaluated on a stack of chart
+    points ``(S, dim)`` at once, one point being the ``S = 1`` case:
+    :meth:`hessian_fd` evaluates its whole stencil in one pass, bit for bit
+    as one :meth:`gradient` call per stencil point.
     """
 
     def __init__(self, config: Configuration) -> None:
@@ -210,21 +234,16 @@ class MixedChart:
         self.config = config
         self.ring = tuple(layout.plus) + tuple(layout.minus)
         self.n_ring = len(self.ring)
-        self.poles: tuple[int, ...] = ()
-        self.pole_signs: tuple[float, ...] = ()
-        if config.pole_count == 2:
-            self.poles = (layout.north, layout.south)
-            z = config.positions[list(self.poles), 2]
-            if (z == 0.0).any():
-                raise PoleSingularity(
-                    "pole vortex sits on the equator; its chart hemisphere "
-                    "is undefined"
-                )
-            self.pole_signs = tuple(np.where(z > 0, 1.0, -1.0).tolist())
+        self.poles = (layout.north, layout.south) if config.pole_count == 2 else ()
+        z = config.positions[list(self.poles), 2]
+        if (z == 0.0).any():
+            raise PoleSingularity("pole vortex sits on the equator; its chart hemisphere is undefined")
+        self.pole_signs = np.sign(z)
         self.dim = 2 * self.n_ring + 2 * len(self.poles)
         self.strengths = config.strengths
         self._pairs = _pair_constants(self.strengths)
         self.m = len(config)
+        self._offsets = _chart_offsets(self.ring, self.poles, self.m)
 
     # -- coordinates <-> positions ------------------------------------------
 
@@ -246,40 +265,29 @@ class MixedChart:
 
     def positions(self, q: np.ndarray) -> np.ndarray:
         """Ambient positions ``(M, 3)`` for chart coordinates ``q``."""
-        p = np.empty((self.m, 3))
-        for r, i in enumerate(self.ring):
-            th, ph = q[r], q[self.n_ring + r]
-            st = math.sin(th)
-            p[i] = (st * math.cos(ph), st * math.sin(ph), math.cos(th))
-        for k, i in enumerate(self.poles):
-            x, y = q[2 * self.n_ring + 2 * k], q[2 * self.n_ring + 2 * k + 1]
-            r2 = x * x + y * y
-            if r2 >= 1.0:
-                raise PoleSingularity("pole chart coordinates left the hemisphere")
-            p[i] = (x, y, self.pole_signs[k] * math.sqrt(1.0 - r2))
-        return p
+        return self._frames(q[None])[0][0]
 
     def config_at(self, q: np.ndarray) -> Configuration:
         return self.config.with_positions(self.positions(q))
 
-    # -- tangent frames -------------------------------------------------------
-
-    def _frames(self, q: np.ndarray):
-        """Per-dof tangent vectors ``d(position)/d(dof)`` and positions."""
-        p = self.positions(q)
-        frames = np.zeros((self.dim, self.m, 3))
-        for r, i in enumerate(self.ring):
-            th, ph = q[r], q[self.n_ring + r]
-            st, ct = math.sin(th), math.cos(th)
-            cp, sp = math.cos(ph), math.sin(ph)
-            frames[r, i] = (ct * cp, ct * sp, -st)
-            frames[self.n_ring + r, i] = (-st * sp, st * cp, 0.0)
-        for k, i in enumerate(self.poles):
-            z = p[i, 2]
-            x, y = p[i, 0], p[i, 1]
-            frames[2 * self.n_ring + 2 * k, i] = (1.0, 0.0, -x / z)
-            frames[2 * self.n_ring + 2 * k + 1, i] = (0.0, 1.0, -y / z)
-        return p, frames
+    def _frames(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions ``(S, M, 3)`` and tangent vectors ``d(position)/d(dof)``
+        ``(S, dim, M, 3)`` at the chart points ``qs`` ``(S, dim)``."""
+        n, s = self.n_ring, qs.shape[0]
+        sin, cos = np.sin(qs[:, : 2 * n]), np.cos(qs[:, : 2 * n])
+        st, sp, ct, cp = sin[:, :n], sin[:, n:], cos[:, :n], cos[:, n:]
+        st_cp, minus_st = st * cp, -st
+        values = [st_cp, st * sp, ct, ct * cp, ct * sp, minus_st, minus_st * sp, st_cp]
+        if self.poles:
+            x, y = qs[:, 2 * n :: 2], qs[:, 2 * n + 1 :: 2]
+            r2 = x * x + y * y
+            if (r2 >= 1.0).any():
+                raise PoleSingularity("pole chart coordinates left the hemisphere")
+            z = self.pole_signs * np.sqrt(1.0 - r2)
+            values += [x, y, z, np.ones_like(r2), np.ones_like(r2), -x / z, -y / z]
+        out = np.zeros((s, 1 + self.dim, self.m, 3))
+        out.reshape(s, -1)[:, self._offsets] = np.concatenate(values, axis=1)
+        return out[:, 0], out[:, 1:]
 
     # -- differential objects -------------------------------------------------
 
@@ -289,12 +297,13 @@ class MixedChart:
         The ambient gradient is ``grad_i H = -lambda_i S_i`` with
         ``S_i = sum_{j != i} lambda_j x_j / (1 - x_i . x_j)``, plus
         ``xi lambda_i e_z`` from the momentum term; chart components are
-        its pairings with the per-dof tangent vectors.
+        its pairings with the per-dof tangent vectors.  ``q`` is one point
+        ``(dim,)`` or a stack of them ``(S, dim)``, evaluated together.
         """
-        p, frames = self._frames(q)
+        p, frames = self._frames(np.atleast_2d(q))
         ambient = -self.strengths[:, None] * _interaction(p, self._pairs)
-        ambient[:, 2] += float(xi) * self.strengths
-        return np.einsum("dmk,mk->d", frames, ambient)
+        ambient[..., 2] += float(xi) * self.strengths
+        return np.einsum("sdmk,smk->sd", frames, ambient).reshape(np.shape(q))
 
     def corotating_field(self, q: np.ndarray, xi: float) -> np.ndarray:
         """Chart velocity in the frame rotating about z at rate ``xi``.
@@ -311,35 +320,32 @@ class MixedChart:
 
     def symplectic_matrix(self, q: np.ndarray) -> np.ndarray:
         """Chart matrix of the weighted area form at ``q``."""
+        n, lam, z = self.n_ring, self.strengths, self.positions(q)[list(self.poles), 2]
+        a = np.concatenate([np.arange(n), np.arange(2 * n, self.dim, 2)])
+        b = a + np.where(a < n, n, 1)
+        w = np.concatenate([lam[list(self.ring)] * np.sin(q[:n]), lam[list(self.poles)] / z])
         omega = np.zeros((self.dim, self.dim))
-        p = self.positions(q)
-        for r, i in enumerate(self.ring):
-            w = self.strengths[i] * math.sin(q[r])
-            omega[r, self.n_ring + r] = w
-            omega[self.n_ring + r, r] = -w
-        for k, i in enumerate(self.poles):
-            a = 2 * self.n_ring + 2 * k
-            w = self.strengths[i] / p[i, 2]
-            omega[a, a + 1] = w
-            omega[a + 1, a] = -w
+        omega[a, b], omega[b, a] = w, -w
         return omega
 
     def momentum_rows(self, q: np.ndarray) -> np.ndarray:
         """Differential of the momentum map: a ``(3, dim)`` matrix."""
-        _, frames = self._frames(q)
-        return np.einsum("dmk,m->kd", frames, self.strengths)
+        return np.einsum("dmk,m->kd", self._frames(q[None])[1][0], self.strengths)
 
     def rotation_generators(self, q: np.ndarray, axes: np.ndarray) -> np.ndarray:
         """Chart components of the rotation generators ``x -> e x x``.
 
         ``axes`` is ``(n_axes, 3)``; the result is ``(n_axes, dim)``.
         """
-        p = self.positions(q)
         axes = np.atleast_2d(np.asarray(axes, dtype=float))
-        out = np.empty((axes.shape[0], self.dim))
-        for a, e in enumerate(axes):
-            out[a] = self._chart_components(q, np.cross(e[None, :], p))
-        return out
+        n, p, e = self.n_ring, self.positions(q), axes[:, None, :]
+        v = e[..., _NEXT] * p[:, _PREV] - e[..., _PREV] * p[:, _NEXT]  # e x x, as np.cross
+        st, sp, ct, cp = np.sin(q[:n]), np.sin(q[n : 2 * n]), np.cos(q[:n]), np.cos(q[n : 2 * n])
+        # each ring vortex's theta-hat and phi-hat, (2, n_ring, 3)
+        hats = np.array([[ct * cp, ct * sp, -st], [-sp, cp, np.zeros(n)]]).transpose(0, 2, 1).copy()
+        along = np.vecdot(v[:, None, list(self.ring)], hats)
+        poles = v[:, list(self.poles), :2].reshape(len(axes), -1)
+        return np.concatenate([along[:, 0], along[:, 1] / st, poles], axis=1)
 
     def _chart_components(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Chart components at ``q`` of ambient tangent vectors ``v`` (M, 3)."""
@@ -358,15 +364,12 @@ class MixedChart:
         return dq
 
     def hessian_fd(self, q: np.ndarray, xi: float, step: float = 1e-5) -> np.ndarray:
-        """Hessian of ``H_xi`` by central differences of the analytic gradient."""
-        h = np.empty((self.dim, self.dim))
-        for k in range(self.dim):
-            dq = np.zeros(self.dim)
-            dq[k] = step
-            h[:, k] = (self.gradient(q + dq, xi) - self.gradient(q - dq, xi)) / (
-                2.0 * step
-            )
-        return h
+        """Hessian of ``H_xi`` by central differences of the analytic gradient:
+        column ``k`` is ``(g(q + step e_k) - g(q - step e_k)) / (2 step)``."""
+        points = q + step * np.concatenate([np.eye(self.dim), -np.eye(self.dim)])
+        rows = max(1, _STENCIL_ELEMENTS // (self.dim * self.m * 3))
+        g = np.concatenate([self.gradient(points[i : i + rows], xi) for i in range(0, 2 * self.dim, rows)])
+        return np.ascontiguousarray(((g[: self.dim] - g[self.dim :]) / (2.0 * step)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +421,7 @@ class Trajectory:
 
     def to_csv(self) -> str:
         n_rows, m = self.positions.shape[:2]
-        header = ["t"]
-        for i in range(1, m + 1):
-            header += [f"x{i}", f"y{i}", f"z{i}"]
-        header += ["H", "|dH|", "|dPhi|_inf"]
+        header = ["t", *(f"{c}{i}" for i in range(1, m + 1) for c in "xyz"), "H", "|dH|", "|dPhi|_inf"]
         # Rows show ``states[k]`` and its energy.  ``with_positions``
         # normalizes each vortex once more, which can move H in the 12th
         # digit; the same stacked matmul norm reproduces it bit for bit

@@ -1,7 +1,9 @@
 """Energy, momentum, flow symmetries, and the adaptive integrator."""
 
+import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from vortex_atlas.core import (
     Family,
     FamilyDescriptor,
     GroupElement,
+    Layout,
     OutOfDomain,
     PoleSingularity,
     apply_group_element,
@@ -37,8 +40,10 @@ from vortex_atlas.dynamics import (
     vector_field,
 )
 from vortex_atlas.equilibria import (
+    branch_c2v_RRp2p,
     make_equatorial_pm_ring,
     make_family,
+    make_plus_ring_pole_pair,
     make_tetrahedral_pair,
     ring_angular_velocity,
 )
@@ -387,6 +392,146 @@ def test_chart_hessian_is_symmetric():
     chart = MixedChart(make_family(desc))
     h = chart.hessian_fd(chart.coords(), xi=0.2)
     np.testing.assert_allclose(h, h.T, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the stacked chart evaluation against per-point and per-vortex references
+# ---------------------------------------------------------------------------
+
+
+def _pole_pair_at_height(z: float) -> Configuration:
+    """A +1 ring pair with -1 pole vortices whose north one sits at height ``z``."""
+    x = math.sqrt(1.0 - z * z)
+    positions = [[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8], [x, 0.0, z], [0.0, 0.0, -1.0]]
+    return Configuration(positions, [1.0, 1.0, -1.0, -1.0], 2, Layout((0, 1), (), 2, 3))
+
+
+def _poles_first(c: Configuration) -> Configuration:
+    """``c`` relabelled with its pole vortices first and the rings interleaved."""
+    order = [c.layout.north, c.layout.south, *sum(zip(c.layout.plus, c.layout.minus), ())]
+    layout = Layout((2, 4), (3, 5), 0, 1)
+    return Configuration(c.positions[order], c.strengths[order], 2, layout)
+
+
+STENCIL_CHARTS = {
+    "M4": branch_c2v_RRp2p(0.3, 0.0, 1).configuration(),
+    "M4_poles": make_plus_ring_pole_pair(1.0),
+    "M6": make_family(FamilyDescriptor(Family.DND_RRP, 3, theta0=0.7)),
+    "M6_poles": branch_c2v_RRp2p(0.3, 1.0, -1).configuration(),
+    "M6_poles_first": _poles_first(branch_c2v_RRp2p(0.3, 1.0, -1).configuration()),
+    "pole_near_rim": _pole_pair_at_height(0.01),
+}
+
+
+def _stencil_points(c: Configuration):
+    """The chart's base point and a generic point near it."""
+    chart = MixedChart(c)
+    q = chart.coords()
+    return chart, [q, q + 1e-3 * np.sin(1.0 + np.arange(q.size))]
+
+
+def _reference_positions_and_frames(chart, q):
+    """Positions and tangent frames built one vortex at a time."""
+    n = chart.n_ring
+    p, frames = np.empty((chart.m, 3)), np.zeros((chart.dim, chart.m, 3))
+    for r, i in enumerate(chart.ring):
+        st, ct = math.sin(q[r]), math.cos(q[r])
+        sp, cp = math.sin(q[n + r]), math.cos(q[n + r])
+        p[i] = (st * cp, st * sp, ct)
+        frames[r, i] = (ct * cp, ct * sp, -st)
+        frames[n + r, i] = (-st * sp, st * cp, 0.0)
+    for k, i in enumerate(chart.poles):
+        x, y = q[2 * n + 2 * k], q[2 * n + 2 * k + 1]
+        z = chart.pole_signs[k] * math.sqrt(1.0 - (x * x + y * y))
+        p[i] = (x, y, z)
+        frames[2 * n + 2 * k, i] = (1.0, 0.0, -x / z)
+        frames[2 * n + 2 * k + 1, i] = (0.0, 1.0, -y / z)
+    return p, frames
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_CHARTS))
+def test_single_point_evaluation_matches_per_vortex_loops(name):
+    chart, points = _stencil_points(STENCIL_CHARTS[name])
+    lam = chart.strengths
+    for q in points:
+        p, frames = _reference_positions_and_frames(chart, q)
+        assert chart.positions(q).tobytes() == p.tobytes()
+        ambient = -lam[:, None] * dynamics._interaction(p, chart._pairs)
+        ambient[:, 2] += 0.3 * lam
+        want = np.einsum("dmk,mk->d", frames, ambient)
+        assert chart.gradient(q, 0.3).tobytes() == want.tobytes()
+        rows = np.einsum("dmk,m->kd", frames, lam)
+        assert chart.momentum_rows(q).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_CHARTS))
+def test_hessian_stencil_matches_a_loop_of_gradients(name):
+    chart, points = _stencil_points(STENCIL_CHARTS[name])
+    step = 1e-5
+    for q in points:
+        want = np.empty((chart.dim, chart.dim))
+        for k in range(chart.dim):
+            dq = np.zeros(chart.dim)
+            dq[k] = step
+            want[:, k] = (chart.gradient(q + dq, 0.3) - chart.gradient(q - dq, 0.3)) / (2.0 * step)
+        got = chart.hessian_fd(q, 0.3, step)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_hessian_stencil_is_the_same_in_any_chunking(monkeypatch):
+    chart, (q, _) = _stencil_points(STENCIL_CHARTS["M6_poles"])
+    whole = chart.hessian_fd(q, 0.3)
+    for elements in (1, 5 * chart.dim * chart.m * 3):
+        monkeypatch.setattr(dynamics, "_STENCIL_ELEMENTS", elements)
+        assert chart.hessian_fd(q, 0.3).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_CHARTS))
+def test_rotation_generators_match_cross_products_projected_per_vortex(name):
+    chart, points = _stencil_points(STENCIL_CHARTS[name])
+    n = chart.n_ring
+    axes = np.vstack([np.eye(3), [[0.6, -0.48, 0.64]]])
+    for q in points:
+        p = chart.positions(q)
+        want = np.empty((len(axes), chart.dim))
+        for a, e in enumerate(axes):
+            v = np.cross(e[None, :], p)
+            for r, i in enumerate(chart.ring):
+                st, ct = math.sin(q[r]), math.cos(q[r])
+                sp, cp = math.sin(q[n + r]), math.cos(q[n + r])
+                want[a, r] = v[i] @ np.array([ct * cp, ct * sp, -st])
+                want[a, n + r] = (v[i] @ np.array([-sp, cp, 0.0])) / st
+            for k, i in enumerate(chart.poles):
+                want[a, 2 * n + 2 * k : 2 * n + 2 * k + 2] = v[i, :2]
+        assert chart.rotation_generators(q, axes).tobytes() == want.tobytes()
+
+
+def test_pole_chart_stencil_past_the_rim_raises():
+    chart = MixedChart(_pole_pair_at_height(1e-4))
+    q = chart.coords()
+    chart.gradient(q, 0.3)  # the base point itself is inside the disc
+    with pytest.raises(PoleSingularity):
+        chart.hessian_fd(q, 0.3)
+
+
+def test_hessian_stencil_memory_stays_bounded(pm_sampler):
+    chart = MixedChart(pm_sampler(np.random.default_rng(80), 40, min_chord=0.05))
+    q = chart.coords()
+    tracemalloc.start()
+    try:
+        chart.hessian_fd(q, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_classify_an_80_vortex_configuration(tmp_path, capsys):
+    path = tmp_path / "rings.json"
+    path.write_text(make_family(FamilyDescriptor(Family.DNH_2R, 40, theta0=1.0)).to_json())
+    assert main(["classify", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdict"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -26,9 +27,12 @@ from vortex_atlas.dynamics import MixedChart
 from vortex_atlas.equilibria import (
     branch_c2v_2R2p,
     branch_c2v_RmRmp,
+    branch_c2v_RmRmp_all,
+    branch_c2v_RRp2p,
     configuration_angular_velocity,
     make_equatorial_pm_ring,
     make_family,
+    make_plus_ring_pole_pair,
     ring_angular_velocity,
 )
 from vortex_atlas.stability import (
@@ -457,6 +461,57 @@ def test_ring_reports_match_the_golden_file():
                 assert _inertia(g["hessian_eigs"]) == _inertia(w["hessian_eigs"]), where
             else:
                 assert json.dumps(g) == json.dumps(w), f"{where} {g['label']}"
+
+
+# The numeric route's inputs: every branch type the diagram analyses
+# (C2v(R,R') without poles on both roots, C2v(R,R',2p), both meridian
+# roots with and without the relabelling swap, up to the x = 1/sqrt(2) - 1e-4
+# end of the diagram's grid, C2v(R,2p)) plus two-ring members at M = 4 and 6.
+SMALL_CASES = (
+    [
+        {"kind": "RRp2p", "x": x, "lambda_n": lam, "sign": sign}
+        for lam, sign in ((0.0, 1), (0.0, -1), (1.0, -1))
+        for x in (-0.9, -0.3, 0.3, 0.9)
+    ]
+    + [
+        {"kind": "RmRmp", "x": x, "root": root, "swap": swap}
+        for x, roots in ((-0.9, 2), (-0.5, 1), (0.1, 1), (0.5, 1), (0.7, 1), (1 / math.sqrt(2.0) - 1e-4, 1))
+        for root in range(roots)
+        for swap in (False, True)
+    ]
+    + [{"kind": "plus_ring_pole_pair", "theta0": t} for t in (0.2, 0.6, 1.0, 1.4, 1.7, 2.2, 2.9)]
+    + [
+        {"kind": "family", "family": f.value, "N": n, "theta0": t, "kp": kp}
+        for f, n, t, kp in ((DNH, 2, 0.5, 2), (DNH, 2, 2.2, 2), (DND, 3, 0.7, 0), (DNH, 3, 1.0, 0), (DND, 2, 1.2, 0))
+    ]
+)
+
+
+def small_case_configuration(case):
+    kind = case["kind"]
+    if kind == "RRp2p":
+        return branch_c2v_RRp2p(case["x"], case["lambda_n"], case["sign"]).configuration()
+    if kind == "RmRmp":
+        bp = branch_c2v_RmRmp_all(case["x"])[case["root"]]
+        return (replace(bp, x=bp.y, y=bp.x) if case["swap"] else bp).configuration()
+    if kind == "plus_ring_pole_pair":
+        return make_plus_ring_pole_pair(case["theta0"])
+    return make_family(_desc(Family(case["family"]), case["N"], case["theta0"], case["kp"]))
+
+
+def test_small_reports_match_the_golden_file():
+    """``analyze_small`` reproduces its recorded reports to the bit.
+
+    ``tests/golden/small_reports.json`` holds, for each entry of
+    ``SMALL_CASES``, the case and ``analyze_small(config).as_dict()``;
+    ``json.dumps`` writes each float with ``repr``, so equal text is equal
+    bits in every eigenvalue, ``mu_z`` and ``xi_z``.
+    """
+    golden = json.loads((GOLDEN / "small_reports.json").read_text())
+    assert [g["case"] for g in golden] == SMALL_CASES
+    for want in golden:
+        got = analyze_small(small_case_configuration(want["case"])).as_dict()
+        assert json.dumps(got) == json.dumps(want["report"]), want["case"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
