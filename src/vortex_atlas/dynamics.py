@@ -68,7 +68,7 @@ __all__ = [
 # pair comes this close in chord distance.
 NEAR_COLLISION_FACTOR = 10.0
 
-# Entries of the frames array ``(S, dim, M, 3)`` in one chunk of the Hessian stencil.
+# Entries of the frames array ``(S, dim, M, 3)`` per chunk of the Hessian stencil (S >= 1).
 _STENCIL_ELEMENTS = 16384
 
 
@@ -265,7 +265,7 @@ class MixedChart:
 
     def positions(self, q: np.ndarray) -> np.ndarray:
         """Ambient positions ``(M, 3)`` for chart coordinates ``q``."""
-        return self._frames(q[None])[0][0]
+        return self._frames(np.atleast_2d(q))[0][0]
 
     def config_at(self, q: np.ndarray) -> Configuration:
         return self.config.with_positions(self.positions(q))
@@ -276,7 +276,7 @@ class MixedChart:
         n, s = self.n_ring, qs.shape[0]
         sin, cos = np.sin(qs[:, : 2 * n]), np.cos(qs[:, : 2 * n])
         st, sp, ct, cp = sin[:, :n], sin[:, n:], cos[:, :n], cos[:, n:]
-        st_cp, minus_st = st * cp, -st
+        st_cp, minus_st = st * cp, -st  # values in the order of ``_chart_offsets``' blocks
         values = [st_cp, st * sp, ct, ct * cp, ct * sp, minus_st, minus_st * sp, st_cp]
         if self.poles:
             x, y = qs[:, 2 * n :: 2], qs[:, 2 * n + 1 :: 2]
@@ -330,7 +330,7 @@ class MixedChart:
 
     def momentum_rows(self, q: np.ndarray) -> np.ndarray:
         """Differential of the momentum map: a ``(3, dim)`` matrix."""
-        return np.einsum("dmk,m->kd", self._frames(q[None])[1][0], self.strengths)
+        return np.einsum("dmk,m->kd", self._frames(np.atleast_2d(q))[1][0], self.strengths)
 
     def rotation_generators(self, q: np.ndarray, axes: np.ndarray) -> np.ndarray:
         """Chart components of the rotation generators ``x -> e x x``.
