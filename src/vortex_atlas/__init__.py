@@ -4,7 +4,7 @@ The package is organized in five layers:
 
 ``core``
     Configurations as position and strength arrays, family descriptors,
-    the symmetry group and its action.
+    the symmetry group O(3) x Z_2 (elements ``(A, tau)``) and its action.
 ``dynamics``
     Hamiltonian, momentum map, vector field, adaptive integrator, and the
     mixed spherical/pole-chart calculus.

@@ -303,14 +303,17 @@ class Diagram:
         return out
 
 
-def _ring_family(family: Family, n: int, k_p: int) -> _Evaluator:
+def _ring_segment(tag: str, family: Family, n: int, k_p: int, params: np.ndarray) -> _Segment:
+    """The parent segment of one ring family, labelled ``(tag) <family label>``."""
+
     def evaluate(thetas: Sequence[float]) -> list[tuple[float, float, str] | None]:
         return [
             None if m is None else (m[0].mu_z, m[1], m[0].verdict.value)
             for m in _members(family, n, k_p, 1.0, thetas)
         ]
 
-    return evaluate
+    label = FamilyDescriptor(family, n, k_p=k_p).label
+    return _Segment(f"({tag}) {label}", params, evaluate, is_parent=True)
 
 
 def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
@@ -349,14 +352,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
                     is_parent=False,
                 )
             )
-        segments.append(
-            _Segment(
-                "(b) D2h(2R)",
-                half,
-                _ring_family(Family.DNH_2R, 2, 0),
-                is_parent=True,
-            )
-        )
+        segments.append(_ring_segment("b", Family.DNH_2R, 2, 0, half))
         meridional_x = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 2 * pts)
 
         # One solve per x, shared by the four (root, swap) segments and
@@ -388,14 +384,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
                         is_parent=False,
                     )
                 )
-        segments.append(
-            _Segment(
-                "(d) D2d(R,R')",
-                half_closed,
-                _ring_family(Family.DND_RRP, 2, 0),
-                is_parent=True,
-            )
-        )
+        segments.append(_ring_segment("d", Family.DND_RRP, 2, 0, half_closed))
         segments.append(
             _Segment(
                 "(e) C2v(R,2p)",
@@ -405,22 +394,8 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
             )
         )
     else:
-        segments.append(
-            _Segment(
-                "(a) D3h(2R)",
-                half,
-                _ring_family(Family.DNH_2R, 3, 0),
-                is_parent=True,
-            )
-        )
-        segments.append(
-            _Segment(
-                "(b) D2h(2R,2p)",
-                full_gapped,
-                _ring_family(Family.DNH_2R, 2, 2),
-                is_parent=True,
-            )
-        )
+        segments.append(_ring_segment("a", Family.DNH_2R, 3, 0, half))
+        segments.append(_ring_segment("b", Family.DNH_2R, 2, 2, full_gapped))
         segments.append(
             _Segment(
                 "(c) C2v(R,R',2p)",
@@ -429,22 +404,8 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
                 is_parent=False,
             )
         )
-        segments.append(
-            _Segment(
-                "(d) D3d(R,R')",
-                half_closed,
-                _ring_family(Family.DND_RRP, 3, 0),
-                is_parent=True,
-            )
-        )
-        segments.append(
-            _Segment(
-                "(e) D2d(R,R',2p)",
-                full,
-                _ring_family(Family.DND_RRP, 2, 2),
-                is_parent=True,
-            )
-        )
+        segments.append(_ring_segment("d", Family.DND_RRP, 3, 0, half_closed))
+        segments.append(_ring_segment("e", Family.DND_RRP, 2, 2, full))
     return segments
 
 

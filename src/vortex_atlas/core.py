@@ -5,10 +5,11 @@ This module provides the value types shared by the rest of the package:
 * vortex configurations: an ``(M, 3)`` array of unit positions and an
   ``(M,)`` array of strengths (ring vortices of strength +1 or -1, plus an
   optional pinned pole pair), validated once, with JSON round-tripping;
-* the symmetry group O(3) x (S_N x S_N) extended by the involution that
-  exchanges the two vorticity populations, together with its action on
-  configurations and the character that tells time-preserving from
-  time-reversing elements;
+* the symmetry group O(3) x Z_2: an element ``(A, tau^k)`` is an
+  orthogonal matrix and an optional swap ``tau`` of the two vorticity
+  populations; its action on configurations, the test whether it fixes
+  one up to relabelling within each population, and the character that
+  tells time-preserving from time-reversing elements;
 * descriptors naming the families of symmetric configurations built by
   :mod:`vortex_atlas.equilibria`.
 
@@ -52,7 +53,6 @@ __all__ = [
     "mirror_y_matrix",
     "mirror_z_matrix",
     "rotation_axis_matrix",
-    "identity_permutation",
 ]
 
 # Pairwise chord distance below which two vortices count as collided.
@@ -349,88 +349,39 @@ def _infer_layout(p: np.ndarray, lam: np.ndarray, pole_count: int) -> Layout:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
-    """An element ``(A, sigma_+, sigma_-, tau^k)`` of the symmetry group.
+    """An element ``(A, tau^k)`` of the symmetry group.
 
-    ``A`` is an orthogonal 3x3 matrix, ``sigma_+`` / ``sigma_-`` permute
-    the two ring populations, and ``tau`` (``tau_power`` = 0 or 1) swaps
-    the + and - populations (and the two pole slots).  The action on a
-    configuration moves positions while each slot keeps its strength:
-
-    ``(g . x)_i = A x_{sigma^{-1}(i)}``  after the optional swap.
+    ``A`` is an orthogonal 3x3 matrix and ``tau`` (``tau_power`` = 0 or 1)
+    swaps the + and - populations (and the two pole slots).  The action on
+    a configuration moves positions while each slot keeps its strength:
+    ``(g . x)_i = A x_i`` after the optional swap.  Relabelling within a
+    population is not part of an element: :func:`is_fixed_by` matches each
+    population up to relabelling, so it never changes an answer.
 
     The character ``chi = det(A) * (-1)^tau_power`` is +1 for elements
     that preserve the direction of time and -1 for time-reversing ones.
     """
 
     orthogonal: np.ndarray
-    sigma_plus: tuple[int, ...]
-    sigma_minus: tuple[int, ...]
     tau_power: int = 0
 
     def __post_init__(self) -> None:
         a = np.array(self.orthogonal, dtype=float)
         if a.shape != (3, 3):
             raise InvalidConfiguration("orthogonal part must be a 3x3 matrix")
-        if np.max(np.abs(a.T @ a - np.eye(3))) > 1e-12:
-            raise InvalidConfiguration("matrix is not orthogonal to 1e-12")
+        if not (np.isfinite(a).all() and np.max(np.abs(a.T @ a - np.eye(3))) <= 1e-12):
+            raise InvalidConfiguration("matrix is not finite and orthogonal to 1e-12")
+        if self.tau_power not in (0, 1):
+            raise InvalidConfiguration(f"tau_power must be 0 or 1, got {self.tau_power!r}")
         a.setflags(write=False)
         object.__setattr__(self, "orthogonal", a)
-        object.__setattr__(self, "sigma_plus", _check_perm(self.sigma_plus))
-        object.__setattr__(self, "sigma_minus", _check_perm(self.sigma_minus))
-        object.__setattr__(self, "tau_power", int(self.tau_power) % 2)
+        object.__setattr__(self, "tau_power", int(self.tau_power))
 
     @property
     def chi(self) -> int:
         """Temporal character: +1 keeps the flow direction, -1 reverses it."""
         det = float(np.linalg.det(self.orthogonal))
         return int(round(det)) * (-1) ** self.tau_power
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """Group product ``g * h`` acting as ``(g * h) . x = g . (h . x)``."""
-        if self.tau_power == 0:
-            sp = _compose_perm(self.sigma_plus, other.sigma_plus)
-            sm = _compose_perm(self.sigma_minus, other.sigma_minus)
-        else:
-            sp = _compose_perm(self.sigma_plus, other.sigma_minus)
-            sm = _compose_perm(self.sigma_minus, other.sigma_plus)
-        return GroupElement(
-            self.orthogonal @ other.orthogonal,
-            sp,
-            sm,
-            self.tau_power + other.tau_power,
-        )
-
-    @classmethod
-    def identity(cls, n_plus: int, n_minus: int | None = None) -> "GroupElement":
-        if n_minus is None:
-            n_minus = n_plus
-        return cls(
-            np.eye(3),
-            identity_permutation(n_plus),
-            identity_permutation(n_minus),
-            0,
-        )
-
-
-def _check_perm(sigma) -> tuple[int, ...]:
-    sigma = tuple(int(i) for i in sigma)
-    if sorted(sigma) != list(range(len(sigma))):
-        raise InvalidConfiguration(f"not a permutation of 0..{len(sigma) - 1}: {sigma}")
-    return sigma
-
-
-def _compose_perm(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition ``(f o g)(i) = f(g(i))``."""
-    if len(f) != len(g):
-        raise InvalidConfiguration("cannot compose permutations of different sizes")
-    return tuple(f[g[i]] for i in range(len(g)))
-
-
-def _invert_perm(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)
 
 
 def rotation_z_matrix(angle: float) -> np.ndarray:
@@ -460,10 +411,6 @@ def rotation_axis_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def identity_permutation(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def apply_group_element(g: GroupElement, c: Configuration) -> Configuration:
     """Act with ``g`` on ``c``, returning a new configuration.
 
@@ -472,27 +419,16 @@ def apply_group_element(g: GroupElement, c: Configuration) -> Configuration:
     and vice versa, and the two pole slots likewise exchange contents.
     """
     layout = c.layout
-    if len(g.sigma_plus) != len(layout.plus) or len(g.sigma_minus) != len(layout.minus):
-        raise InvalidConfiguration(
-            "permutation sizes do not match the ring populations "
-            f"({len(g.sigma_plus)}/{len(g.sigma_minus)} vs "
-            f"{len(layout.plus)}/{len(layout.minus)})"
-        )
-    if g.tau_power == 1 and len(layout.plus) != len(layout.minus):
-        raise InvalidConfiguration(
-            "the population swap needs equally sized + and - rings"
-        )
-    # source slot of each slot: the + slots take the (swapped) population
-    # permuted by sigma_+, the - slots likewise, the poles their own or the
-    # other pole's position
-    plus_src = layout.minus if g.tau_power else layout.plus
-    minus_src = layout.plus if g.tau_power else layout.minus
-    source = np.empty(len(c), dtype=int)
-    source[list(layout.plus)] = [plus_src[k] for k in _invert_perm(g.sigma_plus)]
-    source[list(layout.minus)] = [minus_src[k] for k in _invert_perm(g.sigma_minus)]
-    if c.pole_count == 2:
-        poles = [layout.north, layout.south]
-        source[poles] = poles[::-1] if g.tau_power else poles
+    source = np.arange(len(c))
+    if g.tau_power:
+        if len(layout.plus) != len(layout.minus):
+            raise InvalidConfiguration(
+                "the population swap needs equally sized + and - rings"
+            )
+        source[list(layout.plus)] = layout.minus
+        source[list(layout.minus)] = layout.plus
+        if c.pole_count == 2:
+            source[[layout.north, layout.south]] = layout.south, layout.north
     return c.with_positions(c.positions[source] @ g.orthogonal.T)
 
 

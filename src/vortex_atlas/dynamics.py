@@ -24,9 +24,7 @@ This module provides:
   differentials, rotation generators, and finite-difference Hessians;
 * an adaptive Dormand-Prince 8(5,3) integrator (DOP853) with per-step
   renormalization onto the sphere, drift monitoring, near-collision abort
-  and solver statistics;
-* a flow-equivariance check for symmetry-group elements (time-preserving
-  or time-reversing according to their character).
+  and solver statistics.
 """
 
 from __future__ import annotations
@@ -43,11 +41,9 @@ from .core import (
     COLLISION_EPS,
     POLE_EPS,
     Configuration,
-    GroupElement,
     OutOfDomain,
     PoleSingularity,
     VortexError,
-    apply_group_element,
 )
 
 __all__ = [
@@ -61,7 +57,6 @@ __all__ = [
     "momentum_map",
     "augmented_hamiltonian",
     "integrate",
-    "reversal_check",
 ]
 
 # The integrator aborts (rather than grinding into a singularity) once any
@@ -539,19 +534,3 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
 
     return partial()
 
-
-def reversal_check(c0: Configuration, g: GroupElement, t: float = 1.0) -> float:
-    """Flow-equivariance defect of a symmetry-group element.
-
-    Compares ``flow_t(g . c0)`` with ``g . flow_{chi(g) t}(c0)`` and returns
-    the max-norm position discrepancy; backward evolution is realized as the
-    forward flow of the strength-negated configuration.
-    """
-    left = integrate(apply_group_element(g, c0), t).final_state().positions
-    if g.chi == 1:
-        base = integrate(c0, t).final_state()
-    else:
-        reversed_flow = integrate(c0.with_negated_strengths(), t).final_state()
-        base = reversed_flow.with_negated_strengths()
-    right = apply_group_element(g, base).positions
-    return float(np.max(np.abs(left - right)))

@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -329,6 +330,12 @@ class BranchPoint:
     lambda_n: float = 1.0
 
     def configuration(self) -> Configuration:
+        """The point's configuration, built and validated once per point
+        (a copy made with ``dataclasses.replace`` builds its own)."""
+        return self._configuration
+
+    @cached_property
+    def _configuration(self) -> Configuration:
         if self.family is Family.C2V_RM_RMP:
             return _meridional_configuration(self.x, self.y)
         theta_p = math.acos(self.x)

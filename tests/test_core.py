@@ -20,7 +20,6 @@ from vortex_atlas.core import (
     Layout,
     PoleSingularity,
     apply_group_element,
-    identity_permutation,
     is_fixed_by,
     mirror_y_matrix,
     mirror_z_matrix,
@@ -224,47 +223,35 @@ def test_from_json_pole_strength_strictness():
 
 def test_group_element_requires_orthogonal_matrix():
     with pytest.raises(InvalidConfiguration):
-        GroupElement(np.diag([1.0, 2.0, 1.0]), (0,), (0,))
+        GroupElement(np.diag([1.0, 2.0, 1.0]))
+    # max|A^T A - I| of a NaN matrix is NaN, which no bound rejects by itself
+    with pytest.raises(InvalidConfiguration):
+        GroupElement(np.full((3, 3), np.nan))
+    with pytest.raises(InvalidConfiguration):
+        GroupElement(np.diag([1.0, 1.0, math.inf]))
+    for power in (1.7, 2, -1):
+        with pytest.raises(InvalidConfiguration):
+            GroupElement(np.eye(3), tau_power=power)
+    assert GroupElement(np.eye(3), tau_power=1.0).tau_power == 1
 
 
 def test_temporal_character_values():
-    rot = GroupElement(rotation_z_matrix(0.7), (0, 1), (0, 1))
+    rot = GroupElement(rotation_z_matrix(0.7))
     assert rot.chi == 1
-    mirror = GroupElement(mirror_y_matrix(), (0, 1), (0, 1))
+    mirror = GroupElement(mirror_y_matrix())
     assert mirror.chi == -1
-    swap = GroupElement(rotation_z_matrix(0.7), (0, 1), (0, 1), tau_power=1)
+    swap = GroupElement(rotation_z_matrix(0.7), tau_power=1)
     assert swap.chi == -1
-    mirror_swap = GroupElement(mirror_z_matrix(), (0, 1), (0, 1), tau_power=1)
+    mirror_swap = GroupElement(mirror_z_matrix(), tau_power=1)
     assert mirror_swap.chi == 1
 
 
 _ELEMENT_POOL = [
-    GroupElement(rotation_z_matrix(2.0 * math.pi / 3), (1, 2, 0), (0, 1, 2)),
-    GroupElement(mirror_y_matrix(), (0, 2, 1), (1, 0, 2)),
-    GroupElement(rotation_axis_matrix(np.array([1.0, 1.0, 0.0]), 0.9), (2, 0, 1), (0, 2, 1), 1),
-    GroupElement(mirror_z_matrix(), (0, 1, 2), (2, 1, 0), 1),
+    GroupElement(rotation_z_matrix(2.0 * math.pi / 3)),
+    GroupElement(mirror_y_matrix()),
+    GroupElement(rotation_axis_matrix(np.array([1.0, 1.0, 0.0]), 0.9), 1),
+    GroupElement(mirror_z_matrix(), 1),
 ]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    g=st.sampled_from(_ELEMENT_POOL),
-    h=st.sampled_from(_ELEMENT_POOL),
-)
-def test_character_is_multiplicative(g, h):
-    assert g.compose(h).chi == g.chi * h.chi
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    g=st.sampled_from(_ELEMENT_POOL),
-    h=st.sampled_from(_ELEMENT_POOL),
-)
-def test_composition_matches_sequential_action(g, h):
-    c = make_equatorial_pm_ring(3)
-    lhs = apply_group_element(g, apply_group_element(h, c)).positions
-    rhs = apply_group_element(g.compose(h), c).positions
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_action_preserves_chord_distances(pm_sampler):
@@ -284,7 +271,7 @@ def test_action_preserves_chord_distances(pm_sampler):
 
 def test_population_swap_moves_minus_positions_into_plus_slots():
     c = make_equatorial_pm_ring(2)
-    g = GroupElement(np.eye(3), (0, 1), (0, 1), tau_power=1)
+    g = GroupElement(np.eye(3), tau_power=1)
     swapped = apply_group_element(g, c)
     np.testing.assert_allclose(
         swapped.positions[list(c.layout.plus)],
@@ -297,41 +284,34 @@ def test_population_swap_moves_minus_positions_into_plus_slots():
 
 def test_population_swap_needs_balanced_rings():
     lop = Configuration([X_HAT, Y_HAT], [1.0, 1.0])
-    g = GroupElement(np.eye(3), (0, 1), (), tau_power=1)
+    g = GroupElement(np.eye(3), tau_power=1)
     with pytest.raises(InvalidConfiguration):
         apply_group_element(g, lop)
 
 
 def test_alternating_ring_symmetries():
     c = make_equatorial_pm_ring(3)
-    ident = identity_permutation(3)
     # rotation by one full spacing permutes each population into itself
-    step = GroupElement(rotation_z_matrix(2.0 * math.pi / 3), ident, ident)
+    step = GroupElement(rotation_z_matrix(2.0 * math.pi / 3))
     assert is_fixed_by(c, step)
     # rotation by half a spacing exchanges the two populations
-    half = GroupElement(rotation_z_matrix(math.pi / 3), ident, ident, tau_power=1)
+    half = GroupElement(rotation_z_matrix(math.pi / 3), tau_power=1)
     assert is_fixed_by(c, half)
     # the equatorial plane mirror fixes every vortex
-    flat = GroupElement(mirror_z_matrix(), ident, ident)
+    flat = GroupElement(mirror_z_matrix())
     assert is_fixed_by(c, flat)
     # a generic rotation is not a symmetry
-    skew = GroupElement(rotation_z_matrix(0.3), ident, ident)
+    skew = GroupElement(rotation_z_matrix(0.3))
     assert not is_fixed_by(c, skew)
 
 
 def test_two_ring_symmetry_with_poles():
     c = make_family(FamilyDescriptor(Family.DNH_2R, 4, theta0=0.6, k_p=2))
-    ident = identity_permutation(4)
-    step = GroupElement(rotation_z_matrix(math.pi / 2), ident, ident)
+    step = GroupElement(rotation_z_matrix(math.pi / 2))
     assert is_fixed_by(c, step)
     # swapping the rings flips the poles too, which works out because the
     # upside-down flip maps each ring onto the other
-    flip = GroupElement(
-        rotation_axis_matrix(np.array([1.0, 0.0, 0.0]), math.pi),
-        ident,
-        ident,
-        tau_power=1,
-    )
+    flip = GroupElement(rotation_axis_matrix(np.array([1.0, 0.0, 0.0]), math.pi), tau_power=1)
     assert is_fixed_by(c, flip)
 
 
