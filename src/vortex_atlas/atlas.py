@@ -52,6 +52,9 @@ from .core import (
 from .dynamics import (
     CollisionApproach,
     StepSizeUnderflow,
+    _energy,
+    _pair_constants,
+    _pairwise_l2,
     hamiltonian,
     integrate,
     momentum_map,
@@ -75,6 +78,7 @@ from .stability import (
     analyze,
     analyze_many,
     analyze_small,
+    analyze_small_many,
     list_transitions,
 )
 
@@ -317,17 +321,29 @@ def _ring_segment(tag: str, family: Family, n: int, k_p: int, params: np.ndarray
 
 
 def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
-    def point(x: float) -> tuple[float, float, str] | None:
+    """A low-symmetry segment's evaluator: it solves every parameter, then
+    takes the configurations found (of one layout and strengths) through
+    one stacked numeric analysis and one stacked energy pass."""
+
+    def solved(x: float) -> Configuration | None:
         try:
-            config = solve(x)
-            if config is None:
-                return None
-            report = analyze_small(config)
-            return report.mu_z, hamiltonian(config), report.verdict.value
+            return solve(x)
         except VortexError:
             return None
 
-    return lambda params: [point(x) for x in params]
+    def evaluate(params: Sequence[float]) -> list[tuple[float, float, str] | None]:
+        configs = [solved(x) for x in params]
+        found = [c for c in configs if c is not None]
+        if not found:
+            return configs
+        pairs = _pair_constants(found[0].strengths)
+        l2 = _pairwise_l2(np.array([c.positions for c in found]))[:, pairs.iu[0], pairs.iu[1]]
+        # row by row in memory, so each row is summed as ``hamiltonian`` sums its one row
+        results = iter(zip(analyze_small_many(found), _energy(np.ascontiguousarray(l2), pairs).tolist()))
+        points = [next(results) if c is not None else (None, None) for c in configs]
+        return [(r.mu_z, e, r.verdict.value) if isinstance(r, StabilityReport) else None for r, e in points]
+
+    return evaluate
 
 
 def _figure_segments(n_pairs: int) -> list[_Segment]:

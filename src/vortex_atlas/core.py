@@ -52,7 +52,6 @@ __all__ = [
     "rotation_z_matrix",
     "mirror_y_matrix",
     "mirror_z_matrix",
-    "rotation_axis_matrix",
 ]
 
 # Pairwise chord distance below which two vortices count as collided.
@@ -398,17 +397,6 @@ def mirror_z_matrix() -> np.ndarray:
 def mirror_y_matrix() -> np.ndarray:
     """Reflection through the xz-plane (y -> -y)."""
     return np.diag([1.0, -1.0, 1.0])
-
-
-def rotation_axis_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation by ``angle`` about an arbitrary (nonzero) axis."""
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0.0:
-        raise InvalidConfiguration("rotation axis must be nonzero")
-    ux, uy, uz = axis / n
-    k = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 def apply_group_element(g: GroupElement, c: Configuration) -> Configuration:

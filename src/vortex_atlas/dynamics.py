@@ -126,9 +126,11 @@ def _pair_constants(lam: np.ndarray) -> _Pairs:
     )
 
 
-def _energy(pair_l2: np.ndarray, pairs: _Pairs) -> float:
-    """``H`` from the squared chords of the pairs ``i < j``."""
-    return float(np.sum(pairs.weights * np.log(pair_l2)))
+def _energy(pair_l2: np.ndarray, pairs: _Pairs) -> float | np.ndarray:
+    """``H`` from the squared chords of the pairs ``i < j``: a float from
+    ``(n_pairs,)``, or ``(K,)`` from a stack ``(K, n_pairs)``."""
+    energy = np.sum(pairs.weights * np.log(pair_l2), axis=-1)
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def _min_chord(pair_l2: np.ndarray) -> float:
@@ -218,10 +220,11 @@ class MixedChart:
     ``(lambda_p / z_p) dx_p ^ dy_p`` per pole vortex, and the equations of
     motion read ``Omega(q) dq/dt = -grad H``.
 
-    Positions, frames and gradients are evaluated on a stack of chart
-    points ``(S, dim)`` at once, one point being the ``S = 1`` case:
-    :meth:`hessian_fd` evaluates its whole stencil in one pass, bit for bit
-    as one :meth:`gradient` call per stencil point.
+    Every evaluation takes one chart point ``(dim,)`` or a stack of them
+    ``(S, dim)`` (with one rate ``xi`` each), evaluated together, and
+    returns its one-point result or a stack of them: :meth:`hessian_fd`
+    evaluates the stencils of a whole stack in one pass, bit for bit as one
+    :meth:`gradient` call per stencil point.
     """
 
     def __init__(self, config: Configuration) -> None:
@@ -260,7 +263,7 @@ class MixedChart:
 
     def positions(self, q: np.ndarray) -> np.ndarray:
         """Ambient positions ``(M, 3)`` for chart coordinates ``q``."""
-        return self._frames(np.atleast_2d(q))[0][0]
+        return self._frames(np.atleast_2d(q))[0].reshape(np.shape(q)[:-1] + (self.m, 3))
 
     def config_at(self, q: np.ndarray) -> Configuration:
         return self.config.with_positions(self.positions(q))
@@ -286,18 +289,17 @@ class MixedChart:
 
     # -- differential objects -------------------------------------------------
 
-    def gradient(self, q: np.ndarray, xi: float) -> np.ndarray:
+    def gradient(self, q: np.ndarray, xi: float | np.ndarray) -> np.ndarray:
         """Analytic chart gradient of the augmented Hamiltonian ``H_xi``.
 
         The ambient gradient is ``grad_i H = -lambda_i S_i`` with
         ``S_i = sum_{j != i} lambda_j x_j / (1 - x_i . x_j)``, plus
         ``xi lambda_i e_z`` from the momentum term; chart components are
-        its pairings with the per-dof tangent vectors.  ``q`` is one point
-        ``(dim,)`` or a stack of them ``(S, dim)``, evaluated together.
+        its pairings with the per-dof tangent vectors.
         """
         p, frames = self._frames(np.atleast_2d(q))
         ambient = -self.strengths[:, None] * _interaction(p, self._pairs)
-        ambient[..., 2] += float(xi) * self.strengths
+        ambient[..., 2] += np.multiply.outer(xi, self.strengths)
         return np.einsum("sdmk,smk->sd", frames, ambient).reshape(np.shape(q))
 
     def corotating_field(self, q: np.ndarray, xi: float) -> np.ndarray:
@@ -315,32 +317,35 @@ class MixedChart:
 
     def symplectic_matrix(self, q: np.ndarray) -> np.ndarray:
         """Chart matrix of the weighted area form at ``q``."""
-        n, lam, z = self.n_ring, self.strengths, self.positions(q)[list(self.poles), 2]
+        qs, n, lam = np.atleast_2d(q), self.n_ring, self.strengths
+        z = self.positions(qs)[:, list(self.poles), 2]
         a = np.concatenate([np.arange(n), np.arange(2 * n, self.dim, 2)])
         b = a + np.where(a < n, n, 1)
-        w = np.concatenate([lam[list(self.ring)] * np.sin(q[:n]), lam[list(self.poles)] / z])
-        omega = np.zeros((self.dim, self.dim))
-        omega[a, b], omega[b, a] = w, -w
-        return omega
+        w = np.concatenate([lam[list(self.ring)] * np.sin(qs[:, :n]), lam[list(self.poles)] / z], axis=1)
+        omega = np.zeros((len(qs), self.dim, self.dim))
+        omega[:, a, b], omega[:, b, a] = w, -w
+        return omega.reshape(np.shape(q)[:-1] + omega.shape[1:])
 
     def momentum_rows(self, q: np.ndarray) -> np.ndarray:
         """Differential of the momentum map: a ``(3, dim)`` matrix."""
-        return np.einsum("dmk,m->kd", self._frames(np.atleast_2d(q))[1][0], self.strengths)
+        rows = np.einsum("sdmk,m->skd", self._frames(np.atleast_2d(q))[1], self.strengths)
+        return rows.reshape(np.shape(q)[:-1] + rows.shape[1:])
 
     def rotation_generators(self, q: np.ndarray, axes: np.ndarray) -> np.ndarray:
         """Chart components of the rotation generators ``x -> e x x``.
 
         ``axes`` is ``(n_axes, 3)``; the result is ``(n_axes, dim)``.
         """
-        axes = np.atleast_2d(np.asarray(axes, dtype=float))
-        n, p, e = self.n_ring, self.positions(q), axes[:, None, :]
-        v = e[..., _NEXT] * p[:, _PREV] - e[..., _PREV] * p[:, _NEXT]  # e x x, as np.cross
-        st, sp, ct, cp = np.sin(q[:n]), np.sin(q[n : 2 * n]), np.cos(q[:n]), np.cos(q[n : 2 * n])
-        # each ring vortex's theta-hat and phi-hat, (2, n_ring, 3)
-        hats = np.array([[ct * cp, ct * sp, -st], [-sp, cp, np.zeros(n)]]).transpose(0, 2, 1).copy()
-        along = np.vecdot(v[:, None, list(self.ring)], hats)
-        poles = v[:, list(self.poles), :2].reshape(len(axes), -1)
-        return np.concatenate([along[:, 0], along[:, 1] / st, poles], axis=1)
+        axes, qs = np.atleast_2d(np.asarray(axes, dtype=float)), np.atleast_2d(q)
+        n, p, e = self.n_ring, self.positions(qs)[:, None], axes[:, None, :]
+        v = e[..., _NEXT] * p[..., _PREV] - e[..., _PREV] * p[..., _NEXT]  # e x x, as np.cross
+        st, sp, ct, cp = np.sin(qs[:, :n]), np.sin(qs[:, n : 2 * n]), np.cos(qs[:, :n]), np.cos(qs[:, n : 2 * n])
+        # each ring vortex's theta-hat and phi-hat, (S, 1, 2, n_ring, 3)
+        hats = np.array([[ct * cp, ct * sp, -st], [-sp, cp, np.zeros_like(st)]]).transpose(2, 0, 3, 1)[:, None].copy()
+        along = np.vecdot(v[:, :, None, list(self.ring)], hats)
+        poles = v[:, :, list(self.poles), :2].reshape(len(qs), len(axes), -1)
+        gens = np.concatenate([along[:, :, 0], along[:, :, 1] / st[:, None], poles], axis=2)
+        return gens.reshape(np.shape(q)[:-1] + gens.shape[1:])
 
     def _chart_components(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Chart components at ``q`` of ambient tangent vectors ``v`` (M, 3)."""
@@ -358,13 +363,16 @@ class MixedChart:
             dq[2 * self.n_ring + 2 * k + 1] = v[i, 1]
         return dq
 
-    def hessian_fd(self, q: np.ndarray, xi: float, step: float = 1e-5) -> np.ndarray:
+    def hessian_fd(self, q: np.ndarray, xi: float | np.ndarray, step: float = 1e-5) -> np.ndarray:
         """Hessian of ``H_xi`` by central differences of the analytic gradient:
         column ``k`` is ``(g(q + step e_k) - g(q - step e_k)) / (2 step)``."""
-        points = q + step * np.concatenate([np.eye(self.dim), -np.eye(self.dim)])
-        rows = max(1, _STENCIL_ELEMENTS // (self.dim * self.m * 3))
-        g = np.concatenate([self.gradient(points[i : i + rows], xi) for i in range(0, 2 * self.dim, rows)])
-        return np.ascontiguousarray(((g[: self.dim] - g[self.dim :]) / (2.0 * step)).T)
+        d = self.dim
+        points = (np.atleast_2d(q)[:, None] + step * np.concatenate([np.eye(d), -np.eye(d)])).reshape(-1, d)
+        rates = np.repeat(np.reshape(xi, -1), 2 * d)
+        rows = max(1, _STENCIL_ELEMENTS // (d * self.m * 3))
+        g = np.concatenate([self.gradient(points[i : i + rows], rates[i : i + rows]) for i in range(0, len(points), rows)])
+        g = g.reshape(np.shape(q)[:-1] + (2 * d, d))
+        return np.ascontiguousarray(np.swapaxes((g[..., :d, :] - g[..., d:, :]) / (2.0 * step), -1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ relative equilibrium at a given rotation rate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -228,24 +229,35 @@ def angular_velocity_generic(c: Configuration, index: int = 0) -> float:
     with ``rho_i^2 = 1 - z_i^2``.  The formula is meaningless on a pole
     vortex (``rho_i = 0``), so ``index`` must name a ring vortex.
     """
-    p = c.positions
-    lam = c.strengths
     i = int(index)
     if c.pole_count == 2 and i in (c.layout.north, c.layout.south):
         raise PoleSingularity("the per-vortex rate is undefined on a pole vortex")
-    rho2 = 1.0 - p[i, 2] ** 2
-    if rho2 < POLE_EPS**2:
+    return float(_vortex_rates([c], [i])[0, 0])
+
+
+def _vortex_rates(configs: Sequence[Configuration], which: list[int]) -> np.ndarray:
+    """:func:`angular_velocity_generic` of the vortices ``which`` in each of
+    ``configs`` (one strength vector), ``(K, len(which))``; raises
+    :class:`PoleSingularity` if one of them is within ``POLE_EPS`` of a pole.
+
+    One array pass over the stack.  Each sum adds its terms in partner
+    order, so a rate has the bits of a scalar loop over the partners:
+    ``x_i . x_j`` is one BLAS dot product per pair, as ``p[i] @ p[j]``
+    takes it, and ``z_i^2`` is libm's ``pow``, as the scalar ``**`` takes it.
+    """
+    p = np.array([c.positions for c in configs])
+    partners = [[j for j in range(p.shape[1]) if j != i] for i in which]
+    x, y = p[:, which, None, :], p[:, partners]  # (K, n, 1, 3) and (K, n, M - 1, 3)
+    rho2 = 1.0 - np.float_power(x[..., 2], 2)
+    if (rho2 < POLE_EPS**2).any():
         raise PoleSingularity("vortex sits too close to a pole for the rate formula")
-    total = 0.0
-    for j in range(len(c)):
-        if j == i:
-            continue
-        dot = float(p[i] @ p[j])
-        horizontal = p[i, 0] * p[j, 0] + p[i, 1] * p[j, 1]
-        total += lam[j] * (rho2 * p[j, 2] - p[i, 2] * horizontal) / (
-            rho2 * (1.0 - dot)
-        )
-    return total
+    dot = (x[..., None, :] @ y[..., None])[..., 0, 0]
+    horizontal = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+    terms = configs[0].strengths[partners] * (rho2 * y[..., 2] - x[..., 2] * horizontal) / (rho2 * (1.0 - dot))
+    rates = np.zeros(terms.shape[:2])
+    for k in range(terms.shape[2]):
+        rates += terms[..., k]
+    return rates
 
 
 def configuration_angular_velocity(c: Configuration, tol: float = 1e-9) -> float:
@@ -257,17 +269,24 @@ def configuration_angular_velocity(c: Configuration, tol: float = 1e-9) -> float
         If per-vortex rates disagree by more than ``tol`` — the
         configuration does not rotate rigidly about z.
     """
-    ring = tuple(c.layout.plus) + tuple(c.layout.minus)
+    return float(_rigid_rates([c], tol)[0])
+
+
+def _rigid_rates(configs: Sequence[Configuration], tol: float = 1e-9) -> np.ndarray:
+    """:func:`configuration_angular_velocity` of configurations that share
+    their layout and strengths, ``(K,)`` from one array pass; raises the
+    error of any one of them."""
+    ring = list(configs[0].layout.plus) + list(configs[0].layout.minus)
     if not ring:
         raise PoleSingularity("a pole-only configuration has no ring rate")
-    rates = [angular_velocity_generic(c, i) for i in ring]
-    spread = max(rates) - min(rates)
+    rates = _vortex_rates(configs, ring)
+    spread = float(np.max(rates.max(axis=1) - rates.min(axis=1)))
     if spread > tol:
         raise NotRelativeEquilibrium(
             f"per-vortex rotation rates disagree by {spread:.3e}; the "
             "configuration does not rotate rigidly about z"
         )
-    return rates[0]
+    return rates[:, 0]
 
 
 def ring_angular_velocity(desc: FamilyDescriptor) -> float:

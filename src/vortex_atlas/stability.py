@@ -13,28 +13,30 @@ pattern as it is.  Both the energy Hessian and the symplectic form
 block-diagonalize over the resulting groups, so each block can be
 examined independently and in closed form.
 
-The closed-form route is one stacked pass over latitudes:
-:func:`analyze_many` groups consecutive members of one family (same N
-and poles, and vertical momentum zero or not) into stacks and builds
-their Hessians, slice bases, restricted forms and block spectra as
-``(K, ...)`` arrays.  A stack holds ``16384 // d**2`` latitudes
-(d = 4N + 2k_p), so a ``(K, d, d)`` array has at most 16384 entries (or
-one latitude, when d**2 is larger), and the reports are handed on one
-latitude at a time.
-Every floating-point operation acts on each latitude exactly as on a
-single one (element-wise arithmetic, sums over a contiguous last axis,
-one LAPACK call per matrix), so a stacked report equals the one-latitude
-report bit for bit; :func:`analyze`, :func:`hessian_closed_form`,
-:func:`slice_basis` and :func:`slice_symplectic_form` are the
-one-latitude case.
+Two independent routes are kept deliberately separate, and each is one
+stacked pass:
 
-Two independent routes are kept deliberately separate:
+* closed-form route — :func:`analyze_many` groups consecutive members of
+  one family (same N and poles, and vertical momentum zero or not) and
+  builds their Hessians, slice bases, restricted forms and block spectra
+  as ``(K, ...)`` arrays, ``16384 // d**2`` latitudes at a time
+  (d = 4N + 2k_p; at least one);
+* numeric route — :func:`analyze_small_many` groups consecutive
+  configurations that share one chart and takes rates, residuals, the
+  finite-difference Hessian stencil of the analytic gradient, momentum
+  rows, rotation generators, the slice (a stacked SVD with
+  ``scipy.linalg.null_space``'s rank rule) and the spectra as ``(K, ...)``
+  arrays, ``16384 // d**2`` configurations at a time (d = 2M).  It is
+  used to cross-validate the first, as is the separate
+  :func:`full_linearization_oracle`.
 
-* closed-form route — :func:`analyze_many` and its one-latitude case
-  :func:`analyze`;
-* numeric route — finite differences of the analytic gradient /
-  co-rotating field (:func:`analyze_small`,
-  :func:`full_linearization_oracle`), used to cross-validate the first.
+Every floating-point operation acts on each member of a stack exactly as
+on a single one (element-wise arithmetic, sums over a contiguous last
+axis, one BLAS or LAPACK call per vector or matrix), so a stacked report
+equals the one-point report bit for bit; :func:`analyze` (with
+:func:`hessian_closed_form`, :func:`slice_basis` and
+:func:`slice_symplectic_form`) and :func:`analyze_small` are the
+one-point cases.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 from scipy.linalg import eig as dense_eig
-from scipy.linalg import null_space
 from scipy.optimize import linear_sum_assignment
 
 from .core import (
@@ -61,6 +63,7 @@ from .core import (
 from .dynamics import MixedChart, momentum_map
 from .equilibria import (
     NotRelativeEquilibrium,
+    _rigid_rates,
     configuration_angular_velocity,
     ring_angular_velocity,
 )
@@ -89,6 +92,7 @@ __all__ = [
     "analyze",
     "analyze_many",
     "analyze_small",
+    "analyze_small_many",
     "full_linearization_oracle",
     "spectrum_match",
     "list_transitions",
@@ -1013,53 +1017,92 @@ def analyze(desc: FamilyDescriptor) -> StabilityReport:
 # ---------------------------------------------------------------------------
 
 
-def analyze_small(config: Configuration, label: str = "custom") -> StabilityReport:
+def _small_key(c: Configuration) -> tuple:
+    """What configurations must share to share one chart: layout, strengths
+    and the hemispheres of the pole vortices."""
+    poles = [c.layout.north, c.layout.south] if c.pole_count else []
+    return c.layout, c.strengths.tobytes(), np.sign(c.positions[poles, 2]).tobytes()
+
+
+def _small_stack(configs: list[Configuration]) -> list[StabilityReport]:
+    """:func:`analyze_small` of configurations that share one chart, as
+    stacked arrays; raises the error of any one of them."""
+    xi = _rigid_rates(configs)
+    chart = MixedChart(configs[0])
+    qs = np.array([chart.coords(c) for c in configs])
+    residual = float(np.max(np.abs(chart.gradient(qs, xi))))
+    if residual > RESIDUAL_TOL:
+        raise NotRelativeEquilibrium(f"co-rotating field residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    h = chart.hessian_fd(qs, xi)
+    omega = chart.symplectic_matrix(qs)
+    dphi = chart.momentum_rows(qs)
+    gens = chart.rotation_generators(qs, np.eye(3))
+    # a generator joins the momentum rows where the momentum map does not change along it
+    moved = np.linalg.norm((dphi[:, None] @ gens[..., None])[..., 0], axis=-1)
+    joins = moved <= 1e-8 * (1.0 + np.linalg.norm(gens, axis=-1))
+    out: list = [None] * len(configs)
+    for pattern in set(map(tuple, joins.tolist())):
+        at = np.flatnonzero((joins == pattern).all(axis=1))
+        rows = np.concatenate([dphi[at], gens[at][:, np.flatnonzero(pattern)]], axis=1)
+        # the slice is the rows' null space, by scipy.linalg.null_space's rank rule
+        _, sing, vh = np.linalg.svd(rows)
+        rank = (sing > sing.max(axis=1, keepdims=True) * (np.finfo(float).eps * max(rows.shape[1:]))).sum(axis=1)
+        for r in set(rank.tolist()):
+            if r == chart.dim:
+                raise DegenerateForm("the slice is zero-dimensional")
+            sub, basis_t = at[rank == r], vh[rank == r, r:]  # the slice basis as rows, (K, k, d)
+            hs = basis_t @ h[sub] @ basis_t.swapaxes(1, 2)
+            hs = 0.5 * (hs + hs.swapaxes(1, 2))
+            omega_s = basis_t @ omega[sub] @ basis_t.swapaxes(1, 2)
+            sing_s = np.linalg.svd(omega_s, compute_uv=False)
+            if (sing_s[:, -1] < 1e-10 * np.maximum(sing_s[:, 0], 1.0)).any():
+                raise DegenerateForm(_SINGULAR_SLICE)
+            h_eigs = np.linalg.eigvalsh(hs)
+            l_eigs = _sort_complex(np.linalg.eigvals(-np.linalg.solve(omega_s, hs)))
+            for i, h_e, l_e in zip(sub.tolist(), h_eigs, l_eigs):
+                out[i] = StabilityReport(
+                    descriptor=None, label="custom", mu_z=float(momentum_map(configs[i])[2]), xi_z=float(xi[i]),
+                    blocks=(BlockSpectrum("slice", h_e, l_e, {}),), verdict=_decide(h_e, l_e), deciding_block="slice",
+                )
+    return out
+
+
+def analyze_small_many(configs: Iterable[Configuration]) -> list[StabilityReport | VortexError]:
+    """Numeric slice stability analysis of explicit configurations, in stacks.
+
+    Returns, in input order, the report :func:`analyze_small` returns for
+    each configuration or the :class:`VortexError` it raises.  Consecutive
+    configurations with the same layout, strengths and pole-vortex
+    hemispheres share one chart and are analysed together, at most
+    ``16384 // d**2`` at a time (d = 2M chart coordinates; at least one).
+    A stack in which any configuration fails is analysed again one
+    configuration at a time, so each gets its own report or error.
+    """
+    out: list[StabilityReport | VortexError] = []
+    for _, run in groupby(configs, _small_key):
+        run = list(run)
+        size = max(1, _STACK_ELEMENTS // (2 * len(run[0])) ** 2)
+        for start in range(0, len(run), size):
+            stack = run[start : start + size]
+            try:
+                out += _small_stack(stack)
+            except VortexError as exc:  # some configuration fails: each alone gets its own outcome
+                out += [exc] if len(stack) == 1 else [r for c in stack for r in analyze_small_many([c])]
+    return out
+
+
+def analyze_small(config: Configuration) -> StabilityReport:
     """Numeric slice stability analysis of an explicit configuration.
 
     The Hessian comes from finite differences of the analytic gradient;
     the slice is the numeric null space of the linearized momentum map
-    with the rotation-orbit directions removed.
+    with the rotation-orbit directions removed.  The one-configuration
+    case of :func:`analyze_small_many`.
     """
-    xi = configuration_angular_velocity(config)
-    chart = MixedChart(config)
-    q = chart.coords()
-    residual = float(np.max(np.abs(chart.gradient(q, xi))))
-    if residual > RESIDUAL_TOL:
-        raise NotRelativeEquilibrium(
-            f"co-rotating field residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
-        )
-    h = chart.hessian_fd(q, xi)
-    omega = chart.symplectic_matrix(q)
-    dphi = chart.momentum_rows(q)
-    gens = chart.rotation_generators(q, np.eye(3))
-    rows = [dphi]
-    for g in gens:
-        if np.linalg.norm(dphi @ g) <= 1e-8 * (1.0 + np.linalg.norm(g)):
-            rows.append(g[None, :])
-    slice_mat = null_space(np.vstack(rows))
-    if slice_mat.shape[1] == 0:
-        raise DegenerateForm("the slice is zero-dimensional")
-    hs = slice_mat.T @ h @ slice_mat
-    hs = 0.5 * (hs + hs.T)
-    omega_s = slice_mat.T @ omega @ slice_mat
-    sing = np.linalg.svd(omega_s, compute_uv=False)
-    if sing[-1] < 1e-10 * max(sing[0], 1.0):
-        raise DegenerateForm("the symplectic form restricted to the slice is singular")
-    lin = -np.linalg.solve(omega_s, hs)
-    h_eigs = np.linalg.eigvalsh(hs)
-    l_eigs = _sort_complex(np.linalg.eigvals(lin))
-    verdict = _decide(h_eigs, l_eigs)
-    block = BlockSpectrum("slice", h_eigs, l_eigs, {})
-    mu = momentum_map(config)
-    return StabilityReport(
-        descriptor=None,
-        label=label,
-        mu_z=float(mu[2]),
-        xi_z=xi,
-        blocks=(block,),
-        verdict=verdict,
-        deciding_block="slice",
-    )
+    (result,) = analyze_small_many([config])
+    if isinstance(result, VortexError):
+        raise result
+    return result
 
 
 def full_linearization_oracle(

@@ -1,9 +1,18 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
+
+import math
 
 import numpy as np
 import pytest
 
 from vortex_atlas.core import Configuration
+
+
+def rotation_axis_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rotation by ``angle`` about a nonzero ``axis`` (Rodrigues' formula)."""
+    ux, uy, uz = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 def _sample_pm_configuration(rng, n_pairs: int, min_chord: float = 1e-3):

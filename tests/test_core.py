@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rotation_axis_matrix
 from vortex_atlas.core import (
     MAX_RING_SIZE,
     CollisionError,
@@ -23,7 +24,6 @@ from vortex_atlas.core import (
     is_fixed_by,
     mirror_y_matrix,
     mirror_z_matrix,
-    rotation_axis_matrix,
     rotation_z_matrix,
 )
 from vortex_atlas.dynamics import MixedChart

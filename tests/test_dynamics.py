@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from vortex_atlas import dynamics
 from vortex_atlas.atlas import EXIT_NUMERIC, EXIT_OK, main
+from conftest import rotation_axis_matrix
 from vortex_atlas.core import (
     COLLISION_EPS,
     Configuration,
@@ -24,7 +25,6 @@ from vortex_atlas.core import (
     PoleSingularity,
     apply_group_element,
     mirror_y_matrix,
-    rotation_axis_matrix,
     rotation_z_matrix,
 )
 from vortex_atlas.dynamics import (
@@ -511,6 +511,31 @@ def test_rotation_generators_match_cross_products_projected_per_vortex(name):
             for k, i in enumerate(chart.poles):
                 want[a, 2 * n + 2 * k : 2 * n + 2 * k + 2] = v[i, :2]
         assert chart.rotation_generators(q, axes).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_CHARTS))
+def test_stacked_evaluation_matches_one_point_at_a_time(name, monkeypatch):
+    """A stack of points, each with its own rate, gives each point's
+    one-point result bit for bit, however the stencils are chunked."""
+    chart, (q, _) = _stencil_points(STENCIL_CHARTS[name])
+    qs = q + 1e-6 * np.sin(np.arange(7)[:, None] * (1.0 + np.arange(q.size)))
+    rates = 0.3 + 0.01 * np.arange(len(qs))
+    got = [
+        chart.positions(qs), chart.gradient(qs, rates), chart.symplectic_matrix(qs),
+        chart.momentum_rows(qs), chart.rotation_generators(qs, np.eye(3)),
+    ]
+    for elements in (dynamics._STENCIL_ELEMENTS, 1, 5 * chart.dim * chart.m * 3):
+        monkeypatch.setattr(dynamics, "_STENCIL_ELEMENTS", elements)
+        assert chart.hessian_fd(qs, rates).tobytes() == np.array(
+            [chart.hessian_fd(p, xi) for p, xi in zip(qs, rates)]
+        ).tobytes()
+    for k, (p, xi) in enumerate(zip(qs, rates)):
+        want = [
+            chart.positions(p), chart.gradient(p, xi), chart.symplectic_matrix(p),
+            chart.momentum_rows(p), chart.rotation_generators(p, np.eye(3)),
+        ]
+        for stacked, one in zip(got, want):
+            assert stacked[k].tobytes() == one.tobytes()
 
 
 def test_pole_chart_stencil_past_the_rim_raises():

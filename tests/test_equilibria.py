@@ -21,6 +21,7 @@ from vortex_atlas.equilibria import (
     NotTwoRings,
     OutOfDomain,
     TwoRingPhase,
+    _rigid_rates,
     angular_velocity_generic,
     branch_c2v_2R2p,
     branch_c2v_RRp2p,
@@ -133,6 +134,42 @@ def test_plus_ring_with_polar_counter_vortices():
     np.testing.assert_allclose(momentum_map(c), [0.0, 0.0, 2.0 * u], atol=1e-14)
     with pytest.raises(OutOfDomain):
         make_plus_ring_pole_pair(0.0)
+
+
+def _rate_by_loop(c, i):
+    """The per-vortex rate as a scalar loop over the partners, in index
+    order: the reference for the bits of the array pass."""
+    p, lam = c.positions, c.strengths
+    rho2 = 1.0 - p[i, 2] ** 2
+    total = 0.0
+    for j in range(len(c)):
+        if j != i:
+            dot = float(p[i] @ p[j])
+            horizontal = p[i, 0] * p[j, 0] + p[i, 1] * p[j, 1]
+            total += lam[j] * (rho2 * p[j, 2] - p[i, 2] * horizontal) / (rho2 * (1.0 - dot))
+    return total
+
+
+def test_rates_have_the_bits_of_a_loop_over_partners():
+    # x = -0.90307 and theta0 = 0.4038 give ring heights z where libm's
+    # pow(z, 2) is not z * z
+    grid = [branch_c2v_RRp2p(x, 1.0, -1).configuration() for x in [-0.90307, *np.linspace(-0.9, 0.9, 60)]]
+    members = [
+        make_family(FamilyDescriptor(family, n, theta0=theta0, k_p=k_p))
+        for family in (Family.DNH_2R, Family.DND_RRP)
+        for n in (2, 3, 5)
+        for theta0 in (0.4, 0.4038, 1.1)
+        for k_p in (0, 2)
+    ]
+    meridian = [bp.configuration() for x in (-0.9, -0.5, 0.5) for bp in branch_c2v_RmRmp_all(x)]
+    for c in grid + members + meridian + [make_plus_ring_pole_pair(0.7), make_single_plus_ring(5, 1.2)]:
+        ring = list(c.layout.plus) + list(c.layout.minus)
+        want = np.array([_rate_by_loop(c, i) for i in ring])
+        assert np.array([angular_velocity_generic(c, i) for i in ring]).tobytes() == want.tobytes()
+        assert np.float64(configuration_angular_velocity(c)).tobytes() == want[0].tobytes()
+    # one array pass over a stack of configurations that share a layout
+    stacked = _rigid_rates(grid)
+    assert stacked.tobytes() == np.array([_rate_by_loop(c, 0) for c in grid]).tobytes()
 
 
 def test_rate_requires_a_relative_equilibrium(pm_sampler):

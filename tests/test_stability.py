@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,12 +12,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rotation_axis_matrix
+from vortex_atlas import atlas
 from vortex_atlas.atlas import EXIT_OK, main
 from vortex_atlas.core import (
+    Configuration,
     Family,
     FamilyDescriptor,
     GroupElement,
     InvalidDescriptor,
+    Layout,
     VortexError,
     apply_group_element,
     mirror_y_matrix,
@@ -32,6 +37,7 @@ from vortex_atlas.equilibria import (
     make_equatorial_pm_ring,
     make_family,
     make_plus_ring_pole_pair,
+    make_single_plus_ring,
     ring_angular_velocity,
 )
 from vortex_atlas.stability import (
@@ -39,12 +45,14 @@ from vortex_atlas.stability import (
     REFERENCE_THRESHOLDS,
     NoTransition,
     NotRelativeEquilibrium,
+    StabilityReport,
     Verdict,
     _STACK_ELEMENTS,
     _decide,
     analyze,
     analyze_many,
     analyze_small,
+    analyze_small_many,
     critical_latitude,
     deciding_scalars_ab,
     deciding_scalars_rs,
@@ -623,6 +631,147 @@ def test_stacked_pass_yields_errors_in_place():
         "StabilityReport", "CollisionError", "InvalidDescriptor", "InvalidDescriptor",
         "StabilityReport",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the stacked numeric pass and its one-configuration case
+# ---------------------------------------------------------------------------
+
+
+def _diagram_configurations(n_pairs, monkeypatch):
+    """Every configuration the low-symmetry segments of the diagram analyse,
+    in the order they are analysed."""
+    seen = []
+
+    def record(configs):
+        seen.extend(configs)
+        return [VortexError("only the configurations are needed")] * len(configs)
+
+    monkeypatch.setattr(atlas, "analyze_small_many", record)
+    for seg in atlas._figure_segments(n_pairs):
+        if not seg.is_parent:
+            seg.sample()
+    return seen
+
+
+def _outcome(result):
+    """A report as its ``as_dict`` text (floats written with ``repr``, so
+    equal text is equal bits), an error as its class and message."""
+    if isinstance(result, VortexError):
+        return type(result), str(result)
+    return json.dumps(result.as_dict())
+
+
+def _analyze_small_one(config):
+    try:
+        return analyze_small(config)
+    except VortexError as exc:
+        return exc
+
+
+def _segment_grid(solve, params):
+    """The configurations a branch segment finds on its grid."""
+    found = []
+    for x in params:
+        try:
+            found.append(solve(x))
+        except VortexError:
+            pass
+    return found
+
+
+# The two largest segment grids: (e) C2v(R,2p) of the pairs-2 diagram
+# (M = 4, stacks of 256) and (c) C2v(R,R',2p) of the pairs-3 diagram
+# (M = 6, stacks of 113), 482 parameters each.
+_LARGEST_GRIDS = (
+    (make_plus_ring_pole_pair, np.linspace(0.1, math.pi - 0.1, 482)),
+    (lambda x: branch_c2v_RRp2p(x, 1.0, -1).configuration(), np.linspace(-0.97, 0.97, 482)),
+)
+
+
+def test_stacked_numeric_pass_matches_the_one_configuration_case(monkeypatch):
+    sample = []
+    for n_pairs in (2, 3):
+        sample += _diagram_configurations(n_pairs, monkeypatch)[::8]
+    monkeypatch.undo()
+    assert {(len(c), c.pole_count) for c in sample} == {(4, 0), (4, 2), (6, 2)}
+    want = {id(c): _outcome(_analyze_small_one(c)) for c in sample}
+    half = len(sample) // 2
+    lists = [
+        sample,  # runs of one layout, as the diagram sends them
+        [c for pair in zip(sample[:half], sample[::-1]) for c in pair],  # layouts mixed
+        sample[::-1],
+    ]
+    for configs in lists:
+        got = analyze_small_many(configs)
+        assert len(got) == len(configs)
+        for c, result in zip(configs, got):
+            assert _outcome(result) == want[id(c)]
+    # a whole grid, more than one stack of one chart
+    grid = _segment_grid(*_LARGEST_GRIDS[0])
+    for c, result in zip(grid, analyze_small_many(grid)):
+        assert _outcome(result) == _outcome(_analyze_small_one(c))
+
+
+def _tilted_fixed_ring(angle):
+    """The alternating equatorial ring of four, a fixed equilibrium, turned
+    by ``angle`` about a horizontal axis, with its last two vortices taken
+    as the pole pair: the north one at height 2 sin(angle)/sqrt(5), the
+    south one at -sin(angle)/sqrt(5)."""
+    ring = make_equatorial_pm_ring(2)
+    a = rotation_axis_matrix(np.array([1.0, 2.0, 0.0]), angle)
+    layout = Layout(plus=(0,), minus=(1,), north=2, south=3)
+    return Configuration(ring.positions @ a.T, ring.strengths, 2, layout)
+
+
+def test_stacked_numeric_pass_returns_errors_in_place(pm_sampler):
+    meridian = [branch_c2v_RmRmp(x).configuration() for x in (-0.5, -0.3, 0.3, 0.5)]
+    not_rigid = pm_sampler(np.random.default_rng(9), 2, min_chord=0.5)  # the meridian's layout
+    pole_pair = make_plus_ring_pole_pair(1.0)
+    pole_on_equator = Configuration(
+        np.vstack([pole_pair.positions[:2], [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]]),
+        pole_pair.strengths, 2, pole_pair.layout,
+    )
+    configs = [
+        meridian[0], not_rigid, meridian[1],
+        pole_on_equator,
+        make_single_plus_ring(3, 1.0), make_single_plus_ring(3, math.pi / 2), make_single_plus_ring(3, 0.5),
+        make_single_plus_ring(2, 1.0),
+        # one chart for the three, but the middle one's pole stencil leaves
+        # its hemisphere, so each is analysed alone
+        _tilted_fixed_ring(0.3), _tilted_fixed_ring(1e-3), _tilted_fixed_ring(0.5),
+        meridian[2], meridian[3],
+    ]
+    got = analyze_small_many(configs)
+    assert [type(r).__name__ for r in got] == [
+        "StabilityReport", "NotRelativeEquilibrium", "StabilityReport",
+        "PoleSingularity",
+        "StabilityReport", "DegenerateForm", "StabilityReport",
+        "DegenerateForm",
+        "StabilityReport", "PoleSingularity", "StabilityReport",
+        "StabilityReport", "StabilityReport",
+    ]
+    assert str(got[3]) == "pole vortex sits on the equator; its chart hemisphere is undefined"
+    assert str(got[9]) == "pole chart coordinates left the hemisphere"
+    for c, result in zip(configs, got):
+        assert _outcome(result) == _outcome(_analyze_small_one(c))
+
+
+@pytest.mark.parametrize("grid", range(len(_LARGEST_GRIDS)))
+def test_stacked_numeric_pass_memory_is_bounded(grid):
+    # 1.08 and 1.17 MB peaks in stacks of 16384 // d**2 configurations;
+    # 1.90 and 3.86 MB with each whole grid in one stack.
+    configs = _segment_grid(*_LARGEST_GRIDS[grid])
+    assert len(configs) == 482
+    analyze_small_many(configs[:2])  # load what the first call loads
+    tracemalloc.start()
+    try:
+        results = analyze_small_many(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(r, StabilityReport) for r in results)
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

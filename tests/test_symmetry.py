@@ -155,9 +155,9 @@ def _segment_samples(n_pairs: int, monkeypatch) -> dict[str, list[Configuration]
     seen: list[Configuration] = []
     ring_labels: set[str] = set()
 
-    def record_small(config, *args, **kwargs):
-        seen.append(config)
-        raise VortexError("only the configuration is needed")
+    def record_small(configs):
+        seen.extend(configs)
+        return [VortexError("only the configuration is needed")] * len(configs)
 
     def record_member(desc):
         config = make_family(desc)
@@ -165,7 +165,7 @@ def _segment_samples(n_pairs: int, monkeypatch) -> dict[str, list[Configuration]
         ring_labels.add(desc.label)
         return config
 
-    monkeypatch.setattr(atlas, "analyze_small", record_small)
+    monkeypatch.setattr(atlas, "analyze_small_many", record_small)
     monkeypatch.setattr(atlas, "make_family", record_member)
     samples: dict[str, list[Configuration]] = {}
     for seg in atlas._figure_segments(n_pairs):
