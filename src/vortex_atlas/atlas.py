@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     MAX_RING_SIZE,
@@ -52,10 +51,8 @@ from .core import (
 from .dynamics import (
     CollisionApproach,
     StepSizeUnderflow,
-    _energy,
-    _pair_constants,
-    _pairwise_l2,
     hamiltonian,
+    hamiltonians,
     integrate,
     momentum_map,
 )
@@ -262,7 +259,8 @@ class _Segment:
 
     ``evaluate`` maps parameters to ``(mu_z, energy, verdict)`` each, or
     ``None`` where a parameter leaves the branch domain; ``sample`` passes
-    it the whole grid, and refinement of bifurcation candidates one point.
+    it the whole grid, and the bisection of a parent's verdict change one
+    point.
     """
 
     label: str
@@ -336,10 +334,8 @@ def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
         found = [c for c in configs if c is not None]
         if not found:
             return configs
-        pairs = _pair_constants(found[0].strengths)
-        l2 = _pairwise_l2(np.array([c.positions for c in found]))[:, pairs.iu[0], pairs.iu[1]]
-        # row by row in memory, so each row is summed as ``hamiltonian`` sums its one row
-        results = iter(zip(analyze_small_many(found), _energy(np.ascontiguousarray(l2), pairs).tolist()))
+        stacked = hamiltonians(np.array([c.positions for c in found]), found[0].strengths)
+        results = iter(zip(analyze_small_many(found), stacked.tolist()))
         points = [next(results) if c is not None else (None, None) for c in configs]
         return [(r.mu_z, e, r.verdict.value) if isinstance(r, StabilityReport) else None for r, e in points]
 
@@ -371,8 +367,8 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 0, half))
         meridional_x = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 2 * pts)
 
-        # One solve per x, shared by the four (root, swap) segments and
-        # their refinement; built per diagram, so no state outlives it.
+        # One solve per x, shared by the four (root, swap) segments;
+        # built per diagram, so no state outlives it.
         @functools.cache
         def roots_at(x: float) -> Sequence:
             try:
@@ -425,37 +421,6 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
     return segments
 
 
-def _nearest_on_segment(
-    seg: _Segment, mu_star: float, h_star: float
-) -> tuple[float, float]:
-    """Refine the segment point closest to (mu*, H*); returns (dist, param)."""
-
-    def dist(mu: float, energy: float) -> float:
-        return math.hypot(mu - mu_star, energy - h_star)
-
-    if not seg.points:
-        return math.inf, math.nan
-    best = min(seg.points, key=lambda p: dist(p.mu_z, p.energy))
-    best_d = dist(best.mu_z, best.energy)
-
-    def dist_at(param: float) -> float:
-        got = seg.at(param)
-        # Off the branch, score as the best sample: an infinite value
-        # breaks the parabolic step of the bounded Brent search.
-        return best_d if got is None else dist(got[0], got[1])
-
-    step = _param_step(seg)
-    res = minimize_scalar(
-        dist_at,
-        bounds=(best.param - 2.0 * step, best.param + 2.0 * step),
-        method="bounded",
-        options={"xatol": step / 1000.0},
-    )
-    if res.fun < best_d:
-        return float(res.fun), float(res.x)
-    return best_d, best.param
-
-
 def _param_step(seg: _Segment) -> float:
     return float(seg.params[1] - seg.params[0]) if len(seg.params) > 1 else 1e-2
 
@@ -472,24 +437,15 @@ def _child_side(
     return float(np.mean(offsets)) if offsets else 0.0
 
 
-def _detect_bifurcations(segments: list[_Segment]) -> tuple[Bifurcation, ...]:
-    """Pitchforks: a parent verdict change met by a child branch in (mu, H).
-
-    A candidate needs a verdict change along a symmetric (descriptor-built)
-    branch and a low-symmetry branch passing within 1e-3 of the change
-    point in the (momentum, energy) plane.  The label is read from which
-    side of the junction the child lives on: the parent's Lyapunov side
-    gives a subcritical pitchfork, the other side a supercritical one.
-    """
-    found: list[Bifurcation] = []
+def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, float, float]]:
+    """Each change into or out of Lyapunov stability along a parent, bisected
+    to 1e-10: ``(parent, mu*, H*, momentum offset of the Lyapunov side)``."""
     lyap = Verdict.LYAPUNOV_STABLE.value
     for parent in segments:
         if not parent.is_parent:
             continue
         for a, b in zip(parent.points, parent.points[1:]):
-            if a.verdict == b.verdict:
-                continue
-            if lyap not in (a.verdict, b.verdict):
+            if a.verdict == b.verdict or lyap not in (a.verdict, b.verdict):
                 continue
             theta_star = _bisect(
                 lambda t: (v := parent.at(t)) is not None and v[2] == a.verdict,
@@ -501,27 +457,49 @@ def _detect_bifurcations(segments: list[_Segment]) -> tuple[Bifurcation, ...]:
             if got is None:
                 continue
             mu_star, h_star, _ = got
-            lyap_side = (
-                a.mu_z - mu_star if a.verdict == lyap else b.mu_z - mu_star
-            )
-            for child in segments:
-                if child.is_parent or not child.points:
-                    continue
-                d, p_star = _nearest_on_segment(child, mu_star, h_star)
-                if d > 1e-3:
-                    continue
-                side = _child_side(child, p_star, mu_star, 40.0 * _param_step(child))
-                kind = (
-                    "subcritical" if side * lyap_side > 0.0 else "supercritical"
-                )
-                bif = Bifurcation(kind, mu_star, h_star, parent.label, child.label)
-                if not any(
-                    existing.parent == bif.parent
-                    and existing.child == bif.child
-                    and abs(existing.mu_z - bif.mu_z) < 1e-6
-                    for existing in found
-                ):
-                    found.append(bif)
+            yield parent, mu_star, h_star, (a.mu_z if a.verdict == lyap else b.mu_z) - mu_star
+
+
+def _nearest_sample(seg: _Segment, mu_star: float, h_star: float) -> tuple[float, DiagramPoint]:
+    """The sampled point of ``seg`` closest to (mu*, H*), and its distance."""
+
+    def dist(p: DiagramPoint) -> float:
+        return math.hypot(p.mu_z - mu_star, p.energy - h_star)
+
+    best = min(seg.points, key=dist)
+    return dist(best), best
+
+
+def _detect_bifurcations(segments: list[_Segment]) -> tuple[Bifurcation, ...]:
+    """Pitchforks: a parent verdict change met by a child branch in (mu, H).
+
+    A candidate needs a change into or out of Lyapunov stability along a
+    symmetric (descriptor-built) branch and a low-symmetry branch whose
+    closest sample lies within 1e-3 of the change point in the (momentum,
+    energy) plane; on both diagrams the samples of a meeting child lie
+    within 1e-4 of it and those of every other child at least 1e-2 away.
+    The label is read from which side of the junction the child lives on:
+    the parent's Lyapunov side gives a subcritical pitchfork, the other
+    side a supercritical one.
+    """
+    found: list[Bifurcation] = []
+    for parent, mu_star, h_star, lyap_side in _junctions(segments):
+        for child in segments:
+            if child.is_parent or not child.points:
+                continue
+            d, nearest = _nearest_sample(child, mu_star, h_star)
+            if d > 1e-3:
+                continue
+            side = _child_side(child, nearest.param, mu_star, 40.0 * _param_step(child))
+            kind = "subcritical" if side * lyap_side > 0.0 else "supercritical"
+            bif = Bifurcation(kind, mu_star, h_star, parent.label, child.label)
+            if not any(
+                existing.parent == bif.parent
+                and existing.child == bif.child
+                and abs(existing.mu_z - bif.mu_z) < 1e-6
+                for existing in found
+            ):
+                found.append(bif)
     return tuple(found)
 
 
@@ -765,7 +743,7 @@ def cmd_classify(args: argparse.Namespace) -> None:
         report = analyze_small(Configuration.from_json(raw))
     else:
         report = analyze(FamilyDescriptor.from_mapping(payload))
-    _write_text(args.out, report.to_json(indent=2) + "\n")
+    _write_text(args.out, report.to_json() + "\n")
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:

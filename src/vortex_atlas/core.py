@@ -265,7 +265,7 @@ class Configuration:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         payload = {
             "vortices": [
                 {"pos": pos, "strength": strength}
@@ -273,15 +273,15 @@ class Configuration:
             ],
             "poles": self.pole_count,
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload)
 
     @classmethod
-    def from_json(cls, text: str, strict_poles: bool = True) -> "Configuration":
+    def from_json(cls, text: str) -> "Configuration":
         """Parse a configuration from its JSON form.
 
         The last two entries are taken to be the poles when ``poles`` is 2
-        (the more northerly one is the north pole vortex).  With
-        ``strict_poles`` the pole strengths must be opposite.
+        (the more northerly one is the north pole vortex); their strengths
+        must be opposite.
         """
         try:
             payload = json.loads(text)
@@ -310,7 +310,7 @@ class Configuration:
             except (KeyError, TypeError, OverflowError) as exc:
                 raise InvalidConfiguration(f"bad vortex entry {k}: {exc}") from exc
         config = cls(positions, strengths, pole_count)
-        if strict_poles and pole_count == 2:
+        if pole_count == 2:
             ln = config.strengths[config.layout.north]
             ls = config.strengths[config.layout.south]
             if abs(ln + ls) > 1e-12:
@@ -420,13 +420,13 @@ def apply_group_element(g: GroupElement, c: Configuration) -> Configuration:
     return c.with_positions(c.positions[source] @ g.orthogonal.T)
 
 
-def is_fixed_by(c: Configuration, g: GroupElement, tol: float = 1e-9) -> bool:
+def is_fixed_by(c: Configuration, g: GroupElement) -> bool:
     """Whether ``g`` maps ``c`` onto itself up to relabeling within populations.
 
     The transformed + population is optimally matched against the original
     + population (likewise for the - population), and the pole slots are
     compared class-to-class; ``c`` is fixed when the largest matched
-    displacement stays below ``tol``.
+    displacement stays below 1e-9.
     """
     old = c.positions
     new = apply_group_element(g, c).positions
@@ -445,7 +445,7 @@ def is_fixed_by(c: Configuration, g: GroupElement, tol: float = 1e-9) -> bool:
             float(np.linalg.norm(new[c.layout.north] - old[c.layout.north])),
             float(np.linalg.norm(new[c.layout.south] - old[c.layout.south])),
         )
-    return worst < tol
+    return worst < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ __all__ = [
     "Trajectory",
     "MixedChart",
     "hamiltonian",
+    "hamiltonians",
     "vector_field",
     "momentum_map",
     "augmented_hamiltonian",
@@ -157,10 +158,18 @@ def _field(p: np.ndarray, pairs: _Pairs) -> np.ndarray:
     return out
 
 
+def hamiltonians(positions: np.ndarray, strengths: np.ndarray) -> float | np.ndarray:
+    """``H`` of configurations that share their strengths ``(M,)``: a float
+    from one position array ``(M, 3)``, ``(K,)`` from a stack ``(K, M, 3)``."""
+    pairs = _pair_constants(np.asarray(strengths, dtype=float))
+    l2 = _pairwise_l2(np.asarray(positions, dtype=float))[..., pairs.iu[0], pairs.iu[1]]
+    # row by row in memory, so each row of a stack is summed as one row alone
+    return _energy(np.ascontiguousarray(l2), pairs)
+
+
 def hamiltonian(c: Configuration) -> float:
     """Interaction energy ``sum_{i<j} lambda_i lambda_j ln l_ij^2``."""
-    pairs = _pair_constants(c.strengths)
-    return _energy(_pairwise_l2(c.positions)[pairs.iu], pairs)
+    return hamiltonians(c.positions, c.strengths)
 
 
 def vector_field(c: Configuration) -> np.ndarray:
@@ -363,10 +372,10 @@ class MixedChart:
             dq[2 * self.n_ring + 2 * k + 1] = v[i, 1]
         return dq
 
-    def hessian_fd(self, q: np.ndarray, xi: float | np.ndarray, step: float = 1e-5) -> np.ndarray:
+    def hessian_fd(self, q: np.ndarray, xi: float | np.ndarray) -> np.ndarray:
         """Hessian of ``H_xi`` by central differences of the analytic gradient:
-        column ``k`` is ``(g(q + step e_k) - g(q - step e_k)) / (2 step)``."""
-        d = self.dim
+        column ``k`` is ``(g(q + h e_k) - g(q - h e_k)) / (2 h)``, h = 1e-5."""
+        d, step = self.dim, 1e-5
         points = (np.atleast_2d(q)[:, None] + step * np.concatenate([np.eye(d), -np.eye(d)])).reshape(-1, d)
         rates = np.repeat(np.reshape(xi, -1), 2 * d)
         rows = max(1, _STENCIL_ELEMENTS // (d * self.m * 3))

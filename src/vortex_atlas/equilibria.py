@@ -260,19 +260,19 @@ def _vortex_rates(configs: Sequence[Configuration], which: list[int]) -> np.ndar
     return rates
 
 
-def configuration_angular_velocity(c: Configuration, tol: float = 1e-9) -> float:
+def configuration_angular_velocity(c: Configuration) -> float:
     """Rotation rate cross-checked over every ring vortex.
 
     Raises
     ------
     NotRelativeEquilibrium
-        If per-vortex rates disagree by more than ``tol`` — the
+        If per-vortex rates disagree by more than 1e-9 — the
         configuration does not rotate rigidly about z.
     """
-    return float(_rigid_rates([c], tol)[0])
+    return float(_rigid_rates([c])[0])
 
 
-def _rigid_rates(configs: Sequence[Configuration], tol: float = 1e-9) -> np.ndarray:
+def _rigid_rates(configs: Sequence[Configuration]) -> np.ndarray:
     """:func:`configuration_angular_velocity` of configurations that share
     their layout and strengths, ``(K,)`` from one array pass; raises the
     error of any one of them."""
@@ -281,7 +281,7 @@ def _rigid_rates(configs: Sequence[Configuration], tol: float = 1e-9) -> np.ndar
         raise PoleSingularity("a pole-only configuration has no ring rate")
     rates = _vortex_rates(configs, ring)
     spread = float(np.max(rates.max(axis=1) - rates.min(axis=1)))
-    if spread > tol:
+    if spread > 1e-9:
         raise NotRelativeEquilibrium(
             f"per-vortex rotation rates disagree by {spread:.3e}; the "
             "configuration does not rotate rigidly about z"
@@ -534,8 +534,8 @@ def branch_c2v_RmRmp(x: float) -> BranchPoint:
 # ---------------------------------------------------------------------------
 
 
-def two_ring_phase_test(c: Configuration, tol: float = 1e-9) -> TwoRingPhase:
-    """Classify the longitude offset between the + and - rings.
+def two_ring_phase_test(c: Configuration) -> TwoRingPhase:
+    """Classify the longitude offset between the + and - rings, to 1e-9.
 
     Raises
     ------
@@ -543,6 +543,7 @@ def two_ring_phase_test(c: Configuration, tol: float = 1e-9) -> TwoRingPhase:
         If the non-pole vortices do not form two equally sized regular
         rings, each on a single latitude circle.
     """
+    tol = 1e-9
     plus = c.positions[list(c.layout.plus)].tolist()
     minus = c.positions[list(c.layout.minus)].tolist()
     n = len(plus)

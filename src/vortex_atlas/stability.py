@@ -109,8 +109,9 @@ RESIDUAL_TOL = 1e-6
 #: Below this the vertical momentum is treated as zero (bigger rotation
 #: orbit, smaller slice).
 MOMENTUM_ZERO_TOL = 1e-8
-#: list_transitions caches verdicts by latitude rounded to 12 decimals, so
-#: it refuses a bisection tolerance finer than this.
+#: list_transitions refuses a bisection tolerance finer than this: once the
+#: interval is down to the float spacing of the latitude its midpoint equals
+#: an end, and the halving never stops (a tolerance of 1e-17 hung).
 MIN_TRANSITION_TOL = 1e-12
 
 TRANSITIONS = ("StabilityGain", "StabilityLoss", "HopfLower", "HopfUpper")
@@ -582,17 +583,16 @@ def _one_point(desc: FamilyDescriptor) -> tuple[FamilyDescriptor, _Rings, bool, 
     return desc, rings, reduced, u, s
 
 
-def hessian_closed_form(desc: FamilyDescriptor, xi_z: float | None = None) -> np.ndarray:
+def hessian_closed_form(desc: FamilyDescriptor) -> np.ndarray:
     """Second derivative of the rotating-frame energy in ring coordinates.
 
     Coordinate order: plus-ring colatitudes, minus-ring colatitudes,
     plus-ring longitudes, minus-ring longitudes, then (with poles)
-    ``x_n, y_n, x_s, y_s``.  The rotation rate defaults to the family's
-    own rigid rate.
+    ``x_n, y_n, x_s, y_s``.  The frame rotates at the family's own rigid
+    rate.
     """
     desc, rings, _, u, s = _one_point(desc)
-    xi = ring_angular_velocity(desc) if xi_z is None else float(xi_z)
-    return _hessians(rings, u, s, np.array([xi]))[0]
+    return _hessians(rings, u, s, np.array([ring_angular_velocity(desc)]))[0]
 
 
 def slice_basis(desc: FamilyDescriptor) -> SliceBasis:
@@ -606,19 +606,14 @@ def slice_basis(desc: FamilyDescriptor) -> SliceBasis:
     return SliceBasis(basis[0], labels)
 
 
-def slice_symplectic_form(
-    desc: FamilyDescriptor, basis: SliceBasis | None = None
-) -> np.ndarray:
-    """Symplectic form restricted to the slice basis.
+def slice_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
+    """Symplectic form restricted to the basis :func:`slice_basis` returns.
 
     Raises :class:`DegenerateForm` if the restriction is singular, which
     would invalidate the reduced linearization.
     """
     _, rings, reduced, u, s = _one_point(desc)
-    if basis is None:
-        ((_, b, _),) = _slice_bases(rings, reduced, u, s)
-    else:
-        b = basis.matrix[None]
+    ((_, b, _),) = _slice_bases(rings, reduced, u, s)
     omega_b = _restrict(b, _symplectic_forms(rings, s), antisymmetric=True)
     if _degenerate(omega_b)[0]:
         raise DegenerateForm(_SINGULAR_SLICE)
@@ -668,20 +663,18 @@ def deciding_scalars_rs(desc: FamilyDescriptor) -> tuple[float, float]:
     return rotation_energy, shift_energy
 
 
-def deciding_scalars_ab(desc: FamilyDescriptor, q: int | None = None) -> tuple[float, float]:
-    """Diagonal energies of the wavenumber-``q`` counter-phased pair.
+def deciding_scalars_ab(desc: FamilyDescriptor) -> tuple[float, float]:
+    """Diagonal energies of the counter-phased pair at the top wavenumber
+    ``q = N // 2``.
 
     Returns ``(a, b)`` for the colatitude and longitude patterns whose
-    product decides the block; ``q`` defaults to the top wavenumber.
+    product decides the block.
     """
     desc = _analysis_descriptor(desc)
     n = desc.n_per_ring
-    if n < 3:
-        raise InvalidDescriptor("the mode-pair scalars need ring size >= 3")
-    if q is None:
-        q = n // 2
-    if not (2 <= q <= n // 2):
-        raise InvalidDescriptor("wavenumber must lie between 2 and n/2")
+    if n < 4:
+        raise InvalidDescriptor("the mode-pair scalars need ring size >= 4")
+    q = n // 2
     # at the top wavenumber of the aligned family the sine patterns vanish
     # and the surviving modes carry twice the generic energy; the staggered
     # offset keeps all patterns alive, so no doubling there
@@ -784,10 +777,10 @@ class StabilityReport:
             }
         return payload
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_json(self) -> str:
         import json
 
-        return json.dumps(self.as_dict(), indent=indent)
+        return json.dumps(self.as_dict(), indent=2)
 
 
 def _sort_complex(eigs: np.ndarray) -> np.ndarray:
@@ -1105,21 +1098,20 @@ def analyze_small(config: Configuration) -> StabilityReport:
     return result
 
 
-def full_linearization_oracle(
-    config: Configuration, xi_z: float | None = None, step: float = 1e-3
-) -> np.ndarray:
+def full_linearization_oracle(config: Configuration) -> np.ndarray:
     """Eigenvalues of the full co-rotating linearization (no slicing).
 
-    The Jacobian of the co-rotating chart field is built with fourth-order
-    central differences.  Relative to a slice analysis the spectrum gains
-    the orbit/momentum modes: two zeros and a conjugate pair at the
-    rotation rate when the momentum is vertical and nonzero, six zeros
-    when it vanishes.
+    The frame rotates at the configuration's own rigid rate, and the
+    Jacobian of the co-rotating chart field is built with fourth-order
+    central differences of step 1e-3.  Relative to a slice analysis the
+    spectrum gains the orbit/momentum modes: two zeros and a conjugate pair
+    at the rotation rate when the momentum is vertical and nonzero, six
+    zeros when it vanishes.
     """
     xi = configuration_angular_velocity(config)
     chart = MixedChart(config)
     q0 = chart.coords()
-    d = q0.size
+    d, step = q0.size, 1e-3
     jac = np.zeros((d, d))
     for k in range(d):
         e = np.zeros(d)
@@ -1256,28 +1248,20 @@ def list_transitions(
             f"{MIN_TRANSITION_TOL:g}"
         )
 
-    cache: dict[float, Verdict | None] = {}
-
     def verdict_at(theta: float) -> Verdict | None:
-        key = round(theta, 12)
-        if key not in cache:
-            try:
-                result = analyze(FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=theta, k_p=k_p))
-            except VortexError as exc:
-                result = exc
-            cache[key] = _scan_verdict(result)
-        return cache[key]
+        try:
+            result = analyze(FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=theta, k_p=k_p))
+        except VortexError as exc:
+            result = exc
+        return _scan_verdict(result)
 
-    # The grid in one stacked pass; bisection below calls analyze per point.
+    # The grid in one stacked pass; refinement and bisection below analyse
+    # one latitude at a time.  Resolvable grid samples only: indeterminate
+    # or invalid points are skipped without breaking adjacency.
     pts = _scan_points(fam, k_p, grid_step)
     descs = (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in pts)
-    for t, result in zip(pts, analyze_many(descs)):
-        cache.setdefault(round(t, 12), _scan_verdict(result))
+    samples = [(t, v) for t, result in zip(pts, analyze_many(descs)) if (v := _scan_verdict(result)) is not None]
     min_width = max(4.0 * tol, 1e-9)
-
-    # Resolvable grid samples only; indeterminate or invalid points are
-    # skipped without breaking adjacency.
-    samples = [(t, v) for t in pts if (v := verdict_at(t)) is not None]
 
     found: list[tuple[str, float]] = []
     for (t0, v0), (t1, v1) in zip(samples, samples[1:]):
@@ -1300,14 +1284,13 @@ def critical_latitude(
     k_p: int,
     transition: str,
     occurrence: int = 0,
-    grid_step: float = 0.005,
-    tol: float = 1e-6,
 ) -> float:
-    """Latitude of the ``occurrence``-th verdict change of the given kind.
+    """Latitude of the ``occurrence``-th verdict change of the given kind,
+    from :func:`list_transitions` at its default grid and tolerance.
 
     Raises :class:`NoTransition` when the family shows no such change.
     """
-    found = list_transitions(family, n_per_ring, k_p, grid_step, tol)
+    found = list_transitions(family, n_per_ring, k_p)
     return _pick_transition(found, transition, occurrence)
 
 

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,9 @@ from vortex_atlas.atlas import (
     EXIT_OK,
     EXIT_USAGE,
     SweepSpec,
-    _nearest_on_segment,
+    _junctions,
+    _nearest_sample,
     _parse_int_list,
-    _Segment,
     build_diagram,
     diagram_csv,
     main,
@@ -608,8 +607,7 @@ def three_pair_diagram():
 @pytest.mark.parametrize("pairs", [2, 3])
 def test_diagram_matches_the_golden_files(tmp_path, monkeypatch, capsys, pairs):
     # Written by ``diagram`` when the meridian roots were bracketed one
-    # sample at a time and each pitchfork candidate was refined on nested
-    # grids; the bytes depend on NumPy's and the BLAS's kernels.
+    # sample at a time; the bytes depend on NumPy's and the BLAS's kernels.
     monkeypatch.chdir(tmp_path)
     name = f"diagram_pairs{pairs}"
     assert main(["diagram", "--pairs", str(pairs), "--out", f"{name}.svg"]) == EXIT_OK
@@ -619,30 +617,24 @@ def test_diagram_matches_the_golden_files(tmp_path, monkeypatch, capsys, pairs):
         assert got == (GOLDEN / f"{name}{suffix}").read_bytes(), suffix
 
 
-@pytest.mark.parametrize(
-    "point,target,expected",
-    [
-        # the minimum lies between two samples
-        (lambda t: (t, t * t, "v"), (0.1234, 0.0153), 0.1234),
-        # the branch ends just past the best sample, inside the window
-        (lambda t: None if t > 0.5 else (t, 0.0, "v"), (0.497, 0.0), 0.497),
-        # nothing on the branch beats its last sample
-        (lambda t: None if t > 0.5 else (t, 0.0, "v"), (0.52, 0.0), 0.5),
-    ],
-    ids=["between-samples", "branch-ends", "past-the-end"],
-)
-def test_refinement_is_no_worse_than_the_samples(point, target, expected):
-    seg = _Segment(
-        "child", np.linspace(0.0, 1.0, 101), lambda ts: [point(t) for t in ts], is_parent=False
-    )
-    seg.sample()
-    sample_d = min(math.hypot(p.mu_z - target[0], p.energy - target[1])
-                   for p in seg.points)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        d, param = _nearest_on_segment(seg, *target)
-    assert d <= sample_d
-    assert param == pytest.approx(expected, abs=1e-4)
+@pytest.mark.parametrize("pairs,pitchforks", [(2, 2), (3, 0)])
+def test_pitchfork_candidates_are_decided_by_a_wide_margin(pairs, pitchforks):
+    """A child meets a parent's verdict change when its closest sample lies
+    within 1e-3 of it.  Every candidate is far from that bound on either
+    side, so a change of the sample grids cannot quietly flip a decision."""
+    diagram = build_diagram(pairs)
+    meeting = []
+    for parent, mu_star, h_star, _ in _junctions(list(diagram.segments)):
+        for child in diagram.segments:
+            if child.is_parent or not child.points:
+                continue
+            d, _ = _nearest_sample(child, mu_star, h_star)
+            if d <= 1e-4:
+                meeting.append((parent.label, child.label, mu_star))
+            else:
+                assert d >= 1e-2, (parent.label, child.label, d)
+    assert len(meeting) == pitchforks
+    assert meeting == [(b.parent, b.child, b.mu_z) for b in diagram.bifurcations]
 
 
 def test_diagram_segments_and_fixed_point(three_pair_diagram):

@@ -33,6 +33,7 @@ from vortex_atlas.dynamics import (
     MixedChart,
     augmented_hamiltonian,
     hamiltonian,
+    hamiltonians,
     integrate,
     momentum_map,
     vector_field,
@@ -298,6 +299,16 @@ def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):
     assert traj.to_csv() == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("name", ["pole_pair_m6", "random_m6", "rotating_rings_m6"])
+def test_stacked_energies_have_the_bits_of_one_configuration_at_a_time(name):
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.json"
+    c = Configuration.from_json(golden.read_text())
+    states = integrate(c, 1.0).states
+    stacked = hamiltonians(np.array([state.positions for state in states]), c.strengths)
+    assert stacked.shape == (len(states),)
+    assert stacked.tobytes() == np.array([hamiltonian(state) for state in states]).tobytes()
+
+
 def test_solver_statistics_count_the_work_and_repeat():
     c = make_family(FamilyDescriptor(Family.DND_RRP, 2, theta0=0.9))
     first = integrate(c, 2.0, tol=1e-9)
@@ -480,7 +491,7 @@ def test_hessian_stencil_matches_a_loop_of_gradients(name):
             dq = np.zeros(chart.dim)
             dq[k] = step
             want[:, k] = (chart.gradient(q + dq, 0.3) - chart.gradient(q - dq, 0.3)) / (2.0 * step)
-        got = chart.hessian_fd(q, 0.3, step)
+        got = chart.hessian_fd(q, 0.3)
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 

@@ -1,13 +1,84 @@
-"""The package's public names and the methods the benchmark's tracer wraps."""
+"""The package's public names, their signatures, and the methods the benchmark's tracer wraps."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 LAYERS = ("core", "dynamics", "equilibria", "stability")
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# The parameters of every function in a layer's ``__all__`` and of every
+# public method of an exported class (without ``self`` or ``cls``); an
+# option, a parameter with a default, ends in "=".  76 parameters, 9 options.
+SIGNATURES = {
+    "core.Layout.all_indices": "",
+    "core.Layout.standard": "n_plus n_minus pole_count",
+    "core.Configuration.with_negated_strengths": "",
+    "core.Configuration.with_positions": "p",
+    "core.Configuration.to_json": "",
+    "core.Configuration.from_json": "text",
+    "core.FamilyDescriptor.validate": "",
+    "core.FamilyDescriptor.to_json": "",
+    "core.FamilyDescriptor.from_json": "text",
+    "core.FamilyDescriptor.from_mapping": "payload",
+    "core.apply_group_element": "g c",
+    "core.is_fixed_by": "c g",
+    "core.rotation_z_matrix": "angle",
+    "core.mirror_y_matrix": "",
+    "core.mirror_z_matrix": "",
+    "dynamics.Trajectory.final_state": "",
+    "dynamics.Trajectory.to_csv": "",
+    "dynamics.MixedChart.coords": "config=",
+    "dynamics.MixedChart.positions": "q",
+    "dynamics.MixedChart.config_at": "q",
+    "dynamics.MixedChart.gradient": "q xi",
+    "dynamics.MixedChart.corotating_field": "q xi",
+    "dynamics.MixedChart.symplectic_matrix": "q",
+    "dynamics.MixedChart.momentum_rows": "q",
+    "dynamics.MixedChart.rotation_generators": "q axes",
+    "dynamics.MixedChart.hessian_fd": "q xi",
+    "dynamics.hamiltonian": "c",
+    "dynamics.hamiltonians": "positions strengths",
+    "dynamics.vector_field": "c",
+    "dynamics.momentum_map": "c",
+    "dynamics.augmented_hamiltonian": "c xi mu",
+    "dynamics.integrate": "c0 t_end tol=",
+    "equilibria.BranchPoint.configuration": "",
+    "equilibria.make_equatorial_pm_ring": "n_pairs",
+    "equilibria.make_tetrahedral_pair": "",
+    "equilibria.make_single_plus_ring": "n theta0",
+    "equilibria.make_plus_ring_pole_pair": "theta0",
+    "equilibria.make_family": "desc",
+    "equilibria.angular_velocity_generic": "c index=",
+    "equilibria.configuration_angular_velocity": "c",
+    "equilibria.ring_angular_velocity": "desc",
+    "equilibria.re_residual": "c xi_z",
+    "equilibria.branch_c2v_2R2p": "x lambda_n=",
+    "equilibria.branch_c2v_RRp2p": "x lambda_n= sign=",
+    "equilibria.branch_c2v_RmRmp": "x",
+    "equilibria.two_ring_phase_test": "c",
+    "stability.BlockSpectrum.as_dict": "",
+    "stability.StabilityReport.hessian_eigenvalues": "",
+    "stability.StabilityReport.linearization_eigenvalues": "",
+    "stability.StabilityReport.as_dict": "",
+    "stability.StabilityReport.to_json": "",
+    "stability.hessian_closed_form": "desc",
+    "stability.slice_basis": "desc",
+    "stability.slice_symplectic_form": "desc",
+    "stability.deciding_scalars_rs": "desc",
+    "stability.deciding_scalars_ab": "desc",
+    "stability.analyze": "desc",
+    "stability.analyze_many": "descs",
+    "stability.analyze_small": "config",
+    "stability.analyze_small_many": "configs",
+    "stability.full_linearization_oracle": "config",
+    "stability.spectrum_match": "found expected",
+    "stability.list_transitions": "family n_per_ring k_p grid_step= tol=",
+    "stability.critical_latitude": "family n_per_ring k_p transition occurrence=",
+}
 
 
 @pytest.mark.parametrize("name", ("vortex_atlas",) + tuple(f"vortex_atlas.{m}" for m in LAYERS))
@@ -28,3 +99,29 @@ def test_traced_methods_are_defined_on_their_classes():
     for layer, cls_name, attr in tracing.METHODS.values():
         cls = getattr(importlib.import_module(f"vortex_atlas.{layer}"), cls_name)
         assert attr in cls.__dict__, f"{cls_name}.{attr}"
+
+
+def _parameters(fn) -> str:
+    params = inspect.signature(fn).parameters.values()
+    return " ".join(
+        p.name + ("=" if p.default is not p.empty else "")
+        for p in params
+        if p.name not in ("self", "cls")
+    )
+
+
+def test_public_signatures_are_pinned():
+    found = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"vortex_atlas.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                found[f"{layer}.{name}"] = _parameters(obj)
+            elif inspect.isclass(obj):
+                for attr, raw in vars(obj).items():
+                    if not attr.startswith("_") and (
+                        inspect.isfunction(raw) or isinstance(raw, (classmethod, staticmethod))
+                    ):
+                        found[f"{layer}.{name}.{attr}"] = _parameters(getattr(obj, attr))
+    assert found == SIGNATURES
