@@ -39,6 +39,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    MAX_GRID_POINTS,
     MAX_RING_SIZE,
     Configuration,
     Family,
@@ -70,13 +71,13 @@ from .stability import (
     NotRelativeEquilibrium,
     StabilityReport,
     Verdict,
-    _bisect,
     _pick_transition,
     analyze,
     analyze_many,
     analyze_small,
     analyze_small_many,
     list_transitions,
+    verdict_changes,
 )
 
 EXIT_OK = 0
@@ -170,6 +171,10 @@ class SweepSpec:
         if not self.families:
             raise OutOfDomain("at least one family is required")
         _check_ring_sizes(self.n_values)
+        # grid() is built once, even for an empty list of ring sizes
+        latitudes = max((self.theta_stop - self.theta_start) / self.theta_step + 1.0, 0.0)
+        if len(self.families) * max(len(self.n_values), 1) * latitudes > MAX_GRID_POINTS:
+            raise OutOfDomain(f"a sweep holds at most {MAX_GRID_POINTS} points (families x sizes x latitudes)")
 
     def grid(self) -> tuple[float, ...]:
         if self.theta_stop < self.theta_start:
@@ -259,8 +264,8 @@ class _Segment:
 
     ``evaluate`` maps parameters to ``(mu_z, energy, verdict)`` each, or
     ``None`` where a parameter leaves the branch domain; ``sample`` passes
-    it the whole grid, and the bisection of a parent's verdict change one
-    point.
+    it the whole grid, and the search for a parent's verdict changes one
+    point at a time.
     """
 
     label: str
@@ -438,21 +443,25 @@ def _child_side(
 
 
 def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, float, float]]:
-    """Each change into or out of Lyapunov stability along a parent, bisected
-    to 1e-10: ``(parent, mu*, H*, momentum offset of the Lyapunov side)``."""
+    """Each change into or out of Lyapunov stability along a parent, located
+    to 1e-10 by :func:`~vortex_atlas.stability.verdict_changes` between
+    adjacent samples (the first such change of each bracket; a point off
+    the branch or with an indeterminate verdict has no verdict there):
+    ``(parent, mu*, H*, momentum offset of the Lyapunov side)``."""
     lyap = Verdict.LYAPUNOV_STABLE.value
     for parent in segments:
         if not parent.is_parent:
             continue
+
+        def verdict_at(t: float, parent: _Segment = parent) -> str | None:
+            got = parent.at(t)
+            return None if got is None or got[2] == Verdict.INDETERMINATE.value else got[2]
+
         for a, b in zip(parent.points, parent.points[1:]):
             if a.verdict == b.verdict or lyap not in (a.verdict, b.verdict):
                 continue
-            theta_star = _bisect(
-                lambda t: (v := parent.at(t)) is not None and v[2] == a.verdict,
-                a.param,
-                b.param,
-                1e-10,
-            )
+            changes = verdict_changes(verdict_at, a.param, a.verdict, b.param, b.verdict, 1e-10)
+            theta_star = next(t for t, before, after in changes if lyap in (before, after))
             got = parent.at(theta_star)
             if got is None:
                 continue

@@ -65,6 +65,10 @@ UNIT_NORM_TOL = 1e-12
 # on d x d arrays with d <= 4N + 4 = 1028 (about 8 MB each), and the collision
 # check on a (2N, 2N, 3) array (about 6 MB).
 MAX_RING_SIZE = 256
+# Most latitudes a sweep (families x ring sizes x latitudes) or a transition
+# scan (pi / grid step) may hold: a million grid points, checked before the
+# grid is allocated, is far beyond any figure and still a few MB of floats.
+MAX_GRID_POINTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------

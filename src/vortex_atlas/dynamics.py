@@ -63,6 +63,10 @@ __all__ = [
 # The integrator aborts (rather than grinding into a singularity) once any
 # pair comes this close in chord distance.
 NEAR_COLLISION_FACTOR = 10.0
+# integrate holds each step to 1e-3 * tol, and DOP853 raises any rtol below
+# 100 machine epsilons to that floor with a warning; integrate refuses a tol
+# that would run at a tolerance nobody asked for (2.22e-11).
+MIN_INTEGRATION_TOL = 1e5 * np.finfo(float).eps
 
 # Entries of the frames array ``(S, dim, M, 3)`` per chunk of the Hessian stencil (S >= 1).
 _STENCIL_ELEMENTS = 16384
@@ -476,12 +480,13 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
     StepSizeUnderflow
         If the step size collapses beneath the resolvable scale.
     OutOfDomain
-        If ``t_end`` is not positive and finite or ``tol`` is not in (0, 1).
+        If ``t_end`` is not positive and finite or ``tol`` is not in
+        [:data:`MIN_INTEGRATION_TOL`, 1).
     """
     if not (t_end > 0.0) or not math.isfinite(t_end):
         raise OutOfDomain("t_end must be a positive finite time")
-    if not (0.0 < tol < 1.0):
-        raise OutOfDomain("tol must lie in (0, 1)")
+    if not (MIN_INTEGRATION_TOL <= tol < 1.0):
+        raise OutOfDomain(f"tol must lie in [{MIN_INTEGRATION_TOL:.4g}, 1)")
 
     lam = c0.strengths
     pairs = _pair_constants(lam)

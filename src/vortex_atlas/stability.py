@@ -52,6 +52,7 @@ from scipy.linalg import eig as dense_eig
 from scipy.optimize import linear_sum_assignment
 
 from .core import (
+    MAX_GRID_POINTS,
     CollisionError,
     Configuration,
     Family,
@@ -95,6 +96,7 @@ __all__ = [
     "analyze_small_many",
     "full_linearization_oracle",
     "spectrum_match",
+    "verdict_changes",
     "list_transitions",
     "critical_latitude",
 ]
@@ -109,9 +111,9 @@ RESIDUAL_TOL = 1e-6
 #: Below this the vertical momentum is treated as zero (bigger rotation
 #: orbit, smaller slice).
 MOMENTUM_ZERO_TOL = 1e-8
-#: list_transitions refuses a bisection tolerance finer than this: once the
-#: interval is down to the float spacing of the latitude its midpoint equals
-#: an end, and the halving never stops (a tolerance of 1e-17 hung).
+#: list_transitions refuses a tolerance finer than this: once a bracket of
+#: verdict_changes is down to the float spacing of the latitude its midpoint
+#: equals an end, and the recursion never ends (a tolerance of 1e-17 hung).
 MIN_TRANSITION_TOL = 1e-12
 
 TRANSITIONS = ("StabilityGain", "StabilityLoss", "HopfLower", "HopfUpper")
@@ -1164,17 +1166,12 @@ def _scan_points(fam: Family, k_p: int, step: float) -> np.ndarray:
     return pts
 
 
-def _classify(before: Verdict, after: Verdict) -> str | None:
+def _classify(before: Verdict, after: Verdict) -> str:
+    """The kind of a change between two different resolvable verdicts."""
     lyap = Verdict.LYAPUNOV_STABLE
-    if before is not lyap and after is lyap:
-        return "StabilityGain"
-    if before is lyap and after is not lyap:
-        return "StabilityLoss"
-    if before is Verdict.LINEARLY_UNSTABLE and after is Verdict.LINEARLY_STABLE:
-        return "HopfLower"
-    if before is Verdict.LINEARLY_STABLE and after is Verdict.LINEARLY_UNSTABLE:
-        return "HopfUpper"
-    return None
+    if lyap in (before, after):
+        return "StabilityGain" if after is lyap else "StabilityLoss"
+    return "HopfLower" if after is Verdict.LINEARLY_STABLE else "HopfUpper"
 
 
 def _scan_verdict(result: StabilityReport | VortexError) -> Verdict | None:
@@ -1184,43 +1181,26 @@ def _scan_verdict(result: StabilityReport | VortexError) -> Verdict | None:
     return result.verdict
 
 
-def _refine_chain(
-    verdict_at,
-    lo: float,
-    v_lo: Verdict,
-    hi: float,
-    v_hi: Verdict,
-    min_width: float,
-) -> list[tuple[float, Verdict]]:
-    """Sample between two resolvable latitudes until every adjacent pair
-    of samples either agrees or spans less than ``min_width``.
+def verdict_changes(
+    verdict_at: Callable[[float], object], lo: float, v_lo: object, hi: float, v_hi: object, tol: float
+) -> list[tuple[float, object, object]]:
+    """Every verdict change between ``lo`` and ``hi`` as ``(midpoint,
+    before, after)``, in increasing order.
 
-    Catches verdict windows narrower than the outer scan grid: each real
-    boundary inside the interval costs ~log2(span/min_width) evaluations,
-    while agreeing subintervals stop immediately.
+    Ends that agree give nothing; a bracket no wider than ``tol`` gives its
+    midpoint; any other bracket is halved and both halves are searched, so
+    a window of a third verdict gives both of its edges.  A midpoint where
+    ``verdict_at`` returns None counts as the upper end's.
     """
-    if v_lo is v_hi or hi - lo <= min_width:
-        return [(lo, v_lo), (hi, v_hi)]
+    if v_lo == v_hi:
+        return []
     mid = 0.5 * (lo + hi)
-    vm = verdict_at(mid)
-    if vm is None:
-        return [(lo, v_lo), (hi, v_hi)]
-    left = _refine_chain(verdict_at, lo, v_lo, mid, vm, min_width)
-    right = _refine_chain(verdict_at, mid, vm, hi, v_hi, min_width)
-    return left + right[1:]
-
-
-def _bisect(same: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
-    """Halve ``[lo, hi]`` while it is wider than ``tol``, moving ``lo`` to
-    the midpoint where ``same`` holds there and ``hi`` otherwise; returns
-    the final midpoint."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if same(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if hi - lo <= tol:
+        return [(mid, v_lo, v_hi)]
+    if (v_mid := verdict_at(mid)) is None:
+        v_mid = v_hi
+    left = verdict_changes(verdict_at, lo, v_lo, mid, v_mid, tol)
+    return left + verdict_changes(verdict_at, mid, v_mid, hi, v_hi, tol)
 
 
 def list_transitions(
@@ -1230,22 +1210,27 @@ def list_transitions(
     grid_step: float = 0.005,
     tol: float = 1e-6,
 ) -> tuple[tuple[str, float], ...]:
-    """All verdict changes along the latitude, refined by bisection.
+    """All verdict changes along the latitude, each located to ``tol``.
 
-    Returns ``(kind, theta_star)`` pairs in increasing latitude order,
-    with ``kind`` one of :data:`TRANSITIONS`.  Latitudes whose verdict is
+    Analyses the latitude grid in one stacked pass, then runs
+    :func:`verdict_changes` between adjacent grid samples, one latitude at
+    a time, and classifies what it returns.  Returns ``(kind, theta_star)``
+    pairs in increasing latitude order, with ``kind`` one of
+    :data:`TRANSITIONS`.  Latitudes whose verdict is
     :attr:`Verdict.INDETERMINATE` (definiteness margin below tolerance at
     double precision) are treated as non-informative: changes are measured
     between the nearest resolvable neighbours instead, so an unresolvable
     plateau contributes no transitions of its own.  Raises
-    :class:`InvalidDescriptor` unless ``grid_step`` is positive and finite
-    and ``tol`` is finite and at least :data:`MIN_TRANSITION_TOL`.
+    :class:`InvalidDescriptor` unless ``grid_step`` is finite and gives at
+    most :data:`~vortex_atlas.core.MAX_GRID_POINTS` points over (0, pi), and
+    ``tol`` is finite and at least :data:`MIN_TRANSITION_TOL`.
     """
     fam = _resolve_family(family)
-    if not (0.0 < grid_step < math.inf and MIN_TRANSITION_TOL <= tol < math.inf):
+    min_step = math.pi / MAX_GRID_POINTS
+    if not (min_step <= grid_step < math.inf and MIN_TRANSITION_TOL <= tol < math.inf):
         raise InvalidDescriptor(
-            f"grid_step must be positive and finite, tol finite and at least "
-            f"{MIN_TRANSITION_TOL:g}"
+            f"grid_step must be finite and at least pi/{MAX_GRID_POINTS} = {min_step:.4g}, "
+            f"tol finite and at least {MIN_TRANSITION_TOL:g}"
         )
 
     def verdict_at(theta: float) -> Verdict | None:
@@ -1255,27 +1240,17 @@ def list_transitions(
             result = exc
         return _scan_verdict(result)
 
-    # The grid in one stacked pass; refinement and bisection below analyse
-    # one latitude at a time.  Resolvable grid samples only: indeterminate
-    # or invalid points are skipped without breaking adjacency.
+    # Resolvable grid samples only: indeterminate or invalid points are
+    # skipped without breaking adjacency.
     pts = _scan_points(fam, k_p, grid_step)
     descs = (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in pts)
     samples = [(t, v) for t, result in zip(pts, analyze_many(descs)) if (v := _scan_verdict(result)) is not None]
-    min_width = max(4.0 * tol, 1e-9)
 
-    found: list[tuple[str, float]] = []
-    for (t0, v0), (t1, v1) in zip(samples, samples[1:]):
-        if v0 is v1:
-            continue
-        chain = _refine_chain(verdict_at, t0, v0, t1, v1, min_width)
-        for (lo, a), (hi, b) in zip(chain, chain[1:]):
-            if a is b:
-                continue
-            kind = _classify(a, b)
-            theta = _bisect(lambda t: verdict_at(t) is a, lo, hi, tol)
-            if kind is not None:
-                found.append((kind, theta))
-    return tuple(found)
+    return tuple(
+        (_classify(a, b), theta)
+        for (t0, v0), (t1, v1) in zip(samples, samples[1:])
+        for theta, a, b in verdict_changes(verdict_at, t0, v0, t1, v1, tol)
+    )
 
 
 def critical_latitude(

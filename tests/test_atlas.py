@@ -34,7 +34,7 @@ from vortex_atlas.atlas import (
     render_svg,
     run_sweep,
 )
-from vortex_atlas.core import MAX_RING_SIZE, Family, FamilyDescriptor
+from vortex_atlas.core import MAX_GRID_POINTS, MAX_RING_SIZE, Family, FamilyDescriptor
 from vortex_atlas.dynamics import hamiltonian
 from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring, make_family
 from vortex_atlas.stability import analyze, list_transitions
@@ -71,6 +71,10 @@ def test_ring_size_lists():
     ],
 )
 def test_ring_sizes_above_the_bound_exit_before_allocating(capsys, argv):
+    _assert_input_error_before_allocating(capsys, argv)
+
+
+def _assert_input_error_before_allocating(capsys, argv):
     main(["sweep", "--family", "DNh", "--n", "x"])  # load what the first call loads
     capsys.readouterr()
     tracemalloc.start()
@@ -82,6 +86,30 @@ def test_ring_sizes_above_the_bound_exit_before_allocating(capsys, argv):
     assert code == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error:")
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--grid-step", "1e-300"],
+        ["thresholds", "--grid-step", "1e-9"],
+        ["sweep", "--family", "DNh", "--grid-step", "1e-300"],
+        ["sweep", "--family", "DNh", "--theta-start=-1e12", "--grid-step", "0.05"],
+        ["sweep", "--family", "DNh", "--family", "DNd", "--n", "2..256", "--grid-step", "5e-4"],
+    ],
+)
+def test_grids_above_the_bound_exit_before_allocating(capsys, argv):
+    _assert_input_error_before_allocating(capsys, argv)
+
+
+def test_sweep_spec_bounds_the_grid_size():
+    """Families x ring sizes x latitudes from theta_start to theta_stop."""
+    latitudes = MAX_GRID_POINTS // 4
+    SweepSpec(("DNh", "DNd"), (2, 3), 0.0, 0.5 * (latitudes - 1), 0.5)
+    with pytest.raises(OutOfDomain, match="at most"):
+        SweepSpec(("DNh", "DNd"), (2, 3), 0.0, 0.5 * latitudes, 0.5)
+    with pytest.raises(OutOfDomain, match="at most"):
+        SweepSpec(("DNh",), (), -1e12, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -800,7 +828,7 @@ def _cli_calls(draw):
         path = draw(st.sampled_from(["DIR/in.json"] * 3 + ["DIR/missing.json", "DIR"]))
         argv = ["simulate", path,
                 "--t-end", draw(st.floats(0.001, 0.2).map(repr) | _FLOAT_ARGS),
-                "--tol", draw(st.sampled_from(["1e-6", "1e-8"]) | _FLOAT_ARGS)]
+                "--tol", draw(st.sampled_from(["1e-6", "1e-8", "1e-300"]) | _FLOAT_ARGS)]
     elif command == "classify":
         inline = draw(st.one_of(_DESCRIPTORS.map(json.dumps), st.just("{not json")))
         argv = ["classify", draw(st.sampled_from([inline] * 2 + ["DIR/in.json"] * 2
@@ -811,9 +839,11 @@ def _cli_calls(draw):
         argv = ["sweep", *(a for f in families for a in ("--family", f)),
                 "--n", draw(st.sampled_from(["2", "3", "2..4", "2,6", "1", "0..3", "6..2", "x",
                                              "2..257", "2..1000000000000"])),
-                "--theta-start", draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS),
+                "--theta-start=" + draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS
+                                        | st.just("-1e12")),
                 "--theta-stop", draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS),
-                "--grid-step", draw(st.floats(0.05, 1.0).map(repr) | _FLOAT_ARGS),
+                "--grid-step", draw(st.floats(0.05, 1.0).map(repr) | _FLOAT_ARGS
+                                    | st.just("1e-300")),
                 "--kp", draw(st.sampled_from(["0", "2", "1"])),
                 "--lambda-n", draw(st.sampled_from(["1", "0.5", "0", "-1", "nan"])),
                 "--format", draw(st.sampled_from(["csv", "json"]))]
@@ -825,7 +855,8 @@ def _cli_calls(draw):
         ]))
     else:
         argv = ["thresholds",
-                "--grid-step", draw(st.floats(0.05, 2.0).map(repr) | _FLOAT_ARGS),
+                "--grid-step", draw(st.floats(0.05, 2.0).map(repr) | _FLOAT_ARGS
+                                    | st.just("1e-300")),
                 "--tol", draw(st.sampled_from(["1e-6", "1e-3", "1e-17"]) | _FLOAT_ARGS),
                 "--format", draw(st.sampled_from(["csv", "json"]))]
     return [*argv, *draw(_OUTS)] if command != "diagram" else argv, content
@@ -861,17 +892,25 @@ def test_every_command_exits_with_a_documented_code(call):
         (["sweep", "--family", "DNh", "--grid-step", "-0.1"], EXIT_INPUT, "input error:"),
         (["diagram", "--pairs", "5"], EXIT_USAGE, "usage:"),
         (["thresholds", "--grid-step", "2", "--out", "MISSING"], EXIT_INPUT, "input error:"),
+        (["thresholds", "--grid-step", "1e-300"], EXIT_INPUT, "input error:"),
+        (["sweep", "--family", "DNh", "--theta-start=-1e12", "--grid-step", "0.05"],
+         EXIT_INPUT, "input error:"),
+        (["simulate", "CONFIG", "--t-end", "0.01", "--tol", "1e-300"], EXIT_INPUT,
+         "input error:"),
     ],
-    ids=["simulate", "classify", "sweep", "diagram", "thresholds"],
+    ids=["simulate", "classify", "sweep", "diagram", "thresholds", "thresholds-grid",
+         "sweep-grid", "simulate-tol"],
 )
 def test_the_entry_point_exits_without_a_traceback(tmp_path, argv, code, message):
     src = str(Path(vortex_atlas.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     missing = str(tmp_path / "no-such-dir" / "file")
+    config = tmp_path / "ring.json"
+    config.write_text(make_equatorial_pm_ring(2).to_json())
+    paths = {"MISSING": missing, "CONFIG": str(config)}
     done = subprocess.run(
-        [sys.executable, "-m", "vortex_atlas.atlas", *(missing if a == "MISSING" else a
-                                                      for a in argv)],
+        [sys.executable, "-m", "vortex_atlas.atlas", *(paths.get(a, a) for a in argv)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == code

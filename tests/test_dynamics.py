@@ -28,6 +28,7 @@ from vortex_atlas.core import (
     rotation_z_matrix,
 )
 from vortex_atlas.dynamics import (
+    MIN_INTEGRATION_TOL,
     NEAR_COLLISION_FACTOR,
     CollisionApproach,
     MixedChart,
@@ -211,7 +212,17 @@ def test_integrate_validates_inputs():
         integrate(c, -1.0)
     with pytest.raises(OutOfDomain):
         integrate(c, 1.0, tol=2.0)
+    # DOP853 would raise a step tolerance 1e-3 * tol below 100 eps to that floor
+    for tol in (1e-300, 1e-13, np.nextafter(MIN_INTEGRATION_TOL, 0.0)):
+        with pytest.raises(OutOfDomain, match="tol must lie in"):
+            integrate(c, 1.0, tol=tol)
     assert issubclass(OutOfDomain, ValueError)
+
+
+def test_integrate_runs_at_the_finest_accepted_tol_without_a_warning(recwarn):
+    traj = integrate(make_equatorial_pm_ring(2), 0.01, tol=MIN_INTEGRATION_TOL)
+    assert traj.times[-1] == 0.01
+    assert not recwarn.list
 
 
 def test_fixed_equilibrium_stays_put():

@@ -16,6 +16,7 @@ from conftest import rotation_axis_matrix
 from vortex_atlas import atlas
 from vortex_atlas.atlas import EXIT_OK, main
 from vortex_atlas.core import (
+    MAX_GRID_POINTS,
     Configuration,
     Family,
     FamilyDescriptor,
@@ -62,6 +63,7 @@ from vortex_atlas.stability import (
     slice_basis,
     slice_symplectic_form,
     spectrum_match,
+    verdict_changes,
 )
 
 DND = Family.DND_RRP
@@ -898,6 +900,55 @@ def test_refinement_catches_windows_thinner_than_the_scan_grid():
     assert uppers and min(abs(t - 0.68) for t in uppers) < 0.01
 
 
+def _windows(*edges_and_verdicts):
+    """A verdict function of the latitude: ``("a", 0.3, "b", 0.6, "c")`` is
+    "a" below 0.3, "b" on [0.3, 0.6) and "c" from 0.6 on; a None verdict
+    is a latitude with no verdict.  Records every latitude it is asked."""
+    verdicts, edges = edges_and_verdicts[::2], edges_and_verdicts[1::2]
+    asked = []
+
+    def verdict_at(theta):
+        asked.append(theta)
+        return verdicts[sum(theta >= e for e in edges)]
+
+    return verdict_at, asked
+
+
+def test_verdict_search_returns_nothing_between_equal_ends():
+    verdict_at, asked = _windows("a", 0.3, "b", 0.6, "a")
+    assert verdict_changes(verdict_at, 0.0, "a", 1.0, "a", 1e-6) == []
+    assert asked == []
+
+
+def test_verdict_search_gives_both_edges_of_a_third_verdict_window():
+    verdict_at, _ = _windows("a", 0.5, "c", 0.5 + 3e-6, "b")
+    found = verdict_changes(verdict_at, 0.0, "a", 1.0, "b", 1e-6)
+    assert [(before, after) for _, before, after in found] == [("a", "c"), ("c", "b")]
+    assert found[0][0] == pytest.approx(0.5, abs=1e-6)
+    assert found[1][0] == pytest.approx(0.5 + 3e-6, abs=1e-6)
+
+
+def test_verdict_search_counts_a_missing_verdict_as_the_upper_end():
+    verdict_at, _ = _windows("a", 0.3, None, 0.7, "b")
+    found = verdict_changes(verdict_at, 0.0, "a", 1.0, "b", 1e-6)
+    assert [(before, after) for _, before, after in found] == [("a", "b")]
+    assert found[0][0] == pytest.approx(0.3, abs=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
+def test_verdict_search_brackets_are_no_wider_than_tol(tol):
+    edges = ("a", 0.1, "b", 0.2, "a", 0.2 + tol / 3, "c", 0.9, "b")
+    verdict_at, asked = _windows(*edges)
+    found = verdict_changes(verdict_at, 0.0, "a", 1.0, "b", tol)
+    assert found and [t for t, _, _ in found] == sorted(t for t, _, _ in found)
+    ends = sorted({0.0, 1.0, *asked})
+    brackets = {0.5 * (lo + hi): hi - lo for lo, hi in zip(ends, ends[1:])}
+    for theta, before, after in found:
+        assert before != after
+        assert brackets[theta] <= tol
+        assert min(abs(theta - e) for e in edges[1::2]) <= tol / 2
+
+
 def test_missing_transition_raises():
     with pytest.raises(NoTransition):
         critical_latitude(DND, 5, 0, "StabilityGain")
@@ -908,7 +959,8 @@ def test_missing_transition_raises():
 @pytest.mark.parametrize(
     "grid_step,tol",
     [(0.005, 0.0), (0.005, -1.0), (0.005, 1e-17), (0.005, math.nan), (0.005, math.inf),
-     (0.0, 1e-6), (-1.0, 1e-6), (math.nan, 1e-6), (math.inf, 1e-6)],
+     (0.0, 1e-6), (-1.0, 1e-6), (math.nan, 1e-6), (math.inf, 1e-6), (1e-300, 1e-6),
+     (math.pi / MAX_GRID_POINTS / 2, 1e-6)],
 )
 def test_transition_scan_rejects_bad_step_and_tolerance(grid_step, tol):
     with pytest.raises(InvalidDescriptor):

@@ -1,5 +1,6 @@
 """The package's public names, their signatures, and the methods the benchmark's tracer wraps."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -8,11 +9,12 @@ from pathlib import Path
 import pytest
 
 LAYERS = ("core", "dynamics", "equilibria", "stability")
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # The parameters of every function in a layer's ``__all__`` and of every
 # public method of an exported class (without ``self`` or ``cls``); an
-# option, a parameter with a default, ends in "=".  76 parameters, 9 options.
+# option, a parameter with a default, ends in "=".  82 parameters, 9 options.
 SIGNATURES = {
     "core.Layout.all_indices": "",
     "core.Layout.standard": "n_plus n_minus pole_count",
@@ -78,6 +80,17 @@ SIGNATURES = {
     "stability.spectrum_match": "found expected",
     "stability.list_transitions": "family n_per_ring k_p grid_step= tol=",
     "stability.critical_latitude": "family n_per_ring k_p transition occurrence=",
+    "stability.verdict_changes": "verdict_at lo v_lo hi v_hi tol",
+}
+
+# Every private name one module of the package imports from another, as
+# ``(importer, layer._name)``.  A new entry is a layer reaching into
+# another's internals.
+PRIVATE_IMPORTS = {
+    ("atlas", "core._family_named"),
+    ("atlas", "stability._pick_transition"),
+    ("stability", "core._family_named"),
+    ("stability", "equilibria._rigid_rates"),
 }
 
 
@@ -125,3 +138,16 @@ def test_public_signatures_are_pinned():
                     ):
                         found[f"{layer}.{name}.{attr}"] = _parameters(getattr(obj, attr))
     assert found == SIGNATURES
+
+
+def test_private_cross_layer_imports_are_pinned():
+    found = set()
+    for path in (ROOT / "src" / "vortex_atlas").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= {
+                    (path.stem, f"{node.module}.{alias.name}")
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                }
+    assert found == PRIVATE_IMPORTS
