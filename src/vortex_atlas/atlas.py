@@ -31,6 +31,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -63,9 +64,11 @@ from .equilibria import (
     make_equatorial_pm_ring,
     make_family,
     make_plus_ring_pole_pair,
+    two_ring_positions,
 )
 from .stability import (
     REFERENCE_THRESHOLDS,
+    Decision,
     DegenerateForm,
     NoTransition,
     NotRelativeEquilibrium,
@@ -73,9 +76,9 @@ from .stability import (
     Verdict,
     _pick_transition,
     analyze,
-    analyze_many,
     analyze_small,
     analyze_small_many,
+    decide_many,
     list_transitions,
     verdict_changes,
 )
@@ -89,25 +92,8 @@ EXIT_NUMERIC = 3
 # ``main`` maps them to EXIT_NUMERIC and every other VortexError to EXIT_INPUT.
 _NUMERIC_ERRORS = (CollisionApproach, StepSizeUnderflow, NotRelativeEquilibrium, DegenerateForm)
 
-_SWEEP_COLUMNS = (
-    "family",
-    "N",
-    "theta0",
-    "mu_z",
-    "xi_z",
-    "H",
-    "verdict",
-    "deciding_block",
-)
-_THRESHOLD_COLUMNS = (
-    "family",
-    "N",
-    "k_p",
-    "transition",
-    "theta_star",
-    "reference_value",
-    "abs_delta",
-)
+_SWEEP_COLUMNS = ("family", "N", "theta0", "mu_z", "xi_z", "H", "verdict", "deciding_block")
+_THRESHOLD_COLUMNS = ("family", "N", "k_p", "transition", "theta_star", "reference_value", "abs_delta")
 _DIAGRAM_COLUMNS = ("branch", "param", "mu_z", "energy", "verdict")
 
 
@@ -130,9 +116,7 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue()
 
 
-def _write_rows(
-    out: str | None, fmt: str, columns: Sequence[str], rows: Sequence[Sequence[str]]
-) -> None:
+def _write_rows(out: str | None, fmt: str, columns: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     """A table as CSV, or as a JSON list of one object per row."""
     if fmt == "json":
         payload = [dict(zip(columns, row)) for row in rows]
@@ -170,6 +154,10 @@ class SweepSpec:
             raise OutOfDomain("theta_step must be positive")
         if not self.families:
             raise OutOfDomain("at least one family is required")
+        if not math.isfinite(self.lambda_n):
+            raise OutOfDomain("lambda_n must be finite")
+        if self.k_p and self.lambda_n == 0.0:
+            raise OutOfDomain("lambda_n must be nonzero")
         _check_ring_sizes(self.n_values)
         # grid() is built once, even for an empty list of ring sizes
         latitudes = max((self.theta_stop - self.theta_start) / self.theta_step + 1.0, 0.0)
@@ -179,11 +167,7 @@ class SweepSpec:
     def grid(self) -> tuple[float, ...]:
         if self.theta_stop < self.theta_start:
             return ()
-        values = np.arange(
-            self.theta_start,
-            self.theta_stop + 0.5 * self.theta_step,
-            self.theta_step,
-        )
+        values = np.arange(self.theta_start, self.theta_stop + 0.5 * self.theta_step, self.theta_step)
         keep = (values > 1e-9) & (values < math.pi - 1e-9)
         return tuple(float(v) for v in values[keep])
 
@@ -195,21 +179,28 @@ def _check_ring_sizes(sizes: Sequence[int]) -> None:
 
 def _members(
     family: Family, n: int, k_p: int, lambda_n: float, thetas: Sequence[float]
-) -> Iterator[tuple[StabilityReport, float] | None]:
-    """``(report, energy)`` of the ring-family member at each latitude, from
-    one stacked closed-form pass; ``None`` where the closed form or the
-    constructor raises."""
+) -> Iterator[tuple[Decision, float] | None]:
+    """``(decision, energy)`` of the ring-family member at each latitude;
+    ``None`` where the closed form or the constructor raises.  The decisions
+    come from one stacked closed-form pass, the energies from stacked
+    positions in chunks of ``16384 // d**2`` latitudes (d = 4N + 2k_p, as
+    the closed-form stacks)."""
     descs = [FamilyDescriptor(family, n, theta, k_p, lambda_n) for theta in thetas]
-    for desc, result in zip(descs, analyze_many(descs)):
-        if isinstance(result, VortexError):
-            yield None
-            continue
-        try:
-            energy = hamiltonian(make_family(desc))
-        except VortexError:
-            yield None
-            continue
-        yield result, energy
+    decisions = list(decide_many(descs))
+    size = max(1, 16384 // (4 * n + 2 * k_p) ** 2)
+    for start in range(0, len(descs), size):
+        chunk = decisions[start : start + size]
+        ok = np.array([not isinstance(d, VortexError) for d in chunk])
+        if not ok.any():
+            yield from [None] * len(chunk)
+        elif family in (Family.DNH_2R, Family.DND_RRP):
+            positions, strengths, clear = two_ring_positions(family, n, k_p, lambda_n, thetas[start : start + size])
+            ok &= clear
+            energies = iter(hamiltonians(positions[ok], strengths).tolist())
+            yield from ((d, next(energies)) if good else None for d, good in zip(chunk, ok.tolist()))
+        else:  # the equatorial ring, the one other family the closed form takes, ignores theta0
+            energy = hamiltonian(make_family(descs[start]))
+            yield from ((d, energy) if good else None for d, good in zip(chunk, ok.tolist()))
 
 
 def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
@@ -228,14 +219,9 @@ def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
                 if member is None:
                     rows.append(row + ("", "", "", "error", ""))
                     continue
-                report, energy = member
-                rows.append(row + (
-                    _fmt(report.mu_z),
-                    _fmt(report.xi_z),
-                    _fmt(energy),
-                    report.verdict.value,
-                    report.deciding_block,
-                ))
+                decision, energy = member
+                rows.append(row + (_fmt(decision.mu_z), _fmt(decision.xi_z), _fmt(energy),
+                                   decision.verdict.value, decision.deciding_block))
     return rows
 
 
@@ -264,8 +250,8 @@ class _Segment:
 
     ``evaluate`` maps parameters to ``(mu_z, energy, verdict)`` each, or
     ``None`` where a parameter leaves the branch domain; ``sample`` passes
-    it the whole grid, and the search for a parent's verdict changes one
-    point at a time.
+    it the whole grid, and the search for a parent's verdict changes the
+    midpoints of one halving round.
     """
 
     label: str
@@ -273,9 +259,6 @@ class _Segment:
     evaluate: _Evaluator
     is_parent: bool
     points: list[DiagramPoint] = field(default_factory=list)
-
-    def at(self, param: float) -> tuple[float, float, str] | None:
-        return self.evaluate([param])[0]
 
     def sample(self) -> None:
         params = self.params.tolist()
@@ -361,14 +344,8 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
     segments: list[_Segment] = []
     if n_pairs == 2:
         for sign in (-1, 1):
-            segments.append(
-                _Segment(
-                    "(a) C2v(R,R')",
-                    interval,
-                    _branch(lambda x, s=sign: branch_c2v_RRp2p(x, 0.0, s).configuration()),
-                    is_parent=False,
-                )
-            )
+            solve = _branch(lambda x, s=sign: branch_c2v_RRp2p(x, 0.0, s).configuration())
+            segments.append(_Segment("(a) C2v(R,R')", interval, solve, is_parent=False))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 0, half))
         meridional_x = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 2 * pts)
 
@@ -393,34 +370,15 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
 
         for root_index in (0, 1):
             for swap in (False, True):
-                segments.append(
-                    _Segment(
-                        "(c) C2v(Rm,Rm')",
-                        meridional_x,
-                        _branch(meridian(root_index, swap)),
-                        is_parent=False,
-                    )
-                )
+                solve = _branch(meridian(root_index, swap))
+                segments.append(_Segment("(c) C2v(Rm,Rm')", meridional_x, solve, is_parent=False))
         segments.append(_ring_segment("d", Family.DND_RRP, 2, 0, half_closed))
-        segments.append(
-            _Segment(
-                "(e) C2v(R,2p)",
-                full,
-                _branch(make_plus_ring_pole_pair),
-                is_parent=False,
-            )
-        )
+        segments.append(_Segment("(e) C2v(R,2p)", full, _branch(make_plus_ring_pole_pair), is_parent=False))
     else:
         segments.append(_ring_segment("a", Family.DNH_2R, 3, 0, half))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 2, full_gapped))
-        segments.append(
-            _Segment(
-                "(c) C2v(R,R',2p)",
-                interval,
-                _branch(lambda x: branch_c2v_RRp2p(x, 1.0, -1).configuration()),
-                is_parent=False,
-            )
-        )
+        solve = _branch(lambda x: branch_c2v_RRp2p(x, 1.0, -1).configuration())
+        segments.append(_Segment("(c) C2v(R,R',2p)", interval, solve, is_parent=False))
         segments.append(_ring_segment("d", Family.DND_RRP, 3, 0, half_closed))
         segments.append(_ring_segment("e", Family.DND_RRP, 2, 2, full))
     return segments
@@ -430,9 +388,7 @@ def _param_step(seg: _Segment) -> float:
     return float(seg.params[1] - seg.params[0]) if len(seg.params) > 1 else 1e-2
 
 
-def _child_side(
-    seg: _Segment, param_star: float, mu_star: float, window: float
-) -> float:
+def _child_side(seg: _Segment, param_star: float, mu_star: float, window: float) -> float:
     """Average child momentum offset from the junction, within the window."""
     offsets = [
         p.mu_z - mu_star
@@ -445,28 +401,29 @@ def _child_side(
 def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, float, float]]:
     """Each change into or out of Lyapunov stability along a parent, located
     to 1e-10 by :func:`~vortex_atlas.stability.verdict_changes` between
-    adjacent samples (the first such change of each bracket; a point off
-    the branch or with an indeterminate verdict has no verdict there):
+    adjacent samples, one ``evaluate`` call per halving round (the first
+    such change of each bracket; a point off the branch or with an
+    indeterminate verdict has no verdict there):
     ``(parent, mu*, H*, momentum offset of the Lyapunov side)``."""
     lyap = Verdict.LYAPUNOV_STABLE.value
-    for parent in segments:
-        if not parent.is_parent:
+    for parent in (seg for seg in segments if seg.is_parent):
+        pairs = [
+            (a, b) for a, b in zip(parent.points, parent.points[1:])
+            if a.verdict != b.verdict and lyap in (a.verdict, b.verdict)
+        ]
+        if not pairs:
             continue
 
-        def verdict_at(t: float, parent: _Segment = parent) -> str | None:
-            got = parent.at(t)
-            return None if got is None or got[2] == Verdict.INDETERMINATE.value else got[2]
+        def verdicts_at(ts: list[float], parent: _Segment = parent) -> list[str | None]:
+            indeterminate = Verdict.INDETERMINATE.value
+            return [None if got is None or got[2] == indeterminate else got[2] for got in parent.evaluate(ts)]
 
-        for a, b in zip(parent.points, parent.points[1:]):
-            if a.verdict == b.verdict or lyap not in (a.verdict, b.verdict):
-                continue
-            changes = verdict_changes(verdict_at, a.param, a.verdict, b.param, b.verdict, 1e-10)
-            theta_star = next(t for t, before, after in changes if lyap in (before, after))
-            got = parent.at(theta_star)
-            if got is None:
-                continue
-            mu_star, h_star, _ = got
-            yield parent, mu_star, h_star, (a.mu_z if a.verdict == lyap else b.mu_z) - mu_star
+        found = verdict_changes(verdicts_at, [(a.param, a.verdict, b.param, b.verdict) for a, b in pairs], 1e-10)
+        stars = [next(t for t, before, after in changes if lyap in (before, after)) for changes in found]
+        for (a, b), got in zip(pairs, parent.evaluate(stars)):
+            if got is not None:
+                mu_star, h_star, _ = got
+                yield parent, mu_star, h_star, (a.mu_z if a.verdict == lyap else b.mu_z) - mu_star
 
 
 def _nearest_sample(seg: _Segment, mu_star: float, h_star: float) -> tuple[float, DiagramPoint]:
@@ -518,22 +475,9 @@ def build_diagram(n_pairs: int) -> Diagram:
     for seg in segments:
         seg.sample()
     fixed = make_equatorial_pm_ring(n_pairs)
-    fixed_report = analyze(
-        FamilyDescriptor(Family.EQUATORIAL_PM_RING, n_per_ring=n_pairs)
-    )
-    fixed_point = DiagramPoint(
-        "E",
-        math.pi / 2,
-        float(momentum_map(fixed)[2]),
-        hamiltonian(fixed),
-        fixed_report.verdict.value,
-    )
-    return Diagram(
-        n_pairs=n_pairs,
-        segments=tuple(segments),
-        fixed_point=fixed_point,
-        bifurcations=_detect_bifurcations(segments),
-    )
+    verdict = analyze(FamilyDescriptor(Family.EQUATORIAL_PM_RING, n_per_ring=n_pairs)).verdict
+    fixed_point = DiagramPoint("E", math.pi / 2, float(momentum_map(fixed)[2]), hamiltonian(fixed), verdict.value)
+    return Diagram(n_pairs, tuple(segments), fixed_point, _detect_bifurcations(segments))
 
 
 _BRANCH_COLORS = {
@@ -775,10 +719,7 @@ def cmd_diagram(args: argparse.Namespace) -> None:
     csv_path = str(Path(out).with_suffix(".csv"))
     _write_text(csv_path, diagram_csv(diagram))
     for bif in diagram.bifurcations:
-        print(
-            f"{bif.kind} pitchfork at momentum {_fmt(bif.mu_z)}: "
-            f"{bif.parent} meets {bif.child}"
-        )
+        print(f"{bif.kind} pitchfork at momentum {_fmt(bif.mu_z)}: {bif.parent} meets {bif.child}")
     print(f"wrote {out} and {csv_path}")
 
 
@@ -792,23 +733,12 @@ def cmd_thresholds(args: argparse.Namespace) -> None:
         try:
             theta = _pick_transition(scans[key], ref.transition, ref.occurrence)
         except NoTransition as exc:
-            print(
-                f"note: {ref.family.value} N={ref.n_per_ring} k_p={ref.k_p} "
-                f"{ref.transition}: {exc}",
-                file=sys.stderr,
-            )
+            print(f"note: {ref.family.value} N={ref.n_per_ring} k_p={ref.k_p} {ref.transition}: {exc}", file=sys.stderr)
             continue
-        rows.append(
-            (
-                ref.family.value,
-                str(ref.n_per_ring),
-                str(ref.k_p),
-                ref.transition,
-                _fmt(theta),
-                _fmt(ref.reference_value),
-                _fmt(abs(theta - ref.reference_value)),
-            )
-        )
+        rows.append((
+            ref.family.value, str(ref.n_per_ring), str(ref.k_p), ref.transition,
+            _fmt(theta), _fmt(ref.reference_value), _fmt(abs(theta - ref.reference_value)),
+        ))
     _write_rows(args.out, args.format, _THRESHOLD_COLUMNS, rows)
 
 
@@ -825,28 +755,30 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
             return tuple(int(part) for part in text.split(","))
         lo, hi = (int(end) for end in text.split("..", 1))
     except ValueError as exc:
-        raise OutOfDomain(
-            f"ring sizes must be an integer, a comma list, or lo..hi: {text!r}"
-        ) from exc
+        raise OutOfDomain(f"ring sizes must be an integer, a comma list, or lo..hi: {text!r}") from exc
     if lo <= hi:
         _check_ring_sizes((lo, hi))
     return tuple(range(lo, hi + 1))
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit with code 1."""
+    """Argument parser whose usage failures exit with code 1, and which
+    takes a negative number in exponent form (``-1e12``) as a value, as
+    Python 3.13's does, not only ``-1`` or ``-1.5``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message: str):  # noqa: ANN201 - argparse signature
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built once per process; a caller may run main() many times
 def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="vortex-atlas",
-        description="Point-vortex relative equilibria: simulate, classify, "
-        "sweep, diagram, thresholds.",
-    )
+    description = "Point-vortex relative equilibria: simulate, classify, sweep, diagram, thresholds."
+    parser = _Parser(prog="vortex-atlas", description=description)
     sub = parser.add_subparsers(dest="command")
 
     p_sim = sub.add_parser("simulate", help="integrate a configuration file")
@@ -856,22 +788,13 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--out", default=None, help="CSV path (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_cls = sub.add_parser(
-        "classify", help="stability report for a descriptor or configuration"
-    )
-    p_cls.add_argument(
-        "descriptor", help="JSON object (inline) or path to a JSON file"
-    )
+    p_cls = sub.add_parser("classify", help="stability report for a descriptor or configuration")
+    p_cls.add_argument("descriptor", help="JSON object (inline) or path to a JSON file")
     p_cls.add_argument("--out", default=None, help="JSON path (default stdout)")
     p_cls.set_defaults(func=cmd_classify)
 
     p_swp = sub.add_parser("sweep", help="verdict grid over ring families")
-    p_swp.add_argument(
-        "--family",
-        action="append",
-        required=True,
-        help="family name (repeatable): DNh, DNd, ...",
-    )
+    p_swp.add_argument("--family", action="append", required=True, help="family name (repeatable): DNh, DNd, ...")
     p_swp.add_argument("--n", default="2", help="ring sizes: 3, 2,4, or 2..6")
     p_swp.add_argument("--theta-start", type=float, default=0.05)
     p_swp.add_argument("--theta-stop", type=float, default=math.pi / 2)
@@ -882,18 +805,12 @@ def _build_parser() -> _Parser:
     p_swp.add_argument("--out", default=None, help="output path (default stdout)")
     p_swp.set_defaults(func=cmd_sweep)
 
-    p_dia = sub.add_parser(
-        "diagram", help="energy-momentum diagram (SVG + CSV)"
-    )
+    p_dia = sub.add_parser("diagram", help="energy-momentum diagram (SVG + CSV)")
     p_dia.add_argument("--pairs", type=int, choices=(2, 3), required=True)
-    p_dia.add_argument(
-        "--out", default=None, help="SVG path; CSV lands next to it"
-    )
+    p_dia.add_argument("--out", default=None, help="SVG path; CSV lands next to it")
     p_dia.set_defaults(func=cmd_diagram)
 
-    p_thr = sub.add_parser(
-        "thresholds", help="recompute every tabulated critical latitude"
-    )
+    p_thr = sub.add_parser("thresholds", help="recompute every tabulated critical latitude")
     p_thr.add_argument("--grid-step", type=float, default=0.005)
     p_thr.add_argument("--tol", type=float, default=1e-6)
     p_thr.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -220,21 +220,15 @@ class Configuration:
         self._check_collisions()
 
     def _check_collisions(self) -> None:
-        p = self.positions
-        m = p.shape[0]
+        m = len(self.positions)
         if m < 2:
             return
-        # direct differences resolve separations far below the threshold,
-        # unlike the 2(1 - gram) form which cancels near coincidence
-        diff = p[:, None, :] - p[None, :, :]
-        l2 = np.einsum("ijk,ijk->ij", diff, diff)
-        l2.flat[:: m + 1] = np.inf
-        # the first minimum of the symmetric matrix lies above the diagonal
-        i, j = divmod(int(l2.argmin()), m)
-        if l2[i, j] < COLLISION_EPS**2:
+        at, l2 = _closest_pairs(self.positions)
+        if l2 < COLLISION_EPS**2:
+            i, j = divmod(int(at), m)
             raise CollisionError(
                 f"vortices {i} and {j} are within the collision threshold "
-                f"(chord distance {math.sqrt(l2[i, j]):.3e})"
+                f"(chord distance {math.sqrt(l2):.3e})"
             )
 
     def __len__(self) -> int:
@@ -322,6 +316,20 @@ class Configuration:
                     f"pole strengths must be opposite, got {ln} and {ls}"
                 )
         return config
+
+
+def _closest_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closest pair of each configuration of a stack ``(..., M, 3)``,
+    M >= 2: its flat index ``i * M + j`` (the first minimum, so i < j) and
+    its squared chord; :class:`Configuration` collides below ``COLLISION_EPS**2``."""
+    m = p.shape[-2]
+    # direct differences resolve separations far below the threshold,
+    # unlike the 2(1 - gram) form which cancels near coincidence
+    diff = p[..., :, None, :] - p[..., None, :, :]
+    l2 = np.einsum("...ijk,...ijk->...ij", diff, diff).reshape(*p.shape[:-2], m * m)
+    l2[..., :: m + 1] = np.inf
+    at = l2.argmin(axis=-1)
+    return at, np.take_along_axis(l2, at[..., None], axis=-1)[..., 0]
 
 
 def _infer_layout(p: np.ndarray, lam: np.ndarray, pole_count: int) -> Layout:

@@ -52,6 +52,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import (
+    COLLISION_EPS,
     Configuration,
     Family,
     FamilyDescriptor,
@@ -61,6 +62,7 @@ from .core import (
     PoleSingularity,
     POLE_EPS,
     VortexError,
+    _closest_pairs,
 )
 from .dynamics import MixedChart
 
@@ -76,6 +78,7 @@ __all__ = [
     "make_single_plus_ring",
     "make_plus_ring_pole_pair",
     "make_family",
+    "two_ring_positions",
     "angular_velocity_generic",
     "configuration_angular_velocity",
     "ring_angular_velocity",
@@ -116,15 +119,11 @@ _POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
 def _on_sphere(theta, phi) -> np.ndarray:
-    """Unit vectors at longitudes ``phi`` and co-latitudes ``theta`` (one
-    for all, or one each) as a ``(K, 3)`` array."""
+    """Unit vectors at co-latitudes ``theta`` and longitudes ``phi``,
+    broadcast against each other, as a ``(..., 3)`` array."""
     theta, phi = np.asarray(theta, float), np.asarray(phi, float)
     st = np.sin(theta)
-    out = np.empty((len(phi), 3))
-    out[:, 0] = st * np.cos(phi)
-    out[:, 1] = st * np.sin(phi)
-    out[:, 2] = np.cos(theta)
-    return out
+    return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
 
 
 def make_equatorial_pm_ring(n_pairs: int) -> Configuration:
@@ -198,18 +197,30 @@ def make_family(desc: FamilyDescriptor) -> Configuration:
 
 
 def _make_two_rings(desc: FamilyDescriptor) -> Configuration:
-    n = desc.n_per_ring
-    offset = 0.0 if desc.family is Family.DNH_2R else math.pi / n
+    n, k_p = desc.n_per_ring, desc.k_p
+    positions, strengths, _ = two_ring_positions(desc.family, n, k_p, desc.lambda_n, [desc.theta0])
+    return Configuration(positions[0], strengths, k_p, Layout.standard(n, n, k_p))
+
+
+def two_ring_positions(
+    family: Family, n: int, k_p: int, lambda_n: float, thetas: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions ``(K, M, 3)`` and strengths ``(M,)`` of the two-ring members
+    at the co-latitudes ``thetas``, built in one array pass, and which of
+    them keep every pair at least ``COLLISION_EPS`` apart, as a
+    :class:`Configuration` must.  Vortex order: the plus ring, the minus
+    ring, then with ``k_p = 2`` the north and south poles; :func:`make_family`
+    of a two-ring member is the one-latitude case."""
+    offset = 0.0 if family is Family.DNH_2R else math.pi / n
     phi = 2.0 * math.pi * np.arange(n) / n
-    rings = [
-        _on_sphere(desc.theta0, phi),
-        _on_sphere(math.pi - desc.theta0, phi + offset),
-    ]
+    theta = np.asarray(thetas, float)[:, None]
+    rings = [_on_sphere(theta, phi), _on_sphere(math.pi - theta, phi + offset)]
     strengths = [1.0] * n + [-1.0] * n
-    if desc.k_p == 2:
-        rings.append(_POLES)
-        strengths += [desc.lambda_n, -desc.lambda_n]
-    return Configuration(np.vstack(rings), strengths, desc.k_p, Layout.standard(n, n, desc.k_p))
+    if k_p == 2:
+        rings.append(np.broadcast_to(_POLES, (len(theta), 2, 3)))
+        strengths += [lambda_n, -lambda_n]
+    positions = np.concatenate(rings, axis=1)
+    return positions, np.array(strengths), _closest_pairs(positions)[1] >= COLLISION_EPS**2
 
 
 # ---------------------------------------------------------------------------

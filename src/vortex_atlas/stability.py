@@ -20,7 +20,9 @@ stacked pass:
   one family (same N and poles, and vertical momentum zero or not) and
   builds their Hessians, slice bases, restricted forms and block spectra
   as ``(K, ...)`` arrays, ``16384 // d**2`` latitudes at a time
-  (d = 4N + 2k_p; at least one);
+  (d = 4N + 2k_p; at least one).  :func:`decide_many` runs the same
+  array stage and stops at each latitude's :class:`Decision` (verdict,
+  deciding block, mu_z, xi_z); the report stage adds the block spectra;
 * numeric route — :func:`analyze_small_many` groups consecutive
   configurations that share one chart and takes rates, residuals, the
   finite-difference Hessian stencil of the analytic gradient, momentum
@@ -45,7 +47,9 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eig as dense_eig
@@ -85,6 +89,7 @@ __all__ = [
     "SliceBasis",
     "BlockSpectrum",
     "StabilityReport",
+    "Decision",
     "hessian_closed_form",
     "slice_basis",
     "slice_symplectic_form",
@@ -92,6 +97,7 @@ __all__ = [
     "deciding_scalars_ab",
     "analyze",
     "analyze_many",
+    "decide_many",
     "analyze_small",
     "analyze_small_many",
     "full_linearization_oracle",
@@ -113,7 +119,7 @@ RESIDUAL_TOL = 1e-6
 MOMENTUM_ZERO_TOL = 1e-8
 #: list_transitions refuses a tolerance finer than this: once a bracket of
 #: verdict_changes is down to the float spacing of the latitude its midpoint
-#: equals an end, and the recursion never ends (a tolerance of 1e-17 hung).
+#: equals an end, and the halving never ends (a tolerance of 1e-17 hung).
 MIN_TRANSITION_TOL = 1e-12
 
 TRANSITIONS = ("StabilityGain", "StabilityLoss", "HopfLower", "HopfUpper")
@@ -300,6 +306,9 @@ class _Rings:
         self.cos1, self.sin1 = cos[1], sin[1]
         # ring strengths +-1 and their products with cos/sin of the longitude
         self.strength, self.str_cos, self.str_sin = signed[0, 0, 1], signed[1, 0, 1], signed[1, 1, 1]
+        for value in vars(self).values():  # shared through _rings: read-only
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def sectors(self, touched: list[bool]) -> list[tuple[str, list[int], list[list[int]]]]:
         """Per wavenumber: block name, untouched pattern rows, and the
@@ -320,6 +329,10 @@ class _Rings:
             name = "B0" if q == 0 else "B1" if q == 1 else "Bhalf" if 2 * q == n else f"B{q}"
             out.append((name + ("p" if k_p and q < 2 else ""), free, cols))
         return out
+
+
+#: The family data of (family, N, k_p, lambda_n), built once and shared.
+_rings = lru_cache(maxsize=16)(_Rings)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +579,28 @@ def _restrict(basis: np.ndarray, form: np.ndarray, antisymmetric: bool) -> np.nd
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def _degenerate(omega_b: np.ndarray) -> list[bool]:
-    """Which restricted symplectic forms are singular."""
-    sing = np.linalg.svd(omega_b, compute_uv=False)
-    return [lo < 1e-12 * max(hi, 1.0) for lo, hi in zip(sing[:, -1].tolist(), sing[:, 0].tolist())]
+def _diagonal_blocks(mats: np.ndarray, slices: list[tuple[str, slice]]) -> list[tuple[list[int], np.ndarray]]:
+    """The diagonal blocks of a stack of slice matrices ``(K, p, p)``, by
+    size: the blocks' positions in slice order and ``(K, m, size, size)``."""
+    by_size: dict[int, list[int]] = {}
+    for b, (_, sl) in enumerate(slices):
+        by_size.setdefault(sl.stop - sl.start, []).append(b)
+    out = []
+    for size, members in by_size.items():
+        rows = np.array([slices[b][1].start for b in members])[:, None] + np.arange(size)
+        out.append((members, mats[:, rows[:, :, None], rows[:, None, :]]))
+    return out
+
+
+def _singular(omega_blocks: list[tuple[list[int], np.ndarray]]) -> np.ndarray:
+    """Which restricted symplectic forms are singular, ``(K,)``: the smallest
+    singular value of the blocks is below 1e-12 times the largest (at least
+    1).  The blocks are symplectically orthogonal, so their singular values
+    are those of the whole form."""
+    sing = np.concatenate(
+        [np.linalg.svd(o, compute_uv=False).reshape(len(o), -1) for _, o in omega_blocks], axis=1
+    )
+    return sing.min(axis=1) < 1e-12 * np.maximum(sing.max(axis=1), 1.0)
 
 
 _SINGULAR_SLICE = "the symplectic form restricted to the slice is singular"
@@ -578,7 +609,7 @@ _SINGULAR_SLICE = "the symplectic form restricted to the slice is singular"
 def _one_point(desc: FamilyDescriptor) -> tuple[FamilyDescriptor, _Rings, bool, np.ndarray, np.ndarray]:
     """Analysis descriptor, family data, reduced flag, u and s of one member."""
     desc = _analysis_descriptor(desc)
-    rings = _Rings(desc.family, desc.n_per_ring, desc.k_p, desc.lambda_n)
+    rings = _rings(desc.family, desc.n_per_ring, desc.k_p, desc.lambda_n if desc.k_p else 0.0)
     reduced = abs(_vertical_momentum(desc)) < MOMENTUM_ZERO_TOL
     u = np.array([math.cos(desc.theta0)])
     s = np.array([math.sin(desc.theta0)])
@@ -615,9 +646,9 @@ def slice_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
     would invalidate the reduced linearization.
     """
     _, rings, reduced, u, s = _one_point(desc)
-    ((_, b, _),) = _slice_bases(rings, reduced, u, s)
+    ((_, b, labels),) = _slice_bases(rings, reduced, u, s)
     omega_b = _restrict(b, _symplectic_forms(rings, s), antisymmetric=True)
-    if _degenerate(omega_b)[0]:
+    if _singular(_diagonal_blocks(omega_b, _block_slices(labels)))[0]:
         raise DegenerateForm(_SINGULAR_SLICE)
     return omega_b[0]
 
@@ -855,7 +886,7 @@ def _block_slices(labels: tuple[str, ...]) -> list[tuple[str, slice]]:
     return out
 
 
-def _block_spectra(hb: np.ndarray, omega_b: np.ndarray, slices: list[tuple[str, slice]]):
+def _block_spectra(h_blocks: list, o_blocks: list, slices: list[tuple[str, slice]]) -> list:
     """Per block of the slice: Hessian block, its eigenvalues and the
     sorted linearization eigenvalues, each stacked over the latitudes.
 
@@ -864,60 +895,56 @@ def _block_spectra(hb: np.ndarray, omega_b: np.ndarray, slices: list[tuple[str, 
     grouping.  Returns ``(label, h_blk, h_eigs, l_eigs)`` per block, in
     slice order.
     """
-    k = len(hb)
-    by_size: dict[int, list[int]] = {}
-    for b, (_, sl) in enumerate(slices):
-        by_size.setdefault(sl.stop - sl.start, []).append(b)
     blocks: list = [None] * len(slices)
-    for size, members in by_size.items():
-        if len(members) == 1:
-            sl = slices[members[0]][1]
-            h_blk, o_blk = hb[:, sl, sl], omega_b[:, sl, sl]
-        else:  # latitude-major stack of the blocks of this size
-            rows = np.array([slices[b][1].start for b in members])[:, None] + np.arange(size)
-            pick = (slice(None), rows[:, :, None], rows[:, None, :])
-            h_blk = hb[pick].reshape(-1, size, size)
-            o_blk = omega_b[pick].reshape(-1, size, size)
-        l_blk = -np.linalg.solve(o_blk, h_blk)
-        h_eigs = np.linalg.eigvalsh(h_blk)
-        l_eigs = _sort_complex(np.linalg.eigvals(l_blk))
-        if len(members) == 1:
-            blocks[members[0]] = (slices[members[0]][0], h_blk, h_eigs, l_eigs)
-            continue
-        h_blk = h_blk.reshape(k, len(members), size, size)
-        h_eigs = h_eigs.reshape(k, len(members), size)
-        l_eigs = l_eigs.reshape(k, len(members), size)
+    for (members, h), (_, o) in zip(h_blocks, o_blocks):
+        k, m, size = h.shape[:3]
+        flat = h.reshape(-1, size, size)
+        h_eigs = np.linalg.eigvalsh(flat).reshape(k, m, size)
+        l_eigs = _sort_complex(np.linalg.eigvals(-np.linalg.solve(o.reshape(-1, size, size), flat)))
+        l_eigs = l_eigs.reshape(k, m, size)
         for j, b in enumerate(members):
-            blocks[b] = (slices[b][0], h_blk[:, j], h_eigs[:, j], l_eigs[:, j])
+            blocks[b] = (slices[b][0], h[:, j], h_eigs[:, j], l_eigs[:, j])
     return blocks
 
 
-def _analyze_stack(
-    key: tuple,
-    stack: list[tuple[FamilyDescriptor, float, float, float]],
-) -> list[StabilityReport | VortexError]:
-    """Reports for a stack of ``(descriptor, theta0, xi, mu)`` that share
-    ``key = (family, N, k_p, lambda_n, reduced)``."""
-    rings, reduced = _Rings(*key[:4]), key[4]
+class Decision(NamedTuple):
+    """The verdict of a slice analysis and what a scan prints beside it:
+    the fields of the :class:`StabilityReport` that :func:`analyze` gives."""
+
+    verdict: Verdict
+    deciding_block: str
+    mu_z: float
+    xi_z: float
+
+
+def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, float]]) -> list:
+    """The array stage of a stack of ``(descriptor, theta0, xi, mu)`` that
+    share ``key = (family, N, k_p, lambda_n, reduced)``.
+
+    Per latitude: ``(decision, blocks, j)``, where ``blocks`` holds the
+    stacked ``(label, h_blk, h_eigs, l_eigs)`` of each block of its group
+    of latitudes and ``j`` is its row there, or the :class:`DegenerateForm`
+    of a singular restricted form.
+    """
+    rings, reduced = _rings(*key[:4]), key[4]
     u = np.array([math.cos(theta) for _, theta, _, _ in stack])
     s = np.array([math.sin(theta) for _, theta, _, _ in stack])
     xi = np.array([rate for _, _, rate, _ in stack])
-    out: list[StabilityReport | VortexError] = [None] * len(stack)  # type: ignore[list-item]
+    out: list = [None] * len(stack)
     for idx, basis, labels in _slice_bases(rings, reduced, u, s):
         at = slice(None) if len(idx) == len(stack) else idx
+        slices = _block_slices(labels)
         hb = _restrict(basis, _hessians(rings, u[at], s[at], xi[at]), antisymmetric=False)
-        omega_b = _restrict(basis, _symplectic_forms(rings, s[at]), antisymmetric=True)
-        singular = _degenerate(omega_b)
-        if any(singular):
-            for i, bad in zip(idx, singular):
-                if bad:
-                    out[i] = DegenerateForm(_SINGULAR_SLICE)
-            keep = [j for j, bad in enumerate(singular) if not bad]
-            idx, hb, omega_b = [idx[j] for j in keep], hb[keep], omega_b[keep]
+        h_blocks = _diagonal_blocks(hb, slices)
+        o_blocks = _diagonal_blocks(_restrict(basis, _symplectic_forms(rings, s[at]), antisymmetric=True), slices)
+        if (singular := _singular(o_blocks)).any():
+            for i in np.array(idx)[singular].tolist():
+                out[i] = DegenerateForm(_SINGULAR_SLICE)
+            idx, keep = np.array(idx)[~singular].tolist(), ~singular
+            h_blocks, o_blocks = ([(members, b[keep]) for members, b in blocks] for blocks in (h_blocks, o_blocks))
             if not idx:
                 continue
-        slices = _block_slices(labels)
-        blocks = _block_spectra(hb, omega_b, slices)
+        blocks = _block_spectra(h_blocks, o_blocks, slices)
         # The blocks are symplectically orthogonal and do not couple in the
         # Hessian, so the slice spectrum is the union of the block spectra;
         # the deciding block is the first with the largest growth rate or
@@ -930,26 +957,39 @@ def _analyze_stack(
         flattest = np.minimum.reduceat(np.abs(hess), starts, axis=1).argmin(axis=1).tolist()
         extremes = zip(hess.min(axis=1).tolist(), hess.max(axis=1).tolist(), growths.max(axis=1).tolist())
         for j, (i, (lo, hi, top)) in enumerate(zip(idx, extremes)):
-            original, _, rate, mu = stack[i]
+            _, _, rate, mu = stack[i]
             verdict = _verdict(lo, hi, top)
             deciding = (fastest if verdict is Verdict.LINEARLY_UNSTABLE else flattest)[j]
-            out[i] = StabilityReport(
-                descriptor=original,
-                label=original.label,
-                mu_z=mu,
-                xi_z=rate,
-                blocks=tuple(
-                    BlockSpectrum(
-                        label,
-                        h_eigs[j],
-                        l_eigs[j],
-                        _block_entries(label, h_blk[j], l_eigs[j], rings.staggered),
-                    )
-                    for label, h_blk, h_eigs, l_eigs in blocks
-                ),
-                verdict=verdict,
-                deciding_block=blocks[deciding][0],
-            )
+            out[i] = (Decision(verdict, blocks[deciding][0], mu, rate), blocks, j)
+    return out
+
+
+def _decide_stack(key: tuple, stack: list) -> list[Decision | VortexError]:
+    """The verdict stage alone: one :class:`Decision` per latitude."""
+    return [r if isinstance(r, VortexError) else r[0] for r in _stack_arrays(key, stack)]
+
+
+def _analyze_stack(key: tuple, stack: list) -> list[StabilityReport | VortexError]:
+    """The verdict stage and the report stage: one report per latitude."""
+    staggered = key[0] is Family.DND_RRP
+    out: list[StabilityReport | VortexError] = []
+    for (original, _, _, _), result in zip(stack, _stack_arrays(key, stack)):
+        if isinstance(result, VortexError):
+            out.append(result)
+            continue
+        decision, blocks, j = result
+        out.append(StabilityReport(
+            descriptor=original,
+            label=original.label,
+            mu_z=decision.mu_z,
+            xi_z=decision.xi_z,
+            blocks=tuple(
+                BlockSpectrum(label, h_eigs[j], l_eigs[j], _block_entries(label, h_blk[j], l_eigs[j], staggered))
+                for label, h_blk, h_eigs, l_eigs in blocks
+            ),
+            verdict=decision.verdict,
+            deciding_block=decision.deciding_block,
+        ))
     return out
 
 
@@ -964,6 +1004,29 @@ def _stack_entry(original: FamilyDescriptor) -> tuple[tuple, tuple]:
     return key, (original, desc.theta0, xi, mu)
 
 
+def _stacked(descs: Iterable[FamilyDescriptor], stage: Callable[[tuple, list], list]) -> Iterator:
+    """``stage`` over stacks of consecutive members that share a stack key,
+    at most ``16384 // d**2`` at a time, and each member's error in place."""
+    stack: list[tuple[FamilyDescriptor, float, float, float]] = []
+    key: tuple = ()
+    for original in descs:
+        try:
+            new_key, entry = _stack_entry(original)
+        except VortexError as exc:
+            if stack:
+                yield from stage(key, stack)
+                stack = []
+            yield exc
+            continue
+        if stack and (new_key != key or len(stack) >= _STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2):
+            yield from stage(key, stack)
+            stack = []
+        key = new_key
+        stack.append(entry)
+    if stack:
+        yield from stage(key, stack)
+
+
 def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport | VortexError]:
     """Closed-form slice analysis of ring-family members, in stacks.
 
@@ -975,24 +1038,18 @@ def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport 
     arrays of ``16384 // d**2`` latitudes (d = 4N + 2k_p; at least one),
     so memory stays bounded however long the input is.
     """
-    stack: list[tuple[FamilyDescriptor, float, float, float]] = []
-    key: tuple = ()
-    for original in descs:
-        try:
-            new_key, entry = _stack_entry(original)
-        except VortexError as exc:
-            if stack:
-                yield from _analyze_stack(key, stack)
-                stack = []
-            yield exc
-            continue
-        if stack and (new_key != key or len(stack) >= _STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2):
-            yield from _analyze_stack(key, stack)
-            stack = []
-        key = new_key
-        stack.append(entry)
-    if stack:
-        yield from _analyze_stack(key, stack)
+    return _stacked(descs, _analyze_stack)
+
+
+def decide_many(descs: Iterable[FamilyDescriptor]) -> Iterator[Decision | VortexError]:
+    """The verdicts of :func:`analyze_many` without its reports.
+
+    Yields, in input order, each descriptor's :class:`Decision` (the
+    verdict, deciding block, mu_z and xi_z of its report, bit for bit) or
+    the :class:`VortexError` :func:`analyze` raises, from the same stacked
+    pass; no block spectrum or block entry is built.
+    """
+    return _stacked(descs, _decide_stack)
 
 
 def analyze(desc: FamilyDescriptor) -> StabilityReport:
@@ -1174,7 +1231,7 @@ def _classify(before: Verdict, after: Verdict) -> str:
     return "HopfLower" if after is Verdict.LINEARLY_STABLE else "HopfUpper"
 
 
-def _scan_verdict(result: StabilityReport | VortexError) -> Verdict | None:
+def _scan_verdict(result: Decision | VortexError) -> Verdict | None:
     """A scan point's verdict; None for an error or an indeterminate verdict."""
     if isinstance(result, VortexError) or result.verdict is Verdict.INDETERMINATE:
         return None
@@ -1182,25 +1239,37 @@ def _scan_verdict(result: StabilityReport | VortexError) -> Verdict | None:
 
 
 def verdict_changes(
-    verdict_at: Callable[[float], object], lo: float, v_lo: object, hi: float, v_hi: object, tol: float
-) -> list[tuple[float, object, object]]:
-    """Every verdict change between ``lo`` and ``hi`` as ``(midpoint,
-    before, after)``, in increasing order.
+    verdicts_at: Callable[[list[float]], list], brackets: Iterable[tuple[float, object, float, object]], tol: float
+) -> list[list[tuple[float, object, object]]]:
+    """Every verdict change inside each bracket ``(lo, v_lo, hi, v_hi)``: per
+    bracket, its changes as ``(midpoint, before, after)`` in increasing order.
 
     Ends that agree give nothing; a bracket no wider than ``tol`` gives its
     midpoint; any other bracket is halved and both halves are searched, so
-    a window of a third verdict gives both of its edges.  A midpoint where
-    ``verdict_at`` returns None counts as the upper end's.
+    a window of a third verdict gives both of its edges.  The halving goes
+    in rounds: ``verdicts_at`` gets the midpoints of every open bracket in
+    one call and returns their verdicts in order, and a midpoint whose
+    verdict is None counts as the upper end's.
     """
-    if v_lo == v_hi:
-        return []
-    mid = 0.5 * (lo + hi)
-    if hi - lo <= tol:
-        return [(mid, v_lo, v_hi)]
-    if (v_mid := verdict_at(mid)) is None:
-        v_mid = v_hi
-    left = verdict_changes(verdict_at, lo, v_lo, mid, v_mid, tol)
-    return left + verdict_changes(verdict_at, mid, v_mid, hi, v_hi, tol)
+    pieces = [[bracket] for bracket in brackets]  # per bracket, its open halves in order
+    while True:
+        pieces = [[p for p in part if p[1] != p[3]] for part in pieces]
+        mids = [0.5 * (lo + hi) for part in pieces for lo, _, hi, _ in part if hi - lo > tol]
+        if not mids:
+            return [[(0.5 * (lo + hi), v_lo, v_hi) for lo, v_lo, hi, v_hi in part] for part in pieces]
+        found = iter(zip(mids, verdicts_at(mids)))
+        halved = []
+        for part in pieces:
+            halves = []
+            for lo, v_lo, hi, v_hi in part:
+                if hi - lo <= tol:
+                    halves.append((lo, v_lo, hi, v_hi))
+                    continue
+                mid, v_mid = next(found)
+                v_mid = v_hi if v_mid is None else v_mid
+                halves += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+            halved.append(halves)
+        pieces = halved
 
 
 def list_transitions(
@@ -1212,9 +1281,10 @@ def list_transitions(
 ) -> tuple[tuple[str, float], ...]:
     """All verdict changes along the latitude, each located to ``tol``.
 
-    Analyses the latitude grid in one stacked pass, then runs
-    :func:`verdict_changes` between adjacent grid samples, one latitude at
-    a time, and classifies what it returns.  Returns ``(kind, theta_star)``
+    Decides the latitude grid in one stacked pass (:func:`decide_many`),
+    then runs :func:`verdict_changes` on the brackets between adjacent
+    grid samples, one stacked pass per halving round, and classifies what
+    it returns.  Returns ``(kind, theta_star)``
     pairs in increasing latitude order, with ``kind`` one of
     :data:`TRANSITIONS`.  Latitudes whose verdict is
     :attr:`Verdict.INDETERMINATE` (definiteness margin below tolerance at
@@ -1233,23 +1303,17 @@ def list_transitions(
             f"tol finite and at least {MIN_TRANSITION_TOL:g}"
         )
 
-    def verdict_at(theta: float) -> Verdict | None:
-        try:
-            result = analyze(FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=theta, k_p=k_p))
-        except VortexError as exc:
-            result = exc
-        return _scan_verdict(result)
+    def verdicts_at(thetas) -> list[Verdict | None]:
+        descs = (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in thetas)
+        return [_scan_verdict(result) for result in decide_many(descs)]
 
     # Resolvable grid samples only: indeterminate or invalid points are
     # skipped without breaking adjacency.
     pts = _scan_points(fam, k_p, grid_step)
-    descs = (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in pts)
-    samples = [(t, v) for t, result in zip(pts, analyze_many(descs)) if (v := _scan_verdict(result)) is not None]
-
+    samples = [(t, v) for t, v in zip(pts, verdicts_at(pts)) if v is not None]
+    brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:])]
     return tuple(
-        (_classify(a, b), theta)
-        for (t0, v0), (t1, v1) in zip(samples, samples[1:])
-        for theta, a, b in verdict_changes(verdict_at, t0, v0, t1, v1, tol)
+        (_classify(a, b), theta) for changes in verdict_changes(verdicts_at, brackets, tol) for theta, a, b in changes
     )
 
 
@@ -1269,19 +1333,13 @@ def critical_latitude(
     return _pick_transition(found, transition, occurrence)
 
 
-def _pick_transition(
-    found: tuple[tuple[str, float], ...], transition: str, occurrence: int
-) -> float:
+def _pick_transition(found: tuple[tuple[str, float], ...], transition: str, occurrence: int) -> float:
     """The ``occurrence``-th latitude of kind ``transition`` in ``found``."""
     if transition not in TRANSITIONS:
-        raise InvalidDescriptor(
-            f"transition must be one of {', '.join(TRANSITIONS)}"
-        )
+        raise InvalidDescriptor(f"transition must be one of {', '.join(TRANSITIONS)}")
     matches = [theta for kind, theta in found if kind == transition]
     if occurrence >= len(matches):
-        raise NoTransition(
-            f"no {transition} transition (occurrence {occurrence}) for this family"
-        )
+        raise NoTransition(f"no {transition} transition (occurrence {occurrence}) for this family")
     return matches[occurrence]
 
 

@@ -294,14 +294,30 @@ def test_sweep_rejects_non_finite_grids(flag, value, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_sweep_marks_a_non_finite_pole_strength_as_error_rows(capsys):
-    argv = ["sweep", "--family", "DNh", "--theta-start", "0.4",
-            "--theta-stop", "0.6", "--grid-step", "0.1", "--lambda-n", "nan"]
-    assert main(argv) == EXIT_OK
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == SWEEP_HEADER
-    assert len(lines) == 4
-    assert all(line.split(",")[6] == "error" for line in lines[1:])
+@pytest.mark.parametrize(
+    "value,k_p,message",
+    [("nan", "0", "finite"), ("inf", "0", "finite"), ("nan", "2", "finite"), ("-inf", "2", "finite"),
+     ("0", "2", "nonzero")],
+)
+def test_sweep_rejects_the_pole_strengths_classify_rejects(value, k_p, message, capsys):
+    argv = ["sweep", "--family", "DNh", "--theta-start", "0.4", "--theta-stop", "0.6",
+            "--grid-step", "0.1", "--kp", k_p, f"--lambda-n={value}"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.strip().endswith(f"input error: lambda_n must be {message}")
+    assert captured.out == ""
+
+
+def test_cached_parser_keeps_consecutive_sweeps_apart(capsys):
+    """``main`` builds its parser once per process; the ``--family`` list of
+    one call must not leak into the next."""
+    common = ["--n", "2", "--theta-start", "0.5", "--theta-stop", "0.5"]
+    assert main(["sweep", "--family", "DNh", "--family", "DNd", *common]) == EXIT_OK
+    both = capsys.readouterr().out.splitlines()
+    assert main(["sweep", "--family", "DNd", *common]) == EXIT_OK
+    alone = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in both[1:]] == ["DNh", "DNd"]
+    assert alone == [both[0], both[2]]
 
 
 @pytest.mark.parametrize("k_p", [0, 2])
@@ -839,13 +855,13 @@ def _cli_calls(draw):
         argv = ["sweep", *(a for f in families for a in ("--family", f)),
                 "--n", draw(st.sampled_from(["2", "3", "2..4", "2,6", "1", "0..3", "6..2", "x",
                                              "2..257", "2..1000000000000"])),
-                "--theta-start=" + draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS
-                                        | st.just("-1e12")),
+                "--theta-start", draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS
+                                      | st.just("-1e12")),
                 "--theta-stop", draw(st.floats(-1.0, 4.0).map(repr) | _FLOAT_ARGS),
                 "--grid-step", draw(st.floats(0.05, 1.0).map(repr) | _FLOAT_ARGS
                                     | st.just("1e-300")),
                 "--kp", draw(st.sampled_from(["0", "2", "1"])),
-                "--lambda-n", draw(st.sampled_from(["1", "0.5", "0", "-1", "nan"])),
+                "--lambda-n", draw(st.sampled_from(["1", "0.5", "0", "-1", "nan", "inf"])),
                 "--format", draw(st.sampled_from(["csv", "json"]))]
     elif command == "diagram":
         # one diagram build takes seconds: only argv that fail before it
@@ -895,11 +911,20 @@ def test_every_command_exits_with_a_documented_code(call):
         (["thresholds", "--grid-step", "1e-300"], EXIT_INPUT, "input error:"),
         (["sweep", "--family", "DNh", "--theta-start=-1e12", "--grid-step", "0.05"],
          EXIT_INPUT, "input error:"),
+        (["sweep", "--family", "DNh", "--theta-start", "-1e12", "--grid-step", "0.05"],
+         EXIT_INPUT, "input error:"),
         (["simulate", "CONFIG", "--t-end", "0.01", "--tol", "1e-300"], EXIT_INPUT,
          "input error:"),
+        (["sweep", "--family", "DNh", "--lambda-n", "nan"], EXIT_INPUT,
+         "input error: lambda_n must be finite"),
+        (["sweep", "--family", "DNh", "--kp", "2", "--lambda-n", "inf"], EXIT_INPUT,
+         "input error: lambda_n must be finite"),
+        (["sweep", "--family", "DNh", "--kp", "2", "--lambda-n", "0"], EXIT_INPUT,
+         "input error: lambda_n must be nonzero"),
     ],
     ids=["simulate", "classify", "sweep", "diagram", "thresholds", "thresholds-grid",
-         "sweep-grid", "simulate-tol"],
+         "sweep-grid", "sweep-grid-exponent", "simulate-tol", "sweep-lambda-nan",
+         "sweep-lambda-inf", "sweep-lambda-zero"],
 )
 def test_the_entry_point_exits_without_a_traceback(tmp_path, argv, code, message):
     src = str(Path(vortex_atlas.__file__).resolve().parents[1])

@@ -44,17 +44,27 @@ from vortex_atlas.equilibria import (
 from vortex_atlas.stability import (
     DEFINITENESS_TOL,
     REFERENCE_THRESHOLDS,
+    Decision,
     NoTransition,
     NotRelativeEquilibrium,
     StabilityReport,
     Verdict,
     _STACK_ELEMENTS,
+    _block_slices,
     _decide,
+    _diagonal_blocks,
+    _restrict,
+    _rings,
+    _singular,
+    _slice_bases,
+    _stack_entry,
+    _symplectic_forms,
     analyze,
     analyze_many,
     analyze_small,
     analyze_small_many,
     critical_latitude,
+    decide_many,
     deciding_scalars_ab,
     deciding_scalars_rs,
     full_linearization_oracle,
@@ -635,6 +645,61 @@ def test_stacked_pass_yields_errors_in_place():
     ]
 
 
+@pytest.mark.parametrize("family", [DNH, DND])
+@pytest.mark.parametrize("k_p", [0, 2])
+def test_verdict_stage_gives_the_report_fields_bit_for_bit(family, k_p):
+    hi = math.pi / 2 if k_p == 0 else math.pi
+    thetas = [*np.linspace(0.02, hi - 0.02, 29).tolist(), math.pi / 2, 1e-9]
+    for n in range(2, 13):
+        descs = [_desc(family, n, theta, k_p) for theta in thetas]
+        for desc, decided, report in zip(descs, decide_many(descs), analyze_many(descs)):
+            if isinstance(report, VortexError):
+                assert (type(decided), str(decided)) == (type(report), str(report))
+                continue
+            fields = (report.verdict, report.deciding_block, report.mu_z, report.xi_z)
+            assert isinstance(decided, Decision)
+            assert repr(tuple(decided)) == repr(fields), f"{desc.label} theta0={desc.theta0!r}"
+
+
+def _whole_form_singular(omega_b):
+    """The singularity rule on the whole restricted form, one SVD per
+    latitude: the oracle of the per-block test."""
+    sing = np.linalg.svd(omega_b, compute_uv=False)
+    return sing[:, -1] < 1e-12 * np.maximum(sing[:, 0], 1.0)
+
+
+@pytest.mark.parametrize("family", [DNH, DND])
+@pytest.mark.parametrize("k_p", [0, 2])
+def test_block_singularity_test_agrees_with_the_whole_form(family, k_p):
+    hi = math.pi / 2 if k_p == 0 else math.pi
+    shrunk_singular = 0
+    for n in range(2, 13):
+        for theta in np.linspace(0.05, hi - 0.05, 12).tolist():
+            try:
+                key, _ = _stack_entry(_desc(family, n, theta, k_p))
+            except VortexError:
+                continue
+            rings = _rings(*key[:4])
+            u, s = np.array([math.cos(theta)]), np.array([math.sin(theta)])
+            ((_, basis, labels),) = _slice_bases(rings, key[4], u, s)
+            omega_b = _restrict(basis, _symplectic_forms(rings, s), antisymmetric=True)
+            slices = _block_slices(labels)
+            # the blocks are symplectically orthogonal up to rounding
+            off = omega_b.copy()
+            for _, sl in slices:
+                off[:, sl, sl] = 0.0
+            assert np.abs(off).max() <= 1e-13 * max(np.abs(omega_b).max(), 1.0)
+            assert _singular(_diagonal_blocks(omega_b, slices)).tolist() == _whole_form_singular(omega_b).tolist() == [False]
+            # one block shrunk towards zero: both tests call the form singular
+            for _, sl in slices:
+                shrunk = omega_b.copy()
+                shrunk[:, sl, sl] *= 1e-13
+                want = _whole_form_singular(shrunk).tolist()
+                assert _singular(_diagonal_blocks(shrunk, slices)).tolist() == want
+                shrunk_singular += want[0]
+    assert shrunk_singular > 0
+
+
 # ---------------------------------------------------------------------------
 # the stacked numeric pass and its one-configuration case
 # ---------------------------------------------------------------------------
@@ -901,36 +966,39 @@ def test_refinement_catches_windows_thinner_than_the_scan_grid():
 
 
 def _windows(*edges_and_verdicts):
-    """A verdict function of the latitude: ``("a", 0.3, "b", 0.6, "c")`` is
+    """A list evaluator of the latitude: ``("a", 0.3, "b", 0.6, "c")`` is
     "a" below 0.3, "b" on [0.3, 0.6) and "c" from 0.6 on; a None verdict
-    is a latitude with no verdict.  Records every latitude it is asked."""
+    is a latitude with no verdict.  Records every latitude it is asked, and
+    the list of each call."""
     verdicts, edges = edges_and_verdicts[::2], edges_and_verdicts[1::2]
-    asked = []
+    asked, calls = [], []
 
-    def verdict_at(theta):
-        asked.append(theta)
-        return verdicts[sum(theta >= e for e in edges)]
+    def verdicts_at(thetas):
+        calls.append(list(thetas))
+        asked.extend(thetas)
+        return [verdicts[sum(theta >= e for e in edges)] for theta in thetas]
 
-    return verdict_at, asked
+    verdicts_at.calls = calls
+    return verdicts_at, asked
 
 
 def test_verdict_search_returns_nothing_between_equal_ends():
-    verdict_at, asked = _windows("a", 0.3, "b", 0.6, "a")
-    assert verdict_changes(verdict_at, 0.0, "a", 1.0, "a", 1e-6) == []
+    verdicts_at, asked = _windows("a", 0.3, "b", 0.6, "a")
+    assert verdict_changes(verdicts_at, [(0.0, "a", 1.0, "a")], 1e-6) == [[]]
     assert asked == []
 
 
 def test_verdict_search_gives_both_edges_of_a_third_verdict_window():
-    verdict_at, _ = _windows("a", 0.5, "c", 0.5 + 3e-6, "b")
-    found = verdict_changes(verdict_at, 0.0, "a", 1.0, "b", 1e-6)
+    verdicts_at, _ = _windows("a", 0.5, "c", 0.5 + 3e-6, "b")
+    (found,) = verdict_changes(verdicts_at, [(0.0, "a", 1.0, "b")], 1e-6)
     assert [(before, after) for _, before, after in found] == [("a", "c"), ("c", "b")]
     assert found[0][0] == pytest.approx(0.5, abs=1e-6)
     assert found[1][0] == pytest.approx(0.5 + 3e-6, abs=1e-6)
 
 
 def test_verdict_search_counts_a_missing_verdict_as_the_upper_end():
-    verdict_at, _ = _windows("a", 0.3, None, 0.7, "b")
-    found = verdict_changes(verdict_at, 0.0, "a", 1.0, "b", 1e-6)
+    verdicts_at, _ = _windows("a", 0.3, None, 0.7, "b")
+    (found,) = verdict_changes(verdicts_at, [(0.0, "a", 1.0, "b")], 1e-6)
     assert [(before, after) for _, before, after in found] == [("a", "b")]
     assert found[0][0] == pytest.approx(0.3, abs=1e-6)
 
@@ -938,8 +1006,8 @@ def test_verdict_search_counts_a_missing_verdict_as_the_upper_end():
 @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
 def test_verdict_search_brackets_are_no_wider_than_tol(tol):
     edges = ("a", 0.1, "b", 0.2, "a", 0.2 + tol / 3, "c", 0.9, "b")
-    verdict_at, asked = _windows(*edges)
-    found = verdict_changes(verdict_at, 0.0, "a", 1.0, "b", tol)
+    verdicts_at, asked = _windows(*edges)
+    (found,) = verdict_changes(verdicts_at, [(0.0, "a", 1.0, "b")], tol)
     assert found and [t for t, _, _ in found] == sorted(t for t, _, _ in found)
     ends = sorted({0.0, 1.0, *asked})
     brackets = {0.5 * (lo + hi): hi - lo for lo, hi in zip(ends, ends[1:])}
@@ -947,6 +1015,33 @@ def test_verdict_search_brackets_are_no_wider_than_tol(tol):
         assert before != after
         assert brackets[theta] <= tol
         assert min(abs(theta - e) for e in edges[1::2]) <= tol / 2
+
+
+def _depth_first(verdict_at, lo, v_lo, hi, v_hi, tol):
+    """The one-bracket recursive halving, one latitude per call: the oracle
+    of the search in rounds."""
+    if v_lo == v_hi:
+        return []
+    mid = 0.5 * (lo + hi)
+    if hi - lo <= tol:
+        return [(mid, v_lo, v_hi)]
+    if (v_mid := verdict_at(mid)) is None:
+        v_mid = v_hi
+    return _depth_first(verdict_at, lo, v_lo, mid, v_mid, tol) + _depth_first(verdict_at, mid, v_mid, hi, v_hi, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6])
+def test_verdict_search_asks_one_call_per_halving_round(tol):
+    edges = ("a", 0.1, "b", 0.2, None, 0.2 + tol / 3, "c", 0.9, "b", 1.7, "a", 2.45, "c")
+    brackets = [(0.0, "a", 1.0, "b"), (1.0, "b", 1.5, "b"), (1.5, "b", 2.0, "a"), (2.0, "a", 3.0, "c")]
+    verdicts_at, asked = _windows(*edges)
+    found = verdict_changes(verdicts_at, brackets, tol)
+    one_at_a_time, alone = _windows(*edges)
+    want = [_depth_first(lambda t: one_at_a_time([t])[0], *bracket, tol) for bracket in brackets]
+    assert found == want
+    assert sorted(asked) == sorted(alone) and len(set(asked)) == len(asked)
+    # one call per round: as many as the halvings of the widest bracket (1.0) down to tol
+    assert len(verdicts_at.calls) == math.ceil(math.log2(1.0 / tol)) < len(asked)
 
 
 def test_missing_transition_raises():

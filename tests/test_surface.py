@@ -14,7 +14,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 # The parameters of every function in a layer's ``__all__`` and of every
 # public method of an exported class (without ``self`` or ``cls``); an
-# option, a parameter with a default, ends in "=".  82 parameters, 9 options.
+# option, a parameter with a default, ends in "=".  85 parameters, 9 options.
 SIGNATURES = {
     "core.Layout.all_indices": "",
     "core.Layout.standard": "n_plus n_minus pole_count",
@@ -54,6 +54,7 @@ SIGNATURES = {
     "equilibria.make_single_plus_ring": "n theta0",
     "equilibria.make_plus_ring_pole_pair": "theta0",
     "equilibria.make_family": "desc",
+    "equilibria.two_ring_positions": "family n k_p lambda_n thetas",
     "equilibria.angular_velocity_generic": "c index=",
     "equilibria.configuration_angular_velocity": "c",
     "equilibria.ring_angular_velocity": "desc",
@@ -74,13 +75,14 @@ SIGNATURES = {
     "stability.deciding_scalars_ab": "desc",
     "stability.analyze": "desc",
     "stability.analyze_many": "descs",
+    "stability.decide_many": "descs",
     "stability.analyze_small": "config",
     "stability.analyze_small_many": "configs",
     "stability.full_linearization_oracle": "config",
     "stability.spectrum_match": "found expected",
     "stability.list_transitions": "family n_per_ring k_p grid_step= tol=",
     "stability.critical_latitude": "family n_per_ring k_p transition occurrence=",
-    "stability.verdict_changes": "verdict_at lo v_lo hi v_hi tol",
+    "stability.verdict_changes": "verdicts_at brackets tol",
 }
 
 # Every private name one module of the package imports from another, as
@@ -89,6 +91,7 @@ SIGNATURES = {
 PRIVATE_IMPORTS = {
     ("atlas", "core._family_named"),
     ("atlas", "stability._pick_transition"),
+    ("equilibria", "core._closest_pairs"),
     ("stability", "core._family_named"),
     ("stability", "equilibria._rigid_rates"),
 }

@@ -17,6 +17,7 @@ from vortex_atlas.core import (
     Family,
     FamilyDescriptor,
     GroupElement,
+    Layout,
     VortexError,
     is_fixed_by,
     mirror_y_matrix,
@@ -32,6 +33,7 @@ from vortex_atlas.equilibria import (
     make_equatorial_pm_ring,
     make_family,
     two_ring_phase_test,
+    two_ring_positions,
 )
 
 MX = np.diag([-1.0, 1.0, 1.0])
@@ -159,14 +161,15 @@ def _segment_samples(n_pairs: int, monkeypatch) -> dict[str, list[Configuration]
         seen.extend(configs)
         return [VortexError("only the configuration is needed")] * len(configs)
 
-    def record_member(desc):
-        config = make_family(desc)
-        seen.append(config)
-        ring_labels.add(desc.label)
-        return config
+    def record_members(family, n, k_p, lambda_n, thetas):
+        positions, strengths, clear = two_ring_positions(family, n, k_p, lambda_n, thetas)
+        layout = Layout.standard(n, n, k_p)
+        seen.extend(Configuration(p, strengths, k_p, layout) for p, ok in zip(positions, clear) if ok)
+        ring_labels.add(FamilyDescriptor(family, n, k_p=k_p, lambda_n=lambda_n).label)
+        return positions, strengths, clear
 
     monkeypatch.setattr(atlas, "analyze_small_many", record_small)
-    monkeypatch.setattr(atlas, "make_family", record_member)
+    monkeypatch.setattr(atlas, "two_ring_positions", record_members)
     samples: dict[str, list[Configuration]] = {}
     for seg in atlas._figure_segments(n_pairs):
         seen.clear()
