@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "COLLISION_EPS",
@@ -440,6 +439,7 @@ def is_fixed_by(c: Configuration, g: GroupElement) -> bool:
     compared class-to-class; ``c`` is fixed when the largest matched
     displacement stays below 1e-9.
     """
+    from scipy.optimize import linear_sum_assignment
     old = c.positions
     new = apply_group_element(g, c).positions
     worst = 0.0

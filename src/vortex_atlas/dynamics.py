@@ -35,7 +35,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .core import (
     COLLISION_EPS,
@@ -399,6 +398,7 @@ class SolverStats:
 
     rhs_calls: int  # field evaluations, one after each renormalization included
     accepted_steps: int
+    rejected_steps: int  # attempts the error control turned down
     min_step: float  # smallest accepted step; ``inf`` when none was taken
 
 
@@ -502,13 +502,15 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
     h_drift = [0.0]
     phi_drift = [0.0]
     rhs_calls = 0
+    rejected_steps = 0
 
     def partial() -> Trajectory:
         stored = np.array(positions)
         stored.setflags(write=False)
         steps = np.diff(times)
         stats = SolverStats(
-            rhs_calls, len(steps), float(steps.min()) if steps.size else math.inf
+            rhs_calls, len(steps), rejected_steps,
+            float(steps.min()) if steps.size else math.inf,
         )
         return Trajectory(
             c0, tuple(times), stored, tuple(energies), tuple(h_drift),
@@ -527,10 +529,15 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
         rhs_calls += 1
         return _field(flat.reshape(m, 3), pairs).reshape(-1)
 
+    from scipy.integrate import DOP853
     step_tol = 1e-3 * tol
     solver = DOP853(rhs, 0.0, y.reshape(-1), t_end, rtol=step_tol, atol=step_tol)
     while solver.status == "running":
+        calls_before = rhs_calls
         message = solver.step()
+        # every attempt evaluates all stages; all but a successful last one were turned down
+        attempts = (rhs_calls - calls_before) // solver.n_stages
+        rejected_steps += attempts if solver.status == "failed" else attempts - 1
         if solver.status == "failed":
             raise StepSizeUnderflow(
                 f"step size underflow at t = {solver.t:.6g}: {message}",

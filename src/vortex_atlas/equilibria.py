@@ -49,7 +49,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     COLLISION_EPS,
@@ -487,6 +486,7 @@ def branch_c2v_RmRmp_all(x: float) -> tuple[BranchPoint, ...]:
     ``y < x`` are the relabeled twins ``(y, x)`` of roots of other ``x``
     values and are not produced here.
     """
+    from scipy.optimize import brentq
     if not (-1.0 < x < 1.0):
         raise OutOfDomain("x = cos(theta_+) must lie in (-1, 1)")
     lo = x + 1e-9

@@ -52,8 +52,6 @@ from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eig as dense_eig
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     MAX_GRID_POINTS,
@@ -1167,6 +1165,7 @@ def full_linearization_oracle(config: Configuration) -> np.ndarray:
     at the rotation rate when the momentum is vertical and nonzero, six
     zeros when it vanishes.
     """
+    from scipy.linalg import eig as dense_eig
     xi = configuration_angular_velocity(config)
     chart = MixedChart(config)
     q0 = chart.coords()
@@ -1186,6 +1185,7 @@ def full_linearization_oracle(config: Configuration) -> np.ndarray:
 
 def spectrum_match(found: np.ndarray, expected: np.ndarray) -> float:
     """Largest pairing distance between two equally sized spectra."""
+    from scipy.optimize import linear_sum_assignment
     found = np.asarray(found, complex)
     expected = np.asarray(expected, complex)
     if found.shape != expected.shape:
@@ -1283,9 +1283,9 @@ def list_transitions(
 
     Decides the latitude grid in one stacked pass (:func:`decide_many`),
     then runs :func:`verdict_changes` on the brackets between adjacent
-    grid samples, one stacked pass per halving round, and classifies what
-    it returns.  Returns ``(kind, theta_star)``
-    pairs in increasing latitude order, with ``kind`` one of
+    grid samples whose verdicts differ, one stacked pass per halving round,
+    and classifies what it returns.  Returns ``(kind, theta_star)`` pairs
+    in increasing latitude order, with ``kind`` one of
     :data:`TRANSITIONS`.  Latitudes whose verdict is
     :attr:`Verdict.INDETERMINATE` (definiteness margin below tolerance at
     double precision) are treated as non-informative: changes are measured
@@ -1311,7 +1311,7 @@ def list_transitions(
     # skipped without breaking adjacency.
     pts = _scan_points(fam, k_p, grid_step)
     samples = [(t, v) for t, v in zip(pts, verdicts_at(pts)) if v is not None]
-    brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:])]
+    brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:]) if v0 != v1]
     return tuple(
         (_classify(a, b), theta) for changes in verdict_changes(verdicts_at, brackets, tol) for theta, a, b in changes
     )

@@ -941,3 +941,63 @@ def test_the_entry_point_exits_without_a_traceback(tmp_path, argv, code, message
     assert done.returncode == code
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# SciPy stays off the import path
+# ---------------------------------------------------------------------------
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+if sys.argv[1] == "integrator":
+    from scipy.integrate import DOP853
+    print(json.dumps({"integrator": scipy_modules()}))
+    raise SystemExit
+
+import vortex_atlas
+seen = {"import vortex_atlas": scipy_modules()}
+import vortex_atlas.atlas
+seen["import vortex_atlas.atlas"] = scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.suppress(SystemExit):
+            assert vortex_atlas.atlas.main(argv) == 0, argv
+    seen[argv[0]] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def _scipy_probe(tmp_path, arg: str) -> dict:
+    src = str(Path(vortex_atlas.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, arg],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_only_simulate_loads_scipy_and_only_its_integrator(tmp_path):
+    config = tmp_path / "ring.json"
+    config.write_text(make_equatorial_pm_ring(2).to_json())
+    ring = '{"family": "DNh", "n_per_ring": 4, "theta0": 0.6, "k_p": 0, "lambda_n": 1.0}'
+    calls = [
+        ["--help"],
+        ["classify", ring],
+        ["sweep", "--family", "DNd", "--n", "2..3", "--grid-step", "0.5"],
+        ["thresholds", "--grid-step", "0.1", "--out", str(tmp_path / "t.csv")],
+        ["simulate", str(config), "--t-end", "0.01", "--out", str(tmp_path / "s.csv")],
+    ]
+    seen = _scipy_probe(tmp_path, json.dumps(calls))
+    assert list(seen) == ["import vortex_atlas", "import vortex_atlas.atlas", "--help",
+                          "classify", "sweep", "thresholds", "simulate"]
+    assert all(not seen[step] for step in list(seen)[:-1]), seen
+    # simulate imports DOP853 and nothing else: SciPy's own integrate package
+    # loads scipy.optimize (for solve_bvp), so compare with a bare import
+    assert "scipy.integrate" in seen["simulate"]
+    assert seen["simulate"] == _scipy_probe(tmp_path, "integrator")["integrator"]

@@ -328,8 +328,17 @@ def test_solver_statistics_count_the_work_and_repeat():
     stats = first.stats
     assert stats.accepted_steps == len(first.times) - 1 > 0
     assert stats.min_step == min(np.diff(first.times)) > 0.0
-    # twelve DOP853 stages per step plus one evaluation after each renormalization
-    assert stats.rhs_calls >= 13 * stats.accepted_steps
+    # two evaluations to start, twelve DOP853 stages per attempt, and one
+    # evaluation after each renormalization of an accepted step
+    assert stats.rhs_calls == 2 + 13 * stats.accepted_steps + 12 * stats.rejected_steps
+
+
+def test_solver_statistics_count_rejected_steps_at_a_close_approach():
+    c = _close_pair(1e-2, 1.0, 0.3)
+    # the close same-sign pair turns at about 2 / chord^2
+    stats = integrate(c, 2e-4, tol=1e-10).stats
+    assert stats.rejected_steps > 0
+    assert stats.rhs_calls == 2 + 13 * stats.accepted_steps + 12 * stats.rejected_steps
 
 
 def test_trajectory_csv_layout():
