@@ -59,8 +59,9 @@ from .dynamics import (
     momentum_map,
 )
 from .equilibria import (
-    branch_c2v_RmRmp_all,
-    branch_c2v_RRp2p,
+    _certificates,
+    _rm_rmp_points,
+    _rrp2p_point,
     make_equatorial_pm_ring,
     make_family,
     make_plus_ring_pole_pair,
@@ -307,9 +308,10 @@ def _ring_segment(tag: str, family: Family, n: int, k_p: int, params: np.ndarray
 
 
 def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
-    """A low-symmetry segment's evaluator: it solves every parameter, then
-    takes the configurations found (of one layout and strengths) through
-    one stacked numeric analysis and one stacked energy pass."""
+    """A low-symmetry segment's evaluator: it solves every parameter, drops
+    each configuration found (of one chart) that the stacked certificate
+    refuses, and takes the rest through one stacked numeric analysis and
+    one stacked energy pass."""
 
     def solved(x: float) -> Configuration | None:
         try:
@@ -319,6 +321,8 @@ def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
 
     def evaluate(params: Sequence[float]) -> list[tuple[float, float, str] | None]:
         configs = [solved(x) for x in params]
+        refusals = iter(_certificates([c for c in configs if c is not None]))
+        configs = [None if c is None or next(refusals) else c for c in configs]
         found = [c for c in configs if c is not None]
         if not found:
             return configs
@@ -344,19 +348,14 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
     segments: list[_Segment] = []
     if n_pairs == 2:
         for sign in (-1, 1):
-            solve = _branch(lambda x, s=sign: branch_c2v_RRp2p(x, 0.0, s).configuration())
+            solve = _branch(lambda x, s=sign: _rrp2p_point(x, 0.0, s).configuration())
             segments.append(_Segment("(a) C2v(R,R')", interval, solve, is_parent=False))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 0, half))
         meridional_x = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 2 * pts)
 
         # One solve per x, shared by the four (root, swap) segments;
         # built per diagram, so no state outlives it.
-        @functools.cache
-        def roots_at(x: float) -> Sequence:
-            try:
-                return branch_c2v_RmRmp_all(x)
-            except VortexError:
-                return ()
+        roots_at = functools.cache(_rm_rmp_points)
 
         def meridian(root_index: int, swap: bool) -> Callable[[float], Configuration | None]:
             def solve(x: float) -> Configuration | None:
@@ -377,7 +376,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
     else:
         segments.append(_ring_segment("a", Family.DNH_2R, 3, 0, half))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 2, full_gapped))
-        solve = _branch(lambda x: branch_c2v_RRp2p(x, 1.0, -1).configuration())
+        solve = _branch(lambda x: _rrp2p_point(x, 1.0, -1).configuration())
         segments.append(_Segment("(c) C2v(R,R',2p)", interval, solve, is_parent=False))
         segments.append(_ring_segment("d", Family.DND_RRP, 3, 0, half_closed))
         segments.append(_ring_segment("e", Family.DND_RRP, 2, 2, full))

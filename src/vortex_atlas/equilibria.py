@@ -37,7 +37,10 @@ branch off the symmetric ones; they are parametrized by the cosines
 
 A phase test distinguishes aligned from staggered two-ring configurations,
 and a residual certificate bounds how far a configuration is from being a
-relative equilibrium at a given rotation rate.
+relative equilibrium at a given rotation rate.  Every solved branch point
+must rotate at one rate (to 1e-9) with a chart residual of at most 1e-8 at
+it; the diagram certifies a segment's grid in one stacked pass, and the
+public solvers are its one-point case.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -279,24 +281,24 @@ def configuration_angular_velocity(c: Configuration) -> float:
         If per-vortex rates disagree by more than 1e-9 — the
         configuration does not rotate rigidly about z.
     """
-    return float(_rigid_rates([c])[0])
+    (rate,), (refused,) = _rigid_rates([c])
+    if refused:
+        raise refused
+    return float(rate)
 
 
-def _rigid_rates(configs: Sequence[Configuration]) -> np.ndarray:
+def _rigid_rates(configs: Sequence[Configuration]) -> tuple[np.ndarray, list[NotRelativeEquilibrium | None]]:
     """:func:`configuration_angular_velocity` of configurations that share
-    their layout and strengths, ``(K,)`` from one array pass; raises the
-    error of any one of them."""
+    their layout and strengths, ``(K,)`` from one array pass, and each
+    one's error in input order (``None`` where its rates agree), returned
+    rather than raised."""
     ring = list(configs[0].layout.plus) + list(configs[0].layout.minus)
     if not ring:
         raise PoleSingularity("a pole-only configuration has no ring rate")
     rates = _vortex_rates(configs, ring)
-    spread = float(np.max(rates.max(axis=1) - rates.min(axis=1)))
-    if spread > 1e-9:
-        raise NotRelativeEquilibrium(
-            f"per-vortex rotation rates disagree by {spread:.3e}; the "
-            "configuration does not rotate rigidly about z"
-        )
-    return rates[:, 0]
+    spreads = (rates.max(axis=1) - rates.min(axis=1)).tolist()
+    message = "per-vortex rotation rates disagree by {:.3e}; the configuration does not rotate rigidly about z"
+    return rates[:, 0], [NotRelativeEquilibrium(message.format(spread)) if spread > 1e-9 else None for spread in spreads]
 
 
 def ring_angular_velocity(desc: FamilyDescriptor) -> float:
@@ -338,6 +340,24 @@ def re_residual(c: Configuration, xi_z: float) -> float:
     return float(np.max(np.abs(chart.gradient(chart.coords(), xi_z))))
 
 
+def _certificates(configs: Sequence[Configuration]) -> list[VortexError | None]:
+    """The branch-point certificate of configurations that share one chart
+    (layout, strengths and pole hemispheres), from one rate pass and one
+    stacked chart gradient.  Per configuration, in input order: the
+    :class:`NotRelativeEquilibrium` of :func:`configuration_angular_velocity`,
+    :class:`OutOfDomain` if :func:`re_residual` at that rate exceeds 1e-8,
+    else ``None``.  A ring vortex on a pole raises for the whole stack."""
+    if not configs:
+        return []
+    rates, refusals = _rigid_rates(configs)
+    chart = MixedChart(configs[0])
+    residuals = np.abs(chart.gradient(np.array([chart.coords(c) for c in configs]), rates)).max(axis=1)
+    return [
+        refused or (OutOfDomain(f"the equilibrium residual {residual:.3e} exceeds 1e-8") if residual > 1e-8 else None)
+        for refused, residual in zip(refusals, residuals.tolist())
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Branch solvers
 # ---------------------------------------------------------------------------
@@ -359,20 +379,14 @@ class BranchPoint:
     lambda_n: float = 1.0
 
     def configuration(self) -> Configuration:
-        """The point's configuration, built and validated once per point
-        (a copy made with ``dataclasses.replace`` builds its own)."""
-        return self._configuration
-
-    @cached_property
-    def _configuration(self) -> Configuration:
+        """The point's configuration, built and validated on each call.  A
+        meridian point has +1 at cos-heights x, -y and -1 at y, -x, all in
+        the xz-plane."""
         if self.family is Family.C2V_RM_RMP:
-            return _meridional_configuration(self.x, self.y)
-        theta_p = math.acos(self.x)
-        theta_m = math.acos(self.y)
-        rings = _on_sphere(
-            [theta_p, theta_p, theta_m, theta_m],
-            [0.0, math.pi, self.alpha, self.alpha + math.pi],
-        )
+            heights, phi = (self.x, -self.y, self.y, -self.x), (0.0, math.pi, math.pi, 0.0)
+        else:
+            heights, phi = (self.x, self.x, self.y, self.y), (0.0, math.pi, self.alpha, self.alpha + math.pi)
+        rings = _on_sphere([math.acos(h) for h in heights], phi)
         strengths = [1.0, 1.0, -1.0, -1.0]
         if self.lambda_n == 0.0:
             return Configuration(rings, strengths, 0, Layout.standard(2, 2, 0))
@@ -380,26 +394,11 @@ class BranchPoint:
         return Configuration(np.vstack([rings, _POLES]), strengths, 2, Layout.standard(2, 2, 2))
 
 
-def _meridional_configuration(x: float, y: float) -> Configuration:
-    """Four vortices in the xz-plane: +1 at cos-heights x, -y; -1 at y, -x."""
-    positions = _on_sphere(
-        [math.acos(x), math.acos(-y), math.acos(y), math.acos(-x)],
-        [0.0, math.pi, math.pi, 0.0],
-    )
-    return Configuration(positions, [1.0, 1.0, -1.0, -1.0], 0, Layout.standard(2, 2, 0))
-
-
-def _certify(bp: BranchPoint) -> BranchPoint:
-    """Verify a solved branch point is a genuine relative equilibrium."""
-    config = bp.configuration()
-    xi = configuration_angular_velocity(config)
-    residual = re_residual(config, xi)
-    if residual > 1e-8:
-        raise OutOfDomain(
-            f"branch point (x={bp.x:.6g}, y={bp.y:.6g}) fails the equilibrium "
-            f"residual check ({residual:.3e})"
-        )
-    return bp
+def _certify(points: tuple[BranchPoint, ...]) -> tuple[BranchPoint, ...]:
+    """Solved points that share one chart, or the first refusal of :func:`_certificates`."""
+    for refused in filter(None, _certificates([bp.configuration() for bp in points])):
+        raise refused
+    return points
 
 
 def branch_c2v_2R2p(x: float, lambda_n: float = 1.0) -> BranchPoint:
@@ -420,7 +419,7 @@ def branch_c2v_2R2p(x: float, lambda_n: float = 1.0) -> BranchPoint:
         raise OutOfDomain(
             f"solved y = {y:.6g} leaves (-1, 1); x = {x:.6g} is outside the branch"
         )
-    return _certify(BranchPoint(x, y, 0.0, Family.C2V_2R2P, lambda_n))
+    return _certify((BranchPoint(x, y, 0.0, Family.C2V_2R2P, lambda_n),))[0]
 
 
 def _rrp2p_quartic(x: float, y: float, lambda_n: float) -> float:
@@ -443,6 +442,11 @@ def branch_c2v_RRp2p(x: float, lambda_n: float = 1.0, sign: int = 1) -> BranchPo
         y = -(x + lambda_n (x^2 + 1) +- (1 - x^2) sqrt(2 + lambda_n^2))
             / (x^2 - 2 (1 + lambda_n x)).
     """
+    return _certify((_rrp2p_point(x, lambda_n, sign),))[0]
+
+
+def _rrp2p_point(x: float, lambda_n: float, sign: int) -> BranchPoint:
+    """:func:`branch_c2v_RRp2p` without the certificate."""
     if not (-1.0 < x < 1.0):
         raise OutOfDomain("x = cos(theta_+) must lie in (-1, 1)")
     if sign not in (1, -1):
@@ -462,7 +466,7 @@ def branch_c2v_RRp2p(x: float, lambda_n: float = 1.0, sign: int = 1) -> BranchPo
             f"quartic residual {resid:.3e} exceeds 1e-10 at (x, y) = "
             f"({x:.6g}, {y:.6g})"
         )
-    return _certify(BranchPoint(x, y, math.pi / 2.0, Family.C2V_RRP2P, lambda_n))
+    return BranchPoint(x, y, math.pi / 2.0, Family.C2V_RRP2P, lambda_n)
 
 
 def _rm_rmp_equation(x: float, y: float | np.ndarray) -> float | np.ndarray:
@@ -484,8 +488,14 @@ def branch_c2v_RmRmp_all(x: float) -> tuple[BranchPoint, ...]:
     certification divides by 1 - y**2, so near-pole roots need every
     digit); they are returned in increasing ``y`` order.  Points with
     ``y < x`` are the relabeled twins ``(y, x)`` of roots of other ``x``
-    values and are not produced here.
+    values and are not produced here.  The first root the certificate
+    refuses raises its error.
     """
+    return _certify(_rm_rmp_points(x))
+
+
+def _rm_rmp_points(x: float) -> tuple[BranchPoint, ...]:
+    """:func:`branch_c2v_RmRmp_all` without the certificate."""
     from scipy.optimize import brentq
     if not (-1.0 < x < 1.0):
         raise OutOfDomain("x = cos(theta_+) must lie in (-1, 1)")
@@ -509,10 +519,7 @@ def branch_c2v_RmRmp_all(x: float) -> tuple[BranchPoint, ...]:
         )
         for k in brackets
     ]
-    return tuple(
-        _certify(BranchPoint(x, y, math.pi, Family.C2V_RM_RMP, 0.0))
-        for y in roots
-    )
+    return tuple(BranchPoint(x, y, math.pi, Family.C2V_RM_RMP, 0.0) for y in roots)
 
 
 def branch_c2v_RmRmp(x: float) -> BranchPoint:

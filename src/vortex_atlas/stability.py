@@ -285,7 +285,7 @@ class _Rings:
         if k_p:
             trig = np.array([crel, sin[1, :n], self.cx, self.sx])
             self.pole_trig = trig[_POLE_TRIG] * _POLE_SIGN
-            self.pole_sums = (trig * trig).sum(axis=1).tolist()
+            self.pole_sums = (trig * trig).sum(axis=1).reshape(2, 2)  # (plus, minus ring) x (cos^2, sin^2)
 
         # pattern table: row 8q + key index for the ring patterns, then the
         # pole modes; plus-ring vortices first, then minus-ring
@@ -381,20 +381,13 @@ def _hessians(rings: _Rings, u: np.ndarray, s: np.ndarray, xi: np.ndarray) -> np
         cols = rings.pole_trig * scale / (1.0 + uc[:, :, None, None] * _POLE_OVER)
         h[:, 4 * n :, : 4 * n] = cols.reshape(k, 4, 4 * n)
         h[:, : 4 * n, 4 * n :] = h[:, 4 * n :, : 4 * n].transpose(0, 2, 1)
-        sc_p, ss_p, sc_m, ss_m = rings.pole_sums
-        diag = []
-        for uk, xk in zip(u.tolist(), xi.tolist()):
-            one_m_uk2 = 1.0 - uk * uk
-            near, far = 1.0 - uk, 1.0 + uk
-            lift = 0.5 - xk + 2.0 * n * uk / one_m_uk2
-            diag.append(
-                (
-                    lift - (far**2 * sc_p - near**2 * sc_m) / one_m_uk2,
-                    lift - (far**2 * ss_p - near**2 * ss_m) / one_m_uk2,
-                    lift + (near**2 * sc_p - far**2 * sc_m) / one_m_uk2,
-                    lift + (near**2 * ss_p - far**2 * ss_m) / one_m_uk2,
-                )
-            )
+        # squares by libm's pow, as a scalar ``**`` takes them
+        near, far = np.float_power(1.0 - uc, 2), np.float_power(1.0 + uc, 2)
+        lift = 0.5 - xi[:, None] + 2.0 * n * uc / one_m_u2
+        plus, minus = rings.pole_sums
+        north = lift - (far * plus - near * minus) / one_m_u2
+        south = lift + (near * plus - far * minus) / one_m_u2
+        diag = np.concatenate([north, south], axis=1)
         # the pole block's diagonal, then x_n/x_s and y_n/y_s both ways
         flat, d, pole = h.reshape(k, -1), rings.d, 4 * n * (rings.d + 1)
         flat[:, pole :: d + 1] = diag
@@ -604,14 +597,12 @@ def _singular(omega_blocks: list[tuple[list[int], np.ndarray]]) -> np.ndarray:
 _SINGULAR_SLICE = "the symplectic form restricted to the slice is singular"
 
 
-def _one_point(desc: FamilyDescriptor) -> tuple[FamilyDescriptor, _Rings, bool, np.ndarray, np.ndarray]:
-    """Analysis descriptor, family data, reduced flag, u and s of one member."""
-    desc = _analysis_descriptor(desc)
-    rings = _rings(desc.family, desc.n_per_ring, desc.k_p, desc.lambda_n if desc.k_p else 0.0)
-    reduced = abs(_vertical_momentum(desc)) < MOMENTUM_ZERO_TOL
-    u = np.array([math.cos(desc.theta0)])
-    s = np.array([math.sin(desc.theta0)])
-    return desc, rings, reduced, u, s
+def _one_point(desc: FamilyDescriptor) -> tuple[_Rings, bool, np.ndarray, np.ndarray, np.ndarray]:
+    """Family data, reduced flag, and u, s and rate (one-element arrays) of
+    one member, as :func:`_stack_entry` decides them for its stack."""
+    key, (_, theta, xi, _) = _stack_entry(desc)
+    u, s = np.array([math.cos(theta)]), np.array([math.sin(theta)])
+    return _rings(*key[:4]), key[4], u, s, np.array([xi])
 
 
 def hessian_closed_form(desc: FamilyDescriptor) -> np.ndarray:
@@ -622,8 +613,8 @@ def hessian_closed_form(desc: FamilyDescriptor) -> np.ndarray:
     ``x_n, y_n, x_s, y_s``.  The frame rotates at the family's own rigid
     rate.
     """
-    desc, rings, _, u, s = _one_point(desc)
-    return _hessians(rings, u, s, np.array([ring_angular_velocity(desc)]))[0]
+    rings, _, u, s, xi = _one_point(desc)
+    return _hessians(rings, u, s, xi)[0]
 
 
 def slice_basis(desc: FamilyDescriptor) -> SliceBasis:
@@ -632,7 +623,7 @@ def slice_basis(desc: FamilyDescriptor) -> SliceBasis:
     The generators about x and y join the constraints when the vertical
     momentum vanishes and the rotation orbit grows.
     """
-    _, rings, reduced, u, s = _one_point(desc)
+    rings, reduced, u, s, _ = _one_point(desc)
     ((_, basis, labels),) = _slice_bases(rings, reduced, u, s)
     return SliceBasis(basis[0], labels)
 
@@ -643,7 +634,7 @@ def slice_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
     Raises :class:`DegenerateForm` if the restriction is singular, which
     would invalidate the reduced linearization.
     """
-    _, rings, reduced, u, s = _one_point(desc)
+    rings, reduced, u, s, _ = _one_point(desc)
     ((_, b, labels),) = _slice_bases(rings, reduced, u, s)
     omega_b = _restrict(b, _symplectic_forms(rings, s), antisymmetric=True)
     if _singular(_diagonal_blocks(omega_b, _block_slices(labels)))[0]:
@@ -1077,7 +1068,9 @@ def _small_key(c: Configuration) -> tuple:
 def _small_stack(configs: list[Configuration]) -> list[StabilityReport]:
     """:func:`analyze_small` of configurations that share one chart, as
     stacked arrays; raises the error of any one of them."""
-    xi = _rigid_rates(configs)
+    xi, refusals = _rigid_rates(configs)
+    for refused in filter(None, refusals):
+        raise refused
     chart = MixedChart(configs[0])
     qs = np.array([chart.coords(c) for c in configs])
     residual = float(np.max(np.abs(chart.gradient(qs, xi))))

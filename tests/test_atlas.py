@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import vortex_atlas
 
+from vortex_atlas import atlas, dynamics, stability
 from vortex_atlas.atlas import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -34,10 +35,10 @@ from vortex_atlas.atlas import (
     render_svg,
     run_sweep,
 )
-from vortex_atlas.core import MAX_GRID_POINTS, MAX_RING_SIZE, Family, FamilyDescriptor
+from vortex_atlas.core import MAX_GRID_POINTS, MAX_RING_SIZE, Family, FamilyDescriptor, rotation_z_matrix
 from vortex_atlas.dynamics import hamiltonian
 from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring, make_family
-from vortex_atlas.stability import analyze, list_transitions
+from vortex_atlas.stability import analyze, analyze_small, list_transitions
 
 SWEEP_HEADER = "family,N,theta0,mu_z,xi_z,H,verdict,deciding_block"
 
@@ -679,6 +680,56 @@ def test_pitchfork_candidates_are_decided_by_a_wide_margin(pairs, pitchforks):
                 assert d >= 1e-2, (parent.label, child.label, d)
     assert len(meeting) == pitchforks
     assert meeting == [(b.parent, b.child, b.mu_z) for b in diagram.bifurcations]
+
+
+def test_a_branch_drops_each_point_the_certificate_refuses():
+    """DNh N=3 at theta0 = 0.9 with its minus ring turned by 1e-6 rotates
+    rigidly to 1e-15, but its chart residual is 2.3e-7: the analysis alone
+    (bound 1e-6) accepts it, the branch certificate (bound 1e-8) refuses it,
+    and the genuine members around it keep their points."""
+    members = {t: make_family(FamilyDescriptor(Family.DNH_2R, 3, theta0=t)) for t in (0.5, 0.7, 0.9, 1.1)}
+    turned = members[0.9].positions.copy()
+    minus = list(members[0.9].layout.minus)
+    turned[minus] = turned[minus] @ rotation_z_matrix(1e-6).T
+    members[0.8] = members[0.9].with_positions(turned)
+    analyze_small(members[0.8])
+    evaluate = atlas._branch(members.get)
+    got = evaluate([0.5, 0.7, 0.8, 0.9, 1.1])
+    assert got[2] is None
+    assert got[:2] + got[3:] == evaluate([0.5, 0.7, 0.9, 1.1])
+    assert None not in got[:2] + got[3:]
+
+
+def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkeypatch):
+    """Each branch point is certified in its segment's one stacked pass:
+    no chart is built per point (the per-point route built 2,011)."""
+    counts = {"charts": 0, "evaluates": 0, "stacks": 0}
+    init, small_stack, branch = dynamics.MixedChart.__init__, stability._small_stack, atlas._branch
+
+    def counted_init(self, config):
+        counts["charts"] += 1
+        init(self, config)
+
+    def counted_stack(configs):
+        counts["stacks"] += 1
+        return small_stack(configs)
+
+    def counted_branch(solve):
+        evaluate = branch(solve)
+
+        def counted(params):
+            counts["evaluates"] += 1
+            return evaluate(params)
+
+        return counted
+
+    monkeypatch.setattr(dynamics.MixedChart, "__init__", counted_init)
+    monkeypatch.setattr(stability, "_small_stack", counted_stack)
+    monkeypatch.setattr(atlas, "_branch", counted_branch)
+    build_diagram(2)
+    build_diagram(3)
+    assert counts["evaluates"] == 8
+    assert counts["charts"] <= counts["evaluates"] + counts["stacks"]
 
 
 def test_diagram_segments_and_fixed_point(three_pair_diagram):

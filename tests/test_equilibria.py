@@ -14,13 +14,16 @@ from vortex_atlas.core import (
     InvalidDescriptor,
     PoleSingularity,
     VortexError,
+    rotation_z_matrix,
 )
 from vortex_atlas.dynamics import hamiltonian, momentum_map, vector_field
 from vortex_atlas.equilibria import (
     NoRoot,
+    NotRelativeEquilibrium,
     NotTwoRings,
     OutOfDomain,
     TwoRingPhase,
+    _certificates,
     _rigid_rates,
     angular_velocity_generic,
     branch_c2v_2R2p,
@@ -168,7 +171,7 @@ def test_rates_have_the_bits_of_a_loop_over_partners():
         assert np.array([angular_velocity_generic(c, i) for i in ring]).tobytes() == want.tobytes()
         assert np.float64(configuration_angular_velocity(c)).tobytes() == want[0].tobytes()
     # one array pass over a stack of configurations that share a layout
-    stacked = _rigid_rates(grid)
+    stacked, _ = _rigid_rates(grid)
     assert stacked.tobytes() == np.array([_rate_by_loop(c, 0) for c in grid]).tobytes()
 
 
@@ -185,6 +188,18 @@ def test_re_residual_distinguishes_rates():
     xi = float(ring_angular_velocity(desc))
     assert re_residual(c, xi) < 1e-10
     assert re_residual(c, xi + 0.5) > 1e-2
+
+
+def test_the_certificate_judges_each_configuration_of_a_stack():
+    good = make_family(FamilyDescriptor(Family.DNH_2R, 3, theta0=0.9))
+    spun = good.positions.copy()
+    spun[0] = spun[0] @ rotation_z_matrix(1e-3).T  # one vortex moved along its ring
+    turned = good.positions.copy()
+    minus = list(good.layout.minus)
+    turned[minus] = turned[minus] @ rotation_z_matrix(1e-6).T  # still rigid to 1e-15, residual 2.3e-7
+    refusals = _certificates([good, good.with_positions(spun), good.with_positions(turned)])
+    assert [type(r) for r in refusals] == [type(None), NotRelativeEquilibrium, OutOfDomain]
+    assert _certificates([]) == []
 
 
 # ---------------------------------------------------------------------------

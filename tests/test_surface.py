@@ -90,6 +90,9 @@ SIGNATURES = {
 # another's internals.
 PRIVATE_IMPORTS = {
     ("atlas", "core._family_named"),
+    ("atlas", "equilibria._certificates"),
+    ("atlas", "equilibria._rm_rmp_points"),
+    ("atlas", "equilibria._rrp2p_point"),
     ("atlas", "stability._pick_transition"),
     ("equilibria", "core._closest_pairs"),
     ("stability", "core._family_named"),
