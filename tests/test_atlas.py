@@ -336,6 +336,20 @@ def test_rings_on_a_pole_give_input_errors_and_error_rows(k_p, capsys):
     assert all(line.split(",")[6] == "error" for line in lines[1:])
 
 
+def test_sweep_rows_of_an_unknown_family_and_of_the_equatorial_ring():
+    """An unknown family name gives error rows; the equatorial ring, which
+    ignores theta0, gives its one member's report and energy on every row."""
+    rows = run_sweep(SweepSpec(("Nope", "EquatorialPmRing"), (2, 3), 0.5, 0.7, 0.1))
+    thetas = ["0.5", "0.6", "0.7"]
+    assert rows[:6] == [("Nope", str(n), t, "", "", "", "error", "") for n in (2, 3) for t in thetas]
+    for n, got in zip((2, 3), (rows[6:9], rows[9:])):
+        report = analyze(FamilyDescriptor(Family.EQUATORIAL_PM_RING, n))
+        energy = hamiltonian(make_equatorial_pm_ring(n))
+        fields = (report.mu_z, report.xi_z, energy, report.verdict.value, report.deciding_block)
+        want = tuple(atlas._fmt(x) if isinstance(x, float) else x for x in fields)
+        assert got == [("EquatorialPmRing", str(n), t) + want for t in thetas]
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -32,6 +32,7 @@ from vortex_atlas.dynamics import (
     NEAR_COLLISION_FACTOR,
     CollisionApproach,
     MixedChart,
+    StepSizeUnderflow,
     augmented_hamiltonian,
     hamiltonian,
     hamiltonians,
@@ -283,6 +284,43 @@ def test_collision_guard_raises_with_partial_trajectory():
     partial = excinfo.value.trajectory
     assert partial.times[0] == 0.0
     assert len(partial.times) == len(partial.states)
+
+
+def test_step_size_underflow_keeps_the_partial_trajectory(tmp_path, monkeypatch, capsys):
+    """After three accepted steps DOP853 is set zero tolerances, so it turns
+    down every attempt until the step falls beneath its smallest: the error
+    carries the three steps, and simulate writes them and exits 3."""
+    from scipy.integrate import DOP853
+
+    real = DOP853._step_impl
+
+    def step_impl(solver):
+        accepted = getattr(solver, "accepted", 0)
+        if accepted == 3:
+            solver.rtol = solver.atol = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok, message = real(solver)
+        solver.accepted = accepted + ok
+        return ok, message
+
+    monkeypatch.setattr(DOP853, "_step_impl", step_impl)
+    c = make_family(FamilyDescriptor(Family.DND_RRP, 2, theta0=0.9))
+    with pytest.raises(StepSizeUnderflow, match="step size underflow at t = ") as excinfo:
+        integrate(c, 2.0, tol=1e-9)
+    partial = excinfo.value.trajectory
+    stats = partial.stats
+    assert len(partial.times) == len(partial.positions) == 4
+    assert stats.accepted_steps == 3 and stats.min_step == min(np.diff(partial.times))
+    # the attempts of the failed step were all turned down
+    assert stats.rejected_steps >= 10
+    assert stats.rhs_calls == 2 + 13 * stats.accepted_steps + 12 * stats.rejected_steps
+
+    config_path, out_path = tmp_path / "c.json", tmp_path / "partial.csv"
+    config_path.write_text(c.to_json())
+    argv = ["simulate", str(config_path), "--t-end", "2.0", "--tol", "1e-9", "--out", str(out_path)]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: step size underflow at t = ")
+    assert out_path.read_text() == partial.to_csv()
 
 
 def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):

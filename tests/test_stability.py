@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rotation_axis_matrix
-from vortex_atlas import atlas
+from vortex_atlas import atlas, stability
 from vortex_atlas.atlas import EXIT_OK, main
 from vortex_atlas.core import (
     MAX_GRID_POINTS,
@@ -30,6 +30,7 @@ from vortex_atlas.core import (
 )
 from vortex_atlas.dynamics import MixedChart
 from vortex_atlas.equilibria import (
+    _rigid_rates,
     branch_c2v_2R2p,
     branch_c2v_RmRmp,
     branch_c2v_RmRmp_all,
@@ -45,6 +46,7 @@ from vortex_atlas.stability import (
     DEFINITENESS_TOL,
     REFERENCE_THRESHOLDS,
     Decision,
+    DegenerateForm,
     NoTransition,
     NotRelativeEquilibrium,
     StabilityReport,
@@ -206,6 +208,17 @@ def test_slice_basis_spans_a_decoupled_slice(family, n, k_p, fraction, balanced)
     different = np.not_equal.outer(basis.labels, basis.labels)
     for form in (mat.T @ hessian_closed_form(desc) @ mat, slice_symplectic_form(desc)):
         assert np.max(np.abs(form[different]), initial=0.0) < 1e-9 * np.max(np.abs(form))
+
+
+def test_slice_basis_bits_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    """The kernel vectors' norms add their squares left to right, as Python
+    3.11's ``sum`` does; 3.12's compensated ``sum`` (here ``math.fsum``)
+    must change no bit of a basis."""
+    thetas = np.arange(0.1, 1.5, 0.05).tolist()
+    descs = [_desc(family, n, theta, k_p) for family, n, k_p in ((DNH, 3, 0), (DND, 5, 2)) for theta in thetas]
+    want = [slice_basis(desc).matrix.tobytes() for desc in descs]
+    monkeypatch.setattr(stability, "sum", math.fsum, raising=False)
+    assert [slice_basis(desc).matrix.tobytes() for desc in descs] == want
 
 
 def test_slice_symplectic_form_is_antisymmetric_and_nondegenerate():
@@ -645,6 +658,30 @@ def test_stacked_pass_yields_errors_in_place():
     ]
 
 
+def test_a_singular_restricted_form_is_an_error_in_place(monkeypatch):
+    """One latitude of a stack whose restricted symplectic form is called
+    singular gets a DegenerateForm; the others keep every bit."""
+    descs = [_desc(DNH, 4, theta) for theta in (0.5, 0.7, 0.9)]
+    want_decisions, want_reports = list(decide_many(descs)), list(analyze_many(descs))
+    real = stability._singular
+
+    def second_singular(omega_blocks):
+        singular = real(omega_blocks)
+        singular[1] = True
+        return singular
+
+    monkeypatch.setattr(stability, "_singular", second_singular)
+    decisions, reports = list(decide_many(descs)), list(analyze_many(descs))
+    for got in (decisions[1], reports[1]):
+        assert (type(got), str(got)) == (DegenerateForm, "the symplectic form restricted to the slice is singular")
+    assert [repr(tuple(d)) for d in decisions[::2]] == [repr(tuple(d)) for d in want_decisions[::2]]
+    assert [_report_bytes(r) for r in reports[::2]] == [_report_bytes(r) for r in want_reports[::2]]
+
+    monkeypatch.setattr(stability, "_singular", lambda omega_blocks: np.ones(len(omega_blocks[0][1]), dtype=bool))
+    with pytest.raises(DegenerateForm):
+        analyze(descs[1])
+
+
 @pytest.mark.parametrize("family", [DNH, DND])
 @pytest.mark.parametrize("k_p", [0, 2])
 def test_verdict_stage_gives_the_report_fields_bit_for_bit(family, k_p):
@@ -789,6 +826,20 @@ def _tilted_fixed_ring(angle):
     a = rotation_axis_matrix(np.array([1.0, 2.0, 0.0]), angle)
     layout = Layout(plus=(0,), minus=(1,), north=2, south=3)
     return Configuration(ring.positions @ a.T, ring.strengths, 2, layout)
+
+
+def test_the_numeric_route_refuses_a_rigid_rotation_off_equilibrium():
+    """DNh N=3 at theta0 = 0.9 with its minus ring turned by 1e-5 still
+    rotates rigidly (its rates agree to 1e-9), but its chart residual is
+    2.3e-6, above the 1e-6 that analyze_small accepts."""
+    member = make_family(_desc(DNH, 3, 0.9))
+    turned = member.positions.copy()
+    minus = list(member.layout.minus)
+    turned[minus] = turned[minus] @ rotation_z_matrix(1e-5).T
+    config = member.with_positions(turned)
+    assert _rigid_rates([config])[1] == [None]
+    with pytest.raises(NotRelativeEquilibrium, match=r"^co-rotating field residual 2\.346e-06 exceeds 1\.0e-06$"):
+        analyze_small(config)
 
 
 def test_stacked_numeric_pass_returns_errors_in_place(pm_sampler):
