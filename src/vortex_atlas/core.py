@@ -317,15 +317,22 @@ class Configuration:
         return config
 
 
+def _pairwise_l2(p: np.ndarray) -> np.ndarray:
+    """All squared chord distances ``|x_i - x_j|^2``: ``(..., M, M)`` from ``(..., M, 3)``.
+
+    Direct differencing keeps full precision for nearly coincident
+    points, where the equivalent ``2 (1 - x_i . x_j)`` form cancels.
+    """
+    diff = p[..., :, None, :] - p[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+
+
 def _closest_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The closest pair of each configuration of a stack ``(..., M, 3)``,
     M >= 2: its flat index ``i * M + j`` (the first minimum, so i < j) and
     its squared chord; :class:`Configuration` collides below ``COLLISION_EPS**2``."""
     m = p.shape[-2]
-    # direct differences resolve separations far below the threshold,
-    # unlike the 2(1 - gram) form which cancels near coincidence
-    diff = p[..., :, None, :] - p[..., None, :, :]
-    l2 = np.einsum("...ijk,...ijk->...ij", diff, diff).reshape(*p.shape[:-2], m * m)
+    l2 = _pairwise_l2(p).reshape(*p.shape[:-2], m * m)
     l2[..., :: m + 1] = np.inf
     at = l2.argmin(axis=-1)
     return at, np.take_along_axis(l2, at[..., None], axis=-1)[..., 0]

@@ -43,6 +43,7 @@ from .core import (
     OutOfDomain,
     PoleSingularity,
     VortexError,
+    _pairwise_l2,
 )
 
 __all__ = [
@@ -90,16 +91,6 @@ class StepSizeUnderflow(_IntegrationStopped):
 # ---------------------------------------------------------------------------
 # Energy, momentum, vector field
 # ---------------------------------------------------------------------------
-
-
-def _pairwise_l2(p: np.ndarray) -> np.ndarray:
-    """All squared chord distances ``|x_i - x_j|^2``: ``(..., M, M)`` from ``(..., M, 3)``.
-
-    Direct differencing keeps full precision for nearly coincident
-    points, where the equivalent ``2 (1 - x_i . x_j)`` form cancels.
-    """
-    diff = p[..., :, None, :] - p[..., None, :, :]
-    return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
 class _Pairs(NamedTuple):

@@ -203,6 +203,11 @@ def _make_two_rings(desc: FamilyDescriptor) -> Configuration:
     return Configuration(positions[0], strengths, k_p, Layout.standard(n, n, k_p))
 
 
+def _ring_phase(family: Family, n: int) -> float:
+    """Longitude offset of the minus ring relative to the plus ring."""
+    return 0.0 if family is Family.DNH_2R else math.pi / n
+
+
 def two_ring_positions(
     family: Family, n: int, k_p: int, lambda_n: float, thetas: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,7 +217,7 @@ def two_ring_positions(
     :class:`Configuration` must.  Vortex order: the plus ring, the minus
     ring, then with ``k_p = 2`` the north and south poles; :func:`make_family`
     of a two-ring member is the one-latitude case."""
-    offset = 0.0 if family is Family.DNH_2R else math.pi / n
+    offset = _ring_phase(family, n)
     phi = 2.0 * math.pi * np.arange(n) / n
     theta = np.asarray(thetas, float)[:, None]
     rings = [_on_sphere(theta, phi), _on_sphere(math.pi - theta, phi + offset)]
@@ -321,7 +326,7 @@ def ring_angular_velocity(desc: FamilyDescriptor) -> float:
     s2 = 1.0 - u * u
     if s2 == 0.0:
         raise PoleSingularity("rings on the poles: the rotation rate diverges")
-    offset = 0.0 if desc.family is Family.DNH_2R else math.pi / n
+    offset = _ring_phase(desc.family, n)
     total = u * (n - 1) / s2
     for j in range(n):
         cd = 1.0 + math.cos(2.0 * math.pi * j / n + offset)

@@ -7,9 +7,10 @@ symmetric two-ring families the ring perturbations split into discrete
 Fourier patterns by wavenumber q = 0..N/2 and by parity class (whether
 the two rings' colatitudes move together or against each other).  The
 momentum map and the rotation generators act only on wavenumber 0 of
-class 1 and wavenumber 1 of class 0; :func:`slice_basis` replaces those
-sectors by the kernels of their constraint blocks and keeps every other
-pattern as it is.  Both the energy Hessian and the symplectic form
+class 1 and wavenumber 1 of class 0.  The vertical momentum and the
+generator about z remove the first sector whole; :func:`slice_basis`
+replaces the second by the kernel of its constraint block and keeps every
+other pattern as it is.  Both the energy Hessian and the symplectic form
 block-diagonalize over the resulting groups, so each block can be
 examined independently and in closed form.
 
@@ -67,6 +68,7 @@ from .dynamics import MixedChart, momentum_map
 from .equilibria import (
     NotRelativeEquilibrium,
     _rigid_rates,
+    _ring_phase,
     configuration_angular_velocity,
     ring_angular_velocity,
 )
@@ -145,11 +147,6 @@ class NoTransition(VortexError, LookupError):
 # ---------------------------------------------------------------------------
 
 
-def _ring_phase(family: Family, n: int) -> float:
-    """Longitude offset of the minus ring relative to the plus ring."""
-    return 0.0 if family is Family.DNH_2R else math.pi / n
-
-
 def _analysis_descriptor(desc: FamilyDescriptor) -> FamilyDescriptor:
     """Map a descriptor onto the two-ring family the closed forms cover."""
     desc.validate()
@@ -225,8 +222,8 @@ _COLUMN_ORDER = {
 
 #: Pole modes x, y, x', y' and the constraint rows' entries in x_n, y_n, x_s, y_s.
 _POLE_MODES = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1.0]])
-_POLE_ROWS = np.array(  # dPhi_x, dPhi_y, dPhi_z, g_z, g_x, g_y
-    [[1, 0, -1, 0], [0, 1, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [0, -1, 0, 1], [1, 0, -1, 0]],
+_POLE_ROWS = np.array(  # dPhi_x, dPhi_y, g_x, g_y
+    [[1, 0, -1, 0], [0, 1, 0, -1], [0, -1, 0, 1], [1, 0, -1, 0]],
     float,
 )
 #: Entries of the normalised constraint rows at or below this count as zero.
@@ -253,7 +250,7 @@ class _Rings:
 
     Ring angles, the sums of the Hessian that do not involve the latitude,
     the index that lays its circulant blocks out, and the Fourier pattern
-    table of the slice basis.  Coordinate order:
+    table of the slice basis with its sectors.  Coordinate order:
     plus-ring colatitudes, minus-ring colatitudes, plus-ring longitudes,
     minus-ring longitudes, then (with poles) ``x_n, y_n, x_s, y_s``.
     """
@@ -300,33 +297,32 @@ class _Rings:
         pat_ring[:, 1, :, :, 2 * n : 4 * n] = signed
         if k_p:
             self.pat[self.n_ring :, 4 * n :] = _POLE_MODES
-        self.alive = (np.abs(self.pat).max(axis=1) > 1e-8).tolist()
+        alive = (np.abs(self.pat).max(axis=1) > 1e-8).tolist()
+        # dPhi_z and the generator about z remove q = 0 tc' and pc whole
+        alive[1] = alive[4] = False
         self.cos1, self.sin1 = cos[1], sin[1]
-        # ring strengths +-1 and their products with cos/sin of the longitude
-        self.strength, self.str_cos, self.str_sin = signed[0, 0, 1], signed[1, 0, 1], signed[1, 1, 1]
+        # ring strengths +-1 times cos/sin of the longitude
+        self.str_cos, self.str_sin = signed[1, 0, 1], signed[1, 1, 1]
+
+        # the slice's sectors: per wavenumber the block name and its free
+        # pattern rows; ``hit`` holds the rows of the one sector the
+        # constraints touch, class 0 at q = 1 (all of q = 1 for staggered N = 2)
+        self.sectors: list[tuple[str, list[int]]] = []
+        self.hit: list[int] = []
+        for q in range(top + 1):
+            joint = self.staggered and 2 * q == n
+            kind = "q=1" if q == 1 else "aligned top" if 2 * q == n else "generic"
+            free = []
+            for k, cls in _COLUMN_ORDER["staggered top" if joint else kind]:
+                i = 8 * q + k if k < 8 else self.n_ring + k - 8
+                if (k < 8 or (k_p and q == 1)) and alive[i]:
+                    (self.hit if q == 1 and (joint or cls == 0) else free).append(i)
+            name = "B0" if q == 0 else "B1" if q == 1 else "Bhalf" if 2 * q == n else f"B{q}"
+            self.sectors.append((name + ("p" if k_p and q < 2 else ""), free))
+        self.free = [i for _, rows in self.sectors for i in rows]
         for value in vars(self).values():  # shared through _rings: read-only
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-
-    def sectors(self, touched: list[bool]) -> list[tuple[str, list[int], list[list[int]]]]:
-        """Per wavenumber: block name, untouched pattern rows, and the
-        pattern rows of each touched sector."""
-        n, k_p = self.n, self.k_p
-        out = []
-        for q in range(n // 2 + 1):
-            joint = self.staggered and 2 * q == n
-            kind = "q=1" if q == 1 else "aligned top" if 2 * q == n else "generic"
-            members = []  # (pattern row, sector) of the patterns that do not vanish
-            for k, cls in _COLUMN_ORDER["staggered top" if joint else kind]:
-                i = 8 * q + k if k < 8 else self.n_ring + k - 8
-                if (k < 8 or (k_p and q == 1)) and self.alive[i]:
-                    members.append((i, 0 if joint else cls))
-            hit = sorted({sec for i, sec in members if touched[i]})
-            free = [i for i, sec in members if sec not in hit]
-            cols = [[i for i, c in members if c == sec] for sec in hit]
-            name = "B0" if q == 0 else "B1" if q == 1 else "Bhalf" if 2 * q == n else f"B{q}"
-            out.append((name + ("p" if k_p and q < 2 else ""), free, cols))
-        return out
 
 
 #: The family data of (family, N, k_p, lambda_n), built once and shared.
@@ -424,22 +420,19 @@ def _constraint_blocks(
 ) -> np.ndarray:
     """Momentum and generator rows against every pattern, ``(K, r, P)``.
 
-    Rows: dPhi_x, dPhi_y, dPhi_z, the generator about z (and about x, y
-    when the momentum vanishes), each scaled to unit largest entry so that
-    one tolerance serves every row; primed patterns carry the ring
-    strengths.
+    Rows: dPhi_x, dPhi_y (and the generators about x, y when the momentum
+    vanishes), each scaled to unit largest entry so that one tolerance
+    serves every row; primed patterns carry the ring strengths.
     """
     n = rings.n
     uc, sc = u[:, None], s[:, None]
-    rows = np.zeros((len(u), 6 if reduced else 4, rings.d))
+    rows = np.zeros((len(u), 4 if reduced else 2, rings.d))
     th, ph = rows[:, :, : 2 * n], rows[:, :, 2 * n : 4 * n]
     th[:, 0], ph[:, 0] = uc * rings.cos1, -sc * rings.str_sin
     th[:, 1], ph[:, 1] = uc * rings.sin1, sc * rings.str_cos
-    th[:, 2] = -sc * rings.strength
-    ph[:, 3] = 1.0
     if reduced:
-        th[:, 4], ph[:, 4] = -rings.sin1, -uc / sc * rings.str_cos
-        th[:, 5], ph[:, 5] = rings.cos1, -uc / sc * rings.str_sin
+        th[:, 2], ph[:, 2] = -rings.sin1, -uc / sc * rings.str_cos
+        th[:, 3], ph[:, 3] = rings.cos1, -uc / sc * rings.str_sin
     if rings.k_p:
         rows[:, :, 4 * n :] = _POLE_ROWS[: rows.shape[1]]
     block = rows @ rings.pat.T
@@ -494,72 +487,39 @@ def _kernel(block: list[list[float]], tol: float) -> list[list[float]]:
     return out
 
 
-def _split(keys: list) -> list[list[int]]:
-    """Positions of equal keys, group by group."""
-    if len(keys) == 1:
-        return [[0]]
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
 def _slice_bases(rings: _Rings, reduced: bool, u: np.ndarray, s: np.ndarray):
-    """Slice bases of a stack of latitudes, grouped by their structure.
+    """Slice bases of a stack of latitudes, grouped by their kernel size.
 
     The patterns of wavenumber q = 0..N/2 in two parity classes span the
-    ring coordinates.  A sector (one class at one wavenumber) that the
-    constraints leave alone enters unchanged; a sector they touch is
-    replaced by the kernel of its constraint block.  The sectors are
-    worked out once per group of latitudes; latitudes whose constraints
-    touch different patterns (u = 0) or whose blocks have different ranks
-    form their own groups.  Yields ``(positions in the stack, bases of
+    ring coordinates.  Every free pattern enters unchanged; the one sector
+    the constraints touch is replaced, latitude by latitude, by the kernel
+    of its constraint block.  Yields ``(positions in the stack, bases of
     shape (k, d, p), labels)``.
     """
     block = _constraint_blocks(rings, reduced, u, s)
-    touched = np.abs(block).max(axis=1) > _KERNEL_TOL
+    kernels = [_kernel(m, _KERNEL_TOL) for m in block[:, :, rings.hit].tolist()]
     expected = rings.d - (6 if reduced else 4)
-    suffix = "p" if rings.k_p else ""
-    for idx in _split([row.tobytes() for row in touched]):
-        sectors = rings.sectors(touched[idx[0]].tolist())
-        group = block if len(idx) == len(block) else block[idx]
-        # per touched sector, per latitude: the kernel's coefficient vectors
-        kernels = [
-            [_kernel(m, _KERNEL_TOL) for m in group[:, :, cols].tolist()]
-            for _, _, hit in sectors
-            for cols in hit
-        ]
-        counts = [tuple(len(per_lat[i]) for per_lat in kernels) for i in range(len(idx))]
-        n_free = sum(len(rows) for _, rows, _ in sectors)
-        for sub in _split(counts):
-            if n_free + sum(counts[sub[0]]) != expected:
-                raise RuntimeError(
-                    f"slice has {n_free + sum(counts[sub[0]])} vectors, expected {expected}"
-                )
-            basis = np.empty((len(sub), rings.d, expected))
-            labels: list[str] = []
-            free_rows: list[int] = []  # untouched patterns and their columns
-            free_at: list[int] = []
-            stacked = iter(kernels)
-            for q, (name, rows, hit) in enumerate(sectors):
-                at = len(labels) + len(rows)
-                free_rows += rows
-                free_at += range(len(labels), at)
-                for cols in hit:
-                    per_lat = next(stacked)
-                    coeffs = np.array([per_lat[i] for i in sub])
-                    if coeffs.size:
-                        count = coeffs.shape[1]
-                        basis[:, :, at : at + count] = (coeffs @ rings.pat[cols]).transpose(0, 2, 1)
-                        at += count
-                n_kernel = at - len(labels) - len(rows)
-                # the untouched class at q = 1 joins B0, except for aligned
-                # pairs without poles, where the constraints leave nothing
-                # of the other class: there it keeps the name B1
-                free_name = "B0" + suffix if q == 1 and (n_kernel or reduced) else name
-                labels += [free_name] * len(rows) + [name] * n_kernel
-            basis[:, :, free_at] = rings.pat[free_rows].T
-            yield [idx[i] for i in sub], basis, tuple(labels)
+    by_size: dict[int, list[int]] = {}
+    for i, vectors in enumerate(kernels):
+        by_size.setdefault(len(vectors), []).append(i)
+    for count, idx in by_size.items():
+        if len(rings.free) + count != expected:
+            raise RuntimeError(
+                f"slice has {len(rings.free) + count} vectors, expected {expected}"
+            )
+        basis = np.empty((len(idx), rings.d, expected))
+        (b0, rows0), (b1, rows1) = rings.sectors[:2]
+        head = len(rows0) + len(rows1)  # the kernel follows the free patterns of q <= 1
+        # the free class at q = 1 joins B0, except for aligned pairs without
+        # poles, where the constraints leave nothing of the other class:
+        # there it keeps the name B1
+        labels = [b0] * len(rows0) + [b0 if count or reduced else b1] * len(rows1) + [b1] * count
+        labels += [name for name, rows in rings.sectors[2:] for _ in rows]
+        if count:
+            coeffs = np.array([kernels[i] for i in idx])
+            basis[:, :, head : head + count] = (coeffs @ rings.pat[rings.hit]).transpose(0, 2, 1)
+        basis[:, :, [*range(head), *range(head + count, expected)]] = rings.pat[rings.free].T
+        yield idx, basis, tuple(labels)
 
 
 def _restrict(basis: np.ndarray, form: np.ndarray, antisymmetric: bool) -> np.ndarray:

@@ -221,6 +221,50 @@ def test_slice_basis_bits_do_not_depend_on_how_sum_adds_floats(monkeypatch):
     assert [slice_basis(desc).matrix.tobytes() for desc in descs] == want
 
 
+@pytest.mark.parametrize("family", [DNH, DND])
+@pytest.mark.parametrize("k_p", [0, 2])
+def test_only_two_sectors_meet_the_momentum_map_and_the_generators(family, k_p):
+    """What the slice relies on, from the chart's rows rather than the
+    closed forms: dPhi_z and the generator about z touch only q = 0 tc'
+    and pc, with rank 2 there, and dPhi_x, dPhi_y and the generators about
+    x and y touch only the ``hit`` rows of the slice's patterns."""
+    for n in range(2, 13):
+        rings = _rings(family, n, k_p, 1.0 if k_p else 0.0)
+        elsewhere = rings.free + [1, 4]
+        assert len(elsewhere) + len(rings.hit) == rings.d
+        thetas = [0.3, 1.2] + [math.pi / 2] * (family is DND) + [math.acos(-1.0 / n)] * (k_p == 2)
+        for theta in thetas:
+            chart = MixedChart(make_family(_desc(family, n, theta, k_p)))
+            q = chart.coords()
+            rows = np.concatenate([chart.momentum_rows(q), chart.rotation_generators(q, np.eye(3))])
+            on = rows @ rings.pat.T
+            on /= np.abs(on).max(axis=1, keepdims=True)
+            z_rows, xy_rows = on[[2, 5]], on[[0, 1, 3, 4]]
+            where = f"{family.value} N={n} k_p={k_p} theta0={theta!r}"
+            assert np.flatnonzero((np.abs(z_rows) > 1e-9).any(axis=0)).tolist() == [1, 4], where
+            assert np.linalg.matrix_rank(z_rows[:, [1, 4]]) == 2, where
+            assert not (np.abs(xy_rows[:, elsewhere]) > 1e-9).any(), where
+
+
+def test_one_kernel_per_latitude(monkeypatch):
+    """``decide_many`` eliminates one block per latitude, over the ``hit``
+    patterns: the sector the constraints touch."""
+    calls = []
+
+    def counted(block, tol):
+        calls.append(len(block[0]))
+        return kernel(block, tol)
+
+    kernel = stability._kernel
+    monkeypatch.setattr(stability, "_kernel", counted)
+    for family, n, k_p in ((DNH, 3, 0), (DND, 2, 0), (DND, 5, 2)):
+        thetas = np.linspace(0.2, 1.4, 9).tolist()
+        calls.clear()
+        assert all(isinstance(d, Decision) for d in decide_many([_desc(family, n, t, k_p) for t in thetas]))
+        assert len(calls) == len(thetas)
+        assert set(calls) == {len(_rings(family, n, k_p, 1.0 if k_p else 0.0).hit)}
+
+
 def test_slice_symplectic_form_is_antisymmetric_and_nondegenerate():
     desc = _desc(DNH, 5, 0.7)
     basis = slice_basis(desc)

@@ -94,9 +94,11 @@ PRIVATE_IMPORTS = {
     ("atlas", "equilibria._rm_rmp_points"),
     ("atlas", "equilibria._rrp2p_point"),
     ("atlas", "stability._pick_transition"),
+    ("dynamics", "core._pairwise_l2"),
     ("equilibria", "core._closest_pairs"),
     ("stability", "core._family_named"),
     ("stability", "equilibria._rigid_rates"),
+    ("stability", "equilibria._ring_phase"),
 }
 
 
