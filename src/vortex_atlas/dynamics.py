@@ -25,6 +25,12 @@ This module provides:
 * an adaptive Dormand-Prince 8(5,3) integrator (DOP853) with per-step
   renormalization onto the sphere, drift monitoring, near-collision abort
   and solver statistics.
+
+The DOP853 stepper ports the step logic of SciPy's ``scipy.integrate.DOP853``
+(SciPy 1.17; BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.,
+2003 SciPy Developers) operation for operation, so it takes the same
+steps to the last bit; its table is Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, Sec. II.10, in SciPy's digits.
 """
 
 from __future__ import annotations
@@ -63,9 +69,9 @@ __all__ = [
 # The integrator aborts (rather than grinding into a singularity) once any
 # pair comes this close in chord distance.
 NEAR_COLLISION_FACTOR = 10.0
-# integrate holds each step to 1e-3 * tol, and DOP853 raises any rtol below
-# 100 machine epsilons to that floor with a warning; integrate refuses a tol
-# that would run at a tolerance nobody asked for (2.22e-11).
+# integrate holds each step to 1e-3 * tol; below this bound (2.22e-11) that
+# step tolerance falls under 100 machine epsilons, finer than the rounding of
+# a step's dozen stage sums, so such a tol is refused rather than chased.
 MIN_INTEGRATION_TOL = 1e5 * np.finfo(float).eps
 
 # Entries of the frames array ``(S, dim, M, 3)`` per chunk of the Hessian stencil (S >= 1).
@@ -133,10 +139,12 @@ def _min_chord(pair_l2: np.ndarray) -> float:
     return math.sqrt(float(pair_l2.min())) if pair_l2.size else math.inf
 
 
-def _interaction(p: np.ndarray, pairs: _Pairs) -> np.ndarray:
-    """``S_i = sum_{j != i} lambda_j x_j / (1 - x_i . x_j)``, shaped like ``p`` ``(..., M, 3)``."""
+def _interaction(p: np.ndarray, pairs: _Pairs, l2: np.ndarray | None = None) -> np.ndarray:
+    """``S_i = sum_{j != i} lambda_j x_j / (1 - x_i . x_j)``, shaped like ``p`` ``(..., M, 3)``;
+    ``l2`` is ``_pairwise_l2(p)`` when the caller has it already."""
     # half the squared chord equals 1 - x_i . x_j on the sphere
-    return (pairs.lam_off / (0.5 * _pairwise_l2(p) + pairs.eye)) @ p
+    l2 = _pairwise_l2(p) if l2 is None else l2
+    return (pairs.lam_off / (0.5 * l2 + pairs.eye)) @ p
 
 
 # Cyclic component orders: (a x b)_c = a_{c+1} b_{c+2} - a_{c+2} b_{c+1}.
@@ -144,9 +152,9 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 
 
-def _field(p: np.ndarray, pairs: _Pairs) -> np.ndarray:
+def _field(p: np.ndarray, pairs: _Pairs, l2: np.ndarray | None = None) -> np.ndarray:
     """The vector field ``dx_i/dt = S_i x x_i``: the one kernel of the flow."""
-    s = _interaction(p, pairs)
+    s = _interaction(p, pairs, l2)
     out = s.take(_NEXT, 1) * p.take(_PREV, 1)
     out -= s.take(_PREV, 1) * p.take(_NEXT, 1)
     return out
@@ -456,6 +464,66 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+# Dormand-Prince 8(5,3) in SciPy's digits.  Row s < 12 of _DOP_A weighs the
+# earlier stages into stage s and row 12 is B, the 8th-order solution's
+# weights; _DOP_E3 and _DOP_E5 weigh all 13 stages (the last is the field at
+# the new state) into the two error estimates.  The field does not depend on
+# time, so the stage times C are left out.
+_DOP_A = np.zeros((13, 12))
+for _s, _cols, _row in (
+    (1, [0], [5.26001519587677318785587544488e-2]),
+    (2, [0, 1], [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]),
+    (3, [0, 2], [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]),
+    (4, [0, 2, 3], [2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+                    9.24834003261792003115737966543e-1]),
+    (5, [0, 3, 4], [3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+                    1.25467687566822425016691814123e-1]),
+    (6, [0, 3, 4, 5], [3.7109375e-2, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+                       -1.7578125e-2]),
+    (7, [0, 3, 4, 5, 6], [3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+                          1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+                          8.27378916381402288758473766002e-3]),
+    (8, [0, 3, 4, 5, 6, 7], [6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+                             -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+                             2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]),
+    (9, [0, 3, 4, 5, 6, 7, 8], [4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+                                -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+                                1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+                                -2.03312017085086261358222928593e-2]),
+    (10, [0, 3, 4, 5, 6, 7, 8, 9], [-9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+                                    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+                                    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+                                    2.49360555267965238987089396762, -3.0467644718982195003823669022]),
+    (11, [0, 3, 4, 5, 6, 7, 8, 9, 10], [2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+                                        -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+                                        2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+                                        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+                                        6.43392746015763530355970484046e-1]),
+    (12, [0, 5, 6, 7, 8, 9, 10, 11], [5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+                                      1.89151789931450038304281599044, -5.8012039600105847814672114227,
+                                      3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+                                      2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2]),
+):
+    _DOP_A[_s, _cols] = _row
+_DOP_E3 = np.append(_DOP_A[12], 0.0)
+_DOP_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                        0.220588235294117647058823529412e-1]
+_DOP_E5 = np.zeros(13)
+_DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e1, -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+]
+for _a in (_DOP_A, _DOP_E3, _DOP_E5):
+    _a.setflags(write=False)
+del _s, _cols, _row, _a
+
+
+def _rms(x: np.ndarray) -> float:
+    """Root mean square of ``x``, as SciPy's ``common.norm`` takes it."""
+    return np.linalg.norm(x) / x.size**0.5
+
+
 def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory:
     """Evolve ``c0`` to time ``t_end > 0`` with accuracy target ``tol``.
 
@@ -487,7 +555,8 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
     pairs = _pair_constants(lam)
     m = len(lam)
     y = c0.positions
-    pair_l2 = _pairwise_l2(y)[pairs.iu]
+    l2 = _pairwise_l2(y)
+    pair_l2 = l2[pairs.iu]
     h0 = _energy(pair_l2, pairs)
     phi0 = lam @ y
 
@@ -519,42 +588,73 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
             partial(),
         )
 
-    def rhs(_t: float, flat: np.ndarray) -> np.ndarray:
-        nonlocal rhs_calls
-        rhs_calls += 1
-        return _field(flat.reshape(m, 3), pairs).reshape(-1)
-
-    from scipy.integrate import DOP853
+    # The stages K, one flat row each, and the same rows as (M, 3) states.
+    flat = np.empty((13, 3 * m))
+    stages = flat.reshape(13, m, 3)
+    sums = [(flat[:s].T, _DOP_A[s, :s]) for s in range(1, 12)]
     step_tol = 1e-3 * tol
-    solver = DOP853(rhs, 0.0, y.reshape(-1), t_end, rtol=step_tol, atol=step_tol)
-    while solver.status == "running":
-        calls_before = rhs_calls
-        message = solver.step()
-        # every attempt evaluates all stages; all but a successful last one were turned down
-        attempts = (rhs_calls - calls_before) // solver.n_stages
-        rejected_steps += attempts if solver.status == "failed" else attempts - 1
-        if solver.status == "failed":
-            raise StepSizeUnderflow(
-                f"step size underflow at t = {solver.t:.6g}: {message}",
-                partial(),
-            )
-        y = solver.y.reshape(m, 3)
-        y = y / np.linalg.norm(y, axis=1, keepdims=True)
+    stages[0] = _field(y, pairs, l2)
+    # SciPy's select_initial_step (Hairer, Norsett & Wanner, Sec. II.4)
+    scale = step_tol + np.abs(y) * step_tol
+    d0, d1 = _rms(y / scale), _rms(stages[0] / scale)
+    trial = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d2 = _rms((_field(y + trial * stages[0], pairs) - stages[0]) / scale) / trial
+    rhs_calls += 2
+    h1 = max(1e-6, trial * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * trial, h1, t_end)
+
+    t = 0.0
+    while t < t_end:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(
+                    f"step size underflow at t = {t:.6g}: "
+                    "Required step size is less than spacing between numbers.",
+                    partial(),
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            # SciPy's rk_step: the stage sums np.dot(K[:s].T, a[:s]) * h
+            for s, (k, a) in enumerate(sums, start=1):
+                stages[s] = _field(y + (np.dot(k, a) * h).reshape(m, 3), pairs)
+            y_new = y + (h * np.dot(flat[:12].T, _DOP_A[12])).reshape(m, 3)
+            stages[12] = _field(y_new, pairs)
+            rhs_calls += 12
+            # DOP853's error norm, from the 5th- and 3rd-order estimates
+            scale = (step_tol + np.maximum(np.abs(y), np.abs(y_new)) * step_tol).reshape(-1)
+            err5 = np.linalg.norm(np.dot(flat.T, _DOP_E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(flat.T, _DOP_E3) / scale) ** 2
+            if err5 == 0 and err3 == 0:
+                error = 0.0
+            else:
+                error = abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
+            # safety 0.9, the step changes by a factor in [0.2, 10]
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error**-0.125)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error**-0.125)
+            rejected = True
+            rejected_steps += 1
+        t = t_new
+        y = y_new / np.linalg.norm(y_new, axis=1, keepdims=True)
         # the guard reads the new state before anything else does, so a
         # state closer than COLLISION_EPS is never stored or evaluated
-        pair_l2 = _pairwise_l2(y)[pairs.iu]
+        l2 = _pairwise_l2(y)
+        pair_l2 = l2[pairs.iu]
         if _min_chord(pair_l2) < guard:
-            raise CollisionApproach(
-                f"near-collision at t = {solver.t:.6g}", partial()
-            )
-        solver.y = y.reshape(-1)
-        solver.f = rhs(solver.t, solver.y)
-        h = _energy(pair_l2, pairs)
-        times.append(float(solver.t))
+            raise CollisionApproach(f"near-collision at t = {t:.6g}", partial())
+        stages[0] = _field(y, pairs, l2)
+        rhs_calls += 1
+        energy = _energy(pair_l2, pairs)
+        times.append(float(t))
         positions.append(y)
-        energies.append(h)
-        h_drift.append(abs(h - h0))
+        energies.append(energy)
+        h_drift.append(abs(energy - h0))
         phi_drift.append(float(np.max(np.abs(lam @ y - phi0))))
 
     return partial()
-

@@ -41,11 +41,18 @@ relative equilibrium at a given rotation rate.  Every solved branch point
 must rotate at one rate (to 1e-9) with a chart residual of at most 1e-8 at
 it; the diagram certifies a segment's grid in one stacked pass, and the
 public solvers are its one-point case.
+
+The meridian branch's roots are polished by :func:`_brentq`, Brent's zero
+finder (Brent, *Algorithms for Minimization without Derivatives*, 1973,
+ch. 4) ported line for line from SciPy's ``brentq.c`` (SciPy 1.17;
+BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
+Developers), so it returns the float ``scipy.optimize.brentq`` returns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -499,9 +506,51 @@ def branch_c2v_RmRmp_all(x: float) -> tuple[BranchPoint, ...]:
     return _certify(_rm_rmp_points(x))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A zero of ``f`` in the bracket ``[xa, xb]`` by SciPy's ``brentq.c``:
+    ``xpre``/``xcur`` are the last two iterates, ``xblk`` the bracket's other
+    end, ``spre``/``scur`` the last two steps."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations; last iterate {xcur!r}")
+
+
 def _rm_rmp_points(x: float) -> tuple[BranchPoint, ...]:
     """:func:`branch_c2v_RmRmp_all` without the certificate."""
-    from scipy.optimize import brentq
     if not (-1.0 < x < 1.0):
         raise OutOfDomain("x = cos(theta_+) must lie in (-1, 1)")
     lo = x + 1e-9
@@ -510,17 +559,16 @@ def _rm_rmp_points(x: float) -> tuple[BranchPoint, ...]:
         return ()
     ys = np.linspace(lo, hi, 2000)
     vals = _rm_rmp_equation(x, ys)
-    # brentq returns a bracket end where the equation is exactly zero.
+    # _brentq returns a bracket end where the equation is exactly zero.
     brackets = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    # Python floats in and out of the equation, as SciPy's brentq passes them
     roots = [
-        float(
-            brentq(
-                lambda yy: _rm_rmp_equation(x, yy),
-                ys[k],
-                ys[k + 1],
-                xtol=1e-15,
-                rtol=4.0 * np.finfo(float).eps,
-            )
+        _brentq(
+            lambda yy: float(_rm_rmp_equation(x, yy)),
+            float(ys[k]),
+            float(ys[k + 1]),
+            xtol=1e-15,
+            rtol=4.0 * sys.float_info.epsilon,
         )
         for k in brackets
     ]

@@ -1018,11 +1018,6 @@ import contextlib, io, json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-if sys.argv[1] == "integrator":
-    from scipy.integrate import DOP853
-    print(json.dumps({"integrator": scipy_modules()}))
-    raise SystemExit
-
 import vortex_atlas
 seen = {"import vortex_atlas": scipy_modules()}
 import vortex_atlas.atlas
@@ -1047,7 +1042,7 @@ def _scipy_probe(tmp_path, arg: str) -> dict:
     return json.loads(done.stdout)
 
 
-def test_only_simulate_loads_scipy_and_only_its_integrator(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     config = tmp_path / "ring.json"
     config.write_text(make_equatorial_pm_ring(2).to_json())
     ring = '{"family": "DNh", "n_per_ring": 4, "theta0": 0.6, "k_p": 0, "lambda_n": 1.0}'
@@ -1057,12 +1052,9 @@ def test_only_simulate_loads_scipy_and_only_its_integrator(tmp_path):
         ["sweep", "--family", "DNd", "--n", "2..3", "--grid-step", "0.5"],
         ["thresholds", "--grid-step", "0.1", "--out", str(tmp_path / "t.csv")],
         ["simulate", str(config), "--t-end", "0.01", "--out", str(tmp_path / "s.csv")],
+        ["diagram", "--pairs", "2", "--out", str(tmp_path / "d.svg")],
     ]
     seen = _scipy_probe(tmp_path, json.dumps(calls))
     assert list(seen) == ["import vortex_atlas", "import vortex_atlas.atlas", "--help",
-                          "classify", "sweep", "thresholds", "simulate"]
-    assert all(not seen[step] for step in list(seen)[:-1]), seen
-    # simulate imports DOP853 and nothing else: SciPy's own integrate package
-    # loads scipy.optimize (for solve_bvp), so compare with a bare import
-    assert "scipy.integrate" in seen["simulate"]
-    assert seen["simulate"] == _scipy_probe(tmp_path, "integrator")["integrator"]
+                          "classify", "sweep", "thresholds", "simulate", "diagram"]
+    assert not any(seen.values()), seen

@@ -1,5 +1,6 @@
 """Energy, momentum, flow symmetries, and the adaptive integrator."""
 
+import itertools
 import json
 import math
 import tempfile
@@ -213,7 +214,7 @@ def test_integrate_validates_inputs():
         integrate(c, -1.0)
     with pytest.raises(OutOfDomain):
         integrate(c, 1.0, tol=2.0)
-    # DOP853 would raise a step tolerance 1e-3 * tol below 100 eps to that floor
+    # below the bound the step tolerance 1e-3 * tol falls under 100 machine epsilons
     for tol in (1e-300, 1e-13, np.nextafter(MIN_INTEGRATION_TOL, 0.0)):
         with pytest.raises(OutOfDomain, match="tol must lie in"):
             integrate(c, 1.0, tol=tol)
@@ -287,24 +288,23 @@ def test_collision_guard_raises_with_partial_trajectory():
 
 
 def test_step_size_underflow_keeps_the_partial_trajectory(tmp_path, monkeypatch, capsys):
-    """After three accepted steps DOP853 is set zero tolerances, so it turns
-    down every attempt until the step falls beneath its smallest: the error
-    carries the three steps, and simulate writes them and exits 3."""
-    from scipy.integrate import DOP853
+    """After three accepted steps the field turns NaN, so the error control
+    turns down every attempt until the step falls beneath its smallest: the
+    error carries the three steps, and simulate writes them and exits 3."""
+    real = dynamics._field
 
-    real = DOP853._step_impl
+    def nan_after_three_steps():
+        calls = itertools.count(1)
 
-    def step_impl(solver):
-        accepted = getattr(solver, "accepted", 0)
-        if accepted == 3:
-            solver.rtol = solver.atol = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok, message = real(solver)
-        solver.accepted = accepted + ok
-        return ok, message
+        def field(p, pairs, l2=None):
+            out = real(p, pairs, l2)
+            # 2 start-up evaluations, then 13 for each step accepted at once
+            return out if next(calls) <= 2 + 13 * 3 else np.full_like(out, np.nan)
 
-    monkeypatch.setattr(DOP853, "_step_impl", step_impl)
+        monkeypatch.setattr(dynamics, "_field", field)
+
     c = make_family(FamilyDescriptor(Family.DND_RRP, 2, theta0=0.9))
+    nan_after_three_steps()
     with pytest.raises(StepSizeUnderflow, match="step size underflow at t = ") as excinfo:
         integrate(c, 2.0, tol=1e-9)
     partial = excinfo.value.trajectory
@@ -315,6 +315,7 @@ def test_step_size_underflow_keeps_the_partial_trajectory(tmp_path, monkeypatch,
     assert stats.rejected_steps >= 10
     assert stats.rhs_calls == 2 + 13 * stats.accepted_steps + 12 * stats.rejected_steps
 
+    nan_after_three_steps()
     config_path, out_path = tmp_path / "c.json", tmp_path / "partial.csv"
     config_path.write_text(c.to_json())
     argv = ["simulate", str(config_path), "--t-end", "2.0", "--tol", "1e-9", "--out", str(out_path)]
@@ -730,7 +731,7 @@ def test_guard_trips_before_a_collapsed_state_is_evaluated(
     t_end = 1.0
     turn = 2.0 * math.asin(end_fraction * GUARD / 2.0) - 2.0 * math.asin(start / 2.0)
 
-    def spin(q, pairs):
+    def spin(q, pairs, l2=None):
         v = np.zeros_like(q)
         v[1] = (turn / t_end) * np.cross(normal, q[1])
         return v
