@@ -75,7 +75,7 @@ def _configurations():
         yield name, Configuration.from_json((GOLDEN / f"{name}.json").read_text()), t_end
     rng = np.random.default_rng(20)
     for n_pairs, t_end in ((3, 1.0), (6, 0.5), (12, 0.25)):
-        yield f"random_m{2 * n_pairs}", _sample_pm_configuration(rng, n_pairs, min_chord=0.3), t_end
+        yield f"draw_m{2 * n_pairs}", _sample_pm_configuration(rng, n_pairs, min_chord=0.3), t_end
 
 
 _CASES = [(*case, tol) for case in _configurations() for tol in (1e-6, 1e-10)]
