@@ -632,7 +632,6 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
                 error = 0.0
             else:
                 error = abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
-            # safety 0.9, the step changes by a factor in [0.2, 10]
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error**-0.125)
                 h_abs *= min(1, factor) if rejected else factor
