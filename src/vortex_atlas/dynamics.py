@@ -29,8 +29,10 @@ This module provides:
 The DOP853 stepper ports the step logic of SciPy's ``scipy.integrate.DOP853``
 (SciPy 1.17; BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.,
 2003 SciPy Developers) operation for operation, so it takes the same
-steps to the last bit; its table is Hairer, Norsett & Wanner, *Solving
-Ordinary Differential Equations I*, Sec. II.10, in SciPy's digits.
+steps to the last bit, but it skips SciPy's 13th stage, the field at the
+unrenormalized new state, which every weight leaves out; its table is
+Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations I*,
+Sec. II.10, in SciPy's digits.
 """
 
 from __future__ import annotations
@@ -108,17 +110,9 @@ class _Pairs(NamedTuple):
     weights: np.ndarray  # lambda_i lambda_j for each pair i < j
 
 
-@lru_cache(maxsize=16)
-def _pair_index(m: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The ``(M, M)`` identity and the ``i < j`` indices, read-only and shared."""
-    eye, iu = np.eye(m), np.triu_indices(m, k=1)
-    for a in (eye, *iu):
-        a.setflags(write=False)
-    return eye, iu
-
-
 def _pair_constants(lam: np.ndarray) -> _Pairs:
-    eye, iu = _pair_index(lam.shape[0])
+    m = lam.shape[0]
+    eye, iu = np.eye(m), np.triu_indices(m, k=1)
     return _Pairs(
         lam_off=np.where(eye == 0.0, lam[None, :], 0.0),
         eye=eye,
@@ -398,7 +392,7 @@ class MixedChart:
 class SolverStats:
     """Work done by one :func:`integrate` call."""
 
-    rhs_calls: int  # field evaluations, one after each renormalization included
+    rhs_calls: int  # field evaluations: 2 to start, 11 per attempt, 1 per renormalized state
     accepted_steps: int
     rejected_steps: int  # attempts the error control turned down
     min_step: float  # smallest accepted step; ``inf`` when none was taken
@@ -466,9 +460,10 @@ class Trajectory:
 
 # Dormand-Prince 8(5,3) in SciPy's digits.  Row s < 12 of _DOP_A weighs the
 # earlier stages into stage s and row 12 is B, the 8th-order solution's
-# weights; _DOP_E3 and _DOP_E5 weigh all 13 stages (the last is the field at
-# the new state) into the two error estimates.  The field does not depend on
-# time, so the stage times C are left out.
+# weights; _DOP_E3 and _DOP_E5 weigh the 12 stages into the two error
+# estimates.  SciPy's tables give a 13th stage, the field at the new state,
+# zero weight in B, E3 and E5, so it is neither stored nor evaluated.  The
+# field does not depend on time, so the stage times C are left out.
 _DOP_A = np.zeros((13, 12))
 for _s, _cols, _row in (
     (1, [0], [5.26001519587677318785587544488e-2]),
@@ -505,10 +500,10 @@ for _s, _cols, _row in (
                                       2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2]),
 ):
     _DOP_A[_s, _cols] = _row
-_DOP_E3 = np.append(_DOP_A[12], 0.0)
+_DOP_E3 = _DOP_A[12].copy()
 _DOP_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
                         0.220588235294117647058823529412e-1]
-_DOP_E5 = np.zeros(13)
+_DOP_E5 = np.zeros(12)
 _DOP_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
     0.1664377182454986536961530415e1, -0.3503288487499736816886487290, 0.3341791187130174790297318841,
@@ -589,8 +584,8 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
         )
 
     # The stages K, one flat row each, and the same rows as (M, 3) states.
-    flat = np.empty((13, 3 * m))
-    stages = flat.reshape(13, m, 3)
+    flat = np.empty((12, 3 * m))
+    stages = flat.reshape(12, m, 3)
     sums = [(flat[:s].T, _DOP_A[s, :s]) for s in range(1, 12)]
     step_tol = 1e-3 * tol
     stages[0] = _field(y, pairs, l2)
@@ -621,9 +616,8 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
             # SciPy's rk_step: the stage sums np.dot(K[:s].T, a[:s]) * h
             for s, (k, a) in enumerate(sums, start=1):
                 stages[s] = _field(y + (np.dot(k, a) * h).reshape(m, 3), pairs)
-            y_new = y + (h * np.dot(flat[:12].T, _DOP_A[12])).reshape(m, 3)
-            stages[12] = _field(y_new, pairs)
-            rhs_calls += 12
+            y_new = y + (h * np.dot(flat.T, _DOP_A[12])).reshape(m, 3)
+            rhs_calls += 11
             # DOP853's error norm, from the 5th- and 3rd-order estimates
             scale = (step_tol + np.maximum(np.abs(y), np.abs(y_new)) * step_tol).reshape(-1)
             err5 = np.linalg.norm(np.dot(flat.T, _DOP_E5) / scale) ** 2

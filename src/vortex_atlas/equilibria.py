@@ -277,7 +277,9 @@ def _vortex_rates(configs: Sequence[Configuration], which: list[int]) -> np.ndar
         raise PoleSingularity("vortex sits too close to a pole for the rate formula")
     dot = (x[..., None, :] @ y[..., None])[..., 0, 0]
     horizontal = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
-    terms = configs[0].strengths[partners] * (rho2 * y[..., 2] - x[..., 2] * horizontal) / (rho2 * (1.0 - dot))
+    # a pair whose 1 - x_i . x_j rounds to 0 gives nan or inf rates, which _rigid_rates refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = configs[0].strengths[partners] * (rho2 * y[..., 2] - x[..., 2] * horizontal) / (rho2 * (1.0 - dot))
     rates = np.zeros(terms.shape[:2])
     for k in range(terms.shape[2]):
         rates += terms[..., k]
@@ -310,7 +312,7 @@ def _rigid_rates(configs: Sequence[Configuration]) -> tuple[np.ndarray, list[Not
     rates = _vortex_rates(configs, ring)
     spreads = (rates.max(axis=1) - rates.min(axis=1)).tolist()
     message = "per-vortex rotation rates disagree by {:.3e}; the configuration does not rotate rigidly about z"
-    return rates[:, 0], [NotRelativeEquilibrium(message.format(spread)) if spread > 1e-9 else None for spread in spreads]
+    return rates[:, 0], [NotRelativeEquilibrium(message.format(spread)) if not spread <= 1e-9 else None for spread in spreads]
 
 
 def ring_angular_velocity(desc: FamilyDescriptor) -> float:
@@ -365,7 +367,7 @@ def _certificates(configs: Sequence[Configuration]) -> list[VortexError | None]:
     chart = MixedChart(configs[0])
     residuals = np.abs(chart.gradient(np.array([chart.coords(c) for c in configs]), rates)).max(axis=1)
     return [
-        refused or (OutOfDomain(f"the equilibrium residual {residual:.3e} exceeds 1e-8") if residual > 1e-8 else None)
+        refused or (OutOfDomain(f"the equilibrium residual {residual:.3e} exceeds 1e-8") if not residual <= 1e-8 else None)
         for refused, residual in zip(refusals, residuals.tolist())
     ]
 

@@ -1038,7 +1038,7 @@ def _small_stack(configs: list[Configuration]) -> list[StabilityReport]:
     chart = MixedChart(configs[0])
     qs = np.array([chart.coords(c) for c in configs])
     residual = float(np.max(np.abs(chart.gradient(qs, xi))))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise NotRelativeEquilibrium(f"co-rotating field residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     h = chart.hessian_fd(qs, xi)
     omega = chart.symplectic_matrix(qs)

@@ -298,8 +298,8 @@ def test_step_size_underflow_keeps_the_partial_trajectory(tmp_path, monkeypatch,
 
         def field(p, pairs, l2=None):
             out = real(p, pairs, l2)
-            # 2 start-up evaluations, then 13 for each step accepted at once
-            return out if next(calls) <= 2 + 13 * 3 else np.full_like(out, np.nan)
+            # 2 start-up evaluations, then 12 for each step accepted at once
+            return out if next(calls) <= 2 + 12 * 3 else np.full_like(out, np.nan)
 
         monkeypatch.setattr(dynamics, "_field", field)
 
@@ -313,7 +313,7 @@ def test_step_size_underflow_keeps_the_partial_trajectory(tmp_path, monkeypatch,
     assert stats.accepted_steps == 3 and stats.min_step == min(np.diff(partial.times))
     # the attempts of the failed step were all turned down
     assert stats.rejected_steps >= 10
-    assert stats.rhs_calls == 2 + 13 * stats.accepted_steps + 12 * stats.rejected_steps
+    assert stats.rhs_calls == 2 + 12 * stats.accepted_steps + 11 * stats.rejected_steps
 
     nan_after_three_steps()
     config_path, out_path = tmp_path / "c.json", tmp_path / "partial.csv"
@@ -367,17 +367,25 @@ def test_solver_statistics_count_the_work_and_repeat():
     stats = first.stats
     assert stats.accepted_steps == len(first.times) - 1 > 0
     assert stats.min_step == min(np.diff(first.times)) > 0.0
-    # two evaluations to start, twelve DOP853 stages per attempt, and one
-    # evaluation after each renormalization of an accepted step
-    assert stats.rhs_calls == 2 + 13 * stats.accepted_steps + 12 * stats.rejected_steps
+    # two evaluations to start, eleven DOP853 stages per attempt (the first
+    # is the field already held), and one after each renormalization
+    assert stats.rhs_calls == 2 + 12 * stats.accepted_steps + 11 * stats.rejected_steps
 
 
-def test_solver_statistics_count_rejected_steps_at_a_close_approach():
+def test_solver_statistics_count_rejected_steps_at_a_close_approach(monkeypatch):
+    """The counter against the evaluations the integrator really makes."""
+    real, calls = dynamics._field, itertools.count()
+
+    def counted(p, pairs, l2=None):
+        next(calls)
+        return real(p, pairs, l2)
+
+    monkeypatch.setattr(dynamics, "_field", counted)
     c = _close_pair(1e-2, 1.0, 0.3)
     # the close same-sign pair turns at about 2 / chord^2
     stats = integrate(c, 2e-4, tol=1e-10).stats
     assert stats.rejected_steps > 0
-    assert stats.rhs_calls == 2 + 13 * stats.accepted_steps + 12 * stats.rejected_steps
+    assert next(calls) == stats.rhs_calls == 2 + 12 * stats.accepted_steps + 11 * stats.rejected_steps
 
 
 def test_trajectory_csv_layout():

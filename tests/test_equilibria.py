@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vortex_atlas.atlas import EXIT_NUMERIC, main
 from vortex_atlas.core import (
     Configuration,
     Family,
@@ -40,6 +41,7 @@ from vortex_atlas.equilibria import (
     ring_angular_velocity,
     two_ring_phase_test,
 )
+from vortex_atlas.stability import analyze_small
 
 # positive root of a^4 + a^2 = 1: the meridian branch crosses the
 # anti-diagonal at (a, -a) and (-a, a)
@@ -200,6 +202,28 @@ def test_the_certificate_judges_each_configuration_of_a_stack():
     refusals = _certificates([good, good.with_positions(spun), good.with_positions(turned)])
     assert [type(r) for r in refusals] == [type(None), NotRelativeEquilibrium, OutOfDomain]
     assert _certificates([]) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_pair_closer_than_round_off_is_refused_by_its_rates(tmp_path, capsys):
+    """At chord 1e-8, above COLLISION_EPS, 1 - x_i . x_j rounds to 0 and the
+    pair's rates are 0 / 0: the nan spread refuses the configuration without
+    a warning, before a nan Hessian reaches the eigen-solve."""
+    c = Configuration(
+        [[1.0, 0.0, 0.0], [math.cos(1e-8), math.sin(1e-8), 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+        [1.0, -1.0, 1.0, -1.0],
+        pole_count=2,
+    )
+    with pytest.raises(NotRelativeEquilibrium, match="disagree by nan"):
+        analyze_small(c)
+    (refused,) = _certificates([c])
+    assert isinstance(refused, NotRelativeEquilibrium)
+    path = tmp_path / "close.json"
+    path.write_text(c.to_json())
+    assert main(["classify", str(path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: per-vortex rotation rates disagree by nan")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
