@@ -42,6 +42,7 @@ import numpy as np
 from .core import (
     MAX_GRID_POINTS,
     MAX_RING_SIZE,
+    STACK_ELEMENTS,
     Configuration,
     Family,
     FamilyDescriptor,
@@ -59,7 +60,7 @@ from .dynamics import (
     momentum_map,
 )
 from .equilibria import (
-    _certificates,
+    BRANCH_RESIDUAL_TOL,
     _rm_rmp_points,
     _rrp2p_point,
     make_equatorial_pm_ring,
@@ -76,9 +77,9 @@ from .stability import (
     StabilityReport,
     Verdict,
     _pick_transition,
+    _small_reports,
     analyze,
     analyze_small,
-    analyze_small_many,
     decide_many,
     list_transitions,
     verdict_changes,
@@ -184,11 +185,11 @@ def _members(
     """``(decision, energy)`` of the ring-family member at each latitude;
     ``None`` where the closed form or the constructor raises.  The decisions
     come from one stacked closed-form pass, the energies from stacked
-    positions in chunks of ``16384 // d**2`` latitudes (d = 4N + 2k_p, as
-    the closed-form stacks)."""
+    positions in chunks of ``STACK_ELEMENTS // d**2`` latitudes (d = 4N + 2k_p,
+    as the closed-form stacks)."""
     descs = [FamilyDescriptor(family, n, theta, k_p, lambda_n) for theta in thetas]
     decisions = list(decide_many(descs))
-    size = max(1, 16384 // (4 * n + 2 * k_p) ** 2)
+    size = max(1, STACK_ELEMENTS // (4 * n + 2 * k_p) ** 2)
     for start in range(0, len(descs), size):
         chunk = decisions[start : start + size]
         ok = np.array([not isinstance(d, VortexError) for d in chunk])
@@ -308,10 +309,10 @@ def _ring_segment(tag: str, family: Family, n: int, k_p: int, params: np.ndarray
 
 
 def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
-    """A low-symmetry segment's evaluator: it solves every parameter, drops
-    each configuration found (of one chart) that the stacked certificate
-    refuses, and takes the rest through one stacked numeric analysis and
-    one stacked energy pass."""
+    """A low-symmetry segment's evaluator: it solves every parameter, takes
+    the configurations found (of one chart) through one stacked numeric
+    analysis at the branch bound ``BRANCH_RESIDUAL_TOL``, which drops each
+    one it refuses, and one stacked energy pass."""
 
     def solved(x: float) -> Configuration | None:
         try:
@@ -321,13 +322,11 @@ def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
 
     def evaluate(params: Sequence[float]) -> list[tuple[float, float, str] | None]:
         configs = [solved(x) for x in params]
-        refusals = iter(_certificates([c for c in configs if c is not None]))
-        configs = [None if c is None or next(refusals) else c for c in configs]
         found = [c for c in configs if c is not None]
         if not found:
             return configs
         stacked = hamiltonians(np.array([c.positions for c in found]), found[0].strengths)
-        results = iter(zip(analyze_small_many(found), stacked.tolist()))
+        results = iter(zip(_small_reports(found, BRANCH_RESIDUAL_TOL), stacked.tolist()))
         points = [next(results) if c is not None else (None, None) for c in configs]
         return [(r.mu_z, e, r.verdict.value) if isinstance(r, StabilityReport) else None for r, e in points]
 

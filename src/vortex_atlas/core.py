@@ -68,6 +68,9 @@ MAX_RING_SIZE = 256
 # scan (pi / grid step) may hold: a million grid points, checked before the
 # grid is allocated, is far beyond any figure and still a few MB of floats.
 MAX_GRID_POINTS = 1_000_000
+# Entries of the largest array one chunk of a stacked pass builds, so memory stays
+# bounded on any input: 16384 // d**2 members of d coordinates (at least one).
+STACK_ELEMENTS = 16384
 
 
 # ---------------------------------------------------------------------------

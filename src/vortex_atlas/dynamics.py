@@ -47,6 +47,7 @@ import numpy as np
 from .core import (
     COLLISION_EPS,
     POLE_EPS,
+    STACK_ELEMENTS,
     Configuration,
     OutOfDomain,
     PoleSingularity,
@@ -75,9 +76,6 @@ NEAR_COLLISION_FACTOR = 10.0
 # step tolerance falls under 100 machine epsilons, finer than the rounding of
 # a step's dozen stage sums, so such a tol is refused rather than chased.
 MIN_INTEGRATION_TOL = 1e5 * np.finfo(float).eps
-
-# Entries of the frames array ``(S, dim, M, 3)`` per chunk of the Hessian stencil (S >= 1).
-_STENCIL_ELEMENTS = 16384
 
 
 class _IntegrationStopped(VortexError, RuntimeError):
@@ -377,7 +375,7 @@ class MixedChart:
         d, step = self.dim, 1e-5
         points = (np.atleast_2d(q)[:, None] + step * np.concatenate([np.eye(d), -np.eye(d)])).reshape(-1, d)
         rates = np.repeat(np.reshape(xi, -1), 2 * d)
-        rows = max(1, _STENCIL_ELEMENTS // (d * self.m * 3))
+        rows = max(1, STACK_ELEMENTS // (d * self.m * 3))  # frames (S, dim, M, 3) per chunk
         g = np.concatenate([self.gradient(points[i : i + rows], rates[i : i + rows]) for i in range(0, len(points), rows)])
         g = g.reshape(np.shape(q)[:-1] + (2 * d, d))
         return np.ascontiguousarray(np.swapaxes((g[..., :d, :] - g[..., d:, :]) / (2.0 * step), -1, -2))
@@ -441,8 +439,8 @@ class Trajectory:
         shown = self.positions.copy()
         later = shown[1:]
         later /= np.sqrt(later[..., None, :] @ later[..., None])[..., 0]
-        # 16384 // M**2 rows per stacked energy pass bound its (K, M, M, 3) pair differences
-        size = max(1, 16384 // m**2)
+        # STACK_ELEMENTS // M**2 rows per stacked energy pass bound its (K, M, M, 3) pair differences
+        size = max(1, STACK_ELEMENTS // m**2)
         energies = [hamiltonians(shown[k : k + size], self.initial.strengths) for k in range(0, n_rows, size)]
         table = np.column_stack(
             [

@@ -38,9 +38,9 @@ branch off the symmetric ones; they are parametrized by the cosines
 A phase test distinguishes aligned from staggered two-ring configurations,
 and a residual certificate bounds how far a configuration is from being a
 relative equilibrium at a given rotation rate.  Every solved branch point
-must rotate at one rate (to 1e-9) with a chart residual of at most 1e-8 at
-it; the diagram certifies a segment's grid in one stacked pass, and the
-public solvers are its one-point case.
+must rotate at one rate (to 1e-9) with a chart residual of at most
+``BRANCH_RESIDUAL_TOL`` at it; the public solvers check each point, and the
+diagram's stacked numeric analysis applies that bound to a segment's grid.
 
 The meridian branch's roots are polished by :func:`_brentq`, Brent's zero
 finder (Brent, *Algorithms for Minimization without Derivatives*, 1973,
@@ -240,6 +240,9 @@ def two_ring_positions(
 # Rotation rates and residuals
 # ---------------------------------------------------------------------------
 
+#: A solved branch point's chart residual at its rate must not exceed this.
+BRANCH_RESIDUAL_TOL = 1e-8
+
 
 def angular_velocity_generic(c: Configuration, index: int = 0) -> float:
     """Rotation rate about z read off one vortex of a relative equilibrium.
@@ -347,29 +350,11 @@ def ring_angular_velocity(desc: FamilyDescriptor) -> float:
 def re_residual(c: Configuration, xi_z: float) -> float:
     """Max-norm chart gradient of the augmented Hamiltonian at ``c``.
 
-    A value below 1e-8 certifies that ``c`` is (numerically) a relative
-    equilibrium rotating at rate ``xi_z`` about the z-axis.
+    A value at most ``BRANCH_RESIDUAL_TOL`` certifies that ``c`` is
+    (numerically) a relative equilibrium rotating at rate ``xi_z`` about z.
     """
     chart = MixedChart(c)
     return float(np.max(np.abs(chart.gradient(chart.coords(), xi_z))))
-
-
-def _certificates(configs: Sequence[Configuration]) -> list[VortexError | None]:
-    """The branch-point certificate of configurations that share one chart
-    (layout, strengths and pole hemispheres), from one rate pass and one
-    stacked chart gradient.  Per configuration, in input order: the
-    :class:`NotRelativeEquilibrium` of :func:`configuration_angular_velocity`,
-    :class:`OutOfDomain` if :func:`re_residual` at that rate exceeds 1e-8,
-    else ``None``.  A ring vortex on a pole raises for the whole stack."""
-    if not configs:
-        return []
-    rates, refusals = _rigid_rates(configs)
-    chart = MixedChart(configs[0])
-    residuals = np.abs(chart.gradient(np.array([chart.coords(c) for c in configs]), rates)).max(axis=1)
-    return [
-        refused or (OutOfDomain(f"the equilibrium residual {residual:.3e} exceeds 1e-8") if not residual <= 1e-8 else None)
-        for refused, residual in zip(refusals, residuals.tolist())
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +393,11 @@ class BranchPoint:
         return Configuration(np.vstack([rings, _POLES]), strengths, 2, Layout.standard(2, 2, 2))
 
 
-def _certify(points: tuple[BranchPoint, ...]) -> tuple[BranchPoint, ...]:
-    """Solved points that share one chart, or the first refusal of :func:`_certificates`."""
-    for refused in filter(None, _certificates([bp.configuration() for bp in points])):
-        raise refused
-    return points
+def _certify(c: Configuration) -> None:
+    """Refuse ``c`` by its rates, then by its residual (:class:`OutOfDomain`) above ``BRANCH_RESIDUAL_TOL``."""
+    residual = re_residual(c, configuration_angular_velocity(c))
+    if not residual <= BRANCH_RESIDUAL_TOL:
+        raise OutOfDomain(f"the equilibrium residual {residual:.3e} exceeds 1e-8")
 
 
 def branch_c2v_2R2p(x: float, lambda_n: float = 1.0) -> BranchPoint:
@@ -433,7 +418,9 @@ def branch_c2v_2R2p(x: float, lambda_n: float = 1.0) -> BranchPoint:
         raise OutOfDomain(
             f"solved y = {y:.6g} leaves (-1, 1); x = {x:.6g} is outside the branch"
         )
-    return _certify((BranchPoint(x, y, 0.0, Family.C2V_2R2P, lambda_n),))[0]
+    point = BranchPoint(x, y, 0.0, Family.C2V_2R2P, lambda_n)
+    _certify(point.configuration())
+    return point
 
 
 def _rrp2p_quartic(x: float, y: float, lambda_n: float) -> float:
@@ -456,7 +443,9 @@ def branch_c2v_RRp2p(x: float, lambda_n: float = 1.0, sign: int = 1) -> BranchPo
         y = -(x + lambda_n (x^2 + 1) +- (1 - x^2) sqrt(2 + lambda_n^2))
             / (x^2 - 2 (1 + lambda_n x)).
     """
-    return _certify((_rrp2p_point(x, lambda_n, sign),))[0]
+    point = _rrp2p_point(x, lambda_n, sign)
+    _certify(point.configuration())
+    return point
 
 
 def _rrp2p_point(x: float, lambda_n: float, sign: int) -> BranchPoint:
@@ -505,7 +494,10 @@ def branch_c2v_RmRmp_all(x: float) -> tuple[BranchPoint, ...]:
     values and are not produced here.  The first root the certificate
     refuses raises its error.
     """
-    return _certify(_rm_rmp_points(x))
+    points = _rm_rmp_points(x)
+    for point in points:
+        _certify(point.configuration())
+    return points
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:

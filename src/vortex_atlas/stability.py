@@ -25,13 +25,13 @@ stacked pass:
   array stage and stops at each latitude's :class:`Decision` (verdict,
   deciding block, mu_z, xi_z); the report stage adds the block spectra;
 * numeric route — :func:`analyze_small_many` groups consecutive
-  configurations that share one chart and takes rates, residuals, the
-  finite-difference Hessian stencil of the analytic gradient, momentum
-  rows, rotation generators, the slice (a stacked SVD with
-  ``scipy.linalg.null_space``'s rank rule) and the spectra as ``(K, ...)``
-  arrays, ``16384 // d**2`` configurations at a time (d = 2M).  It is
-  used to cross-validate the first, as is the separate
-  :func:`full_linearization_oracle`.
+  configurations that share one chart, refuses in place each one whose
+  rates disagree or whose residual exceeds its bound (the diagram passes
+  the branch bound), and takes residuals, the finite-difference Hessian
+  stencil, momentum rows, rotation generators, the slice (a stacked SVD
+  with ``scipy.linalg.null_space``'s rank rule) and the spectra as
+  ``(K, ...)`` arrays, ``16384 // d**2`` configurations at a time (d = 2M).
+  It cross-validates the first, as does :func:`full_linearization_oracle`.
 
 Every floating-point operation acts on each member of a stack exactly as
 on a single one (element-wise arithmetic, sums over a contiguous last
@@ -56,6 +56,7 @@ import numpy as np
 
 from .core import (
     MAX_GRID_POINTS,
+    STACK_ELEMENTS,
     CollisionError,
     Configuration,
     Family,
@@ -228,8 +229,6 @@ _POLE_ROWS = np.array(  # dPhi_x, dPhi_y, g_x, g_y
 )
 #: Entries of the normalised constraint rows at or below this count as zero.
 _KERNEL_TOL = 1e-9
-#: Entries of one (K, d, d) array of a stack: K = 16384 // d**2 latitudes (at least 1).
-_STACK_ELEMENTS = 16384
 
 # Pole columns x_n, y_n, x_s, y_s against t+, t-, f+, f-: cos or sin of the
 # plus-ring (0, 1) or minus-ring (2, 3) longitudes and the sign; the ring
@@ -971,7 +970,7 @@ def _stacked(descs: Iterable[FamilyDescriptor], stage: Callable[[tuple, list], l
                 stack = []
             yield exc
             continue
-        if stack and (new_key != key or len(stack) >= _STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2):
+        if stack and (new_key != key or len(stack) >= STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2):
             yield from stage(key, stack)
             stack = []
         key = new_key
@@ -1029,25 +1028,29 @@ def _small_key(c: Configuration) -> tuple:
     return c.layout, c.strengths.tobytes(), np.sign(c.positions[poles, 2]).tobytes()
 
 
-def _small_stack(configs: list[Configuration]) -> list[StabilityReport]:
-    """:func:`analyze_small` of configurations that share one chart, as
-    stacked arrays; raises the error of any one of them."""
-    xi, refusals = _rigid_rates(configs)
-    for refused in filter(None, refusals):
-        raise refused
-    chart = MixedChart(configs[0])
-    qs = np.array([chart.coords(c) for c in configs])
-    residual = float(np.max(np.abs(chart.gradient(qs, xi))))
-    if not residual <= RESIDUAL_TOL:
-        raise NotRelativeEquilibrium(f"co-rotating field residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    h = chart.hessian_fd(qs, xi)
+def _small_stack(configs: list[Configuration], bound: float) -> list[StabilityReport | VortexError]:
+    """:func:`analyze_small` of configurations that share one chart, as stacked
+    arrays, with ``bound`` on the residual: rate and residual refusals are put
+    in place, only agreeing rates are charted, and any other error is raised."""
+    rates, out = _rigid_rates(configs)
+    index = np.flatnonzero([refused is None for refused in out])
+    if index.size:
+        chart = MixedChart(configs[index[0]])
+        qs = np.array([chart.coords(configs[i]) for i in index.tolist()])
+        residuals = np.abs(chart.gradient(qs, rates[index])).max(axis=1)
+        for i, residual in zip(index.tolist(), residuals.tolist()):
+            if not residual <= bound:
+                out[i] = NotRelativeEquilibrium(f"co-rotating field residual {residual:.3e} exceeds {bound:.1e}")
+        index, qs = index[residuals <= bound], qs[residuals <= bound]
+    if not index.size:
+        return out
+    h = chart.hessian_fd(qs, rates[index])
     omega = chart.symplectic_matrix(qs)
     dphi = chart.momentum_rows(qs)
     gens = chart.rotation_generators(qs, np.eye(3))
     # a generator joins the momentum rows where the momentum map does not change along it
     moved = np.linalg.norm((dphi[:, None] @ gens[..., None])[..., 0], axis=-1)
     joins = moved <= 1e-8 * (1.0 + np.linalg.norm(gens, axis=-1))
-    out: list = [None] * len(configs)
     for pattern in set(map(tuple, joins.tolist())):
         at = np.flatnonzero((joins == pattern).all(axis=1))
         rows = np.concatenate([dphi[at], gens[at][:, np.flatnonzero(pattern)]], axis=1)
@@ -1066,11 +1069,26 @@ def _small_stack(configs: list[Configuration]) -> list[StabilityReport]:
                 raise DegenerateForm(_SINGULAR_SLICE)
             h_eigs = np.linalg.eigvalsh(hs)
             l_eigs = _sort_complex(np.linalg.eigvals(-np.linalg.solve(omega_s, hs)))
-            for i, h_e, l_e in zip(sub.tolist(), h_eigs, l_eigs):
+            for i, h_e, l_e in zip(index[sub].tolist(), h_eigs, l_eigs):
                 out[i] = StabilityReport(
-                    descriptor=None, label="custom", mu_z=float(momentum_map(configs[i])[2]), xi_z=float(xi[i]),
+                    descriptor=None, label="custom", mu_z=float(momentum_map(configs[i])[2]), xi_z=float(rates[i]),
                     blocks=(BlockSpectrum("slice", h_e, l_e, {}),), verdict=_decide(h_e, l_e), deciding_block="slice",
                 )
+    return out
+
+
+def _small_reports(configs: Iterable[Configuration], bound: float) -> list[StabilityReport | VortexError]:
+    """:func:`analyze_small_many` with ``bound`` on the co-rotating field residual."""
+    out: list[StabilityReport | VortexError] = []
+    for _, run in groupby(configs, _small_key):
+        run = list(run)
+        size = max(1, STACK_ELEMENTS // (2 * len(run[0])) ** 2)
+        for start in range(0, len(run), size):
+            stack = run[start : start + size]
+            try:
+                out += _small_stack(stack, bound)
+            except VortexError as exc:  # an error hit the whole stack: each alone gets its own outcome
+                out += [exc] if len(stack) == 1 else [r for c in stack for r in _small_reports([c], bound)]
     return out
 
 
@@ -1082,20 +1100,8 @@ def analyze_small_many(configs: Iterable[Configuration]) -> list[StabilityReport
     configurations with the same layout, strengths and pole-vortex
     hemispheres share one chart and are analysed together, at most
     ``16384 // d**2`` at a time (d = 2M chart coordinates; at least one).
-    A stack in which any configuration fails is analysed again one
-    configuration at a time, so each gets its own report or error.
     """
-    out: list[StabilityReport | VortexError] = []
-    for _, run in groupby(configs, _small_key):
-        run = list(run)
-        size = max(1, _STACK_ELEMENTS // (2 * len(run[0])) ** 2)
-        for start in range(0, len(run), size):
-            stack = run[start : start + size]
-            try:
-                out += _small_stack(stack)
-            except VortexError as exc:  # some configuration fails: each alone gets its own outcome
-                out += [exc] if len(stack) == 1 else [r for c in stack for r in analyze_small_many([c])]
-    return out
+    return _small_reports(configs, RESIDUAL_TOL)
 
 
 def analyze_small(config: Configuration) -> StabilityReport:

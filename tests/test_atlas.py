@@ -715,18 +715,28 @@ def test_a_branch_drops_each_point_the_certificate_refuses():
 
 
 def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkeypatch):
-    """Each branch point is certified in its segment's one stacked pass:
-    no chart is built per point (the per-point route built 2,011)."""
-    counts = {"charts": 0, "evaluates": 0, "stacks": 0}
-    init, small_stack, branch = dynamics.MixedChart.__init__, stability._small_stack, atlas._branch
+    """Each branch point is certified and analysed in its segment's one
+    stacked pass: no chart is built per point (the per-point route built
+    2,011), and no point is charted twice."""
+    counts = {"charts": 0, "coords": 0, "evaluates": 0, "stacks": 0, "found": 0}
+    init, coords = dynamics.MixedChart.__init__, dynamics.MixedChart.coords
+    small_stack, small_reports, branch = stability._small_stack, atlas._small_reports, atlas._branch
 
     def counted_init(self, config):
         counts["charts"] += 1
         init(self, config)
 
-    def counted_stack(configs):
+    def counted_coords(self, config=None):
+        counts["coords"] += 1
+        return coords(self, config)
+
+    def counted_stack(configs, bound):
         counts["stacks"] += 1
-        return small_stack(configs)
+        return small_stack(configs, bound)
+
+    def counted_reports(configs, bound):
+        counts["found"] += len(configs)
+        return small_reports(configs, bound)
 
     def counted_branch(solve):
         evaluate = branch(solve)
@@ -738,12 +748,15 @@ def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkey
         return counted
 
     monkeypatch.setattr(dynamics.MixedChart, "__init__", counted_init)
+    monkeypatch.setattr(dynamics.MixedChart, "coords", counted_coords)
     monkeypatch.setattr(stability, "_small_stack", counted_stack)
+    monkeypatch.setattr(atlas, "_small_reports", counted_reports)
     monkeypatch.setattr(atlas, "_branch", counted_branch)
     build_diagram(2)
     build_diagram(3)
     assert counts["evaluates"] == 8
     assert counts["charts"] <= counts["evaluates"] + counts["stacks"]
+    assert 0 < counts["coords"] <= counts["found"]
 
 
 def test_diagram_segments_and_fixed_point(three_pair_diagram):

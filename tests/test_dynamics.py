@@ -567,7 +567,7 @@ def test_hessian_stencil_is_the_same_in_any_chunking(monkeypatch):
     chart, (q, _) = _stencil_points(STENCIL_CHARTS["M6_poles"])
     whole = chart.hessian_fd(q, 0.3)
     for elements in (1, 5 * chart.dim * chart.m * 3):
-        monkeypatch.setattr(dynamics, "_STENCIL_ELEMENTS", elements)
+        monkeypatch.setattr(dynamics, "STACK_ELEMENTS", elements)
         assert chart.hessian_fd(q, 0.3).tobytes() == whole.tobytes()
 
 
@@ -602,8 +602,8 @@ def test_stacked_evaluation_matches_one_point_at_a_time(name, monkeypatch):
         chart.positions(qs), chart.gradient(qs, rates), chart.symplectic_matrix(qs),
         chart.momentum_rows(qs), chart.rotation_generators(qs, np.eye(3)),
     ]
-    for elements in (dynamics._STENCIL_ELEMENTS, 1, 5 * chart.dim * chart.m * 3):
-        monkeypatch.setattr(dynamics, "_STENCIL_ELEMENTS", elements)
+    for elements in (dynamics.STACK_ELEMENTS, 1, 5 * chart.dim * chart.m * 3):
+        monkeypatch.setattr(dynamics, "STACK_ELEMENTS", elements)
         assert chart.hessian_fd(qs, rates).tobytes() == np.array(
             [chart.hessian_fd(p, xi) for p, xi in zip(qs, rates)]
         ).tobytes()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from vortex_atlas.equilibria import (
     NotTwoRings,
     OutOfDomain,
     TwoRingPhase,
-    _certificates,
+    _certify,
     _rigid_rates,
     angular_velocity_generic,
     branch_c2v_2R2p,
@@ -41,7 +42,7 @@ from vortex_atlas.equilibria import (
     ring_angular_velocity,
     two_ring_phase_test,
 )
-from vortex_atlas.stability import analyze_small
+from vortex_atlas.stability import _small_reports, analyze_small
 
 # positive root of a^4 + a^2 = 1: the meridian branch crosses the
 # anti-diagonal at (a, -a) and (-a, a)
@@ -199,9 +200,19 @@ def test_the_certificate_judges_each_configuration_of_a_stack():
     turned = good.positions.copy()
     minus = list(good.layout.minus)
     turned[minus] = turned[minus] @ rotation_z_matrix(1e-6).T  # still rigid to 1e-15, residual 2.3e-7
-    refusals = _certificates([good, good.with_positions(spun), good.with_positions(turned)])
-    assert [type(r) for r in refusals] == [type(None), NotRelativeEquilibrium, OutOfDomain]
-    assert _certificates([]) == []
+    configs = [good, good.with_positions(spun), good.with_positions(turned)]
+    # the diagram's route: the numeric analysis at the branch bound
+    got = _small_reports(configs, 1e-8)
+    assert [type(r).__name__ for r in got] == ["StabilityReport", "NotRelativeEquilibrium", "NotRelativeEquilibrium"]
+    assert str(got[1]).startswith("per-vortex rotation rates disagree by ")
+    assert re.fullmatch(r"co-rotating field residual 2\.3\d\de-07 exceeds 1\.0e-08", str(got[2]))
+    assert _small_reports([], 1e-8) == []
+    # the public solvers' route: one configuration at a time
+    _certify(good)
+    with pytest.raises(NotRelativeEquilibrium, match="^per-vortex rotation rates disagree by "):
+        _certify(configs[1])
+    with pytest.raises(OutOfDomain, match=r"^the equilibrium residual 2\.3\d\de-07 exceeds 1e-8$"):
+        _certify(configs[2])
 
 
 @pytest.mark.filterwarnings("error")
@@ -216,8 +227,10 @@ def test_a_pair_closer_than_round_off_is_refused_by_its_rates(tmp_path, capsys):
     )
     with pytest.raises(NotRelativeEquilibrium, match="disagree by nan"):
         analyze_small(c)
-    (refused,) = _certificates([c])
+    (refused,) = _small_reports([c], 1e-8)
     assert isinstance(refused, NotRelativeEquilibrium)
+    with pytest.raises(NotRelativeEquilibrium, match="disagree by nan"):
+        _certify(c)
     path = tmp_path / "close.json"
     path.write_text(c.to_json())
     assert main(["classify", str(path)]) == EXIT_NUMERIC

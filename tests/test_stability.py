@@ -1,5 +1,6 @@
 """Slice construction, block spectra, verdicts, and critical latitudes."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -17,6 +18,7 @@ from vortex_atlas import atlas, stability
 from vortex_atlas.atlas import EXIT_OK, main
 from vortex_atlas.core import (
     MAX_GRID_POINTS,
+    STACK_ELEMENTS,
     Configuration,
     Family,
     FamilyDescriptor,
@@ -51,7 +53,6 @@ from vortex_atlas.stability import (
     NotRelativeEquilibrium,
     StabilityReport,
     Verdict,
-    _STACK_ELEMENTS,
     _block_slices,
     _decide,
     _diagonal_blocks,
@@ -339,12 +340,23 @@ def test_first_deciding_scalar_positive_and_second_increasing():
 
 
 def test_deciding_scalars_match_reported_block_entries():
-    desc = _desc(DND, 4, 0.9)
-    report = analyze(desc)
-    half = next(b for b in report.blocks if b.label == "Bhalf")
-    a, b = deciding_scalars_ab(desc)
-    assert half.entries["a"] == pytest.approx(a, rel=1e-12)
-    assert half.entries["b"] == pytest.approx(b, rel=1e-12)
+    """``r`` and ``s`` are the uniform block's entries, ``a`` and ``b`` those
+    of the top-wavenumber block (``Bhalf`` for even N, ``B{N//2}`` for odd
+    N), with and without poles; the closed form differs from the block in
+    the last few digits (2.3e-12 relative at most, ``r`` at theta0 = 0.6)."""
+    cases = [(k_p, theta0) for k_p in (0, 2) for theta0 in (0.6, 0.9, 1.3)] + [(2, 2.0)]
+    for family, n, (k_p, theta0) in itertools.product((DNH, DND), range(3, 7), cases):
+        desc = _desc(family, n, theta0, k_p)
+        blocks = {b.label: b.entries for b in analyze(desc).blocks}
+        uniform = blocks["B0p" if k_p else "B0"]
+        r, s = deciding_scalars_rs(desc)
+        assert uniform["r"] == pytest.approx(r, rel=1e-11), desc
+        assert uniform["s"] == pytest.approx(s, rel=1e-11), desc
+        if n >= 4:
+            top = blocks["Bhalf" if n % 2 == 0 else f"B{n // 2}"]
+            a, b = deciding_scalars_ab(desc)
+            assert top["a"] == pytest.approx(a, rel=1e-11), desc
+            assert top["b"] == pytest.approx(b, rel=1e-11), desc
 
 
 def _block_symplectic_scale(desc, label):
@@ -665,7 +677,7 @@ def _latitude_lists(draw):
     )
     thetas = draw(st.lists(st.one_of(st.floats(1e-4, hi - 1e-4), special), min_size=1, max_size=12))
     if draw(st.booleans()):  # more latitudes than one stack holds
-        size = _STACK_ELEMENTS // (4 * n + 2 * k_p) ** 2 + 3
+        size = STACK_ELEMENTS // (4 * n + 2 * k_p) ** 2 + 3
         start = draw(st.floats(0.01, 0.5))
         thetas += np.linspace(start, hi - start, size).tolist()
     return family, n, k_p, thetas
@@ -791,11 +803,11 @@ def _diagram_configurations(n_pairs, monkeypatch):
     in the order they are analysed."""
     seen = []
 
-    def record(configs):
+    def record(configs, bound):
         seen.extend(configs)
         return [VortexError("only the configurations are needed")] * len(configs)
 
-    monkeypatch.setattr(atlas, "analyze_small_many", record)
+    monkeypatch.setattr(atlas, "_small_reports", record)
     for seg in atlas._figure_segments(n_pairs):
         if not seg.is_parent:
             seg.sample()

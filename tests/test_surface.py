@@ -90,10 +90,10 @@ SIGNATURES = {
 # another's internals.
 PRIVATE_IMPORTS = {
     ("atlas", "core._family_named"),
-    ("atlas", "equilibria._certificates"),
     ("atlas", "equilibria._rm_rmp_points"),
     ("atlas", "equilibria._rrp2p_point"),
     ("atlas", "stability._pick_transition"),
+    ("atlas", "stability._small_reports"),
     ("dynamics", "core._pairwise_l2"),
     ("equilibria", "core._closest_pairs"),
     ("stability", "core._family_named"),

@@ -157,7 +157,7 @@ def _segment_samples(n_pairs: int, monkeypatch) -> dict[str, list[Configuration]
     seen: list[Configuration] = []
     ring_labels: set[str] = set()
 
-    def record_small(configs):
+    def record_small(configs, bound):
         seen.extend(configs)
         return [VortexError("only the configuration is needed")] * len(configs)
 
@@ -168,7 +168,7 @@ def _segment_samples(n_pairs: int, monkeypatch) -> dict[str, list[Configuration]
         ring_labels.add(FamilyDescriptor(family, n, k_p=k_p, lambda_n=lambda_n).label)
         return positions, strengths, clear
 
-    monkeypatch.setattr(atlas, "analyze_small_many", record_small)
+    monkeypatch.setattr(atlas, "_small_reports", record_small)
     monkeypatch.setattr(atlas, "two_ring_positions", record_members)
     samples: dict[str, list[Configuration]] = {}
     for seg in atlas._figure_segments(n_pairs):
