@@ -397,7 +397,8 @@ def _certify(c: Configuration) -> None:
     """Refuse ``c`` by its rates, then by its residual (:class:`OutOfDomain`) above ``BRANCH_RESIDUAL_TOL``."""
     residual = re_residual(c, configuration_angular_velocity(c))
     if not residual <= BRANCH_RESIDUAL_TOL:
-        raise OutOfDomain(f"the equilibrium residual {residual:.3e} exceeds 1e-8")
+        bound = np.format_float_scientific(BRANCH_RESIDUAL_TOL, trim="-", exp_digits=1)
+        raise OutOfDomain(f"the equilibrium residual {residual:.3e} exceeds {bound}")
 
 
 def branch_c2v_2R2p(x: float, lambda_n: float = 1.0) -> BranchPoint:

@@ -1038,10 +1038,10 @@ def _small_stack(configs: list[Configuration], bound: float) -> list[StabilityRe
         chart = MixedChart(configs[index[0]])
         qs = np.array([chart.coords(configs[i]) for i in index.tolist()])
         residuals = np.abs(chart.gradient(qs, rates[index])).max(axis=1)
-        for i, residual in zip(index.tolist(), residuals.tolist()):
-            if not residual <= bound:
-                out[i] = NotRelativeEquilibrium(f"co-rotating field residual {residual:.3e} exceeds {bound:.1e}")
-        index, qs = index[residuals <= bound], qs[residuals <= bound]
+        keep = residuals <= bound
+        for i, residual in zip(index[~keep].tolist(), residuals[~keep].tolist()):
+            out[i] = NotRelativeEquilibrium(f"co-rotating field residual {residual:.3e} exceeds {bound:.1e}")
+        index, qs = index[keep], qs[keep]
     if not index.size:
         return out
     h = chart.hessian_fd(qs, rates[index])

@@ -342,21 +342,23 @@ def test_first_deciding_scalar_positive_and_second_increasing():
 def test_deciding_scalars_match_reported_block_entries():
     """``r`` and ``s`` are the uniform block's entries, ``a`` and ``b`` those
     of the top-wavenumber block (``Bhalf`` for even N, ``B{N//2}`` for odd
-    N), with and without poles; the closed form differs from the block in
-    the last few digits (2.3e-12 relative at most, ``r`` at theta0 = 0.6)."""
+    N), with and without poles; the closed form agrees with the block to
+    1e-12 relative, except ``r`` at N = 6, theta0 = 0.6 (DNh 1.9e-12, DNd
+    2.3e-12), which is held to 1e-11."""
     cases = [(k_p, theta0) for k_p in (0, 2) for theta0 in (0.6, 0.9, 1.3)] + [(2, 2.0)]
     for family, n, (k_p, theta0) in itertools.product((DNH, DND), range(3, 7), cases):
         desc = _desc(family, n, theta0, k_p)
         blocks = {b.label: b.entries for b in analyze(desc).blocks}
         uniform = blocks["B0p" if k_p else "B0"]
         r, s = deciding_scalars_rs(desc)
-        assert uniform["r"] == pytest.approx(r, rel=1e-11), desc
-        assert uniform["s"] == pytest.approx(s, rel=1e-11), desc
+        r_rel = 1e-11 if (n, theta0) == (6, 0.6) else 1e-12
+        assert uniform["r"] == pytest.approx(r, rel=r_rel), desc
+        assert uniform["s"] == pytest.approx(s, rel=1e-12), desc
         if n >= 4:
             top = blocks["Bhalf" if n % 2 == 0 else f"B{n // 2}"]
             a, b = deciding_scalars_ab(desc)
-            assert top["a"] == pytest.approx(a, rel=1e-11), desc
-            assert top["b"] == pytest.approx(b, rel=1e-11), desc
+            assert top["a"] == pytest.approx(a, rel=1e-12), desc
+            assert top["b"] == pytest.approx(b, rel=1e-12), desc
 
 
 def _block_symplectic_scale(desc, label):
