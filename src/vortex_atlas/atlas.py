@@ -26,6 +26,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -61,11 +62,12 @@ from .dynamics import (
 )
 from .equilibria import (
     BRANCH_RESIDUAL_TOL,
+    BranchPoint,
+    _branch_stack,
     _rm_rmp_points,
     _rrp2p_point,
     make_equatorial_pm_ring,
     make_family,
-    make_plus_ring_pole_pair,
     two_ring_positions,
 )
 from .stability import (
@@ -308,27 +310,28 @@ def _ring_segment(tag: str, family: Family, n: int, k_p: int, params: np.ndarray
     return _Segment(f"({tag}) {label}", params, evaluate, is_parent=True)
 
 
-def _branch(solve: Callable[[float], Configuration | None]) -> _Evaluator:
-    """A low-symmetry segment's evaluator: it solves every parameter, takes
-    the configurations found (of one chart) through one stacked numeric
-    analysis at the branch bound ``BRANCH_RESIDUAL_TOL``, which drops each
-    one it refuses, and one stacked energy pass."""
-
-    def solved(x: float) -> Configuration | None:
-        try:
-            return solve(x)
-        except VortexError:
-            return None
+def _branch(solve: Callable[[float], BranchPoint | float | None]) -> _Evaluator:
+    """A low-symmetry segment's evaluator: it solves every parameter, builds the
+    points as one position stack, and takes the rows a :class:`Configuration`
+    accepts through one stacked numeric analysis at the branch bound
+    ``BRANCH_RESIDUAL_TOL``, which drops each one it refuses, and one energy pass."""
 
     def evaluate(params: Sequence[float]) -> list[tuple[float, float, str] | None]:
-        configs = [solved(x) for x in params]
-        found = [c for c in configs if c is not None]
-        if not found:
-            return configs
-        stacked = hamiltonians(np.array([c.positions for c in found]), found[0].strengths)
-        results = iter(zip(_small_reports(found, BRANCH_RESIDUAL_TOL), stacked.tolist()))
-        points = [next(results) if c is not None else (None, None) for c in configs]
-        return [(r.mu_z, e, r.verdict.value) if isinstance(r, StabilityReport) else None for r, e in points]
+        found = {}
+        for k, x in enumerate(params):
+            with contextlib.suppress(VortexError):
+                found[k] = solve(x)
+        at = [k for k, point in found.items() if point is not None]
+        out: list[tuple[float, float, str] | None] = [None] * len(params)
+        if not at:
+            return out
+        positions, strengths, layout, kept = _branch_stack([found[k] for k in at])
+        positions = positions[kept]
+        reports = _small_reports(positions, strengths, layout, BRANCH_RESIDUAL_TOL)
+        for k, r, e in zip(np.array(at)[kept].tolist(), reports, hamiltonians(positions, strengths).tolist()):
+            if isinstance(r, StabilityReport):
+                out[k] = (r.mu_z, e, r.verdict.value)
+        return out
 
     return evaluate
 
@@ -347,7 +350,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
     segments: list[_Segment] = []
     if n_pairs == 2:
         for sign in (-1, 1):
-            solve = _branch(lambda x, s=sign: _rrp2p_point(x, 0.0, s).configuration())
+            solve = _branch(lambda x, s=sign: _rrp2p_point(x, 0.0, s))
             segments.append(_Segment("(a) C2v(R,R')", interval, solve, is_parent=False))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 0, half))
         meridional_x = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 2 * pts)
@@ -356,26 +359,23 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
         # built per diagram, so no state outlives it.
         roots_at = functools.cache(_rm_rmp_points)
 
-        def meridian(root_index: int, swap: bool) -> Callable[[float], Configuration | None]:
-            def solve(x: float) -> Configuration | None:
-                roots = roots_at(x)
-                if root_index >= len(roots):
-                    return None
-                bp = roots[root_index]
-                return (replace(bp, x=bp.y, y=bp.x) if swap else bp).configuration()
-
-            return solve
+        def meridian(x: float, root_index: int, swap: bool) -> BranchPoint | None:
+            roots = roots_at(x)
+            if root_index >= len(roots):
+                return None
+            bp = roots[root_index]
+            return replace(bp, x=bp.y, y=bp.x) if swap else bp
 
         for root_index in (0, 1):
             for swap in (False, True):
-                solve = _branch(meridian(root_index, swap))
+                solve = _branch(functools.partial(meridian, root_index=root_index, swap=swap))
                 segments.append(_Segment("(c) C2v(Rm,Rm')", meridional_x, solve, is_parent=False))
         segments.append(_ring_segment("d", Family.DND_RRP, 2, 0, half_closed))
-        segments.append(_Segment("(e) C2v(R,2p)", full, _branch(make_plus_ring_pole_pair), is_parent=False))
+        segments.append(_Segment("(e) C2v(R,2p)", full, _branch(float), is_parent=False))
     else:
         segments.append(_ring_segment("a", Family.DNH_2R, 3, 0, half))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 2, full_gapped))
-        solve = _branch(lambda x: _rrp2p_point(x, 1.0, -1).configuration())
+        solve = _branch(lambda x: _rrp2p_point(x, 1.0, -1))
         segments.append(_Segment("(c) C2v(R,R',2p)", interval, solve, is_parent=False))
         segments.append(_ring_segment("d", Family.DND_RRP, 3, 0, half_closed))
         segments.append(_ring_segment("e", Family.DND_RRP, 2, 2, full))

@@ -186,11 +186,9 @@ class Configuration:
             )
         if not (np.isfinite(p).all() and np.isfinite(lam).all()):
             raise InvalidConfiguration("positions and strengths must be finite")
-        x, y, z = p.T
-        off = np.abs((x * x + y * y) + z * z - 1.0)
-        off_sphere = np.flatnonzero(off > UNIT_NORM_TOL)
-        if off_sphere.size:
-            i = int(off_sphere[0])
+        off, outside = _off_sphere(p)
+        if outside.any():
+            i = int(outside.argmax())
             raise InvalidConfiguration(
                 f"point {i} {tuple(p[i].tolist())} is not on the unit sphere: "
                 f"| ||v||^2 - 1 | = {off[i]:.3e}"
@@ -219,15 +217,9 @@ class Configuration:
                     f"ring vortex {wrong[0]} in the {'+' if sign > 0 else '-'} "
                     f"population must have strength {sign:+.0f}"
                 )
-        self._check_collisions()
-
-    def _check_collisions(self) -> None:
-        m = len(self.positions)
-        if m < 2:
-            return
-        at, l2 = _closest_pairs(self.positions)
-        if l2 < COLLISION_EPS**2:
-            i, j = divmod(int(at), m)
+        at, l2, collided = _closest_pairs(p) if len(p) > 1 else (0, math.inf, False)
+        if collided:
+            i, j = divmod(int(at), len(p))
             raise CollisionError(
                 f"vortices {i} and {j} are within the collision threshold "
                 f"(chord distance {math.sqrt(l2):.3e})"
@@ -330,15 +322,29 @@ def _pairwise_l2(p: np.ndarray) -> np.ndarray:
     return np.einsum("...ijk,...ijk->...ij", diff, diff)
 
 
-def _closest_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _off_sphere(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``| ||v||^2 - 1 |`` of each point of a stack ``(..., M, 3)``, and whether it exceeds ``UNIT_NORM_TOL``."""
+    x, y, z = np.moveaxis(p, -1, 0)
+    off = np.abs((x * x + y * y) + z * z - 1.0)
+    return off, off > UNIT_NORM_TOL
+
+
+def _closest_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closest pair of each configuration of a stack ``(..., M, 3)``,
-    M >= 2: its flat index ``i * M + j`` (the first minimum, so i < j) and
-    its squared chord; :class:`Configuration` collides below ``COLLISION_EPS**2``."""
+    M >= 2: its flat index ``i * M + j`` (the first minimum, so i < j), its
+    squared chord, and whether it collides (chord below ``COLLISION_EPS``)."""
     m = p.shape[-2]
     l2 = _pairwise_l2(p).reshape(*p.shape[:-2], m * m)
     l2[..., :: m + 1] = np.inf
     at = l2.argmin(axis=-1)
-    return at, np.take_along_axis(l2, at[..., None], axis=-1)[..., 0]
+    l2 = np.take_along_axis(l2, at[..., None], axis=-1)[..., 0]
+    return at, l2, l2 < COLLISION_EPS**2
+
+
+def _kept_rows(p: np.ndarray) -> np.ndarray:
+    """Which configurations of a stack ``(K, M, 3)``, M >= 2, pass the position
+    checks of :class:`Configuration`: finite, on the unit sphere, no collision."""
+    return np.isfinite(p).all(axis=(1, 2)) & ~_off_sphere(p)[1].any(axis=1) & ~_closest_pairs(p)[2]
 
 
 def _infer_layout(p: np.ndarray, lam: np.ndarray, pole_count: int) -> Layout:

@@ -76,6 +76,9 @@ NEAR_COLLISION_FACTOR = 10.0
 # step tolerance falls under 100 machine epsilons, finer than the rounding of
 # a step's dozen stage sums, so such a tol is refused rather than chased.
 MIN_INTEGRATION_TOL = 1e5 * np.finfo(float).eps
+# Most steps integrate takes: over 100 times the longest trajectory of the tests
+# and the benchmark (about 700); a close pair spinning at 1/chord**2 reaches it.
+MAX_STEPS = 100_000
 
 
 class _IntegrationStopped(VortexError, RuntimeError):
@@ -250,21 +253,24 @@ class MixedChart:
 
     def coords(self, config: Configuration | None = None) -> np.ndarray:
         """Chart coordinates of ``config`` (default: the base configuration)."""
-        p = (self.config if config is None else config).positions
-        q = np.empty(self.dim)
+        return self._coords((self.config if config is None else config).positions[None])[0]
+
+    def _coords(self, p: np.ndarray) -> np.ndarray:
+        """Chart coordinates ``(K, dim)`` of a position stack ``(K, M, 3)``."""
+        q, n = np.empty((len(p), self.dim)), self.n_ring
         # A loop of math calls, not np.arctan2 / np.hypot over the rings: on
         # an AVX-512 host those differ from math.atan2 / math.hypot in the
         # last bit for 16,773 and 1,453 of 200,000 random unit vectors.
-        for r, i in enumerate(self.ring):
-            x, y, z = p[i].tolist()
-            s = math.hypot(x, y)
-            if s < POLE_EPS:
-                raise PoleSingularity(
-                    f"ring vortex {i} at ({x}, {y}, {z}) is within {POLE_EPS} of a pole"
-                )
-            q[r] = math.atan2(s, z)
-            q[self.n_ring + r] = math.atan2(y, x) % (2.0 * math.pi)
-        q[2 * self.n_ring :] = p[list(self.poles), :2].reshape(-1)
+        for k, ring in enumerate(p[:, list(self.ring)].tolist()):
+            for r, (x, y, z) in enumerate(ring):
+                s = math.hypot(x, y)
+                if s < POLE_EPS:
+                    raise PoleSingularity(
+                        f"ring vortex {self.ring[r]} at ({x}, {y}, {z}) is within {POLE_EPS} of a pole"
+                    )
+                q[k, r] = math.atan2(s, z)
+                q[k, n + r] = math.atan2(y, x) % (2.0 * math.pi)
+        q[:, 2 * n :] = p[:, list(self.poles), :2].reshape(len(p), -1)
         return q
 
     def positions(self, q: np.ndarray) -> np.ndarray:
@@ -534,7 +540,7 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
         the partial trajectory, which ends at the last state outside that
         guard, is attached to the exception.
     StepSizeUnderflow
-        If the step size collapses beneath the resolvable scale.
+        If the step size underflows or :data:`MAX_STEPS` steps end short of ``t_end``.
     OutOfDomain
         If ``t_end`` is not positive and finite or ``tol`` is not in
         [:data:`MIN_INTEGRATION_TOL`, 1).
@@ -598,6 +604,8 @@ def integrate(c0: Configuration, t_end: float, tol: float = 1e-10) -> Trajectory
 
     t = 0.0
     while t < t_end:
+        if len(times) > MAX_STEPS:
+            raise StepSizeUnderflow(f"step budget of {MAX_STEPS} steps spent at t = {t:.6g}", partial())
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False

@@ -16,9 +16,9 @@ All families pair ``N`` vortices of strength +1 with ``N`` of strength -1
 * either of the above with a pole pair (``k_p = 2``), strengths
   ``lambda_n`` / ``-lambda_n``.
 
-These rotate rigidly about the z-axis; the rotation rate has a closed
-form, and a per-vortex formula provides an independent cross-check for
-any configuration that is a relative equilibrium.
+These rotate rigidly about the z-axis (closed-form rate, cross-checked per
+vortex).  One builder assembles rings and poles as a ``(K, M, 3)`` position
+stack and drops each row a :class:`Configuration` would refuse.
 
 Low-symmetry branches
 ---------------------
@@ -35,12 +35,12 @@ branch off the symmetric ones; they are parametrized by the cosines
 * ``C_2v(R_m,R_m')``: four vortices in a single meridian plane, no poles;
   ``y`` is found by root bracketing.
 
-A phase test distinguishes aligned from staggered two-ring configurations,
-and a residual certificate bounds how far a configuration is from being a
-relative equilibrium at a given rotation rate.  Every solved branch point
-must rotate at one rate (to 1e-9) with a chart residual of at most
-``BRANCH_RESIDUAL_TOL`` at it; the public solvers check each point, and the
-diagram's stacked numeric analysis applies that bound to a segment's grid.
+A phase test tells aligned from staggered two-ring configurations.  Every
+solved branch point must rotate at one rate (to 1e-9) with a chart residual
+of at most ``BRANCH_RESIDUAL_TOL`` at it; the public solvers check each
+point, and the diagram builds a segment's points as one position stack
+(:meth:`BranchPoint.configuration` is its one-point case) and applies that
+bound in its stacked numeric analysis.
 
 The meridian branch's roots are polished by :func:`_brentq`, Brent's zero
 finder (Brent, *Algorithms for Minimization without Derivatives*, 1973,
@@ -60,7 +60,6 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    COLLISION_EPS,
     Configuration,
     Family,
     FamilyDescriptor,
@@ -70,7 +69,7 @@ from .core import (
     PoleSingularity,
     POLE_EPS,
     VortexError,
-    _closest_pairs,
+    _kept_rows,
 )
 from .dynamics import MixedChart
 
@@ -126,14 +125,6 @@ class TwoRingPhase(Enum):
 _POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 
 
-def _on_sphere(theta, phi) -> np.ndarray:
-    """Unit vectors at co-latitudes ``theta`` and longitudes ``phi``,
-    broadcast against each other, as a ``(..., 3)`` array."""
-    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
-    st = np.sin(theta)
-    return np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta)), axis=-1)
-
-
 def make_equatorial_pm_ring(n_pairs: int) -> Configuration:
     """Alternating ring of ``2 n_pairs`` vortices on the equator.
 
@@ -167,8 +158,9 @@ def make_single_plus_ring(n: int, theta0: float) -> Configuration:
     n = int(n)
     if n < 2:
         raise InvalidDescriptor("a ring needs at least two vortices")
-    positions = _on_sphere(theta0, 2.0 * math.pi * np.arange(n) / n)
-    return Configuration(positions, np.ones(n), 0, Layout(plus=range(n), minus=()))
+    positions, strengths, layout, _ = _stack([[theta0] * n], 2.0 * math.pi * np.arange(n) / n, [1.0] * n,
+                                             Layout(plus=range(n), minus=()))
+    return Configuration(positions[0], strengths, 0, layout)
 
 
 def make_plus_ring_pole_pair(theta0: float) -> Configuration:
@@ -180,9 +172,8 @@ def make_plus_ring_pole_pair(theta0: float) -> Configuration:
     """
     if not (0.0 < theta0 < math.pi):
         raise OutOfDomain("theta0 must lie in (0, pi)")
-    ring = _on_sphere(theta0, [0.0, math.pi])
-    layout = Layout(plus=(0, 1), minus=(), north=2, south=3)
-    return Configuration(np.vstack([ring, _POLES]), [1.0, 1.0, -1.0, -1.0], 2, layout)
+    positions, strengths, layout, _ = _branch_stack([theta0])
+    return Configuration(positions[0], strengths, 2, layout)
 
 
 def make_family(desc: FamilyDescriptor) -> Configuration:
@@ -215,25 +206,32 @@ def _ring_phase(family: Family, n: int) -> float:
     return 0.0 if family is Family.DNH_2R else math.pi / n
 
 
+def _stack(theta, phi, strengths: Sequence[float], layout: Layout) -> tuple[np.ndarray, np.ndarray, Layout, np.ndarray]:
+    """The ring-and-pole assembly of the constructors: positions ``(K, M, 3)``
+    of ring vortices at co-latitudes ``theta`` ``(K, R)`` and longitudes ``phi``
+    (broadcast against them), then, if ``layout`` has poles, the north and south
+    pole vortices; the strengths ``(M,)``, the layout, and the rows kept."""
+    st = np.sin(theta)
+    positions = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    if layout.north is not None:
+        positions = np.concatenate([positions, np.broadcast_to(_POLES, (len(positions), 2, 3))], axis=1)
+    return positions, np.array(strengths, float), layout, _kept_rows(positions)
+
+
 def two_ring_positions(
     family: Family, n: int, k_p: int, lambda_n: float, thetas: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions ``(K, M, 3)`` and strengths ``(M,)`` of the two-ring members
     at the co-latitudes ``thetas``, built in one array pass, and which of
-    them keep every pair at least ``COLLISION_EPS`` apart, as a
-    :class:`Configuration` must.  Vortex order: the plus ring, the minus
-    ring, then with ``k_p = 2`` the north and south poles; :func:`make_family`
-    of a two-ring member is the one-latitude case."""
-    offset = _ring_phase(family, n)
+    them a :class:`Configuration` accepts.  Vortex order: the plus ring, the
+    minus ring, then with ``k_p = 2`` the north and south poles;
+    :func:`make_family` of a two-ring member is the one-latitude case."""
     phi = 2.0 * math.pi * np.arange(n) / n
-    theta = np.asarray(thetas, float)[:, None]
-    rings = [_on_sphere(theta, phi), _on_sphere(math.pi - theta, phi + offset)]
-    strengths = [1.0] * n + [-1.0] * n
-    if k_p == 2:
-        rings.append(np.broadcast_to(_POLES, (len(theta), 2, 3)))
-        strengths += [lambda_n, -lambda_n]
-    positions = np.concatenate(rings, axis=1)
-    return positions, np.array(strengths), _closest_pairs(positions)[1] >= COLLISION_EPS**2
+    strengths = [1.0] * n + [-1.0] * n + [lambda_n, -lambda_n][:k_p]
+    rings = np.repeat(np.column_stack([thetas, math.pi - np.asarray(thetas, float)]), n, axis=1)
+    positions, strengths, _, kept = _stack(rings, np.concatenate([phi, phi + _ring_phase(family, n)]), strengths,
+                                           Layout.standard(n, n, k_p))
+    return positions, strengths, kept
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +257,19 @@ def angular_velocity_generic(c: Configuration, index: int = 0) -> float:
     i = int(index)
     if c.pole_count == 2 and i in (c.layout.north, c.layout.south):
         raise PoleSingularity("the per-vortex rate is undefined on a pole vortex")
-    return float(_vortex_rates([c], [i])[0, 0])
+    return float(_vortex_rates(c.positions[None], c.strengths, [i])[0, 0])
 
 
-def _vortex_rates(configs: Sequence[Configuration], which: list[int]) -> np.ndarray:
+def _vortex_rates(p: np.ndarray, lam: np.ndarray, which: list[int]) -> np.ndarray:
     """:func:`angular_velocity_generic` of the vortices ``which`` in each of
-    ``configs`` (one strength vector), ``(K, len(which))``; raises
-    :class:`PoleSingularity` if one of them is within ``POLE_EPS`` of a pole.
+    a stack ``p`` ``(K, M, 3)`` (one strength vector), ``(K, len(which))``;
+    raises :class:`PoleSingularity` if one is within ``POLE_EPS`` of a pole.
 
     One array pass over the stack.  Each sum adds its terms in partner
     order, so a rate has the bits of a scalar loop over the partners:
     ``x_i . x_j`` is one BLAS dot product per pair, as ``p[i] @ p[j]``
     takes it, and ``z_i^2`` is libm's ``pow``, as the scalar ``**`` takes it.
     """
-    p = np.array([c.positions for c in configs])
     partners = [[j for j in range(p.shape[1]) if j != i] for i in which]
     x, y = p[:, which, None, :], p[:, partners]  # (K, n, 1, 3) and (K, n, M - 1, 3)
     rho2 = 1.0 - np.float_power(x[..., 2], 2)
@@ -282,7 +279,7 @@ def _vortex_rates(configs: Sequence[Configuration], which: list[int]) -> np.ndar
     horizontal = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
     # a pair whose 1 - x_i . x_j rounds to 0 gives nan or inf rates, which _rigid_rates refuses
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = configs[0].strengths[partners] * (rho2 * y[..., 2] - x[..., 2] * horizontal) / (rho2 * (1.0 - dot))
+        terms = lam[partners] * (rho2 * y[..., 2] - x[..., 2] * horizontal) / (rho2 * (1.0 - dot))
     rates = np.zeros(terms.shape[:2])
     for k in range(terms.shape[2]):
         rates += terms[..., k]
@@ -298,21 +295,21 @@ def configuration_angular_velocity(c: Configuration) -> float:
         If per-vortex rates disagree by more than 1e-9 — the
         configuration does not rotate rigidly about z.
     """
-    (rate,), (refused,) = _rigid_rates([c])
+    (rate,), (refused,) = _rigid_rates(c.positions[None], c.strengths, c.layout)
     if refused:
         raise refused
     return float(rate)
 
 
-def _rigid_rates(configs: Sequence[Configuration]) -> tuple[np.ndarray, list[NotRelativeEquilibrium | None]]:
-    """:func:`configuration_angular_velocity` of configurations that share
-    their layout and strengths, ``(K,)`` from one array pass, and each
-    one's error in input order (``None`` where its rates agree), returned
-    rather than raised."""
-    ring = list(configs[0].layout.plus) + list(configs[0].layout.minus)
+def _rigid_rates(p: np.ndarray, lam: np.ndarray, layout: Layout) -> tuple[np.ndarray, list[NotRelativeEquilibrium | None]]:
+    """:func:`configuration_angular_velocity` of each configuration of a
+    position stack ``p`` ``(K, M, 3)`` with strengths ``lam`` and one layout,
+    ``(K,)`` from one array pass, and each one's error in input order
+    (``None`` where its rates agree), returned rather than raised."""
+    ring = list(layout.plus) + list(layout.minus)
     if not ring:
         raise PoleSingularity("a pole-only configuration has no ring rate")
-    rates = _vortex_rates(configs, ring)
+    rates = _vortex_rates(p, lam, ring)
     spreads = (rates.max(axis=1) - rates.min(axis=1)).tolist()
     message = "per-vortex rotation rates disagree by {:.3e}; the configuration does not rotate rigidly about z"
     return rates[:, 0], [NotRelativeEquilibrium(message.format(spread)) if not spread <= 1e-9 else None for spread in spreads]
@@ -378,19 +375,29 @@ class BranchPoint:
     lambda_n: float = 1.0
 
     def configuration(self) -> Configuration:
-        """The point's configuration, built and validated on each call.  A
-        meridian point has +1 at cos-heights x, -y and -1 at y, -x, all in
-        the xz-plane."""
-        if self.family is Family.C2V_RM_RMP:
-            heights, phi = (self.x, -self.y, self.y, -self.x), (0.0, math.pi, math.pi, 0.0)
-        else:
-            heights, phi = (self.x, self.x, self.y, self.y), (0.0, math.pi, self.alpha, self.alpha + math.pi)
-        rings = _on_sphere([math.acos(h) for h in heights], phi)
-        strengths = [1.0, 1.0, -1.0, -1.0]
-        if self.lambda_n == 0.0:
-            return Configuration(rings, strengths, 0, Layout.standard(2, 2, 0))
-        strengths += [self.lambda_n, -self.lambda_n]
-        return Configuration(np.vstack([rings, _POLES]), strengths, 2, Layout.standard(2, 2, 2))
+        """The point's configuration, built and validated on each call: the
+        one-point case of :func:`_branch_stack`."""
+        positions, strengths, layout, _ = _branch_stack([self])
+        return Configuration(positions[0], strengths, 0 if layout.north is None else 2, layout)
+
+
+def _branch_stack(points: Sequence[BranchPoint | float]) -> tuple[np.ndarray, np.ndarray, Layout, np.ndarray]:
+    """The configurations of branch points that share their family and pole
+    strength, or of :func:`make_plus_ring_pole_pair` at co-latitudes in
+    (0, pi), as one :func:`_stack`.  A meridian point has +1 at cos-heights x, -y and -1 at
+    y, -x, all in the xz-plane.  Heights become co-latitudes through
+    ``math.acos``, whose floats ``np.arccos`` does not always give."""
+    first = points[0]
+    if not isinstance(first, BranchPoint):
+        theta = np.repeat(np.asarray(points, float)[:, None], 2, axis=1)
+        return _stack(theta, [0.0, math.pi], [1.0, 1.0, -1.0, -1.0], Layout(plus=(0, 1), minus=(), north=2, south=3))
+    if first.family is Family.C2V_RM_RMP:
+        heights, phi = [(p.x, -p.y, p.y, -p.x) for p in points], (0.0, math.pi, math.pi, 0.0)
+    else:
+        heights, phi = [(p.x, p.x, p.y, p.y) for p in points], [(0.0, math.pi, p.alpha, p.alpha + math.pi) for p in points]
+    poles = 0 if first.lambda_n == 0.0 else 2
+    strengths = [1.0, 1.0, -1.0, -1.0] + [first.lambda_n, -first.lambda_n][:poles]
+    return _stack([[math.acos(h) for h in row] for row in heights], phi, strengths, Layout.standard(2, 2, poles))
 
 
 def _certify(c: Configuration) -> None:

@@ -24,13 +24,13 @@ stacked pass:
   (d = 4N + 2k_p; at least one).  :func:`decide_many` runs the same
   array stage and stops at each latitude's :class:`Decision` (verdict,
   deciding block, mu_z, xi_z); the report stage adds the block spectra;
-* numeric route — :func:`analyze_small_many` groups consecutive
-  configurations that share one chart, refuses in place each one whose
-  rates disagree or whose residual exceeds its bound (the diagram passes
-  the branch bound), and takes residuals, the finite-difference Hessian
-  stencil, momentum rows, rotation generators, the slice (a stacked SVD
-  with ``scipy.linalg.null_space``'s rank rule) and the spectra as
-  ``(K, ...)`` arrays, ``16384 // d**2`` configurations at a time (d = 2M).
+* numeric route — one pass over a ``(K, M, 3)`` position stack of one
+  chart (one strength vector and layout; :func:`analyze_small_many` stacks
+  consecutive configurations that share one, the diagram a branch segment)
+  refuses in place each row whose rates disagree or whose residual exceeds
+  its bound, and takes residuals, the finite-difference Hessian stencil,
+  momentum rows, rotation generators, the slice (an SVD with null_space's
+  rank rule) and the spectra, ``16384 // d**2`` rows at a time (d = 2M).
   It cross-validates the first, as does :func:`full_linearization_oracle`.
 
 Every floating-point operation acts on each member of a stack exactly as
@@ -62,10 +62,11 @@ from .core import (
     Family,
     FamilyDescriptor,
     InvalidDescriptor,
+    Layout,
     VortexError,
     _family_named,
 )
-from .dynamics import MixedChart, momentum_map
+from .dynamics import MixedChart
 from .equilibria import (
     NotRelativeEquilibrium,
     _rigid_rates,
@@ -1028,15 +1029,15 @@ def _small_key(c: Configuration) -> tuple:
     return c.layout, c.strengths.tobytes(), np.sign(c.positions[poles, 2]).tobytes()
 
 
-def _small_stack(configs: list[Configuration], bound: float) -> list[StabilityReport | VortexError]:
-    """:func:`analyze_small` of configurations that share one chart, as stacked
-    arrays, with ``bound`` on the residual: rate and residual refusals are put
+def _small_stack(positions: np.ndarray, seed: Configuration, bound: float) -> list[StabilityReport | VortexError]:
+    """:func:`analyze_small` of a position stack ``(K, M, 3)`` on the chart of
+    ``seed``, with ``bound`` on the residual: rate and residual refusals are put
     in place, only agreeing rates are charted, and any other error is raised."""
-    rates, out = _rigid_rates(configs)
+    rates, out = _rigid_rates(positions, seed.strengths, seed.layout)
     index = np.flatnonzero([refused is None for refused in out])
     if index.size:
-        chart = MixedChart(configs[index[0]])
-        qs = np.array([chart.coords(configs[i]) for i in index.tolist()])
+        chart = MixedChart(seed)
+        qs = chart._coords(positions[index])
         residuals = np.abs(chart.gradient(qs, rates[index])).max(axis=1)
         keep = residuals <= bound
         for i, residual in zip(index[~keep].tolist(), residuals[~keep].tolist()):
@@ -1071,24 +1072,28 @@ def _small_stack(configs: list[Configuration], bound: float) -> list[StabilityRe
             l_eigs = _sort_complex(np.linalg.eigvals(-np.linalg.solve(omega_s, hs)))
             for i, h_e, l_e in zip(index[sub].tolist(), h_eigs, l_eigs):
                 out[i] = StabilityReport(
-                    descriptor=None, label="custom", mu_z=float(momentum_map(configs[i])[2]), xi_z=float(rates[i]),
+                    descriptor=None, label="custom", mu_z=float((seed.strengths @ positions[i])[2]), xi_z=float(rates[i]),
                     blocks=(BlockSpectrum("slice", h_e, l_e, {}),), verdict=_decide(h_e, l_e), deciding_block="slice",
                 )
     return out
 
 
-def _small_reports(configs: Iterable[Configuration], bound: float) -> list[StabilityReport | VortexError]:
-    """:func:`analyze_small_many` with ``bound`` on the co-rotating field residual."""
+def _small_reports(
+    positions: np.ndarray, strengths: np.ndarray, layout: Layout, bound: float
+) -> list[StabilityReport | VortexError]:
+    """:func:`_small_stack` of a position stack of one chart, ``16384 // d**2``
+    at a time, on the chart of its first configuration, the one built; a chunk
+    an error hits as a whole is analysed again one configuration at a time."""
     out: list[StabilityReport | VortexError] = []
-    for _, run in groupby(configs, _small_key):
-        run = list(run)
-        size = max(1, STACK_ELEMENTS // (2 * len(run[0])) ** 2)
-        for start in range(0, len(run), size):
-            stack = run[start : start + size]
-            try:
-                out += _small_stack(stack, bound)
-            except VortexError as exc:  # an error hit the whole stack: each alone gets its own outcome
-                out += [exc] if len(stack) == 1 else [r for c in stack for r in _small_reports([c], bound)]
+    size = max(1, STACK_ELEMENTS // (2 * len(strengths)) ** 2)
+    for start in range(0, len(positions), size):
+        stack = positions[start : start + size]
+        if not start:
+            seed = Configuration(stack[0], strengths, 0 if layout.north is None else 2, layout)
+        try:
+            out += _small_stack(stack, seed, bound)
+        except VortexError as exc:  # an error hit the whole chunk: each alone gets its own outcome
+            out += [exc] if len(positions) == 1 else [r for p in stack for r in _small_reports(p[None], strengths, layout, bound)]
     return out
 
 
@@ -1101,7 +1106,11 @@ def analyze_small_many(configs: Iterable[Configuration]) -> list[StabilityReport
     hemispheres share one chart and are analysed together, at most
     ``16384 // d**2`` at a time (d = 2M chart coordinates; at least one).
     """
-    return _small_reports(configs, RESIDUAL_TOL)
+    out: list[StabilityReport | VortexError] = []
+    for _, run in groupby(configs, _small_key):
+        run = list(run)
+        out += _small_reports(np.array([c.positions for c in run]), run[0].strengths, run[0].layout, RESIDUAL_TOL)
+    return out
 
 
 def analyze_small(config: Configuration) -> StabilityReport:

@@ -35,7 +35,7 @@ from vortex_atlas.atlas import (
     render_svg,
     run_sweep,
 )
-from vortex_atlas.core import MAX_GRID_POINTS, MAX_RING_SIZE, Family, FamilyDescriptor, rotation_z_matrix
+from vortex_atlas.core import MAX_GRID_POINTS, MAX_RING_SIZE, Configuration, Family, FamilyDescriptor, rotation_z_matrix
 from vortex_atlas.dynamics import hamiltonian
 from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring, make_family
 from vortex_atlas.stability import analyze, analyze_small, list_transitions
@@ -696,7 +696,7 @@ def test_pitchfork_candidates_are_decided_by_a_wide_margin(pairs, pitchforks):
     assert meeting == [(b.parent, b.child, b.mu_z) for b in diagram.bifurcations]
 
 
-def test_a_branch_drops_each_point_the_certificate_refuses():
+def test_a_branch_drops_each_point_the_certificate_refuses(monkeypatch):
     """DNh N=3 at theta0 = 0.9 with its minus ring turned by 1e-6 rotates
     rigidly to 1e-15, but its chart residual is 2.3e-7: the analysis alone
     (bound 1e-6) accepts it, the branch certificate (bound 1e-8) refuses it,
@@ -707,6 +707,12 @@ def test_a_branch_drops_each_point_the_certificate_refuses():
     turned[minus] = turned[minus] @ rotation_z_matrix(1e-6).T
     members[0.8] = members[0.9].with_positions(turned)
     analyze_small(members[0.8])
+
+    def stack(configs):  # every row kept, as the constructors kept them
+        positions = np.array([c.positions for c in configs])
+        return positions, configs[0].strengths, configs[0].layout, np.ones(len(configs), bool)
+
+    monkeypatch.setattr(atlas, "_branch_stack", stack)
     evaluate = atlas._branch(members.get)
     got = evaluate([0.5, 0.7, 0.8, 0.9, 1.1])
     assert got[2] is None
@@ -715,28 +721,35 @@ def test_a_branch_drops_each_point_the_certificate_refuses():
 
 
 def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkeypatch):
-    """Each branch point is certified and analysed in its segment's one
-    stacked pass: no chart is built per point (the per-point route built
-    2,011), and no point is charted twice."""
-    counts = {"charts": 0, "coords": 0, "evaluates": 0, "stacks": 0, "found": 0}
-    init, coords = dynamics.MixedChart.__init__, dynamics.MixedChart.coords
+    """Each branch point is built, checked, certified and analysed in its
+    segment's one stacked pass: no chart is built per point (the per-point
+    route built 2,011), no point is charted twice, and a configuration is
+    built only to seed the chart of an analysis stack, besides the two fixed
+    points (the per-point route built 3,046)."""
+    counts = {"charts": 0, "charted": 0, "configurations": 0, "evaluates": 0, "segment stacks": 0, "stacks": 0, "found": 0}
+    init, coords, post_init = dynamics.MixedChart.__init__, dynamics.MixedChart._coords, Configuration.__post_init__
     small_stack, small_reports, branch = stability._small_stack, atlas._small_reports, atlas._branch
 
     def counted_init(self, config):
         counts["charts"] += 1
         init(self, config)
 
-    def counted_coords(self, config=None):
-        counts["coords"] += 1
-        return coords(self, config)
+    def counted_coords(self, p):
+        counts["charted"] += len(p)
+        return coords(self, p)
 
-    def counted_stack(configs, bound):
+    def counted_post_init(self):
+        counts["configurations"] += 1
+        post_init(self)
+
+    def counted_stack(positions, seed, bound):
         counts["stacks"] += 1
-        return small_stack(configs, bound)
+        return small_stack(positions, seed, bound)
 
-    def counted_reports(configs, bound):
-        counts["found"] += len(configs)
-        return small_reports(configs, bound)
+    def counted_reports(positions, strengths, layout, bound):
+        counts["found"] += len(positions)
+        counts["segment stacks"] += 1
+        return small_reports(positions, strengths, layout, bound)
 
     def counted_branch(solve):
         evaluate = branch(solve)
@@ -748,7 +761,8 @@ def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkey
         return counted
 
     monkeypatch.setattr(dynamics.MixedChart, "__init__", counted_init)
-    monkeypatch.setattr(dynamics.MixedChart, "coords", counted_coords)
+    monkeypatch.setattr(dynamics.MixedChart, "_coords", counted_coords)
+    monkeypatch.setattr(Configuration, "__post_init__", counted_post_init)
     monkeypatch.setattr(stability, "_small_stack", counted_stack)
     monkeypatch.setattr(atlas, "_small_reports", counted_reports)
     monkeypatch.setattr(atlas, "_branch", counted_branch)
@@ -756,7 +770,8 @@ def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkey
     build_diagram(3)
     assert counts["evaluates"] == 8
     assert counts["charts"] <= counts["evaluates"] + counts["stacks"]
-    assert 0 < counts["coords"] <= counts["found"]
+    assert 0 < counts["charted"] <= counts["found"]
+    assert counts["configurations"] <= counts["segment stacks"] + 2
 
 
 def test_diagram_segments_and_fixed_point(three_pair_diagram):

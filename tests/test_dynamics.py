@@ -324,6 +324,26 @@ def test_step_size_underflow_keeps_the_partial_trajectory(tmp_path, monkeypatch,
     assert out_path.read_text() == partial.to_csv()
 
 
+def test_the_step_budget_stops_a_run_that_would_not_end(tmp_path, monkeypatch, capsys):
+    """A +1/-1 pair 1e-7 apart on the equator spins at a rate of about 1e14
+    and crawls forward in steps of 1e-16; past the step budget integrate
+    raises StepSizeUnderflow with the steps taken, and simulate writes them
+    and exits 3."""
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 50)
+    c = Configuration([[1.0, 0.0, 0.0], [math.cos(1e-7), math.sin(1e-7), 0.0]], [1.0, -1.0])
+    with pytest.raises(StepSizeUnderflow, match=r"^step budget of 50 steps spent at t = \S+$") as excinfo:
+        integrate(c, 0.5)
+    partial = excinfo.value.trajectory
+    assert len(partial.times) == partial.stats.accepted_steps + 1 == 51
+    assert partial.times[-1] < 1e-10
+
+    config_path, out_path = tmp_path / "pair.json", tmp_path / "partial.csv"
+    config_path.write_text(c.to_json())
+    assert main(["simulate", str(config_path), "--t-end", "0.5", "--out", str(out_path)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric failure: step budget of 50 steps spent at t = ")
+    assert out_path.read_text() == partial.to_csv()
+
+
 def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):
     rng = np.random.default_rng(5)
     c = pm_sampler(rng, 3, min_chord=0.3)

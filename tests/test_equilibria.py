@@ -1,5 +1,6 @@
 """Equilibrium builders, rotation rates, and branch solvers."""
 
+import contextlib
 import json
 import math
 import re
@@ -8,14 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vortex_atlas import atlas
 from vortex_atlas.atlas import EXIT_NUMERIC, main
 from vortex_atlas.core import (
+    CollisionError,
     Configuration,
     Family,
     FamilyDescriptor,
+    InvalidConfiguration,
     InvalidDescriptor,
     PoleSingularity,
     VortexError,
+    _kept_rows,
     rotation_z_matrix,
 )
 from vortex_atlas.dynamics import hamiltonian, momentum_map, vector_field
@@ -24,7 +29,9 @@ from vortex_atlas.equilibria import (
     NotRelativeEquilibrium,
     NotTwoRings,
     OutOfDomain,
+    BranchPoint,
     TwoRingPhase,
+    _branch_stack,
     _certify,
     _rigid_rates,
     angular_velocity_generic,
@@ -84,6 +91,73 @@ def test_two_ring_builder_places_rings_and_poles():
     np.testing.assert_allclose(p[8], [0, 0, 1], atol=0)
     np.testing.assert_allclose(p[9], [0, 0, -1], atol=0)
     assert c.strengths[8] == -1.0 and c.strengths[9] == 1.0
+
+
+def _child_stacks(monkeypatch):
+    """Per child segment grid of both diagrams: the points its solver finds
+    and the position stack built from them."""
+    monkeypatch.setattr(atlas, "_branch", lambda solve: solve)
+    for n_pairs in (2, 3):
+        for seg in atlas._figure_segments(n_pairs):
+            if seg.is_parent:
+                continue
+            solve = seg.evaluate
+            points = []
+            for x in seg.params.tolist():
+                with contextlib.suppress(VortexError):
+                    points.append(solve(x))
+            points = [point for point in points if point is not None]
+            yield seg.label, points, _branch_stack(points)
+
+
+def test_a_segment_stack_holds_the_configurations_of_its_points(monkeypatch):
+    """Each kept row of a child segment's stack has the bits of its point's
+    one-point constructor, and a row is kept exactly where that constructor
+    does not raise."""
+    stacks = list(_child_stacks(monkeypatch))
+    assert len(stacks) == 8
+    for label, points, (positions, strengths, layout, kept) in stacks:
+        assert len(points) == len(positions) == len(kept) > 0, label
+        for point, row, keep in zip(points, positions, kept.tolist()):
+            try:
+                c = point.configuration() if isinstance(point, BranchPoint) else make_plus_ring_pole_pair(point)
+            except VortexError:
+                assert not keep, (label, point)
+                continue
+            assert keep, (label, point)
+            assert row.tobytes() == c.positions.tobytes(), (label, point)
+            assert strengths.tobytes() == c.strengths.tobytes() and layout == c.layout
+
+
+def test_a_stack_drops_each_row_a_configuration_refuses():
+    """Hand-made rows: a NaN, a point off the sphere, a collided pair, and
+    their near misses, which a Configuration accepts."""
+    good = BranchPoint(0.3, -0.2, 0.0, Family.C2V_2R2P).configuration()
+    rows = [good.positions.copy() for _ in range(7)]
+    rows[1][2, 0] = math.nan
+    rows[2][1] *= 1.0 + 1e-11  # off the sphere by 2e-11
+    rows[3][1] *= 1.0 + 1e-13  # within UNIT_NORM_TOL
+    for k, chord in ((4, 5e-10), (5, 2e-9)):  # vortex 3 next to vortex 2
+        rows[k][3] = rows[k][2] + [0.0, chord, 0.0]
+        rows[k][3] /= np.linalg.norm(rows[k][3])
+    rows[6][2] = -rows[6][2]  # the minus vortex on the plus one's antipode, far from all
+    accepted = []
+    for row in rows:
+        try:
+            Configuration(row, good.strengths, 2, good.layout)
+            accepted.append(True)
+        except (InvalidConfiguration, CollisionError):
+            accepted.append(False)
+    assert accepted == [True, False, False, True, False, True, True]
+    assert _kept_rows(np.array(rows)).tolist() == accepted
+    # and through the builder: an unsolved point (nan) and rings on one another
+    points = [BranchPoint(0.3, -0.2, 0.0, Family.C2V_2R2P), BranchPoint(math.nan, 0.1, 0.0, Family.C2V_2R2P),
+              BranchPoint(0.3, 0.3, 0.0, Family.C2V_2R2P)]
+    positions, _, _, kept = _branch_stack(points)
+    assert kept.tolist() == [True, False, False]
+    assert positions[0].tobytes() == good.positions.tobytes()
+    with pytest.raises(CollisionError):
+        points[2].configuration()
 
 
 def test_make_family_rejects_branch_parametrized_families():
@@ -174,7 +248,7 @@ def test_rates_have_the_bits_of_a_loop_over_partners():
         assert np.array([angular_velocity_generic(c, i) for i in ring]).tobytes() == want.tobytes()
         assert np.float64(configuration_angular_velocity(c)).tobytes() == want[0].tobytes()
     # one array pass over a stack of configurations that share a layout
-    stacked, _ = _rigid_rates(grid)
+    stacked, _ = _rigid_rates(np.array([c.positions for c in grid]), grid[0].strengths, grid[0].layout)
     assert stacked.tobytes() == np.array([_rate_by_loop(c, 0) for c in grid]).tobytes()
 
 
@@ -202,11 +276,11 @@ def test_the_certificate_judges_each_configuration_of_a_stack():
     turned[minus] = turned[minus] @ rotation_z_matrix(1e-6).T  # still rigid to 1e-15, residual 2.3e-7
     configs = [good, good.with_positions(spun), good.with_positions(turned)]
     # the diagram's route: the numeric analysis at the branch bound
-    got = _small_reports(configs, 1e-8)
+    got = _small_reports(np.array([c.positions for c in configs]), good.strengths, good.layout, 1e-8)
     assert [type(r).__name__ for r in got] == ["StabilityReport", "NotRelativeEquilibrium", "NotRelativeEquilibrium"]
     assert str(got[1]).startswith("per-vortex rotation rates disagree by ")
     assert re.fullmatch(r"co-rotating field residual 2\.3\d\de-07 exceeds 1\.0e-08", str(got[2]))
-    assert _small_reports([], 1e-8) == []
+    assert _small_reports(np.empty((0, 6, 3)), good.strengths, good.layout, 1e-8) == []
     # the public solvers' route: one configuration at a time
     _certify(good)
     with pytest.raises(NotRelativeEquilibrium, match="^per-vortex rotation rates disagree by "):
@@ -227,7 +301,7 @@ def test_a_pair_closer_than_round_off_is_refused_by_its_rates(tmp_path, capsys):
     )
     with pytest.raises(NotRelativeEquilibrium, match="disagree by nan"):
         analyze_small(c)
-    (refused,) = _small_reports([c], 1e-8)
+    (refused,) = _small_reports(c.positions[None], c.strengths, c.layout, 1e-8)
     assert isinstance(refused, NotRelativeEquilibrium)
     with pytest.raises(NotRelativeEquilibrium, match="disagree by nan"):
         _certify(c)

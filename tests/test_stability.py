@@ -25,6 +25,7 @@ from vortex_atlas.core import (
     GroupElement,
     InvalidDescriptor,
     Layout,
+    PoleSingularity,
     VortexError,
     apply_group_element,
     mirror_y_matrix,
@@ -51,6 +52,7 @@ from vortex_atlas.stability import (
     DegenerateForm,
     NoTransition,
     NotRelativeEquilibrium,
+    RESIDUAL_TOL,
     StabilityReport,
     Verdict,
     _block_slices,
@@ -800,14 +802,19 @@ def test_block_singularity_test_agrees_with_the_whole_form(family, k_p):
 # ---------------------------------------------------------------------------
 
 
+def _stack_configurations(positions, strengths, layout):
+    """The configurations of a position stack's rows."""
+    return [Configuration(p, strengths, 0 if layout.north is None else 2, layout) for p in positions]
+
+
 def _diagram_configurations(n_pairs, monkeypatch):
     """Every configuration the low-symmetry segments of the diagram analyse,
-    in the order they are analysed."""
+    in the order they are analysed, built from the position stacks."""
     seen = []
 
-    def record(configs, bound):
-        seen.extend(configs)
-        return [VortexError("only the configurations are needed")] * len(configs)
+    def record(positions, strengths, layout, bound):
+        seen.extend(_stack_configurations(positions, strengths, layout))
+        return [VortexError("only the configurations are needed")] * len(positions)
 
     monkeypatch.setattr(atlas, "_small_reports", record)
     for seg in atlas._figure_segments(n_pairs):
@@ -895,7 +902,7 @@ def test_the_numeric_route_refuses_a_rigid_rotation_off_equilibrium():
     minus = list(member.layout.minus)
     turned[minus] = turned[minus] @ rotation_z_matrix(1e-5).T
     config = member.with_positions(turned)
-    assert _rigid_rates([config])[1] == [None]
+    assert _rigid_rates(config.positions[None], config.strengths, config.layout)[1] == [None]
     with pytest.raises(NotRelativeEquilibrium, match=r"^co-rotating field residual 2\.346e-06 exceeds 1\.0e-06$"):
         analyze_small(config)
 
@@ -931,6 +938,29 @@ def test_stacked_numeric_pass_returns_errors_in_place(pm_sampler):
     assert str(got[9]) == "pole chart coordinates left the hemisphere"
     for c, result in zip(configs, got):
         assert _outcome(result) == _outcome(_analyze_small_one(c))
+
+
+def test_a_stack_an_error_hits_as_a_whole_is_analysed_one_row_at_a_time():
+    """A pole vortex on the equator makes the chart of the whole position
+    stack raise PoleSingularity, whichever row seeds it; every other row
+    still gets the outcome analyze_small gives its configuration, bit for
+    bit, and the bad row gets its own error."""
+    thetas = [0.6, 0.9, 1.2, 1.5, 2.0]
+    pole_pair = make_plus_ring_pole_pair(1.0)
+    on_equator = np.vstack([pole_pair.positions[:2], [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]])
+    for bad in (0, 2):
+        positions = np.array([make_plus_ring_pole_pair(t).positions for t in thetas])
+        positions[bad] = on_equator
+        configs = _stack_configurations(positions, pole_pair.strengths, pole_pair.layout)
+        with pytest.raises(PoleSingularity):
+            stability._small_stack(positions, configs[0], RESIDUAL_TOL)
+        got = stability._small_reports(positions, pole_pair.strengths, pole_pair.layout, RESIDUAL_TOL)
+        assert len(got) == len(thetas)
+        assert isinstance(got[bad], PoleSingularity)
+        assert str(got[bad]) == "pole vortex sits on the equator; its chart hemisphere is undefined"
+        assert sum(isinstance(r, StabilityReport) for r in got) == len(thetas) - 1
+        for c, result in zip(configs, got):
+            assert _outcome(result) == _outcome(_analyze_small_one(c))
 
 
 @pytest.mark.parametrize("grid", range(len(_LARGEST_GRIDS)))

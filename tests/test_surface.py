@@ -90,12 +90,13 @@ SIGNATURES = {
 # another's internals.
 PRIVATE_IMPORTS = {
     ("atlas", "core._family_named"),
+    ("atlas", "equilibria._branch_stack"),
     ("atlas", "equilibria._rm_rmp_points"),
     ("atlas", "equilibria._rrp2p_point"),
     ("atlas", "stability._pick_transition"),
     ("atlas", "stability._small_reports"),
     ("dynamics", "core._pairwise_l2"),
-    ("equilibria", "core._closest_pairs"),
+    ("equilibria", "core._kept_rows"),
     ("stability", "core._family_named"),
     ("stability", "equilibria._rigid_rates"),
     ("stability", "equilibria._ring_phase"),

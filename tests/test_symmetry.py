@@ -157,9 +157,9 @@ def _segment_samples(n_pairs: int, monkeypatch) -> dict[str, list[Configuration]
     seen: list[Configuration] = []
     ring_labels: set[str] = set()
 
-    def record_small(configs, bound):
-        seen.extend(configs)
-        return [VortexError("only the configuration is needed")] * len(configs)
+    def record_small(positions, strengths, layout, bound):
+        seen.extend(Configuration(p, strengths, 0 if layout.north is None else 2, layout) for p in positions)
+        return [VortexError("only the configuration is needed")] * len(positions)
 
     def record_members(family, n, k_p, lambda_n, thetas):
         positions, strengths, clear = two_ring_positions(family, n, k_p, lambda_n, thetas)
