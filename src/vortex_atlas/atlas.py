@@ -510,34 +510,22 @@ def _svg_pieces_for_segment(
     seg: _Segment, color: str, sx: Callable[[float], float], sy: Callable[[float], float]
 ) -> list[str]:
     """Polylines split wherever the verdict changes or the curve jumps."""
-    pieces: list[str] = []
-    run: list[DiagramPoint] = []
-
-    def flush() -> None:
-        if len(run) < 2:
-            run.clear()
-            return
-        dash_attr = _dash_attr(_VERDICT_DASH.get(run[0].verdict))
-        coords = " ".join(
-            f"{sx(p.mu_z):.3f},{sy(p.energy):.3f}" for p in run
-        )
-        pieces.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="2"'
-            f'{dash_attr} points="{coords}"/>'
-        )
-        run.clear()
-
-    prev: DiagramPoint | None = None
-    for p in seg.points:
-        if prev is not None:
-            jump = math.hypot(p.mu_z - prev.mu_z, p.energy - prev.energy)
-            if p.verdict != prev.verdict or jump > 0.6:
-                if run and p.verdict != prev.verdict and jump <= 0.6:
-                    run.append(p)
-                flush()
-        run.append(p)
-        prev = p
-    flush()
+    runs: list[list[DiagramPoint]] = []
+    for prev, p in zip([None, *seg.points], seg.points):
+        jump = prev is None or math.hypot(p.mu_z - prev.mu_z, p.energy - prev.energy) > 0.6
+        if jump or p.verdict != prev.verdict:
+            if not jump:
+                runs[-1].append(p)  # the old verdict's polyline meets the new one
+            runs.append([])
+        runs[-1].append(p)
+    pieces = []
+    for run in runs:
+        if len(run) >= 2:
+            coords = " ".join(f"{sx(p.mu_z):.3f},{sy(p.energy):.3f}" for p in run)
+            pieces.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="2"'
+                f'{_dash_attr(_VERDICT_DASH.get(run[0].verdict))} points="{coords}"/>'
+            )
     return pieces
 
 

@@ -251,9 +251,9 @@ class MixedChart:
 
     # -- coordinates <-> positions ------------------------------------------
 
-    def coords(self, config: Configuration | None = None) -> np.ndarray:
-        """Chart coordinates of ``config`` (default: the base configuration)."""
-        return self._coords((self.config if config is None else config).positions[None])[0]
+    def coords(self) -> np.ndarray:
+        """Chart coordinates of the base configuration."""
+        return self._coords(self.config.positions[None])[0]
 
     def _coords(self, p: np.ndarray) -> np.ndarray:
         """Chart coordinates ``(K, dim)`` of a position stack ``(K, M, 3)``."""

@@ -17,13 +17,14 @@ examined independently and in closed form.
 Two independent routes are kept deliberately separate, and each is one
 stacked pass:
 
-* closed-form route — :func:`analyze_many` groups consecutive members of
-  one family (same N and poles, and vertical momentum zero or not) and
-  builds their Hessians, slice bases, restricted forms and block spectra
-  as ``(K, ...)`` arrays, ``16384 // d**2`` latitudes at a time
-  (d = 4N + 2k_p; at least one).  :func:`decide_many` runs the same
-  array stage and stops at each latitude's :class:`Decision` (verdict,
-  deciding block, mu_z, xi_z); the report stage adds the block spectra;
+* closed-form route — one array stage over a stack of consecutive members
+  of one family (same N and poles, and vertical momentum zero or not),
+  ``16384 // d**2`` latitudes at a time (d = 4N + 2k_p; at least one),
+  builds their Hessians, one slice basis per latitude (one size and one
+  set of block labels for the whole stack), restricted forms and block
+  spectra as ``(K, ...)`` arrays, and gives each latitude one outcome.
+  :func:`decide_many` reads its :class:`Decision` (verdict, deciding
+  block, mu_z, xi_z) from it, :func:`analyze_many` its report;
 * numeric route — one pass over a ``(K, M, 3)`` position stack of one
   chart (one strength vector and layout; :func:`analyze_small_many` stacks
   consecutive configurations that share one, the diagram a branch segment)
@@ -119,9 +120,9 @@ RESIDUAL_TOL = 1e-6
 #: Below this the vertical momentum is treated as zero (bigger rotation
 #: orbit, smaller slice).
 MOMENTUM_ZERO_TOL = 1e-8
-#: list_transitions refuses a tolerance finer than this: once a bracket of
-#: verdict_changes is down to the float spacing of the latitude its midpoint
-#: equals an end, and the halving never ends (a tolerance of 1e-17 hung).
+#: list_transitions refuses a tolerance finer than this: the halving can
+#: locate a change no finer than the float spacing of the latitude (up to
+#: 4.4e-16 near pi), whatever the tolerance asks.
 MIN_TRANSITION_TOL = 1e-12
 
 TRANSITIONS = ("StabilityGain", "StabilityLoss", "HopfLower", "HopfUpper")
@@ -487,39 +488,35 @@ def _kernel(block: list[list[float]], tol: float) -> list[list[float]]:
     return out
 
 
-def _slice_bases(rings: _Rings, reduced: bool, u: np.ndarray, s: np.ndarray):
-    """Slice bases of a stack of latitudes, grouped by their kernel size.
+def _slice_bases(rings: _Rings, reduced: bool, u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Slice bases of a stack of latitudes, ``(K, d, p)``, and their labels.
 
     The patterns of wavenumber q = 0..N/2 in two parity classes span the
     ring coordinates.  Every free pattern enters unchanged; the one sector
     the constraints touch is replaced, latitude by latitude, by the kernel
-    of its constraint block.  Yields ``(positions in the stack, bases of
-    shape (k, d, p), labels)``.
+    of its constraint block.  A latitude whose kernel gives the slice
+    another dimension than ``d - 4`` (``d - 6`` for zero momentum) raises
+    RuntimeError, so every latitude shares the labels.
     """
     block = _constraint_blocks(rings, reduced, u, s)
     kernels = [_kernel(m, _KERNEL_TOL) for m in block[:, :, rings.hit].tolist()]
     expected = rings.d - (6 if reduced else 4)
-    by_size: dict[int, list[int]] = {}
-    for i, vectors in enumerate(kernels):
-        by_size.setdefault(len(vectors), []).append(i)
-    for count, idx in by_size.items():
-        if len(rings.free) + count != expected:
-            raise RuntimeError(
-                f"slice has {len(rings.free) + count} vectors, expected {expected}"
-            )
-        basis = np.empty((len(idx), rings.d, expected))
-        (b0, rows0), (b1, rows1) = rings.sectors[:2]
-        head = len(rows0) + len(rows1)  # the kernel follows the free patterns of q <= 1
-        # the free class at q = 1 joins B0, except for aligned pairs without
-        # poles, where the constraints leave nothing of the other class:
-        # there it keeps the name B1
-        labels = [b0] * len(rows0) + [b0 if count or reduced else b1] * len(rows1) + [b1] * count
-        labels += [name for name, rows in rings.sectors[2:] for _ in rows]
-        if count:
-            coeffs = np.array([kernels[i] for i in idx])
-            basis[:, :, head : head + count] = (coeffs @ rings.pat[rings.hit]).transpose(0, 2, 1)
-        basis[:, :, [*range(head), *range(head + count, expected)]] = rings.pat[rings.free].T
-        yield idx, basis, tuple(labels)
+    count = expected - len(rings.free)
+    for vectors in kernels:
+        if len(vectors) != count:
+            raise RuntimeError(f"slice has {len(rings.free) + len(vectors)} vectors, expected {expected}")
+    basis = np.empty((len(u), rings.d, expected))
+    (b0, rows0), (b1, rows1) = rings.sectors[:2]
+    head = len(rows0) + len(rows1)  # the kernel follows the free patterns of q <= 1
+    # the free class at q = 1 joins B0, except for aligned pairs without
+    # poles, where the constraints leave nothing of the other class:
+    # there it keeps the name B1
+    labels = [b0] * len(rows0) + [b0 if count or reduced else b1] * len(rows1) + [b1] * count
+    labels += [name for name, rows in rings.sectors[2:] for _ in rows]
+    if count:
+        basis[:, :, head : head + count] = (np.array(kernels) @ rings.pat[rings.hit]).transpose(0, 2, 1)
+    basis[:, :, [*range(head), *range(head + count, expected)]] = rings.pat[rings.free].T
+    return basis, tuple(labels)
 
 
 def _restrict(basis: np.ndarray, form: np.ndarray, antisymmetric: bool) -> np.ndarray:
@@ -588,7 +585,7 @@ def slice_basis(desc: FamilyDescriptor) -> SliceBasis:
     momentum vanishes and the rotation orbit grows.
     """
     rings, reduced, u, s, _ = _one_point(desc)
-    ((_, basis, labels),) = _slice_bases(rings, reduced, u, s)
+    basis, labels = _slice_bases(rings, reduced, u, s)
     return SliceBasis(basis[0], labels)
 
 
@@ -599,7 +596,7 @@ def slice_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
     would invalidate the reduced linearization.
     """
     rings, reduced, u, s, _ = _one_point(desc)
-    ((_, b, labels),) = _slice_bases(rings, reduced, u, s)
+    b, labels = _slice_bases(rings, reduced, u, s)
     omega_b = _restrict(b, _symplectic_forms(rings, s), antisymmetric=True)
     if _singular(_diagonal_blocks(omega_b, _block_slices(labels)))[0]:
         raise DegenerateForm(_SINGULAR_SLICE)
@@ -874,76 +871,64 @@ def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, 
     """The array stage of a stack of ``(descriptor, theta0, xi, mu)`` that
     share ``key = (family, N, k_p, lambda_n, reduced)``.
 
-    Per latitude: ``(decision, blocks, j)``, where ``blocks`` holds the
-    stacked ``(label, h_blk, h_eigs, l_eigs)`` of each block of its group
-    of latitudes and ``j`` is its row there, or the :class:`DegenerateForm`
-    of a singular restricted form.
+    Per latitude: its descriptor and outcome, ``(decision, staggered,
+    blocks, j)`` or the :class:`DegenerateForm` of a singular restricted
+    form.  ``blocks`` holds the stacked ``(label, h_blk, h_eigs, l_eigs)``
+    of each block over the latitudes with a regular form, and ``j`` is the
+    latitude's row there.
     """
     rings, reduced = _rings(*key[:4]), key[4]
     u = np.array([math.cos(theta) for _, theta, _, _ in stack])
     s = np.array([math.sin(theta) for _, theta, _, _ in stack])
     xi = np.array([rate for _, _, rate, _ in stack])
-    out: list = [None] * len(stack)
-    for idx, basis, labels in _slice_bases(rings, reduced, u, s):
-        at = slice(None) if len(idx) == len(stack) else idx
-        slices = _block_slices(labels)
-        hb = _restrict(basis, _hessians(rings, u[at], s[at], xi[at]), antisymmetric=False)
-        h_blocks = _diagonal_blocks(hb, slices)
-        o_blocks = _diagonal_blocks(_restrict(basis, _symplectic_forms(rings, s[at]), antisymmetric=True), slices)
-        if (singular := _singular(o_blocks)).any():
-            for i in np.array(idx)[singular].tolist():
-                out[i] = DegenerateForm(_SINGULAR_SLICE)
-            idx, keep = np.array(idx)[~singular].tolist(), ~singular
-            h_blocks, o_blocks = ([(members, b[keep]) for members, b in blocks] for blocks in (h_blocks, o_blocks))
-            if not idx:
-                continue
-        blocks = _block_spectra(h_blocks, o_blocks, slices)
-        # The blocks are symplectically orthogonal and do not couple in the
-        # Hessian, so the slice spectrum is the union of the block spectra;
-        # the deciding block is the first with the largest growth rate or
-        # the smallest |Hessian eigenvalue|.
-        starts = [sl.start for _, sl in slices]
-        hess = np.concatenate([h_eigs for _, _, h_eigs, _ in blocks], axis=1)
-        growth = np.abs(np.concatenate([l_eigs.real for _, _, _, l_eigs in blocks], axis=1))
-        growths = np.maximum.reduceat(growth, starts, axis=1)
-        fastest = growths.argmax(axis=1).tolist()
-        flattest = np.minimum.reduceat(np.abs(hess), starts, axis=1).argmin(axis=1).tolist()
-        extremes = zip(hess.min(axis=1).tolist(), hess.max(axis=1).tolist(), growths.max(axis=1).tolist())
-        for j, (i, (lo, hi, top)) in enumerate(zip(idx, extremes)):
-            _, _, rate, mu = stack[i]
-            verdict = _verdict(lo, hi, top)
-            deciding = (fastest if verdict is Verdict.LINEARLY_UNSTABLE else flattest)[j]
-            out[i] = (Decision(verdict, blocks[deciding][0], mu, rate), blocks, j)
+    basis, labels = _slice_bases(rings, reduced, u, s)
+    slices = _block_slices(labels)
+    h_blocks = _diagonal_blocks(_restrict(basis, _hessians(rings, u, s, xi), antisymmetric=False), slices)
+    o_blocks = _diagonal_blocks(_restrict(basis, _symplectic_forms(rings, s), antisymmetric=True), slices)
+    singular = _singular(o_blocks).tolist()
+    out: list = [(entry[0], DegenerateForm(_SINGULAR_SLICE) if bad else None) for entry, bad in zip(stack, singular)]
+    kept = [i for i, bad in enumerate(singular) if not bad]
+    if not kept:
+        return out
+    if len(kept) < len(stack):
+        h_blocks, o_blocks = ([(members, b[kept]) for members, b in blocks] for blocks in (h_blocks, o_blocks))
+    blocks = _block_spectra(h_blocks, o_blocks, slices)
+    # The blocks are symplectically orthogonal and do not couple in the
+    # Hessian, so the slice spectrum is the union of the block spectra;
+    # the deciding block is the first with the largest growth rate or
+    # the smallest |Hessian eigenvalue|.
+    starts = [sl.start for _, sl in slices]
+    hess = np.concatenate([h_eigs for _, _, h_eigs, _ in blocks], axis=1)
+    growth = np.abs(np.concatenate([l_eigs.real for _, _, _, l_eigs in blocks], axis=1))
+    growths = np.maximum.reduceat(growth, starts, axis=1)
+    fastest = growths.argmax(axis=1).tolist()
+    flattest = np.minimum.reduceat(np.abs(hess), starts, axis=1).argmin(axis=1).tolist()
+    extremes = zip(hess.min(axis=1).tolist(), hess.max(axis=1).tolist(), growths.max(axis=1).tolist())
+    for j, (i, (lo, hi, top)) in enumerate(zip(kept, extremes)):
+        original, _, rate, mu = stack[i]
+        verdict = _verdict(lo, hi, top)
+        deciding = (fastest if verdict is Verdict.LINEARLY_UNSTABLE else flattest)[j]
+        out[i] = (original, (Decision(verdict, blocks[deciding][0], mu, rate), rings.staggered, blocks, j))
     return out
 
 
-def _decide_stack(key: tuple, stack: list) -> list[Decision | VortexError]:
-    """The verdict stage alone: one :class:`Decision` per latitude."""
-    return [r if isinstance(r, VortexError) else r[0] for r in _stack_arrays(key, stack)]
-
-
-def _analyze_stack(key: tuple, stack: list) -> list[StabilityReport | VortexError]:
-    """The verdict stage and the report stage: one report per latitude."""
-    staggered = key[0] is Family.DND_RRP
-    out: list[StabilityReport | VortexError] = []
-    for (original, _, _, _), result in zip(stack, _stack_arrays(key, stack)):
-        if isinstance(result, VortexError):
-            out.append(result)
-            continue
-        decision, blocks, j = result
-        out.append(StabilityReport(
-            descriptor=original,
-            label=original.label,
-            mu_z=decision.mu_z,
-            xi_z=decision.xi_z,
-            blocks=tuple(
-                BlockSpectrum(label, h_eigs[j], l_eigs[j], _block_entries(label, h_blk[j], l_eigs[j], staggered))
-                for label, h_blk, h_eigs, l_eigs in blocks
-            ),
-            verdict=decision.verdict,
-            deciding_block=decision.deciding_block,
-        ))
-    return out
+def _report(original: FamilyDescriptor, outcome) -> StabilityReport | VortexError:
+    """The report of one outcome of the array stage, or its error."""
+    if isinstance(outcome, VortexError):
+        return outcome
+    decision, staggered, blocks, j = outcome
+    return StabilityReport(
+        descriptor=original,
+        label=original.label,
+        mu_z=decision.mu_z,
+        xi_z=decision.xi_z,
+        blocks=tuple(
+            BlockSpectrum(label, h_eigs[j], l_eigs[j], _block_entries(label, h_blk[j], l_eigs[j], staggered))
+            for label, h_blk, h_eigs, l_eigs in blocks
+        ),
+        verdict=decision.verdict,
+        deciding_block=decision.deciding_block,
+    )
 
 
 def _stack_entry(original: FamilyDescriptor) -> tuple[tuple, tuple]:
@@ -957,9 +942,11 @@ def _stack_entry(original: FamilyDescriptor) -> tuple[tuple, tuple]:
     return key, (original, desc.theta0, xi, mu)
 
 
-def _stacked(descs: Iterable[FamilyDescriptor], stage: Callable[[tuple, list], list]) -> Iterator:
-    """``stage`` over stacks of consecutive members that share a stack key,
-    at most ``16384 // d**2`` at a time, and each member's error in place."""
+def _stacked(descs: Iterable[FamilyDescriptor]) -> Iterator[tuple[FamilyDescriptor, tuple | VortexError]]:
+    """Each descriptor and its outcome of :func:`_stack_arrays`, in input
+    order: the array stage runs over stacks of consecutive members that
+    share a stack key, at most ``16384 // d**2`` at a time, and each
+    member's error is put in place."""
     stack: list[tuple[FamilyDescriptor, float, float, float]] = []
     key: tuple = ()
     for original in descs:
@@ -967,17 +954,17 @@ def _stacked(descs: Iterable[FamilyDescriptor], stage: Callable[[tuple, list], l
             new_key, entry = _stack_entry(original)
         except VortexError as exc:
             if stack:
-                yield from stage(key, stack)
+                yield from _stack_arrays(key, stack)
                 stack = []
-            yield exc
+            yield original, exc
             continue
         if stack and (new_key != key or len(stack) >= STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2):
-            yield from stage(key, stack)
+            yield from _stack_arrays(key, stack)
             stack = []
         key = new_key
         stack.append(entry)
     if stack:
-        yield from stage(key, stack)
+        yield from _stack_arrays(key, stack)
 
 
 def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport | VortexError]:
@@ -991,7 +978,7 @@ def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport 
     arrays of ``16384 // d**2`` latitudes (d = 4N + 2k_p; at least one),
     so memory stays bounded however long the input is.
     """
-    return _stacked(descs, _analyze_stack)
+    return (_report(original, outcome) for original, outcome in _stacked(descs))
 
 
 def decide_many(descs: Iterable[FamilyDescriptor]) -> Iterator[Decision | VortexError]:
@@ -1002,7 +989,7 @@ def decide_many(descs: Iterable[FamilyDescriptor]) -> Iterator[Decision | Vortex
     the :class:`VortexError` :func:`analyze` raises, from the same stacked
     pass; no block spectrum or block entry is built.
     """
-    return _stacked(descs, _decide_stack)
+    return (outcome if isinstance(outcome, VortexError) else outcome[0] for _, outcome in _stacked(descs))
 
 
 def analyze(desc: FamilyDescriptor) -> StabilityReport:
@@ -1010,8 +997,8 @@ def analyze(desc: FamilyDescriptor) -> StabilityReport:
 
     The one-point case of :func:`analyze_many`.
     """
-    key, entry = _stack_entry(desc)
-    (result,) = _analyze_stack(key, [entry])
+    ((_, outcome),) = _stacked([desc])
+    result = _report(desc, outcome)
     if isinstance(result, VortexError):
         raise result
     return result
@@ -1216,17 +1203,25 @@ def verdict_changes(
     """Every verdict change inside each bracket ``(lo, v_lo, hi, v_hi)``: per
     bracket, its changes as ``(midpoint, before, after)`` in increasing order.
 
-    Ends that agree give nothing; a bracket no wider than ``tol`` gives its
-    midpoint; any other bracket is halved and both halves are searched, so
-    a window of a third verdict gives both of its edges.  The halving goes
-    in rounds: ``verdicts_at`` gets the midpoints of every open bracket in
-    one call and returns their verdicts in order, and a midpoint whose
-    verdict is None counts as the upper end's.
+    Ends that agree give nothing; a bracket no wider than ``tol``, or whose
+    midpoint is not strictly inside it (its ends are adjacent floats), gives
+    its midpoint; any other bracket is halved and both halves are searched,
+    so a window of a third verdict gives both of its edges.  The halving
+    goes in rounds: ``verdicts_at`` gets the midpoints of every open bracket
+    in one call and returns their verdicts in order, and a midpoint whose
+    verdict is None counts as the upper end's.  A NaN or negative ``tol``
+    raises :class:`InvalidDescriptor`.
     """
+    if not tol >= 0.0:
+        raise InvalidDescriptor(f"tol must be at least 0, not {tol!r}")
+
+    def splits(lo: float, hi: float) -> bool:
+        return hi - lo > tol and lo < 0.5 * (lo + hi) < hi
+
     pieces = [[bracket] for bracket in brackets]  # per bracket, its open halves in order
     while True:
         pieces = [[p for p in part if p[1] != p[3]] for part in pieces]
-        mids = [0.5 * (lo + hi) for part in pieces for lo, _, hi, _ in part if hi - lo > tol]
+        mids = [0.5 * (lo + hi) for part in pieces for lo, _, hi, _ in part if splits(lo, hi)]
         if not mids:
             return [[(0.5 * (lo + hi), v_lo, v_hi) for lo, v_lo, hi, v_hi in part] for part in pieces]
         found = iter(zip(mids, verdicts_at(mids)))
@@ -1234,7 +1229,7 @@ def verdict_changes(
         for part in pieces:
             halves = []
             for lo, v_lo, hi, v_hi in part:
-                if hi - lo <= tol:
+                if not splits(lo, hi):
                     halves.append((lo, v_lo, hi, v_hi))
                     continue
                 mid, v_mid = next(found)

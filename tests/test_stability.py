@@ -718,6 +718,24 @@ def test_stacked_pass_yields_errors_in_place():
     ]
 
 
+def test_a_latitude_whose_kernel_has_another_size_raises(monkeypatch):
+    """Every latitude of a stack shares one slice size: a kernel one vector
+    short at the middle latitude of three is an error of the whole pass."""
+    kernel, calls = stability._kernel, []
+
+    def short_in_the_middle(block, tol):
+        calls.append(None)
+        vectors = kernel(block, tol)
+        return vectors[:-1] if len(calls) == 2 else vectors
+
+    monkeypatch.setattr(stability, "_kernel", short_in_the_middle)
+    descs = [_desc(DND, 5, theta, 2) for theta in (0.5, 0.7, 0.9)]
+    expected = 4 * 5 + 2 * 2 - 4
+    with pytest.raises(RuntimeError, match=f"^slice has {expected - 1} vectors, expected {expected}$"):
+        list(decide_many(descs))
+    assert len(calls) == 3
+
+
 def test_a_singular_restricted_form_is_an_error_in_place(monkeypatch):
     """One latitude of a stack whose restricted symplectic form is called
     singular gets a DegenerateForm; the others keep every bit."""
@@ -778,7 +796,7 @@ def test_block_singularity_test_agrees_with_the_whole_form(family, k_p):
                 continue
             rings = _rings(*key[:4])
             u, s = np.array([math.cos(theta)]), np.array([math.sin(theta)])
-            ((_, basis, labels),) = _slice_bases(rings, key[4], u, s)
+            basis, labels = _slice_bases(rings, key[4], u, s)
             omega_b = _restrict(basis, _symplectic_forms(rings, s), antisymmetric=True)
             slices = _block_slices(labels)
             # the blocks are symplectically orthogonal up to rounding
@@ -1181,6 +1199,39 @@ def test_verdict_search_asks_one_call_per_halving_round(tol):
     assert sorted(asked) == sorted(alone) and len(set(asked)) == len(asked)
     # one call per round: as many as the halvings of the widest bracket (1.0) down to tol
     assert len(verdicts_at.calls) == math.ceil(math.log2(1.0 / tol)) < len(asked)
+
+
+def _flip_at_one(calls):
+    """Verdicts "a" below 1.0 and "b" from it on; more than 200 calls fail
+    the test rather than hang it."""
+
+    def verdicts_at(thetas):
+        calls.append(list(thetas))
+        if len(calls) > 200:
+            raise AssertionError("the halving does not end")
+        return ["a" if theta < 1.0 else "b" for theta in thetas]
+
+    return verdicts_at
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-17])
+def test_verdict_search_ends_at_adjacent_floats(tol):
+    """The first midpoint of (0.5, 1.5) is the change at 1.0 itself; the
+    lower half then shrinks until its ends are adjacent floats, whose
+    midpoint is not inside, and the search ends there."""
+    calls = []
+    (found,) = verdict_changes(_flip_at_one(calls), [(0.5, "a", 1.5, "b")], tol)
+    assert [(before, after) for _, before, after in found] == [("a", "b")]
+    assert found[0][0] in (np.nextafter(1.0, 0.0), 1.0)
+    assert len(calls) == 53
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_verdict_search_rejects_a_nan_or_negative_tol(tol):
+    calls = []
+    with pytest.raises(InvalidDescriptor):
+        verdict_changes(_flip_at_one(calls), [(0.5, "a", 1.5, "b")], tol)
+    assert calls == []
 
 
 def test_missing_transition_raises():

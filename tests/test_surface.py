@@ -14,7 +14,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 # The parameters of every function in a layer's ``__all__`` and of every
 # public method of an exported class (without ``self`` or ``cls``); an
-# option, a parameter with a default, ends in "=".  85 parameters, 9 options.
+# option, a parameter with a default, ends in "=".  84 parameters, 8 options.
 SIGNATURES = {
     "core.Layout.all_indices": "",
     "core.Layout.standard": "n_plus n_minus pole_count",
@@ -33,7 +33,7 @@ SIGNATURES = {
     "core.mirror_z_matrix": "",
     "dynamics.Trajectory.final_state": "",
     "dynamics.Trajectory.to_csv": "",
-    "dynamics.MixedChart.coords": "config=",
+    "dynamics.MixedChart.coords": "",
     "dynamics.MixedChart.positions": "q",
     "dynamics.MixedChart.config_at": "q",
     "dynamics.MixedChart.gradient": "q xi",
