@@ -3,8 +3,7 @@
 The package is organized in five layers:
 
 ``core``
-    Configurations as position and strength arrays, family descriptors,
-    the symmetry group O(3) x Z_2 (elements ``(A, tau)``) and its action.
+    Configurations as position and strength arrays, and family descriptors.
 ``dynamics``
     Hamiltonian, momentum map, vector field, adaptive integrator, and the
     mixed spherical/pole-chart calculus.
@@ -28,14 +27,11 @@ from .core import (
     Configuration,
     Family,
     FamilyDescriptor,
-    GroupElement,
     InvalidConfiguration,
     InvalidDescriptor,
     Layout,
     PoleSingularity,
     VortexError,
-    apply_group_element,
-    is_fixed_by,
 )
 
 __version__ = "0.1.0"
@@ -47,13 +43,10 @@ __all__ = [
     "Configuration",
     "Family",
     "FamilyDescriptor",
-    "GroupElement",
     "InvalidConfiguration",
     "InvalidDescriptor",
     "Layout",
     "PoleSingularity",
     "VortexError",
-    "apply_group_element",
-    "is_fixed_by",
     "__version__",
 ]

@@ -1,15 +1,10 @@
-"""Geometry and symmetry primitives for point vortices on the unit sphere.
+"""Geometry primitives for point vortices on the unit sphere.
 
 This module provides the value types shared by the rest of the package:
 
 * vortex configurations: an ``(M, 3)`` array of unit positions and an
   ``(M,)`` array of strengths (ring vortices of strength +1 or -1, plus an
   optional pinned pole pair), validated once, with JSON round-tripping;
-* the symmetry group O(3) x Z_2: an element ``(A, tau^k)`` is an
-  orthogonal matrix and an optional swap ``tau`` of the two vorticity
-  populations; its action on configurations, the test whether it fixes
-  one up to relabelling within each population, and the character that
-  tells time-preserving from time-reversing elements;
 * descriptors naming the families of symmetric configurations built by
   :mod:`vortex_atlas.equilibria`.
 
@@ -43,14 +38,8 @@ __all__ = [
     "CollisionError",
     "Layout",
     "Configuration",
-    "GroupElement",
     "Family",
     "FamilyDescriptor",
-    "apply_group_element",
-    "is_fixed_by",
-    "rotation_z_matrix",
-    "mirror_y_matrix",
-    "mirror_z_matrix",
 ]
 
 # Pairwise chord distance below which two vortices count as collided.
@@ -230,21 +219,6 @@ class Configuration:
 
     # -- derived configurations ---------------------------------------------
 
-    def with_negated_strengths(self) -> "Configuration":
-        """Same positions with every strength negated.
-
-        The equations of motion are linear in the strengths, so negating
-        them reverses the flow; this is how backward evolution is computed
-        without ever integrating with a negative time step.
-        """
-        layout = Layout(
-            plus=self.layout.minus,
-            minus=self.layout.plus,
-            north=self.layout.north,
-            south=self.layout.south,
-        )
-        return Configuration(self.positions, -self.strengths, self.pole_count, layout)
-
     def with_positions(self, p: np.ndarray) -> "Configuration":
         """Same strengths and layout with positions ``p`` scaled onto the sphere."""
         p = np.asarray(p, dtype=float)
@@ -366,114 +340,6 @@ def _infer_layout(p: np.ndarray, lam: np.ndarray, pole_count: int) -> Layout:
     plus = np.flatnonzero(ring > 0).tolist()
     minus = np.flatnonzero(ring < 0).tolist()
     return Layout(plus=plus, minus=minus, north=north, south=south)
-
-
-# ---------------------------------------------------------------------------
-# Symmetry group
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """An element ``(A, tau^k)`` of the symmetry group.
-
-    ``A`` is an orthogonal 3x3 matrix and ``tau`` (``tau_power`` = 0 or 1)
-    swaps the + and - populations (and the two pole slots).  The action on
-    a configuration moves positions while each slot keeps its strength:
-    ``(g . x)_i = A x_i`` after the optional swap.  Relabelling within a
-    population is not part of an element: :func:`is_fixed_by` matches each
-    population up to relabelling, so it never changes an answer.
-
-    The character ``chi = det(A) * (-1)^tau_power`` is +1 for elements
-    that preserve the direction of time and -1 for time-reversing ones.
-    """
-
-    orthogonal: np.ndarray
-    tau_power: int = 0
-
-    def __post_init__(self) -> None:
-        a = np.array(self.orthogonal, dtype=float)
-        if a.shape != (3, 3):
-            raise InvalidConfiguration("orthogonal part must be a 3x3 matrix")
-        if not (np.isfinite(a).all() and np.max(np.abs(a.T @ a - np.eye(3))) <= 1e-12):
-            raise InvalidConfiguration("matrix is not finite and orthogonal to 1e-12")
-        if self.tau_power not in (0, 1):
-            raise InvalidConfiguration(f"tau_power must be 0 or 1, got {self.tau_power!r}")
-        a.setflags(write=False)
-        object.__setattr__(self, "orthogonal", a)
-        object.__setattr__(self, "tau_power", int(self.tau_power))
-
-    @property
-    def chi(self) -> int:
-        """Temporal character: +1 keeps the flow direction, -1 reverses it."""
-        det = float(np.linalg.det(self.orthogonal))
-        return int(round(det)) * (-1) ** self.tau_power
-
-
-def rotation_z_matrix(angle: float) -> np.ndarray:
-    """Rotation about the z-axis by ``angle`` (counter-clockwise)."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def mirror_z_matrix() -> np.ndarray:
-    """Reflection through the equatorial plane (z -> -z)."""
-    return np.diag([1.0, 1.0, -1.0])
-
-
-def mirror_y_matrix() -> np.ndarray:
-    """Reflection through the xz-plane (y -> -y)."""
-    return np.diag([1.0, -1.0, 1.0])
-
-
-def apply_group_element(g: GroupElement, c: Configuration) -> Configuration:
-    """Act with ``g`` on ``c``, returning a new configuration.
-
-    Slots keep their strengths; positions move.  With ``tau_power == 1``
-    the + slots receive (rotated images of) the - population's positions
-    and vice versa, and the two pole slots likewise exchange contents.
-    """
-    layout = c.layout
-    source = np.arange(len(c))
-    if g.tau_power:
-        if len(layout.plus) != len(layout.minus):
-            raise InvalidConfiguration(
-                "the population swap needs equally sized + and - rings"
-            )
-        source[list(layout.plus)] = layout.minus
-        source[list(layout.minus)] = layout.plus
-        if c.pole_count == 2:
-            source[[layout.north, layout.south]] = layout.south, layout.north
-    return c.with_positions(c.positions[source] @ g.orthogonal.T)
-
-
-def is_fixed_by(c: Configuration, g: GroupElement) -> bool:
-    """Whether ``g`` maps ``c`` onto itself up to relabeling within populations.
-
-    The transformed + population is optimally matched against the original
-    + population (likewise for the - population), and the pole slots are
-    compared class-to-class; ``c`` is fixed when the largest matched
-    displacement stays below 1e-9.
-    """
-    from scipy.optimize import linear_sum_assignment
-    old = c.positions
-    new = apply_group_element(g, c).positions
-    worst = 0.0
-    for idx in (c.layout.plus, c.layout.minus):
-        if not idx:
-            continue
-        a = new[list(idx)]
-        b = old[list(idx)]
-        cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-        rows, cols = linear_sum_assignment(cost)
-        worst = max(worst, float(cost[rows, cols].max()))
-    if c.pole_count == 2:
-        worst = max(
-            worst,
-            float(np.linalg.norm(new[c.layout.north] - old[c.layout.north])),
-            float(np.linalg.norm(new[c.layout.south] - old[c.layout.south])),
-        )
-    return worst < 1e-9
 
 
 # ---------------------------------------------------------------------------

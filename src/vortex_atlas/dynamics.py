@@ -15,9 +15,10 @@ conserved momentum map is ``Phi = sum_i lambda_i x_i``.
 
 This module provides:
 
-* evaluation of ``H``, ``Phi``, the vector field, and the augmented
-  Hamiltonian ``H_xi = H + xi (Phi_z - mu)`` whose critical points are the
-  relative equilibria rotating at rate ``xi`` about the z-axis;
+* evaluation of ``H``, ``Phi`` and the vector field; the chart gradient of
+  the augmented Hamiltonian ``H_xi = H + xi (Phi_z - mu)``, whose critical
+  points are the relative equilibria rotating at rate ``xi`` about the
+  z-axis;
 * :class:`MixedChart` — co-latitude/longitude coordinates for ring
   vortices combined with tangent-plane coordinates for pole vortices,
   with analytic gradients, the chart symplectic matrix, momentum
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -63,9 +64,7 @@ __all__ = [
     "MixedChart",
     "hamiltonian",
     "hamiltonians",
-    "vector_field",
     "momentum_map",
-    "augmented_hamiltonian",
     "integrate",
 ]
 
@@ -169,23 +168,9 @@ def hamiltonian(c: Configuration) -> float:
     return hamiltonians(c.positions, c.strengths)
 
 
-def vector_field(c: Configuration) -> np.ndarray:
-    """Right-hand side ``dx_i/dt`` as an ``(M, 3)`` array.
-
-    Each row is tangent to the sphere at the corresponding vortex.
-    """
-    return _field(c.positions, _pair_constants(c.strengths))
-
-
 def momentum_map(c: Configuration) -> np.ndarray:
     """Conserved momentum ``Phi = sum_i lambda_i x_i`` as a 3-vector."""
     return c.strengths @ c.positions
-
-
-def augmented_hamiltonian(c: Configuration, xi: float, mu: float) -> float:
-    """``H_xi = H + xi (Phi_z - mu)``; critical at relative equilibria."""
-    phi_z = float(momentum_map(c)[2])
-    return hamiltonian(c) + float(xi) * (phi_z - float(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +262,6 @@ class MixedChart:
         """Ambient positions ``(M, 3)`` for chart coordinates ``q``."""
         return self._frames(np.atleast_2d(q))[0].reshape(np.shape(q)[:-1] + (self.m, 3))
 
-    def config_at(self, q: np.ndarray) -> Configuration:
-        return self.config.with_positions(self.positions(q))
-
     def _frames(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions ``(S, M, 3)`` and tangent vectors ``d(position)/d(dof)``
         ``(S, dim, M, 3)`` at the chart points ``qs`` ``(S, dim)``."""
@@ -314,19 +296,6 @@ class MixedChart:
         ambient[..., 2] += np.multiply.outer(xi, self.strengths)
         return np.einsum("sdmk,smk->sd", frames, ambient).reshape(np.shape(q))
 
-    def corotating_field(self, q: np.ndarray, xi: float) -> np.ndarray:
-        """Chart velocity in the frame rotating about z at rate ``xi``.
-
-        Computed from the ambient vector field (an independent route from
-        :meth:`gradient`): ``dx_i/dt - xi e_z x x_i`` projected onto the
-        chart frames.
-        """
-        p = self.positions(q)
-        v = _field(p, self._pairs)
-        v[:, 0] += float(xi) * p[:, 1]
-        v[:, 1] -= float(xi) * p[:, 0]
-        return self._chart_components(q, v)
-
     def symplectic_matrix(self, q: np.ndarray) -> np.ndarray:
         """Chart matrix of the weighted area form at ``q``."""
         qs, n, lam = np.atleast_2d(q), self.n_ring, self.strengths
@@ -358,22 +327,6 @@ class MixedChart:
         poles = v[:, :, list(self.poles), :2].reshape(len(qs), len(axes), -1)
         gens = np.concatenate([along[:, :, 0], along[:, :, 1] / st[:, None], poles], axis=2)
         return gens.reshape(np.shape(q)[:-1] + gens.shape[1:])
-
-    def _chart_components(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Chart components at ``q`` of ambient tangent vectors ``v`` (M, 3)."""
-        dq = np.empty(self.dim)
-        for r, i in enumerate(self.ring):
-            th, ph = q[r], q[self.n_ring + r]
-            st, ct = math.sin(th), math.cos(th)
-            cp, sp = math.cos(ph), math.sin(ph)
-            theta_hat = np.array([ct * cp, ct * sp, -st])
-            phi_hat = np.array([-sp, cp, 0.0])
-            dq[r] = v[i] @ theta_hat
-            dq[self.n_ring + r] = (v[i] @ phi_hat) / st
-        for k, i in enumerate(self.poles):
-            dq[2 * self.n_ring + 2 * k] = v[i, 0]
-            dq[2 * self.n_ring + 2 * k + 1] = v[i, 1]
-        return dq
 
     def hessian_fd(self, q: np.ndarray, xi: float | np.ndarray) -> np.ndarray:
         """Hessian of ``H_xi`` by central differences of the analytic gradient:
@@ -410,8 +363,8 @@ class Trajectory:
     read-only ``(T, M, 3)`` array of the integrator's states, ``energies``
     holds ``H`` at each of them, and ``h_drift`` and ``phi_drift`` record
     ``|H(t) - H(0)|`` and ``max_k |Phi_k(t) - Phi_k(0)|``.  ``initial`` is
-    the starting configuration, which fixes strengths and layout; the
-    configurations of later states are built only when asked for.
+    the starting configuration, which fixes strengths and layout, so the
+    configuration of a later state ``k`` is ``initial.with_positions(positions[k])``.
     ``stats`` counts the solver's work.
     """
 
@@ -423,25 +376,13 @@ class Trajectory:
     phi_drift: tuple[float, ...]
     stats: SolverStats
 
-    @cached_property
-    def states(self) -> tuple[Configuration, ...]:
-        """The configuration at each stored time, built on first access."""
-        return (self.initial,) + tuple(
-            self.initial.with_positions(p) for p in self.positions[1:]
-        )
-
-    def final_state(self) -> Configuration:
-        if len(self.times) == 1:
-            return self.initial
-        return self.initial.with_positions(self.positions[-1])
-
     def to_csv(self) -> str:
         n_rows, m = self.positions.shape[:2]
         header = ["t", *(f"{c}{i}" for i in range(1, m + 1) for c in "xyz"), "H", "|dH|", "|dPhi|_inf"]
-        # Rows show ``states[k]`` and its energy.  ``with_positions``
-        # normalizes each vortex once more, which can move H in the 12th
-        # digit; the same stacked matmul norm reproduces it bit for bit
-        # (``einsum`` does not).
+        # Rows show ``initial``, then ``initial.with_positions(positions[k])``,
+        # and its energy.  ``with_positions`` normalizes each vortex once
+        # more, which can move H in the 12th digit; the same stacked matmul
+        # norm reproduces it bit for bit (``einsum`` does not).
         shown = self.positions.copy()
         later = shown[1:]
         later /= np.sqrt(later[..., None, :] @ later[..., None])[..., 0]

@@ -35,12 +35,11 @@ branch off the symmetric ones; they are parametrized by the cosines
 * ``C_2v(R_m,R_m')``: four vortices in a single meridian plane, no poles;
   ``y`` is found by root bracketing.
 
-A phase test tells aligned from staggered two-ring configurations.  Every
-solved branch point must rotate at one rate (to 1e-9) with a chart residual
-of at most ``BRANCH_RESIDUAL_TOL`` at it; the public solvers check each
-point, and the diagram builds a segment's points as one position stack
-(:meth:`BranchPoint.configuration` is its one-point case) and applies that
-bound in its stacked numeric analysis.
+Every solved branch point must rotate at one rate (to 1e-9) with a chart
+residual of at most ``BRANCH_RESIDUAL_TOL`` at it; the public solvers check
+each point, and the diagram builds a segment's points as one position
+stack (:meth:`BranchPoint.configuration` is its one-point case) and applies
+that bound in its stacked numeric analysis.
 
 The meridian branch's roots are polished by :func:`_brentq`, Brent's zero
 finder (Brent, *Algorithms for Minimization without Derivatives*, 1973,
@@ -55,7 +54,6 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -77,8 +75,6 @@ __all__ = [
     "NotRelativeEquilibrium",
     "OutOfDomain",
     "NoRoot",
-    "NotTwoRings",
-    "TwoRingPhase",
     "BranchPoint",
     "make_equatorial_pm_ring",
     "make_tetrahedral_pair",
@@ -86,14 +82,12 @@ __all__ = [
     "make_plus_ring_pole_pair",
     "make_family",
     "two_ring_positions",
-    "angular_velocity_generic",
     "configuration_angular_velocity",
     "ring_angular_velocity",
     "re_residual",
     "branch_c2v_2R2p",
     "branch_c2v_RRp2p",
     "branch_c2v_RmRmp",
-    "two_ring_phase_test",
 ]
 
 
@@ -103,18 +97,6 @@ class NotRelativeEquilibrium(VortexError, ValueError):
 
 class NoRoot(VortexError, ArithmeticError):
     """The branch equation has no root in the admissible interval."""
-
-
-class NotTwoRings(VortexError, ValueError):
-    """The configuration's ring vortices do not form two regular rings."""
-
-
-class TwoRingPhase(Enum):
-    """Relative longitude offset between the + and - rings."""
-
-    IN_PHASE = "InPhase"
-    OUT_OF_PHASE_BY_PI_OVER_N = "OutPhaseByPiOverN"
-    NEITHER = "Neither"
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +224,11 @@ def two_ring_positions(
 BRANCH_RESIDUAL_TOL = 1e-8
 
 
-def angular_velocity_generic(c: Configuration, index: int = 0) -> float:
-    """Rotation rate about z read off one vortex of a relative equilibrium.
+def _vortex_rates(p: np.ndarray, lam: np.ndarray, which: list[int]) -> np.ndarray:
+    """Rotation rate about z read off each of the vortices ``which`` in each
+    configuration of a stack ``p`` ``(K, M, 3)`` (one strength vector),
+    ``(K, len(which))``; raises :class:`PoleSingularity` if one is within
+    ``POLE_EPS`` of a pole, where the rate is undefined.
 
     For a configuration rotating rigidly about the z-axis every vortex's
     longitude advances at the same rate
@@ -251,19 +236,7 @@ def angular_velocity_generic(c: Configuration, index: int = 0) -> float:
         xi = sum_{j != i} lambda_j (rho_i^2 z_j - z_i (x_i x_j + y_i y_j))
                            / (rho_i^2 (1 - x_i . x_j)),
 
-    with ``rho_i^2 = 1 - z_i^2``.  The formula is meaningless on a pole
-    vortex (``rho_i = 0``), so ``index`` must name a ring vortex.
-    """
-    i = int(index)
-    if c.pole_count == 2 and i in (c.layout.north, c.layout.south):
-        raise PoleSingularity("the per-vortex rate is undefined on a pole vortex")
-    return float(_vortex_rates(c.positions[None], c.strengths, [i])[0, 0])
-
-
-def _vortex_rates(p: np.ndarray, lam: np.ndarray, which: list[int]) -> np.ndarray:
-    """:func:`angular_velocity_generic` of the vortices ``which`` in each of
-    a stack ``p`` ``(K, M, 3)`` (one strength vector), ``(K, len(which))``;
-    raises :class:`PoleSingularity` if one is within ``POLE_EPS`` of a pole.
+    with ``rho_i^2 = 1 - z_i^2``.
 
     One array pass over the stack.  Each sum adds its terms in partner
     order, so a rate has the bits of a scalar loop over the partners:
@@ -600,50 +573,3 @@ def branch_c2v_RmRmp(x: float) -> BranchPoint:
             f"for x = {x:.6g}"
         )
     return points[-1]
-
-
-# ---------------------------------------------------------------------------
-# Two-ring phase test
-# ---------------------------------------------------------------------------
-
-
-def two_ring_phase_test(c: Configuration) -> TwoRingPhase:
-    """Classify the longitude offset between the + and - rings, to 1e-9.
-
-    Raises
-    ------
-    NotTwoRings
-        If the non-pole vortices do not form two equally sized regular
-        rings, each on a single latitude circle.
-    """
-    tol = 1e-9
-    plus = c.positions[list(c.layout.plus)].tolist()
-    minus = c.positions[list(c.layout.minus)].tolist()
-    n = len(plus)
-    if n < 2 or len(minus) != n:
-        raise NotTwoRings(
-            "need two equally sized ring populations with at least two "
-            "vortices each"
-        )
-    phase = []
-    for group in (plus, minus):
-        zs = [z for _, _, z in group]
-        if max(zs) - min(zs) > tol:
-            raise NotTwoRings("ring vortices are not on a single latitude circle")
-        if 1.0 - max(abs(z) for z in zs) < POLE_EPS:
-            raise NotTwoRings("ring sits on a pole; longitudes are undefined")
-        phis = sorted(math.atan2(y, x) % (2.0 * math.pi) for x, y, _ in group)
-        gaps = [
-            (phis[(k + 1) % n] - phis[k]) % (2.0 * math.pi) for k in range(n)
-        ]
-        if max(gaps) - min(gaps) > n * tol:
-            raise NotTwoRings("ring longitudes are not uniformly spaced")
-        total = sum(math.e ** (1j * n * p) for p in phis)
-        phase.append(math.atan2(total.imag, total.real) / n)
-    period = 2.0 * math.pi / n
-    offset = (phase[1] - phase[0]) % period
-    if min(offset, period - offset) < tol:
-        return TwoRingPhase.IN_PHASE
-    if abs(offset - period / 2.0) < tol:
-        return TwoRingPhase.OUT_OF_PHASE_BY_PI_OVER_N
-    return TwoRingPhase.NEITHER

@@ -32,7 +32,7 @@ stacked pass:
   its bound, and takes residuals, the finite-difference Hessian stencil,
   momentum rows, rotation generators, the slice (an SVD with null_space's
   rank rule) and the spectra, ``16384 // d**2`` rows at a time (d = 2M).
-  It cross-validates the first, as does :func:`full_linearization_oracle`.
+  It cross-validates the first.
 
 Every floating-point operation acts on each member of a stack exactly as
 on a single one (element-wise arithmetic, sums over a contiguous last
@@ -72,7 +72,6 @@ from .equilibria import (
     NotRelativeEquilibrium,
     _rigid_rates,
     _ring_phase,
-    configuration_angular_velocity,
     ring_angular_velocity,
 )
 
@@ -96,18 +95,13 @@ __all__ = [
     "hessian_closed_form",
     "slice_basis",
     "slice_symplectic_form",
-    "deciding_scalars_rs",
-    "deciding_scalars_ab",
     "analyze",
     "analyze_many",
     "decide_many",
     "analyze_small",
     "analyze_small_many",
-    "full_linearization_oracle",
-    "spectrum_match",
     "verdict_changes",
     "list_transitions",
-    "critical_latitude",
 ]
 
 #: Hessian eigenvalues within this margin of zero do not count as signed.
@@ -604,99 +598,6 @@ def slice_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# deciding scalars (independent closed forms, ring size >= 3)
-# ---------------------------------------------------------------------------
-
-
-def _cross_angles(desc: FamilyDescriptor) -> np.ndarray:
-    n = desc.n_per_ring
-    return 2.0 * math.pi * np.arange(n) / n + _ring_phase(desc.family, n)
-
-
-def deciding_scalars_rs(desc: FamilyDescriptor) -> tuple[float, float]:
-    """Diagonal energies ``(r, s)`` of the uniform modes (tilt-free block).
-
-    ``r`` is the energy of the uniform counter-rotation of the rings,
-    positive throughout the staggered family's range; ``s`` is the energy
-    of the uniform colatitude shift, strictly increasing in ``theta0``,
-    and the block destabilizes exactly where ``s`` is negative.
-    """
-    desc = _analysis_descriptor(desc)
-    n = desc.n_per_ring
-    if n < 3:
-        raise InvalidDescriptor("the uniform-mode scalars need ring size >= 3")
-    u = math.cos(desc.theta0)
-    one_m_u2 = 1.0 - u * u
-    delta = _cross_angles(desc)
-    c = np.cos(delta)
-    d2 = (1.0 + u * u - one_m_u2 * c) ** 2
-    s1 = np.sum(1.0 / d2)
-    s2 = np.sum(c / d2)
-    s3 = np.sum(c * c / d2)
-    bracket = (
-        -(n - 1) * (1.0 + u * u) / one_m_u2
-        + (1.0 - u**4) * s1
-        - 2.0 * (1.0 + u**4) * s2
-        + (1.0 - u**4) * s3
-    )
-    if desc.k_p:
-        bracket += -4.0 * u * desc.lambda_n / one_m_u2
-    shift_energy = 2.0 * n * bracket
-    rotation_energy = 4.0 * n * one_m_u2 * (one_m_u2 * s1 - (1.0 + u * u) * s2)
-    return rotation_energy, shift_energy
-
-
-def deciding_scalars_ab(desc: FamilyDescriptor) -> tuple[float, float]:
-    """Diagonal energies of the counter-phased pair at the top wavenumber
-    ``q = N // 2``.
-
-    Returns ``(a, b)`` for the colatitude and longitude patterns whose
-    product decides the block.
-    """
-    desc = _analysis_descriptor(desc)
-    n = desc.n_per_ring
-    if n < 4:
-        raise InvalidDescriptor("the mode-pair scalars need ring size >= 4")
-    q = n // 2
-    # at the top wavenumber of the aligned family the sine patterns vanish
-    # and the surviving modes carry twice the generic energy; the staggered
-    # offset keeps all patterns alive, so no doubling there
-    eps = 2.0 if (2 * q == n and _ring_phase(desc.family, n) == 0.0) else 1.0
-    u = math.cos(desc.theta0)
-    one_m_u2 = 1.0 - u * u
-    rel = 2.0 * math.pi * np.arange(1, n) / n
-    crel = np.cos(rel)
-    cqrel = np.cos(q * rel)
-    delta = _cross_angles(desc)
-    c = np.cos(delta)
-    cq = np.cos(q * delta)
-    d2 = (1.0 + u * u - one_m_u2 * c) ** 2
-
-    bracket_a = (
-        -(n - 1) * u * u / one_m_u2
-        + np.sum((crel - cqrel) / (1.0 - crel)) / one_m_u2
-        - np.sum(
-            (
-                u**4
-                - u * u
-                + one_m_u2 * cq
-                + (2.0 * u**4 - u * u + 1.0 - (1.0 + u * u) * cq) * c
-                - (1.0 - u**4) * c * c
-            )
-            / d2
-        )
-    )
-    if desc.k_p:
-        bracket_a += -4.0 * u * desc.lambda_n / one_m_u2
-    a = eps * n * bracket_a
-    b = eps * n * (
-        -np.sum((1.0 - cqrel) / (1.0 - crel))
-        + one_m_u2 * np.sum((1.0 - cq) * (one_m_u2 - (1.0 + u * u) * c) / d2)
-    )
-    return a, b
-
-
-# ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
 
@@ -1114,46 +1015,6 @@ def analyze_small(config: Configuration) -> StabilityReport:
     return result
 
 
-def full_linearization_oracle(config: Configuration) -> np.ndarray:
-    """Eigenvalues of the full co-rotating linearization (no slicing).
-
-    The frame rotates at the configuration's own rigid rate, and the
-    Jacobian of the co-rotating chart field is built with fourth-order
-    central differences of step 1e-3.  Relative to a slice analysis the
-    spectrum gains the orbit/momentum modes: two zeros and a conjugate pair
-    at the rotation rate when the momentum is vertical and nonzero, six
-    zeros when it vanishes.
-    """
-    from scipy.linalg import eig as dense_eig
-    xi = configuration_angular_velocity(config)
-    chart = MixedChart(config)
-    q0 = chart.coords()
-    d, step = q0.size, 1e-3
-    jac = np.zeros((d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        f_m2 = chart.corotating_field(q0 - 2 * e, xi)
-        f_m1 = chart.corotating_field(q0 - e, xi)
-        f_p1 = chart.corotating_field(q0 + e, xi)
-        f_p2 = chart.corotating_field(q0 + 2 * e, xi)
-        jac[:, k] = (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * step)
-    eigs, _ = dense_eig(jac)
-    return _sort_complex(eigs)
-
-
-def spectrum_match(found: np.ndarray, expected: np.ndarray) -> float:
-    """Largest pairing distance between two equally sized spectra."""
-    from scipy.optimize import linear_sum_assignment
-    found = np.asarray(found, complex)
-    expected = np.asarray(expected, complex)
-    if found.shape != expected.shape:
-        raise ValueError("spectra must have equal size to be matched")
-    cost = np.abs(found[:, None] - expected[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max()) if found.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # verdict transitions along a family
 # ---------------------------------------------------------------------------
@@ -1282,22 +1143,6 @@ def list_transitions(
     return tuple(
         (_classify(a, b), theta) for changes in verdict_changes(verdicts_at, brackets, tol) for theta, a, b in changes
     )
-
-
-def critical_latitude(
-    family: Family | str,
-    n_per_ring: int,
-    k_p: int,
-    transition: str,
-    occurrence: int = 0,
-) -> float:
-    """Latitude of the ``occurrence``-th verdict change of the given kind,
-    from :func:`list_transitions` at its default grid and tolerance.
-
-    Raises :class:`NoTransition` when the family shows no such change.
-    """
-    found = list_transitions(family, n_per_ring, k_p)
-    return _pick_transition(found, transition, occurrence)
 
 
 def _pick_transition(found: tuple[tuple[str, float], ...], transition: str, occurrence: int) -> float:

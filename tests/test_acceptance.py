@@ -14,18 +14,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from oracles import TwoRingPhase, full_linearization_oracle, two_ring_phase_test
 from vortex_atlas.atlas import build_diagram
 from vortex_atlas.core import Family, FamilyDescriptor
-from vortex_atlas.dynamics import (
-    MixedChart,
-    integrate,
-    vector_field,
-)
+from vortex_atlas.dynamics import MixedChart, _field, _pair_constants, integrate
 from vortex_atlas.equilibria import (
     NoRoot,
     OutOfDomain,
-    TwoRingPhase,
-    angular_velocity_generic,
+    _vortex_rates,
     branch_c2v_2R2p,
     branch_c2v_RRp2p,
     branch_c2v_RmRmp_all,
@@ -35,19 +31,18 @@ from vortex_atlas.equilibria import (
     make_tetrahedral_pair,
     re_residual,
     ring_angular_velocity,
-    two_ring_phase_test,
 )
 from vortex_atlas.stability import (
     REFERENCE_THRESHOLDS,
     NoTransition,
     StabilityReport,
     Verdict,
+    _pick_transition,
     analyze,
     analyze_many,
     analyze_small,
-    critical_latitude,
-    full_linearization_oracle,
     hessian_closed_form,
+    list_transitions,
     slice_basis,
 )
 
@@ -62,11 +57,9 @@ def _report(number: int, name: str, detail: str, elapsed: float) -> None:
 def test_01_fixed_equilibria_have_vanishing_velocity():
     start = time.perf_counter()
     worst = 0.0
-    for n_pairs in range(2, 7):
-        field = vector_field(make_equatorial_pm_ring(n_pairs))
+    for c in [make_equatorial_pm_ring(n_pairs) for n_pairs in range(2, 7)] + [make_tetrahedral_pair()]:
+        field = _field(c.positions, _pair_constants(c.strengths))
         worst = max(worst, float(np.max(np.abs(field))))
-    field = vector_field(make_tetrahedral_pair())
-    worst = max(worst, float(np.max(np.abs(field))))
     elapsed = time.perf_counter() - start
     assert worst < 1e-12, f"max |velocity| {worst:.3e} at a fixed equilibrium"
     assert elapsed < 1.0
@@ -106,9 +99,7 @@ def test_03_ring_rotation_rates_match_generic_formula():
                     desc = FamilyDescriptor(family, n, theta0=theta0, k_p=k_p)
                     xi = float(ring_angular_velocity(desc))
                     c = make_family(desc)
-                    rates = [
-                        angular_velocity_generic(c, i) for i in range(2 * n)
-                    ]
+                    rates = _vortex_rates(c.positions[None], c.strengths, list(range(2 * n)))[0]
                     worst = max(worst, max(abs(r - xi) for r in rates))
                     cases += 1
     elapsed = time.perf_counter() - start
@@ -200,15 +191,17 @@ def test_07_critical_latitudes_match_the_reference_table():
     start = time.perf_counter()
     lines = []
     failures = []
+    scans = {}  # one scan per (family, N, k_p), as the thresholds command makes
     for row in REFERENCE_THRESHOLDS:
         label = (
             f"{row.family.value} N={row.n_per_ring} k_p={row.k_p} "
             f"{row.transition}#{row.occurrence}"
         )
+        key = (row.family, row.n_per_ring, row.k_p)
+        if key not in scans:
+            scans[key] = list_transitions(*key)
         try:
-            theta = critical_latitude(
-                row.family, row.n_per_ring, row.k_p, row.transition, row.occurrence
-            )
+            theta = _pick_transition(scans[key], row.transition, row.occurrence)
         except NoTransition:
             failures.append(f"{label}: transition not found (expected {row.reference_value})")
             continue

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import vortex_atlas
 
+from oracles import rotation_z_matrix
 from vortex_atlas import atlas, dynamics, stability
 from vortex_atlas.atlas import (
     EXIT_INPUT,
@@ -35,7 +36,7 @@ from vortex_atlas.atlas import (
     render_svg,
     run_sweep,
 )
-from vortex_atlas.core import MAX_GRID_POINTS, MAX_RING_SIZE, Configuration, Family, FamilyDescriptor, rotation_z_matrix
+from vortex_atlas.core import MAX_GRID_POINTS, MAX_RING_SIZE, Configuration, Family, FamilyDescriptor
 from vortex_atlas.dynamics import hamiltonian
 from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring, make_family
 from vortex_atlas.stability import analyze, analyze_small, list_transitions

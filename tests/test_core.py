@@ -9,22 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rotation_axis_matrix
+from oracles import (
+    GroupElement,
+    apply_group_element,
+    is_fixed_by,
+    mirror_y_matrix,
+    mirror_z_matrix,
+    rotation_z_matrix,
+    with_negated_strengths,
+)
 from vortex_atlas.core import (
     MAX_RING_SIZE,
     CollisionError,
     Configuration,
     Family,
     FamilyDescriptor,
-    GroupElement,
     InvalidConfiguration,
     InvalidDescriptor,
     Layout,
     PoleSingularity,
-    apply_group_element,
-    is_fixed_by,
-    mirror_y_matrix,
-    mirror_z_matrix,
-    rotation_z_matrix,
 )
 from vortex_atlas.dynamics import MixedChart
 from vortex_atlas.equilibria import make_equatorial_pm_ring, make_family
@@ -157,7 +160,7 @@ def test_pole_count_and_layout_must_agree():
 
 def test_negating_strengths_swaps_populations():
     c = make_family(FamilyDescriptor(Family.DND_RRP, 3, theta0=0.8, k_p=2))
-    flipped = c.with_negated_strengths()
+    flipped = with_negated_strengths(c)
     assert flipped.layout.plus == c.layout.minus
     assert flipped.layout.minus == c.layout.plus
     np.testing.assert_allclose(flipped.strengths, -c.strengths)

@@ -15,18 +15,22 @@ from hypothesis import strategies as st
 from vortex_atlas import dynamics
 from vortex_atlas.atlas import EXIT_NUMERIC, EXIT_OK, main
 from conftest import rotation_axis_matrix
+from oracles import (
+    GroupElement,
+    apply_group_element,
+    corotating_field,
+    mirror_y_matrix,
+    rotation_z_matrix,
+    with_negated_strengths,
+)
 from vortex_atlas.core import (
     COLLISION_EPS,
     Configuration,
     Family,
     FamilyDescriptor,
-    GroupElement,
     Layout,
     OutOfDomain,
     PoleSingularity,
-    apply_group_element,
-    mirror_y_matrix,
-    rotation_z_matrix,
 )
 from vortex_atlas.dynamics import (
     MIN_INTEGRATION_TOL,
@@ -34,12 +38,12 @@ from vortex_atlas.dynamics import (
     CollisionApproach,
     MixedChart,
     StepSizeUnderflow,
-    augmented_hamiltonian,
+    _field,
+    _pair_constants,
     hamiltonian,
     hamiltonians,
     integrate,
     momentum_map,
-    vector_field,
 )
 from vortex_atlas.equilibria import (
     branch_c2v_RRp2p,
@@ -89,14 +93,21 @@ def test_momentum_of_two_ring_configurations(n, theta0, k_p):
     np.testing.assert_allclose(phi, [0.0, 0.0, expected_z], atol=1e-12)
 
 
-def test_augmented_energy_combines_energy_and_vertical_momentum():
-    c = make_family(FamilyDescriptor(Family.DNH_2R, 3, theta0=0.8))
-    h = hamiltonian(c)
-    phi_z = momentum_map(c)[2]
-    assert augmented_hamiltonian(c, 0.0, 5.0) == pytest.approx(h, abs=1e-14)
-    assert augmented_hamiltonian(c, 0.7, 1.5) == pytest.approx(
-        h + 0.7 * (phi_z - 1.5), abs=1e-13
-    )
+def test_augmented_energy_is_stationary_at_a_relative_equilibrium():
+    desc = FamilyDescriptor(Family.DNH_2R, 3, theta0=0.8)
+    c = make_family(desc)
+    chart = MixedChart(c)
+    xi = float(ring_angular_velocity(desc))
+
+    def grad(rate):
+        def f(qq):
+            moved = c.with_positions(chart.positions(qq))
+            return hamiltonian(moved) + rate * momentum_map(moved)[2]
+
+        return _fd_gradient(f, chart.coords())
+
+    assert np.max(np.abs(grad(xi))) < 1e-8
+    assert np.max(np.abs(grad(xi + 0.5))) > 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +117,12 @@ def test_augmented_energy_combines_energy_and_vertical_momentum():
 
 def test_field_vanishes_for_antipodal_pair():
     c = POLAR_PAIR
-    assert np.max(np.abs(vector_field(c))) < 1e-15
+    assert np.max(np.abs(_field(c.positions, _pair_constants(c.strengths)))) < 1e-15
 
 
 def test_field_vanishes_at_fixed_equilibria():
-    assert np.max(np.abs(vector_field(make_equatorial_pm_ring(3)))) < 1e-12
-    assert np.max(np.abs(vector_field(make_tetrahedral_pair()))) < 1e-12
+    for c in (make_equatorial_pm_ring(3), make_tetrahedral_pair()):
+        assert np.max(np.abs(_field(c.positions, _pair_constants(c.strengths)))) < 1e-12
 
 
 def _reference_field(c: Configuration) -> np.ndarray:
@@ -134,7 +145,7 @@ def test_field_matches_the_reference_kernel_bit_for_bit(pm_sampler, seed):
         pm_sampler(rng, 3 * (seed + 1), min_chord=0.05),
         make_family(FamilyDescriptor(Family.DND_RRP, seed + 2, theta0=0.9, k_p=2)),
     ):
-        field, reference = vector_field(c), _reference_field(c)
+        field, reference = _field(c.positions, _pair_constants(c.strengths)), _reference_field(c)
         assert np.array_equal(field, reference)
         assert np.array_equal(np.signbit(field), np.signbit(reference))
 
@@ -143,7 +154,7 @@ def test_field_matches_the_reference_kernel_bit_for_bit(pm_sampler, seed):
 def test_field_is_tangent_to_the_sphere(pm_sampler, seed):
     rng = np.random.default_rng(seed)
     c = pm_sampler(rng, rng.integers(2, 5), min_chord=0.05)
-    dots = np.einsum("ij,ij->i", c.positions, vector_field(c))
+    dots = np.einsum("ij,ij->i", c.positions, _field(c.positions, _pair_constants(c.strengths)))
     assert np.max(np.abs(dots)) < 1e-14
 
 
@@ -183,11 +194,14 @@ def test_momentum_is_equivariant(pm_sampler, index):
 def _reversal_defect(c0: Configuration, g: GroupElement, t: float) -> float:
     """Max-norm distance between ``flow_t(g . c0)`` and ``g . flow_{chi(g) t}(c0)``;
     the backward flow is the forward flow of the strength-negated configuration."""
-    left = integrate(apply_group_element(g, c0), t).final_state().positions
+    def flow(c: Configuration) -> Configuration:
+        return c.with_positions(integrate(c, t).positions[-1])
+
+    left = flow(apply_group_element(g, c0)).positions
     if g.chi == 1:
-        base = integrate(c0, t).final_state()
+        base = flow(c0)
     else:
-        base = integrate(c0.with_negated_strengths(), t).final_state().with_negated_strengths()
+        base = with_negated_strengths(flow(with_negated_strengths(c0)))
     right = apply_group_element(g, base).positions
     return float(np.max(np.abs(left - right)))
 
@@ -230,7 +244,7 @@ def test_integrate_runs_at_the_finest_accepted_tol_without_a_warning(recwarn):
 def test_fixed_equilibrium_stays_put():
     c = make_equatorial_pm_ring(2)
     traj = integrate(c, 10.0, tol=1e-10)
-    drift = np.max(np.abs(traj.final_state().positions - c.positions))
+    drift = np.max(np.abs(c.with_positions(traj.positions[-1]).positions - c.positions))
     assert drift < 1e-9
 
 
@@ -238,7 +252,7 @@ def test_single_vortex_stays_put():
     c = Configuration([[0.6, 0.0, 0.8]], [1.0])
     traj = integrate(c, 1.0)
     assert set(traj.energies) == {0.0}
-    np.testing.assert_array_equal(traj.final_state().positions, c.positions)
+    np.testing.assert_array_equal(c.with_positions(traj.positions[-1]).positions, c.positions)
 
 
 def test_rigidly_rotating_ring_returns_after_one_period():
@@ -247,7 +261,7 @@ def test_rigidly_rotating_ring_returns_after_one_period():
     xi = float(ring_angular_velocity(desc))
     period = 2.0 * math.pi / abs(xi)
     traj = integrate(c, period, tol=1e-10)
-    assert np.max(np.abs(traj.final_state().positions - c.positions)) < 1e-6
+    assert np.max(np.abs(c.with_positions(traj.positions[-1]).positions - c.positions)) < 1e-6
 
 
 def test_energy_and_momentum_drift_stay_small(pm_sampler):
@@ -257,7 +271,7 @@ def test_energy_and_momentum_drift_stay_small(pm_sampler):
     assert max(abs(d) for d in traj.h_drift) < 1e-8
     assert max(traj.phi_drift) < 1e-8
     # drifts are recorded against the recomputed invariants
-    final = traj.final_state()
+    final = c.with_positions(traj.positions[-1])
     assert abs(hamiltonian(final) - hamiltonian(c)) == pytest.approx(
         traj.h_drift[-1], abs=1e-13
     )
@@ -268,9 +282,7 @@ def test_integration_is_deterministic():
     t1 = integrate(c, 2.0, tol=1e-9)
     t2 = integrate(c, 2.0, tol=1e-9)
     assert t1.times == t2.times
-    np.testing.assert_array_equal(
-        t1.final_state().positions, t2.final_state().positions
-    )
+    np.testing.assert_array_equal(t1.positions[-1], t2.positions[-1])
 
 
 def test_collision_guard_raises_with_partial_trajectory():
@@ -284,7 +296,9 @@ def test_collision_guard_raises_with_partial_trajectory():
         integrate(c, 1.0)
     partial = excinfo.value.trajectory
     assert partial.times[0] == 0.0
-    assert len(partial.times) == len(partial.states)
+    assert len(partial.times) == len(partial.positions)
+    for p in partial.positions:
+        c.with_positions(p)  # every state is a valid configuration
 
 
 def test_step_size_underflow_keeps_the_partial_trajectory(tmp_path, monkeypatch, capsys):
@@ -344,7 +358,7 @@ def test_the_step_budget_stops_a_run_that_would_not_end(tmp_path, monkeypatch, c
     assert out_path.read_text() == partial.to_csv()
 
 
-def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):
+def test_trajectory_holds_arrays_and_its_csv_shows_the_states(pm_sampler):
     rng = np.random.default_rng(5)
     c = pm_sampler(rng, 3, min_chord=0.3)
     traj = integrate(c, 1.0, tol=1e-9)
@@ -353,16 +367,12 @@ def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):
     assert not traj.positions.flags.writeable
     assert len(traj.energies) == len(traj.h_drift) == len(traj.phi_drift) == t
     assert traj.energies[0] == hamiltonian(c)
-    assert traj.states[0] is c
-    assert len(traj.states) == t
-    np.testing.assert_array_equal(
-        traj.final_state().positions, traj.states[-1].positions
-    )
+    states = [c] + [c.with_positions(p) for p in traj.positions[1:]]
     # the CSV is what a writer reading the built states would print
     m = len(c)
     header = ["t"] + [f"{a}{i}" for i in range(1, m + 1) for a in "xyz"]
     lines = [",".join(header + ["H", "|dH|", "|dPhi|_inf"])]
-    rows = zip(traj.times, traj.states, traj.h_drift, traj.phi_drift)
+    rows = zip(traj.times, states, traj.h_drift, traj.phi_drift)
     for t_k, state, dh, dphi in rows:
         values = [t_k, *state.positions.ravel().tolist(), hamiltonian(state), dh, dphi]
         lines.append(",".join("%.12g" % x for x in values))
@@ -373,7 +383,7 @@ def test_trajectory_holds_arrays_and_builds_states_lazily(pm_sampler):
 def test_stacked_energies_have_the_bits_of_one_configuration_at_a_time(name):
     golden = Path(__file__).resolve().parent / "golden" / f"{name}.json"
     c = Configuration.from_json(golden.read_text())
-    states = integrate(c, 1.0).states
+    states = [c] + [c.with_positions(p) for p in integrate(c, 1.0).positions[1:]]
     stacked = hamiltonians(np.array([state.positions for state in states]), c.strengths)
     assert stacked.shape == (len(states),)
     assert stacked.tobytes() == np.array([hamiltonian(state) for state in states]).tobytes()
@@ -448,7 +458,8 @@ def test_chart_round_trip_and_gradient():
     xi = 0.4
 
     def f(qq):
-        return augmented_hamiltonian(chart.config_at(qq), xi, 0.0)
+        moved = c.with_positions(chart.positions(qq))
+        return hamiltonian(moved) + xi * momentum_map(moved)[2]
 
     grad = chart.gradient(q, xi)
     np.testing.assert_allclose(grad, _fd_gradient(f, q), rtol=1e-6, atol=1e-8)
@@ -473,7 +484,7 @@ def test_chart_symplectic_structure():
     assert omega[n, 3 * n] == pytest.approx(-math.sin(q[n]), abs=1e-14)
     # the chart field solves the symplectic linear system for the gradient
     xi = 0.3
-    lhs = omega @ chart.corotating_field(q, xi)
+    lhs = omega @ corotating_field(chart, q, xi)
     np.testing.assert_allclose(lhs, chart.gradient(q, xi), atol=1e-10)
 
 
@@ -484,7 +495,7 @@ def test_chart_momentum_rows_match_finite_differences():
     rows = chart.momentum_rows(q)
     for axis in range(3):
         def f(qq, axis=axis):
-            return float(momentum_map(chart.config_at(qq))[axis])
+            return float(momentum_map(chart.config.with_positions(chart.positions(qq)))[axis])
 
         np.testing.assert_allclose(
             rows[axis], _fd_gradient(f, q), rtol=1e-6, atol=1e-8
@@ -691,8 +702,9 @@ def _close_pair(chord: float, strength: float, tilt: float) -> Configuration:
 
 def _check_partial(exc: CollisionApproach) -> None:
     partial = exc.trajectory
-    assert len(partial.states) == len(partial.times)  # every state is valid
+    assert len(partial.positions) == len(partial.times)
     for p in partial.positions[1:]:
+        partial.initial.with_positions(p)  # every state is a valid configuration
         l2 = np.sum((p[:, None, :] - p[None, :, :]) ** 2, axis=-1)
         assert math.sqrt(np.min(l2[np.triu_indices(len(p), k=1)])) >= GUARD
     assert np.all(np.isfinite(partial.energies))

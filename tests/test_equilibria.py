@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import NotTwoRings, TwoRingPhase, rotation_z_matrix, two_ring_phase_test
 from vortex_atlas import atlas
 from vortex_atlas.atlas import EXIT_NUMERIC, main
 from vortex_atlas.core import (
@@ -21,20 +22,17 @@ from vortex_atlas.core import (
     PoleSingularity,
     VortexError,
     _kept_rows,
-    rotation_z_matrix,
 )
-from vortex_atlas.dynamics import hamiltonian, momentum_map, vector_field
+from vortex_atlas.dynamics import _field, _pair_constants, hamiltonian, momentum_map
 from vortex_atlas.equilibria import (
     NoRoot,
     NotRelativeEquilibrium,
-    NotTwoRings,
     OutOfDomain,
     BranchPoint,
-    TwoRingPhase,
     _branch_stack,
     _certify,
     _rigid_rates,
-    angular_velocity_generic,
+    _vortex_rates,
     branch_c2v_2R2p,
     branch_c2v_RRp2p,
     branch_c2v_RmRmp,
@@ -47,7 +45,6 @@ from vortex_atlas.equilibria import (
     make_tetrahedral_pair,
     re_residual,
     ring_angular_velocity,
-    two_ring_phase_test,
 )
 from vortex_atlas.stability import _small_reports, analyze_small
 
@@ -77,7 +74,7 @@ def test_alternating_equatorial_ring_geometry():
 def test_tetrahedral_pair_is_a_fixed_equilibrium():
     c = make_tetrahedral_pair()
     assert len(c) == 8
-    assert np.max(np.abs(vector_field(c))) < 1e-12
+    assert np.max(np.abs(_field(c.positions, _pair_constants(c.strengths)))) < 1e-12
     np.testing.assert_allclose(momentum_map(c), np.zeros(3), atol=1e-15)
 
 
@@ -176,10 +173,8 @@ def test_ring_rate_matches_generic_formula(family, n, k_p):
     desc = FamilyDescriptor(family, n, theta0=0.8, k_p=k_p)
     xi = ring_angular_velocity(desc)
     c = make_family(desc)
-    for index in range(2 * n):
-        assert angular_velocity_generic(c, index) == pytest.approx(
-            xi, abs=1e-10
-        )
+    for rate in _vortex_rates(c.positions[None], c.strengths, list(range(2 * n)))[0]:
+        assert rate == pytest.approx(xi, abs=1e-10)
 
 
 @pytest.mark.parametrize("family", [Family.DNH_2R, Family.DND_RRP])
@@ -197,7 +192,7 @@ def test_single_ring_rate_closed_form():
     for n in (3, 4, 5):
         c = make_single_plus_ring(n, 1.0)
         expected = math.cos(1.0) * (n - 1) / math.sin(1.0) ** 2
-        assert angular_velocity_generic(c, 0) == pytest.approx(expected, abs=1e-12)
+        assert _vortex_rates(c.positions[None], c.strengths, [0])[0, 0] == pytest.approx(expected, abs=1e-12)
         assert configuration_angular_velocity(c) == pytest.approx(
             expected, abs=1e-10
         )
@@ -245,7 +240,7 @@ def test_rates_have_the_bits_of_a_loop_over_partners():
     for c in grid + members + meridian + [make_plus_ring_pole_pair(0.7), make_single_plus_ring(5, 1.2)]:
         ring = list(c.layout.plus) + list(c.layout.minus)
         want = np.array([_rate_by_loop(c, i) for i in ring])
-        assert np.array([angular_velocity_generic(c, i) for i in ring]).tobytes() == want.tobytes()
+        assert _vortex_rates(c.positions[None], c.strengths, ring)[0].tobytes() == want.tobytes()
         assert np.float64(configuration_angular_velocity(c)).tobytes() == want[0].tobytes()
     # one array pass over a stack of configurations that share a layout
     stacked, _ = _rigid_rates(np.array([c.positions for c in grid]), grid[0].strengths, grid[0].layout)

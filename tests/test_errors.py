@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    GroupElement,
+    NotTwoRings,
+    deciding_scalars_ab,
+    deciding_scalars_rs,
+    spectrum_match,
+    two_ring_phase_test,
+)
 from vortex_atlas.core import (
     Configuration,
     Family,
     FamilyDescriptor,
-    GroupElement,
     InvalidConfiguration,
     InvalidDescriptor,
     Layout,
@@ -17,26 +24,15 @@ from vortex_atlas.core import (
 )
 from vortex_atlas.equilibria import (
     NotRelativeEquilibrium,
-    NotTwoRings,
     OutOfDomain,
-    angular_velocity_generic,
     branch_c2v_2R2p,
     branch_c2v_RRp2p,
     configuration_angular_velocity,
     make_family,
-    make_plus_ring_pole_pair,
     make_single_plus_ring,
     ring_angular_velocity,
-    two_ring_phase_test,
 )
-from vortex_atlas.stability import (
-    analyze,
-    analyze_small,
-    deciding_scalars_ab,
-    deciding_scalars_rs,
-    list_transitions,
-    spectrum_match,
-)
+from vortex_atlas.stability import analyze, analyze_small, list_transitions
 
 DNH = Family.DNH_2R
 
@@ -76,7 +72,6 @@ CASES = [
     (lambda: Configuration([[0, 0, 1.0], [0, 0, -1.0]], [1.0, -1.0], pole_count=2), InvalidConfiguration,
      "at least one ring vortex"),
     (lambda: GroupElement(np.eye(2)), InvalidConfiguration, "3x3 matrix"),
-    (lambda: angular_velocity_generic(make_plus_ring_pole_pair(1.0), 2), PoleSingularity, "on a pole vortex"),
     (lambda: configuration_angular_velocity(_poles_only()), PoleSingularity, "no ring rate"),
     (lambda: spectrum_match(np.zeros(2), np.zeros(3)), ValueError, "equal size"),
     # the rates are checked before the chart is built

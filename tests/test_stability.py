@@ -14,6 +14,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rotation_axis_matrix
+from oracles import (
+    GroupElement,
+    apply_group_element,
+    chord_deviation,
+    deciding_scalars_ab,
+    deciding_scalars_rs,
+    fitted_growth,
+    full_linearization_oracle,
+    mirror_y_matrix,
+    rotation_z_matrix,
+    spectrum_match,
+)
 from vortex_atlas import atlas, stability
 from vortex_atlas.atlas import EXIT_OK, main
 from vortex_atlas.core import (
@@ -22,14 +34,10 @@ from vortex_atlas.core import (
     Configuration,
     Family,
     FamilyDescriptor,
-    GroupElement,
     InvalidDescriptor,
     Layout,
     PoleSingularity,
     VortexError,
-    apply_group_element,
-    mirror_y_matrix,
-    rotation_z_matrix,
 )
 from vortex_atlas.dynamics import MixedChart
 from vortex_atlas.equilibria import (
@@ -58,6 +66,7 @@ from vortex_atlas.stability import (
     _block_slices,
     _decide,
     _diagonal_blocks,
+    _pick_transition,
     _restrict,
     _rings,
     _singular,
@@ -68,16 +77,11 @@ from vortex_atlas.stability import (
     analyze_many,
     analyze_small,
     analyze_small_many,
-    critical_latitude,
     decide_many,
-    deciding_scalars_ab,
-    deciding_scalars_rs,
-    full_linearization_oracle,
     hessian_closed_form,
     list_transitions,
     slice_basis,
     slice_symplectic_form,
-    spectrum_match,
     verdict_changes,
 )
 
@@ -1109,11 +1113,33 @@ def test_single_stability_loss_for_two_aligned_pairs():
 
 
 def test_narrow_stable_window_of_three_staggered_pairs():
-    lower = critical_latitude(DND, 3, 0, "HopfLower")
-    upper = critical_latitude(DND, 3, 0, "HopfUpper")
+    found = list_transitions(DND, 3, 0)
+    lower = _pick_transition(found, "HopfLower", 0)
+    upper = _pick_transition(found, "HopfUpper", 0)
     assert lower == pytest.approx(1.302, abs=0.005)
     assert upper == pytest.approx(1.315, abs=0.005)
     assert lower < upper
+
+
+def test_the_dynamics_confirm_the_disputed_dnd_hopf_rows():
+    """Criterion 7's three DNd Hopf rows that the scan puts beyond their
+    tolerance (k_p = 2: N = 2 HopfLower, N = 3 HopfUpper and HopfLower#1),
+    checked by a route that shares only the configuration and ``integrate``
+    with ``analyze``.  At each tabulated latitude a perturbed equilibrium
+    grows at ``analyze``'s largest |Re lambda|; just on the stable side of
+    each computed change its deviation stays below 1e-5 up to t = 60."""
+    for n, theta0 in ((2, 2.21), (3, 2.05), (3, 2.25)):
+        desc = _desc(DND, n, theta0, k_p=2)
+        report = analyze(desc)
+        assert report.verdict is Verdict.LINEARLY_UNSTABLE
+        growth = float(np.max(np.abs(report.linearization_eigenvalues().real)))
+        fitted = fitted_growth(*chord_deviation(desc, 25.0 / growth))
+        assert fitted == pytest.approx(growth, rel=0.01), (n, theta0)
+    for n, theta0 in ((2, 2.225), (3, 2.02), (3, 2.41)):
+        desc = _desc(DND, n, theta0, k_p=2)
+        assert analyze(desc).verdict is Verdict.LINEARLY_STABLE
+        _, deviation = chord_deviation(desc, 60.0)
+        assert deviation.max() < 1e-5, (n, theta0)
 
 
 def test_refinement_catches_windows_thinner_than_the_scan_grid():
@@ -1236,9 +1262,9 @@ def test_verdict_search_rejects_a_nan_or_negative_tol(tol):
 
 def test_missing_transition_raises():
     with pytest.raises(NoTransition):
-        critical_latitude(DND, 5, 0, "StabilityGain")
+        _pick_transition(list_transitions(DND, 5, 0), "StabilityGain", 0)
     with pytest.raises(InvalidDescriptor):
-        critical_latitude(DND, 2, 0, "Wobble")
+        _pick_transition(list_transitions(DND, 2, 0), "Wobble", 0)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,13 @@
-"""The package's public names, their signatures, and the methods the benchmark's tracer wraps."""
+"""The package's public names, their signatures, the methods the benchmark's tracer wraps,
+the README's Python API, and the package's imports."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -11,14 +15,14 @@ import pytest
 LAYERS = ("core", "dynamics", "equilibria", "stability")
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "vortex_atlas"
 
 # The parameters of every function in a layer's ``__all__`` and of every
 # public method of an exported class (without ``self`` or ``cls``); an
-# option, a parameter with a default, ends in "=".  84 parameters, 8 options.
+# option, a parameter with a default, ends in "=".  59 parameters, 6 options.
 SIGNATURES = {
     "core.Layout.all_indices": "",
     "core.Layout.standard": "n_plus n_minus pole_count",
-    "core.Configuration.with_negated_strengths": "",
     "core.Configuration.with_positions": "p",
     "core.Configuration.to_json": "",
     "core.Configuration.from_json": "text",
@@ -26,27 +30,17 @@ SIGNATURES = {
     "core.FamilyDescriptor.to_json": "",
     "core.FamilyDescriptor.from_json": "text",
     "core.FamilyDescriptor.from_mapping": "payload",
-    "core.apply_group_element": "g c",
-    "core.is_fixed_by": "c g",
-    "core.rotation_z_matrix": "angle",
-    "core.mirror_y_matrix": "",
-    "core.mirror_z_matrix": "",
-    "dynamics.Trajectory.final_state": "",
     "dynamics.Trajectory.to_csv": "",
     "dynamics.MixedChart.coords": "",
     "dynamics.MixedChart.positions": "q",
-    "dynamics.MixedChart.config_at": "q",
     "dynamics.MixedChart.gradient": "q xi",
-    "dynamics.MixedChart.corotating_field": "q xi",
     "dynamics.MixedChart.symplectic_matrix": "q",
     "dynamics.MixedChart.momentum_rows": "q",
     "dynamics.MixedChart.rotation_generators": "q axes",
     "dynamics.MixedChart.hessian_fd": "q xi",
     "dynamics.hamiltonian": "c",
     "dynamics.hamiltonians": "positions strengths",
-    "dynamics.vector_field": "c",
     "dynamics.momentum_map": "c",
-    "dynamics.augmented_hamiltonian": "c xi mu",
     "dynamics.integrate": "c0 t_end tol=",
     "equilibria.BranchPoint.configuration": "",
     "equilibria.make_equatorial_pm_ring": "n_pairs",
@@ -55,14 +49,12 @@ SIGNATURES = {
     "equilibria.make_plus_ring_pole_pair": "theta0",
     "equilibria.make_family": "desc",
     "equilibria.two_ring_positions": "family n k_p lambda_n thetas",
-    "equilibria.angular_velocity_generic": "c index=",
     "equilibria.configuration_angular_velocity": "c",
     "equilibria.ring_angular_velocity": "desc",
     "equilibria.re_residual": "c xi_z",
     "equilibria.branch_c2v_2R2p": "x lambda_n=",
     "equilibria.branch_c2v_RRp2p": "x lambda_n= sign=",
     "equilibria.branch_c2v_RmRmp": "x",
-    "equilibria.two_ring_phase_test": "c",
     "stability.BlockSpectrum.as_dict": "",
     "stability.StabilityReport.hessian_eigenvalues": "",
     "stability.StabilityReport.linearization_eigenvalues": "",
@@ -71,17 +63,12 @@ SIGNATURES = {
     "stability.hessian_closed_form": "desc",
     "stability.slice_basis": "desc",
     "stability.slice_symplectic_form": "desc",
-    "stability.deciding_scalars_rs": "desc",
-    "stability.deciding_scalars_ab": "desc",
     "stability.analyze": "desc",
     "stability.analyze_many": "descs",
     "stability.decide_many": "descs",
     "stability.analyze_small": "config",
     "stability.analyze_small_many": "configs",
-    "stability.full_linearization_oracle": "config",
-    "stability.spectrum_match": "found expected",
     "stability.list_transitions": "family n_per_ring k_p grid_step= tol=",
-    "stability.critical_latitude": "family n_per_ring k_p transition occurrence=",
     "stability.verdict_changes": "verdicts_at brackets tol",
 }
 
@@ -151,7 +138,7 @@ def test_public_signatures_are_pinned():
 
 def test_private_cross_layer_imports_are_pinned():
     found = set()
-    for path in (ROOT / "src" / "vortex_atlas").glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 found |= {
@@ -160,3 +147,37 @@ def test_private_cross_layer_imports_are_pinned():
                     if alias.name.startswith("_")
                 }
     assert found == PRIVATE_IMPORTS
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """SciPy is a test dependency only: no import of it, at module level or
+    inside a function, anywhere under ``src/vortex_atlas``."""
+    paths, found = sorted(PACKAGE.glob("*.py")), []
+    assert PACKAGE / "__init__.py" in paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "scipy"]
+    assert not found, found
+
+
+def _readme_api_blocks() -> list[str]:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+
+
+def test_the_readme_python_api_runs():
+    """Each ``python`` block of the README's Python API section runs as
+    written, so a removed or renamed name fails here and not only in the docs."""
+    blocks = _readme_api_blocks()
+    assert len(blocks) == 2
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            exec(compile(block, "README.md", "exec"), {})
+        assert out.getvalue()

@@ -11,28 +11,30 @@ import math
 
 import numpy as np
 
+from oracles import (
+    GroupElement,
+    TwoRingPhase,
+    is_fixed_by,
+    mirror_y_matrix,
+    mirror_z_matrix,
+    two_ring_phase_test,
+)
+from oracles import rotation_z_matrix as _rz
 from vortex_atlas import atlas
 from vortex_atlas.core import (
     Configuration,
     Family,
     FamilyDescriptor,
-    GroupElement,
     Layout,
     VortexError,
-    is_fixed_by,
-    mirror_y_matrix,
-    mirror_z_matrix,
 )
-from vortex_atlas.core import rotation_z_matrix as _rz
 from vortex_atlas.equilibria import (
-    TwoRingPhase,
     branch_c2v_2R2p,
     branch_c2v_RmRmp,
     branch_c2v_RmRmp_all,
     branch_c2v_RRp2p,
     make_equatorial_pm_ring,
     make_family,
-    two_ring_phase_test,
     two_ring_positions,
 )
 
