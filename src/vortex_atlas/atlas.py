@@ -36,7 +36,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,10 +76,9 @@ from .stability import (
     DegenerateForm,
     NoTransition,
     NotRelativeEquilibrium,
-    StabilityReport,
     Verdict,
     _pick_transition,
-    _small_reports,
+    _small_outcomes,
     analyze,
     analyze_small,
     decide_many,
@@ -245,14 +244,14 @@ class DiagramPoint:
     verdict: str
 
 
-_Evaluator = Callable[[Sequence[float]], list[tuple[float, float, str] | None]]
+_Evaluator = Callable[[Sequence[float]], Iterable[tuple[Decision, float] | None]]
 
 
 @dataclass
 class _Segment:
     """A continuously parametrized piece of one diagram branch.
 
-    ``evaluate`` maps parameters to ``(mu_z, energy, verdict)`` each, or
+    ``evaluate`` maps parameters to ``(decision, energy)`` each, or
     ``None`` where a parameter leaves the branch domain; ``sample`` passes
     it the whole grid, and the search for a parent's verdict changes the
     midpoints of one halving round.
@@ -267,7 +266,7 @@ class _Segment:
     def sample(self) -> None:
         params = self.params.tolist()
         self.points = [
-            DiagramPoint(self.label, p, *got)
+            DiagramPoint(self.label, p, got[0].mu_z, got[1], got[0].verdict.value)
             for p, got in zip(params, self.evaluate(params))
             if got is not None
         ]
@@ -300,14 +299,8 @@ class Diagram:
 def _ring_segment(tag: str, family: Family, n: int, k_p: int, params: np.ndarray) -> _Segment:
     """The parent segment of one ring family, labelled ``(tag) <family label>``."""
 
-    def evaluate(thetas: Sequence[float]) -> list[tuple[float, float, str] | None]:
-        return [
-            None if m is None else (m[0].mu_z, m[1], m[0].verdict.value)
-            for m in _members(family, n, k_p, 1.0, thetas)
-        ]
-
     label = FamilyDescriptor(family, n, k_p=k_p).label
-    return _Segment(f"({tag}) {label}", params, evaluate, is_parent=True)
+    return _Segment(f"({tag}) {label}", params, functools.partial(_members, family, n, k_p, 1.0), is_parent=True)
 
 
 def _branch(solve: Callable[[float], BranchPoint | float | None]) -> _Evaluator:
@@ -316,21 +309,21 @@ def _branch(solve: Callable[[float], BranchPoint | float | None]) -> _Evaluator:
     accepts through one stacked numeric analysis at the branch bound
     ``BRANCH_RESIDUAL_TOL``, which drops each one it refuses, and one energy pass."""
 
-    def evaluate(params: Sequence[float]) -> list[tuple[float, float, str] | None]:
+    def evaluate(params: Sequence[float]) -> list[tuple[Decision, float] | None]:
         found = {}
         for k, x in enumerate(params):
             with contextlib.suppress(VortexError):
                 found[k] = solve(x)
         at = [k for k, point in found.items() if point is not None]
-        out: list[tuple[float, float, str] | None] = [None] * len(params)
+        out: list[tuple[Decision, float] | None] = [None] * len(params)
         if not at:
             return out
         positions, strengths, layout, kept = _branch_stack([found[k] for k in at])
         positions = positions[kept]
-        reports = _small_reports(positions, strengths, layout, BRANCH_RESIDUAL_TOL)
-        for k, r, e in zip(np.array(at)[kept].tolist(), reports, hamiltonians(positions, strengths).tolist()):
-            if isinstance(r, StabilityReport):
-                out[k] = (r.mu_z, e, r.verdict.value)
+        outcomes = _small_outcomes(positions, strengths, layout, BRANCH_RESIDUAL_TOL)
+        for k, outcome, e in zip(np.array(at)[kept].tolist(), outcomes, hamiltonians(positions, strengths).tolist()):
+            if not isinstance(outcome, VortexError):
+                out[k] = (outcome[0], e)
         return out
 
     return evaluate
@@ -413,14 +406,14 @@ def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, floa
             continue
 
         def verdicts_at(ts: list[float], parent: _Segment = parent) -> list[str | None]:
-            indeterminate = Verdict.INDETERMINATE.value
-            return [None if got is None or got[2] == indeterminate else got[2] for got in parent.evaluate(ts)]
+            verdicts = (None if got is None else got[0].verdict for got in parent.evaluate(ts))
+            return [None if v in (None, Verdict.INDETERMINATE) else v.value for v in verdicts]
 
         found = verdict_changes(verdicts_at, [(a.param, a.verdict, b.param, b.verdict) for a, b in pairs], 1e-10)
         stars = [next(t for t, before, after in changes if lyap in (before, after)) for changes in found]
         for (a, b), got in zip(pairs, parent.evaluate(stars)):
             if got is not None:
-                mu_star, h_star, _ = got
+                mu_star, h_star = got[0].mu_z, got[1]
                 yield parent, mu_star, h_star, (a.mu_z if a.verdict == lyap else b.mu_z) - mu_star
 
 

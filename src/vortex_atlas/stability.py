@@ -34,6 +34,10 @@ stacked pass:
   rank rule) and the spectra, ``16384 // d**2`` rows at a time (d = 2M).
   It cross-validates the first.
 
+Both routes end in one verdict stage, :func:`_verdicts`, and give each row
+one outcome ``(decision, staggered, blocks, row)``; only :func:`_report`
+builds a report from it, so the diagram's branches build none.
+
 Every floating-point operation acts on each member of a stack exactly as
 on a single one (element-wise arithmetic, sums over a contiguous last
 axis, one BLAS or LAPACK call per vector or matrix), so a stacked report
@@ -673,20 +677,15 @@ def _sort_complex(eigs: np.ndarray) -> np.ndarray:
     return np.sort(np.asarray(eigs, complex), axis=-1, kind="stable")
 
 
-def _decide(h_eigs: np.ndarray, l_eigs: np.ndarray) -> Verdict:
-    growth = float(np.max(np.abs(l_eigs.real))) if l_eigs.size else 0.0
-    return _verdict(float(h_eigs.min()), float(h_eigs.max()), growth)
-
-
-def _verdict(lo: float, hi: float, growth: float) -> Verdict:
-    """Verdict from the extreme Hessian eigenvalues and the largest growth rate."""
-    if lo > DEFINITENESS_TOL or hi < -DEFINITENESS_TOL:
-        return Verdict.LYAPUNOV_STABLE
-    if growth > SPECTRAL_TOL:
-        return Verdict.LINEARLY_UNSTABLE
-    if lo < -DEFINITENESS_TOL and hi > DEFINITENESS_TOL:
-        return Verdict.LINEARLY_STABLE
-    return Verdict.INDETERMINATE
+def _verdicts(lo: np.ndarray, hi: np.ndarray, growth: np.ndarray) -> np.ndarray:
+    """The :class:`Verdict` of each row, an object array, from its extreme
+    Hessian eigenvalues and its largest growth rate: an indefinite Hessian
+    is linearly stable, growth overrides that, and a definite Hessian
+    overrides both; a NaN passes no test."""
+    verdicts = np.where((lo < -DEFINITENESS_TOL) & (hi > DEFINITENESS_TOL), Verdict.LINEARLY_STABLE, Verdict.INDETERMINATE)
+    verdicts[growth > SPECTRAL_TOL] = Verdict.LINEARLY_UNSTABLE
+    verdicts[(lo > DEFINITENESS_TOL) | (hi < -DEFINITENESS_TOL)] = Verdict.LYAPUNOV_STABLE
+    return verdicts
 
 
 def _block_entries(label: str, hb: np.ndarray, l_eigs: np.ndarray, staggered: bool) -> dict:
@@ -802,29 +801,30 @@ def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, 
     hess = np.concatenate([h_eigs for _, _, h_eigs, _ in blocks], axis=1)
     growth = np.abs(np.concatenate([l_eigs.real for _, _, _, l_eigs in blocks], axis=1))
     growths = np.maximum.reduceat(growth, starts, axis=1)
-    fastest = growths.argmax(axis=1).tolist()
-    flattest = np.minimum.reduceat(np.abs(hess), starts, axis=1).argmin(axis=1).tolist()
-    extremes = zip(hess.min(axis=1).tolist(), hess.max(axis=1).tolist(), growths.max(axis=1).tolist())
-    for j, (i, (lo, hi, top)) in enumerate(zip(kept, extremes)):
+    flattest = np.minimum.reduceat(np.abs(hess), starts, axis=1).argmin(axis=1)
+    verdicts = _verdicts(hess.min(axis=1), hess.max(axis=1), growths.max(axis=1))
+    deciding = np.where(verdicts == Verdict.LINEARLY_UNSTABLE, growths.argmax(axis=1), flattest)
+    for j, (i, verdict, b) in enumerate(zip(kept, verdicts.tolist(), deciding.tolist())):
         original, _, rate, mu = stack[i]
-        verdict = _verdict(lo, hi, top)
-        deciding = (fastest if verdict is Verdict.LINEARLY_UNSTABLE else flattest)[j]
-        out[i] = (original, (Decision(verdict, blocks[deciding][0], mu, rate), rings.staggered, blocks, j))
+        out[i] = (original, (Decision(verdict, blocks[b][0], mu, rate), rings.staggered, blocks, j))
     return out
 
 
-def _report(original: FamilyDescriptor, outcome) -> StabilityReport | VortexError:
-    """The report of one outcome of the array stage, or its error."""
+def _report(original: FamilyDescriptor | None, outcome) -> StabilityReport | VortexError:
+    """The report of one outcome of either route, or its error.  The numeric
+    route's (``original`` None) is labelled ``custom``, and its one block
+    ``slice`` has no entries."""
     if isinstance(outcome, VortexError):
         return outcome
     decision, staggered, blocks, j = outcome
     return StabilityReport(
         descriptor=original,
-        label=original.label,
+        label="custom" if original is None else original.label,
         mu_z=decision.mu_z,
         xi_z=decision.xi_z,
         blocks=tuple(
-            BlockSpectrum(label, h_eigs[j], l_eigs[j], _block_entries(label, h_blk[j], l_eigs[j], staggered))
+            BlockSpectrum(label, h_eigs[j], l_eigs[j],
+                          {} if original is None else _block_entries(label, h_blk[j], l_eigs[j], staggered))
             for label, h_blk, h_eigs, l_eigs in blocks
         ),
         verdict=decision.verdict,
@@ -917,10 +917,11 @@ def _small_key(c: Configuration) -> tuple:
     return c.layout, c.strengths.tobytes(), np.sign(c.positions[poles, 2]).tobytes()
 
 
-def _small_stack(positions: np.ndarray, seed: Configuration, bound: float) -> list[StabilityReport | VortexError]:
-    """:func:`analyze_small` of a position stack ``(K, M, 3)`` on the chart of
-    ``seed``, with ``bound`` on the residual: rate and residual refusals are put
-    in place, only agreeing rates are charted, and any other error is raised."""
+def _small_stack(positions: np.ndarray, seed: Configuration, bound: float) -> list:
+    """Per row of a position stack ``(K, M, 3)`` on the chart of ``seed``, its
+    outcome as :func:`_stack_arrays` gives it, one block ``slice``, or its rate
+    or residual refusal (``bound``); only agreeing rates are charted, and any
+    other error is raised."""
     rates, out = _rigid_rates(positions, seed.strengths, seed.layout)
     index = np.flatnonzero([refused is None for refused in out])
     if index.size:
@@ -958,21 +959,18 @@ def _small_stack(positions: np.ndarray, seed: Configuration, bound: float) -> li
                 raise DegenerateForm(_SINGULAR_SLICE)
             h_eigs = np.linalg.eigvalsh(hs)
             l_eigs = _sort_complex(np.linalg.eigvals(-np.linalg.solve(omega_s, hs)))
-            for i, h_e, l_e in zip(index[sub].tolist(), h_eigs, l_eigs):
-                out[i] = StabilityReport(
-                    descriptor=None, label="custom", mu_z=float((seed.strengths @ positions[i])[2]), xi_z=float(rates[i]),
-                    blocks=(BlockSpectrum("slice", h_e, l_e, {}),), verdict=_decide(h_e, l_e), deciding_block="slice",
-                )
+            verdicts = _verdicts(h_eigs.min(axis=1), h_eigs.max(axis=1), np.abs(l_eigs.real).max(axis=1))
+            for j, (i, verdict) in enumerate(zip(index[sub].tolist(), verdicts.tolist())):
+                decision = Decision(verdict, "slice", float((seed.strengths @ positions[i])[2]), float(rates[i]))
+                out[i] = (decision, False, (("slice", None, h_eigs, l_eigs),), j)
     return out
 
 
-def _small_reports(
-    positions: np.ndarray, strengths: np.ndarray, layout: Layout, bound: float
-) -> list[StabilityReport | VortexError]:
+def _small_outcomes(positions: np.ndarray, strengths: np.ndarray, layout: Layout, bound: float) -> list:
     """:func:`_small_stack` of a position stack of one chart, ``16384 // d**2``
     at a time, on the chart of its first configuration, the one built; a chunk
     an error hits as a whole is analysed again one configuration at a time."""
-    out: list[StabilityReport | VortexError] = []
+    out: list = []
     size = max(1, STACK_ELEMENTS // (2 * len(strengths)) ** 2)
     for start in range(0, len(positions), size):
         stack = positions[start : start + size]
@@ -981,7 +979,7 @@ def _small_reports(
         try:
             out += _small_stack(stack, seed, bound)
         except VortexError as exc:  # an error hit the whole chunk: each alone gets its own outcome
-            out += [exc] if len(positions) == 1 else [r for p in stack for r in _small_reports(p[None], strengths, layout, bound)]
+            out += [exc] if len(positions) == 1 else [r for p in stack for r in _small_outcomes(p[None], strengths, layout, bound)]
     return out
 
 
@@ -997,7 +995,8 @@ def analyze_small_many(configs: Iterable[Configuration]) -> list[StabilityReport
     out: list[StabilityReport | VortexError] = []
     for _, run in groupby(configs, _small_key):
         run = list(run)
-        out += _small_reports(np.array([c.positions for c in run]), run[0].strengths, run[0].layout, RESIDUAL_TOL)
+        outcomes = _small_outcomes(np.array([c.positions for c in run]), run[0].strengths, run[0].layout, RESIDUAL_TOL)
+        out += [_report(None, outcome) for outcome in outcomes]
     return out
 
 

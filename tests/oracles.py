@@ -416,10 +416,13 @@ def chord_deviation(desc: FamilyDescriptor, t_end: float) -> tuple[np.ndarray, n
 
 def fitted_growth(times: np.ndarray, deviation: np.ndarray) -> float:
     """Least-squares slope of ``log(deviation)`` against time over the
-    samples where the deviation lies in [1e-6, 1e-2]: the linear growth
-    rate, read once the growing mode dominates the 1e-8 offset and before
-    the nonlinear regime."""
-    window = (deviation >= 1e-6) & (deviation <= 1e-2)
+    samples where the deviation lies in [1e-6, 1e-2], up to its first passage
+    above 1e-2: the linear growth rate, read once the growing mode dominates
+    the 1e-8 offset and before the nonlinear regime, whose deviation may
+    fall back through the window."""
+    above = np.flatnonzero(deviation > 1e-2)
+    window = deviation >= 1e-6
+    window[above[0] if above.size else len(window) :] = False
     if window.sum() < 10:
         raise ValueError(f"only {window.sum()} samples in the fitting window")
     return float(np.polyfit(times[window], np.log(deviation[window]), 1)[0])

@@ -729,7 +729,7 @@ def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkey
     points (the per-point route built 3,046)."""
     counts = {"charts": 0, "charted": 0, "configurations": 0, "evaluates": 0, "segment stacks": 0, "stacks": 0, "found": 0}
     init, coords, post_init = dynamics.MixedChart.__init__, dynamics.MixedChart._coords, Configuration.__post_init__
-    small_stack, small_reports, branch = stability._small_stack, atlas._small_reports, atlas._branch
+    small_stack, small_outcomes, branch = stability._small_stack, atlas._small_outcomes, atlas._branch
 
     def counted_init(self, config):
         counts["charts"] += 1
@@ -747,10 +747,10 @@ def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkey
         counts["stacks"] += 1
         return small_stack(positions, seed, bound)
 
-    def counted_reports(positions, strengths, layout, bound):
+    def counted_outcomes(positions, strengths, layout, bound):
         counts["found"] += len(positions)
         counts["segment stacks"] += 1
-        return small_reports(positions, strengths, layout, bound)
+        return small_outcomes(positions, strengths, layout, bound)
 
     def counted_branch(solve):
         evaluate = branch(solve)
@@ -765,7 +765,7 @@ def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkey
     monkeypatch.setattr(dynamics.MixedChart, "_coords", counted_coords)
     monkeypatch.setattr(Configuration, "__post_init__", counted_post_init)
     monkeypatch.setattr(stability, "_small_stack", counted_stack)
-    monkeypatch.setattr(atlas, "_small_reports", counted_reports)
+    monkeypatch.setattr(atlas, "_small_outcomes", counted_outcomes)
     monkeypatch.setattr(atlas, "_branch", counted_branch)
     build_diagram(2)
     build_diagram(3)
@@ -773,6 +773,22 @@ def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkey
     assert counts["charts"] <= counts["evaluates"] + counts["stacks"]
     assert 0 < counts["charted"] <= counts["found"]
     assert counts["configurations"] <= counts["segment stacks"] + 2
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3])
+def test_the_diagram_builds_a_report_for_the_fixed_point_alone(monkeypatch, n_pairs):
+    """A branch point's momentum and verdict come from its Decision, so the
+    fixed point E is the one point that gets a StabilityReport (2,543 for
+    two pairs and 483 for three when every branch point got one)."""
+    built, report = [], stability.StabilityReport
+
+    def counted(**fields):
+        built.append(fields["label"])
+        return report(**fields)
+
+    monkeypatch.setattr(stability, "StabilityReport", counted)
+    build_diagram(n_pairs)
+    assert built == [FamilyDescriptor(Family.EQUATORIAL_PM_RING, n_per_ring=n_pairs).label]
 
 
 def test_diagram_segments_and_fixed_point(three_pair_diagram):

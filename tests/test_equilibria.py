@@ -46,7 +46,7 @@ from vortex_atlas.equilibria import (
     re_residual,
     ring_angular_velocity,
 )
-from vortex_atlas.stability import _small_reports, analyze_small
+from vortex_atlas.stability import _report, _small_outcomes, analyze_small
 
 # positive root of a^4 + a^2 = 1: the meridian branch crosses the
 # anti-diagonal at (a, -a) and (-a, a)
@@ -271,11 +271,12 @@ def test_the_certificate_judges_each_configuration_of_a_stack():
     turned[minus] = turned[minus] @ rotation_z_matrix(1e-6).T  # still rigid to 1e-15, residual 2.3e-7
     configs = [good, good.with_positions(spun), good.with_positions(turned)]
     # the diagram's route: the numeric analysis at the branch bound
-    got = _small_reports(np.array([c.positions for c in configs]), good.strengths, good.layout, 1e-8)
+    outcomes = _small_outcomes(np.array([c.positions for c in configs]), good.strengths, good.layout, 1e-8)
+    got = [_report(None, outcome) for outcome in outcomes]
     assert [type(r).__name__ for r in got] == ["StabilityReport", "NotRelativeEquilibrium", "NotRelativeEquilibrium"]
     assert str(got[1]).startswith("per-vortex rotation rates disagree by ")
     assert re.fullmatch(r"co-rotating field residual 2\.3\d\de-07 exceeds 1\.0e-08", str(got[2]))
-    assert _small_reports(np.empty((0, 6, 3)), good.strengths, good.layout, 1e-8) == []
+    assert _small_outcomes(np.empty((0, 6, 3)), good.strengths, good.layout, 1e-8) == []
     # the public solvers' route: one configuration at a time
     _certify(good)
     with pytest.raises(NotRelativeEquilibrium, match="^per-vortex rotation rates disagree by "):
@@ -296,7 +297,7 @@ def test_a_pair_closer_than_round_off_is_refused_by_its_rates(tmp_path, capsys):
     )
     with pytest.raises(NotRelativeEquilibrium, match="disagree by nan"):
         analyze_small(c)
-    (refused,) = _small_reports(c.positions[None], c.strengths, c.layout, 1e-8)
+    (refused,) = _small_outcomes(c.positions[None], c.strengths, c.layout, 1e-8)
     assert isinstance(refused, NotRelativeEquilibrium)
     with pytest.raises(NotRelativeEquilibrium, match="disagree by nan"):
         _certify(c)

@@ -64,7 +64,6 @@ from vortex_atlas.stability import (
     StabilityReport,
     Verdict,
     _block_slices,
-    _decide,
     _diagonal_blocks,
     _pick_transition,
     _restrict,
@@ -73,6 +72,7 @@ from vortex_atlas.stability import (
     _slice_bases,
     _stack_entry,
     _symplectic_forms,
+    _verdicts,
     analyze,
     analyze_many,
     analyze_small,
@@ -459,6 +459,25 @@ def test_equatorial_alternating_rings():
         assert abs(report.xi_z) < 1e-12
 
 
+def test_the_verdict_rule_decides_each_row_at_its_edges():
+    """One call decides every row ``(lo, hi, growth)``: a Hessian definite
+    beyond DEFINITENESS_TOL is Lyapunov stable whatever the growth; otherwise
+    growth above SPECTRAL_TOL is unstable and an indefinite Hessian linearly
+    stable; a Hessian within the margin or NaN decides nothing."""
+    table = [
+        ((1e-9, 5.0, 0.0), Verdict.INDETERMINATE),
+        ((2e-9, 5.0, 1.0), Verdict.LYAPUNOV_STABLE),
+        ((-5.0, -2e-9, 0.0), Verdict.LYAPUNOV_STABLE),
+        ((-5.0, 5.0, 1e-8), Verdict.LINEARLY_STABLE),
+        ((-5.0, 5.0, math.nan), Verdict.LINEARLY_STABLE),
+        ((-5.0, 5.0, 1.1e-8), Verdict.LINEARLY_UNSTABLE),
+        ((-5.0, 1e-9, 0.0), Verdict.INDETERMINATE),
+        ((math.nan, math.nan, 0.0), Verdict.INDETERMINATE),
+    ]
+    rows = np.array([row for row, _ in table])
+    assert _verdicts(*rows.T).tolist() == [verdict for _, verdict in table]
+
+
 def test_verdict_is_indeterminate_at_unresolvable_margins():
     # the definiteness margin collapses below double precision here; an
     # honest verdict refuses to pick a side
@@ -467,7 +486,8 @@ def test_verdict_is_indeterminate_at_unresolvable_margins():
 
 
 def _assert_verdict_follows_from_the_blocks(report):
-    expected = _decide(report.hessian_eigenvalues(), report.linearization_eigenvalues())
+    hess, growth = report.hessian_eigenvalues(), np.abs(report.linearization_eigenvalues().real)
+    (expected,) = _verdicts(*np.array([[hess.min()], [hess.max()], [growth.max()]]))
     assert report.verdict is expected
 
 
@@ -838,7 +858,7 @@ def _diagram_configurations(n_pairs, monkeypatch):
         seen.extend(_stack_configurations(positions, strengths, layout))
         return [VortexError("only the configurations are needed")] * len(positions)
 
-    monkeypatch.setattr(atlas, "_small_reports", record)
+    monkeypatch.setattr(atlas, "_small_outcomes", record)
     for seg in atlas._figure_segments(n_pairs):
         if not seg.is_parent:
             seg.sample()
@@ -976,7 +996,8 @@ def test_a_stack_an_error_hits_as_a_whole_is_analysed_one_row_at_a_time():
         configs = _stack_configurations(positions, pole_pair.strengths, pole_pair.layout)
         with pytest.raises(PoleSingularity):
             stability._small_stack(positions, configs[0], RESIDUAL_TOL)
-        got = stability._small_reports(positions, pole_pair.strengths, pole_pair.layout, RESIDUAL_TOL)
+        outcomes = stability._small_outcomes(positions, pole_pair.strengths, pole_pair.layout, RESIDUAL_TOL)
+        got = [stability._report(None, outcome) for outcome in outcomes]
         assert len(got) == len(thetas)
         assert isinstance(got[bad], PoleSingularity)
         assert str(got[bad]) == "pole vortex sits on the equator; its chart hemisphere is undefined"
@@ -1127,14 +1148,17 @@ def test_the_dynamics_confirm_the_disputed_dnd_hopf_rows():
     checked by a route that shares only the configuration and ``integrate``
     with ``analyze``.  At each tabulated latitude a perturbed equilibrium
     grows at ``analyze``'s largest |Re lambda|; just on the stable side of
-    each computed change its deviation stays below 1e-5 up to t = 60."""
-    for n, theta0 in ((2, 2.21), (3, 2.05), (3, 2.25)):
-        desc = _desc(DND, n, theta0, k_p=2)
+    each computed change its deviation stays below 1e-5 up to t = 60.  Two
+    latitudes 0.005 past a computed HopfUpper (N = 3 at k_p 0 and 2), where
+    the deviation overshoots 1e-2 and falls back through the fitting window,
+    check that the fit reads the first passage only."""
+    for n, theta0, k_p in ((2, 2.21, 2), (3, 2.05, 2), (3, 2.25, 2), (3, 1.32, 0), (3, 2.0275, 2)):
+        desc = _desc(DND, n, theta0, k_p=k_p)
         report = analyze(desc)
         assert report.verdict is Verdict.LINEARLY_UNSTABLE
         growth = float(np.max(np.abs(report.linearization_eigenvalues().real)))
         fitted = fitted_growth(*chord_deviation(desc, 25.0 / growth))
-        assert fitted == pytest.approx(growth, rel=0.01), (n, theta0)
+        assert fitted == pytest.approx(growth, rel=0.01), (n, theta0, k_p)
     for n, theta0 in ((2, 2.225), (3, 2.02), (3, 2.41)):
         desc = _desc(DND, n, theta0, k_p=2)
         assert analyze(desc).verdict is Verdict.LINEARLY_STABLE

@@ -81,7 +81,7 @@ PRIVATE_IMPORTS = {
     ("atlas", "equilibria._rm_rmp_points"),
     ("atlas", "equilibria._rrp2p_point"),
     ("atlas", "stability._pick_transition"),
-    ("atlas", "stability._small_reports"),
+    ("atlas", "stability._small_outcomes"),
     ("dynamics", "core._pairwise_l2"),
     ("equilibria", "core._kept_rows"),
     ("stability", "core._family_named"),

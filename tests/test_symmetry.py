@@ -170,7 +170,7 @@ def _segment_samples(n_pairs: int, monkeypatch) -> dict[str, list[Configuration]
         ring_labels.add(FamilyDescriptor(family, n, k_p=k_p, lambda_n=lambda_n).label)
         return positions, strengths, clear
 
-    monkeypatch.setattr(atlas, "_small_reports", record_small)
+    monkeypatch.setattr(atlas, "_small_outcomes", record_small)
     monkeypatch.setattr(atlas, "two_ring_positions", record_members)
     samples: dict[str, list[Configuration]] = {}
     for seg in atlas._figure_segments(n_pairs):
