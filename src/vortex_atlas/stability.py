@@ -21,8 +21,9 @@ stacked pass:
   of one family (same N and poles, and vertical momentum zero or not),
   ``16384 // d**2`` latitudes at a time (d = 4N + 2k_p; at least one),
   builds their Hessians, one slice basis per latitude (one size and one
-  set of block labels for the whole stack), restricted forms and block
-  spectra as ``(K, ...)`` arrays, and gives each latitude one outcome.
+  set of block labels for the whole stack) and restricted forms as
+  ``(K, ...)`` arrays, takes the spectra block by block, and gives each
+  latitude one outcome.
   :func:`decide_many` reads its :class:`Decision` (verdict, deciding
   block, mu_z, xi_z) from it, :func:`analyze_many` its report;
 * numeric route — one pass over a ``(K, M, 3)`` position stack of one
@@ -34,9 +35,11 @@ stacked pass:
   rank rule) and the spectra, ``16384 // d**2`` rows at a time (d = 2M).
   It cross-validates the first.
 
-Both routes end in one verdict stage, :func:`_verdicts`, and give each row
-one outcome ``(decision, staggered, blocks, row)``; only :func:`_report`
-builds a report from it, so the diagram's branches build none.
+Both routes end in one spectral stage, :func:`_block_spectra` (the numeric
+route's slice is its one block ``slice``), and one verdict stage,
+:func:`_verdicts`, and give each row one outcome ``(decision, staggered,
+blocks, row)``; only :func:`_report` builds a report from it, so the
+diagram's branches build none.
 
 Every floating-point operation acts on each member of a stack exactly as
 on a single one (element-wise arithmetic, sums over a contiguous last
@@ -529,27 +532,13 @@ def _restrict(basis: np.ndarray, form: np.ndarray, antisymmetric: bool) -> np.nd
     return 0.5 * (out + out.transpose(0, 2, 1))
 
 
-def _diagonal_blocks(mats: np.ndarray, slices: list[tuple[str, slice]]) -> list[tuple[list[int], np.ndarray]]:
-    """The diagonal blocks of a stack of slice matrices ``(K, p, p)``, by
-    size: the blocks' positions in slice order and ``(K, m, size, size)``."""
-    by_size: dict[int, list[int]] = {}
-    for b, (_, sl) in enumerate(slices):
-        by_size.setdefault(sl.stop - sl.start, []).append(b)
-    out = []
-    for size, members in by_size.items():
-        rows = np.array([slices[b][1].start for b in members])[:, None] + np.arange(size)
-        out.append((members, mats[:, rows[:, :, None], rows[:, None, :]]))
-    return out
-
-
-def _singular(omega_blocks: list[tuple[list[int], np.ndarray]]) -> np.ndarray:
-    """Which restricted symplectic forms are singular, ``(K,)``: the smallest
-    singular value of the blocks is below 1e-12 times the largest (at least
-    1).  The blocks are symplectically orthogonal, so their singular values
-    are those of the whole form."""
-    sing = np.concatenate(
-        [np.linalg.svd(o, compute_uv=False).reshape(len(o), -1) for _, o in omega_blocks], axis=1
-    )
+def _singular(omega_blocks: list[np.ndarray]) -> np.ndarray:
+    """Which restricted symplectic forms are singular, ``(K,)``, from their
+    diagonal blocks ``(K, size, size)``: the smallest singular value of the
+    blocks is below 1e-12 times the largest (at least 1).  The blocks are
+    symplectically orthogonal, so their singular values are those of the
+    whole form."""
+    sing = np.concatenate([np.linalg.svd(o, compute_uv=False) for o in omega_blocks], axis=1)
     return sing.min(axis=1) < 1e-12 * np.maximum(sing.max(axis=1), 1.0)
 
 
@@ -596,7 +585,7 @@ def slice_symplectic_form(desc: FamilyDescriptor) -> np.ndarray:
     rings, reduced, u, s, _ = _one_point(desc)
     b, labels = _slice_bases(rings, reduced, u, s)
     omega_b = _restrict(b, _symplectic_forms(rings, s), antisymmetric=True)
-    if _singular(_diagonal_blocks(omega_b, _block_slices(labels)))[0]:
+    if _singular([omega_b[:, sl, sl] for _, sl in _block_slices(labels)])[0]:
         raise DegenerateForm(_SINGULAR_SLICE)
     return omega_b[0]
 
@@ -736,25 +725,18 @@ def _block_slices(labels: tuple[str, ...]) -> list[tuple[str, slice]]:
     return out
 
 
-def _block_spectra(h_blocks: list, o_blocks: list, slices: list[tuple[str, slice]]) -> list:
-    """Per block of the slice: Hessian block, its eigenvalues and the
-    sorted linearization eigenvalues, each stacked over the latitudes.
-
-    Blocks of one size are solved in one stacked call; LAPACK works on each
-    matrix of a stack on its own, so the results do not depend on the
-    grouping.  Returns ``(label, h_blk, h_eigs, l_eigs)`` per block, in
-    slice order.
+def _block_spectra(labels: list[str], h_blocks: list[np.ndarray], o_blocks: list[np.ndarray]) -> list:
+    """Per block of the slice, in slice order, from its Hessian and
+    symplectic blocks ``(K, size, size)``: ``(label, h_blk, h_eigs,
+    l_eigs)``, the Hessian block, its eigenvalues and the sorted
+    linearization eigenvalues, each stacked over the rows.  LAPACK works on
+    each matrix of a stack on its own, so every row gets the bits a
+    one-row stack gives.
     """
-    blocks: list = [None] * len(slices)
-    for (members, h), (_, o) in zip(h_blocks, o_blocks):
-        k, m, size = h.shape[:3]
-        flat = h.reshape(-1, size, size)
-        h_eigs = np.linalg.eigvalsh(flat).reshape(k, m, size)
-        l_eigs = _sort_complex(np.linalg.eigvals(-np.linalg.solve(o.reshape(-1, size, size), flat)))
-        l_eigs = l_eigs.reshape(k, m, size)
-        for j, b in enumerate(members):
-            blocks[b] = (slices[b][0], h[:, j], h_eigs[:, j], l_eigs[:, j])
-    return blocks
+    return [
+        (label, h, np.linalg.eigvalsh(h), _sort_complex(np.linalg.eigvals(-np.linalg.solve(o, h))))
+        for label, h, o in zip(labels, h_blocks, o_blocks)
+    ]
 
 
 class Decision(NamedTuple):
@@ -773,9 +755,10 @@ def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, 
 
     Per latitude: its descriptor and outcome, ``(decision, staggered,
     blocks, j)`` or the :class:`DegenerateForm` of a singular restricted
-    form.  ``blocks`` holds the stacked ``(label, h_blk, h_eigs, l_eigs)``
-    of each block over the latitudes with a regular form, and ``j`` is the
-    latitude's row there.
+    form.  Each block is the diagonal view ``m[:, sl, sl]`` of the
+    restricted Hessian and form; ``blocks`` holds the
+    :func:`_block_spectra` of each block over the latitudes with a regular
+    form, and ``j`` is the latitude's row there.
     """
     rings, reduced = _rings(*key[:4]), key[4]
     u = np.array([math.cos(theta) for _, theta, _, _ in stack])
@@ -783,16 +766,17 @@ def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, 
     xi = np.array([rate for _, _, rate, _ in stack])
     basis, labels = _slice_bases(rings, reduced, u, s)
     slices = _block_slices(labels)
-    h_blocks = _diagonal_blocks(_restrict(basis, _hessians(rings, u, s, xi), antisymmetric=False), slices)
-    o_blocks = _diagonal_blocks(_restrict(basis, _symplectic_forms(rings, s), antisymmetric=True), slices)
+    h = _restrict(basis, _hessians(rings, u, s, xi), antisymmetric=False)
+    omega = _restrict(basis, _symplectic_forms(rings, s), antisymmetric=True)
+    h_blocks, o_blocks = ([m[:, sl, sl] for _, sl in slices] for m in (h, omega))
     singular = _singular(o_blocks).tolist()
     out: list = [(entry[0], DegenerateForm(_SINGULAR_SLICE) if bad else None) for entry, bad in zip(stack, singular)]
     kept = [i for i, bad in enumerate(singular) if not bad]
     if not kept:
         return out
     if len(kept) < len(stack):
-        h_blocks, o_blocks = ([(members, b[kept]) for members, b in blocks] for blocks in (h_blocks, o_blocks))
-    blocks = _block_spectra(h_blocks, o_blocks, slices)
+        h_blocks, o_blocks = ([b[kept] for b in blocks] for blocks in (h_blocks, o_blocks))
+    blocks = _block_spectra([label for label, _ in slices], h_blocks, o_blocks)
     # The blocks are symplectically orthogonal and do not couple in the
     # Hessian, so the slice spectrum is the union of the block spectra;
     # the deciding block is the first with the largest growth rate or
@@ -957,12 +941,12 @@ def _small_stack(positions: np.ndarray, seed: Configuration, bound: float) -> li
             sing_s = np.linalg.svd(omega_s, compute_uv=False)
             if (sing_s[:, -1] < 1e-10 * np.maximum(sing_s[:, 0], 1.0)).any():
                 raise DegenerateForm(_SINGULAR_SLICE)
-            h_eigs = np.linalg.eigvalsh(hs)
-            l_eigs = _sort_complex(np.linalg.eigvals(-np.linalg.solve(omega_s, hs)))
+            blocks = _block_spectra(["slice"], [hs], [omega_s])
+            ((_, _, h_eigs, l_eigs),) = blocks
             verdicts = _verdicts(h_eigs.min(axis=1), h_eigs.max(axis=1), np.abs(l_eigs.real).max(axis=1))
             for j, (i, verdict) in enumerate(zip(index[sub].tolist(), verdicts.tolist())):
                 decision = Decision(verdict, "slice", float((seed.strengths @ positions[i])[2]), float(rates[i]))
-                out[i] = (decision, False, (("slice", None, h_eigs, l_eigs),), j)
+                out[i] = (decision, False, blocks, j)
     return out
 
 

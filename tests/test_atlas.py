@@ -441,6 +441,24 @@ def test_classify_rejects_bad_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ("[1, 2]", "descriptor JSON must be an object"),
+        # no pole vortices, so the rate formula meets the vortex at the north pole
+        ('{"vortices": [{"pos": [0, 0, 1], "strength": 1}, {"pos": [1, 0, 0], "strength": 1}, '
+         '{"pos": [0, 1, 0], "strength": -1}, {"pos": [0, -1, 0], "strength": -1}]}',
+         "vortex sits too close to a pole for the rate formula"),
+    ],
+)
+def test_classify_refuses_a_file_in_one_line(tmp_path, capsys, payload, message):
+    path = tmp_path / "input.json"
+    path.write_text(payload)
+    assert main(["classify", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 @pytest.mark.parametrize("k_p", [0, 2])
 def test_classify_rejects_a_non_finite_pole_strength(value, k_p, capsys):

@@ -344,6 +344,9 @@ def test_descriptor_labels():
         == "D4h(2R,2p)"
     )
     assert FamilyDescriptor(Family.EQUATORIAL_PM_RING, 2).label == "D4h(Re)"
+    assert FamilyDescriptor(Family.C2V_2R2P, 2).label == "C2v_2R2p"
+    assert FamilyDescriptor(Family.C2V_RRP2P, 2).label == "C2v_RRp2p"
+    assert FamilyDescriptor(Family.C2V_RM_RMP, 2).label == "C2v_RmRmp"
 
 
 def test_descriptor_json_round_trip():

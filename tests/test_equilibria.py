@@ -380,6 +380,8 @@ def test_meridian_branch_roots_are_frozen():
     assert across.y == pytest.approx(0.9533410869496951, abs=1e-9)
 
     assert branch_c2v_RmRmp_all(0.0) == ()
+    # x + 1e-9 rounds up to 1.0, past the scan's top 1 - 1e-9: no bracket at all
+    assert branch_c2v_RmRmp_all(1 - 1e-9) == ()
     with pytest.raises(NoRoot):
         branch_c2v_RmRmp(0.0)
     with pytest.raises(OutOfDomain):

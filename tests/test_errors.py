@@ -13,6 +13,7 @@ from oracles import (
     spectrum_match,
     two_ring_phase_test,
 )
+from vortex_atlas.atlas import build_diagram
 from vortex_atlas.core import (
     Configuration,
     Family,
@@ -39,6 +40,13 @@ DNH = Family.DNH_2R
 
 def _poles_only():
     return Configuration([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [1.0, -1.0], 2, Layout((), (), 0, 1))
+
+
+def _ring_vortex_on_a_pole():
+    """No pole vortices, so nothing exempts the vortex at the north pole from
+    the rate formula."""
+    positions = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
+    return Configuration(positions, [1.0, 1.0, -1.0, -1.0])
 
 
 def _not_rigid_with_poles_on_the_equator():
@@ -73,6 +81,9 @@ CASES = [
      "at least one ring vortex"),
     (lambda: GroupElement(np.eye(2)), InvalidConfiguration, "3x3 matrix"),
     (lambda: configuration_angular_velocity(_poles_only()), PoleSingularity, "no ring rate"),
+    (lambda: configuration_angular_velocity(_ring_vortex_on_a_pole()), PoleSingularity,
+     "vortex sits too close to a pole for the rate formula"),
+    (lambda: build_diagram(4), OutOfDomain, "the diagram is built for 2 or 3 vortex pairs"),
     (lambda: spectrum_match(np.zeros(2), np.zeros(3)), ValueError, "equal size"),
     # the rates are checked before the chart is built
     (lambda: analyze_small(_not_rigid_with_poles_on_the_equator()), NotRelativeEquilibrium, "rates disagree"),

@@ -138,3 +138,19 @@ def test_the_zero_finder_stops_where_brentq_does():
         assert equilibria._brentq(f, 0.0, 1.5, maxiter=maxiter, **tols) == brentq(f, 0.0, 1.5, maxiter=maxiter, **tols)
     with pytest.raises(ValueError, match="different signs"):
         equilibria._brentq(f, 0.0, 0.5, **tols)
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: x - 0.5, 0.5, 1.0),  # a root at the lower end
+        (lambda x: x - 0.5, 0.0, 0.5),  # a root at the upper end
+        # equal |f| at every step leaves no short step: bisection throughout
+        (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+    ],
+)
+def test_the_zero_finder_returns_brentqs_float_on_exact_ends_and_steps(f, a, b):
+    from scipy.optimize import brentq
+
+    tols = dict(xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    assert equilibria._brentq(f, a, b, **tols) == brentq(f, a, b, **tols)

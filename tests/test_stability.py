@@ -64,7 +64,6 @@ from vortex_atlas.stability import (
     StabilityReport,
     Verdict,
     _block_slices,
-    _diagonal_blocks,
     _pick_transition,
     _restrict,
     _rings,
@@ -779,9 +778,11 @@ def test_a_singular_restricted_form_is_an_error_in_place(monkeypatch):
     assert [repr(tuple(d)) for d in decisions[::2]] == [repr(tuple(d)) for d in want_decisions[::2]]
     assert [_report_bytes(r) for r in reports[::2]] == [_report_bytes(r) for r in want_reports[::2]]
 
-    monkeypatch.setattr(stability, "_singular", lambda omega_blocks: np.ones(len(omega_blocks[0][1]), dtype=bool))
+    monkeypatch.setattr(stability, "_singular", lambda omega_blocks: np.ones(len(omega_blocks[0]), dtype=bool))
     with pytest.raises(DegenerateForm):
         analyze(descs[1])
+    with pytest.raises(DegenerateForm, match="^the symplectic form restricted to the slice is singular$"):
+        slice_symplectic_form(descs[1])
 
 
 @pytest.mark.parametrize("family", [DNH, DND])
@@ -828,13 +829,13 @@ def test_block_singularity_test_agrees_with_the_whole_form(family, k_p):
             for _, sl in slices:
                 off[:, sl, sl] = 0.0
             assert np.abs(off).max() <= 1e-13 * max(np.abs(omega_b).max(), 1.0)
-            assert _singular(_diagonal_blocks(omega_b, slices)).tolist() == _whole_form_singular(omega_b).tolist() == [False]
+            assert _singular([omega_b[:, sl, sl] for _, sl in slices]).tolist() == _whole_form_singular(omega_b).tolist() == [False]
             # one block shrunk towards zero: both tests call the form singular
             for _, sl in slices:
                 shrunk = omega_b.copy()
                 shrunk[:, sl, sl] *= 1e-13
                 want = _whole_form_singular(shrunk).tolist()
-                assert _singular(_diagonal_blocks(shrunk, slices)).tolist() == want
+                assert _singular([shrunk[:, sl, sl] for _, sl in slices]).tolist() == want
                 shrunk_singular += want[0]
     assert shrunk_singular > 0
 
