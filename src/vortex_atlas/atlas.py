@@ -64,8 +64,8 @@ from .equilibria import (
     BRANCH_RESIDUAL_TOL,
     BranchPoint,
     _branch_stack,
-    _rm_rmp_points,
-    _rrp2p_point,
+    branch_c2v_RmRmp_all,
+    branch_c2v_RRp2p,
     make_equatorial_pm_ring,
     make_family,
     two_ring_positions,
@@ -343,14 +343,14 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
     segments: list[_Segment] = []
     if n_pairs == 2:
         for sign in (-1, 1):
-            solve = _branch(lambda x, s=sign: _rrp2p_point(x, 0.0, s))
+            solve = _branch(lambda x, s=sign: branch_c2v_RRp2p(x, 0.0, s))
             segments.append(_Segment("(a) C2v(R,R')", interval, solve, is_parent=False))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 0, half))
         meridional_x = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 2 * pts)
 
         # One solve per x, shared by the four (root, swap) segments;
         # built per diagram, so no state outlives it.
-        roots_at = functools.cache(_rm_rmp_points)
+        roots_at = functools.cache(branch_c2v_RmRmp_all)
 
         def meridian(x: float, root_index: int, swap: bool) -> BranchPoint | None:
             roots = roots_at(x)
@@ -368,7 +368,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
     else:
         segments.append(_ring_segment("a", Family.DNH_2R, 3, 0, half))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 2, full_gapped))
-        solve = _branch(lambda x: _rrp2p_point(x, 1.0, -1))
+        solve = _branch(lambda x: branch_c2v_RRp2p(x, 1.0, -1))
         segments.append(_Segment("(c) C2v(R,R',2p)", interval, solve, is_parent=False))
         segments.append(_ring_segment("d", Family.DND_RRP, 3, 0, half_closed))
         segments.append(_ring_segment("e", Family.DND_RRP, 2, 2, full))

@@ -35,11 +35,12 @@ branch off the symmetric ones; they are parametrized by the cosines
 * ``C_2v(R_m,R_m')``: four vortices in a single meridian plane, no poles;
   ``y`` is found by root bracketing.
 
-Every solved branch point must rotate at one rate (to 1e-9) with a chart
-residual of at most ``BRANCH_RESIDUAL_TOL`` at it; the public solvers check
-each point, and the diagram builds a segment's points as one position
-stack (:meth:`BranchPoint.configuration` is its one-point case) and applies
-that bound in its stacked numeric analysis.
+Each branch has one solver, which only solves.  A solved point is
+certified by :func:`_certificates`: it must rotate at one rate (to 1e-9)
+with a chart residual of at most ``BRANCH_RESIDUAL_TOL`` at it.
+:meth:`BranchPoint.configuration` certifies its point; the diagram builds
+a segment's points as one position stack (of which that method is the
+one-point case) and its stacked numeric analysis certifies every row.
 
 The meridian branch's roots are polished by :func:`_brentq`, Brent's zero
 finder (Brent, *Algorithms for Minimization without Derivatives*, 1973,
@@ -84,7 +85,6 @@ __all__ = [
     "two_ring_positions",
     "configuration_angular_velocity",
     "ring_angular_velocity",
-    "re_residual",
     "branch_c2v_2R2p",
     "branch_c2v_RRp2p",
     "branch_c2v_RmRmp",
@@ -267,6 +267,9 @@ def configuration_angular_velocity(c: Configuration) -> float:
     NotRelativeEquilibrium
         If per-vortex rates disagree by more than 1e-9 — the
         configuration does not rotate rigidly about z.
+    PoleSingularity
+        If it has no ring vortex, or one within ``POLE_EPS`` of a pole,
+        where the rate formula is undefined.
     """
     (rate,), (refused,) = _rigid_rates(c.positions[None], c.strengths, c.layout)
     if refused:
@@ -317,14 +320,27 @@ def ring_angular_velocity(desc: FamilyDescriptor) -> float:
     return total
 
 
-def re_residual(c: Configuration, xi_z: float) -> float:
-    """Max-norm chart gradient of the augmented Hamiltonian at ``c``.
-
-    A value at most ``BRANCH_RESIDUAL_TOL`` certifies that ``c`` is
-    (numerically) a relative equilibrium rotating at rate ``xi_z`` about z.
-    """
-    chart = MixedChart(c)
-    return float(np.max(np.abs(chart.gradient(chart.coords(), xi_z))))
+def _certificates(positions: np.ndarray, seed: Configuration, bound: float) -> tuple:
+    """The branch-point certificate of each configuration of a position
+    stack ``(K, M, 3)`` with the strengths and layout of ``seed``: its rate,
+    from one :func:`_rigid_rates` pass, and its refusal in input order
+    (``None`` where it is certified), which is either its rates'
+    disagreement or, where they agree, a :class:`NotRelativeEquilibrium`
+    for a max-abs chart gradient at that rate above ``bound``, all rows
+    charted together on one chart of ``seed``.  Also returns that chart
+    (``None`` where no rates agree), the certified rows and their chart
+    points, for the numeric analysis to go on from."""
+    rates, out = _rigid_rates(positions, seed.strengths, seed.layout)
+    index = np.flatnonzero([refused is None for refused in out])
+    if not index.size:
+        return rates, out, None, index, None
+    chart = MixedChart(seed)
+    qs = chart._coords(positions[index])
+    residuals = np.abs(chart.gradient(qs, rates[index])).max(axis=1)
+    keep = residuals <= bound
+    for i, residual in zip(index[~keep].tolist(), residuals[~keep].tolist()):
+        out[i] = NotRelativeEquilibrium(f"co-rotating field residual {residual:.3e} exceeds {bound:.1e}")
+    return rates, out, chart, index[keep], qs[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +364,22 @@ class BranchPoint:
     lambda_n: float = 1.0
 
     def configuration(self) -> Configuration:
-        """The point's configuration, built and validated on each call: the
-        one-point case of :func:`_branch_stack`."""
+        """The point's configuration, built, validated and certified on each
+        call: the one-point case of :func:`_branch_stack`, refused as
+        :func:`_certificates` refuses it at ``BRANCH_RESIDUAL_TOL``.
+
+        Raises
+        ------
+        NotRelativeEquilibrium
+            If its per-vortex rates disagree by more than 1e-9, or its chart
+            residual at its rate exceeds ``BRANCH_RESIDUAL_TOL``.
+        """
         positions, strengths, layout, _ = _branch_stack([self])
-        return Configuration(positions[0], strengths, 0 if layout.north is None else 2, layout)
+        config = Configuration(positions[0], strengths, 0 if layout.north is None else 2, layout)
+        (refused,) = _certificates(positions, config, BRANCH_RESIDUAL_TOL)[1]
+        if refused:
+            raise refused
+        return config
 
 
 def _branch_stack(points: Sequence[BranchPoint | float]) -> tuple[np.ndarray, np.ndarray, Layout, np.ndarray]:
@@ -373,14 +401,6 @@ def _branch_stack(points: Sequence[BranchPoint | float]) -> tuple[np.ndarray, np
     return _stack([[math.acos(h) for h in row] for row in heights], phi, strengths, Layout.standard(2, 2, poles))
 
 
-def _certify(c: Configuration) -> None:
-    """Refuse ``c`` by its rates, then by its residual (:class:`OutOfDomain`) above ``BRANCH_RESIDUAL_TOL``."""
-    residual = re_residual(c, configuration_angular_velocity(c))
-    if not residual <= BRANCH_RESIDUAL_TOL:
-        bound = np.format_float_scientific(BRANCH_RESIDUAL_TOL, trim="-", exp_digits=1)
-        raise OutOfDomain(f"the equilibrium residual {residual:.3e} exceeds {bound}")
-
-
 def branch_c2v_2R2p(x: float, lambda_n: float = 1.0) -> BranchPoint:
     """Aligned-rings branch with poles: solve for ``y`` given ``x``.
 
@@ -399,9 +419,7 @@ def branch_c2v_2R2p(x: float, lambda_n: float = 1.0) -> BranchPoint:
         raise OutOfDomain(
             f"solved y = {y:.6g} leaves (-1, 1); x = {x:.6g} is outside the branch"
         )
-    point = BranchPoint(x, y, 0.0, Family.C2V_2R2P, lambda_n)
-    _certify(point.configuration())
-    return point
+    return BranchPoint(x, y, 0.0, Family.C2V_2R2P, lambda_n)
 
 
 def _rrp2p_quartic(x: float, y: float, lambda_n: float) -> float:
@@ -424,13 +442,6 @@ def branch_c2v_RRp2p(x: float, lambda_n: float = 1.0, sign: int = 1) -> BranchPo
         y = -(x + lambda_n (x^2 + 1) +- (1 - x^2) sqrt(2 + lambda_n^2))
             / (x^2 - 2 (1 + lambda_n x)).
     """
-    point = _rrp2p_point(x, lambda_n, sign)
-    _certify(point.configuration())
-    return point
-
-
-def _rrp2p_point(x: float, lambda_n: float, sign: int) -> BranchPoint:
-    """:func:`branch_c2v_RRp2p` without the certificate."""
     if not (-1.0 < x < 1.0):
         raise OutOfDomain("x = cos(theta_+) must lie in (-1, 1)")
     if sign not in (1, -1):
@@ -472,13 +483,31 @@ def branch_c2v_RmRmp_all(x: float) -> tuple[BranchPoint, ...]:
     certification divides by 1 - y**2, so near-pole roots need every
     digit); they are returned in increasing ``y`` order.  Points with
     ``y < x`` are the relabeled twins ``(y, x)`` of roots of other ``x``
-    values and are not produced here.  The first root the certificate
-    refuses raises its error.
+    values and are not produced here.  A root is not certified here;
+    :meth:`BranchPoint.configuration` certifies it.
     """
-    points = _rm_rmp_points(x)
-    for point in points:
-        _certify(point.configuration())
-    return points
+    if not (-1.0 < x < 1.0):
+        raise OutOfDomain("x = cos(theta_+) must lie in (-1, 1)")
+    lo = x + 1e-9
+    hi = 1.0 - 1e-9
+    if lo >= hi:
+        return ()
+    ys = np.linspace(lo, hi, 2000)
+    vals = _rm_rmp_equation(x, ys)
+    # _brentq returns a bracket end where the equation is exactly zero.
+    brackets = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    # Python floats in and out of the equation, as SciPy's brentq passes them
+    roots = [
+        _brentq(
+            lambda yy: float(_rm_rmp_equation(x, yy)),
+            float(ys[k]),
+            float(ys[k + 1]),
+            xtol=1e-15,
+            rtol=4.0 * sys.float_info.epsilon,
+        )
+        for k in brackets
+    ]
+    return tuple(BranchPoint(x, y, math.pi, Family.C2V_RM_RMP, 0.0) for y in roots)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -522,32 +551,6 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations; last iterate {xcur!r}")
-
-
-def _rm_rmp_points(x: float) -> tuple[BranchPoint, ...]:
-    """:func:`branch_c2v_RmRmp_all` without the certificate."""
-    if not (-1.0 < x < 1.0):
-        raise OutOfDomain("x = cos(theta_+) must lie in (-1, 1)")
-    lo = x + 1e-9
-    hi = 1.0 - 1e-9
-    if lo >= hi:
-        return ()
-    ys = np.linspace(lo, hi, 2000)
-    vals = _rm_rmp_equation(x, ys)
-    # _brentq returns a bracket end where the equation is exactly zero.
-    brackets = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    # Python floats in and out of the equation, as SciPy's brentq passes them
-    roots = [
-        _brentq(
-            lambda yy: float(_rm_rmp_equation(x, yy)),
-            float(ys[k]),
-            float(ys[k + 1]),
-            xtol=1e-15,
-            rtol=4.0 * sys.float_info.epsilon,
-        )
-        for k in brackets
-    ]
-    return tuple(BranchPoint(x, y, math.pi, Family.C2V_RM_RMP, 0.0) for y in roots)
 
 
 def branch_c2v_RmRmp(x: float) -> BranchPoint:

@@ -74,10 +74,9 @@ from .core import (
     VortexError,
     _family_named,
 )
-from .dynamics import MixedChart
 from .equilibria import (
     NotRelativeEquilibrium,
-    _rigid_rates,
+    _certificates,
     _ring_phase,
     ring_angular_velocity,
 )
@@ -903,19 +902,11 @@ def _small_key(c: Configuration) -> tuple:
 
 def _small_stack(positions: np.ndarray, seed: Configuration, bound: float) -> list:
     """Per row of a position stack ``(K, M, 3)`` on the chart of ``seed``, its
-    outcome as :func:`_stack_arrays` gives it, one block ``slice``, or its rate
-    or residual refusal (``bound``); only agreeing rates are charted, and any
-    other error is raised."""
-    rates, out = _rigid_rates(positions, seed.strengths, seed.layout)
-    index = np.flatnonzero([refused is None for refused in out])
-    if index.size:
-        chart = MixedChart(seed)
-        qs = chart._coords(positions[index])
-        residuals = np.abs(chart.gradient(qs, rates[index])).max(axis=1)
-        keep = residuals <= bound
-        for i, residual in zip(index[~keep].tolist(), residuals[~keep].tolist()):
-            out[i] = NotRelativeEquilibrium(f"co-rotating field residual {residual:.3e} exceeds {bound:.1e}")
-        index, qs = index[keep], qs[keep]
+    outcome as :func:`_stack_arrays` gives it, one block ``slice``, or its
+    refusal by the branch-point certificate at ``bound``
+    (:func:`~vortex_atlas.equilibria._certificates`); only certified rows are
+    analysed, and any other error is raised."""
+    rates, out, chart, index, qs = _certificates(positions, seed, bound)
     if not index.size:
         return out
     h = chart.hessian_fd(qs, rates[index])

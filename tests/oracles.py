@@ -11,6 +11,8 @@ decides by another route, so that the two can be compared:
 * the co-rotating chart field, from the ambient vector field rather than
   the chart gradient, and the full co-rotating linearization built from
   it (no slicing);
+* the branch-point certificate one configuration at a time, for the
+  stacked certificate the package applies;
 * the two-ring phase test;
 * the deciding scalars, independent closed forms of the diagonal block
   energies of the uniform and top-wavenumber modes;
@@ -229,6 +231,17 @@ def full_linearization_oracle(config: Configuration) -> np.ndarray:
         jac[:, k] = (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * step)
     eigs, _ = dense_eig(jac)
     return _sort_complex(eigs)
+
+
+def certificate_oracle(c: Configuration) -> float:
+    """The equilibrium residual of ``c`` on its own: the max-abs chart
+    gradient of a fresh :class:`MixedChart` of ``c`` at the rate that
+    :func:`configuration_angular_velocity` reads off it, which raises
+    ``NotRelativeEquilibrium`` where the per-vortex rates disagree.  A
+    branch point is certified where this is at most 1e-8."""
+    xi = configuration_angular_velocity(c)
+    chart = MixedChart(c)
+    return float(np.max(np.abs(chart.gradient(chart.coords(), xi))))
 
 
 def spectrum_match(found: np.ndarray, expected: np.ndarray) -> float:

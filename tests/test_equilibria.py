@@ -4,12 +4,13 @@ import contextlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import NotTwoRings, TwoRingPhase, rotation_z_matrix, two_ring_phase_test
+from oracles import NotTwoRings, TwoRingPhase, certificate_oracle, rotation_z_matrix, two_ring_phase_test
 from vortex_atlas import atlas
 from vortex_atlas.atlas import EXIT_NUMERIC, main
 from vortex_atlas.core import (
@@ -23,14 +24,14 @@ from vortex_atlas.core import (
     VortexError,
     _kept_rows,
 )
-from vortex_atlas.dynamics import _field, _pair_constants, hamiltonian, momentum_map
+from vortex_atlas.dynamics import MixedChart, _field, _pair_constants, hamiltonian, momentum_map
 from vortex_atlas.equilibria import (
     NoRoot,
     NotRelativeEquilibrium,
     OutOfDomain,
     BranchPoint,
     _branch_stack,
-    _certify,
+    _certificates,
     _rigid_rates,
     _vortex_rates,
     branch_c2v_2R2p,
@@ -43,7 +44,6 @@ from vortex_atlas.equilibria import (
     make_plus_ring_pole_pair,
     make_single_plus_ring,
     make_tetrahedral_pair,
-    re_residual,
     ring_angular_velocity,
 )
 from vortex_atlas.stability import _report, _small_outcomes, analyze_small
@@ -107,29 +107,43 @@ def _child_stacks(monkeypatch):
             yield seg.label, points, _branch_stack(points)
 
 
+def _uncertified(point: BranchPoint | float) -> Configuration:
+    """The configuration of a branch point, built and validated as its one-row
+    :func:`_branch_stack` without the certificate, or
+    :func:`make_plus_ring_pole_pair` at a co-latitude."""
+    if not isinstance(point, BranchPoint):
+        return make_plus_ring_pole_pair(point)
+    positions, strengths, layout, _ = _branch_stack([point])
+    return Configuration(positions[0], strengths, 0 if layout.north is None else 2, layout)
+
+
 def test_a_segment_stack_holds_the_configurations_of_its_points(monkeypatch):
     """Each kept row of a child segment's stack has the bits of its point's
     one-point constructor, and a row is kept exactly where that constructor
-    does not raise."""
+    does not raise; where the certificate accepts the point,
+    ``BranchPoint.configuration()`` gives the same bits."""
     stacks = list(_child_stacks(monkeypatch))
     assert len(stacks) == 8
     for label, points, (positions, strengths, layout, kept) in stacks:
         assert len(points) == len(positions) == len(kept) > 0, label
         for point, row, keep in zip(points, positions, kept.tolist()):
             try:
-                c = point.configuration() if isinstance(point, BranchPoint) else make_plus_ring_pole_pair(point)
+                c = _uncertified(point)
             except VortexError:
                 assert not keep, (label, point)
                 continue
             assert keep, (label, point)
             assert row.tobytes() == c.positions.tobytes(), (label, point)
             assert strengths.tobytes() == c.strengths.tobytes() and layout == c.layout
+            if isinstance(point, BranchPoint):
+                with contextlib.suppress(NotRelativeEquilibrium):  # refused by the certificate, as the diagram drops it
+                    assert point.configuration().positions.tobytes() == row.tobytes(), (label, point)
 
 
 def test_a_stack_drops_each_row_a_configuration_refuses():
     """Hand-made rows: a NaN, a point off the sphere, a collided pair, and
     their near misses, which a Configuration accepts."""
-    good = BranchPoint(0.3, -0.2, 0.0, Family.C2V_2R2P).configuration()
+    good = _uncertified(BranchPoint(0.3, -0.2, 0.0, Family.C2V_2R2P))  # off the branch
     rows = [good.positions.copy() for _ in range(7)]
     rows[1][2, 0] = math.nan
     rows[2][1] *= 1.0 + 1e-11  # off the sphere by 2e-11
@@ -254,12 +268,12 @@ def test_rate_requires_a_relative_equilibrium(pm_sampler):
         configuration_angular_velocity(c)
 
 
-def test_re_residual_distinguishes_rates():
+def test_the_chart_residual_distinguishes_rates():
     desc = FamilyDescriptor(Family.DNH_2R, 3, theta0=0.7)
-    c = make_family(desc)
+    chart = MixedChart(make_family(desc))
     xi = float(ring_angular_velocity(desc))
-    assert re_residual(c, xi) < 1e-10
-    assert re_residual(c, xi + 0.5) > 1e-2
+    assert np.abs(chart.gradient(chart.coords(), xi)).max() < 1e-10
+    assert np.abs(chart.gradient(chart.coords(), xi + 0.5)).max() > 1e-2
 
 
 def test_the_certificate_judges_each_configuration_of_a_stack():
@@ -277,12 +291,61 @@ def test_the_certificate_judges_each_configuration_of_a_stack():
     assert str(got[1]).startswith("per-vortex rotation rates disagree by ")
     assert re.fullmatch(r"co-rotating field residual 2\.3\d\de-07 exceeds 1\.0e-08", str(got[2]))
     assert _small_outcomes(np.empty((0, 6, 3)), good.strengths, good.layout, 1e-8) == []
-    # the public solvers' route: one configuration at a time
-    _certify(good)
-    with pytest.raises(NotRelativeEquilibrium, match="^per-vortex rotation rates disagree by "):
-        _certify(configs[1])
-    with pytest.raises(OutOfDomain, match=r"^the equilibrium residual 2\.3\d\de-07 exceeds 1e-8$"):
-        _certify(configs[2])
+    # one configuration at a time, as BranchPoint.configuration() takes it: the same refusals
+    alone = [_certificates(c.positions[None], c, 1e-8)[1][0] for c in configs]
+    assert alone[0] is None and [str(r) for r in alone[1:]] == [str(r) for r in got[1:]]
+    # a branch point whose minus ring is turned off its branch by 1e-6: rigid to 1e-11, refused by its residual
+    turned_point = replace(branch_c2v_2R2p(0.3), alpha=1e-6)
+    with pytest.raises(NotRelativeEquilibrium, match=r"^co-rotating field residual 6\.000e-06 exceeds 1\.0e-08$"):
+        turned_point.configuration()
+
+
+def _solved(solve, xs):
+    points = []
+    for x in xs:
+        with contextlib.suppress(VortexError):
+            points.append(solve(x))
+    return points
+
+
+def _certificate_grids():
+    """``(name, points)``: every root of the pairs-2 diagram's meridian grid,
+    the crossed-ring grids of both diagrams (lambda_n 0 with either sign,
+    lambda_n 1 with sign -1; with sign +1 its root leaves (-1, 1) on the
+    whole interval) and a 2R2p grid, each on its 482 diagram parameters."""
+    interval = np.linspace(-0.97, 0.97, 482).tolist()
+    meridian = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 482).tolist()
+    yield "meridian", [bp for x in meridian for bp in branch_c2v_RmRmp_all(x)]
+    for lambda_n, sign in ((0.0, 1), (0.0, -1), (1.0, -1)):
+        yield f"RRp2p {lambda_n} {sign}", _solved(lambda x: branch_c2v_RRp2p(x, lambda_n, sign), interval)
+    yield "2R2p", _solved(branch_c2v_2R2p, interval)
+
+
+def test_a_branch_point_is_refused_exactly_where_the_certificate_oracle_refuses():
+    """``BranchPoint.configuration()`` raises exactly where the one-point
+    oracle refuses the point's uncertified configuration: with the same
+    message where the rates disagree, and as a residual above 1e-8
+    otherwise.  On the meridian grid it refuses the 10 first roots near
+    x = 0 that the solver refused when it certified its own roots."""
+    refused = []
+    for name, points in _certificate_grids():
+        assert points, name
+        for bp in points:
+            c = _uncertified(bp)
+            try:
+                want = None if certificate_oracle(c) <= 1e-8 else "co-rotating field residual "
+            except NotRelativeEquilibrium as exc:
+                want = str(exc)
+            try:
+                got = bp.configuration()
+            except NotRelativeEquilibrium as exc:
+                assert want is not None and str(exc).startswith(want), (name, bp, want, exc)
+                refused.append((name, bp))
+                continue
+            assert want is None, (name, bp, want)
+            assert got.positions.tobytes() == c.positions.tobytes()
+    assert len(refused) == 10
+    assert all(name == "meridian" and abs(bp.x) < 0.025 and bp.y > 0.99 for name, bp in refused), refused
 
 
 @pytest.mark.filterwarnings("error")
@@ -299,8 +362,8 @@ def test_a_pair_closer_than_round_off_is_refused_by_its_rates(tmp_path, capsys):
         analyze_small(c)
     (refused,) = _small_outcomes(c.positions[None], c.strengths, c.layout, 1e-8)
     assert isinstance(refused, NotRelativeEquilibrium)
-    with pytest.raises(NotRelativeEquilibrium, match="disagree by nan"):
-        _certify(c)
+    (refused,) = _certificates(c.positions[None], c, 1e-8)[1]
+    assert isinstance(refused, NotRelativeEquilibrium) and "disagree by nan" in str(refused)
     path = tmp_path / "close.json"
     path.write_text(c.to_json())
     assert main(["classify", str(path)]) == EXIT_NUMERIC
@@ -320,8 +383,7 @@ def test_two_rings_of_two_with_poles_rational_branch():
             bp = branch_c2v_2R2p(float(x), lam)
             expected_y = (2.0 * lam * x + 1.0) / (x + 2.0 * lam)
             assert bp.y == pytest.approx(expected_y, abs=1e-12)
-            c = bp.configuration()
-            assert re_residual(c, configuration_angular_velocity(c)) < 1e-8
+            assert certificate_oracle(bp.configuration()) < 1e-8
 
 
 def _crossed_rings_relation(x: float, y: float, lam: float) -> float:
@@ -395,7 +457,9 @@ def test_meridian_roots_match_the_golden_file():
     2049 evenly spaced ones over the same range.
 
     ``tests/golden/meridian_roots.json`` holds ``repr(y)`` of each root, or
-    the name of the error raised, as the per-sample scan recorded them.
+    the name of the error raised, as the per-sample scan recorded them when
+    the solver certified its roots: now the error of the first root whose
+    configuration the certificate refuses.
     """
     golden = json.loads((GOLDEN / "meridian_roots.json").read_text())
     top = 1.0 / math.sqrt(2.0) - 1e-4
@@ -403,7 +467,10 @@ def test_meridian_roots_match_the_golden_file():
         rows = []
         for x in np.linspace(-0.98, top, count):
             try:
-                ys = [repr(bp.y) for bp in branch_c2v_RmRmp_all(float(x))]
+                points = branch_c2v_RmRmp_all(float(x))
+                for bp in points:
+                    bp.configuration()  # raises where the certificate refuses the root
+                ys = [repr(bp.y) for bp in points]
             except VortexError as exc:
                 ys = type(exc).__name__
             rows.append([repr(float(x)), ys])
@@ -423,7 +490,7 @@ def test_meridian_branch_configurations():
     np.testing.assert_allclose(
         p[list(c.layout.minus), 2], [bp.y, -bp.x], atol=1e-12
     )
-    assert re_residual(c, configuration_angular_velocity(c)) < 1e-8
+    assert certificate_oracle(c) < 1e-8
 
 
 # ---------------------------------------------------------------------------

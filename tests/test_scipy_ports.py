@@ -116,7 +116,7 @@ def test_the_zero_finder_returns_brentqs_float_on_every_meridian_bracket(monkeyp
     monkeypatch.setattr(equilibria, "_brentq", both)
     xs = np.concatenate([np.linspace(-0.98, 1.0 / math.sqrt(2.0) - 1e-4, 482), np.linspace(-0.999, 0.999, 4001)])
     for x in xs.tolist():
-        equilibria._rm_rmp_points(x)
+        equilibria.branch_c2v_RmRmp_all(x)
     assert len(brackets) == 4540
 
 

@@ -19,7 +19,7 @@ PACKAGE = ROOT / "src" / "vortex_atlas"
 
 # The parameters of every function in a layer's ``__all__`` and of every
 # public method of an exported class (without ``self`` or ``cls``); an
-# option, a parameter with a default, ends in "=".  59 parameters, 6 options.
+# option, a parameter with a default, ends in "=".  57 parameters, 6 options.
 SIGNATURES = {
     "core.Layout.all_indices": "",
     "core.Layout.standard": "n_plus n_minus pole_count",
@@ -51,7 +51,6 @@ SIGNATURES = {
     "equilibria.two_ring_positions": "family n k_p lambda_n thetas",
     "equilibria.configuration_angular_velocity": "c",
     "equilibria.ring_angular_velocity": "desc",
-    "equilibria.re_residual": "c xi_z",
     "equilibria.branch_c2v_2R2p": "x lambda_n=",
     "equilibria.branch_c2v_RRp2p": "x lambda_n= sign=",
     "equilibria.branch_c2v_RmRmp": "x",
@@ -78,14 +77,12 @@ SIGNATURES = {
 PRIVATE_IMPORTS = {
     ("atlas", "core._family_named"),
     ("atlas", "equilibria._branch_stack"),
-    ("atlas", "equilibria._rm_rmp_points"),
-    ("atlas", "equilibria._rrp2p_point"),
     ("atlas", "stability._pick_transition"),
     ("atlas", "stability._small_outcomes"),
     ("dynamics", "core._pairwise_l2"),
     ("equilibria", "core._kept_rows"),
     ("stability", "core._family_named"),
-    ("stability", "equilibria._rigid_rates"),
+    ("stability", "equilibria._certificates"),
     ("stability", "equilibria._ring_phase"),
 }
 
@@ -108,6 +105,32 @@ def test_traced_methods_are_defined_on_their_classes():
     for layer, cls_name, attr in tracing.METHODS.values():
         cls = getattr(importlib.import_module(f"vortex_atlas.{layer}"), cls_name)
         assert attr in cls.__dict__, f"{cls_name}.{attr}"
+
+
+def test_the_tracers_per_layer_span_names_are_public_functions():
+    """Every ``layer.function`` span name that ``Recorder.per_layer`` in
+    ``perfbench/tracing.py`` reads, other than the methods of ``METHODS``,
+    names a function the tracer wraps: public, not a ``cmd_`` dispatcher,
+    and defined in that layer.  A renamed or privatised function would
+    otherwise turn its metric into 0 without an error."""
+    tree = ast.parse(TRACING.read_text())
+    (methods,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["METHODS"]
+    ]
+    (per_layer,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "per_layer"]
+    names = {
+        node.value for node in ast.walk(per_layer)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.fullmatch(r"(core|dynamics|equilibria|stability|atlas)\.\w+", node.value)
+    } - {key.value for key in methods.keys}
+    assert len(names) == 15, sorted(names)
+    for name in sorted(names):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"vortex_atlas.{layer}")
+        fn = vars(module).get(attr)
+        assert not attr.startswith(("_", "cmd_")) and inspect.isfunction(fn), name
+        assert fn.__module__ == module.__name__, name
 
 
 def _parameters(fn) -> str:
