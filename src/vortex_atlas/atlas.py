@@ -77,12 +77,11 @@ from .stability import (
     NoTransition,
     NotRelativeEquilibrium,
     Verdict,
-    _pick_transition,
     _small_outcomes,
+    _transition_reader,
     analyze,
     analyze_small,
     decide_many,
-    list_transitions,
     verdict_changes,
 )
 
@@ -657,13 +656,13 @@ def cmd_diagram(args: argparse.Namespace) -> None:
 
 def cmd_thresholds(args: argparse.Namespace) -> None:
     rows = []
-    scans: dict[tuple, tuple[tuple[str, float], ...]] = {}
+    readers: dict[tuple, Callable[[str, int], float]] = {}  # one scan per family, read as far as the rows ask
     for ref in REFERENCE_THRESHOLDS:
         key = (ref.family, ref.n_per_ring, ref.k_p)
-        if key not in scans:
-            scans[key] = list_transitions(*key, args.grid_step, args.tol)
+        if key not in readers:
+            readers[key] = _transition_reader(*key, args.grid_step, args.tol)
         try:
-            theta = _pick_transition(scans[key], ref.transition, ref.occurrence)
+            theta = readers[key](ref.transition, ref.occurrence)
         except NoTransition as exc:
             print(f"note: {ref.family.value} N={ref.n_per_ring} k_p={ref.k_p} {ref.transition}: {exc}", file=sys.stderr)
             continue

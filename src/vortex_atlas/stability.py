@@ -826,6 +826,11 @@ def _stack_entry(original: FamilyDescriptor) -> tuple[tuple, tuple]:
     return key, (original, desc.theta0, xi, mu)
 
 
+def _stack_size(n_per_ring: int, k_p: int) -> int:
+    """Latitudes per closed-form stack: ``16384 // d**2`` (d = 4N + 2k_p), at least one."""
+    return max(1, STACK_ELEMENTS // max(1, (4 * n_per_ring + 2 * k_p) ** 2))
+
+
 def _stacked(descs: Iterable[FamilyDescriptor]) -> Iterator[tuple[FamilyDescriptor, tuple | VortexError]]:
     """Each descriptor and its outcome of :func:`_stack_arrays`, in input
     order: the array stage runs over stacks of consecutive members that
@@ -842,7 +847,7 @@ def _stacked(descs: Iterable[FamilyDescriptor]) -> Iterator[tuple[FamilyDescript
                 stack = []
             yield original, exc
             continue
-        if stack and (new_key != key or len(stack) >= STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2):
+        if stack and (new_key != key or len(stack) >= _stack_size(key[1], key[2])):
             yield from _stack_arrays(key, stack)
             stack = []
         key = new_key
@@ -1074,29 +1079,9 @@ def verdict_changes(
         pieces = halved
 
 
-def list_transitions(
-    family: Family | str,
-    n_per_ring: int,
-    k_p: int,
-    grid_step: float = 0.005,
-    tol: float = 1e-6,
-) -> tuple[tuple[str, float], ...]:
-    """All verdict changes along the latitude, each located to ``tol``.
-
-    Decides the latitude grid in one stacked pass (:func:`decide_many`),
-    then runs :func:`verdict_changes` on the brackets between adjacent
-    grid samples whose verdicts differ, one stacked pass per halving round,
-    and classifies what it returns.  Returns ``(kind, theta_star)`` pairs
-    in increasing latitude order, with ``kind`` one of
-    :data:`TRANSITIONS`.  Latitudes whose verdict is
-    :attr:`Verdict.INDETERMINATE` (definiteness margin below tolerance at
-    double precision) are treated as non-informative: changes are measured
-    between the nearest resolvable neighbours instead, so an unresolvable
-    plateau contributes no transitions of its own.  Raises
-    :class:`InvalidDescriptor` unless ``grid_step`` is finite and gives at
-    most :data:`~vortex_atlas.core.MAX_GRID_POINTS` points over (0, pi), and
-    ``tol`` is finite and at least :data:`MIN_TRANSITION_TOL`.
-    """
+def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step: float, tol: float) -> Iterator:
+    """The scan of :func:`list_transitions`: its arguments are checked at
+    once, and each change is searched for only when it is read."""
     fam = _resolve_family(family)
     min_step = math.pi / MAX_GRID_POINTS
     if not (min_step <= grid_step < math.inf and MIN_TRANSITION_TOL <= tol < math.inf):
@@ -1109,17 +1094,49 @@ def list_transitions(
         descs = (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in thetas)
         return [_scan_verdict(result) for result in decide_many(descs)]
 
-    # Resolvable grid samples only: indeterminate or invalid points are
-    # skipped without breaking adjacency.
-    pts = _scan_points(fam, k_p, grid_step)
-    samples = [(t, v) for t, v in zip(pts, verdicts_at(pts)) if v is not None]
-    brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:]) if v0 != v1]
-    return tuple(
-        (_classify(a, b), theta) for changes in verdict_changes(verdicts_at, brackets, tol) for theta, a, b in changes
-    )
+    def scan() -> Iterator[tuple[str, float]]:
+        # Resolvable grid samples only: indeterminate or invalid points are
+        # skipped without breaking adjacency.
+        pts, size, last = _scan_points(fam, k_p, grid_step), _stack_size(n_per_ring, k_p), []
+        for start in range(0, len(pts), size):
+            chunk = pts[start : start + size]
+            samples = last + [(t, v) for t, v in zip(chunk, verdicts_at(chunk)) if v is not None]
+            brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:]) if v0 != v1]
+            for changes in verdict_changes(verdicts_at, brackets, tol):
+                yield from ((_classify(a, b), theta) for theta, a, b in changes)
+            last = samples[-1:]
+
+    return scan()
 
 
-def _pick_transition(found: tuple[tuple[str, float], ...], transition: str, occurrence: int) -> float:
+def list_transitions(
+    family: Family | str,
+    n_per_ring: int,
+    k_p: int,
+    grid_step: float = 0.005,
+    tol: float = 1e-6,
+) -> tuple[tuple[str, float], ...]:
+    """All verdict changes along the latitude, each located to ``tol``.
+
+    One scan up the latitude grid, read to its end: it decides the grid one
+    closed-form stack (:func:`decide_many`) at a time and halves that
+    stack's brackets between samples of different verdicts with
+    :func:`verdict_changes` (one stacked pass per halving round) before it
+    decides the next; a stack's last sample brackets with the next one's
+    first.  Returns ``(kind, theta_star)`` pairs in increasing latitude
+    order, with ``kind`` one of :data:`TRANSITIONS`.  Latitudes whose
+    verdict is :attr:`Verdict.INDETERMINATE` (definiteness margin below
+    tolerance at double precision) are treated as non-informative: changes
+    are measured between the nearest resolvable neighbours instead, so an
+    unresolvable plateau contributes no transitions of its own.  Raises :class:`InvalidDescriptor` unless
+    ``grid_step`` is finite and gives at most
+    :data:`~vortex_atlas.core.MAX_GRID_POINTS` points over (0, pi), and
+    ``tol`` is finite and at least :data:`MIN_TRANSITION_TOL`.
+    """
+    return tuple(_transition_scan(family, n_per_ring, k_p, grid_step, tol))
+
+
+def _pick_transition(found: Iterable[tuple[str, float]], transition: str, occurrence: int) -> float:
     """The ``occurrence``-th latitude of kind ``transition`` in ``found``."""
     if transition not in TRANSITIONS:
         raise InvalidDescriptor(f"transition must be one of {', '.join(TRANSITIONS)}")
@@ -1127,6 +1144,24 @@ def _pick_transition(found: tuple[tuple[str, float], ...], transition: str, occu
     if occurrence >= len(matches):
         raise NoTransition(f"no {transition} transition (occurrence {occurrence}) for this family")
     return matches[occurrence]
+
+
+def _transition_reader(family: Family | str, n_per_ring: int, k_p: int, grid_step: float, tol: float) -> Callable:
+    """``read(transition, occurrence)``: what :func:`_pick_transition` picks
+    from :func:`list_transitions`, or raises, reading the family's one scan
+    only up to the change asked for (a missing one reads it to the end)."""
+    scan, seen = _transition_scan(family, n_per_ring, k_p, grid_step, tol), []
+
+    def read(transition: str, occurrence: int) -> float:
+        while True:
+            try:
+                return _pick_transition(seen, transition, occurrence)
+            except NoTransition:
+                if (change := next(scan, None)) is None:
+                    raise
+                seen.append(change)
+
+    return read
 
 
 # ---------------------------------------------------------------------------

@@ -645,6 +645,73 @@ def test_thresholds_match_the_golden_csv(tmp_path, capsys):
     assert capsys.readouterr().err == (GOLDEN / "thresholds.stderr").read_text()
 
 
+def _whole_grid_transitions(family, n_per_ring, k_p, grid_step, tol):
+    """The whole-grid transition search: decide every grid latitude first,
+    then halve every bracket between resolvable samples of different
+    verdicts in one set of halving rounds."""
+
+    def verdicts_at(thetas):
+        descs = (FamilyDescriptor(family, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in thetas)
+        return [stability._scan_verdict(result) for result in stability.decide_many(descs)]
+
+    pts = stability._scan_points(family, k_p, grid_step)
+    samples = [(t, v) for t, v in zip(pts, verdicts_at(pts)) if v is not None]
+    brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:]) if v0 != v1]
+    changes = stability.verdict_changes(verdicts_at, brackets, tol)
+    return tuple((stability._classify(a, b), theta) for part in changes for theta, a, b in part)
+
+
+@pytest.mark.parametrize("grid_step,tol,notes", [(0.005, 1e-6, 0), (0.01, 1e-4, 3), (0.05, 1e-6, 6)])
+def test_thresholds_read_each_scan_only_as_far_as_the_table_asks(grid_step, tol, notes, tmp_path, capsys):
+    """The command stops each family's scan at the change its last row
+    asks for, yet prints the rows and notes that picking from every
+    family's whole scan gives; and list_transitions, the scan read to its
+    end, is the whole-grid search."""
+    keys = dict.fromkeys((ref.family, ref.n_per_ring, ref.k_p) for ref in stability.REFERENCE_THRESHOLDS)
+    assert len(keys) == 19
+    scans = {key: list_transitions(*key, grid_step, tol) for key in keys}
+    assert scans == {key: _whole_grid_transitions(*key, grid_step, tol) for key in keys}
+    want_rows, want_notes = [], []
+    for ref in stability.REFERENCE_THRESHOLDS:
+        scan = scans[ref.family, ref.n_per_ring, ref.k_p]
+        try:
+            theta = stability._pick_transition(scan, ref.transition, ref.occurrence)
+        except stability.NoTransition as exc:
+            want_notes.append(f"note: {ref.family.value} N={ref.n_per_ring} k_p={ref.k_p} {ref.transition}: {exc}")
+            continue
+        want_rows.append([ref.family.value, str(ref.n_per_ring), str(ref.k_p), ref.transition, atlas._fmt(theta)])
+    out_path = tmp_path / "thresholds.csv"
+    capsys.readouterr()
+    assert main(["thresholds", "--grid-step", str(grid_step), "--tol", str(tol), "--out", str(out_path)]) == EXIT_OK
+    rows = list(csv.reader(out_path.read_text().splitlines()))[1:]
+    assert [row[:5] for row in rows] == want_rows
+    assert capsys.readouterr().err.splitlines() == want_notes
+    assert len(want_notes) == notes
+
+
+def test_thresholds_decide_a_family_only_up_to_its_last_tabulated_change(monkeypatch, capsys):
+    """The default table decides at most 6,000 latitudes (10,207 when every
+    family's whole grid was decided).  A family stops at its last row's
+    change (DNh N=8 k_p=2 at its StabilityLoss near 0.47), and a family
+    whose row finds no change still decides its whole grid (DNd N=6 k_p=2
+    at step 0.05, where the Hopf pair falls between samples)."""
+    decided = {}
+    stack_arrays = stability._stack_arrays
+
+    def counting(key, stack):
+        decided[key[:3]] = decided.get(key[:3], 0) + len(stack)
+        return stack_arrays(key, stack)
+
+    monkeypatch.setattr(stability, "_stack_arrays", counting)
+    assert main(["thresholds", "--out", os.devnull]) == EXIT_OK
+    assert sum(decided.values()) <= 6000
+    assert decided[Family.DNH_2R, 8, 2] < len(stability._scan_points(Family.DNH_2R, 2, 0.005)) / 2
+    decided.clear()
+    assert main(["thresholds", "--grid-step", "0.05", "--out", os.devnull]) == EXIT_OK
+    assert "note: DNdRRp N=6 k_p=2 HopfLower" in capsys.readouterr().err
+    assert decided[Family.DND_RRP, 6, 2] >= len(stability._scan_points(Family.DND_RRP, 2, 0.05))
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [

@@ -71,6 +71,7 @@ from vortex_atlas.stability import (
     _slice_bases,
     _stack_entry,
     _symplectic_forms,
+    _transition_reader,
     _verdicts,
     analyze,
     analyze_many,
@@ -1290,6 +1291,30 @@ def test_missing_transition_raises():
         _pick_transition(list_transitions(DND, 5, 0), "StabilityGain", 0)
     with pytest.raises(InvalidDescriptor):
         _pick_transition(list_transitions(DND, 2, 0), "Wobble", 0)
+
+
+def test_transition_reader_picks_what_the_whole_scan_gives_in_any_order():
+    found = list_transitions(DND, 3, 2)
+    asked = [("HopfLower", 1), ("HopfUpper", 0), ("HopfLower", 0), ("StabilityGain", 0), ("HopfUpper", 0)]
+    for order in (asked, asked[::-1]):
+        read = _transition_reader(DND, 3, 2, 0.005, 1e-6)
+        for transition, occurrence in order:
+            try:
+                want = _pick_transition(found, transition, occurrence)
+            except NoTransition:
+                with pytest.raises(NoTransition):
+                    read(transition, occurrence)
+            else:
+                assert read(transition, occurrence) == want
+        with pytest.raises(InvalidDescriptor):
+            read("Wobble", 0)
+
+
+def test_transition_reader_checks_its_arguments_before_it_is_read():
+    with pytest.raises(InvalidDescriptor):
+        _transition_reader(DNH, 2, 0, 0.0, 1e-6)
+    with pytest.raises(InvalidDescriptor):
+        _transition_reader("TetrahedralPair", 2, 0, 0.005, 1e-6)
 
 
 @pytest.mark.parametrize(

@@ -77,8 +77,8 @@ SIGNATURES = {
 PRIVATE_IMPORTS = {
     ("atlas", "core._family_named"),
     ("atlas", "equilibria._branch_stack"),
-    ("atlas", "stability._pick_transition"),
     ("atlas", "stability._small_outcomes"),
+    ("atlas", "stability._transition_reader"),
     ("dynamics", "core._pairwise_l2"),
     ("equilibria", "core._kept_rows"),
     ("stability", "core._family_named"),
