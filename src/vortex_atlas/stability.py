@@ -35,11 +35,11 @@ stacked pass:
   rank rule) and the spectra, ``16384 // d**2`` rows at a time (d = 2M).
   It cross-validates the first.
 
-Both routes end in one spectral stage, :func:`_block_spectra` (the numeric
-route's slice is its one block ``slice``), and one verdict stage,
-:func:`_verdicts`, and give each row one outcome ``(decision, staggered,
-blocks, row)``; only :func:`_report` builds a report from it, so the
-diagram's branches build none.
+Both routes end in one decision stage, :func:`_decide` (the singular-form
+test, :func:`_block_spectra`, :func:`_verdicts`; the numeric route's slice is
+its one block ``slice``), which gives each row one outcome ``(decision,
+blocks, row)`` or refuses it in place; only :func:`_report` builds a report
+from an outcome, so the diagram's branches build none.
 
 Every floating-point operation acts on each member of a stack exactly as
 on a single one (element-wise arithmetic, sums over a contiguous last
@@ -260,7 +260,7 @@ class _Rings:
         self.n, self.k_p = n, k_p
         self.lam = lambda_n if k_p else 0.0
         self.d = d = 4 * n + 2 * k_p
-        self.staggered = family is Family.DND_RRP
+        staggered = family is Family.DND_RRP
 
         # cos and sin of q times each vortex's longitude, q = 0..N/2; row 1
         # holds the ring angles themselves (plus ring, then minus ring)
@@ -311,7 +311,7 @@ class _Rings:
         self.sectors: list[tuple[str, list[int]]] = []
         self.hit: list[int] = []
         for q in range(top + 1):
-            joint = self.staggered and 2 * q == n
+            joint = staggered and 2 * q == n
             kind = "q=1" if q == 1 else "aligned top" if 2 * q == n else "generic"
             free = []
             for k, cls in _COLUMN_ORDER["staggered top" if joint else kind]:
@@ -748,32 +748,20 @@ class Decision(NamedTuple):
     xi_z: float
 
 
-def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, float]]) -> list:
-    """The array stage of a stack of ``(descriptor, theta0, xi, mu)`` that
-    share ``key = (family, N, k_p, lambda_n, reduced)``.
-
-    Per latitude: its descriptor and outcome, ``(decision, staggered,
-    blocks, j)`` or the :class:`DegenerateForm` of a singular restricted
-    form.  Each block is the diagonal view ``m[:, sl, sl]`` of the
-    restricted Hessian and form; ``blocks`` holds the
-    :func:`_block_spectra` of each block over the latitudes with a regular
-    form, and ``j`` is the latitude's row there.
-    """
-    rings, reduced = _rings(*key[:4]), key[4]
-    u = np.array([math.cos(theta) for _, theta, _, _ in stack])
-    s = np.array([math.sin(theta) for _, theta, _, _ in stack])
-    xi = np.array([rate for _, _, rate, _ in stack])
-    basis, labels = _slice_bases(rings, reduced, u, s)
+def _decide(labels: tuple[str, ...], h: np.ndarray, omega: np.ndarray, mu: list[float], xi: list[float]) -> list:
+    """Per row of restricted Hessians and forms ``(K, p, p)`` with slice-block
+    ``labels``, mu_z and xi_z: ``(decision, blocks, j)``, or the
+    :class:`DegenerateForm` of a singular form in its place.  ``blocks`` holds
+    the :func:`_block_spectra` of each block (the diagonal view ``m[:, sl,
+    sl]``) over the rows with a regular form, and ``j`` is the row there."""
     slices = _block_slices(labels)
-    h = _restrict(basis, _hessians(rings, u, s, xi), antisymmetric=False)
-    omega = _restrict(basis, _symplectic_forms(rings, s), antisymmetric=True)
     h_blocks, o_blocks = ([m[:, sl, sl] for _, sl in slices] for m in (h, omega))
     singular = _singular(o_blocks).tolist()
-    out: list = [(entry[0], DegenerateForm(_SINGULAR_SLICE) if bad else None) for entry, bad in zip(stack, singular)]
+    out: list = [DegenerateForm(_SINGULAR_SLICE) if bad else None for bad in singular]
     kept = [i for i, bad in enumerate(singular) if not bad]
     if not kept:
         return out
-    if len(kept) < len(stack):
+    if len(kept) < len(out):
         h_blocks, o_blocks = ([b[kept] for b in blocks] for blocks in (h_blocks, o_blocks))
     blocks = _block_spectra([label for label, _ in slices], h_blocks, o_blocks)
     # The blocks are symplectically orthogonal and do not couple in the
@@ -788,9 +776,23 @@ def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, 
     verdicts = _verdicts(hess.min(axis=1), hess.max(axis=1), growths.max(axis=1))
     deciding = np.where(verdicts == Verdict.LINEARLY_UNSTABLE, growths.argmax(axis=1), flattest)
     for j, (i, verdict, b) in enumerate(zip(kept, verdicts.tolist(), deciding.tolist())):
-        original, _, rate, mu = stack[i]
-        out[i] = (original, (Decision(verdict, blocks[b][0], mu, rate), rings.staggered, blocks, j))
+        out[i] = (Decision(verdict, blocks[b][0], mu[i], xi[i]), blocks, j)
     return out
+
+
+def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, float]]) -> list:
+    """Per latitude of a stack of ``(descriptor, theta0, xi, mu)`` that share
+    ``key = (family, N, k_p, lambda_n, reduced)``: its descriptor and the
+    :func:`_decide` outcome of its Hessian and form on its slice basis."""
+    rings, reduced = _rings(*key[:4]), key[4]
+    u = np.array([math.cos(theta) for _, theta, _, _ in stack])
+    s = np.array([math.sin(theta) for _, theta, _, _ in stack])
+    xi = np.array([rate for _, _, rate, _ in stack])
+    basis, labels = _slice_bases(rings, reduced, u, s)
+    h = _restrict(basis, _hessians(rings, u, s, xi), antisymmetric=False)
+    omega = _restrict(basis, _symplectic_forms(rings, s), antisymmetric=True)
+    outcomes = _decide(labels, h, omega, [mu for _, _, _, mu in stack], xi.tolist())
+    return [(entry[0], outcome) for entry, outcome in zip(stack, outcomes)]
 
 
 def _report(original: FamilyDescriptor | None, outcome) -> StabilityReport | VortexError:
@@ -799,15 +801,15 @@ def _report(original: FamilyDescriptor | None, outcome) -> StabilityReport | Vor
     ``slice`` has no entries."""
     if isinstance(outcome, VortexError):
         return outcome
-    decision, staggered, blocks, j = outcome
+    decision, blocks, j = outcome
     return StabilityReport(
         descriptor=original,
         label="custom" if original is None else original.label,
         mu_z=decision.mu_z,
         xi_z=decision.xi_z,
         blocks=tuple(
-            BlockSpectrum(label, h_eigs[j], l_eigs[j],
-                          {} if original is None else _block_entries(label, h_blk[j], l_eigs[j], staggered))
+            BlockSpectrum(label, h_eigs[j], l_eigs[j], {} if original is None else
+                          _block_entries(label, h_blk[j], l_eigs[j], original.family is not Family.DNH_2R))
             for label, h_blk, h_eigs, l_eigs in blocks
         ),
         verdict=decision.verdict,
@@ -906,11 +908,11 @@ def _small_key(c: Configuration) -> tuple:
 
 
 def _small_stack(positions: np.ndarray, seed: Configuration, bound: float) -> list:
-    """Per row of a position stack ``(K, M, 3)`` on the chart of ``seed``, its
-    outcome as :func:`_stack_arrays` gives it, one block ``slice``, or its
+    """Per row of a position stack ``(K, M, 3)`` on the chart of ``seed``: its
+    :func:`_decide` outcome with one block ``slice``, or in its place its
     refusal by the branch-point certificate at ``bound``
-    (:func:`~vortex_atlas.equilibria._certificates`); only certified rows are
-    analysed, and any other error is raised."""
+    (:func:`~vortex_atlas.equilibria._certificates`) or for a zero-dimensional
+    slice.  Only certified rows are analysed; a chart error is raised."""
     rates, out, chart, index, qs = _certificates(positions, seed, bound)
     if not index.size:
         return out
@@ -928,28 +930,24 @@ def _small_stack(positions: np.ndarray, seed: Configuration, bound: float) -> li
         _, sing, vh = np.linalg.svd(rows)
         rank = (sing > sing.max(axis=1, keepdims=True) * (np.finfo(float).eps * max(rows.shape[1:]))).sum(axis=1)
         for r in set(rank.tolist()):
-            if r == chart.dim:
-                raise DegenerateForm("the slice is zero-dimensional")
             sub, basis_t = at[rank == r], vh[rank == r, r:]  # the slice basis as rows, (K, k, d)
-            hs = basis_t @ h[sub] @ basis_t.swapaxes(1, 2)
-            hs = 0.5 * (hs + hs.swapaxes(1, 2))
-            omega_s = basis_t @ omega[sub] @ basis_t.swapaxes(1, 2)
-            sing_s = np.linalg.svd(omega_s, compute_uv=False)
-            if (sing_s[:, -1] < 1e-10 * np.maximum(sing_s[:, 0], 1.0)).any():
-                raise DegenerateForm(_SINGULAR_SLICE)
-            blocks = _block_spectra(["slice"], [hs], [omega_s])
-            ((_, _, h_eigs, l_eigs),) = blocks
-            verdicts = _verdicts(h_eigs.min(axis=1), h_eigs.max(axis=1), np.abs(l_eigs.real).max(axis=1))
-            for j, (i, verdict) in enumerate(zip(index[sub].tolist(), verdicts.tolist())):
-                decision = Decision(verdict, "slice", float((seed.strengths @ positions[i])[2]), float(rates[i]))
-                out[i] = (decision, False, blocks, j)
+            kept = index[sub].tolist()
+            if r == chart.dim:
+                outcomes = [DegenerateForm("the slice is zero-dimensional") for _ in kept]
+            else:
+                hs = _restrict(basis_t.swapaxes(1, 2), h[sub], antisymmetric=False)
+                omega_s = basis_t @ omega[sub] @ basis_t.swapaxes(1, 2)
+                mu = [float((seed.strengths @ positions[i])[2]) for i in kept]
+                outcomes = _decide(("slice",) * (chart.dim - r), hs, omega_s, mu, rates[kept].tolist())
+            for i, outcome in zip(kept, outcomes):
+                out[i] = outcome
     return out
 
 
 def _small_outcomes(positions: np.ndarray, strengths: np.ndarray, layout: Layout, bound: float) -> list:
     """:func:`_small_stack` of a position stack of one chart, ``16384 // d**2``
     at a time, on the chart of its first configuration, the one built; a chunk
-    an error hits as a whole is analysed again one configuration at a time."""
+    whose chart an error hits (a pole on the equator) is redone row by row."""
     out: list = []
     size = max(1, STACK_ELEMENTS // (2 * len(strengths)) ** 2)
     for start in range(0, len(positions), size):
@@ -1083,6 +1081,7 @@ def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step:
     """The scan of :func:`list_transitions`: its arguments are checked at
     once, and each change is searched for only when it is read."""
     fam = _resolve_family(family)
+    FamilyDescriptor(fam, n_per_ring, math.pi / 2, k_p).validate()
     min_step = math.pi / MAX_GRID_POINTS
     if not (min_step <= grid_step < math.inf and MIN_TRANSITION_TOL <= tol < math.inf):
         raise InvalidDescriptor(
@@ -1128,9 +1127,10 @@ def list_transitions(
     verdict is :attr:`Verdict.INDETERMINATE` (definiteness margin below
     tolerance at double precision) are treated as non-informative: changes
     are measured between the nearest resolvable neighbours instead, so an
-    unresolvable plateau contributes no transitions of its own.  Raises :class:`InvalidDescriptor` unless
-    ``grid_step`` is finite and gives at most
-    :data:`~vortex_atlas.core.MAX_GRID_POINTS` points over (0, pi), and
+    unresolvable plateau contributes no transitions of its own.  Raises
+    :class:`InvalidDescriptor` for a ring size or pole count that no
+    descriptor takes, and unless ``grid_step`` is finite and gives at most
+    :data:`~vortex_atlas.core.MAX_GRID_POINTS` points over (0, pi) and
     ``tol`` is finite and at least :data:`MIN_TRANSITION_TOL`.
     """
     return tuple(_transition_scan(family, n_per_ring, k_p, grid_step, tol))

@@ -87,6 +87,10 @@ CASES = [
     (lambda: spectrum_match(np.zeros(2), np.zeros(3)), ValueError, "equal size"),
     # the rates are checked before the chart is built
     (lambda: analyze_small(_not_rigid_with_poles_on_the_equator()), NotRelativeEquilibrium, "rates disagree"),
+    # a ring size or pole count no descriptor takes is refused before the scan
+    *[(lambda n=n: list_transitions(DNH, n, 0), InvalidDescriptor, "ring families need 2 <= n_per_ring <= 256")
+      for n in (0, 1, -1, 300)],
+    (lambda: list_transitions(DNH, 3, 1), InvalidDescriptor, "k_p must be 0 or 2"),
 ]
 
 

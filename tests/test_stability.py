@@ -761,10 +761,15 @@ def test_a_latitude_whose_kernel_has_another_size_raises(monkeypatch):
 
 
 def test_a_singular_restricted_form_is_an_error_in_place(monkeypatch):
-    """One latitude of a stack whose restricted symplectic form is called
-    singular gets a DegenerateForm; the others keep every bit."""
+    """One row of a stack whose restricted symplectic form is called singular
+    gets a DegenerateForm, on either route; the others keep every bit, and
+    the numeric stack is not analysed again row by row."""
     descs = [_desc(DNH, 4, theta) for theta in (0.5, 0.7, 0.9)]
     want_decisions, want_reports = list(decide_many(descs)), list(analyze_many(descs))
+    pole_pair = make_plus_ring_pole_pair(0.6)
+    positions = np.array([make_plus_ring_pole_pair(theta).positions for theta in (0.6, 0.9, 1.2)])
+    small = (positions, pole_pair.strengths, pole_pair.layout, RESIDUAL_TOL)
+    want_small = [_report_bytes(stability._report(None, o)) for o in stability._small_outcomes(*small)]
     real = stability._singular
 
     def second_singular(omega_blocks):
@@ -778,6 +783,18 @@ def test_a_singular_restricted_form_is_an_error_in_place(monkeypatch):
         assert (type(got), str(got)) == (DegenerateForm, "the symplectic form restricted to the slice is singular")
     assert [repr(tuple(d)) for d in decisions[::2]] == [repr(tuple(d)) for d in want_decisions[::2]]
     assert [_report_bytes(r) for r in reports[::2]] == [_report_bytes(r) for r in want_reports[::2]]
+
+    small_stack, calls = stability._small_stack, []
+
+    def counted_stack(*args):
+        calls.append(None)
+        return small_stack(*args)
+
+    monkeypatch.setattr(stability, "_small_stack", counted_stack)
+    got = [_report_bytes(stability._report(None, o)) for o in stability._small_outcomes(*small)]
+    assert len(calls) == 1
+    assert got[1] == (DegenerateForm, "the symplectic form restricted to the slice is singular")
+    assert got[::2] == want_small[::2] and [r[1] for r in got[::2]] == ["custom", "custom"]
 
     monkeypatch.setattr(stability, "_singular", lambda omega_blocks: np.ones(len(omega_blocks[0]), dtype=bool))
     with pytest.raises(DegenerateForm):
@@ -1006,6 +1023,31 @@ def test_a_stack_an_error_hits_as_a_whole_is_analysed_one_row_at_a_time():
         assert sum(isinstance(r, StabilityReport) for r in got) == len(thetas) - 1
         for c, result in zip(configs, got):
             assert _outcome(result) == _outcome(_analyze_small_one(c))
+
+
+def test_a_zero_dimensional_slice_is_an_error_in_place(monkeypatch):
+    """A +1/-1 pair mirrored in the equator leaves no slice, and an
+    antipodal one leaves one of dimension 2; in one stack the mirrored pair
+    gets its DegenerateForm in place, the others the outcome analyze_small
+    gives each, and the stack is analysed once."""
+    def pair(theta, turn):
+        return [[math.sin(theta), 0.0, math.cos(theta)], [turn * math.sin(theta), 0.0, -math.cos(theta)]]
+
+    positions = np.array([pair(1.0, -1.0), pair(1.0, 1.0), pair(0.7, -1.0)])
+    configs = _stack_configurations(positions, np.array([1.0, -1.0]), Layout.standard(1, 1, 0))
+    small_stack, calls = stability._small_stack, []
+
+    def counted_stack(*args):
+        calls.append(None)
+        return small_stack(*args)
+
+    monkeypatch.setattr(stability, "_small_stack", counted_stack)
+    got = analyze_small_many(configs)
+    assert len(calls) == 1
+    assert _outcome(got[1]) == (DegenerateForm, "the slice is zero-dimensional")
+    assert [r.verdict for r in got[::2]] == [Verdict.LYAPUNOV_STABLE] * 2
+    for c, result in zip(configs, got):
+        assert _outcome(result) == _outcome(_analyze_small_one(c))
 
 
 @pytest.mark.parametrize("grid", range(len(_LARGEST_GRIDS)))
@@ -1315,6 +1357,8 @@ def test_transition_reader_checks_its_arguments_before_it_is_read():
         _transition_reader(DNH, 2, 0, 0.0, 1e-6)
     with pytest.raises(InvalidDescriptor):
         _transition_reader("TetrahedralPair", 2, 0, 0.005, 1e-6)
+    with pytest.raises(InvalidDescriptor, match="^ring families need 2 <= n_per_ring <= 256$"):
+        _transition_reader(DNH, 1, 0, 0.005, 1e-6)
 
 
 @pytest.mark.parametrize(

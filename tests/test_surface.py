@@ -189,6 +189,34 @@ def test_no_module_of_the_package_imports_scipy():
     assert not found, found
 
 
+# The functions under ``src/`` that call each name of the decision stage: one
+# function decides every row of both stability routes, and one rule calls a
+# restricted symplectic form singular.
+DECISION_CALLERS = {
+    "Decision": {"stability._decide"},
+    "_verdicts": {"stability._decide"},
+    "_block_spectra": {"stability._decide"},
+    "_singular": {"stability._decide", "stability.slice_symplectic_form"},
+}
+
+
+def test_one_decision_stage_decides_every_row():
+    """A ``Decision`` is built, and the verdict rule, the spectral stage and
+    the singular-form rule are called, only where ``DECISION_CALLERS`` says:
+    a second decision path fails here.  A call counts for the top-level
+    function (or class) that contains it, by name or by attribute."""
+    found: dict[str, set[str]] = {name: set() for name in DECISION_CALLERS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in found:
+                        found[name].add(owner)
+    assert found == DECISION_CALLERS
+
+
 def _readme_api_blocks() -> list[str]:
     readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
