@@ -37,9 +37,9 @@ stacked pass:
 
 Both routes end in one decision stage, :func:`_decide` (the singular-form
 test, :func:`_block_spectra`, :func:`_verdicts`; the numeric route's slice is
-its one block ``slice``), which gives each row one outcome ``(decision,
-blocks, row)`` or refuses it in place; only :func:`_report` builds a report
-from an outcome, so the diagram's branches build none.
+its one block ``slice``), which gives every row ``i`` of a stack the outcome
+``(decision, blocks, i)`` or refuses it in place; only :func:`_report` builds
+a report from an outcome, so the diagram's branches build none.
 
 Every floating-point operation acts on each member of a stack exactly as
 on a single one (element-wise arithmetic, sums over a contiguous last
@@ -57,7 +57,8 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -749,20 +750,17 @@ class Decision(NamedTuple):
 
 
 def _decide(labels: tuple[str, ...], h: np.ndarray, omega: np.ndarray, mu: list[float], xi: list[float]) -> list:
-    """Per row of restricted Hessians and forms ``(K, p, p)`` with slice-block
-    ``labels``, mu_z and xi_z: ``(decision, blocks, j)``, or the
+    """Per row ``i`` of restricted Hessians and forms ``(K, p, p)`` with
+    slice-block ``labels``, mu_z and xi_z: ``(decision, blocks, i)``, or the
     :class:`DegenerateForm` of a singular form in its place.  ``blocks`` holds
     the :func:`_block_spectra` of each block (the diagonal view ``m[:, sl,
-    sl]``) over the rows with a regular form, and ``j`` is the row there."""
+    sl]``) over every row; a singular row's form is an identity there, so
+    that it cannot fail the solve of the others."""
     slices = _block_slices(labels)
     h_blocks, o_blocks = ([m[:, sl, sl] for _, sl in slices] for m in (h, omega))
-    singular = _singular(o_blocks).tolist()
-    out: list = [DegenerateForm(_SINGULAR_SLICE) if bad else None for bad in singular]
-    kept = [i for i, bad in enumerate(singular) if not bad]
-    if not kept:
-        return out
-    if len(kept) < len(out):
-        h_blocks, o_blocks = ([b[kept] for b in blocks] for blocks in (h_blocks, o_blocks))
+    singular = _singular(o_blocks)
+    if singular.any():
+        o_blocks = [np.where(singular[:, None, None], np.eye(o.shape[1]), o) for o in o_blocks]
     blocks = _block_spectra([label for label, _ in slices], h_blocks, o_blocks)
     # The blocks are symplectically orthogonal and do not couple in the
     # Hessian, so the slice spectrum is the union of the block spectra;
@@ -775,9 +773,10 @@ def _decide(labels: tuple[str, ...], h: np.ndarray, omega: np.ndarray, mu: list[
     flattest = np.minimum.reduceat(np.abs(hess), starts, axis=1).argmin(axis=1)
     verdicts = _verdicts(hess.min(axis=1), hess.max(axis=1), growths.max(axis=1))
     deciding = np.where(verdicts == Verdict.LINEARLY_UNSTABLE, growths.argmax(axis=1), flattest)
-    for j, (i, verdict, b) in enumerate(zip(kept, verdicts.tolist(), deciding.tolist())):
-        out[i] = (Decision(verdict, blocks[b][0], mu[i], xi[i]), blocks, j)
-    return out
+    return [
+        DegenerateForm(_SINGULAR_SLICE) if bad else (Decision(verdict, blocks[b][0], mu[i], xi[i]), blocks, i)
+        for i, (bad, verdict, b) in enumerate(zip(singular.tolist(), verdicts.tolist(), deciding.tolist()))
+    ]
 
 
 def _stack_arrays(key: tuple, stack: list[tuple[FamilyDescriptor, float, float, float]]) -> list:
@@ -835,27 +834,25 @@ def _stack_size(n_per_ring: int, k_p: int) -> int:
 
 def _stacked(descs: Iterable[FamilyDescriptor]) -> Iterator[tuple[FamilyDescriptor, tuple | VortexError]]:
     """Each descriptor and its outcome of :func:`_stack_arrays`, in input
-    order: the array stage runs over stacks of consecutive members that
-    share a stack key, at most ``16384 // d**2`` at a time, and each
-    member's error is put in place."""
-    stack: list[tuple[FamilyDescriptor, float, float, float]] = []
-    key: tuple = ()
-    for original in descs:
+    order, lazily: consecutive members that share a stack key are grouped,
+    and each group runs through the array stage in stacks of at most
+    ``16384 // d**2``.  A member's error is its own group, the key no other
+    member equals, and is put in place."""
+
+    def keyed(original: FamilyDescriptor) -> tuple:
         try:
-            new_key, entry = _stack_entry(original)
+            return _stack_entry(original)
         except VortexError as exc:
-            if stack:
-                yield from _stack_arrays(key, stack)
-                stack = []
-            yield original, exc
+            return exc, (original, exc)
+
+    for key, run in groupby(map(keyed, descs), key=itemgetter(0)):
+        entries = (entry for _, entry in run)
+        if isinstance(key, VortexError):
+            yield from entries
             continue
-        if stack and (new_key != key or len(stack) >= _stack_size(key[1], key[2])):
+        size = _stack_size(key[1], key[2])
+        while stack := list(islice(entries, size)):
             yield from _stack_arrays(key, stack)
-            stack = []
-        key = new_key
-        stack.append(entry)
-    if stack:
-        yield from _stack_arrays(key, stack)
 
 
 def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport | VortexError]:
@@ -878,7 +875,8 @@ def decide_many(descs: Iterable[FamilyDescriptor]) -> Iterator[Decision | Vortex
     Yields, in input order, each descriptor's :class:`Decision` (the
     verdict, deciding block, mu_z and xi_z of its report, bit for bit) or
     the :class:`VortexError` :func:`analyze` raises, from the same stacked
-    pass; no block spectrum or block entry is built.
+    pass and eigensolves; no :class:`BlockSpectrum`, block entry or
+    :class:`StabilityReport` is built.
     """
     return (outcome if isinstance(outcome, VortexError) else outcome[0] for _, outcome in _stacked(descs))
 
@@ -888,8 +886,7 @@ def analyze(desc: FamilyDescriptor) -> StabilityReport:
 
     The one-point case of :func:`analyze_many`.
     """
-    ((_, outcome),) = _stacked([desc])
-    result = _report(desc, outcome)
+    (result,) = analyze_many([desc])
     if isinstance(result, VortexError):
         raise result
     return result

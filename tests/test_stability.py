@@ -742,6 +742,21 @@ def test_stacked_pass_yields_errors_in_place():
     ]
 
 
+def test_the_closed_form_passes_stream():
+    """Each pass yields its first outcome from an input without end: no run
+    of one stack key is gathered before its first stack (113 latitudes here)
+    is decided.  A pass that reads on past 1,000 fails instead of hanging."""
+    desc = _desc(DND, 3, 0.7)
+
+    def endless():
+        for k in itertools.count():
+            assert k < 1000, "the pass read on far past its first stack"
+            yield desc
+
+    assert next(decide_many(endless())) == next(decide_many([desc]))
+    assert _report_bytes(next(analyze_many(endless()))) == _report_bytes(analyze(desc))
+
+
 def test_a_latitude_whose_kernel_has_another_size_raises(monkeypatch):
     """Every latitude of a stack shares one slice size: a kernel one vector
     short at the middle latitude of three is an error of the whole pass."""
@@ -783,6 +798,8 @@ def test_a_singular_restricted_form_is_an_error_in_place(monkeypatch):
         assert (type(got), str(got)) == (DegenerateForm, "the symplectic form restricted to the slice is singular")
     assert [repr(tuple(d)) for d in decisions[::2]] == [repr(tuple(d)) for d in want_decisions[::2]]
     assert [_report_bytes(r) for r in reports[::2]] == [_report_bytes(r) for r in want_reports[::2]]
+    last = list(stability._stacked(descs))[2][1]  # decided at its own stack row
+    assert last[2] == 2 and _report_bytes(stability._report(descs[2], last)) == _report_bytes(want_reports[2])
 
     small_stack, calls = stability._small_stack, []
 
