@@ -35,6 +35,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -303,24 +304,22 @@ def _ring_segment(tag: str, family: Family, n: int, k_p: int, params: np.ndarray
 
 
 def _branch(solve: Callable[[float], BranchPoint | float | None]) -> _Evaluator:
-    """A low-symmetry segment's evaluator: it solves every parameter, builds the
-    points as one position stack, and takes the rows a :class:`Configuration`
-    accepts through one stacked numeric analysis at the branch bound
-    ``BRANCH_RESIDUAL_TOL``, which drops each one it refuses, and one energy pass."""
+    """A low-symmetry segment's evaluator, called on its grid (where some solve):
+    it solves every parameter, builds the points as one position stack, and takes
+    the rows a :class:`Configuration` accepts through one stacked numeric analysis
+    at the branch bound ``BRANCH_RESIDUAL_TOL``, which drops each one it refuses, and one energy pass."""
 
     def evaluate(params: Sequence[float]) -> list[tuple[Decision, float] | None]:
-        found = {}
+        solved = []
         for k, x in enumerate(params):
             with contextlib.suppress(VortexError):
-                found[k] = solve(x)
-        at = [k for k, point in found.items() if point is not None]
+                if (point := solve(x)) is not None:
+                    solved.append((k, point))
         out: list[tuple[Decision, float] | None] = [None] * len(params)
-        if not at:
-            return out
-        positions, strengths, layout, kept = _branch_stack([found[k] for k in at])
+        positions, strengths, layout, kept = _branch_stack([point for _, point in solved])
         positions = positions[kept]
         outcomes = _small_outcomes(positions, strengths, layout, BRANCH_RESIDUAL_TOL)
-        for k, outcome, e in zip(np.array(at)[kept].tolist(), outcomes, hamiltonians(positions, strengths).tolist()):
+        for (k, _), outcome, e in zip(compress(solved, kept), outcomes, hamiltonians(positions, strengths).tolist()):
             if not isinstance(outcome, VortexError):
                 out[k] = (outcome[0], e)
         return out
@@ -401,8 +400,6 @@ def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, floa
             (a, b) for a, b in zip(parent.points, parent.points[1:])
             if a.verdict != b.verdict and lyap in (a.verdict, b.verdict)
         ]
-        if not pairs:
-            continue
 
         def verdicts_at(ts: list[float], parent: _Segment = parent) -> list[str | None]:
             verdicts = (None if got is None else got[0].verdict for got in parent.evaluate(ts))
@@ -618,7 +615,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 def cmd_classify(args: argparse.Namespace) -> None:
     raw = args.descriptor
-    if not raw.lstrip().startswith("{"):
+    if not raw.lstrip().startswith(("{", "[")):
         raw = Path(raw).read_text()
     payload = json.loads(raw)
     if not isinstance(payload, dict):

@@ -56,7 +56,7 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -827,17 +827,12 @@ def _stack_entry(original: FamilyDescriptor) -> tuple[tuple, tuple]:
     return key, (original, desc.theta0, xi, mu)
 
 
-def _stack_size(n_per_ring: int, k_p: int) -> int:
-    """Latitudes per closed-form stack: ``16384 // d**2`` (d = 4N + 2k_p), at least one."""
-    return max(1, STACK_ELEMENTS // max(1, (4 * n_per_ring + 2 * k_p) ** 2))
-
-
-def _stacked(descs: Iterable[FamilyDescriptor]) -> Iterator[tuple[FamilyDescriptor, tuple | VortexError]]:
-    """Each descriptor and its outcome of :func:`_stack_arrays`, in input
-    order, lazily: consecutive members that share a stack key are grouped,
-    and each group runs through the array stage in stacks of at most
-    ``16384 // d**2``.  A member's error is its own group, the key no other
-    member equals, and is put in place."""
+def _stacked(descs: Iterable[FamilyDescriptor]) -> Iterator[list[tuple[FamilyDescriptor, tuple | VortexError]]]:
+    """The closed-form stacks of ``descs`` in input order, lazily: per
+    :func:`_stack_arrays` call, the list of its descriptors and outcomes.
+    Consecutive members that share a stack key are grouped, and each group
+    is cut here, and only here, into stacks of ``16384 // d**2`` (d = 4N +
+    2k_p; at least one).  A member's error is a stack of its own."""
 
     def keyed(original: FamilyDescriptor) -> tuple:
         try:
@@ -848,11 +843,11 @@ def _stacked(descs: Iterable[FamilyDescriptor]) -> Iterator[tuple[FamilyDescript
     for key, run in groupby(map(keyed, descs), key=itemgetter(0)):
         entries = (entry for _, entry in run)
         if isinstance(key, VortexError):
-            yield from entries
+            yield list(entries)
             continue
-        size = _stack_size(key[1], key[2])
-        while stack := list(islice(entries, size)):
-            yield from _stack_arrays(key, stack)
+        size = max(1, STACK_ELEMENTS // (4 * key[1] + 2 * key[2]) ** 2)
+        # no stack stays bound while the stacker is paused (thresholds keeps a paused scan per family)
+        yield from map(partial(_stack_arrays, key), iter(lambda: list(islice(entries, size)), []))
 
 
 def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport | VortexError]:
@@ -862,11 +857,11 @@ def analyze_many(descs: Iterable[FamilyDescriptor]) -> Iterator[StabilityReport 
     descriptor or the :class:`VortexError` it raises.  Consecutive members
     of one family with the same ring size and poles, whose vertical
     momenta are all zero or all nonzero, are analysed together: Hessians,
-    slice bases, projections and block spectra are computed as stacked
-    arrays of ``16384 // d**2`` latitudes (d = 4N + 2k_p; at least one),
-    so memory stays bounded however long the input is.
+    slice bases, projections and block spectra are computed as the stacked
+    arrays of :func:`_stacked`, ``16384 // d**2`` latitudes (d = 4N + 2k_p;
+    at least one), so memory stays bounded however long the input is.
     """
-    return (_report(original, outcome) for original, outcome in _stacked(descs))
+    return (_report(original, outcome) for stack in _stacked(descs) for original, outcome in stack)
 
 
 def decide_many(descs: Iterable[FamilyDescriptor]) -> Iterator[Decision | VortexError]:
@@ -874,11 +869,11 @@ def decide_many(descs: Iterable[FamilyDescriptor]) -> Iterator[Decision | Vortex
 
     Yields, in input order, each descriptor's :class:`Decision` (the
     verdict, deciding block, mu_z and xi_z of its report, bit for bit) or
-    the :class:`VortexError` :func:`analyze` raises, from the same stacked
-    pass and eigensolves; no :class:`BlockSpectrum`, block entry or
-    :class:`StabilityReport` is built.
+    the :class:`VortexError` :func:`analyze` raises, from the same stacks
+    of :func:`_stacked` and eigensolves; no :class:`BlockSpectrum`, block
+    entry or :class:`StabilityReport` is built.
     """
-    return (outcome if isinstance(outcome, VortexError) else outcome[0] for _, outcome in _stacked(descs))
+    return (outcome if isinstance(outcome, VortexError) else outcome[0] for stack in _stacked(descs) for _, outcome in stack)
 
 
 def analyze(desc: FamilyDescriptor) -> StabilityReport:
@@ -1075,8 +1070,9 @@ def verdict_changes(
 
 
 def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step: float, tol: float) -> Iterator:
-    """The scan of :func:`list_transitions`: its arguments are checked at
-    once, and each change is searched for only when it is read."""
+    """The scan of :func:`list_transitions`, over the grid's :func:`_stacked`
+    stacks: its arguments are checked at once, and each change is searched
+    for only when it is read."""
     fam = _resolve_family(family)
     FamilyDescriptor(fam, n_per_ring, math.pi / 2, k_p).validate()
     min_step = math.pi / MAX_GRID_POINTS
@@ -1086,17 +1082,22 @@ def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step:
             f"tol finite and at least {MIN_TRANSITION_TOL:g}"
         )
 
-    def verdicts_at(thetas) -> list[Verdict | None]:
-        descs = (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in thetas)
-        return [_scan_verdict(result) for result in decide_many(descs)]
+    def descs(thetas) -> Iterator[FamilyDescriptor]:
+        return (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in thetas)
 
-    def scan() -> Iterator[tuple[str, float]]:
+    def verdicts_at(thetas) -> list[Verdict | None]:
+        return [_scan_verdict(result) for result in decide_many(descs(thetas))]
+
+    def resolved(stack: list) -> list[tuple[float, Verdict]]:
         # Resolvable grid samples only: indeterminate or invalid points are
         # skipped without breaking adjacency.
-        pts, size, last = _scan_points(fam, k_p, grid_step), _stack_size(n_per_ring, k_p), []
-        for start in range(0, len(pts), size):
-            chunk = pts[start : start + size]
-            samples = last + [(t, v) for t, v in zip(chunk, verdicts_at(chunk)) if v is not None]
+        verdicts = [(d.theta0, None if isinstance(o, VortexError) else _scan_verdict(o[0])) for d, o in stack]
+        return [(theta, v) for theta, v in verdicts if v is not None]
+
+    def scan() -> Iterator[tuple[str, float]]:
+        last = []  # map keeps no stack: a scan paused at a change holds no spectra
+        for samples in map(resolved, _stacked(descs(_scan_points(fam, k_p, grid_step)))):
+            samples = last + samples
             brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:]) if v0 != v1]
             for changes in verdict_changes(verdicts_at, brackets, tol):
                 yield from ((_classify(a, b), theta) for theta, a, b in changes)
@@ -1115,8 +1116,8 @@ def list_transitions(
     """All verdict changes along the latitude, each located to ``tol``.
 
     One scan up the latitude grid, read to its end: it decides the grid one
-    closed-form stack (:func:`decide_many`) at a time and halves that
-    stack's brackets between samples of different verdicts with
+    closed-form stack (as :func:`decide_many` stacks it) at a time and halves
+    that stack's brackets between samples of different verdicts with
     :func:`verdict_changes` (one stacked pass per halving round) before it
     decides the next; a stack's last sample brackets with the next one's
     first.  Returns ``(kind, theta_star)`` pairs in increasing latitude

@@ -439,6 +439,8 @@ def test_classify_rejects_bad_inputs(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.json")]) == EXIT_INPUT
     assert main(["classify", '{"family": "Borromean"}']) == EXIT_INPUT
     capsys.readouterr()
+    assert main(["classify", "[]"]) == EXIT_INPUT  # inline JSON, not a file path
+    assert capsys.readouterr().err == "input error: descriptor JSON must be an object\n"
 
 
 @pytest.mark.parametrize(

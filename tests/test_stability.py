@@ -798,7 +798,7 @@ def test_a_singular_restricted_form_is_an_error_in_place(monkeypatch):
         assert (type(got), str(got)) == (DegenerateForm, "the symplectic form restricted to the slice is singular")
     assert [repr(tuple(d)) for d in decisions[::2]] == [repr(tuple(d)) for d in want_decisions[::2]]
     assert [_report_bytes(r) for r in reports[::2]] == [_report_bytes(r) for r in want_reports[::2]]
-    last = list(stability._stacked(descs))[2][1]  # decided at its own stack row
+    last = next(stability._stacked(descs))[2][1]  # decided at its own stack row
     assert last[2] == 2 and _report_bytes(stability._report(descs[2], last)) == _report_bytes(want_reports[2])
 
     small_stack, calls = stability._small_stack, []
@@ -1367,6 +1367,31 @@ def test_transition_reader_picks_what_the_whole_scan_gives_in_any_order():
                 assert read(transition, occurrence) == want
         with pytest.raises(InvalidDescriptor):
             read("Wobble", 0)
+
+
+def test_the_scan_decides_the_grid_in_the_stacks_of_the_closed_form_pass(monkeypatch):
+    """The closed-form stacks are cut in one place: the scan's grid stacks,
+    as ``(first latitude, length)``, are those of ``decide_many`` over the
+    grid, in order.  DNd N=3 with poles has zero momentum at acos(-1/3),
+    the 300th grid point here, which is a stack of its own and restarts
+    the cut after it (64 latitudes a stack).  Midpoints of halving rounds
+    are never grid points, so the stacks that start on the grid are the
+    grid's stacks."""
+    step = math.acos(-1.0 / 3.0) / 300
+    grid = stability._scan_points(DND, 2, step)
+    stacks, stack_arrays = [], stability._stack_arrays
+
+    def recorded(key, stack):
+        stacks.append((stack[0][0].theta0, len(stack)))
+        return stack_arrays(key, stack)
+
+    monkeypatch.setattr(stability, "_stack_arrays", recorded)
+    assert list_transitions(DND, 3, 2, grid_step=step)
+    scanned, on_grid = stacks[:], set(grid.tolist())
+    stacks.clear()
+    list(decide_many(_desc(DND, 3, theta, 2) for theta in grid))
+    assert (grid[299], 1) in stacks
+    assert [s for s in scanned if s[0] in on_grid] == stacks
 
 
 def test_transition_reader_checks_its_arguments_before_it_is_read():
