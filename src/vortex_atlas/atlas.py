@@ -254,7 +254,7 @@ class _Segment:
     ``evaluate`` maps parameters to ``(decision, energy)`` each, or
     ``None`` where a parameter leaves the branch domain; ``sample`` passes
     it the whole grid, and the search for a parent's verdict changes the
-    midpoints of one halving round.
+    midpoints and quarter points of one halving round.
     """
 
     label: str
@@ -390,9 +390,9 @@ def _child_side(seg: _Segment, param_star: float, mu_star: float, window: float)
 def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, float, float]]:
     """Each change into or out of Lyapunov stability along a parent, located
     to 1e-10 by :func:`~vortex_atlas.stability.verdict_changes` between
-    adjacent samples, one ``evaluate`` call per halving round (the first
-    such change of each bracket; a point off the branch or with an
-    indeterminate verdict has no verdict there):
+    adjacent samples, one ``evaluate`` call per round of two halving levels
+    (the first such change of each bracket; a point off the branch or with
+    an indeterminate verdict has no verdict there):
     ``(parent, mu*, H*, momentum offset of the Lyapunov side)``."""
     lyap = Verdict.LYAPUNOV_STABLE.value
     for parent in (seg for seg in segments if seg.is_parent):

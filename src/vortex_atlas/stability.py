@@ -1036,11 +1036,12 @@ def verdict_changes(
     Ends that agree give nothing; a bracket no wider than ``tol``, or whose
     midpoint is not strictly inside it (its ends are adjacent floats), gives
     its midpoint; any other bracket is halved and both halves are searched,
-    so a window of a third verdict gives both of its edges.  The halving
-    goes in rounds: ``verdicts_at`` gets the midpoints of every open bracket
-    in one call and returns their verdicts in order, and a midpoint whose
-    verdict is None counts as the upper end's.  A NaN or negative ``tol``
-    raises :class:`InvalidDescriptor`.
+    so a window of a third verdict gives both of its edges; a midpoint whose
+    verdict is None counts as the upper end's.  The halving goes in rounds
+    of two levels: ``verdicts_at`` gets, in one call, the midpoint of every
+    open bracket and of each of its halves that splits, and returns their
+    verdicts in order (a half whose ends then agree wastes its midpoint).
+    A NaN or negative ``tol`` raises :class:`InvalidDescriptor`.
     """
     if not tol >= 0.0:
         raise InvalidDescriptor(f"tol must be at least 0, not {tol!r}")
@@ -1048,25 +1049,29 @@ def verdict_changes(
     def splits(lo: float, hi: float) -> bool:
         return hi - lo > tol and lo < 0.5 * (lo + hi) < hi
 
-    pieces = [[bracket] for bracket in brackets]  # per bracket, its open halves in order
+    def halved(part: list, verdict: dict) -> list:
+        # One halving level: each piece that splits is cut at its midpoint,
+        # and a half whose ends agree is dropped.
+        halves = []
+        for lo, v_lo, hi, v_hi in part:
+            if not splits(lo, hi):
+                halves.append((lo, v_lo, hi, v_hi))
+                continue
+            mid = 0.5 * (lo + hi)
+            v_mid = v_hi if verdict[mid] is None else verdict[mid]
+            halves += [p for p in ((lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)) if p[1] != p[3]]
+        return halves
+
+    pieces = [[b] if b[1] != b[3] else [] for b in brackets]  # per bracket, its open pieces in order
     while True:
-        pieces = [[p for p in part if p[1] != p[3]] for part in pieces]
-        mids = [0.5 * (lo + hi) for part in pieces for lo, _, hi, _ in part if splits(lo, hi)]
-        if not mids:
+        asked = []
+        for lo, _, hi, _ in (p for part in pieces for p in part if splits(p[0], p[2])):
+            mid = 0.5 * (lo + hi)
+            asked += [mid, *(0.5 * (a + b) for a, b in ((lo, mid), (mid, hi)) if splits(a, b))]
+        if not asked:
             return [[(0.5 * (lo + hi), v_lo, v_hi) for lo, v_lo, hi, v_hi in part] for part in pieces]
-        found = iter(zip(mids, verdicts_at(mids)))
-        halved = []
-        for part in pieces:
-            halves = []
-            for lo, v_lo, hi, v_hi in part:
-                if not splits(lo, hi):
-                    halves.append((lo, v_lo, hi, v_hi))
-                    continue
-                mid, v_mid = next(found)
-                v_mid = v_hi if v_mid is None else v_mid
-                halves += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
-            halved.append(halves)
-        pieces = halved
+        verdict = dict(zip(asked, verdicts_at(asked)))
+        pieces = [halved(halved(part, verdict), verdict) for part in pieces]
 
 
 def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step: float, tol: float) -> Iterator:
@@ -1118,7 +1123,7 @@ def list_transitions(
     One scan up the latitude grid, read to its end: it decides the grid one
     closed-form stack (as :func:`decide_many` stacks it) at a time and halves
     that stack's brackets between samples of different verdicts with
-    :func:`verdict_changes` (one stacked pass per halving round) before it
+    :func:`verdict_changes` (one stacked pass per two halving levels) before it
     decides the next; a stack's last sample brackets with the next one's
     first.  Returns ``(kind, theta_star)`` pairs in increasing latitude
     order, with ``kind`` one of :data:`TRANSITIONS`.  Latitudes whose

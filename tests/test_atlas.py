@@ -696,17 +696,26 @@ def test_thresholds_decide_a_family_only_up_to_its_last_tabulated_change(monkeyp
     family's whole grid was decided).  A family stops at its last row's
     change (DNh N=8 k_p=2 at its StabilityLoss near 0.47), and a family
     whose row finds no change still decides its whole grid (DNd N=6 k_p=2
-    at step 0.05, where the Hopf pair falls between samples)."""
-    decided = {}
+    at step 0.05, where the Hopf pair falls between samples).  Halving two
+    levels per round, the table takes at most 330 closed-form stacks (488
+    at one level), and both diagrams' junction searches and samples at
+    most 66 (103)."""
+    decided, stacks = {}, []
     stack_arrays = stability._stack_arrays
 
     def counting(key, stack):
         decided[key[:3]] = decided.get(key[:3], 0) + len(stack)
+        stacks.append(len(stack))
         return stack_arrays(key, stack)
 
     monkeypatch.setattr(stability, "_stack_arrays", counting)
     assert main(["thresholds", "--out", os.devnull]) == EXIT_OK
     assert sum(decided.values()) <= 6000
+    assert len(stacks) <= 330
+    stacks.clear()
+    for n_pairs in (2, 3):
+        build_diagram(n_pairs)
+    assert len(stacks) <= 66
     assert decided[Family.DNH_2R, 8, 2] < len(stability._scan_points(Family.DNH_2R, 2, 0.005)) / 2
     decided.clear()
     assert main(["thresholds", "--grid-step", "0.05", "--out", os.devnull]) == EXIT_OK

@@ -1291,11 +1291,42 @@ def _depth_first(verdict_at, lo, v_lo, hi, v_hi, tol):
     if v_lo == v_hi:
         return []
     mid = 0.5 * (lo + hi)
-    if hi - lo <= tol:
+    if hi - lo <= tol or not lo < mid < hi:
         return [(mid, v_lo, v_hi)]
     if (v_mid := verdict_at(mid)) is None:
         v_mid = v_hi
     return _depth_first(verdict_at, lo, v_lo, mid, v_mid, tol) + _depth_first(verdict_at, mid, v_mid, hi, v_hi, tol)
+
+
+def _open_by_level(verdict_at, lo, v_lo, hi, v_hi, tol):
+    """Per halving level, the ``(lo, hi)`` of every piece of one bracket
+    that the one-level-per-call search still halves there."""
+    levels, level = [], [(lo, v_lo, hi, v_hi)]
+    while level := [p for p in level if p[1] != p[3] and p[2] - p[0] > tol and p[0] < 0.5 * (p[0] + p[2]) < p[2]]:
+        levels.append([(lo, hi) for lo, _, hi, _ in level])
+        halves = []
+        for lo, v_lo, hi, v_hi in level:
+            mid = 0.5 * (lo + hi)
+            v_mid = v_hi if (v := verdict_at(mid)) is None else v
+            halves += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+        level = halves
+    return levels
+
+
+def _asks_by_the_rounds(calls, alone, verdicts_at, brackets, tol):
+    """The rounds' calls ask every latitude the depth-first search asks
+    (``alone``), none twice, and in each call only the midpoints and the
+    quarter points of the pieces open at that call's first halving level
+    (``verdicts_at``, a list evaluator, gives the levels)."""
+    asked = [theta for call in calls for theta in call]
+    assert set(alone) <= set(asked) and len(set(asked)) == len(asked)
+    levels = [_open_by_level(lambda t: verdicts_at([t])[0], *bracket, tol) for bracket in brackets]
+    for r, call in enumerate(calls):
+        allowed = set()
+        for lo, hi in (piece for per_level in levels if 2 * r < len(per_level) for piece in per_level[2 * r]):
+            mid = 0.5 * (lo + hi)
+            allowed |= {mid, 0.5 * (lo + mid), 0.5 * (mid + hi)}
+        assert set(call) <= allowed
 
 
 @pytest.mark.parametrize("tol", [1e-3, 1e-6])
@@ -1307,9 +1338,41 @@ def test_verdict_search_asks_one_call_per_halving_round(tol):
     one_at_a_time, alone = _windows(*edges)
     want = [_depth_first(lambda t: one_at_a_time([t])[0], *bracket, tol) for bracket in brackets]
     assert found == want
-    assert sorted(asked) == sorted(alone) and len(set(asked)) == len(asked)
-    # one call per round: as many as the halvings of the widest bracket (1.0) down to tol
-    assert len(verdicts_at.calls) == math.ceil(math.log2(1.0 / tol)) < len(asked)
+    _asks_by_the_rounds(verdicts_at.calls, alone, _windows(*edges)[0], brackets, tol)
+    # one call per round of two halving levels: half the halvings of the
+    # widest bracket (1.0) down to tol, rounded up
+    assert len(verdicts_at.calls) == math.ceil(math.ceil(math.log2(1.0 / tol)) / 2) < len(asked)
+
+
+@st.composite
+def _step_searches(draw):
+    """A step function of the latitude on [0, 3] (1 to 6 edges, some
+    windows narrower than tol, some stretches with no verdict), brackets
+    between resolved points cut from a grid, and a tol."""
+    tol = draw(st.sampled_from([0.0, 1e-17, 1e-10, 1e-6, 1e-3]))
+    edges = []
+    for _ in range(draw(st.integers(1, 6))):
+        edge = draw(st.floats(0.0, 3.0))
+        edges += [edge] if draw(st.booleans()) else [edge, edge + draw(st.floats(0.0, 0.99)) * tol]
+    edges = sorted(edges)[:6]
+    verdicts = [draw(st.sampled_from(["a", "b", "c", None])) for _ in range(len(edges) + 1)]
+    steps = [x for pair in zip(verdicts, edges) for x in pair] + verdicts[-1:]
+    n = draw(st.integers(1, 12))
+    grid = sorted(draw(st.sets(st.integers(0, n), min_size=2)))
+    verdict_of, _ = _windows(*steps)
+    ends = [(3.0 * i / n, v) for i in grid if (v := verdict_of([3.0 * i / n])[0]) is not None]
+    return steps, tol, [(lo, v_lo, hi, v_hi) for (lo, v_lo), (hi, v_hi) in zip(ends, ends[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(search=_step_searches())
+def test_verdict_search_matches_the_depth_first_search_on_step_functions(search):
+    steps, tol, brackets = search
+    verdicts_at, _ = _windows(*steps)
+    found = verdict_changes(verdicts_at, brackets, tol)
+    one_at_a_time, alone = _windows(*steps)
+    assert found == [_depth_first(lambda t: one_at_a_time([t])[0], *bracket, tol) for bracket in brackets]
+    _asks_by_the_rounds(verdicts_at.calls, alone, _windows(*steps)[0], brackets, tol)
 
 
 def _flip_at_one(calls):
@@ -1330,11 +1393,15 @@ def test_verdict_search_ends_at_adjacent_floats(tol):
     """The first midpoint of (0.5, 1.5) is the change at 1.0 itself; the
     lower half then shrinks until its ends are adjacent floats, whose
     midpoint is not inside, and the search ends there."""
-    calls = []
-    (found,) = verdict_changes(_flip_at_one(calls), [(0.5, "a", 1.5, "b")], tol)
+    calls, alone, bracket = [], [], (0.5, "a", 1.5, "b")
+    (found,) = verdict_changes(_flip_at_one(calls), [bracket], tol)
     assert [(before, after) for _, before, after in found] == [("a", "b")]
     assert found[0][0] in (np.nextafter(1.0, 0.0), 1.0)
-    assert len(calls) == 53
+    one_at_a_time = _flip_at_one(alone)
+    assert [found] == [_depth_first(lambda t: one_at_a_time([t])[0], *bracket, tol)]
+    _asks_by_the_rounds(calls, [t for (t,) in alone], _flip_at_one([]), [bracket], tol)
+    # 53 halving levels, two per call
+    assert len(calls) == 27
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan])
@@ -1374,9 +1441,9 @@ def test_the_scan_decides_the_grid_in_the_stacks_of_the_closed_form_pass(monkeyp
     as ``(first latitude, length)``, are those of ``decide_many`` over the
     grid, in order.  DNd N=3 with poles has zero momentum at acos(-1/3),
     the 300th grid point here, which is a stack of its own and restarts
-    the cut after it (64 latitudes a stack).  Midpoints of halving rounds
-    are never grid points, so the stacks that start on the grid are the
-    grid's stacks."""
+    the cut after it (64 latitudes a stack).  The midpoints and quarter
+    points of halving rounds are never grid points, so the stacks that
+    start on the grid are the grid's stacks."""
     step = math.acos(-1.0 / 3.0) / 300
     grid = stability._scan_points(DND, 2, step)
     stacks, stack_arrays = [], stability._stack_arrays
