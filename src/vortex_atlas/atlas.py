@@ -26,6 +26,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
 import functools
@@ -374,7 +375,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
 
 
 def _param_step(seg: _Segment) -> float:
-    return float(seg.params[1] - seg.params[0]) if len(seg.params) > 1 else 1e-2
+    return float(seg.params[1] - seg.params[0])
 
 
 def _child_side(seg: _Segment, param_star: float, mu_star: float, window: float) -> float:
@@ -387,30 +388,33 @@ def _child_side(seg: _Segment, param_star: float, mu_star: float, window: float)
     return float(np.mean(offsets)) if offsets else 0.0
 
 
+def _is_lyapunov(verdict: Verdict | None) -> bool | None:
+    """Whether a verdict is Lyapunov stability; None for no verdict (off the
+    branch or indeterminate)."""
+    return None if verdict in (None, Verdict.INDETERMINATE) else verdict is Verdict.LYAPUNOV_STABLE
+
+
 def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, float, float]]:
     """Each change into or out of Lyapunov stability along a parent, located
-    to 1e-10 by :func:`~vortex_atlas.stability.verdict_changes` between
-    adjacent samples, one ``evaluate`` call per round of two halving levels
-    (the first such change of each bracket; a point off the branch or with
-    an indeterminate verdict has no verdict there):
-    ``(parent, mu*, H*, momentum offset of the Lyapunov side)``."""
-    lyap = Verdict.LYAPUNOV_STABLE.value
+    to 1e-10 by :func:`~vortex_atlas.stability.verdict_changes` over the
+    parent's points, with "is Lyapunov stable" as the verdict, one
+    ``evaluate`` call per round of two halving levels:
+    ``(parent, mu*, H*, momentum offset of the Lyapunov side)``, the offset
+    read from the nearest point with a verdict on that side."""
     for parent in (seg for seg in segments if seg.is_parent):
-        pairs = [
-            (a, b) for a, b in zip(parent.points, parent.points[1:])
-            if a.verdict != b.verdict and lyap in (a.verdict, b.verdict)
-        ]
 
-        def verdicts_at(ts: list[float], parent: _Segment = parent) -> list[str | None]:
-            verdicts = (None if got is None else got[0].verdict for got in parent.evaluate(ts))
-            return [None if v in (None, Verdict.INDETERMINATE) else v.value for v in verdicts]
+        def lyapunov_at(ts: list[float], parent: _Segment = parent) -> list[bool | None]:
+            return [_is_lyapunov(None if got is None else got[0].verdict) for got in parent.evaluate(ts)]
 
-        found = verdict_changes(verdicts_at, [(a.param, a.verdict, b.param, b.verdict) for a, b in pairs], 1e-10)
-        stars = [next(t for t, before, after in changes if lyap in (before, after)) for changes in found]
-        for (a, b), got in zip(pairs, parent.evaluate(stars)):
+        samples = [(p.param, _is_lyapunov(Verdict(p.verdict))) for p in parent.points]
+        known = [p for p, (_, v) in zip(parent.points, samples) if v is not None]
+        params = [p.param for p in known]
+        found = verdict_changes(lyapunov_at, samples, 1e-10)
+        for (t, lyapunov_below, _), got in zip(found, parent.evaluate([t for t, _, _ in found])):
             if got is not None:
                 mu_star, h_star = got[0].mu_z, got[1]
-                yield parent, mu_star, h_star, (a.mu_z if a.verdict == lyap else b.mu_z) - mu_star
+                k = bisect.bisect(params, t)
+                yield parent, mu_star, h_star, known[k - 1 if lyapunov_below else k].mu_z - mu_star
 
 
 def _nearest_sample(seg: _Segment, mu_star: float, h_star: float) -> tuple[float, DiagramPoint]:

@@ -445,16 +445,18 @@ class FamilyDescriptor:
             return f"D{n}d(R,R'" + (",2p)" if self.k_p else ")")
         return self.family.value
 
+    def as_dict(self) -> dict:
+        """The descriptor's JSON mapping, the inverse of :meth:`from_mapping`."""
+        return {
+            "family": self.family.value,
+            "N": self.n_per_ring,
+            "theta0": self.theta0,
+            "kp": self.k_p,
+            "lambda_n": self.lambda_n,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family.value,
-                "N": self.n_per_ring,
-                "theta0": self.theta0,
-                "kp": self.k_p,
-                "lambda_n": self.lambda_n,
-            }
-        )
+        return json.dumps(self.as_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "FamilyDescriptor":

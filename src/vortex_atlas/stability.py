@@ -635,8 +635,8 @@ class StabilityReport:
         return _sort_complex(eigs)
 
     def as_dict(self) -> dict:
-        payload = {
-            "descriptor": None,
+        return {
+            "descriptor": None if self.descriptor is None else self.descriptor.as_dict(),
             "label": self.label,
             "mu_z": float(self.mu_z),
             "xi_z": float(self.xi_z),
@@ -644,15 +644,6 @@ class StabilityReport:
             "deciding_block": self.deciding_block,
             "blocks": [b.as_dict() for b in self.blocks],
         }
-        if self.descriptor is not None:
-            payload["descriptor"] = {
-                "family": self.descriptor.family.value,
-                "N": self.descriptor.n_per_ring,
-                "theta0": self.descriptor.theta0,
-                "kp": self.descriptor.k_p,
-                "lambda_n": self.descriptor.lambda_n,
-            }
-        return payload
 
     def to_json(self) -> str:
         import json
@@ -1028,20 +1019,24 @@ def _scan_verdict(result: Decision | VortexError) -> Verdict | None:
 
 
 def verdict_changes(
-    verdicts_at: Callable[[list[float]], list], brackets: Iterable[tuple[float, object, float, object]], tol: float
-) -> list[list[tuple[float, object, object]]]:
-    """Every verdict change inside each bracket ``(lo, v_lo, hi, v_hi)``: per
-    bracket, its changes as ``(midpoint, before, after)`` in increasing order.
+    verdicts_at: Callable[[list[float]], list], samples: Iterable[tuple[float, object]], tol: float
+) -> list[tuple[float, object, object]]:
+    """Every verdict change between the samples ``(t, verdict)``, given in
+    increasing ``t``: the changes as ``(midpoint, before, after)`` in
+    increasing order.
 
-    Ends that agree give nothing; a bracket no wider than ``tol``, or whose
-    midpoint is not strictly inside it (its ends are adjacent floats), gives
-    its midpoint; any other bracket is halved and both halves are searched,
-    so a window of a third verdict gives both of its edges; a midpoint whose
-    verdict is None counts as the upper end's.  The halving goes in rounds
-    of two levels: ``verdicts_at`` gets, in one call, the midpoint of every
-    open bracket and of each of its halves that splits, and returns their
-    verdicts in order (a half whose ends then agree wastes its midpoint).
-    A NaN or negative ``tol`` raises :class:`InvalidDescriptor`.
+    A sample whose verdict is None has no verdict and is skipped without
+    breaking adjacency; each pair of adjacent remaining samples with
+    different verdicts is a bracket.  A bracket no wider than ``tol``, or
+    whose midpoint is not strictly inside it (its ends are adjacent
+    floats), gives its midpoint; any other bracket is halved and both
+    halves are searched, so a window of a third verdict gives both of its
+    edges; a midpoint whose verdict is None counts as the upper end's.  The
+    halving goes in rounds of two levels: ``verdicts_at`` gets, in one
+    call, the midpoint of every open bracket and of each of its halves that
+    splits, and returns their verdicts in order (a half whose ends then
+    agree wastes its midpoint).  A NaN or negative ``tol`` raises
+    :class:`InvalidDescriptor`.
     """
     if not tol >= 0.0:
         raise InvalidDescriptor(f"tol must be at least 0, not {tol!r}")
@@ -1049,11 +1044,11 @@ def verdict_changes(
     def splits(lo: float, hi: float) -> bool:
         return hi - lo > tol and lo < 0.5 * (lo + hi) < hi
 
-    def halved(part: list, verdict: dict) -> list:
+    def halved(pieces: list, verdict: dict) -> list:
         # One halving level: each piece that splits is cut at its midpoint,
         # and a half whose ends agree is dropped.
         halves = []
-        for lo, v_lo, hi, v_hi in part:
+        for lo, v_lo, hi, v_hi in pieces:
             if not splits(lo, hi):
                 halves.append((lo, v_lo, hi, v_hi))
                 continue
@@ -1062,22 +1057,23 @@ def verdict_changes(
             halves += [p for p in ((lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)) if p[1] != p[3]]
         return halves
 
-    pieces = [[b] if b[1] != b[3] else [] for b in brackets]  # per bracket, its open pieces in order
+    known = [(t, v) for t, v in samples if v is not None]
+    pieces = [(lo, v_lo, hi, v_hi) for (lo, v_lo), (hi, v_hi) in zip(known, known[1:]) if v_lo != v_hi]
     while True:
         asked = []
-        for lo, _, hi, _ in (p for part in pieces for p in part if splits(p[0], p[2])):
+        for lo, _, hi, _ in (p for p in pieces if splits(p[0], p[2])):
             mid = 0.5 * (lo + hi)
             asked += [mid, *(0.5 * (a + b) for a, b in ((lo, mid), (mid, hi)) if splits(a, b))]
         if not asked:
-            return [[(0.5 * (lo + hi), v_lo, v_hi) for lo, v_lo, hi, v_hi in part] for part in pieces]
+            return [(0.5 * (lo + hi), v_lo, v_hi) for lo, v_lo, hi, v_hi in pieces]
         verdict = dict(zip(asked, verdicts_at(asked)))
-        pieces = [halved(halved(part, verdict), verdict) for part in pieces]
+        pieces = halved(halved(pieces, verdict), verdict)
 
 
 def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step: float, tol: float) -> Iterator:
     """The scan of :func:`list_transitions`, over the grid's :func:`_stacked`
-    stacks: its arguments are checked at once, and each change is searched
-    for only when it is read."""
+    stacks: its arguments are checked at once, and each stack's changes are
+    searched for only when the scan is read that far."""
     fam = _resolve_family(family)
     FamilyDescriptor(fam, n_per_ring, math.pi / 2, k_p).validate()
     min_step = math.pi / MAX_GRID_POINTS
@@ -1093,20 +1089,16 @@ def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step:
     def verdicts_at(thetas) -> list[Verdict | None]:
         return [_scan_verdict(result) for result in decide_many(descs(thetas))]
 
-    def resolved(stack: list) -> list[tuple[float, Verdict]]:
-        # Resolvable grid samples only: indeterminate or invalid points are
-        # skipped without breaking adjacency.
-        verdicts = [(d.theta0, None if isinstance(o, VortexError) else _scan_verdict(o[0])) for d, o in stack]
-        return [(theta, v) for theta, v in verdicts if v is not None]
+    def sampled(stack: list) -> list[tuple[float, Verdict | None]]:
+        # An indeterminate or invalid grid point is a sample with no verdict.
+        return [(d.theta0, None if isinstance(o, VortexError) else _scan_verdict(o[0])) for d, o in stack]
 
     def scan() -> Iterator[tuple[str, float]]:
         last = []  # map keeps no stack: a scan paused at a change holds no spectra
-        for samples in map(resolved, _stacked(descs(_scan_points(fam, k_p, grid_step)))):
+        for samples in map(sampled, _stacked(descs(_scan_points(fam, k_p, grid_step)))):
             samples = last + samples
-            brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:]) if v0 != v1]
-            for changes in verdict_changes(verdicts_at, brackets, tol):
-                yield from ((_classify(a, b), theta) for theta, a, b in changes)
-            last = samples[-1:]
+            yield from ((_classify(a, b), theta) for theta, a, b in verdict_changes(verdicts_at, samples, tol))
+            last = [s for s in samples if s[1] is not None][-1:]
 
     return scan()
 
@@ -1121,16 +1113,16 @@ def list_transitions(
     """All verdict changes along the latitude, each located to ``tol``.
 
     One scan up the latitude grid, read to its end: it decides the grid one
-    closed-form stack (as :func:`decide_many` stacks it) at a time and halves
-    that stack's brackets between samples of different verdicts with
-    :func:`verdict_changes` (one stacked pass per two halving levels) before it
-    decides the next; a stack's last sample brackets with the next one's
-    first.  Returns ``(kind, theta_star)`` pairs in increasing latitude
-    order, with ``kind`` one of :data:`TRANSITIONS`.  Latitudes whose
-    verdict is :attr:`Verdict.INDETERMINATE` (definiteness margin below
-    tolerance at double precision) are treated as non-informative: changes
-    are measured between the nearest resolvable neighbours instead, so an
-    unresolvable plateau contributes no transitions of its own.  Raises
+    closed-form stack (as :func:`decide_many` stacks it) at a time and hands
+    that stack's samples to :func:`verdict_changes` (one stacked pass per two
+    halving levels) before it decides the next, led by the last earlier
+    sample that has a verdict, so a change between two stacks is found too.
+    Returns ``(kind, theta_star)`` pairs in increasing latitude order, with
+    ``kind`` one of :data:`TRANSITIONS`.  A latitude whose verdict is
+    :attr:`Verdict.INDETERMINATE` (definiteness margin below tolerance at
+    double precision) is a sample with no verdict: changes are measured
+    between the nearest resolvable neighbours instead, so an unresolvable
+    plateau contributes no transitions of its own.  Raises
     :class:`InvalidDescriptor` for a ring size or pole count that no
     descriptor takes, and unless ``grid_step`` is finite and gives at most
     :data:`~vortex_atlas.core.MAX_GRID_POINTS` points over (0, pi) and

@@ -39,7 +39,7 @@ from vortex_atlas.atlas import (
 from vortex_atlas.core import MAX_GRID_POINTS, MAX_RING_SIZE, Configuration, Family, FamilyDescriptor
 from vortex_atlas.dynamics import hamiltonian
 from vortex_atlas.equilibria import OutOfDomain, make_equatorial_pm_ring, make_family
-from vortex_atlas.stability import analyze, analyze_small, list_transitions
+from vortex_atlas.stability import Verdict, analyze, analyze_small, list_transitions
 
 SWEEP_HEADER = "family,N,theta0,mu_z,xi_z,H,verdict,deciding_block"
 
@@ -649,18 +649,15 @@ def test_thresholds_match_the_golden_csv(tmp_path, capsys):
 
 def _whole_grid_transitions(family, n_per_ring, k_p, grid_step, tol):
     """The whole-grid transition search: decide every grid latitude first,
-    then halve every bracket between resolvable samples of different
-    verdicts in one set of halving rounds."""
+    then search all of the grid's samples in one set of halving rounds."""
 
     def verdicts_at(thetas):
         descs = (FamilyDescriptor(family, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in thetas)
         return [stability._scan_verdict(result) for result in stability.decide_many(descs)]
 
     pts = stability._scan_points(family, k_p, grid_step)
-    samples = [(t, v) for t, v in zip(pts, verdicts_at(pts)) if v is not None]
-    brackets = [(t0, v0, t1, v1) for (t0, v0), (t1, v1) in zip(samples, samples[1:]) if v0 != v1]
-    changes = stability.verdict_changes(verdicts_at, brackets, tol)
-    return tuple((stability._classify(a, b), theta) for part in changes for theta, a, b in part)
+    changes = stability.verdict_changes(verdicts_at, zip(pts, verdicts_at(pts)), tol)
+    return tuple((stability._classify(a, b), theta) for theta, a, b in changes)
 
 
 @pytest.mark.parametrize("grid_step,tol,notes", [(0.005, 1e-6, 0), (0.01, 1e-4, 3), (0.05, 1e-6, 6)])
@@ -791,6 +788,44 @@ def test_pitchfork_candidates_are_decided_by_a_wide_margin(pairs, pitchforks):
                 assert d >= 1e-2, (parent.label, child.label, d)
     assert len(meeting) == pitchforks
     assert meeting == [(b.parent, b.child, b.mu_z) for b in diagram.bifurcations]
+
+
+def _junctions_by_the_full_verdict(segments):
+    """The pitchfork search by the full verdict: brackets between adjacent
+    points of different verdicts with one Lyapunov end, halved on the full
+    verdict (an indeterminate one is a verdict of its own), each giving its
+    first change into or out of Lyapunov stability, and the offset read
+    from its Lyapunov end."""
+    lyap = Verdict.LYAPUNOV_STABLE.value
+    for parent in (seg for seg in segments if seg.is_parent):
+        pairs = [
+            (a, b) for a, b in zip(parent.points, parent.points[1:])
+            if a.verdict != b.verdict and lyap in (a.verdict, b.verdict)
+        ]
+
+        def verdicts_at(ts, parent=parent):
+            verdicts = (None if got is None else got[0].verdict for got in parent.evaluate(ts))
+            return [None if v in (None, Verdict.INDETERMINATE) else v.value for v in verdicts]
+
+        stars = []
+        for a, b in pairs:
+            changes = stability.verdict_changes(verdicts_at, [(a.param, a.verdict), (b.param, b.verdict)], 1e-10)
+            stars.append(next(t for t, before, after in changes if lyap in (before, after)))
+        for (a, b), got in zip(pairs, parent.evaluate(stars)):
+            if got is not None:
+                mu_star = got[0].mu_z
+                yield parent, mu_star, got[1], (a.mu_z if a.verdict == lyap else b.mu_z) - mu_star
+
+
+@pytest.mark.parametrize("pairs", [2, 3])
+def test_junctions_are_those_of_the_full_verdict_search(pairs):
+    """Searching "is Lyapunov stable" over all of a parent's points finds,
+    on both figures, the junctions that halving each Lyapunov bracket on
+    the full verdict finds, with the Lyapunov side on the same side."""
+    segments = list(build_diagram(pairs).segments)
+    got = [(parent.label, mu, h, np.sign(side)) for parent, mu, h, side in _junctions(segments)]
+    want = [(parent.label, mu, h, np.sign(side)) for parent, mu, h, side in _junctions_by_the_full_verdict(segments)]
+    assert got and got == want
 
 
 def test_a_branch_drops_each_point_the_certificate_refuses(monkeypatch):

@@ -353,6 +353,8 @@ def test_descriptor_json_round_trip():
     desc = FamilyDescriptor(Family.DND_RRP, 5, theta0=1.1, k_p=2, lambda_n=-1.0)
     back = FamilyDescriptor.from_json(desc.to_json())
     assert back == desc
+    assert FamilyDescriptor.from_mapping(desc.as_dict()) == desc
+    assert list(desc.as_dict()) == ["family", "N", "theta0", "kp", "lambda_n"]
 
 
 def test_descriptor_mapping_accepts_short_family_names():

@@ -1252,13 +1252,22 @@ def _windows(*edges_and_verdicts):
 
 def test_verdict_search_returns_nothing_between_equal_ends():
     verdicts_at, asked = _windows("a", 0.3, "b", 0.6, "a")
-    assert verdict_changes(verdicts_at, [(0.0, "a", 1.0, "a")], 1e-6) == [[]]
+    assert verdict_changes(verdicts_at, [(0.0, "a"), (1.0, "a")], 1e-6) == []
+    assert verdict_changes(verdicts_at, [(0.0, "a"), (0.5, None), (1.0, "a")], 1e-6) == []
     assert asked == []
+
+
+def test_verdict_search_skips_samples_with_no_verdict_without_breaking_adjacency():
+    verdicts_at, _ = _windows("a", 2.5, "b")
+    samples = [(0.0, None), (1.0, "a"), (2.0, None), (3.0, None), (4.0, "b"), (5.0, None)]
+    ((theta, before, after),) = verdict_changes(verdicts_at, samples, 1e-6)
+    assert (before, after) == ("a", "b") and 1.0 < theta < 4.0
+    assert theta == pytest.approx(2.5, abs=1e-6)
 
 
 def test_verdict_search_gives_both_edges_of_a_third_verdict_window():
     verdicts_at, _ = _windows("a", 0.5, "c", 0.5 + 3e-6, "b")
-    (found,) = verdict_changes(verdicts_at, [(0.0, "a", 1.0, "b")], 1e-6)
+    found = verdict_changes(verdicts_at, [(0.0, "a"), (1.0, "b")], 1e-6)
     assert [(before, after) for _, before, after in found] == [("a", "c"), ("c", "b")]
     assert found[0][0] == pytest.approx(0.5, abs=1e-6)
     assert found[1][0] == pytest.approx(0.5 + 3e-6, abs=1e-6)
@@ -1266,7 +1275,7 @@ def test_verdict_search_gives_both_edges_of_a_third_verdict_window():
 
 def test_verdict_search_counts_a_missing_verdict_as_the_upper_end():
     verdicts_at, _ = _windows("a", 0.3, None, 0.7, "b")
-    (found,) = verdict_changes(verdicts_at, [(0.0, "a", 1.0, "b")], 1e-6)
+    found = verdict_changes(verdicts_at, [(0.0, "a"), (1.0, "b")], 1e-6)
     assert [(before, after) for _, before, after in found] == [("a", "b")]
     assert found[0][0] == pytest.approx(0.3, abs=1e-6)
 
@@ -1275,7 +1284,7 @@ def test_verdict_search_counts_a_missing_verdict_as_the_upper_end():
 def test_verdict_search_brackets_are_no_wider_than_tol(tol):
     edges = ("a", 0.1, "b", 0.2, "a", 0.2 + tol / 3, "c", 0.9, "b")
     verdicts_at, asked = _windows(*edges)
-    (found,) = verdict_changes(verdicts_at, [(0.0, "a", 1.0, "b")], tol)
+    found = verdict_changes(verdicts_at, [(0.0, "a"), (1.0, "b")], tol)
     assert found and [t for t, _, _ in found] == sorted(t for t, _, _ in found)
     ends = sorted({0.0, 1.0, *asked})
     brackets = {0.5 * (lo + hi): hi - lo for lo, hi in zip(ends, ends[1:])}
@@ -1298,6 +1307,19 @@ def _depth_first(verdict_at, lo, v_lo, hi, v_hi, tol):
     return _depth_first(verdict_at, lo, v_lo, mid, v_mid, tol) + _depth_first(verdict_at, mid, v_mid, hi, v_hi, tol)
 
 
+def _adjacent(samples):
+    """``(lo, v_lo, hi, v_hi)`` for each adjacent pair of the samples that
+    have a verdict."""
+    known = [(t, v) for t, v in samples if v is not None]
+    return [(lo, v_lo, hi, v_hi) for (lo, v_lo), (hi, v_hi) in zip(known, known[1:])]
+
+
+def _depth_first_over(verdict_at, samples, tol):
+    """The oracle over samples: :func:`_depth_first` run over each adjacent
+    pair of the samples that have a verdict."""
+    return [change for bracket in _adjacent(samples) for change in _depth_first(verdict_at, *bracket, tol)]
+
+
 def _open_by_level(verdict_at, lo, v_lo, hi, v_hi, tol):
     """Per halving level, the ``(lo, hi)`` of every piece of one bracket
     that the one-level-per-call search still halves there."""
@@ -1313,14 +1335,14 @@ def _open_by_level(verdict_at, lo, v_lo, hi, v_hi, tol):
     return levels
 
 
-def _asks_by_the_rounds(calls, alone, verdicts_at, brackets, tol):
+def _asks_by_the_rounds(calls, alone, verdicts_at, samples, tol):
     """The rounds' calls ask every latitude the depth-first search asks
     (``alone``), none twice, and in each call only the midpoints and the
     quarter points of the pieces open at that call's first halving level
     (``verdicts_at``, a list evaluator, gives the levels)."""
     asked = [theta for call in calls for theta in call]
     assert set(alone) <= set(asked) and len(set(asked)) == len(asked)
-    levels = [_open_by_level(lambda t: verdicts_at([t])[0], *bracket, tol) for bracket in brackets]
+    levels = [_open_by_level(lambda t: verdicts_at([t])[0], *bracket, tol) for bracket in _adjacent(samples)]
     for r, call in enumerate(calls):
         allowed = set()
         for lo, hi in (piece for per_level in levels if 2 * r < len(per_level) for piece in per_level[2 * r]):
@@ -1332,13 +1354,12 @@ def _asks_by_the_rounds(calls, alone, verdicts_at, brackets, tol):
 @pytest.mark.parametrize("tol", [1e-3, 1e-6])
 def test_verdict_search_asks_one_call_per_halving_round(tol):
     edges = ("a", 0.1, "b", 0.2, None, 0.2 + tol / 3, "c", 0.9, "b", 1.7, "a", 2.45, "c")
-    brackets = [(0.0, "a", 1.0, "b"), (1.0, "b", 1.5, "b"), (1.5, "b", 2.0, "a"), (2.0, "a", 3.0, "c")]
+    samples = [(0.0, "a"), (1.0, "b"), (1.5, "b"), (2.0, "a"), (3.0, "c")]
     verdicts_at, asked = _windows(*edges)
-    found = verdict_changes(verdicts_at, brackets, tol)
+    found = verdict_changes(verdicts_at, samples, tol)
     one_at_a_time, alone = _windows(*edges)
-    want = [_depth_first(lambda t: one_at_a_time([t])[0], *bracket, tol) for bracket in brackets]
-    assert found == want
-    _asks_by_the_rounds(verdicts_at.calls, alone, _windows(*edges)[0], brackets, tol)
+    assert found == _depth_first_over(lambda t: one_at_a_time([t])[0], samples, tol)
+    _asks_by_the_rounds(verdicts_at.calls, alone, _windows(*edges)[0], samples, tol)
     # one call per round of two halving levels: half the halvings of the
     # widest bracket (1.0) down to tol, rounded up
     assert len(verdicts_at.calls) == math.ceil(math.ceil(math.log2(1.0 / tol)) / 2) < len(asked)
@@ -1347,8 +1368,8 @@ def test_verdict_search_asks_one_call_per_halving_round(tol):
 @st.composite
 def _step_searches(draw):
     """A step function of the latitude on [0, 3] (1 to 6 edges, some
-    windows narrower than tol, some stretches with no verdict), brackets
-    between resolved points cut from a grid, and a tol."""
+    windows narrower than tol, some stretches with no verdict), its samples
+    on a grid (a sample in a stretch with no verdict has None), and a tol."""
     tol = draw(st.sampled_from([0.0, 1e-17, 1e-10, 1e-6, 1e-3]))
     edges = []
     for _ in range(draw(st.integers(1, 6))):
@@ -1360,19 +1381,25 @@ def _step_searches(draw):
     n = draw(st.integers(1, 12))
     grid = sorted(draw(st.sets(st.integers(0, n), min_size=2)))
     verdict_of, _ = _windows(*steps)
-    ends = [(3.0 * i / n, v) for i in grid if (v := verdict_of([3.0 * i / n])[0]) is not None]
-    return steps, tol, [(lo, v_lo, hi, v_hi) for (lo, v_lo), (hi, v_hi) in zip(ends, ends[1:])]
+    return steps, tol, [(3.0 * i / n, verdict_of([3.0 * i / n])[0]) for i in grid]
 
 
 @settings(max_examples=150, deadline=None)
 @given(search=_step_searches())
+@example(
+    search=(
+        (None, 0.4, "a", 1.1, None, 1.9, "b", 2.6, None),
+        1e-6,
+        [(0.0, None), (0.5, "a"), (1.0, "a"), (1.5, None), (1.75, None), (2.0, "b"), (2.5, "b"), (3.0, None)],
+    )
+)
 def test_verdict_search_matches_the_depth_first_search_on_step_functions(search):
-    steps, tol, brackets = search
+    steps, tol, samples = search
     verdicts_at, _ = _windows(*steps)
-    found = verdict_changes(verdicts_at, brackets, tol)
+    found = verdict_changes(verdicts_at, samples, tol)
     one_at_a_time, alone = _windows(*steps)
-    assert found == [_depth_first(lambda t: one_at_a_time([t])[0], *bracket, tol) for bracket in brackets]
-    _asks_by_the_rounds(verdicts_at.calls, alone, _windows(*steps)[0], brackets, tol)
+    assert found == _depth_first_over(lambda t: one_at_a_time([t])[0], samples, tol)
+    _asks_by_the_rounds(verdicts_at.calls, alone, _windows(*steps)[0], samples, tol)
 
 
 def _flip_at_one(calls):
@@ -1393,13 +1420,13 @@ def test_verdict_search_ends_at_adjacent_floats(tol):
     """The first midpoint of (0.5, 1.5) is the change at 1.0 itself; the
     lower half then shrinks until its ends are adjacent floats, whose
     midpoint is not inside, and the search ends there."""
-    calls, alone, bracket = [], [], (0.5, "a", 1.5, "b")
-    (found,) = verdict_changes(_flip_at_one(calls), [bracket], tol)
+    calls, alone, samples = [], [], [(0.5, "a"), (1.5, "b")]
+    found = verdict_changes(_flip_at_one(calls), samples, tol)
     assert [(before, after) for _, before, after in found] == [("a", "b")]
     assert found[0][0] in (np.nextafter(1.0, 0.0), 1.0)
     one_at_a_time = _flip_at_one(alone)
-    assert [found] == [_depth_first(lambda t: one_at_a_time([t])[0], *bracket, tol)]
-    _asks_by_the_rounds(calls, [t for (t,) in alone], _flip_at_one([]), [bracket], tol)
+    assert found == _depth_first_over(lambda t: one_at_a_time([t])[0], samples, tol)
+    _asks_by_the_rounds(calls, [t for (t,) in alone], _flip_at_one([]), samples, tol)
     # 53 halving levels, two per call
     assert len(calls) == 27
 
@@ -1408,7 +1435,7 @@ def test_verdict_search_ends_at_adjacent_floats(tol):
 def test_verdict_search_rejects_a_nan_or_negative_tol(tol):
     calls = []
     with pytest.raises(InvalidDescriptor):
-        verdict_changes(_flip_at_one(calls), [(0.5, "a", 1.5, "b")], tol)
+        verdict_changes(_flip_at_one(calls), [(0.5, "a"), (1.5, "b")], tol)
     assert calls == []
 
 

@@ -1,5 +1,5 @@
 """The package's public names, their signatures, the methods the benchmark's tracer wraps,
-the README's Python API, and the package's imports."""
+the README's Python API, the package's imports, and the test settings."""
 
 import ast
 import contextlib
@@ -8,6 +8,8 @@ import importlib.util
 import inspect
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ SIGNATURES = {
     "core.Configuration.to_json": "",
     "core.Configuration.from_json": "text",
     "core.FamilyDescriptor.validate": "",
+    "core.FamilyDescriptor.as_dict": "",
     "core.FamilyDescriptor.to_json": "",
     "core.FamilyDescriptor.from_json": "text",
     "core.FamilyDescriptor.from_mapping": "payload",
@@ -68,7 +71,7 @@ SIGNATURES = {
     "stability.analyze_small": "config",
     "stability.analyze_small_many": "configs",
     "stability.list_transitions": "family n_per_ring k_p grid_step= tol=",
-    "stability.verdict_changes": "verdicts_at brackets tol",
+    "stability.verdict_changes": "verdicts_at samples tol",
 }
 
 # Every private name one module of the package imports from another, as
@@ -232,3 +235,22 @@ def test_the_readme_python_api_runs():
         with contextlib.redirect_stdout(io.StringIO()) as out:
             exec(compile(block, "README.md", "exec"), {})
         assert out.getvalue()
+
+
+def test_a_failing_property_fails_alone(tmp_path):
+    """Under the repository's pytest settings a failing Hypothesis test
+    fails and the tests after it still run: reporting the failure imports a
+    module that warns of a deprecation, which the "error" filter alone turns
+    into an INTERNALERROR that ends the run."""
+    (tmp_path / "pyproject.toml").write_bytes((ROOT / "pyproject.toml").read_bytes())
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
