@@ -69,7 +69,6 @@ from .equilibria import (
     branch_c2v_RmRmp_all,
     branch_c2v_RRp2p,
     make_equatorial_pm_ring,
-    make_family,
     two_ring_positions,
 )
 from .stability import (
@@ -189,22 +188,20 @@ def _members(
     come from one stacked closed-form pass, the energies from stacked
     positions in chunks of ``STACK_ELEMENTS // d**2`` latitudes (d = 4N + 2k_p,
     as the closed-form stacks)."""
-    descs = [FamilyDescriptor(family, n, theta, k_p, lambda_n) for theta in thetas]
-    decisions = list(decide_many(descs))
+    decisions = list(decide_many([FamilyDescriptor(family, n, theta, k_p, lambda_n) for theta in thetas]))
+    if family is Family.EQUATORIAL_PM_RING:  # the staggered rings at pi/2, as the closed form reads it
+        family, k_p, lambda_n, thetas = Family.DND_RRP, 0, 1.0, [math.pi / 2] * len(thetas)
     size = max(1, STACK_ELEMENTS // (4 * n + 2 * k_p) ** 2)
-    for start in range(0, len(descs), size):
+    for start in range(0, len(decisions), size):
         chunk = decisions[start : start + size]
         ok = np.array([not isinstance(d, VortexError) for d in chunk])
         if not ok.any():
             yield from [None] * len(chunk)
-        elif family in (Family.DNH_2R, Family.DND_RRP):
-            positions, strengths, clear = two_ring_positions(family, n, k_p, lambda_n, thetas[start : start + size])
-            ok &= clear
-            energies = iter(hamiltonians(positions[ok], strengths).tolist())
-            yield from ((d, next(energies)) if good else None for d, good in zip(chunk, ok.tolist()))
-        else:  # the equatorial ring, the one other family the closed form takes, ignores theta0
-            energy = hamiltonian(make_family(descs[start]))
-            yield from ((d, energy) if good else None for d, good in zip(chunk, ok.tolist()))
+            continue
+        positions, strengths, clear = two_ring_positions(family, n, k_p, lambda_n, thetas[start : start + size])
+        ok &= clear
+        energies = iter(hamiltonians(positions[ok], strengths).tolist())
+        yield from ((d, next(energies)) if good else None for d, good in zip(chunk, ok.tolist()))
 
 
 def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
@@ -625,7 +622,7 @@ def cmd_classify(args: argparse.Namespace) -> None:
     if not isinstance(payload, dict):
         raise InvalidDescriptor("descriptor JSON must be an object")
     if "vortices" in payload:
-        report = analyze_small(Configuration.from_json(raw))
+        report = analyze_small(Configuration.from_mapping(payload))
     else:
         report = analyze(FamilyDescriptor.from_mapping(payload))
     _write_text(args.out, report.to_json() + "\n")

@@ -243,16 +243,21 @@ class Configuration:
 
     @classmethod
     def from_json(cls, text: str) -> "Configuration":
-        """Parse a configuration from its JSON form.
+        """Parse a configuration from its JSON form (see :meth:`from_mapping`)."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfiguration(f"malformed configuration JSON: {exc}") from exc
+        return cls.from_mapping(payload)
+
+    @classmethod
+    def from_mapping(cls, payload: dict) -> "Configuration":
+        """Build a configuration from its parsed JSON form.
 
         The last two entries are taken to be the poles when ``poles`` is 2
         (the more northerly one is the north pole vortex); their strengths
         must be opposite.
         """
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfiguration(f"malformed configuration JSON: {exc}") from exc
         if not isinstance(payload, dict) or "vortices" not in payload:
             raise InvalidConfiguration("configuration JSON must contain 'vortices'")
         raw = payload["vortices"]

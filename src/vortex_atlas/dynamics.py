@@ -377,26 +377,11 @@ class Trajectory:
     stats: SolverStats
 
     def to_csv(self) -> str:
+        """One row per stored state: its time, positions, energy and drifts."""
         n_rows, m = self.positions.shape[:2]
         header = ["t", *(f"{c}{i}" for i in range(1, m + 1) for c in "xyz"), "H", "|dH|", "|dPhi|_inf"]
-        # Rows show ``initial``, then ``initial.with_positions(positions[k])``,
-        # and its energy.  ``with_positions`` normalizes each vortex once
-        # more, which can move H in the 12th digit; the same stacked matmul
-        # norm reproduces it bit for bit (``einsum`` does not).
-        shown = self.positions.copy()
-        later = shown[1:]
-        later /= np.sqrt(later[..., None, :] @ later[..., None])[..., 0]
-        # STACK_ELEMENTS // M**2 rows per stacked energy pass bound its (K, M, M, 3) pair differences
-        size = max(1, STACK_ELEMENTS // m**2)
-        energies = [hamiltonians(shown[k : k + size], self.initial.strengths) for k in range(0, n_rows, size)]
         table = np.column_stack(
-            [
-                self.times,
-                shown.reshape(n_rows, 3 * m),
-                np.concatenate(energies),
-                self.h_drift,
-                self.phi_drift,
-            ]
+            [self.times, self.positions.reshape(n_rows, 3 * m), self.energies, self.h_drift, self.phi_drift]
         )
         row = ",".join(["%.12g"] * table.shape[1])
         lines = [",".join(header)] + [row % tuple(r) for r in table.tolist()]

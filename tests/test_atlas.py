@@ -339,11 +339,16 @@ def test_rings_on_a_pole_give_input_errors_and_error_rows(k_p, capsys):
 
 def test_sweep_rows_of_an_unknown_family_and_of_the_equatorial_ring():
     """An unknown family name gives error rows; the equatorial ring, which
-    ignores theta0, gives its one member's report and energy on every row."""
-    rows = run_sweep(SweepSpec(("Nope", "EquatorialPmRing"), (2, 3), 0.5, 0.7, 0.1))
+    ignores theta0, gives its one member's report and energy on every row.
+    The sweep builds that energy as the staggered rings at pi/2, which differs
+    from the ring constructor's in the last bit at some sizes but prints the same."""
+    sizes = (*range(2, 33), 64, 128, MAX_RING_SIZE)
+    rows = run_sweep(SweepSpec(("Nope", "EquatorialPmRing"), sizes, 0.5, 0.7, 0.1))
     thetas = ["0.5", "0.6", "0.7"]
-    assert rows[:6] == [("Nope", str(n), t, "", "", "", "error", "") for n in (2, 3) for t in thetas]
-    for n, got in zip((2, 3), (rows[6:9], rows[9:])):
+    unknown = len(sizes) * len(thetas)
+    assert rows[:unknown] == [("Nope", str(n), t, "", "", "", "error", "") for n in sizes for t in thetas]
+    for k, n in enumerate(sizes):
+        got = rows[unknown + 3 * k : unknown + 3 * k + 3]
         report = analyze(FamilyDescriptor(Family.EQUATORIAL_PM_RING, n))
         energy = hamiltonian(make_equatorial_pm_ring(n))
         fields = (report.mu_z, report.xi_z, energy, report.verdict.value, report.deciding_block)
@@ -432,6 +437,20 @@ def test_classify_configuration_file(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "LyapunovStable"
     assert payload["mu_z"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_classify_parses_a_configuration_once(monkeypatch, capsys):
+    calls = []
+
+    def loads(text, *args, **kwargs):
+        calls.append(text)
+        return real(text, *args, **kwargs)
+
+    real = json.loads
+    monkeypatch.setattr(json, "loads", loads)
+    assert main(["classify", make_equatorial_pm_ring(2).to_json()]) == EXIT_OK
+    assert len(calls) == 1
+    assert real(capsys.readouterr().out)["verdict"] == "LyapunovStable"
 
 
 def test_classify_rejects_bad_inputs(tmp_path, capsys):

@@ -358,7 +358,7 @@ def test_the_step_budget_stops_a_run_that_would_not_end(tmp_path, monkeypatch, c
     assert out_path.read_text() == partial.to_csv()
 
 
-def test_trajectory_holds_arrays_and_its_csv_shows_the_states(pm_sampler):
+def test_trajectory_holds_arrays_and_its_csv_shows_the_states(pm_sampler, monkeypatch):
     rng = np.random.default_rng(5)
     c = pm_sampler(rng, 3, min_chord=0.3)
     traj = integrate(c, 1.0, tol=1e-9)
@@ -367,14 +367,21 @@ def test_trajectory_holds_arrays_and_its_csv_shows_the_states(pm_sampler):
     assert not traj.positions.flags.writeable
     assert len(traj.energies) == len(traj.h_drift) == len(traj.phi_drift) == t
     assert traj.energies[0] == hamiltonian(c)
-    states = [c] + [c.with_positions(p) for p in traj.positions[1:]]
-    # the CSV is what a writer reading the built states would print
+    # H and |dH| of a row belong to the same stored state
+    assert np.array(traj.energies).tobytes() == hamiltonians(traj.positions, c.strengths).tobytes()
+    assert traj.h_drift == tuple(abs(e - traj.energies[0]) for e in traj.energies)
+
+    def no_energy_pass(*args):
+        raise AssertionError("to_csv evaluated energies")
+
+    # the CSV prints the stored arrays as they are, and evaluates no energy
+    monkeypatch.setattr(dynamics, "hamiltonians", no_energy_pass)
     m = len(c)
     header = ["t"] + [f"{a}{i}" for i in range(1, m + 1) for a in "xyz"]
     lines = [",".join(header + ["H", "|dH|", "|dPhi|_inf"])]
-    rows = zip(traj.times, states, traj.h_drift, traj.phi_drift)
-    for t_k, state, dh, dphi in rows:
-        values = [t_k, *state.positions.ravel().tolist(), hamiltonian(state), dh, dphi]
+    rows = zip(traj.times, traj.positions, traj.energies, traj.h_drift, traj.phi_drift)
+    for t_k, p_k, h, dh, dphi in rows:
+        values = [t_k, *p_k.ravel().tolist(), h, dh, dphi]
         lines.append(",".join("%.12g" % x for x in values))
     assert traj.to_csv() == "\n".join(lines) + "\n"
 

@@ -61,6 +61,7 @@ from vortex_atlas.stability import (
     NoTransition,
     NotRelativeEquilibrium,
     RESIDUAL_TOL,
+    SPECTRAL_TOL,
     StabilityReport,
     Verdict,
     _block_slices,
@@ -365,6 +366,79 @@ def test_deciding_scalars_match_reported_block_entries():
             a, b = deciding_scalars_ab(desc)
             assert top["a"] == pytest.approx(a, rel=1e-12), desc
             assert top["b"] == pytest.approx(b, rel=1e-12), desc
+
+
+def _twist_energy(family, n, theta0):
+    """The exact twist energy at 50 digits: with rho = tan^2(theta0 / 2),
+    -8 N^3 rho^N / (1 - rho^N)^2 for DNh and +8 N^3 rho^N / (1 + rho^N)^2
+    for DNd, whatever k_p and lambda_n (the poles lie on the twist's axis)."""
+    with mp.workdps(50):
+        rho_n = mp.tan(mp.mpf(theta0) / 2) ** (2 * n)
+        sign = -1 if family is DNH else 1
+        return sign * 8 * n**3 * rho_n / (1 + sign * rho_n) ** 2
+
+
+def _counter_rotated_energy(family, n, theta0, eps):
+    """``sum_{i<j} lambda_i lambda_j ln l_ij^2`` of the two rings, built in
+    mpmath, with the plus ring's longitudes advanced by ``eps`` and the minus
+    ring's moved back by ``eps``."""
+    theta = mp.mpf(theta0)
+    phase = 0 if family is DNH else mp.pi / n
+    rings = [(1, theta, eps), (-1, mp.pi - theta, phase - eps)]
+    vortices = [
+        (lam, mp.matrix([mp.sin(t) * mp.cos(phi), mp.sin(t) * mp.sin(phi), mp.cos(t)]))
+        for lam, t, offset in rings
+        for phi in (2 * mp.pi * k / n + offset for k in range(n))
+    ]
+    return mp.fsum(
+        li * lj * mp.log(mp.norm(xi - xj) ** 2)
+        for (li, xi), (lj, xj) in itertools.combinations(vortices, 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "family,n,theta0", [(DNH, 3, 0.7), (DND, 4, 0.9), (DNH, 5, 0.02), (DND, 8, 0.3), (DNH, 7, 0.1), (DND, 6, 0.05)]
+)
+def test_twist_energy_is_the_second_derivative_along_the_counter_rotation(family, n, theta0):
+    """The closed form against a 50-digit derivative of the energy itself,
+    down to the near-pole latitudes where it falls to 1e-17."""
+    with mp.workdps(50):
+        exact = mp.diff(lambda eps: _counter_rotated_energy(family, n, theta0, eps), 0, 2)
+        assert abs(exact - _twist_energy(family, n, theta0)) < mp.mpf(10) ** -43 * abs(exact)
+
+
+def test_twist_entry_follows_its_closed_form():
+    """Block B0/B0p's ``r`` is the twist energy wherever the closed form
+    resolves it (|r| > 1e-6); the largest relative error is 1.8e-8."""
+    thetas = [0.3 + 0.05 * k for k in range(17)]
+    descs = [_desc(f, n, t, k_p) for f in (DNH, DND) for n in range(2, 9) for k_p in (0, 2) for t in thetas]
+    checked = 0
+    for desc, report in zip(descs, analyze_many(descs)):
+        (r,) = [b.entries["r"] for b in report.blocks if b.label in ("B0", "B0p")]
+        if abs(r) > 1e-6:
+            checked += 1
+            assert r == pytest.approx(float(_twist_energy(desc.family, desc.n_per_ring, desc.theta0)), rel=1e-7), desc
+    assert checked > 400
+
+
+def test_a_block_of_odd_index_has_a_real_pair():
+    """The parity rule (MacKay 1986; van der Meer, LNM 1160): a block whose
+    Hessian has an odd number of negative eigenvalues, all of them resolved,
+    has a real linearization pair, since det(H) < 0 forces an odd number of
+    them; checked on the 0.05 grid of both ring families."""
+    descs = [
+        _desc(f, n, 0.05 * k, k_p)
+        for f in (DNH, DND) for n in range(2, 13) for k_p in (0, 2) for k in range(1, 32 if k_p == 0 else 63)
+    ]
+    checked = 0
+    for desc, report in zip(descs, analyze_many(descs)):
+        for block in report.blocks:
+            h = block.hessian_eigenvalues
+            if np.all(np.abs(h) > DEFINITENESS_TOL) and np.count_nonzero(h < 0) % 2:
+                checked += 1
+                lin = np.asarray(block.linearization_eigenvalues, complex)
+                assert np.any((np.abs(lin.imag) <= SPECTRAL_TOL) & (np.abs(lin.real) > SPECTRAL_TOL)), (desc, block.label)
+    assert checked > 800  # 874 blocks
 
 
 def _block_symplectic_scale(desc, label):

@@ -21,13 +21,14 @@ PACKAGE = ROOT / "src" / "vortex_atlas"
 
 # The parameters of every function in a layer's ``__all__`` and of every
 # public method of an exported class (without ``self`` or ``cls``); an
-# option, a parameter with a default, ends in "=".  57 parameters, 6 options.
+# option, a parameter with a default, ends in "=".  58 parameters, 6 options.
 SIGNATURES = {
     "core.Layout.all_indices": "",
     "core.Layout.standard": "n_plus n_minus pole_count",
     "core.Configuration.with_positions": "p",
     "core.Configuration.to_json": "",
     "core.Configuration.from_json": "text",
+    "core.Configuration.from_mapping": "payload",
     "core.FamilyDescriptor.validate": "",
     "core.FamilyDescriptor.as_dict": "",
     "core.FamilyDescriptor.to_json": "",
