@@ -128,6 +128,68 @@ def _write_rows(out: str | None, fmt: str, columns: Sequence[str], rows: Sequenc
         _write_text(out, _csv(columns, rows))
 
 
+def _fanout(fn: Callable, jobs: Sequence) -> list:
+    """``[fn(job) for job in jobs]``, bit for bit, on ``w = min(len(jobs), CPUs in
+    the affinity mask)`` workers that take the jobs round-robin: this process runs
+    jobs 0, w, 2w, ..., and a forked child r runs jobs r, r + w, ... and pickles its
+    results back through a pipe.  The lowest failing job's exception is raised, as
+    the loop would raise it.  Nothing forks while another Python thread runs."""
+    import os, pickle, signal, warnings  # noqa: E401 - only the two fanning-out commands use them
+
+    threading = sys.modules.get("threading")  # a Python thread is started through it
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and not (threading and threading.active_count() > 1)
+    w = max(1, min(len(jobs), len(os.sched_getaffinity(0)) if forks else 1))
+
+    def share(r: int) -> tuple[list, tuple[int, Exception] | None]:
+        """Worker r's results up to its first failure, and that failure with its job index."""
+        done = []
+        try:
+            for job in jobs[r::w]:
+                done.append(fn(job))
+        except Exception as exc:
+            return done, (r + w * len(done), exc)
+        return done, None
+
+    children = []  # (pid, read end) of each child not yet waited for
+    try:
+        for r in range(1, w):
+            read_end, write_end = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork in a multi-threaded process, and OpenBLAS's
+                # thread pool makes ours one; OpenBLAS quiesces that pool through pthread_atfork.
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_end)
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pickle.dump(share(r), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)  # before the next fork, so each pipe ends when its child does
+            children.append((pid, os.fdopen(read_end, "rb")))
+        shares = [share(0)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            try:
+                shares.append(pickle.loads(data))
+            except Exception as exc:  # it died, or could not pickle its results
+                raise RuntimeError(f"fan-out worker {len(shares)} ended with exit status {status} and sent no results") from exc
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed := [failure for _, failure in shares if failure]:
+        raise min(failed)[1]  # the job indices differ, so no two exceptions are compared
+    return [shares[j % w][0][j // w] for j in range(len(jobs))]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -188,6 +250,9 @@ def _members(
     come from one stacked closed-form pass, the energies from stacked
     positions in chunks of ``STACK_ELEMENTS // d**2`` latitudes (d = 4N + 2k_p,
     as the closed-form stacks)."""
+    if family is Family.EQUATORIAL_PM_RING and len(thetas) > 1:  # it ignores theta0: one member, repeated
+        yield from list(_members(family, n, k_p, lambda_n, thetas[:1])) * len(thetas)
+        return
     decisions = list(decide_many([FamilyDescriptor(family, n, theta, k_p, lambda_n) for theta in thetas]))
     if family is Family.EQUATORIAL_PM_RING:  # the staggered rings at pi/2, as the closed form reads it
         family, k_p, lambda_n, thetas = Family.DND_RRP, 0, 1.0, [math.pi / 2] * len(thetas)
@@ -206,24 +271,28 @@ def _members(
 
 def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
     """Evaluate the grid in grid order: one stacked closed-form pass per
-    family and ring size, and the energy of each row."""
+    family and ring size, and the energy of each row; the (family, size)
+    passes are fanned out over the CPUs."""
     grid = spec.grid()
-    rows = []
-    for family in spec.families:
-        for n in spec.n_values:
-            try:
-                members = _members(_family_named(family), n, spec.k_p, spec.lambda_n, grid)
-            except VortexError:
-                members = [None] * len(grid)
-            for theta, member in zip(grid, members):
-                row = (family, str(n), _fmt(theta))
-                if member is None:
-                    rows.append(row + ("", "", "", "error", ""))
-                    continue
-                decision, energy = member
-                rows.append(row + (_fmt(decision.mu_z), _fmt(decision.xi_z), _fmt(energy),
-                                   decision.verdict.value, decision.deciding_block))
-    return rows
+
+    def rows_of(pair: tuple[str, int]) -> list[tuple[str, ...]]:
+        family, n = pair
+        try:
+            members = _members(_family_named(family), n, spec.k_p, spec.lambda_n, grid)
+        except VortexError:
+            members = [None] * len(grid)
+        rows = []
+        for theta, member in zip(grid, members):
+            row = (family, str(n), _fmt(theta))
+            if member is None:
+                rows.append(row + ("", "", "", "error", ""))
+                continue
+            decision, energy = member
+            rows.append(row + (_fmt(decision.mu_z), _fmt(decision.xi_z), _fmt(energy),
+                               decision.verdict.value, decision.deciding_block))
+        return rows
+
+    return [row for rows in _fanout(rows_of, [(f, n) for f in spec.families for n in spec.n_values]) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -653,16 +722,26 @@ def cmd_diagram(args: argparse.Namespace) -> None:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> None:
-    rows = []
-    readers: dict[tuple, Callable[[str, int], float]] = {}  # one scan per family, read as far as the rows ask
+    refs: dict[tuple, list] = {}  # the table's rows by family
     for ref in REFERENCE_THRESHOLDS:
-        key = (ref.family, ref.n_per_ring, ref.k_p)
-        if key not in readers:
-            readers[key] = _transition_reader(*key, args.grid_step, args.tol)
-        try:
-            theta = readers[key](ref.transition, ref.occurrence)
-        except NoTransition as exc:
-            print(f"note: {ref.family.value} N={ref.n_per_ring} k_p={ref.k_p} {ref.transition}: {exc}", file=sys.stderr)
+        refs.setdefault((ref.family, ref.n_per_ring, ref.k_p), []).append(ref)
+
+    def thetas(key: tuple) -> list[float | NoTransition]:
+        """Each of the family's rows: its theta, or the NoTransition raised;
+        one scan per family, read as far as its rows ask."""
+        read, out = _transition_reader(*key, args.grid_step, args.tol), []
+        for ref in refs[key]:
+            try:
+                out.append(read(ref.transition, ref.occurrence))
+            except NoTransition as exc:
+                out.append(exc)
+        return out
+
+    found = {ref: theta for key, got in zip(refs, _fanout(thetas, list(refs))) for ref, theta in zip(refs[key], got)}
+    rows = []
+    for ref in REFERENCE_THRESHOLDS:
+        if isinstance(theta := found[ref], NoTransition):
+            print(f"note: {ref.family.value} N={ref.n_per_ring} k_p={ref.k_p} {ref.transition}: {theta}", file=sys.stderr)
             continue
         rows.append((
             ref.family.value, str(ref.n_per_ring), str(ref.k_p), ref.transition,

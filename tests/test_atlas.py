@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -123,7 +124,7 @@ def test_sweep_spec_bounds_the_grid_size():
         ["diagram"],  # missing --pairs
         ["diagram", "--pairs", "5"],
         ["sweep", "--family", "DNh", "--kp", "1"],
-        ["sweep", "--family", "DNh", "--jobs", "2"],  # the sweep is serial
+        ["sweep", "--family", "DNh", "--jobs", "2"],  # the affinity mask sets the workers
     ],
 )
 def test_usage_errors_exit_with_code_one(argv, capsys):
@@ -718,6 +719,7 @@ def test_thresholds_decide_a_family_only_up_to_its_last_tabulated_change(monkeyp
     most 66 (103)."""
     decided, stacks = {}, []
     stack_arrays = stability._stack_arrays
+    _affinity(monkeypatch)  # a forked worker's stacks would go uncounted
 
     def counting(key, stack):
         decided[key[:3]] = decided.get(key[:3], 0) + len(stack)
@@ -764,6 +766,129 @@ def test_thresholds_with_a_step_wider_than_the_range(capsys):
         "family,N,k_p,transition,theta_star,reference_value,abs_delta"
     )
     assert captured.err.count("note:") == 32
+
+
+# ---------------------------------------------------------------------------
+# fan-out of the sweep's and the thresholds' family scans
+# ---------------------------------------------------------------------------
+
+
+def _affinity(monkeypatch, cpus=(0,)):
+    """Give every fan-out ``len(cpus)`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_fanout_runs_jobs_round_robin_and_returns_them_in_order(monkeypatch):
+    _affinity(monkeypatch, (0, 1, 2))
+    got = atlas._fanout(lambda j: (j, os.getpid()), range(8))
+    assert [j for j, _ in got] == list(range(8))
+    pids = [pid for _, pid in got]
+    assert pids[0::3] == [os.getpid()] * 3  # this process is worker 0
+    assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+    assert len(set(pids)) == 3
+    _no_child_left()
+    assert len(set(atlas._fanout(lambda j: os.getpid(), range(2)))) == 2  # min(jobs, CPUs) workers
+    assert atlas._fanout(lambda j: os.getpid(), [1]) == [os.getpid()]  # one job forks nothing
+    assert atlas._fanout(str, []) == []
+
+
+def test_the_fanout_forks_nothing_while_another_thread_runs(monkeypatch):
+    _affinity(monkeypatch, (0, 1))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert atlas._fanout(lambda j: os.getpid(), range(4)) == [os.getpid()] * 4
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_the_fanout_raises_the_lowest_failing_job_s_exception(monkeypatch):
+    _affinity(monkeypatch, (0, 1, 2))
+
+    def job(j):
+        if j in (1, 3, 5):  # worker 1 fails first, then worker 0 and worker 2
+            raise OutOfDomain(f"job {j}")
+        return j
+
+    with pytest.raises(OutOfDomain, match="^job 1$"):
+        atlas._fanout(job, range(7))
+    _no_child_left()
+    with pytest.raises(OutOfDomain, match="^job 3$"):  # this process's own failure, when it is the first
+        atlas._fanout(lambda j: job(j) if j != 1 else j, range(7))
+    _no_child_left()
+
+
+def test_a_child_that_dies_or_sends_no_results_names_its_exit_status(monkeypatch):
+    _affinity(monkeypatch, (0, 1))
+    parent = os.getpid()
+
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def unpicklable(j):
+        if j == 1:
+            raise Local("not sent")
+        return j
+
+    with pytest.raises(RuntimeError, match="worker 1 ended with exit status 1 and sent no results"):
+        atlas._fanout(unpicklable, range(2))
+    _no_child_left()
+    with pytest.raises(RuntimeError, match="worker 1 ended with exit status 7"):
+        atlas._fanout(lambda j: os._exit(7) if os.getpid() != parent else j, range(4))
+    _no_child_left()
+
+
+def _outputs(argvs, capsys) -> list:
+    outputs = []
+    for argv in argvs:
+        code = main(argv)
+        outputs.append((code, *capsys.readouterr()))
+    return outputs
+
+
+def test_one_worker_and_every_cpu_print_the_same_bytes(monkeypatch, capsys):
+    """Default thresholds (CSV and stderr), the notes of a coarse step, a bad
+    tolerance's message and exit code, and a sweep over two ring families, an
+    unknown family and the equatorial ring, in CSV and JSON, print the same
+    bytes on one worker, on every CPU and on three workers."""
+    sweep = ["sweep", "--family", "DNh", "--family", "Nope", "--family", "DNd", "--family", "EquatorialPmRing",
+             "--n", "2..5", "--kp", "0", "--grid-step", "0.05"]
+    argvs = [["thresholds"], ["thresholds", "--grid-step", "0.05"], ["thresholds", "--tol", "0"],
+             sweep, [*sweep, "--format", "json"]]
+    every = _outputs(argvs, capsys)
+    _no_child_left()
+    _affinity(monkeypatch)
+    assert _outputs(argvs, capsys) == every
+    _affinity(monkeypatch, (0, 1, 2))
+    assert _outputs(argvs, capsys) == every
+    _no_child_left()
+    codes = [code for code, _, _ in every]
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK, EXIT_OK]
+    assert every[1][2].count("note:") == 6 and "input error" in every[2][2]
+    assert ",error," in every[3][1] and '"verdict": "error"' in every[4][1]
+
+
+def test_the_equatorial_ring_is_decided_once_per_sweep(monkeypatch):
+    """The ring ignores theta0, so a sweep decides one latitude and repeats its row."""
+    decided = []
+    stack_arrays = stability._stack_arrays
+
+    def counting(key, stack):
+        decided.append(len(stack))
+        return stack_arrays(key, stack)
+
+    monkeypatch.setattr(stability, "_stack_arrays", counting)
+    rows = run_sweep(SweepSpec(("EquatorialPmRing",), (12,), 0.05, math.pi / 2, 0.005))
+    assert decided == [1]
+    assert len(rows) == 305 and len({row[3:] for row in rows}) == 1
 
 
 # ---------------------------------------------------------------------------

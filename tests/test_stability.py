@@ -322,15 +322,15 @@ def _rotation_energy_highprec(n: int, theta0: float) -> float:
     floor of the closed-form sums, so positivity there needs an
     independent high-precision evaluation.
     """
-    mp.mp.dps = 50
-    u = mp.cos(mp.mpf(theta0))
-    total = mp.mpf(0)
-    for j in range(n):
-        ang = 2 * mp.pi * j / n + mp.pi / n
-        c = mp.cos(ang)
-        den = (1 + u * u - (1 - u * u) * c) ** 2
-        total += ((1 - u * u) - (1 + u * u) * c) / den
-    return float(4 * n * (1 - u * u) * total)
+    with mp.workdps(50):
+        u = mp.cos(mp.mpf(theta0))
+        total = mp.mpf(0)
+        for j in range(n):
+            ang = 2 * mp.pi * j / n + mp.pi / n
+            c = mp.cos(ang)
+            den = (1 + u * u - (1 - u * u) * c) ** 2
+            total += ((1 - u * u) - (1 + u * u) * c) / den
+        return float(4 * n * (1 - u * u) * total)
 
 
 def test_first_deciding_scalar_positive_and_second_increasing():
@@ -339,7 +339,9 @@ def test_first_deciding_scalar_positive_and_second_increasing():
         for theta0 in np.linspace(0.02, math.pi / 2, 100):
             r, s = deciding_scalars_rs(_desc(DND, n, float(theta0)))
             if abs(r) < 1e-12:
+                dps = mp.mp.dps
                 r = _rotation_energy_highprec(n, float(theta0))
+                assert mp.mp.dps == dps  # the 50 digits are scoped to the call
             assert r > 0.0
             if previous is not None:
                 assert s > previous

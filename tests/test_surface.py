@@ -176,9 +176,9 @@ def test_private_cross_layer_imports_are_pinned():
     assert found == PRIVATE_IMPORTS
 
 
-def test_no_module_of_the_package_imports_scipy():
-    """SciPy is a test dependency only: no import of it, at module level or
-    inside a function, anywhere under ``src/vortex_atlas``."""
+def _absolute_imports(top_level: set[str]) -> list[str]:
+    """``file:line module`` of each import, at module level or inside a
+    function, under ``src/vortex_atlas`` of a module in ``top_level``."""
     paths, found = sorted(PACKAGE.glob("*.py")), []
     assert PACKAGE / "__init__.py" in paths
     for path in paths:
@@ -189,8 +189,29 @@ def test_no_module_of_the_package_imports_scipy():
                 modules = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] == "scipy"]
-    assert not found, found
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] in top_level]
+    return found
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """SciPy is a test dependency only: no import of it anywhere under
+    ``src/vortex_atlas``."""
+    assert not (found := _absolute_imports({"scipy"})), found
+
+
+def test_one_function_forks_and_no_module_starts_threads():
+    """``atlas._fanout`` is the one place a process is forked, and no module
+    imports a thread or process pool: a pool would run the sweep's rows under
+    one GIL (threads) or fork from a process with a second thread running."""
+    assert not (found := _absolute_imports({"threading", "multiprocessing", "concurrent"})), found
+    forks = [
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "fork" and getattr(node.value, "id", None) == "os"
+    ]
+    assert forks == ["atlas._fanout"]
 
 
 # The functions under ``src/`` that call each name of the decision stage: one
