@@ -49,7 +49,6 @@ from .core import (
     Configuration,
     Family,
     FamilyDescriptor,
-    InvalidDescriptor,
     OutOfDomain,
     VortexError,
     _family_named,
@@ -242,16 +241,15 @@ def _check_ring_sizes(sizes: Sequence[int]) -> None:
         raise OutOfDomain(f"ring sizes must lie in 2..{MAX_RING_SIZE}")
 
 
-def _members(
-    family: Family, n: int, k_p: int, lambda_n: float, thetas: Sequence[float]
-) -> Iterator[tuple[Decision, float] | None]:
-    """``(decision, energy)`` of the ring-family member at each latitude;
-    ``None`` where the closed form or the constructor raises.  The decisions
-    come from one stacked closed-form pass, the energies from stacked
-    positions in chunks of ``STACK_ELEMENTS // d**2`` latitudes (d = 4N + 2k_p,
-    as the closed-form stacks)."""
+def _members(ring: FamilyDescriptor, thetas: Sequence[float]) -> Iterator[tuple[Decision, float] | None]:
+    """``(decision, energy)`` of the member of ``ring``'s family (its ``theta0``
+    aside) at each latitude; ``None`` where the closed form or the constructor
+    raises.  The decisions come from one stacked closed-form pass, the
+    energies from stacked positions in chunks of ``STACK_ELEMENTS // d**2``
+    latitudes (d = 4N + 2k_p, as the closed-form stacks)."""
+    family, n, k_p, lambda_n = ring.family, ring.n_per_ring, ring.k_p, ring.lambda_n
     if family is Family.EQUATORIAL_PM_RING and len(thetas) > 1:  # it ignores theta0: one member, repeated
-        yield from list(_members(family, n, k_p, lambda_n, thetas[:1])) * len(thetas)
+        yield from list(_members(ring, thetas[:1])) * len(thetas)
         return
     decisions = list(decide_many([FamilyDescriptor(family, n, theta, k_p, lambda_n) for theta in thetas]))
     if family is Family.EQUATORIAL_PM_RING:  # the staggered rings at pi/2, as the closed form reads it
@@ -278,9 +276,11 @@ def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
     def rows_of(pair: tuple[str, int]) -> list[tuple[str, ...]]:
         family, n = pair
         try:
-            members = _members(_family_named(family), n, spec.k_p, spec.lambda_n, grid)
+            ring = FamilyDescriptor(_family_named(family), n, k_p=spec.k_p, lambda_n=spec.lambda_n)
         except VortexError:
             members = [None] * len(grid)
+        else:
+            members = _members(ring, grid)
         rows = []
         for theta, member in zip(grid, members):
             row = (family, str(n), _fmt(theta))
@@ -320,14 +320,14 @@ class _Segment:
 
     ``evaluate`` maps parameters to ``(decision, energy)`` each, or
     ``None`` where a parameter leaves the branch domain; ``sample`` passes
-    it the whole grid, and the search for a parent's verdict changes the
-    midpoints and quarter points of one halving round.
+    it the whole grid.  ``ring`` is a symmetric parent's family descriptor
+    (the parameter is its latitude), and None for a low-symmetry child.
     """
 
     label: str
     params: np.ndarray
     evaluate: _Evaluator
-    is_parent: bool
+    ring: FamilyDescriptor | None = None
     points: list[DiagramPoint] = field(default_factory=list)
 
     def sample(self) -> None:
@@ -366,8 +366,8 @@ class Diagram:
 def _ring_segment(tag: str, family: Family, n: int, k_p: int, params: np.ndarray) -> _Segment:
     """The parent segment of one ring family, labelled ``(tag) <family label>``."""
 
-    label = FamilyDescriptor(family, n, k_p=k_p).label
-    return _Segment(f"({tag}) {label}", params, functools.partial(_members, family, n, k_p, 1.0), is_parent=True)
+    ring = FamilyDescriptor(family, n, k_p=k_p)
+    return _Segment(f"({tag}) {ring.label}", params, functools.partial(_members, ring), ring)
 
 
 def _branch(solve: Callable[[float], BranchPoint | float | None]) -> _Evaluator:
@@ -409,7 +409,7 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
     if n_pairs == 2:
         for sign in (-1, 1):
             solve = _branch(lambda x, s=sign: branch_c2v_RRp2p(x, 0.0, s))
-            segments.append(_Segment("(a) C2v(R,R')", interval, solve, is_parent=False))
+            segments.append(_Segment("(a) C2v(R,R')", interval, solve))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 0, half))
         meridional_x = np.linspace(-0.98, 1 / math.sqrt(2.0) - 1e-4, 2 * pts)
 
@@ -427,14 +427,14 @@ def _figure_segments(n_pairs: int) -> list[_Segment]:
         for root_index in (0, 1):
             for swap in (False, True):
                 solve = _branch(functools.partial(meridian, root_index=root_index, swap=swap))
-                segments.append(_Segment("(c) C2v(Rm,Rm')", meridional_x, solve, is_parent=False))
+                segments.append(_Segment("(c) C2v(Rm,Rm')", meridional_x, solve))
         segments.append(_ring_segment("d", Family.DND_RRP, 2, 0, half_closed))
-        segments.append(_Segment("(e) C2v(R,2p)", full, _branch(float), is_parent=False))
+        segments.append(_Segment("(e) C2v(R,2p)", full, _branch(float)))
     else:
         segments.append(_ring_segment("a", Family.DNH_2R, 3, 0, half))
         segments.append(_ring_segment("b", Family.DNH_2R, 2, 2, full_gapped))
         solve = _branch(lambda x: branch_c2v_RRp2p(x, 1.0, -1))
-        segments.append(_Segment("(c) C2v(R,R',2p)", interval, solve, is_parent=False))
+        segments.append(_Segment("(c) C2v(R,R',2p)", interval, solve))
         segments.append(_ring_segment("d", Family.DND_RRP, 3, 0, half_closed))
         segments.append(_ring_segment("e", Family.DND_RRP, 2, 2, full))
     return segments
@@ -463,14 +463,16 @@ def _is_lyapunov(verdict: Verdict | None) -> bool | None:
 def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, float, float]]:
     """Each change into or out of Lyapunov stability along a parent, located
     to 1e-10 by :func:`~vortex_atlas.stability.verdict_changes` over the
-    parent's points, with "is Lyapunov stable" as the verdict, one
-    ``evaluate`` call per round of two halving levels:
-    ``(parent, mu*, H*, momentum offset of the Lyapunov side)``, the offset
-    read from the nearest point with a verdict on that side."""
-    for parent in (seg for seg in segments if seg.is_parent):
+    parent's points, with "is Lyapunov stable" as the verdict: one
+    :func:`decide_many` pass over members of the parent's ``ring`` per round
+    of two halving levels, and one ``evaluate`` call at the junctions found.
+    Yields ``(parent, mu*, H*, momentum offset of the Lyapunov side)``, the
+    offset read from the nearest point with a verdict on that side."""
+    for parent in (seg for seg in segments if seg.ring):
 
-        def lyapunov_at(ts: list[float], parent: _Segment = parent) -> list[bool | None]:
-            return [_is_lyapunov(None if got is None else got[0].verdict) for got in parent.evaluate(ts)]
+        def lyapunov_at(ts: list[float], ring: FamilyDescriptor = parent.ring) -> list[bool | None]:
+            members = (FamilyDescriptor(ring.family, ring.n_per_ring, t, ring.k_p, ring.lambda_n) for t in ts)
+            return [None if isinstance(d, VortexError) else _is_lyapunov(d.verdict) for d in decide_many(members)]
 
         samples = [(p.param, _is_lyapunov(Verdict(p.verdict))) for p in parent.points]
         known = [p for p, (_, v) in zip(parent.points, samples) if v is not None]
@@ -508,7 +510,7 @@ def _detect_bifurcations(segments: list[_Segment]) -> tuple[Bifurcation, ...]:
     found: list[Bifurcation] = []
     for parent, mu_star, h_star, lyap_side in _junctions(segments):
         for child in segments:
-            if child.is_parent or not child.points:
+            if child.ring or not child.points:
                 continue
             d, nearest = _nearest_sample(child, mu_star, h_star)
             if d > 1e-3:
@@ -525,8 +527,8 @@ def build_diagram(n_pairs: int) -> Diagram:
     for seg in segments:
         seg.sample()
     fixed = make_equatorial_pm_ring(n_pairs)
-    verdict = analyze(FamilyDescriptor(Family.EQUATORIAL_PM_RING, n_per_ring=n_pairs)).verdict
-    fixed_point = DiagramPoint("E", math.pi / 2, float(momentum_map(fixed)[2]), hamiltonian(fixed), verdict.value)
+    (e,) = decide_many([FamilyDescriptor(Family.EQUATORIAL_PM_RING, n_per_ring=n_pairs)])
+    fixed_point = DiagramPoint("E", math.pi / 2, float(momentum_map(fixed)[2]), hamiltonian(fixed), e.verdict.value)
     return Diagram(n_pairs, tuple(segments), fixed_point, _detect_bifurcations(segments))
 
 
@@ -688,9 +690,7 @@ def cmd_classify(args: argparse.Namespace) -> None:
     if not raw.lstrip().startswith(("{", "[")):
         raw = Path(raw).read_text()
     payload = json.loads(raw)
-    if not isinstance(payload, dict):
-        raise InvalidDescriptor("descriptor JSON must be an object")
-    if "vortices" in payload:
+    if isinstance(payload, dict) and "vortices" in payload:
         report = analyze_small(Configuration.from_mapping(payload))
     else:
         report = analyze(FamilyDescriptor.from_mapping(payload))

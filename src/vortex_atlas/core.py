@@ -469,12 +469,12 @@ class FamilyDescriptor:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidDescriptor(f"malformed descriptor JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InvalidDescriptor("descriptor JSON must be an object")
         return cls.from_mapping(payload)
 
     @classmethod
     def from_mapping(cls, payload: dict) -> "FamilyDescriptor":
+        if not isinstance(payload, dict):
+            raise InvalidDescriptor("descriptor JSON must be an object")
         family = _family_named(payload.get("family"))
         raw = {
             "N": payload.get("N", payload.get("n_per_ring", 2)),

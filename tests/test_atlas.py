@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -923,7 +924,7 @@ def test_pitchfork_candidates_are_decided_by_a_wide_margin(pairs, pitchforks):
     meeting = []
     for parent, mu_star, h_star, _ in _junctions(list(diagram.segments)):
         for child in diagram.segments:
-            if child.is_parent or not child.points:
+            if child.ring or not child.points:
                 continue
             d, _ = _nearest_sample(child, mu_star, h_star)
             if d <= 1e-4:
@@ -941,7 +942,7 @@ def _junctions_by_the_full_verdict(segments):
     first change into or out of Lyapunov stability, and the offset read
     from its Lyapunov end."""
     lyap = Verdict.LYAPUNOV_STABLE.value
-    for parent in (seg for seg in segments if seg.is_parent):
+    for parent in (seg for seg in segments if seg.ring):
         pairs = [
             (a, b) for a, b in zip(parent.points, parent.points[1:])
             if a.verdict != b.verdict and lyap in (a.verdict, b.verdict)
@@ -1051,10 +1052,10 @@ def test_the_diagram_builds_one_chart_per_segment_grid_and_analysis_stack(monkey
 
 
 @pytest.mark.parametrize("n_pairs", [2, 3])
-def test_the_diagram_builds_a_report_for_the_fixed_point_alone(monkeypatch, n_pairs):
-    """A branch point's momentum and verdict come from its Decision, so the
-    fixed point E is the one point that gets a StabilityReport (2,543 for
-    two pairs and 483 for three when every branch point got one)."""
+def test_the_diagram_builds_no_report(monkeypatch, n_pairs):
+    """Every point's momentum and verdict, the fixed point E's too, come from
+    its Decision, so no StabilityReport is built (2,543 for two pairs and 483
+    for three when every branch point got one)."""
     built, report = [], stability.StabilityReport
 
     def counted(**fields):
@@ -1063,7 +1064,33 @@ def test_the_diagram_builds_a_report_for_the_fixed_point_alone(monkeypatch, n_pa
 
     monkeypatch.setattr(stability, "StabilityReport", counted)
     build_diagram(n_pairs)
-    assert built == [FamilyDescriptor(Family.EQUATORIAL_PM_RING, n_per_ring=n_pairs).label]
+    assert built == []
+
+
+def test_the_junction_search_builds_members_at_the_junctions_alone(monkeypatch):
+    """The halving rounds read the verdicts ``decide_many`` gives the members
+    of each parent's ``ring``, so positions and energies are built once per
+    parent with a junction, one row per junction: 3 calls for 3 rows over
+    both figures (through ``evaluate`` the rounds built them 42 times for
+    120 rows, and read the energies of 3)."""
+    figures = [list(build_diagram(pairs).segments) for pairs in (2, 3)]
+    rows = {"two_ring_positions": [], "hamiltonians": []}
+    positions, energies = atlas.two_ring_positions, atlas.hamiltonians
+
+    def counted_positions(family, n, k_p, lambda_n, thetas):
+        rows["two_ring_positions"].append(len(thetas))
+        return positions(family, n, k_p, lambda_n, thetas)
+
+    def counted_energies(stack, strengths):
+        rows["hamiltonians"].append(len(stack))
+        return energies(stack, strengths)
+
+    monkeypatch.setattr(atlas, "two_ring_positions", counted_positions)
+    monkeypatch.setattr(atlas, "hamiltonians", counted_energies)
+    found = [junction for segments in figures for junction in _junctions(segments)]
+    per_parent = [sum(parent is seg for parent, *_ in found) for segments in figures for seg in segments]
+    assert rows["two_ring_positions"] == rows["hamiltonians"] == [k for k in per_parent if k]
+    assert len(found) == 3
 
 
 def test_diagram_segments_and_fixed_point(three_pair_diagram):
@@ -1087,19 +1114,12 @@ def test_diagram_rows_reproduce_ring_verdicts(three_pair_diagram):
     # point must be what one-point ``analyze`` and the constructor give.
     rows = list(csv.reader(io.StringIO(diagram_csv(three_pair_diagram))))
     assert rows[0] == ["branch", "param", "mu_z", "energy", "verdict"]
-    families = {
-        "(a) D3h(2R)": (Family.DNH_2R, 3, 0),
-        "(b) D2h(2R,2p)": (Family.DNH_2R, 2, 2),
-        "(d) D3d(R,R')": (Family.DND_RRP, 3, 0),
-        "(e) D2d(R,R',2p)": (Family.DND_RRP, 2, 2),
-    }
-    parents = [seg for seg in three_pair_diagram.segments if seg.is_parent]
-    assert sorted(seg.label for seg in parents) == sorted(families)
+    parents = [seg for seg in three_pair_diagram.segments if seg.ring]
+    assert [seg.label for seg in parents] == [f"({tag}) {seg.ring.label}" for tag, seg in zip("abde", parents)]
     for seg in parents:
-        family, n, k_p = families[seg.label]
         assert len(seg.points) > 200
         for p in seg.points[::20]:
-            desc = FamilyDescriptor(family, n, theta0=p.param, k_p=k_p)
+            desc = replace(seg.ring, theta0=p.param)
             report = analyze(desc)
             assert (report.mu_z, report.verdict.value) == (p.mu_z, p.verdict)
             assert hamiltonian(make_family(desc)) == p.energy

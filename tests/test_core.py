@@ -391,3 +391,12 @@ def test_descriptor_mapping_accepts_numpy_scalars():
     assert type(desc.n_per_ring) is int and type(desc.k_p) is int
     with pytest.raises(InvalidDescriptor):
         FamilyDescriptor.from_json("[1, 2]")
+
+
+@pytest.mark.parametrize("payload", [[1], None, "x", 3])
+def test_descriptor_mapping_refuses_a_payload_that_is_not_an_object(payload):
+    """As ``Configuration.from_mapping`` refuses each of them with its typed error."""
+    with pytest.raises(InvalidDescriptor, match="descriptor JSON must be an object"):
+        FamilyDescriptor.from_mapping(payload)
+    with pytest.raises(InvalidDescriptor, match="descriptor JSON must be an object"):
+        FamilyDescriptor.from_json(json.dumps(payload))

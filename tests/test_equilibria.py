@@ -96,7 +96,7 @@ def _child_stacks(monkeypatch):
     monkeypatch.setattr(atlas, "_branch", lambda solve: solve)
     for n_pairs in (2, 3):
         for seg in atlas._figure_segments(n_pairs):
-            if seg.is_parent:
+            if seg.ring:
                 continue
             solve = seg.evaluate
             points = []

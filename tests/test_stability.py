@@ -972,7 +972,7 @@ def _diagram_configurations(n_pairs, monkeypatch):
 
     monkeypatch.setattr(atlas, "_small_outcomes", record)
     for seg in atlas._figure_segments(n_pairs):
-        if not seg.is_parent:
+        if not seg.ring:
             seg.sample()
     return seen
 

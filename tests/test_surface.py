@@ -215,10 +215,11 @@ def test_one_function_forks_and_no_module_starts_threads():
 
 
 # The functions under ``src/`` that call each name of the decision stage: one
-# function decides every row of both stability routes, and one rule calls a
-# restricted symplectic form singular.
+# function decides every row of both stability routes, one rule calls a
+# restricted symplectic form singular, and one function builds a report.
 DECISION_CALLERS = {
     "Decision": {"stability._decide"},
+    "StabilityReport": {"stability._report"},
     "_verdicts": {"stability._decide"},
     "_block_spectra": {"stability._decide"},
     "_singular": {"stability._decide", "stability.slice_symplectic_form"},
@@ -226,9 +227,9 @@ DECISION_CALLERS = {
 
 
 def test_one_decision_stage_decides_every_row():
-    """A ``Decision`` is built, and the verdict rule, the spectral stage and
-    the singular-form rule are called, only where ``DECISION_CALLERS`` says:
-    a second decision path fails here.  A call counts for the top-level
+    """A ``Decision`` or a ``StabilityReport`` is built, and the verdict rule,
+    the spectral stage and the singular-form rule are called, only where
+    ``DECISION_CALLERS`` says: a second decision path or report builder fails here.  A call counts for the top-level
     function (or class) that contains it, by name or by attribute."""
     found: dict[str, set[str]] = {name: set() for name in DECISION_CALLERS}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -240,6 +241,19 @@ def test_one_decision_stage_decides_every_row():
                     if name in found:
                         found[name].add(owner)
     assert found == DECISION_CALLERS
+
+
+def test_the_package_parses_at_the_declared_python_floor():
+    """Every module parses with the grammar of the oldest Python that
+    ``requires-python`` admits, so newer syntax cannot creep in; the standard
+    library APIs a module calls are not checked."""
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    floor = tuple(int(part) for part in re.fullmatch(r">=(\d+)\.(\d+)", declared).groups())
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) == 6
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
 
 
 def _readme_api_blocks() -> list[str]:

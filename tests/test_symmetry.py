@@ -179,7 +179,7 @@ def _segment_samples(n_pairs: int, monkeypatch) -> dict[str, list[Configuration]
         seg.params = seg.params[::STRIDE]
         seg.sample()
         label = _printed(seg.label)
-        if seg.is_parent:
+        if seg.ring:
             assert ring_labels == {label}
         assert seen, seg.label
         samples.setdefault(label, []).extend(seen)
