@@ -51,7 +51,6 @@ from .core import (
     FamilyDescriptor,
     OutOfDomain,
     VortexError,
-    _family_named,
 )
 from .dynamics import (
     CollisionApproach,
@@ -237,8 +236,8 @@ class SweepSpec:
 
 
 def _check_ring_sizes(sizes: Sequence[int]) -> None:
-    if any(not 2 <= n <= MAX_RING_SIZE for n in sizes):
-        raise OutOfDomain(f"ring sizes must lie in 2..{MAX_RING_SIZE}")
+    if any(not (2 <= n <= MAX_RING_SIZE and n == int(n)) for n in sizes):
+        raise OutOfDomain(f"ring sizes must be whole numbers in 2..{MAX_RING_SIZE}")
 
 
 def _members(ring: FamilyDescriptor, thetas: Sequence[float]) -> Iterator[tuple[Decision, float] | None]:
@@ -251,7 +250,7 @@ def _members(ring: FamilyDescriptor, thetas: Sequence[float]) -> Iterator[tuple[
     if family is Family.EQUATORIAL_PM_RING and len(thetas) > 1:  # it ignores theta0: one member, repeated
         yield from list(_members(ring, thetas[:1])) * len(thetas)
         return
-    decisions = list(decide_many([FamilyDescriptor(family, n, theta, k_p, lambda_n) for theta in thetas]))
+    decisions = list(decide_many(map(ring.at, thetas)))
     if family is Family.EQUATORIAL_PM_RING:  # the staggered rings at pi/2, as the closed form reads it
         family, k_p, lambda_n, thetas = Family.DND_RRP, 0, 1.0, [math.pi / 2] * len(thetas)
     size = max(1, STACK_ELEMENTS // (4 * n + 2 * k_p) ** 2)
@@ -276,7 +275,7 @@ def run_sweep(spec: SweepSpec) -> list[tuple[str, ...]]:
     def rows_of(pair: tuple[str, int]) -> list[tuple[str, ...]]:
         family, n = pair
         try:
-            ring = FamilyDescriptor(_family_named(family), n, k_p=spec.k_p, lambda_n=spec.lambda_n)
+            ring = FamilyDescriptor(family, n, k_p=spec.k_p, lambda_n=spec.lambda_n)
         except VortexError:
             members = [None] * len(grid)
         else:
@@ -471,8 +470,7 @@ def _junctions(segments: list[_Segment]) -> Iterator[tuple[_Segment, float, floa
     for parent in (seg for seg in segments if seg.ring):
 
         def lyapunov_at(ts: list[float], ring: FamilyDescriptor = parent.ring) -> list[bool | None]:
-            members = (FamilyDescriptor(ring.family, ring.n_per_ring, t, ring.k_p, ring.lambda_n) for t in ts)
-            return [None if isinstance(d, VortexError) else _is_lyapunov(d.verdict) for d in decide_many(members)]
+            return [None if isinstance(d, VortexError) else _is_lyapunov(d.verdict) for d in decide_many(map(ring.at, ts))]
 
         samples = [(p.param, _is_lyapunov(Verdict(p.verdict))) for p in parent.points]
         known = [p for p, (_, v) in zip(parent.points, samples) if v is not None]
@@ -722,22 +720,22 @@ def cmd_diagram(args: argparse.Namespace) -> None:
 
 
 def cmd_thresholds(args: argparse.Namespace) -> None:
-    refs: dict[tuple, list] = {}  # the table's rows by family
+    refs: dict[FamilyDescriptor, list] = {}  # the table's rows by family template
     for ref in REFERENCE_THRESHOLDS:
-        refs.setdefault((ref.family, ref.n_per_ring, ref.k_p), []).append(ref)
+        refs.setdefault(FamilyDescriptor(ref.family, ref.n_per_ring, k_p=ref.k_p), []).append(ref)
 
-    def thetas(key: tuple) -> list[float | NoTransition]:
+    def thetas(ring: FamilyDescriptor) -> list[float | NoTransition]:
         """Each of the family's rows: its theta, or the NoTransition raised;
         one scan per family, read as far as its rows ask."""
-        read, out = _transition_reader(*key, args.grid_step, args.tol), []
-        for ref in refs[key]:
+        read, out = _transition_reader(ring, args.grid_step, args.tol), []
+        for ref in refs[ring]:
             try:
                 out.append(read(ref.transition, ref.occurrence))
             except NoTransition as exc:
                 out.append(exc)
         return out
 
-    found = {ref: theta for key, got in zip(refs, _fanout(thetas, list(refs))) for ref, theta in zip(refs[key], got)}
+    found = {ref: theta for ring, got in zip(refs, _fanout(thetas, list(refs))) for ref, theta in zip(refs[ring], got)}
     rows = []
     for ref in REFERENCE_THRESHOLDS:
         if isinstance(theta := found[ref], NoTransition):

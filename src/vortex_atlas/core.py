@@ -389,6 +389,9 @@ class FamilyDescriptor:
     ``pi - theta0`` (in phase for the aligned family, offset by ``pi/N``
     for the staggered one); ``k_p = 2`` adds pole vortices of strengths
     ``lambda_n`` / ``-lambda_n``.
+
+    ``family`` may also be a value or alias (``"DNd"``); ``n_per_ring`` and
+    ``k_p`` must be whole numbers.  :meth:`at` gives a member at another latitude.
     """
 
     family: Family
@@ -398,14 +401,24 @@ class FamilyDescriptor:
     lambda_n: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_per_ring", int(self.n_per_ring))
-        object.__setattr__(self, "theta0", float(self.theta0))
-        object.__setattr__(self, "k_p", int(self.k_p))
-        object.__setattr__(self, "lambda_n", float(self.lambda_n))
+        if not isinstance(self.family, Family):
+            object.__setattr__(self, "family", _family_named(self.family))
+        try:
+            n_per_ring, k_p = int(self.n_per_ring), int(self.k_p)
+            if n_per_ring != self.n_per_ring or k_p != self.k_p:
+                raise ValueError(f"n_per_ring and k_p must be whole numbers, got {self.n_per_ring!r} and {self.k_p!r}")
+            object.__setattr__(self, "theta0", float(self.theta0))
+            object.__setattr__(self, "lambda_n", float(self.lambda_n))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidDescriptor(f"bad descriptor field: {exc}") from exc
+        object.__setattr__(self, "n_per_ring", n_per_ring)
+        object.__setattr__(self, "k_p", k_p)
+
+    def at(self, theta0: float) -> "FamilyDescriptor":
+        """The member of this family (the same N, k_p and lambda_n) at co-latitude ``theta0``."""
+        return FamilyDescriptor(self.family, self.n_per_ring, theta0, self.k_p, self.lambda_n)
 
     def validate(self) -> None:
-        if not isinstance(self.family, Family):
-            raise InvalidDescriptor(f"unknown family {self.family!r}")
         if self.k_p not in (0, 2):
             raise InvalidDescriptor("k_p must be 0 or 2")
         if not math.isfinite(self.lambda_n):

@@ -73,7 +73,6 @@ from .core import (
     InvalidDescriptor,
     Layout,
     VortexError,
-    _family_named,
 )
 from .equilibria import (
     NotRelativeEquilibrium,
@@ -155,9 +154,7 @@ def _analysis_descriptor(desc: FamilyDescriptor) -> FamilyDescriptor:
     """Map a descriptor onto the two-ring family the closed forms cover."""
     desc.validate()
     if desc.family is Family.EQUATORIAL_PM_RING:
-        return FamilyDescriptor(
-            Family.DND_RRP, n_per_ring=desc.n_per_ring, theta0=math.pi / 2, k_p=0
-        )
+        return FamilyDescriptor(Family.DND_RRP, desc.n_per_ring)
     if desc.family in (Family.DNH_2R, Family.DND_RRP):
         if desc.k_p == 2 and desc.lambda_n != 1.0:
             raise InvalidDescriptor(
@@ -980,13 +977,6 @@ def analyze_small(config: Configuration) -> StabilityReport:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_family(family: Family | str) -> Family:
-    fam = _family_named(family)
-    if fam not in (Family.DNH_2R, Family.DND_RRP):
-        raise InvalidDescriptor("latitude scans cover the two-ring families")
-    return fam
-
-
 def _scan_points(fam: Family, k_p: int, step: float) -> np.ndarray:
     if k_p == 0:
         hi = math.pi / 2
@@ -1070,12 +1060,13 @@ def verdict_changes(
         pieces = halved(halved(pieces, verdict), verdict)
 
 
-def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step: float, tol: float) -> Iterator:
-    """The scan of :func:`list_transitions`, over the grid's :func:`_stacked`
-    stacks: its arguments are checked at once, and each stack's changes are
-    searched for only when the scan is read that far."""
-    fam = _resolve_family(family)
-    FamilyDescriptor(fam, n_per_ring, math.pi / 2, k_p).validate()
+def _transition_scan(ring: FamilyDescriptor, grid_step: float, tol: float) -> Iterator:
+    """The scan of :func:`list_transitions` along ``ring``'s family, over the
+    grid's :func:`_stacked` stacks: its arguments are checked at once, and each
+    stack's changes are searched for only when the scan is read that far."""
+    if ring.family not in (Family.DNH_2R, Family.DND_RRP):
+        raise InvalidDescriptor("latitude scans cover the two-ring families")
+    ring.validate()
     min_step = math.pi / MAX_GRID_POINTS
     if not (min_step <= grid_step < math.inf and MIN_TRANSITION_TOL <= tol < math.inf):
         raise InvalidDescriptor(
@@ -1083,11 +1074,8 @@ def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step:
             f"tol finite and at least {MIN_TRANSITION_TOL:g}"
         )
 
-    def descs(thetas) -> Iterator[FamilyDescriptor]:
-        return (FamilyDescriptor(fam, n_per_ring=n_per_ring, theta0=t, k_p=k_p) for t in thetas)
-
     def verdicts_at(thetas) -> list[Verdict | None]:
-        return [_scan_verdict(result) for result in decide_many(descs(thetas))]
+        return [_scan_verdict(result) for result in decide_many(map(ring.at, thetas))]
 
     def sampled(stack: list) -> list[tuple[float, Verdict | None]]:
         # An indeterminate or invalid grid point is a sample with no verdict.
@@ -1095,7 +1083,7 @@ def _transition_scan(family: Family | str, n_per_ring: int, k_p: int, grid_step:
 
     def scan() -> Iterator[tuple[str, float]]:
         last = []  # map keeps no stack: a scan paused at a change holds no spectra
-        for samples in map(sampled, _stacked(descs(_scan_points(fam, k_p, grid_step)))):
+        for samples in map(sampled, _stacked(map(ring.at, _scan_points(ring.family, ring.k_p, grid_step)))):
             samples = last + samples
             yield from ((_classify(a, b), theta) for theta, a, b in verdict_changes(verdicts_at, samples, tol))
             last = [s for s in samples if s[1] is not None][-1:]
@@ -1128,7 +1116,7 @@ def list_transitions(
     :data:`~vortex_atlas.core.MAX_GRID_POINTS` points over (0, pi) and
     ``tol`` is finite and at least :data:`MIN_TRANSITION_TOL`.
     """
-    return tuple(_transition_scan(family, n_per_ring, k_p, grid_step, tol))
+    return tuple(_transition_scan(FamilyDescriptor(family, n_per_ring, math.pi / 2, k_p), grid_step, tol))
 
 
 def _pick_transition(found: Iterable[tuple[str, float]], transition: str, occurrence: int) -> float:
@@ -1141,11 +1129,11 @@ def _pick_transition(found: Iterable[tuple[str, float]], transition: str, occurr
     return matches[occurrence]
 
 
-def _transition_reader(family: Family | str, n_per_ring: int, k_p: int, grid_step: float, tol: float) -> Callable:
+def _transition_reader(ring: FamilyDescriptor, grid_step: float, tol: float) -> Callable:
     """``read(transition, occurrence)``: what :func:`_pick_transition` picks
-    from :func:`list_transitions`, or raises, reading the family's one scan
-    only up to the change asked for (a missing one reads it to the end)."""
-    scan, seen = _transition_scan(family, n_per_ring, k_p, grid_step, tol), []
+    from :func:`list_transitions`, or raises, reading ``ring``'s family's one
+    scan only up to the change asked for (a missing one reads it to the end)."""
+    scan, seen = _transition_scan(ring, grid_step, tol), []
 
     def read(transition: str, occurrence: int) -> float:
         while True:

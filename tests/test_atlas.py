@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,6 +158,8 @@ def test_sweep_spec_grid_and_validation():
         SweepSpec(("DNh",), (1,), 0.3, 0.5, 0.1)
     with pytest.raises(OutOfDomain):
         SweepSpec(("DNh",), (2, MAX_RING_SIZE + 1), 0.3, 0.5, 0.1)
+    with pytest.raises(OutOfDomain):  # its rows would read N 2.5 and hold the N = 2 results
+        SweepSpec(("DNh",), (2.5,), 0.5, 0.6, 0.1)
 
 
 def test_sweep_rows_are_ordered_and_deterministic():
@@ -796,6 +799,25 @@ def test_the_fanout_runs_jobs_round_robin_and_returns_them_in_order(monkeypatch)
     assert len(set(atlas._fanout(lambda j: os.getpid(), range(2)))) == 2  # min(jobs, CPUs) workers
     assert atlas._fanout(lambda j: os.getpid(), [1]) == [os.getpid()]  # one job forks nothing
     assert atlas._fanout(str, []) == []
+
+
+def test_the_fanout_forks_through_python_3_12_s_multi_threaded_fork_warning(monkeypatch):
+    """Python 3.12+ warns on a fork in a multi-threaded process, which the
+    test settings turn into an error; the fan-out's filter lets the fork run."""
+    _affinity(monkeypatch, (0, 1))
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child.",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert atlas._fanout(lambda j: j * j, range(4)) == [0, 1, 4, 9]
+    _no_child_left()
 
 
 def test_the_fanout_forks_nothing_while_another_thread_runs(monkeypatch):

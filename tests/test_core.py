@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,6 +359,8 @@ def test_descriptor_json_round_trip():
 
 
 def test_descriptor_mapping_accepts_short_family_names():
+    assert FamilyDescriptor("DNd", 3) == FamilyDescriptor(Family.DND_RRP, 3)
+    assert FamilyDescriptor("DNh2R", 3, k_p=2) == FamilyDescriptor(Family.DNH_2R, 3, k_p=2)
     desc = FamilyDescriptor.from_mapping({"family": "DNh", "N": 4, "theta0": 0.9})
     assert desc.family is Family.DNH_2R
     assert desc.n_per_ring == 4
@@ -365,6 +368,21 @@ def test_descriptor_mapping_accepts_short_family_names():
         FamilyDescriptor.from_mapping({"family": "nope"})
     with pytest.raises(InvalidDescriptor):
         FamilyDescriptor.from_mapping({"family": "DNh", "N": np.bool_(True)})
+
+
+@pytest.mark.parametrize("family", list(Family))
+@given(
+    n=st.integers(2, MAX_RING_SIZE),
+    k_p=st.sampled_from((0, 2)),
+    lambda_n=st.floats(-10.0, 10.0),
+    theta0=st.floats(0.0, math.pi),
+)
+@settings(max_examples=20, deadline=None)
+def test_a_member_keeps_every_field_of_its_template_but_the_latitude(family, n, k_p, lambda_n, theta0):
+    ring = FamilyDescriptor(family, n, k_p=k_p, lambda_n=lambda_n)
+    member = ring.at(theta0)
+    assert member.theta0 == theta0
+    assert replace(member, theta0=ring.theta0) == ring
 
 
 @pytest.mark.parametrize(

@@ -69,7 +69,7 @@ CASES = [
     (lambda: analyze(FamilyDescriptor(Family.TETRAHEDRAL_PAIR, 2)), InvalidDescriptor, "use analyze_small"),
     (lambda: list_transitions("TetrahedralPair", 2, 0), InvalidDescriptor, "cover the two-ring families"),
     (lambda: FamilyDescriptor.from_json("{"), InvalidDescriptor, "malformed descriptor JSON"),
-    (lambda: FamilyDescriptor("Foo", 2).validate(), InvalidDescriptor, "unknown family 'Foo'"),
+    (lambda: FamilyDescriptor("Foo", 2), InvalidDescriptor, "unknown family name 'Foo'"),
     (lambda: FamilyDescriptor(DNH, 3, theta0=math.pi, k_p=2).validate(), InvalidDescriptor, "(0, pi)"),
     (lambda: FamilyDescriptor(Family.TETRAHEDRAL_PAIR, 2, k_p=2).validate(), InvalidDescriptor, "has no poles"),
     (lambda: make_single_plus_ring(1, 1.0), InvalidDescriptor, "at least two vortices"),
@@ -91,6 +91,17 @@ CASES = [
     *[(lambda n=n: list_transitions(DNH, n, 0), InvalidDescriptor, "ring families need 2 <= n_per_ring <= 256")
       for n in (0, 1, -1, 300)],
     (lambda: list_transitions(DNH, 3, 1), InvalidDescriptor, "k_p must be 0 or 2"),
+    # a fractional ring size or pole count is refused, not truncated, and a field that
+    # does not convert is refused with the descriptor's error
+    (lambda: analyze(FamilyDescriptor(Family.DND_RRP, 3.9, 0.9)), InvalidDescriptor,
+     "n_per_ring and k_p must be whole numbers, got 3.9 and 0"),
+    (lambda: list_transitions(DNH, 2.7, 0.0), InvalidDescriptor, "whole numbers, got 2.7 and 0.0"),
+    (lambda: FamilyDescriptor(DNH, "3"), InvalidDescriptor, "whole numbers, got '3' and 0"),
+    (lambda: FamilyDescriptor(DNH, 3, k_p=0.5), InvalidDescriptor, "whole numbers, got 3 and 0.5"),
+    (lambda: FamilyDescriptor(DNH, "x"), InvalidDescriptor, "bad descriptor field"),
+    (lambda: FamilyDescriptor(DNH, math.nan), InvalidDescriptor, "bad descriptor field"),
+    (lambda: FamilyDescriptor(DNH, math.inf), InvalidDescriptor, "bad descriptor field"),
+    (lambda: FamilyDescriptor(DNH, 3, theta0=None), InvalidDescriptor, "bad descriptor field"),
 ]
 
 

@@ -1526,7 +1526,7 @@ def test_transition_reader_picks_what_the_whole_scan_gives_in_any_order():
     found = list_transitions(DND, 3, 2)
     asked = [("HopfLower", 1), ("HopfUpper", 0), ("HopfLower", 0), ("StabilityGain", 0), ("HopfUpper", 0)]
     for order in (asked, asked[::-1]):
-        read = _transition_reader(DND, 3, 2, 0.005, 1e-6)
+        read = _transition_reader(FamilyDescriptor(DND, 3, k_p=2), 0.005, 1e-6)
         for transition, occurrence in order:
             try:
                 want = _pick_transition(found, transition, occurrence)
@@ -1566,11 +1566,11 @@ def test_the_scan_decides_the_grid_in_the_stacks_of_the_closed_form_pass(monkeyp
 
 def test_transition_reader_checks_its_arguments_before_it_is_read():
     with pytest.raises(InvalidDescriptor):
-        _transition_reader(DNH, 2, 0, 0.0, 1e-6)
-    with pytest.raises(InvalidDescriptor):
-        _transition_reader("TetrahedralPair", 2, 0, 0.005, 1e-6)
+        _transition_reader(FamilyDescriptor(DNH, 2), 0.0, 1e-6)
+    with pytest.raises(InvalidDescriptor, match="^latitude scans cover the two-ring families$"):
+        _transition_reader(FamilyDescriptor("TetrahedralPair", 2), 0.005, 1e-6)
     with pytest.raises(InvalidDescriptor, match="^ring families need 2 <= n_per_ring <= 256$"):
-        _transition_reader(DNH, 1, 0, 0.005, 1e-6)
+        _transition_reader(FamilyDescriptor(DNH, 1), 0.005, 1e-6)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ PACKAGE = ROOT / "src" / "vortex_atlas"
 
 # The parameters of every function in a layer's ``__all__`` and of every
 # public method of an exported class (without ``self`` or ``cls``); an
-# option, a parameter with a default, ends in "=".  58 parameters, 6 options.
+# option, a parameter with a default, ends in "=".  59 parameters, 6 options.
 SIGNATURES = {
     "core.Layout.all_indices": "",
     "core.Layout.standard": "n_plus n_minus pole_count",
@@ -29,6 +29,7 @@ SIGNATURES = {
     "core.Configuration.to_json": "",
     "core.Configuration.from_json": "text",
     "core.Configuration.from_mapping": "payload",
+    "core.FamilyDescriptor.at": "theta0",
     "core.FamilyDescriptor.validate": "",
     "core.FamilyDescriptor.as_dict": "",
     "core.FamilyDescriptor.to_json": "",
@@ -79,13 +80,11 @@ SIGNATURES = {
 # ``(importer, layer._name)``.  A new entry is a layer reaching into
 # another's internals.
 PRIVATE_IMPORTS = {
-    ("atlas", "core._family_named"),
     ("atlas", "equilibria._branch_stack"),
     ("atlas", "stability._small_outcomes"),
     ("atlas", "stability._transition_reader"),
     ("dynamics", "core._pairwise_l2"),
     ("equilibria", "core._kept_rows"),
-    ("stability", "core._family_named"),
     ("stability", "equilibria._certificates"),
     ("stability", "equilibria._ring_phase"),
 }
