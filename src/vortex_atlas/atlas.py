@@ -217,6 +217,8 @@ class SweepSpec:
             raise OutOfDomain("theta_step must be positive")
         if not self.families:
             raise OutOfDomain("at least one family is required")
+        if self.k_p not in (0, 2):
+            raise OutOfDomain("k_p must be 0 or 2")
         if not math.isfinite(self.lambda_n):
             raise OutOfDomain("lambda_n must be finite")
         if self.k_p and self.lambda_n == 0.0:

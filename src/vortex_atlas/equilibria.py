@@ -370,10 +370,14 @@ class BranchPoint:
 
         Raises
         ------
+        OutOfDomain
+            If ``x`` or ``y`` is not a cosine: off [-1, 1].
         NotRelativeEquilibrium
             If its per-vortex rates disagree by more than 1e-9, or its chart
             residual at its rate exceeds ``BRANCH_RESIDUAL_TOL``.
         """
+        if abs(self.x) > 1.0 or abs(self.y) > 1.0:
+            raise OutOfDomain(f"x = {self.x!r} and y = {self.y!r} must lie in [-1, 1]")
         positions, strengths, layout, _ = _branch_stack([self])
         config = Configuration(positions[0], strengths, 0 if layout.north is None else 2, layout)
         (refused,) = _certificates(positions, config, BRANCH_RESIDUAL_TOL)[1]

@@ -1066,7 +1066,7 @@ def _transition_scan(ring: FamilyDescriptor, grid_step: float, tol: float) -> It
     stack's changes are searched for only when the scan is read that far."""
     if ring.family not in (Family.DNH_2R, Family.DND_RRP):
         raise InvalidDescriptor("latitude scans cover the two-ring families")
-    ring.validate()
+    ring.at(math.pi / 2).validate()  # the template's own latitude is never scanned
     min_step = math.pi / MAX_GRID_POINTS
     if not (min_step <= grid_step < math.inf and MIN_TRANSITION_TOL <= tol < math.inf):
         raise InvalidDescriptor(

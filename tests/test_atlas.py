@@ -160,6 +160,9 @@ def test_sweep_spec_grid_and_validation():
         SweepSpec(("DNh",), (2, MAX_RING_SIZE + 1), 0.3, 0.5, 0.1)
     with pytest.raises(OutOfDomain):  # its rows would read N 2.5 and hold the N = 2 results
         SweepSpec(("DNh",), (2.5,), 0.5, 0.6, 0.1)
+    for k_p in (1, 0.5, 3):  # no descriptor takes them: each latitude's row would be an error
+        with pytest.raises(OutOfDomain, match="^k_p must be 0 or 2$"):
+            SweepSpec(("DNh",), (2,), 0.5, 0.6, 0.1, k_p=k_p)
 
 
 def test_sweep_rows_are_ordered_and_deterministic():

@@ -370,6 +370,9 @@ def test_trajectory_holds_arrays_and_its_csv_shows_the_states(pm_sampler, monkey
     # H and |dH| of a row belong to the same stored state
     assert np.array(traj.energies).tobytes() == hamiltonians(traj.positions, c.strengths).tobytes()
     assert traj.h_drift == tuple(abs(e - traj.energies[0]) for e in traj.energies)
+    # |dPhi| of a row has the bits of that one state's momentum against the first state's
+    phi0 = c.strengths @ traj.positions[0]
+    assert traj.phi_drift == tuple(float(np.max(np.abs(c.strengths @ p - phi0))) for p in traj.positions)
 
     def no_energy_pass(*args):
         raise AssertionError("to_csv evaluated energies")

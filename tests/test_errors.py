@@ -24,6 +24,7 @@ from vortex_atlas.core import (
     PoleSingularity,
 )
 from vortex_atlas.equilibria import (
+    BranchPoint,
     NotRelativeEquilibrium,
     OutOfDomain,
     branch_c2v_2R2p,
@@ -102,6 +103,10 @@ CASES = [
     (lambda: FamilyDescriptor(DNH, math.nan), InvalidDescriptor, "bad descriptor field"),
     (lambda: FamilyDescriptor(DNH, math.inf), InvalidDescriptor, "bad descriptor field"),
     (lambda: FamilyDescriptor(DNH, 3, theta0=None), InvalidDescriptor, "bad descriptor field"),
+    # a branch point off the square of ring cosines is refused before its co-latitudes are taken
+    *[(lambda p=p: BranchPoint(*p).configuration(), OutOfDomain, "must lie in [-1, 1]")
+      for p in ((1.5, 0.2, 0.0, Family.C2V_2R2P, 1.0), (0.2, -1.5, math.pi / 2, Family.C2V_RRP2P, 1.0),
+                (0.2, 1.5, math.pi, Family.C2V_RM_RMP, 0.0), (-2.0, 0.5, math.pi, Family.C2V_RM_RMP, 0.0))],
 ]
 
 

@@ -124,6 +124,20 @@ def test_hessian_matches_finite_differences(family, n, theta0, k_p):
     assert np.max(np.abs(closed - fd)) < 1e-6
 
 
+@pytest.mark.parametrize("family", [DNH, DND])
+@pytest.mark.parametrize("k_p", [0, 2])
+def test_symplectic_form_matches_the_charts(family, k_p):
+    """The closed-form symplectic form is the chart's, entry by entry: the
+    two are built apart, ``lambda sin(theta)`` on each ring pair of the chart's
+    coordinates and ``lambda_p / z_p`` at each pole."""
+    for n in range(2, 7):
+        rings = _rings(family, n, k_p, 1.0 if k_p else 0.0)
+        for theta in [0.3, 0.7, 1.2] + [2.1] * (k_p == 2):
+            chart = MixedChart(make_family(_desc(family, n, theta, k_p)))
+            closed = _symplectic_forms(rings, np.array([math.sin(theta)]))[0]
+            assert np.abs(closed - chart.symplectic_matrix(chart.coords())).max() <= 1e-15, (n, theta)
+
+
 # ---------------------------------------------------------------------------
 # slice bases
 # ---------------------------------------------------------------------------
@@ -1571,6 +1585,13 @@ def test_transition_reader_checks_its_arguments_before_it_is_read():
         _transition_reader(FamilyDescriptor("TetrahedralPair", 2), 0.005, 1e-6)
     with pytest.raises(InvalidDescriptor, match="^ring families need 2 <= n_per_ring <= 256$"):
         _transition_reader(FamilyDescriptor(DNH, 1), 0.005, 1e-6)
+
+
+def test_transition_reader_ignores_its_templates_latitude():
+    """A template is checked at pi/2, a latitude every ring family takes, so
+    one that sits where no pole-free member may still reads its family's scan."""
+    off = _transition_reader(FamilyDescriptor(DNH, 3, theta0=2.0), 0.005, 1e-6)
+    assert off("StabilityLoss", 0) == _transition_reader(FamilyDescriptor(DNH, 3), 0.005, 1e-6)("StabilityLoss", 0)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """The package's public names, their signatures, the methods the benchmark's tracer wraps,
-the README's Python API, the package's imports, and the test settings."""
+the README's Python API and shown command output, the package's imports, and the test settings."""
 
 import ast
 import contextlib
@@ -7,7 +7,9 @@ import importlib
 import importlib.util
 import inspect
 import io
+import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -270,6 +272,25 @@ def test_the_readme_python_api_runs():
         with contextlib.redirect_stdout(io.StringIO()) as out:
             exec(compile(block, "README.md", "exec"), {})
         assert out.getvalue()
+
+
+def test_the_readme_shows_what_classify_and_sweep_print(capsys):
+    """The output the README shows under its ``classify`` and ``sweep``
+    commands is what they print: the report's fields other than the elided
+    block list, as parsed values, and each shown CSV line."""
+    from vortex_atlas.atlas import EXIT_OK, main
+
+    readme = (ROOT / "README.md").read_text()
+    shown = re.findall(r"```sh\nvortex-atlas ((classify|sweep) .*?)\n```\n.*?```\w*\n(.*?)```", readme, re.DOTALL)
+    assert [name for _, name, _ in shown] == ["classify", "sweep"]
+    (classify, _, report), (sweep, _, table) = shown
+    assert main(shlex.split(classify)) == EXIT_OK
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads(re.sub(r',\s*"blocks": \[\.\.\.\]', "", report))
+    assert "blocks" in got and {key: got[key] for key in want} == want
+    assert main(shlex.split(sweep)) == EXIT_OK
+    lines, shown_lines = capsys.readouterr().out.splitlines(), table.splitlines()
+    assert shown_lines[-1] == "..." and all(line in lines for line in shown_lines[:-1])
 
 
 def test_a_failing_property_fails_alone(tmp_path):
